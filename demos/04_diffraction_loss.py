@@ -15,7 +15,7 @@ import math
 from resbeam import fundamental_loss_vs_distance, mode_diffraction_loss
 
 print("per-pass loss vs aperture/spot ratio (fundamental mode):")
-print("   a/w    quadrature      exp(-2a^2/w^2)")
+print("   a/w    Gauss-Laguerre  exp(-2a^2/w^2)")
 for ratio in (0.5, 1.0, 1.5, 2.0):
     q = mode_diffraction_loss(0, 0, ratio, 1.0)
     c = math.exp(-2.0 * ratio**2)

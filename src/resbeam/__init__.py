@@ -41,7 +41,6 @@ from .errors import (
     NoSolutionError,
     NoStableRegionError,
     ParseError,
-    QuadratureFailureError,
     ResbeamError,
     UnboundedStableRangeError,
     UndefinedAtZeroError,

@@ -39,10 +39,6 @@ class UnboundedStableRangeError(ResbeamError):
         )
 
 
-class QuadratureFailureError(ResbeamError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
-
-
 class UndefinedAtZeroError(ResbeamError):
     """An efficiency ratio was requested at zero input power."""
 

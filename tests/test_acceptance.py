@@ -154,10 +154,15 @@ def test_criterion_3_gaussian_radii_oracle():
 
 
 def test_criterion_4_quadrature_vs_closed_form():
-    with criterion(4, "fundamental-mode quadrature equals exp(-2a^2/w^2) within 1e-6"):
+    with criterion(4, "mode loss equals exp(-2a^2/w^2) within 1e-6 and the quadrature within 1e-10"):
         for ratio in (0.1, 0.5, 1.0, 2.0, 3.0):
             got = mode_diffraction_loss(0, 0, ratio, 1.0)
             assert abs(got - math.exp(-2.0 * ratio**2)) < 1e-6, ratio
+        for m, n in ((1, 0), (0, 3), (2, 2), (5, 1), (4, 7)):
+            for ratio in (0.3, 1.0, 2.0, 3.5):
+                got = mode_diffraction_loss(m, n, ratio, 1.0)
+                want = oracles.quadrature_mode_loss(m, n, ratio, 1.0)
+                assert abs(got - want) < 1e-10, (m, n, ratio)
 
 
 def test_criterion_5_exact_linear_reproductions():

@@ -182,3 +182,13 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "thresholds"
+
+
+def test_cli_import_pulls_in_no_scipy():
+    # scipy is a test-only dependency; importing it would add its import time to every CLI start
+    probe = "import resbeam.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

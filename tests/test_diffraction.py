@@ -9,6 +9,11 @@ from resbeam import (
     fundamental_loss_vs_distance,
     mode_diffraction_loss,
 )
+from resbeam.diffraction import MAX_MODE_ORDER
+
+import oracles
+
+RATIOS = (0.05, 0.3, 0.7, 1.0, 1.5, 2.2, 3.0, 4.5, 6.0)
 
 
 class TestAssociatedLaguerre:
@@ -65,6 +70,31 @@ class TestModeDiffractionLoss:
     def test_huge_aperture_passes_everything(self):
         for m, n in ((0, 0), (2, 2)):
             assert mode_diffraction_loss(m, n, 50.0, 1.0) <= 1e-12
+        # far past the cut-off, where x^m would overflow and give NaN
+        with np.errstate(over="raise", invalid="raise"):
+            assert mode_diffraction_loss(5, 5, 1e6, 1.0) == 0.0
+            assert mode_diffraction_loss(MAX_MODE_ORDER, MAX_MODE_ORDER, 1e300, 1e-6) == 0.0
+
+    @pytest.mark.parametrize("m", range(13))
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_quadrature_reference(self, m, n):
+        for ratio in RATIOS:
+            got = mode_diffraction_loss(m, n, ratio, 1.0)
+            want = oracles.quadrature_mode_loss(m, n, ratio, 1.0)
+            assert abs(got - want) < 1e-10, (m, n, ratio, got, want)
+
+    def test_order_range_edge(self):
+        top = MAX_MODE_ORDER
+        for m, n in ((top, 0), (0, top), (top, top)):
+            cutoff = math.sqrt(2.0 * n + m + 1.0) + 8.0
+            for ratio in (0.5, 2.0, 6.0, 0.5 * cutoff, 0.99 * cutoff):
+                got = mode_diffraction_loss(m, n, ratio, 1.0)
+                want = oracles.quadrature_mode_loss(m, n, ratio, 1.0)
+                assert math.isfinite(got)
+                assert abs(got - want) < 1e-10, (m, n, ratio, got, want)
+        for m, n in ((top + 1, 0), (0, top + 1), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                mode_diffraction_loss(m, n, 1.0, 1.0)
 
     def test_nonincreasing_in_aperture(self):
         apertures = np.linspace(0.0, 4.0, 30)
@@ -99,6 +129,10 @@ class TestModeDiffractionLoss:
             mode_diffraction_loss(0, 0, 1.0, 0.0)
         with pytest.raises(ValueError):
             mode_diffraction_loss(0, 0, -1.0, 1.0)
+        for a, w in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+                     (1.0, -math.inf)):
+            with pytest.raises(ValueError):
+                mode_diffraction_loss(0, 0, a, w)
 
 
 class TestFundamentalLossVsDistance:

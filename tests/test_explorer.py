@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,20 @@ from resbeam import (
 )
 
 import oracles
+
+
+# SHA-256 of the CSV of each study figure, recorded before the scipy-free
+# mode loss replaced the quadrature; a refactor must leave them unchanged.
+FIGURE_CSV_SHA256 = {
+    6: "cf9e85bdfa54e03b91837e6144610926dc1388fd2375569da6e1a2c520bf6566",
+    7: "a1f04747fd0863a9712f673ed82d0f1b78ae0e7d8c961bc056f0e28dea0079c3",
+    8: "aa8fb568b66d1d36b7e987059e2501880697f40bc4658d8cd0143899b9287f73",
+    9: "a13393d4a8d5288feb95462a5292c8408e77a1a2c1adf14f4fca140844bc1d7a",
+    10: "ddd3e9ba294a03df65e3d68ba0acc3a6b94208ad84480618cb0f5c7cfac2947a",
+    11: "c2a156b90a689d6c08b7b48b5ee47d00020303c7973636ec02bf2a6ae5220e16",
+    12: "27a451b5af90cb8a5849d3e4765b887fdf28147a18a5c2cee105fc6fcb8b9727",
+    13: "09bdd64164676e71b1f373e7a95b94da46eb147f709bc432d16ac729d91d7c3d",
+}
 
 
 def grid(lo, hi, n):
@@ -230,6 +245,11 @@ class TestReproduceFigure:
             a = emit_dataset(reproduce_figure(fid))
             b = emit_dataset(reproduce_figure(fid))
             assert a == b, f"figure {fid} not byte-deterministic"
+
+    @pytest.mark.parametrize("fid", sorted(FIGURE_CSV_SHA256))
+    def test_figure_csv_digest_pinned(self, fid):
+        digest = hashlib.sha256(emit_dataset(reproduce_figure(fid))).hexdigest()
+        assert digest == FIGURE_CSV_SHA256[fid]
 
 
 class TestProvenance:

@@ -1,10 +1,12 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from resbeam import (
+    FLAT,
     EmptyResultError,
     InfeasibleTargetError,
     SweepSpec,
@@ -14,7 +16,9 @@ from resbeam import (
     emit_dataset,
     end_to_end,
     max_distance_vs_r1,
+    is_stable,
     r1_range_for_distance,
+    reference_defaults,
     reproduce_figure,
     required_input_power,
     sweep,
@@ -40,6 +44,135 @@ FIGURE_CSV_SHA256 = {
 
 def grid(lo, hi, n):
     return tuple(float(x) for x in np.linspace(lo, hi, n))
+
+
+REF = reference_defaults()
+UNSTABLE_D = replace(REF, d=11.0)  # past d_max = 10.43 m
+FLAT_R2 = replace(REF, geometry=replace(REF.geometry, r2=FLAT))
+# Stable set (0, 2.94) U (5.18, 8.18) m, so d = 5 m falls in the gap.
+R2_3 = replace(REF, geometry=replace(REF.geometry, r2=3.0))
+# A few ULPs from R1 = l - f = -0.82 m, where g1 and g2 stop depending on d;
+# rounding leaves the cavity stable at every distance.
+R1_UNBOUNDED = -0.8200000000000066
+R1_DESIGN_GRID = (-1.5, -1.0, R1_UNBOUNDED, -0.82, -0.7, -0.5, 0.0, 0.5, 1.0)
+
+# name -> (dataset builder, flag tokens its rows carry)
+DATASET_CASES = {
+    "sweep-d": (
+        lambda: sweep(SweepSpec("d", grid(0.1, 12.0, 60), replace(REF, p_in=60.0))),
+        {"unstable", "below-threshold"},
+    ),
+    "sweep-P_in": (
+        lambda: sweep(SweepSpec("P_in", grid(0.0, 100.0, 21), REF)),
+        {"below-threshold"},
+    ),
+    "sweep-P_in-unstable": (
+        lambda: sweep(SweepSpec("P_in", grid(0.0, 100.0, 5), UNSTABLE_D)),
+        {"unstable"},
+    ),
+    "sweep-P_stored": (
+        lambda: sweep(SweepSpec("P_stored", grid(0.0, 30.0, 16), REF)),
+        {"below-threshold", "undefined-at-zero"},
+    ),
+    "sweep-P_stored-unstable": (
+        lambda: sweep(SweepSpec("P_stored", grid(0.0, 30.0, 4), UNSTABLE_D)),
+        {"unstable"},
+    ),
+    "sweep-P_beam": (
+        lambda: sweep(SweepSpec("P_beam", grid(0.0, 30.0, 16), REF)),
+        {"below-threshold", "undefined-at-zero"},
+    ),
+    "sweep-R1": (
+        lambda: sweep(SweepSpec(
+            "R1", (-1.5, -1.0, R1_UNBOUNDED, -0.6, -0.1, 0.0, 0.05, 0.3, 3.0), FLAT_R2
+        )),
+        {"unbounded", "no-stable-region", "invalid-r1"},
+    ),
+    "r1-design-origin": (
+        lambda: max_distance_vs_r1(0.06, 0.88, R1_DESIGN_GRID, "origin"),
+        {"unbounded", "no-stable-region", "no-solution"},
+    ),
+    "r1-design-tangent": (
+        lambda: max_distance_vs_r1(0.06, 0.88, R1_DESIGN_GRID, "tangent"),
+        {"unbounded", "no-solution"},
+    ),
+}
+
+# SHA-256 of emit_dataset(..., fmt), recorded before the drivers shared one
+# row loop; a refactor must leave them unchanged.
+DATASET_SHA256 = {
+    "sweep-d": {
+        "csv": "6c6ce11c88b58680f5e00827b3f643c2097df1d28f56b01c7b0e8cadb19ad6a3",
+        "json": "c2aacda4380bf37045d26f5a8dedcaaeea17465153be5e2ceb82046eff2994a4",
+    },
+    "sweep-P_in": {
+        "csv": "1a5df7dbfeee825589caaa4aeed40375c8e6eb8f5d0ddf897c95bb237f26e4c8",
+        "json": "f9f5f325917ce78661ad638cf898902e347974d3325784d311ae246c080e1a47",
+    },
+    "sweep-P_in-unstable": {
+        "csv": "440c07140570aaddb17b118b63c8ef18b550af93ef38f9004c595e9585eb04a2",
+        "json": "2f51304b6d4680c8d79267736aeb9030163a539900502e55662821a7cbc089ec",
+    },
+    "sweep-P_stored": {
+        "csv": "63e74fe035e2755744934eb744afc682c55317b9c99774405007fbd9f966f0f1",
+        "json": "f5d194e44e199bc65377facf0faa4a535d26e359b27c554a7f1202c9cf15f489",
+    },
+    "sweep-P_stored-unstable": {
+        "csv": "e85c51d8281737364cda374455a3d0b4b11a67661de0467f1f8ddbd7ba01e714",
+        "json": "f1c1997fb31623eb2c355fe7e1774a36aae6a1bec9de3f680518cbabb62b18cc",
+    },
+    "sweep-P_beam": {
+        "csv": "ec2528e53a8fb9e4bfcb6cb4161b15440e139055434fdaccc9f68e702c149275",
+        "json": "74aeb62bbf89fa3acd8a22b7f44f8063761cdf01a7bd47e42dc566af4f3731ce",
+    },
+    "sweep-R1": {
+        "csv": "dadae75b159184265071e91d89c2fd3be9fb3bef53cd707f4a205f64ae02e33d",
+        "json": "e3ef06f7f1debd8c6b24823f040159c618283abf4d3c820c905661f36bca9d2a",
+    },
+    "r1-design-origin": {
+        "csv": "33ebe38ca1e4751da0801492983191e588619991d7eb0339ea6a61236d89bc4c",
+        "json": "8b0a1191013c4d110b0f7c5898579c576a7527fdb6259bcef93238305c612110",
+    },
+    "r1-design-tangent": {
+        "csv": "235bd87a6ecff20a953706c12f4255eb0ec1334b84e66f46834ea52edb1a56d8",
+        "json": "7064e0ae4bddd8dbcece90b5370d2ff7a6e5218e962d7f48ba9c07f6a8e576dc",
+    },
+}
+
+FIGURE_R2_3_SHA256 = {
+    6: {
+        "csv": "e02ac51091f0cc19b201af598ab54d36c4aa3edb97038723490fb5e6b2098888",
+        "json": "3841e077f0b40245b49ac30a792c0be7789dc7c34d72d3b0301081d0550c5580",
+    },
+    7: {
+        "csv": "08119ca9c9f9c0e5adaf72e0db2eb786b3e582283753281a27afc6c37f25d5f6",
+        "json": "dd499d00dc433356a8c8b51a46a5a727b7b7a06200ea773c2e296a90192e92cc",
+    },
+    8: {
+        "csv": "1530707555968739259e2eaf7544aac8a7fd3d875620f8889f8fa898dd023efc",
+        "json": "eeefa4b7bbaa0330b7cf037beefa7f0ab8ddeaa02c00a89de292d730b7a07321",
+    },
+    9: {
+        "csv": "93a614f982ffcb4db3c5771d598e2bbb06e117545ea90af0d3b51ffe01f015bd",
+        "json": "7b04eb54a02a7799c9f1a88909e1b0da9146a2d446cf769691c27ef61747dc8d",
+    },
+    10: {
+        "csv": "045b8268fa0e5604316c1d6e8c551f82a2b8c3675e48acd4403f5490e9b04661",
+        "json": "4e6442b3b2a1748426aa7c3f9d0d3d5d8029229d4db8fc4f77ba69b002cdcccf",
+    },
+    11: {
+        "csv": "6465f4328849d3e3053c6853042fcbad80ee3f305ef530dddcdeaac41e92f0ef",
+        "json": "234286a59df80ed11f3ffc7d5ec6fdf673b7d645e36a0de2a6a2dddfe8164477",
+    },
+    12: {
+        "csv": "e2f9c67042053f3c0c381f5703997e692b088cb3722c84230feddabbcbbc9a82",
+        "json": "d43d98e6d2c41c5b681d592e07d6c056b5ff1414ad7ff3e23e6808bc8f380cbb",
+    },
+    13: {
+        "csv": "770483d687c3832e1b06b2203b3b7d8caaf029598ce7ce959fc54eb960ec358f",
+        "json": "0bdbcf3a63421c33af6371e33545517cbd23daee0a92d6162d17412ff39b3ca2",
+    },
+}
 
 
 class TestSweep:
@@ -250,6 +383,32 @@ class TestReproduceFigure:
     def test_figure_csv_digest_pinned(self, fid):
         digest = hashlib.sha256(emit_dataset(reproduce_figure(fid))).hexdigest()
         assert digest == FIGURE_CSV_SHA256[fid]
+
+
+class TestPinnedDatasets:
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    @pytest.mark.parametrize("case", sorted(DATASET_CASES))
+    def test_dataset_digest_pinned(self, case, fmt):
+        build, tokens = DATASET_CASES[case]
+        ds = build()
+        assert set(ds.flags) - {""} == tokens
+        assert hashlib.sha256(emit_dataset(ds, fmt)).hexdigest() == DATASET_SHA256[case][fmt]
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    @pytest.mark.parametrize("fid", sorted(FIGURE_R2_3_SHA256))
+    def test_figure_digest_pinned_off_default(self, fid, fmt):
+        ds = reproduce_figure(fid, R2_3)
+        assert hashlib.sha256(emit_dataset(ds, fmt)).hexdigest() == FIGURE_R2_3_SHA256[fid][fmt]
+
+    def test_stability_gate_per_figure(self):
+        # figures 9 and 12 evaluate d = 5 m ungated; 10 and 13 flag the gap
+        assert not is_stable(R2_3.geometry, 5.0)
+        assert reproduce_figure(9, R2_3).column("P_beam_d5_W")[-1] > 0.0
+        assert not any(reproduce_figure(12, R2_3).flags)
+        for fid in (10, 13):
+            ds = reproduce_figure(fid, R2_3)
+            d = ds.column("d_m")
+            assert set(np.array(ds.flags)[(d > 2.94) & (d < 5.18)]) == {"unstable"}
 
 
 class TestProvenance:

@@ -40,28 +40,20 @@ from .explorer import (
 )
 from .powerchain import end_to_end
 
-# Options that take a value; lets "--r1 -1000mm" survive argparse.
-_VALUE_OPTS = {
-    "--config", "--out", "--format",
-    "--l", "--f", "--r1", "--r2", "--d", "--a", "--wavelength",
-    "--d-limit", "--branch", "--pin", "--pout", "--pstored", "--eta",
-    "--var", "--from", "--to", "--points", "--figure",
-    "--target-d", "--search-from", "--search-to",
-}
-
-
 def _normalize_argv(argv: list[str]) -> list[str]:
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_OPTS and i + 1 < len(argv) and argv[i + 1].startswith("-") \
-                and not argv[i + 1].startswith("--"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    """Join "--opt -1000mm" into "--opt=-1000mm" so argparse reads it as a value.
+
+    Every long option takes a value, and argparse would otherwise reject a
+    single-dash token after one as an unknown short option.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (tok[:1] == "-" and tok[:2] != "--" and prev.startswith("--")
+                and "=" not in prev and prev not in ("--", "--help")):
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

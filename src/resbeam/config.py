@@ -45,6 +45,8 @@ def parse_quantity(token: str, key: str) -> float:
         value = float(m.group(1))
     except ValueError:
         raise UnitError(key, f"cannot parse number {m.group(1)!r}") from None
+    if not math.isfinite(value):
+        raise UnitError(key, f"{token!r} is not a finite number")
     suffix = m.group(2)
     if key in LENGTH_KEYS or key in ("sweep_from", "sweep_to"):
         if suffix == "W" and key in LENGTH_KEYS:
@@ -94,12 +96,12 @@ class RunConfig:
             v = getattr(self, key)
             if math.isnan(v) or v == 0.0 or v == -math.inf:
                 raise UnitError(key, f"must be finite nonzero or flat, got {v}")
-        if self.d < 0:
-            raise UnitError("d", f"must be >= 0, got {self.d}")
-        if self.a < 0:
-            raise UnitError("a", f"must be >= 0, got {self.a}")
-        if not self.wavelength > 0:
-            raise UnitError("wavelength", f"must be > 0, got {self.wavelength}")
+        for key in ("d", "a"):
+            v = getattr(self, key)
+            if not (v >= 0 and math.isfinite(v)):
+                raise UnitError(key, f"must be finite and >= 0, got {v}")
+        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
+            raise UnitError("wavelength", f"must be finite and > 0, got {self.wavelength}")
         if not 0.0 < self.eta_stored < 1.0:
             raise UnitError("eta_stored", f"out of (0,1): {self.eta_stored}")
         if not 0.0 < self.r_out < 1.0:

@@ -100,6 +100,6 @@ def fundamental_loss_vs_distance(
         raise ValueError(f"wavelength must be > 0, got {wavelength}")
     if not l + d > 0:
         raise ValueError(f"l + d must be > 0, got {l + d}")
-    if aperture_radius < 0:
-        raise ValueError(f"aperture_radius must be >= 0, got {aperture_radius}")
+    if not (aperture_radius >= 0 and math.isfinite(aperture_radius)):
+        raise ValueError(f"aperture_radius must be finite and >= 0, got {aperture_radius}")
     return math.exp(-2.0 * math.pi * aperture_radius**2 / (wavelength * (l + d)))

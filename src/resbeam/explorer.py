@@ -1,23 +1,24 @@
 """Design-space exploration: sweeps, inverse solvers, calibration, figures.
 
-Everything here is a thin deterministic driver over the cavity and power
-chain primitives: identical inputs produce bit-identical Datasets.  Rows
-that cannot be evaluated (unstable cavity, no branch solution, ratios at
-zero input) carry zeros plus a flag token rather than being dropped.
+Every sweep and figure is one walk over its grid with a per-row rule over
+the cavity and power chain primitives: identical inputs produce
+bit-identical Datasets.  Rows that cannot be evaluated (unstable cavity, no
+branch solution, ratios at zero input) carry zeros plus a flag token rather
+than being dropped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import defaults as dflt
 from .cavity import (
     BRANCHES,
-    ORIGIN,
-    TANGENT,
     CavityGeometry,
     beam_radii,
     connecting_r2,
@@ -32,7 +33,6 @@ from .errors import (
     NoSolutionError,
     NoStableRegionError,
     UnboundedStableRangeError,
-    UndefinedAtZeroError,
     UnknownFigureError,
     UnreachableTargetError,
     UnstableConfigurationError,
@@ -44,7 +44,6 @@ from .powerchain import (
     beam_power,
     end_to_end,
     gain_to_beam_coefficient,
-    pv_efficiency,
     pv_output,
     stored_power,
     thresholds,
@@ -69,14 +68,12 @@ class SystemParams:
     p_in: float = 100.0
 
     def __post_init__(self):
-        if self.aperture_radius < 0:
-            raise ValueError(f"aperture_radius must be >= 0, got {self.aperture_radius}")
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if self.d < 0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
-        if self.p_in < 0:
-            raise ValueError(f"p_in must be >= 0, got {self.p_in}")
+        for name in ("aperture_radius", "d", "p_in"):
+            v = getattr(self, name)
+            if not (v >= 0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
+            raise ValueError(f"wavelength must be finite and > 0, got {self.wavelength}")
 
     @property
     def l(self) -> float:
@@ -109,25 +106,12 @@ def reference_defaults() -> SystemParams:
 
 def provenance_for(params: SystemParams, **extra) -> dict[str, str]:
     """Full effective parameter snapshot for output embedding."""
-    geo = params.geometry
-    out = {
-        "l": repr(geo.l),
-        "f": repr(geo.f),
-        "r1": repr(geo.r1),
-        "r2": repr(geo.r2),
-        "d": repr(params.d),
-        "a": repr(params.aperture_radius),
-        "wavelength": repr(params.wavelength),
-        "eta_stored": repr(params.gain.eta_stored),
-        "m_overlap": repr(params.gain.m_overlap),
-        "c": repr(params.gain.c),
-        "r_out": repr(params.gain.r_out),
-        "a1": repr(params.pv.a1),
-        "b1": repr(params.pv.b1),
-        "p_in": repr(params.p_in),
-    }
-    out.update({k: str(v) for k, v in extra.items()})
-    return out
+    # getattr, not vars(): a materialised __dict__ slows every later attribute read
+    parts = (params.geometry, params.gain, params.pv)
+    values = {f.name: getattr(part, f.name) for part in parts for f in fields(part)}
+    values |= {"a": params.aperture_radius, "wavelength": params.wavelength,
+               "d": params.d, "p_in": params.p_in}
+    return {k: repr(v) for k, v in values.items()} | {k: str(v) for k, v in extra.items()}
 
 
 @dataclass(frozen=True)
@@ -147,119 +131,159 @@ class SweepSpec:
             raise ValueError("grid must be strictly increasing")
 
 
-def _sweep_d(spec: SweepSpec) -> Dataset:
-    p = spec.fixed
-    n = len(spec.grid)
-    cols = {k: np.zeros(n) for k in ("d_m", "f_d", "P_beam_W", "eta_trans", "P_out_W", "eta_all")}
-    flags = [""] * n
-    for i, d in enumerate(spec.grid):
-        cols["d_m"][i] = d
-        if not is_stable(p.geometry, d):
-            flags[i] = "unstable"
-            continue
-        state, eff = end_to_end(
-            p.p_in, d, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l
-        )
-        cols["f_d"][i] = p.f_of_d(d)
-        cols["P_beam_W"][i] = state.p_beam
-        cols["eta_trans"][i] = eff.eta_trans
-        cols["P_out_W"][i] = state.p_out
-        cols["eta_all"][i] = eff.eta_all
-        if state.p_out == 0.0 and p.p_in > 0:
-            flags[i] = "below-threshold"
-    return Dataset(cols, flags, provenance_for(p, variable="d", points=n))
+# A row rule maps a grid value to (values, flag).  A rule that stops early
+# returns a prefix of its values; the rest of the row reads zero.
+Rule = Callable[[float], tuple[Sequence[float], str]]
 
 
-def _sweep_p_in(spec: SweepSpec) -> Dataset:
-    p = spec.fixed
-    n = len(spec.grid)
-    cols = {k: np.zeros(n) for k in ("P_in_W", "P_stored_W", "P_beam_W", "P_out_W", "eta_all")}
-    flags = [""] * n
-    stable = is_stable(p.geometry, p.d)
-    for i, p_in in enumerate(spec.grid):
-        cols["P_in_W"][i] = p_in
-        if not stable:
-            flags[i] = "unstable"
-            continue
+def _tagged(name: str, tag: str) -> str:
+    """Series column name: the tag goes before a unit suffix (P_beam_W -> P_beam_d1_W)."""
+    if not tag:
+        return name
+    stem, _, unit = name.rpartition("_")
+    return f"{stem}_{tag}_{unit}" if unit in ("W", "m") else f"{name}_{tag}"
+
+
+def _tabulate(grid, x_col, value_cols, rules: dict[str, Rule], provenance, join=False):
+    """Walk the grid once, writing each row rule's values into zero-filled columns.
+
+    ``rules`` maps a series tag to its rule; each series fills its own tagged
+    copy of ``value_cols`` with at most that many values per row.  When
+    several series flag a row, ``join`` joins ``tag:flag`` tokens with ';';
+    otherwise the first nonempty flag wins.
+    """
+    width = len(value_cols)
+    series = [(tag, rule, [0.0] * (len(grid) * width)) for tag, rule in rules.items()]
+    flags = [""] * len(grid)
+    for i, x in enumerate(grid):
+        for tag, rule, rows in series:
+            values, flag = rule(x)
+            rows[i * width:i * width + len(values)] = values
+            if flag and join:
+                flags[i] = f"{flags[i]};{tag}:{flag}" if flags[i] else f"{tag}:{flag}"
+            elif flag and not flags[i]:
+                flags[i] = flag
+    columns = {x_col: np.array(grid, dtype=float)}
+    for tag, _, rows in series:
+        table = np.array(rows, dtype=float).reshape(len(grid), width).T
+        columns.update((_tagged(c, tag), col) for c, col in zip(value_cols, table))
+    return Dataset(columns, flags, provenance)
+
+
+# Row kernels shared by sweeps, figures and the R1 design search
+_UNSTABLE = ((), "unstable")
+
+
+def _gated(geom: CavityGeometry, rule: Rule) -> Rule:
+    """The rule at stable distances; unstable rows read zero, flagged."""
+    return lambda d: rule(d) if is_stable(geom, d) else _UNSTABLE
+
+
+def _below(out: float, drive: float) -> str:
+    return "below-threshold" if out == 0.0 and drive > 0 else ""
+
+
+def _reach(geom: CavityGeometry) -> tuple[tuple, str]:
+    """(d_max, contiguous) of a geometry, or no values and the reason as a flag."""
+    try:
+        md = max_transmission_distance(geom)
+    except NoStableRegionError:
+        return (), "no-stable-region"
+    except UnboundedStableRangeError:
+        return (), "unbounded"
+    return (md.d_max, 1.0 if md.contiguous else 0.0), ""
+
+
+def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
+    """R1 -> (R2, d_max, contiguous)[keep] of the connected-branch design."""
+    def rule(r1):
+        try:
+            geom = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch))
+        except (NoSolutionError, WrongSignSlopeError, ValueError):
+            return (), "no-solution"
+        reach, flag = _reach(geom)
+        return (geom.r2, *reach)[keep], flag
+
+    return rule
+
+
+def _beam(p: SystemParams, ps: float, d: float, below=False) -> tuple[tuple, str]:
+    """(P_beam, eta_trans) at stored power ps; with `below`, a zero beam is flagged."""
+    pb = beam_power(ps, d, p.gain, p.aperture_radius, p.wavelength, p.l)
+    if ps > 0:
+        return (pb, pb / ps), _below(pb, ps) if below else ""
+    return (pb,), "undefined-at-zero"
+
+
+def _pv(p: SystemParams, pb: float, below=False) -> tuple[tuple, str]:
+    """(P_pv, eta_pv) at beam power pb; with `below`, a zero PV output is flagged."""
+    ppv = pv_output(pb, p.pv)
+    if pb > 0:
+        return (ppv, ppv / pb), _below(ppv, pb) if below else ""
+    return (ppv,), "undefined-at-zero"
+
+
+def _output(p: SystemParams, p_in: float, d: float) -> tuple[tuple, str]:
+    state, eff = end_to_end(p_in, d, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l)
+    return (state.p_out, eff.eta_all), ""
+
+
+def _radii(geom: CavityGeometry, wavelength: float, d: float) -> tuple[tuple, str]:
+    try:
+        r = beam_radii(geom, d, wavelength)
+    except UnstableConfigurationError:
+        return _UNSTABLE
+    return (r.w_gain, r.w_m1, r.w_m2), ""
+
+
+def _d_rule(p: SystemParams) -> Rule:
+    def rule(d):
+        state, eff = end_to_end(p.p_in, d, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l)
+        values = (p.f_of_d(d), state.p_beam, eff.eta_trans, state.p_out, eff.eta_all)
+        return values, _below(state.p_out, p.p_in)
+
+    return _gated(p.geometry, rule)
+
+
+def _p_in_rule(p: SystemParams) -> Rule:
+    def rule(p_in):
         state, eff = end_to_end(p_in, p.d, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l)
-        cols["P_stored_W"][i] = state.p_stored
-        cols["P_beam_W"][i] = state.p_beam
-        cols["P_out_W"][i] = state.p_out
-        cols["eta_all"][i] = eff.eta_all
-        if state.p_out == 0.0 and p_in > 0:
-            flags[i] = "below-threshold"
-    return Dataset(cols, flags, provenance_for(p, variable="P_in", points=n))
+        values = (state.p_stored, state.p_beam, state.p_out, eff.eta_all)
+        return values, _below(state.p_out, p_in)
+
+    return rule if is_stable(p.geometry, p.d) else lambda p_in: _UNSTABLE
 
 
-def _sweep_p_stored(spec: SweepSpec) -> Dataset:
-    p = spec.fixed
-    n = len(spec.grid)
-    cols = {k: np.zeros(n) for k in ("P_stored_W", "f_d", "P_beam_W", "eta_trans")}
-    flags = [""] * n
-    stable = is_stable(p.geometry, p.d)
+def _p_stored_rule(p: SystemParams) -> Rule:
+    def rule(ps):
+        values, flag = _beam(p, ps, p.d, below=True)
+        return (fd, *values), flag
+
     fd = p.f_of_d(p.d)
-    for i, ps in enumerate(spec.grid):
-        cols["P_stored_W"][i] = ps
-        if not stable:
-            flags[i] = "unstable"
-            continue
-        cols["f_d"][i] = fd
-        cols["P_beam_W"][i] = beam_power(ps, p.d, p.gain, p.aperture_radius, p.wavelength, p.l)
+    return rule if is_stable(p.geometry, p.d) else lambda ps: _UNSTABLE
+
+
+def _r1_rule(p: SystemParams) -> Rule:
+    def rule(r1):
         try:
-            cols["eta_trans"][i] = transmission_efficiency(
-                ps, p.d, p.gain, p.aperture_radius, p.wavelength, p.l
-            )
-        except UndefinedAtZeroError:
-            flags[i] = "undefined-at-zero"
-            continue
-        if cols["P_beam_W"][i] == 0.0:
-            flags[i] = "below-threshold"
-    return Dataset(cols, flags, provenance_for(p, variable="P_stored", points=n))
-
-
-def _sweep_p_beam(spec: SweepSpec) -> Dataset:
-    p = spec.fixed
-    n = len(spec.grid)
-    cols = {k: np.zeros(n) for k in ("P_beam_W", "P_pv_W", "eta_pv")}
-    flags = [""] * n
-    for i, pb in enumerate(spec.grid):
-        cols["P_beam_W"][i] = pb
-        cols["P_pv_W"][i] = pv_output(pb, p.pv)
-        try:
-            cols["eta_pv"][i] = pv_efficiency(pb, p.pv)
-        except UndefinedAtZeroError:
-            flags[i] = "undefined-at-zero"
-            continue
-        if cols["P_pv_W"][i] == 0.0:
-            flags[i] = "below-threshold"
-    return Dataset(cols, flags, provenance_for(p, variable="P_beam", points=n))
-
-
-def _sweep_r1(spec: SweepSpec) -> Dataset:
-    p = spec.fixed
-    n = len(spec.grid)
-    cols = {k: np.zeros(n) for k in ("R1_m", "g1", "g2", "stable", "d_max_m", "contiguous")}
-    flags = [""] * n
-    for i, r1 in enumerate(spec.grid):
-        cols["R1_m"][i] = r1
-        try:
-            geom = replace(p.geometry, r1=r1)
+            geom = CavityGeometry(l=p.l, f=p.geometry.f, r1=r1, r2=p.geometry.r2)
         except ValueError:
-            flags[i] = "invalid-r1"
-            continue
+            return (), "invalid-r1"
         der = g_parameters(geom, p.d)
-        cols["g1"][i] = der.g1
-        cols["g2"][i] = der.g2
-        cols["stable"][i] = 1.0 if is_stable(geom, p.d) else 0.0
-        try:
-            md = max_transmission_distance(geom)
-            cols["d_max_m"][i] = md.d_max
-            cols["contiguous"][i] = 1.0 if md.contiguous else 0.0
-        except NoStableRegionError:
-            flags[i] = "no-stable-region"
-        except UnboundedStableRangeError:
-            flags[i] = "unbounded"
-    return Dataset(cols, flags, provenance_for(p, variable="R1", points=n))
+        reach, flag = _reach(geom)
+        return (der.g1, der.g2, 1.0 if is_stable(geom, p.d) else 0.0, *reach), flag
+
+    return rule
+
+
+# variable -> (x column, value columns, row rule for the fixed parameters)
+_SWEEPS = {
+    "d": ("d_m", ("f_d", "P_beam_W", "eta_trans", "P_out_W", "eta_all"), _d_rule),
+    "P_in": ("P_in_W", ("P_stored_W", "P_beam_W", "P_out_W", "eta_all"), _p_in_rule),
+    "P_stored": ("P_stored_W", ("f_d", "P_beam_W", "eta_trans"), _p_stored_rule),
+    "P_beam": ("P_beam_W", ("P_pv_W", "eta_pv"), lambda p: lambda pb: _pv(p, pb, below=True)),
+    "R1": ("R1_m", ("g1", "g2", "stable", "d_max_m", "contiguous"), _r1_rule),
+}
 
 
 def sweep(spec: SweepSpec) -> Dataset:
@@ -268,26 +292,18 @@ def sweep(spec: SweepSpec) -> Dataset:
     Per-point domain errors become row flags; the sweep itself never aborts.
     Output row order matches the grid, independent of evaluation order.
     """
-    return {
-        "d": _sweep_d,
-        "P_in": _sweep_p_in,
-        "P_stored": _sweep_p_stored,
-        "P_beam": _sweep_p_beam,
-        "R1": _sweep_r1,
-    }[spec.variable](spec)
+    x_col, value_cols, rule_for = _SWEEPS[spec.variable]
+    prov = provenance_for(spec.fixed, variable=spec.variable, points=len(spec.grid))
+    return _tabulate(spec.grid, x_col, value_cols, {"": rule_for(spec.fixed)}, prov)
 
 
 def thresholds_record(d: float, params: SystemParams) -> dict:
     """Threshold triple at distance d as a serializable record."""
-    th = thresholds(
-        d, params.gain, params.pv, params.aperture_radius, params.wavelength, params.l
-    )
+    th = thresholds(d, params.gain, params.pv, params.aperture_radius, params.wavelength, params.l)
     return {
         "command": "thresholds",
         "d": d,
-        "p_stored_th": th.p_stored,
-        "p_beam_th": th.p_beam,
-        "p_in_th": th.p_in,
+        **{f"{stage}_th": value for stage, value in th._asdict().items()},
         "params": provenance_for(params),
     }
 
@@ -307,6 +323,17 @@ def required_input_power(target_p_out: float, d: float, params: SystemParams) ->
     if slope <= 0:
         raise UnreachableTargetError("nonpositive end-to-end slope")
     return (target_p_out - params.pv.a1 * params.gain.c - params.pv.b1) / slope
+
+
+def _bisect(holds, a: float, b: float, width: float) -> float:
+    """Midpoint of [a, b] shrunk to `width`, keeping holds(a) true and holds(b) false."""
+    while b - a > width:
+        m = 0.5 * (a + b)
+        if holds(m):
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
 
 
 def calibrate_aperture(
@@ -354,14 +381,7 @@ def calibrate_aperture(
             raise InfeasibleTargetError(
                 f"target {eta_trans_target} is not reachable by any aperture"
             )
-    lo = 0.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda a: gap(a) < 0.0, 0.0, hi, 1e-12)
 
 
 def max_distance_vs_r1(
@@ -378,43 +398,10 @@ def max_distance_vs_r1(
     grid = [float(r) for r in r1_grid]
     if not grid:
         raise ValueError("r1_grid must be nonempty")
-    n = len(grid)
-    cols = {k: np.zeros(n) for k in ("R1_m", "R2_m", "d_max_m", "contiguous")}
-    flags = [""] * n
-    for i, r1 in enumerate(grid):
-        cols["R1_m"][i] = r1
-        try:
-            r2 = connecting_r2(l, f, r1, branch)
-        except (NoSolutionError, WrongSignSlopeError, ValueError):
-            flags[i] = "no-solution"
-            continue
-        cols["R2_m"][i] = r2
-        geom = CavityGeometry(l=l, f=f, r1=r1, r2=r2)
-        try:
-            md = max_transmission_distance(geom)
-        except NoStableRegionError:
-            flags[i] = "no-stable-region"
-            continue
-        except UnboundedStableRangeError:
-            flags[i] = "unbounded"
-            continue
-        cols["d_max_m"][i] = md.d_max
-        cols["contiguous"][i] = 1.0 if md.contiguous else 0.0
-    prov = provenance_for(base, variable="R1", branch=branch, points=n)
-    prov["l"] = repr(l)
-    prov["f"] = repr(f)
-    return Dataset(cols, flags, prov)
-
-
-def _reaches(target_d: float, l: float, f: float, r1: float, branch: str) -> bool:
-    try:
-        r2 = connecting_r2(l, f, r1, branch)
-        md = max_transmission_distance(CavityGeometry(l=l, f=f, r1=r1, r2=r2))
-    except UnboundedStableRangeError:
-        return True
-    except (NoSolutionError, WrongSignSlopeError, NoStableRegionError, ValueError):
-        return False
-    return md.d_max >= target_d
+    prov = provenance_for(base, variable="R1", branch=branch, points=len(grid))
+    prov |= {"l": repr(l), "f": repr(f)}
+    return _tabulate(grid, "R1_m", ("R2_m", "d_max_m", "contiguous"),
+                     {"": _design_rule(l, f, branch)}, prov)
 
 
 def r1_range_for_distance(
@@ -436,191 +423,60 @@ def r1_range_for_distance(
     lo, hi = search_interval
     if not lo < hi:
         raise ValueError(f"invalid search interval {search_interval}")
-    grid = np.linspace(lo, hi, grid_points)
-    hits = [_reaches(target_d, l, f, r, branch) for r in grid]
+    design = _design_rule(l, f, branch)
 
-    def refine(a: float, b: float) -> float:
-        # predicate differs at a and b; shrink to the flip point
-        fa = _reaches(target_d, l, f, a, branch)
-        while b - a > resolution:
-            m = 0.5 * (a + b)
-            if _reaches(target_d, l, f, m, branch) == fa:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
+    def reaches(r1: float) -> bool:
+        values, flag = design(r1)
+        return flag == "unbounded" or (not flag and values[1] >= target_d)
 
-    intervals = []
-    start: float | None = float(grid[0]) if hits[0] else None
-    for i in range(1, len(grid)):
-        if hits[i] == hits[i - 1]:
-            continue
-        edge = refine(float(grid[i - 1]), float(grid[i]))
-        if hits[i]:
-            start = edge
-        else:
-            intervals.append((start, edge))
-            start = None
-    if start is not None:
-        intervals.append((start, float(grid[-1])))
-    if not intervals:
+    grid = np.linspace(lo, hi, grid_points).tolist()
+    hits = [reaches(r) for r in grid]
+    # every flip of the predicate between grid neighbours is an interval edge
+    edges = [_bisect(lambda r, hit=hit: reaches(r) == hit, a, b, resolution)
+             for a, b, hit, next_hit in zip(grid, grid[1:], hits, hits[1:]) if hit != next_hit]
+    bounds = ([grid[0]] if hits[0] else []) + edges + ([grid[-1]] if hits[-1] else [])
+    if not bounds:
         raise EmptyResultError(
             f"no R1 in [{lo}, {hi}] reaches {target_d} m on the {branch} branch"
         )
-    return intervals
+    return list(zip(bounds[::2], bounds[1::2]))
 
 
 # ---------------------------------------------------------------------------
 # Figure reproduction
 
 
-def _fig6(p: SystemParams) -> Dataset:
-    grid = np.linspace(0.0, 100.0, 200)
-    stored = np.array([stored_power(x, p.gain) for x in grid])
-    return Dataset(
-        {"P_in_W": grid, "P_stored_W": stored},
-        provenance=provenance_for(p, figure=6),
-    )
-
-
-def _fig7(p: SystemParams) -> Dataset:
-    grid = np.linspace(-1.5, -0.5, 200)
-    cols: dict[str, np.ndarray] = {"R1_m": grid.copy()}
-    flags = [""] * len(grid)
-    for l_mm in (60, 80, 100):
-        for branch in (ORIGIN, TANGENT):
-            sub = max_distance_vs_r1(l_mm / 1000.0, p.geometry.f, grid, branch, params=p)
-            cols[f"d_max_l{l_mm}_{branch}_m"] = sub.column("d_max_m")
-            for i, fl in enumerate(sub.flags):
-                if fl:
-                    tok = f"l{l_mm}_{branch}:{fl}"
-                    flags[i] = f"{flags[i]};{tok}" if flags[i] else tok
-    return Dataset(cols, flags, provenance_for(p, figure=7))
-
-
-def _fig8(p: SystemParams) -> Dataset:
-    grid = np.linspace(0.1, 10.4, 200)
-    geo = p.geometry
-    cols: dict[str, np.ndarray] = {"d_m": grid.copy()}
-    flags = [""] * len(grid)
-    prov = provenance_for(p, figure=8)
-    for branch in (ORIGIN, TANGENT):
+def _fig8(p: SystemParams, prov: dict) -> dict[str, Rule]:
+    geo, rules = p.geometry, {}
+    for branch in BRANCHES:
         r2 = connecting_r2(geo.l, geo.f, geo.r1, branch)
-        geom = CavityGeometry(l=geo.l, f=geo.f, r1=geo.r1, r2=r2)
         prov[f"r2_{branch}"] = repr(r2)
-        w = {k: np.zeros(len(grid)) for k in ("w_gain", "w_m1", "w_m2")}
-        for i, d in enumerate(grid):
-            try:
-                radii = beam_radii(geom, float(d), p.wavelength)
-            except UnstableConfigurationError:
-                tok = f"{branch}:unstable"
-                flags[i] = f"{flags[i]};{tok}" if flags[i] else tok
-                continue
-            w["w_gain"][i] = radii.w_gain
-            w["w_m1"][i] = radii.w_m1
-            w["w_m2"][i] = radii.w_m2
-        for k, v in w.items():
-            cols[f"{k}_{branch}_m"] = v
-    return Dataset(cols, flags, prov)
+        rules[branch] = partial(_radii, replace(geo, r2=r2), p.wavelength)
+    return rules
 
 
-def _power_vs_stored(p: SystemParams, distances: tuple[float, ...]) -> Dataset:
-    grid = np.linspace(0.0, 50.0, 200)
-    cols: dict[str, np.ndarray] = {"P_stored_W": grid.copy()}
-    flags = [""] * len(grid)
-    for d in distances:
-        tag = f"d{d:g}"
-        pb = np.zeros(len(grid))
-        eta = np.zeros(len(grid))
-        for i, ps in enumerate(grid):
-            pb[i] = beam_power(float(ps), d, p.gain, p.aperture_radius, p.wavelength, p.l)
-            if ps > 0:
-                eta[i] = pb[i] / ps
-            elif not flags[i]:
-                flags[i] = "undefined-at-zero"
-        cols[f"P_beam_{tag}_W"] = pb
-        cols[f"eta_trans_{tag}"] = eta
-    return Dataset(cols, flags, provenance_for(p, figure=9))
-
-
-def _power_vs_distance(p: SystemParams) -> Dataset:
-    grid = np.linspace(1.0, 10.0, 200)
-    cols: dict[str, np.ndarray] = {"d_m": grid.copy()}
-    flags = [""] * len(grid)
-    for ps in (10.0, 20.0, 30.0):
-        tag = f"ps{ps:g}"
-        pb = np.zeros(len(grid))
-        eta = np.zeros(len(grid))
-        for i, d in enumerate(grid):
-            if not is_stable(p.geometry, float(d)):
-                if not flags[i]:
-                    flags[i] = "unstable"
-                continue
-            pb[i] = beam_power(ps, float(d), p.gain, p.aperture_radius, p.wavelength, p.l)
-            eta[i] = pb[i] / ps
-        cols[f"P_beam_{tag}_W"] = pb
-        cols[f"eta_trans_{tag}"] = eta
-    return Dataset(cols, flags, provenance_for(p, figure=10))
-
-
-def _fig11(p: SystemParams) -> Dataset:
-    grid = np.linspace(0.0, 30.0, 200)
-    ppv = np.zeros(len(grid))
-    eta = np.zeros(len(grid))
-    flags = [""] * len(grid)
-    for i, pb in enumerate(grid):
-        ppv[i] = pv_output(float(pb), p.pv)
-        if pb > 0:
-            eta[i] = ppv[i] / pb
-        else:
-            flags[i] = "undefined-at-zero"
-    return Dataset(
-        {"P_beam_W": grid.copy(), "P_pv_W": ppv, "eta_pv": eta},
-        flags,
-        provenance_for(p, figure=11),
-    )
-
-
-def _fig12(p: SystemParams) -> Dataset:
-    grid = np.linspace(0.0, 100.0, 200)
-    cols: dict[str, np.ndarray] = {"P_in_W": grid.copy()}
-    flags = [""] * len(grid)
-    for d in (1.0, 5.0):
-        tag = f"d{d:g}"
-        pout = np.zeros(len(grid))
-        eta = np.zeros(len(grid))
-        for i, pin in enumerate(grid):
-            state, eff = end_to_end(
-                float(pin), d, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l
-            )
-            pout[i] = state.p_out
-            eta[i] = eff.eta_all
-        cols[f"P_out_{tag}_W"] = pout
-        cols[f"eta_all_{tag}"] = eta
-    return Dataset(cols, flags, provenance_for(p, figure=12))
-
-
-def _fig13(p: SystemParams) -> Dataset:
-    grid = np.linspace(1.0, 10.0, 200)
-    cols: dict[str, np.ndarray] = {"d_m": grid.copy()}
-    flags = [""] * len(grid)
-    for pin in (50.0, 80.0, 100.0):
-        tag = f"pin{pin:g}"
-        pout = np.zeros(len(grid))
-        eta = np.zeros(len(grid))
-        for i, d in enumerate(grid):
-            if not is_stable(p.geometry, float(d)):
-                if not flags[i]:
-                    flags[i] = "unstable"
-                continue
-            state, eff = end_to_end(
-                pin, float(d), p.gain, p.pv, p.aperture_radius, p.wavelength, p.l
-            )
-            pout[i] = state.p_out
-            eta[i] = eff.eta_all
-        cols[f"P_out_{tag}_W"] = pout
-        cols[f"eta_all_{tag}"] = eta
-    return Dataset(cols, flags, provenance_for(p, figure=13))
+# id -> (grid ends, x column, value columns per series, join flags,
+#        series(params, provenance) -> {tag: rule}; the tag "" is one untagged series)
+_FIGURES = {
+    6: ((0.0, 100.0), "P_in_W", ("P_stored_W",), False,
+        lambda p, prov: {"": lambda p_in: ((stored_power(p_in, p.gain),), "")}),
+    7: ((-1.5, -0.5), "R1_m", ("d_max_m",), True,  # d_max only, of (R2, d_max, contiguous)
+        lambda p, prov: {f"l{mm}_{b}": _design_rule(mm / 1000.0, p.geometry.f, b, slice(1, 2))
+                         for mm in (60, 80, 100) for b in BRANCHES}),
+    8: ((0.1, 10.4), "d_m", ("w_gain_m", "w_m1_m", "w_m2_m"), True, _fig8),
+    9: ((0.0, 50.0), "P_stored_W", ("P_beam_W", "eta_trans"), False,
+        lambda p, prov: {f"d{d:g}": (lambda ps, d=d: _beam(p, ps, d)) for d in (1.0, 5.0)}),
+    10: ((1.0, 10.0), "d_m", ("P_beam_W", "eta_trans"), False,
+         lambda p, prov: {f"ps{ps:g}": _gated(p.geometry, lambda d, ps=ps: _beam(p, ps, d))
+                          for ps in (10.0, 20.0, 30.0)}),
+    11: ((0.0, 30.0), "P_beam_W", ("P_pv_W", "eta_pv"), False,
+         lambda p, prov: {"": lambda pb: _pv(p, pb)}),
+    12: ((0.0, 100.0), "P_in_W", ("P_out_W", "eta_all"), False,
+         lambda p, prov: {f"d{d:g}": (lambda p_in, d=d: _output(p, p_in, d)) for d in (1.0, 5.0)}),
+    13: ((1.0, 10.0), "d_m", ("P_out_W", "eta_all"), False,
+         lambda p, prov: {f"pin{pin:g}": _gated(p.geometry, lambda d, pin=pin: _output(p, pin, d))
+                          for pin in (50.0, 80.0, 100.0)}),
+}
 
 
 def reproduce_figure(figure_id: int, params: SystemParams | None = None) -> Dataset:
@@ -636,16 +492,9 @@ def reproduce_figure(figure_id: int, params: SystemParams | None = None) -> Data
     13: output power and end-to-end efficiency vs distance at 50/80/100 W in.
     """
     p = params if params is not None else reference_defaults()
-    table = {
-        6: _fig6,
-        7: _fig7,
-        8: _fig8,
-        9: lambda q: _power_vs_stored(q, (1.0, 5.0)),
-        10: _power_vs_distance,
-        11: _fig11,
-        12: _fig12,
-        13: _fig13,
-    }
-    if figure_id not in table:
+    if figure_id not in _FIGURES:
         raise UnknownFigureError(f"figure id must be in 6..13, got {figure_id}")
-    return table[figure_id](p)
+    (lo, hi), x_col, value_cols, join, series = _FIGURES[figure_id]
+    prov = provenance_for(p, figure=figure_id)
+    grid = np.linspace(lo, hi, 200).tolist()
+    return _tabulate(grid, x_col, value_cols, series(p, prov), prov, join)

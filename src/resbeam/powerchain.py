@@ -39,6 +39,8 @@ class GainParams:
             raise ValueError(f"r_out must be in (0, 1), got {self.r_out}")
         if not self.m_overlap > 0.0:
             raise ValueError(f"m_overlap must be > 0, got {self.m_overlap}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,8 @@ class PvParams:
     def __post_init__(self):
         if not 0.0 < self.a1 < 1.0:
             raise ValueError(f"a1 must be in (0, 1), got {self.a1}")
+        if not math.isfinite(self.b1):
+            raise ValueError(f"b1 must be finite, got {self.b1}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,8 @@ class Thresholds(NamedTuple):
 
 def stored_power(p_in: float, gain: GainParams) -> float:
     """Stored power per second in the gain medium: eta_stored * p_in."""
-    if p_in < 0:
-        raise ValueError(f"p_in must be >= 0, got {p_in}")
+    if not (p_in >= 0 and math.isfinite(p_in)):
+        raise ValueError(f"p_in must be finite and >= 0, got {p_in}")
     return gain.eta_stored * p_in
 
 
@@ -111,8 +115,8 @@ def beam_power(
     l: float,
 ) -> float:
     """Extracted beam power max(0, f(d)*p_stored + c); zero below the lasing threshold."""
-    if p_stored < 0:
-        raise ValueError(f"p_stored must be >= 0, got {p_stored}")
+    if not (p_stored >= 0 and math.isfinite(p_stored)):
+        raise ValueError(f"p_stored must be finite and >= 0, got {p_stored}")
     fd = gain_to_beam_coefficient(d, gain, aperture_radius, wavelength, l)
     return max(0.0, fd * p_stored + gain.c)
 
@@ -136,8 +140,8 @@ def transmission_efficiency(
 
 def pv_output(p_beam: float, pv: PvParams) -> float:
     """Photovoltaic output max(0, a1*p_beam + b1); zero below the PV threshold."""
-    if p_beam < 0:
-        raise ValueError(f"p_beam must be >= 0, got {p_beam}")
+    if not (p_beam >= 0 and math.isfinite(p_beam)):
+        raise ValueError(f"p_beam must be finite and >= 0, got {p_beam}")
     return max(0.0, pv.a1 * p_beam + pv.b1)
 
 
@@ -167,9 +171,7 @@ def end_to_end(
     ``eta_all = eta_stored*eta_trans*eta_pv``; the staged values returned
     here match that closed form to rounding.
     """
-    if p_in < 0:
-        raise ValueError(f"p_in must be >= 0, got {p_in}")
-    p_stored = stored_power(p_in, gain)
+    p_stored = stored_power(p_in, gain)  # validates p_in
     p_beam = beam_power(p_stored, d, gain, aperture_radius, wavelength, l)
     p_out = pv_output(p_beam, pv)
     state = PowerState(p_in=p_in, p_stored=p_stored, p_beam=p_beam, p_out=p_out)

@@ -192,3 +192,41 @@ def test_cli_import_pulls_in_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (["stability", "--r1", "-1000mm"], "r1", "-1.0"),
+    (["stability", "--f", "-880mm", "--d", "0.5m"], "f", "-0.88"),
+    (["stability", "--r2", "-5.2m"], "r2", "-5.2"),
+    (["connect-r2", "--branch", "tangent", "--r1", "-.9m"], "r1", "-0.9"),
+])
+def test_negative_value_reaches_the_option(capsys, argv, key, want):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["params"][key] == want
+
+
+def test_negative_search_interval_and_sweep_range(capsys):
+    code, out = run_cli(
+        capsys, "design", "r1-range", "--target-d", "5m",
+        "--search-from", "-1.5m", "--search-to", "-0.5m",
+    )
+    assert code == 0
+    assert json.loads(out)["intervals"][0][1] == pytest.approx(-0.82, abs=2e-3)
+    code, out = run_cli(capsys, "sweep", "--var", "R1", "--from", "-1.5m", "--to", "-.5m",
+                        "--points", "3")
+    assert code == 0
+    rows = [ln for ln in out.splitlines() if not ln.startswith("#")][1:]
+    assert [float(r.split(",")[0]) for r in rows] == [-1.5, -1.0, -0.5]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["stability", "--d", "1e999"], "d"),
+    (["power", "--pin", "1e999W"], "pin"),
+])
+def test_overflowing_quantity_is_domain_error(capsys, argv, key):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["error"] == "UnitError"
+    assert rec["message"].startswith(f"{key}: ")

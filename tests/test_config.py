@@ -61,6 +61,13 @@ class TestParseConfig:
         with pytest.raises(UnitError) as err:
             parse_config("eta_stored = 1.5\n")
         assert "eta_stored" in str(err.value)
+        for key in ("d", "a", "wavelength"):
+            with pytest.raises(UnitError) as err:
+                RunConfig(**{key: math.nan})
+            assert err.value.key == key
+        with pytest.raises(UnitError) as err:
+            parse_config("d = 1e999m\n")
+        assert err.value.key == "d"
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ParseError) as err:

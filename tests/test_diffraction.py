@@ -133,6 +133,10 @@ class TestModeDiffractionLoss:
                      (1.0, -math.inf)):
             with pytest.raises(ValueError):
                 mode_diffraction_loss(0, 0, a, w)
+        # the distance-dependent fundamental-mode loss checks its aperture the same way
+        for a in (-1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                fundamental_loss_vs_distance(a, 1.064e-6, 0.06, 1.0)
 
 
 class TestFundamentalLossVsDistance:

@@ -221,6 +221,10 @@ class TestSweep:
             SweepSpec(variable="d", grid=(), fixed=default_params)
         with pytest.raises(ValueError):
             SweepSpec(variable="d", grid=(1.0, 1.0), fixed=default_params)
+        for field in ("d", "p_in", "aperture_radius", "wavelength"):
+            for bad in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    replace(default_params, **{field: bad})
 
 
 class TestRequiredInputPower:

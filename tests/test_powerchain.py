@@ -40,10 +40,16 @@ class TestParamValidation:
             GainParams(eta_stored=0.3, r_out=1.0)
         with pytest.raises(ValueError):
             GainParams(eta_stored=0.3, m_overlap=0.0)
+        for c in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                GainParams(eta_stored=0.3, c=c)
 
     def test_pv_ranges(self):
         with pytest.raises(ValueError):
             PvParams(a1=1.2, b1=0.0)
+        for b1 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                PvParams(a1=0.3, b1=b1)
 
 
 class TestStoredPower:
@@ -59,6 +65,17 @@ class TestStoredPower:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             stored_power(-1.0, GAIN)
+        # every stage input must be a finite power, not only stored_power's
+        stages = (
+            lambda p: stored_power(p, GAIN),
+            lambda p: beam_power(p, 1.0, GAIN, 7.855e-4, LAM, L),
+            lambda p: pv_output(p, PV),
+            lambda p: end_to_end(p, 1.0, GAIN, PV, 7.855e-4, LAM, L),
+        )
+        for stage in stages:
+            for bad in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    stage(bad)
 
 
 class TestGainToBeamCoefficient:

@@ -24,10 +24,7 @@ params = reference_defaults()
 print("the power ladder at d = 1 m:")
 print("   P_in [W]    stored    beam     out      eta_all")
 for pin in (20.0, 40.0, 44.2, 50.0, 70.0, 100.0):
-    state, eff = end_to_end(
-        pin, 1.0, params.gain, params.pv, params.aperture_radius,
-        params.wavelength, params.l,
-    )
+    state, eff = end_to_end(pin, 1.0, params)
     print(
         f"  {pin:8.1f}    {state.p_stored:6.2f}    {state.p_beam:5.2f}"
         f"    {state.p_out:5.2f}    {eff.eta_all:7.4f}"
@@ -36,8 +33,7 @@ for pin in (20.0, 40.0, 44.2, 50.0, 70.0, 100.0):
 print("\nthresholds rise with distance (f(d) falls):")
 print("   d [m]    P_stored_th    P_beam_th    P_in_th")
 for d in (1.0, 2.0, 3.0, 5.0):
-    th = thresholds(d, params.gain, params.pv, params.aperture_radius,
-                    params.wavelength, params.l)
+    th = thresholds(d, params)
     print(f"  {d:5.1f}    {th.p_stored:10.2f}    {th.p_beam:8.2f}    {th.p_in:8.2f}")
 
 print("\ninput power for 1 W at the device:")
@@ -50,6 +46,5 @@ for d in (1.0, 2.0, 5.0):
 a = calibrate_aperture(1.0, 30.0, 0.61, params)
 print(f"\ncalibrated aperture radius: {a * 1e3:.4f} mm")
 calibrated = replace(params, aperture_radius=a)
-state, eff = end_to_end(100.0, 1.0, calibrated.gain, calibrated.pv, a,
-                        calibrated.wavelength, calibrated.l)
+state, eff = end_to_end(100.0, 1.0, calibrated)
 print(f"end-to-end efficiency at 100 W, 1 m: {eff.eta_all * 100:.2f} %")

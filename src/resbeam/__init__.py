@@ -53,10 +53,8 @@ from .errors import (
 from .explorer import (
     SWEEP_VARIABLES,
     SweepSpec,
-    SystemParams,
     calibrate_aperture,
     max_distance_vs_r1,
-    reference_defaults,
     r1_range_for_distance,
     reproduce_figure,
     required_input_power,
@@ -67,12 +65,14 @@ from .powerchain import (
     GainParams,
     PowerState,
     PvParams,
+    SystemParams,
     Thresholds,
     beam_power,
     end_to_end,
     gain_to_beam_coefficient,
     pv_efficiency,
     pv_output,
+    reference_defaults,
     stored_power,
     thresholds,
     transmission_efficiency,

@@ -26,6 +26,7 @@ from .errors import (
     NoSolutionError,
     NoStableRegionError,
     UnboundedStableRangeError,
+    UnitError,
     UnstableConfigurationError,
     WrongSignSlopeError,
 )
@@ -47,7 +48,7 @@ def _inv(x: float) -> float:
 
 def _check_element(name: str, value: float) -> None:
     if math.isnan(value) or value == 0.0 or value == -math.inf:
-        raise ValueError(f"{name} must be finite nonzero or FLAT (+inf), got {value}")
+        raise UnitError(name, f"must be finite nonzero or FLAT (+inf), got {value}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class CavityGeometry:
 
     def __post_init__(self):
         if not (math.isfinite(self.l) and self.l > 0):
-            raise ValueError(f"l must be finite and > 0, got {self.l}")
+            raise UnitError("l", f"must be finite and > 0, got {self.l}")
         _check_element("f", self.f)
         _check_element("r1", self.r1)
         _check_element("r2", self.r2)

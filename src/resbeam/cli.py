@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,14 +32,12 @@ from .explorer import (
     SWEEP_VARIABLES,
     SweepSpec,
     calibrate_aperture,
-    provenance_for,
     r1_range_for_distance,
     reproduce_figure,
     required_input_power,
     sweep,
-    thresholds_record,
 )
-from .powerchain import end_to_end
+from .powerchain import SystemParams, end_to_end, provenance_for, thresholds
 
 def _normalize_argv(argv: list[str]) -> list[str]:
     """Join "--opt -1000mm" into "--opt=-1000mm" so argparse reads it as a value.
@@ -168,20 +167,19 @@ def _write_dataset(ds, cfg: RunConfig) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _cmd_stability(args) -> int:
-    cfg = _load(args)
-    geom = cfg.geometry()
+# A handler takes (args, config, bundle) and returns the fields of its JSON
+# record, or None once it has written a dataset.
+def _cmd_stability(args, cfg: RunConfig, params: SystemParams) -> dict:
+    geom = params.geometry
     der = g_parameters(geom, cfg.d)
     stable = is_stable(geom, cfg.d)
     record = {
-        "command": "stability",
         "L": der.L,
         "g1": der.g1,
         "g2": der.g2,
         "g1g2": der.g1 * der.g2,
         "stable": stable,
         "radii": None,
-        "params": provenance_for(cfg.system_params()),
     }
     if stable:
         try:
@@ -189,145 +187,98 @@ def _cmd_stability(args) -> int:
             record["radii"] = {"w_gain": r.w_gain, "w_m1": r.w_m1, "w_m2": r.w_m2}
         except UnstableConfigurationError:
             pass
-    _print_record(record)
-    return 0
+    return record
 
 
-def _cmd_intervals(args) -> int:
-    cfg = _load(args)
+def _cmd_intervals(args, cfg: RunConfig, params: SystemParams) -> dict:
     d_limit = parse_quantity(args.d_limit, "d")
-    ivals = stable_distance_intervals(cfg.geometry(), d_limit)
-    _print_record({
-        "command": "intervals",
+    ivals = stable_distance_intervals(params.geometry, d_limit)
+    return {
         "d_limit": d_limit,
         "intervals": [[lo, hi] for lo, hi in ivals],
-        "params": provenance_for(cfg.system_params()),
-    })
-    return 0
+    }
 
 
-def _cmd_max_distance(args) -> int:
-    cfg = _load(args)
-    md = max_transmission_distance(cfg.geometry())
-    _print_record({
-        "command": "max-distance",
+def _cmd_max_distance(args, cfg: RunConfig, params: SystemParams) -> dict:
+    md = max_transmission_distance(params.geometry)
+    return {
         "d_max": md.d_max,
         "contiguous": md.contiguous,
-        "params": provenance_for(cfg.system_params()),
-    })
-    return 0
+    }
 
 
-def _cmd_connect_r2(args) -> int:
-    cfg = _load(args)
+def _cmd_connect_r2(args, cfg: RunConfig, params: SystemParams) -> dict:
     r2 = connecting_r2(cfg.l, cfg.f, cfg.r1, args.branch)
     line = stability_line(CavityGeometry(l=cfg.l, f=cfg.f, r1=cfg.r1, r2=r2))
-    _print_record({
-        "command": "connect-r2",
+    return {
         "branch": args.branch,
         "r2": r2,
         "slope": line.slope,
         "intercept": line.intercept,
-        "params": provenance_for(cfg.system_params()),
-    })
-    return 0
+    }
 
 
-def _cmd_power(args) -> int:
-    cfg = _load(args)
+def _cmd_power(args, cfg: RunConfig, params: SystemParams) -> dict:
     p_in = parse_quantity(args.pin, "pin")
-    params = cfg.system_params()
-    state, eff = end_to_end(
-        p_in, cfg.d, params.gain, params.pv, params.aperture_radius,
-        params.wavelength, params.l,
-    )
-    _print_record({
-        "command": "power",
-        "stable": is_stable(params.geometry, cfg.d),
-        "p_in": state.p_in,
-        "p_stored": state.p_stored,
-        "p_beam": state.p_beam,
-        "p_out": state.p_out,
-        "eta_stored": eff.eta_stored,
-        "eta_trans": eff.eta_trans,
-        "eta_pv": eff.eta_pv,
-        "eta_all": eff.eta_all,
-        "params": provenance_for(params),
-    })
-    return 0
+    state, eff = end_to_end(p_in, cfg.d, params)
+    # the record keys are the field names of the power ladder and its efficiencies
+    return {"stable": is_stable(params.geometry, cfg.d), **asdict(state), **asdict(eff)}
 
 
-def _cmd_thresholds(args) -> int:
-    cfg = _load(args)
-    _print_record(thresholds_record(cfg.d, cfg.system_params()))
-    return 0
+def _cmd_thresholds(args, cfg: RunConfig, params: SystemParams) -> dict:
+    th = thresholds(cfg.d, params)
+    return {"d": cfg.d, **{f"{stage}_th": value for stage, value in th._asdict().items()}}
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
+def _cmd_sweep(args, cfg: RunConfig, params: SystemParams) -> None:
     var = args.var or cfg.sweep_var
     lo = parse_quantity(args.sweep_from, "sweep_from") if args.sweep_from else cfg.sweep_from
     hi = parse_quantity(args.sweep_to, "sweep_to") if args.sweep_to else cfg.sweep_to
     points = args.points if args.points is not None else cfg.sweep_points
     grid = tuple(float(x) for x in np.linspace(lo, hi, points))
-    ds = sweep(SweepSpec(variable=var, grid=grid, fixed=cfg.system_params()))
+    ds = sweep(SweepSpec(variable=var, grid=grid, fixed=params))
     _write_dataset(ds, cfg)
-    return 0
 
 
-def _cmd_required_pin(args) -> int:
-    cfg = _load(args)
+def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:
     target = parse_quantity(args.pout, "pout")
-    pin = required_input_power(target, cfg.d, cfg.system_params())
-    _print_record({
-        "command": "design required-pin",
+    pin = required_input_power(target, cfg.d, params)
+    return {
         "p_out_target": target,
         "p_in_required": pin,
-        "params": provenance_for(cfg.system_params()),
-    })
-    return 0
+    }
 
 
-def _cmd_r1_range(args) -> int:
-    cfg = _load(args)
+def _cmd_r1_range(args, cfg: RunConfig, params: SystemParams) -> dict:
     target = parse_quantity(args.target_d, "d")
     lo = parse_quantity(args.search_from, "r1")
     hi = parse_quantity(args.search_to, "r1")
     ivals = r1_range_for_distance(target, cfg.l, cfg.f, args.branch, (lo, hi))
-    _print_record({
-        "command": "design r1-range",
+    return {
         "branch": args.branch,
         "target_d": target,
         "intervals": [[a, b] for a, b in ivals],
-        "params": provenance_for(cfg.system_params()),
-    })
-    return 0
+    }
 
 
-def _cmd_calibrate(args) -> int:
-    cfg = _load(args)
+def _cmd_calibrate(args, cfg: RunConfig, params: SystemParams) -> dict:
     p_stored = parse_quantity(args.pstored, "pstored")
     eta = parse_quantity(args.eta, "eta")
-    a = calibrate_aperture(cfg.d, p_stored, eta, cfg.system_params())
-    _print_record({
-        "command": "calibrate",
+    a = calibrate_aperture(cfg.d, p_stored, eta, params)
+    return {
         "aperture_radius": a,
         "eta_trans_target": eta,
         "p_stored": p_stored,
         "d": cfg.d,
-        "params": provenance_for(cfg.system_params()),
-    })
-    return 0
+    }
 
 
-def _cmd_reproduce(args) -> int:
-    cfg = _load(args)
-    ds = reproduce_figure(args.figure, cfg.system_params())
+def _cmd_reproduce(args, cfg: RunConfig, params: SystemParams) -> None:
+    ds = reproduce_figure(args.figure, params)
     _write_dataset(ds, cfg)
-    return 0
 
 
-_DISPATCH = {
+_HANDLERS = {
     "stability": _cmd_stability,
     "intervals": _cmd_intervals,
     "max-distance": _cmd_max_distance,
@@ -335,6 +286,8 @@ _DISPATCH = {
     "power": _cmd_power,
     "thresholds": _cmd_thresholds,
     "sweep": _cmd_sweep,
+    "design required-pin": _cmd_required_pin,
+    "design r1-range": _cmd_r1_range,
     "calibrate": _cmd_calibrate,
     "reproduce": _cmd_reproduce,
 }
@@ -347,11 +300,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_normalize_argv(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    command = args.command
+    if command == "design":
+        command = f"design {args.design_command}"
     try:
-        if args.command == "design":
-            handler = _cmd_required_pin if args.design_command == "required-pin" else _cmd_r1_range
-            return handler(args)
-        return _DISPATCH[args.command](args)
+        cfg = _load(args)
+        params = cfg.system_params()
+        record = _HANDLERS[command](args, cfg, params)
+        if record is not None:
+            _print_record({"command": command, **record, "params": provenance_for(params)})
+        return 0
     except (ResbeamError, ValueError) as exc:
         _print_record({"error": type(exc).__name__, "message": str(exc)})
         return 1

@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields, replace
 from . import defaults as dflt
 from .cavity import FLAT, CavityGeometry
 from .errors import ParseError, UnitError
-from .explorer import SWEEP_VARIABLES, SystemParams
-from .powerchain import GainParams, PvParams
+from .explorer import SWEEP_VARIABLES
+from .powerchain import GainParams, PvParams, SystemParams
 
 _LENGTH_SCALES = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 _QUANTITY_RE = re.compile(r"([-+]?[\d.]+(?:[eE][-+]?\d+)?)\s*(mm|um|nm|m|W)?")
@@ -90,28 +90,10 @@ class RunConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
-        if not (math.isfinite(self.l) and self.l > 0):
-            raise UnitError("l", f"must be finite and > 0, got {self.l}")
-        for key in ("f", "r1", "r2"):
-            v = getattr(self, key)
-            if math.isnan(v) or v == 0.0 or v == -math.inf:
-                raise UnitError(key, f"must be finite nonzero or flat, got {v}")
-        for key in ("d", "a"):
-            v = getattr(self, key)
-            if not (v >= 0 and math.isfinite(v)):
-                raise UnitError(key, f"must be finite and >= 0, got {v}")
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise UnitError("wavelength", f"must be finite and > 0, got {self.wavelength}")
-        if not 0.0 < self.eta_stored < 1.0:
-            raise UnitError("eta_stored", f"out of (0,1): {self.eta_stored}")
-        if not 0.0 < self.r_out < 1.0:
-            raise UnitError("r_out", f"out of (0,1): {self.r_out}")
-        if not 0.0 < self.a1 < 1.0:
-            raise UnitError("a1", f"out of (0,1): {self.a1}")
-        if not self.m_overlap > 0:
-            raise UnitError("m_overlap", f"must be > 0, got {self.m_overlap}")
+        self.system_params()  # the bundle checks every physical key, naming it
         if self.sweep_var not in SWEEP_VARIABLES:
-            raise UnitError("sweep_var", f"must be one of {SWEEP_VARIABLES}")
+            raise UnitError(
+                "sweep_var", f"must be one of {SWEEP_VARIABLES}, got {self.sweep_var!r}")
         if not self.sweep_from < self.sweep_to:
             raise UnitError("sweep_from", "sweep_from must be < sweep_to")
         if self.sweep_points < 1:
@@ -119,12 +101,9 @@ class RunConfig:
         if self.out_format not in ("csv", "json"):
             raise UnitError("out_format", f"must be csv or json, got {self.out_format!r}")
 
-    def geometry(self) -> CavityGeometry:
-        return CavityGeometry(l=self.l, f=self.f, r1=self.r1, r2=self.r2)
-
     def system_params(self) -> SystemParams:
         return SystemParams(
-            geometry=self.geometry(),
+            geometry=CavityGeometry(l=self.l, f=self.f, r1=self.r1, r2=self.r2),
             gain=GainParams(
                 eta_stored=self.eta_stored,
                 m_overlap=self.m_overlap,
@@ -160,13 +139,7 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in _FIELD_NAMES:
             raise ParseError(lineno, f"unknown key {key!r}")
-        if key == "sweep_var":
-            if value not in SWEEP_VARIABLES:
-                raise UnitError(key, f"must be one of {SWEEP_VARIABLES}, got {value!r}")
-            values[key] = value
-        elif key == "out_path":
-            values[key] = value
-        elif key == "out_format":
+        if key in ("sweep_var", "out_path", "out_format"):
             values[key] = value
         elif key == "sweep_points":
             try:

@@ -71,8 +71,12 @@ class ParseError(ConfigError):
         super().__init__(f"line {line}: {message}")
 
 
-class UnitError(ConfigError):
-    """A configuration value has a wrong unit or is out of its valid range."""
+class UnitError(ConfigError, ValueError):
+    """A parameter value has a wrong unit or is out of its valid range.
+
+    Raised by the parameter bundles as well as the config parser; ``key`` is
+    the configuration key (``a``, not ``aperture_radius``).
+    """
 
     def __init__(self, key: str, message: str):
         self.key = key

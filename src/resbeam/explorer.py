@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from . import defaults as dflt
 from .cavity import (
     BRANCHES,
     CavityGeometry,
@@ -27,6 +26,7 @@ from .cavity import (
     max_transmission_distance,
 )
 from .dataset import Dataset
+from .diffraction import fundamental_loss_vs_distance
 from .errors import (
     EmptyResultError,
     InfeasibleTargetError,
@@ -39,79 +39,21 @@ from .errors import (
     WrongSignSlopeError,
 )
 from .powerchain import (
-    GainParams,
-    PvParams,
-    beam_power,
+    SystemParams,
+    beam_at,
+    coefficient_at_loss,
     end_to_end,
     gain_to_beam_coefficient,
+    ladder_at,
+    provenance_for,
     pv_output,
+    reference_defaults,
     stored_power,
-    thresholds,
-    transmission_efficiency,
 )
 
 SWEEP_VARIABLES = ("d", "P_in", "P_stored", "P_beam", "R1")
 
 FIGURE_IDS = tuple(range(6, 14))
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Full parameter bundle for one link configuration."""
-
-    geometry: CavityGeometry
-    gain: GainParams
-    pv: PvParams
-    aperture_radius: float
-    wavelength: float
-    d: float = 1.0
-    p_in: float = 100.0
-
-    def __post_init__(self):
-        for name in ("aperture_radius", "d", "p_in"):
-            v = getattr(self, name)
-            if not (v >= 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be finite and > 0, got {self.wavelength}")
-
-    @property
-    def l(self) -> float:
-        return self.geometry.l
-
-    def f_of_d(self, d: float) -> float:
-        return gain_to_beam_coefficient(
-            d, self.gain, self.aperture_radius, self.wavelength, self.l
-        )
-
-
-def reference_defaults() -> SystemParams:
-    """The reference configuration (see :mod:`resbeam.defaults`)."""
-    return SystemParams(
-        geometry=CavityGeometry(
-            l=dflt.DEFAULT_L, f=dflt.DEFAULT_F, r1=dflt.DEFAULT_R1, r2=dflt.DEFAULT_R2
-        ),
-        gain=GainParams(
-            eta_stored=dflt.DEFAULT_ETA_STORED,
-            m_overlap=dflt.DEFAULT_M_OVERLAP,
-            c=dflt.DEFAULT_C,
-            r_out=dflt.DEFAULT_R_OUT,
-        ),
-        pv=PvParams(a1=dflt.DEFAULT_A1, b1=dflt.DEFAULT_B1),
-        aperture_radius=dflt.DEFAULT_APERTURE,
-        wavelength=dflt.DEFAULT_WAVELENGTH,
-        d=dflt.DEFAULT_D,
-    )
-
-
-def provenance_for(params: SystemParams, **extra) -> dict[str, str]:
-    """Full effective parameter snapshot for output embedding."""
-    # getattr, not vars(): a materialised __dict__ slows every later attribute read
-    parts = (params.geometry, params.gain, params.pv)
-    values = {f.name: getattr(part, f.name) for part in parts for f in fields(part)}
-    values |= {"a": params.aperture_radius, "wavelength": params.wavelength,
-               "d": params.d, "p_in": params.p_in}
-    return {k: repr(v) for k, v in values.items()} | {k: str(v) for k, v in extra.items()}
 
 
 @dataclass(frozen=True)
@@ -207,9 +149,9 @@ def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
     return rule
 
 
-def _beam(p: SystemParams, ps: float, d: float, below=False) -> tuple[tuple, str]:
-    """(P_beam, eta_trans) at stored power ps; with `below`, a zero beam is flagged."""
-    pb = beam_power(ps, d, p.gain, p.aperture_radius, p.wavelength, p.l)
+def _beam(p: SystemParams, ps: float, fd: float, below=False) -> tuple[tuple, str]:
+    """(P_beam, eta_trans) at stored power ps and slope fd; with `below`, a zero beam is flagged."""
+    pb = beam_at(ps, fd, p.gain)
     if ps > 0:
         return (pb, pb / ps), _below(pb, ps) if below else ""
     return (pb,), "undefined-at-zero"
@@ -224,7 +166,7 @@ def _pv(p: SystemParams, pb: float, below=False) -> tuple[tuple, str]:
 
 
 def _output(p: SystemParams, p_in: float, d: float) -> tuple[tuple, str]:
-    state, eff = end_to_end(p_in, d, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l)
+    state, eff = end_to_end(p_in, d, p)
     return (state.p_out, eff.eta_all), ""
 
 
@@ -238,8 +180,9 @@ def _radii(geom: CavityGeometry, wavelength: float, d: float) -> tuple[tuple, st
 
 def _d_rule(p: SystemParams) -> Rule:
     def rule(d):
-        state, eff = end_to_end(p.p_in, d, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l)
-        values = (p.f_of_d(d), state.p_beam, eff.eta_trans, state.p_out, eff.eta_all)
+        fd = gain_to_beam_coefficient(d, p)
+        state, eff = ladder_at(p.p_in, fd, p)
+        values = (fd, state.p_beam, eff.eta_trans, state.p_out, eff.eta_all)
         return values, _below(state.p_out, p.p_in)
 
     return _gated(p.geometry, rule)
@@ -247,19 +190,20 @@ def _d_rule(p: SystemParams) -> Rule:
 
 def _p_in_rule(p: SystemParams) -> Rule:
     def rule(p_in):
-        state, eff = end_to_end(p_in, p.d, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l)
+        state, eff = ladder_at(p_in, fd, p)
         values = (state.p_stored, state.p_beam, state.p_out, eff.eta_all)
         return values, _below(state.p_out, p_in)
 
+    fd = gain_to_beam_coefficient(p.d, p)
     return rule if is_stable(p.geometry, p.d) else lambda p_in: _UNSTABLE
 
 
 def _p_stored_rule(p: SystemParams) -> Rule:
     def rule(ps):
-        values, flag = _beam(p, ps, p.d, below=True)
+        values, flag = _beam(p, ps, fd, below=True)
         return (fd, *values), flag
 
-    fd = p.f_of_d(p.d)
+    fd = gain_to_beam_coefficient(p.d, p)
     return rule if is_stable(p.geometry, p.d) else lambda ps: _UNSTABLE
 
 
@@ -297,17 +241,6 @@ def sweep(spec: SweepSpec) -> Dataset:
     return _tabulate(spec.grid, x_col, value_cols, {"": rule_for(spec.fixed)}, prov)
 
 
-def thresholds_record(d: float, params: SystemParams) -> dict:
-    """Threshold triple at distance d as a serializable record."""
-    th = thresholds(d, params.gain, params.pv, params.aperture_radius, params.wavelength, params.l)
-    return {
-        "command": "thresholds",
-        "d": d,
-        **{f"{stage}_th": value for stage, value in th._asdict().items()},
-        "params": provenance_for(params),
-    }
-
-
 def required_input_power(target_p_out: float, d: float, params: SystemParams) -> float:
     """Input power that produces target_p_out at distance d (closed-form inverse).
 
@@ -318,7 +251,7 @@ def required_input_power(target_p_out: float, d: float, params: SystemParams) ->
         raise ValueError(f"target_p_out must be > 0, got {target_p_out}")
     if not is_stable(params.geometry, d):
         raise UnreachableTargetError(f"cavity is not stable at d = {d} m")
-    fd = params.f_of_d(d)
+    fd = gain_to_beam_coefficient(d, params)
     slope = params.pv.a1 * fd * params.gain.eta_stored
     if slope <= 0:
         raise UnreachableTargetError("nonpositive end-to-end slope")
@@ -348,24 +281,24 @@ def calibrate_aperture(
     Raises InfeasibleTargetError when the target is above that ceiling (or
     below the closed-down floor at a = 0).
     """
-    if not p_stored > 0:
-        raise ValueError(f"p_stored must be > 0, got {p_stored}")
-    gain = params.gain
-    f_ceiling = (
-        2.0 * (1.0 - gain.r_out) * gain.m_overlap
-        / ((1.0 + gain.r_out) * (-math.log(gain.r_out)))
-    )
-    ceiling = f_ceiling + gain.c / p_stored
+    if not (p_stored > 0 and math.isfinite(p_stored)):
+        raise ValueError(f"p_stored must be finite and > 0, got {p_stored}")
+    if not (d >= 0 and math.isfinite(d)):
+        raise ValueError(f"d must be finite and >= 0, got {d}")
+    if math.isnan(eta_trans_target):
+        raise ValueError("eta_trans_target must be a number, got nan")
+    gain, wavelength, l = params.gain, params.wavelength, params.l
+    ceiling = coefficient_at_loss(0.0, gain) + gain.c / p_stored
     if eta_trans_target > ceiling:
         raise InfeasibleTargetError(
             f"target {eta_trans_target} exceeds the zero-loss ceiling {ceiling:.6f}"
         )
 
     def gap(a: float) -> float:
-        return (
-            transmission_efficiency(p_stored, d, gain, a, params.wavelength, params.l)
-            - eta_trans_target
-        )
+        # the aperture is the unknown, so each step takes the slope at its loss
+        # rather than building a bundle
+        fd = coefficient_at_loss(fundamental_loss_vs_distance(a, wavelength, l, d), gain)
+        return beam_at(p_stored, fd, gain) / p_stored - eta_trans_target
 
     g0 = gap(0.0)
     if g0 == 0.0:
@@ -374,7 +307,7 @@ def calibrate_aperture(
         raise InfeasibleTargetError(
             f"target {eta_trans_target} is below the closed-aperture floor"
         )
-    hi = math.sqrt(60.0 * params.wavelength * (params.l + d) / (2.0 * math.pi))
+    hi = math.sqrt(60.0 * wavelength * (l + d) / (2.0 * math.pi))
     while gap(hi) < 0.0:
         hi *= 2.0
         if hi > 1.0:  # 1 m aperture: numerically identical to the ceiling
@@ -465,10 +398,12 @@ _FIGURES = {
                          for mm in (60, 80, 100) for b in BRANCHES}),
     8: ((0.1, 10.4), "d_m", ("w_gain_m", "w_m1_m", "w_m2_m"), True, _fig8),
     9: ((0.0, 50.0), "P_stored_W", ("P_beam_W", "eta_trans"), False,
-        lambda p, prov: {f"d{d:g}": (lambda ps, d=d: _beam(p, ps, d)) for d in (1.0, 5.0)}),
+        lambda p, prov: {f"d{d:g}": partial(_beam, p, fd=gain_to_beam_coefficient(d, p))
+                         for d in (1.0, 5.0)}),
     10: ((1.0, 10.0), "d_m", ("P_beam_W", "eta_trans"), False,
-         lambda p, prov: {f"ps{ps:g}": _gated(p.geometry, lambda d, ps=ps: _beam(p, ps, d))
-                          for ps in (10.0, 20.0, 30.0)}),
+         lambda p, prov: {f"ps{ps:g}": _gated(
+             p.geometry, lambda d, ps=ps: _beam(p, ps, gain_to_beam_coefficient(d, p)))
+             for ps in (10.0, 20.0, 30.0)}),
     11: ((0.0, 30.0), "P_beam_W", ("P_pv_W", "eta_pv"), False,
          lambda p, prov: {"": lambda pb: _pv(p, pb)}),
     12: ((0.0, 100.0), "P_in_W", ("P_out_W", "eta_all"), False,

@@ -5,16 +5,28 @@ power at the receiver -> photovoltaic electrical output.  Stages two and
 three are fitted linear laws with thresholds: the raw lines go negative at
 low drive, and the physical system simply emits nothing there, so outputs
 are clamped at zero and the efficiencies below threshold are defined as 0.
+
+The stages read the link parameters from one :class:`SystemParams` bundle.
+The bundle and its parts check every parameter range once, when they are
+built, and raise :class:`UnitError` naming the configuration key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+from . import defaults as dflt
+from .cavity import CavityGeometry
 from .diffraction import fundamental_loss_vs_distance
-from .errors import UndefinedAtZeroError
+from .errors import UndefinedAtZeroError, UnitError
+
+
+def _require(key: str, value: float, ok: bool, rule: str) -> None:
+    """Raise a UnitError naming the config key unless the range check holds."""
+    if not ok:
+        raise UnitError(key, f"must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -22,25 +34,22 @@ class GainParams:
     """Transmitter conversion coefficients.
 
     eta_stored: electrical-to-stored conversion efficiency, in (0, 1).
-    m_overlap: mode/gain overlap efficiency, > 0.
+    m_overlap: mode/gain overlap efficiency, finite and > 0.
     c: additive extraction constant in watts (typically negative).
     r_out: output mirror (M2) reflectivity, in (0, 1).
     """
 
     eta_stored: float
-    m_overlap: float = 1.0
-    c: float = -5.64
-    r_out: float = 0.88
+    m_overlap: float = dflt.DEFAULT_M_OVERLAP
+    c: float = dflt.DEFAULT_C
+    r_out: float = dflt.DEFAULT_R_OUT
 
     def __post_init__(self):
-        if not 0.0 < self.eta_stored < 1.0:
-            raise ValueError(f"eta_stored must be in (0, 1), got {self.eta_stored}")
-        if not 0.0 < self.r_out < 1.0:
-            raise ValueError(f"r_out must be in (0, 1), got {self.r_out}")
-        if not self.m_overlap > 0.0:
-            raise ValueError(f"m_overlap must be > 0, got {self.m_overlap}")
-        if not math.isfinite(self.c):
-            raise ValueError(f"c must be finite, got {self.c}")
+        m = self.m_overlap
+        _require("eta_stored", self.eta_stored, 0.0 < self.eta_stored < 1.0, "in (0, 1)")
+        _require("m_overlap", m, m > 0.0 and math.isfinite(m), "finite and > 0")
+        _require("c", self.c, math.isfinite(self.c), "finite")
+        _require("r_out", self.r_out, 0.0 < self.r_out < 1.0, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -51,10 +60,60 @@ class PvParams:
     b1: float
 
     def __post_init__(self):
-        if not 0.0 < self.a1 < 1.0:
-            raise ValueError(f"a1 must be in (0, 1), got {self.a1}")
-        if not math.isfinite(self.b1):
-            raise ValueError(f"b1 must be finite, got {self.b1}")
+        _require("a1", self.a1, 0.0 < self.a1 < 1.0, "in (0, 1)")
+        _require("b1", self.b1, math.isfinite(self.b1), "finite")
+
+
+@dataclass(frozen=True)
+class SystemParams:
+    """Full parameter bundle for one link configuration."""
+
+    geometry: CavityGeometry
+    gain: GainParams
+    pv: PvParams
+    aperture_radius: float
+    wavelength: float
+    d: float = dflt.DEFAULT_D
+    p_in: float = 100.0
+
+    def __post_init__(self):
+        for key, v in (("a", self.aperture_radius), ("d", self.d), ("p_in", self.p_in)):
+            _require(key, v, v >= 0 and math.isfinite(v), "finite and >= 0")
+        w = self.wavelength
+        _require("wavelength", w, w > 0 and math.isfinite(w), "finite and > 0")
+
+    @property
+    def l(self) -> float:
+        return self.geometry.l
+
+
+def reference_defaults() -> SystemParams:
+    """The reference configuration (see :mod:`resbeam.defaults`)."""
+    return SystemParams(
+        geometry=CavityGeometry(
+            l=dflt.DEFAULT_L, f=dflt.DEFAULT_F, r1=dflt.DEFAULT_R1, r2=dflt.DEFAULT_R2
+        ),
+        gain=GainParams(
+            eta_stored=dflt.DEFAULT_ETA_STORED,
+            m_overlap=dflt.DEFAULT_M_OVERLAP,
+            c=dflt.DEFAULT_C,
+            r_out=dflt.DEFAULT_R_OUT,
+        ),
+        pv=PvParams(a1=dflt.DEFAULT_A1, b1=dflt.DEFAULT_B1),
+        aperture_radius=dflt.DEFAULT_APERTURE,
+        wavelength=dflt.DEFAULT_WAVELENGTH,
+        d=dflt.DEFAULT_D,
+    )
+
+
+def provenance_for(params: SystemParams, **extra) -> dict[str, str]:
+    """Full effective parameter snapshot for output embedding."""
+    # getattr, not vars(): a materialised __dict__ slows every later attribute read
+    parts = (params.geometry, params.gain, params.pv)
+    values = {f.name: getattr(part, f.name) for part in parts for f in fields(part)}
+    values |= {"a": params.aperture_radius, "wavelength": params.wavelength,
+               "d": params.d, "p_in": params.p_in}
+    return {k: repr(v) for k, v in values.items()} | {k: str(v) for k, v in extra.items()}
 
 
 @dataclass(frozen=True)
@@ -90,52 +149,48 @@ def stored_power(p_in: float, gain: GainParams) -> float:
     return gain.eta_stored * p_in
 
 
-def gain_to_beam_coefficient(
-    d: float, gain: GainParams, aperture_radius: float, wavelength: float, l: float
-) -> float:
-    """Distance-dependent stored-to-beam slope f(d).
+def coefficient_at_loss(delta00: float, gain: GainParams) -> float:
+    """Stored-to-beam slope f = 2*(1-R)*m / [(1+R)*delta00 - (1+R)*ln R].
 
-    f(d) = 2*(1-R)*m / [(1+R)*delta00(d) - (1+R)*ln R], with delta00 the
-    fundamental-mode diffraction loss.  The denominator is strictly positive
-    for 0 < R < 1, and f(d) strictly decreases with distance.
+    delta00 is the fundamental-mode diffraction loss.  The denominator is
+    strictly positive for 0 < R < 1, and f falls as the loss rises, so
+    delta00 = 0 gives the zero-loss ceiling.
     """
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-    delta00 = fundamental_loss_vs_distance(aperture_radius, wavelength, l, d)
     r = gain.r_out
     return 2.0 * (1.0 - r) * gain.m_overlap / ((1.0 + r) * (delta00 - math.log(r)))
 
 
-def beam_power(
-    p_stored: float,
-    d: float,
-    gain: GainParams,
-    aperture_radius: float,
-    wavelength: float,
-    l: float,
-) -> float:
-    """Extracted beam power max(0, f(d)*p_stored + c); zero below the lasing threshold."""
+def gain_to_beam_coefficient(d: float, p: SystemParams) -> float:
+    """Distance-dependent stored-to-beam slope f(d), at the loss delta00(d).
+
+    f(d) strictly decreases with distance.
+    """
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
+    delta00 = fundamental_loss_vs_distance(p.aperture_radius, p.wavelength, p.l, d)
+    return coefficient_at_loss(delta00, p.gain)
+
+
+def beam_at(p_stored: float, fd: float, gain: GainParams) -> float:
+    """Extracted beam power max(0, fd*p_stored + c) at a held slope fd = f(d)."""
     if not (p_stored >= 0 and math.isfinite(p_stored)):
         raise ValueError(f"p_stored must be finite and >= 0, got {p_stored}")
-    fd = gain_to_beam_coefficient(d, gain, aperture_radius, wavelength, l)
     return max(0.0, fd * p_stored + gain.c)
 
 
-def transmission_efficiency(
-    p_stored: float,
-    d: float,
-    gain: GainParams,
-    aperture_radius: float,
-    wavelength: float,
-    l: float,
-) -> float:
+def beam_power(p_stored: float, d: float, p: SystemParams) -> float:
+    """Extracted beam power max(0, f(d)*p_stored + c); zero below the lasing threshold."""
+    return beam_at(p_stored, gain_to_beam_coefficient(d, p), p.gain)
+
+
+def transmission_efficiency(p_stored: float, d: float, p: SystemParams) -> float:
     """Stored-to-beam efficiency p_beam/p_stored; 0 below threshold.
 
     Raises UndefinedAtZeroError for p_stored = 0.
     """
     if p_stored == 0:
         raise UndefinedAtZeroError("transmission efficiency is undefined at p_stored = 0")
-    return beam_power(p_stored, d, gain, aperture_radius, wavelength, l) / p_stored
+    return beam_power(p_stored, d, p) / p_stored
 
 
 def pv_output(p_beam: float, pv: PvParams) -> float:
@@ -155,28 +210,14 @@ def pv_efficiency(p_beam: float, pv: PvParams) -> float:
     return pv_output(p_beam, pv) / p_beam
 
 
-def end_to_end(
-    p_in: float,
-    d: float,
-    gain: GainParams,
-    pv: PvParams,
-    aperture_radius: float,
-    wavelength: float,
-    l: float,
-) -> tuple[PowerState, EfficiencyBreakdown]:
-    """Compose the three stages at input power p_in and distance d.
-
-    Above all thresholds the composition collapses to the closed form
-    ``p_out = a1*f(d)*eta_stored*p_in + a1*c + b1`` and
-    ``eta_all = eta_stored*eta_trans*eta_pv``; the staged values returned
-    here match that closed form to rounding.
-    """
-    p_stored = stored_power(p_in, gain)  # validates p_in
-    p_beam = beam_power(p_stored, d, gain, aperture_radius, wavelength, l)
-    p_out = pv_output(p_beam, pv)
+def ladder_at(p_in: float, fd: float, p: SystemParams) -> tuple[PowerState, EfficiencyBreakdown]:
+    """The three stages at input power p_in, with the slope fd = f(d) held."""
+    p_stored = stored_power(p_in, p.gain)  # validates p_in
+    p_beam = beam_at(p_stored, fd, p.gain)
+    p_out = pv_output(p_beam, p.pv)
     state = PowerState(p_in=p_in, p_stored=p_stored, p_beam=p_beam, p_out=p_out)
     eff = EfficiencyBreakdown(
-        eta_stored=gain.eta_stored,
+        eta_stored=p.gain.eta_stored,
         eta_trans=p_beam / p_stored if p_stored > 0 else 0.0,
         eta_pv=p_out / p_beam if p_beam > 0 else 0.0,
         eta_all=p_out / p_in if p_in > 0 else 0.0,
@@ -184,23 +225,27 @@ def end_to_end(
     return state, eff
 
 
-def thresholds(
-    d: float,
-    gain: GainParams,
-    pv: PvParams,
-    aperture_radius: float,
-    wavelength: float,
-    l: float,
-) -> Thresholds:
+def end_to_end(p_in: float, d: float, p: SystemParams) -> tuple[PowerState, EfficiencyBreakdown]:
+    """Compose the three stages at input power p_in and distance d.
+
+    Above all thresholds the composition collapses to the closed form
+    ``p_out = a1*f(d)*eta_stored*p_in + a1*c + b1`` and
+    ``eta_all = eta_stored*eta_trans*eta_pv``; the staged values returned
+    here match that closed form to rounding.
+    """
+    return ladder_at(p_in, gain_to_beam_coefficient(d, p), p)
+
+
+def thresholds(d: float, p: SystemParams) -> Thresholds:
     """Minimum stored/beam/input powers for nonzero electrical output.
 
     p_beam_th = -b1/a1, p_stored_th = (p_beam_th - c)/f(d),
     p_in_th = p_stored_th/eta_stored.  All increase with distance because
     f(d) decreases.
     """
-    fd = gain_to_beam_coefficient(d, gain, aperture_radius, wavelength, l)
-    p_beam_th = -pv.b1 / pv.a1
-    p_stored_th = (p_beam_th - gain.c) / fd
+    fd = gain_to_beam_coefficient(d, p)
+    p_beam_th = -p.pv.b1 / p.pv.a1
+    p_stored_th = (p_beam_th - p.gain.c) / fd
     return Thresholds(
-        p_stored=p_stored_th, p_beam=p_beam_th, p_in=p_stored_th / gain.eta_stored
+        p_stored=p_stored_th, p_beam=p_beam_th, p_in=p_stored_th / p.gain.eta_stored
     )

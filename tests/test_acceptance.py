@@ -191,11 +191,11 @@ def test_criterion_6_calibrated_operating_point():
         base = reference_defaults()
         a = calibrate_aperture(1.0, 30.0, 0.61, base)
         params = replace(base, aperture_radius=a)
-        eta = transmission_efficiency(30.0, 1.0, params.gain, a, params.wavelength, params.l)
+        eta = transmission_efficiency(30.0, 1.0, params)
         assert abs(eta - 0.61) <= 0.005
         pin = required_input_power(1.0, 1.0, params)
         assert abs(pin - 55.0) <= 3.0, pin
-        _, eff = end_to_end(100.0, 1.0, params.gain, params.pv, a, params.wavelength, params.l)
+        _, eff = end_to_end(100.0, 1.0, params)
         assert abs(eff.eta_all - 0.045) <= 0.005, eff.eta_all
         print(f"        a = {a * 1e3:.4f} mm, pin(1 W) = {pin:.2f} W, eta_all = {eff.eta_all:.4f}")
 
@@ -210,16 +210,16 @@ def test_criterion_7_pv_asymptote_and_maximum():
 def test_criterion_8_threshold_and_monotonicity_suite():
     with criterion(8, "thresholds, linearity, f(d) decrease, stored-power ordering"):
         p = reference_defaults()
-        gain, pv, a, lam, l = p.gain, p.pv, p.aperture_radius, p.wavelength, p.l
+        gain = p.gain
 
-        th1 = thresholds(1.0, gain, pv, a, lam, l)
-        lo, _ = end_to_end(th1.p_in - 1e-6, 1.0, gain, pv, a, lam, l)
-        hi, _ = end_to_end(th1.p_in + 1e-6, 1.0, gain, pv, a, lam, l)
+        th1 = thresholds(1.0, p)
+        lo, _ = end_to_end(th1.p_in - 1e-6, 1.0, p)
+        hi, _ = end_to_end(th1.p_in + 1e-6, 1.0, p)
         assert lo.p_out == 0.0 and hi.p_out > 0.0
 
         outs = []
         for pin in (60.0, 80.0, 100.0):
-            state, _ = end_to_end(pin, 1.0, gain, pv, a, lam, l)
+            state, _ = end_to_end(pin, 1.0, p)
             assert state.p_out > 0
             outs.append(state.p_out)
         slope01 = (outs[1] - outs[0]) / 20.0
@@ -227,17 +227,17 @@ def test_criterion_8_threshold_and_monotonicity_suite():
         assert abs(slope01 - slope12) < 1e-9
 
         d_grid = np.linspace(0.1, 10.3, 100)
-        fds = [gain_to_beam_coefficient(float(d), gain, a, lam, l) for d in d_grid]
+        fds = [gain_to_beam_coefficient(float(d), p) for d in d_grid]
         assert all(b < q for q, b in zip(fds, fds[1:]))
 
-        th5 = thresholds(5.0, gain, pv, a, lam, l)
+        th5 = thresholds(5.0, p)
         assert th5.p_in > th1.p_in
 
         # eta_trans ordering by stored power: dominance everywhere on the
         # stable range, strict wherever the weaker curve is above threshold
         # (below threshold the clamp this suite asserts forces both to 0)
         def eta(ps, d):
-            b = max(0.0, gain_to_beam_coefficient(d, gain, a, lam, l) * ps + gain.c)
+            b = max(0.0, gain_to_beam_coefficient(d, p) * ps + gain.c)
             return b / ps
 
         strict = 0

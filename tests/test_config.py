@@ -1,15 +1,62 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resbeam import (
     ParseError,
     RunConfig,
     UnitError,
     parse_config,
+    reference_defaults,
     render_config,
 )
 from resbeam.defaults import DEFAULT_APERTURE, DEFAULT_R2
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+OUTSIDE_UNIT = st.floats(max_value=0.0) | st.floats(min_value=1.0) | NON_FINITE
+# config key -> values outside its range; +inf is FLAT, valid for f, r1, r2
+INVALID = {
+    "l": st.floats(max_value=0.0) | NON_FINITE,
+    "f": st.sampled_from([0.0, -0.0, math.nan, -math.inf]),
+    "r1": st.sampled_from([0.0, -0.0, math.nan, -math.inf]),
+    "r2": st.sampled_from([0.0, -0.0, math.nan, -math.inf]),
+    "d": st.floats(max_value=-1e-300) | NON_FINITE,
+    "a": st.floats(max_value=-1e-300) | NON_FINITE,
+    "wavelength": st.floats(max_value=0.0) | NON_FINITE,
+    "eta_stored": OUTSIDE_UNIT,
+    "m_overlap": st.floats(max_value=0.0) | NON_FINITE,
+    "c": NON_FINITE,
+    "r_out": OUTSIDE_UNIT,
+    "a1": OUTSIDE_UNIT,
+    "b1": NON_FINITE,
+}
+BUNDLE_PARTS = {
+    "geometry": ("l", "f", "r1", "r2"),
+    "gain": ("eta_stored", "m_overlap", "c", "r_out"),
+    "pv": ("a1", "b1"),
+}
+
+
+def bundle_with(key, value):
+    """Rebuild the reference bundle part that holds a config key, with that key changed."""
+    ref = reference_defaults()
+    for part, keys in BUNDLE_PARTS.items():
+        if key in keys:
+            return replace(getattr(ref, part), **{key: value})
+    return replace(ref, **{"aperture_radius" if key == "a" else key: value})
+
+
+@pytest.mark.parametrize("key", sorted(INVALID))
+@given(data=st.data())
+def test_config_and_bundle_reject_the_same_values(key, data):
+    value = data.draw(INVALID[key], label=key)
+    for build in (lambda: RunConfig(**{key: value}), lambda: bundle_with(key, value)):
+        with pytest.raises(UnitError) as err:
+            build()
+        assert err.value.key == key
 
 
 class TestParseConfig:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from resbeam import RunConfig, connecting_r2, reference_defaults
+from resbeam import RunConfig, connecting_r2, gain_to_beam_coefficient, reference_defaults
 from resbeam.defaults import (
     DEFAULT_APERTURE,
     DEFAULT_F,
@@ -21,7 +21,7 @@ def test_default_r2_is_the_through_origin_solution():
 def test_default_aperture_pins_the_calibration_anchor():
     # the aperture is defined by f(1 m) = 0.61 - c/30 = 0.798
     p = reference_defaults()
-    assert p.f_of_d(1.0) == pytest.approx(0.798, rel=1e-12)
+    assert gain_to_beam_coefficient(1.0, p) == pytest.approx(0.798, rel=1e-12)
 
 
 def test_config_defaults_mirror_the_constants():

@@ -236,7 +236,7 @@ class TestRequiredInputPower:
         p = default_params
         for target in (0.5, 1.0, 2.5, 7.0):
             pin = required_input_power(target, 1.0, p)
-            state, _ = end_to_end(pin, 1.0, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l)
+            state, _ = end_to_end(pin, 1.0, p)
             assert state.p_out == pytest.approx(target, abs=1e-9)
 
     def test_threshold_limit(self, default_params):
@@ -244,7 +244,7 @@ class TestRequiredInputPower:
         pin = required_input_power(1e-12, 1.0, p)
         from resbeam import thresholds
 
-        th = thresholds(1.0, p.gain, p.pv, p.aperture_radius, p.wavelength, p.l)
+        th = thresholds(1.0, p)
         assert pin == pytest.approx(th.p_in, rel=1e-9)
 
     def test_unstable_distance_raises(self, default_params):
@@ -257,7 +257,7 @@ class TestCalibrateAperture:
         p = default_params
         a = calibrate_aperture(1.0, 30.0, 0.61, p)
         assert a == pytest.approx(7.855301511370797e-4, rel=1e-6)
-        eta = transmission_efficiency(30.0, 1.0, p.gain, a, p.wavelength, p.l)
+        eta = transmission_efficiency(30.0, 1.0, replace(p, aperture_radius=a))
         assert eta == pytest.approx(0.61, abs=1e-6)
 
     def test_matches_algebraic_inversion(self, default_params):
@@ -274,9 +274,14 @@ class TestCalibrateAperture:
         with pytest.raises(InfeasibleTargetError):
             calibrate_aperture(1.0, 30.0, 0.99, default_params)
 
+    def test_nan_target_is_rejected(self, default_params):
+        # no comparison with NaN fires, so an unchecked target bisects down to a = 0
+        with pytest.raises(ValueError):
+            calibrate_aperture(1.0, 30.0, math.nan, default_params)
+
     def test_floor_target_returns_zero(self, default_params):
         p = default_params
-        floor = transmission_efficiency(30.0, 1.0, p.gain, 0.0, p.wavelength, p.l)
+        floor = transmission_efficiency(30.0, 1.0, replace(p, aperture_radius=0.0))
         assert calibrate_aperture(1.0, 30.0, floor, p) == 0.0
 
 

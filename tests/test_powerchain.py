@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from resbeam import (
     gain_to_beam_coefficient,
     pv_efficiency,
     pv_output,
+    reference_defaults,
     stored_power,
     thresholds,
     transmission_efficiency,
@@ -23,6 +25,11 @@ LAM = 1.064e-6
 L = 0.06
 GAIN = GainParams(eta_stored=0.2849, m_overlap=1.0, c=-5.64, r_out=0.88)
 PV = PvParams(a1=0.3487, b1=-1.535)
+
+
+def link(a, gain=GAIN, pv=PV):
+    """The reference bundle with aperture a and the given gain and PV stages."""
+    return replace(reference_defaults(), aperture_radius=a, gain=gain, pv=pv)
 
 
 def aperture_for(target_f, d=1.0, gain=GAIN):
@@ -68,9 +75,9 @@ class TestStoredPower:
         # every stage input must be a finite power, not only stored_power's
         stages = (
             lambda p: stored_power(p, GAIN),
-            lambda p: beam_power(p, 1.0, GAIN, 7.855e-4, LAM, L),
+            lambda p: beam_power(p, 1.0, link(7.855e-4)),
             lambda p: pv_output(p, PV),
-            lambda p: end_to_end(p, 1.0, GAIN, PV, 7.855e-4, LAM, L),
+            lambda p: end_to_end(p, 1.0, link(7.855e-4)),
         )
         for stage in stages:
             for bad in (-1.0, math.nan, math.inf):
@@ -81,60 +88,60 @@ class TestStoredPower:
 class TestGainToBeamCoefficient:
     def test_zero_loss_limit(self):
         # aperture large enough that delta00 underflows to 0
-        fd = gain_to_beam_coefficient(1.0, GAIN, 0.5, LAM, L)
+        fd = gain_to_beam_coefficient(1.0, link(0.5))
         assert fd == pytest.approx(0.9986404407570026, rel=1e-12)
 
     def test_at_half_loss(self):
         a = math.sqrt(-math.log(0.487) * LAM * (L + 1.0) / (2 * math.pi))
-        fd = gain_to_beam_coefficient(1.0, GAIN, a, LAM, L)
+        fd = gain_to_beam_coefficient(1.0, link(a))
         assert fd == pytest.approx(0.20763280001308893, rel=1e-9)
 
     def test_vanishes_as_mirror_closes(self):
         shiny = GainParams(eta_stored=0.2849, m_overlap=1.0, c=-5.64, r_out=1 - 1e-9)
         a = math.sqrt(-math.log(0.487) * LAM * (L + 1.0) / (2 * math.pi))
-        assert gain_to_beam_coefficient(1.0, shiny, a, LAM, L) < 1e-8
+        assert gain_to_beam_coefficient(1.0, link(a, gain=shiny)) < 1e-8
 
     def test_strictly_decreasing_in_distance(self):
         a = 0.8e-3
-        fds = [gain_to_beam_coefficient(d, GAIN, a, LAM, L) for d in np.linspace(0.1, 10, 40)]
+        fds = [gain_to_beam_coefficient(d, link(a)) for d in np.linspace(0.1, 10, 40)]
         assert all(b < a_ for a_, b in zip(fds, fds[1:]))
 
 
 class TestBeamPower:
     def test_above_threshold(self):
         a = aperture_for(0.8)
-        assert beam_power(30.0, 1.0, GAIN, a, LAM, L) == pytest.approx(18.36, rel=1e-9)
+        assert beam_power(30.0, 1.0, link(a)) == pytest.approx(18.36, rel=1e-9)
 
     def test_below_threshold_clamps(self):
         a = aperture_for(0.8)
         # lasing threshold is -c/f(d) = 7.05 W
-        assert beam_power(5.0, 1.0, GAIN, a, LAM, L) == 0.0
-        assert beam_power(7.04, 1.0, GAIN, a, LAM, L) == 0.0
-        assert beam_power(7.06, 1.0, GAIN, a, LAM, L) > 0.0
+        assert beam_power(5.0, 1.0, link(a)) == 0.0
+        assert beam_power(7.04, 1.0, link(a)) == 0.0
+        assert beam_power(7.06, 1.0, link(a)) > 0.0
 
     def test_zero_stored(self):
-        assert beam_power(0.0, 1.0, GAIN, 0.8e-3, LAM, L) == 0.0
+        assert beam_power(0.0, 1.0, link(0.8e-3)) == 0.0
 
 
 class TestTransmissionEfficiency:
     def test_reference_point(self):
         a = aperture_for(0.8)
-        assert transmission_efficiency(30.0, 1.0, GAIN, a, LAM, L) == pytest.approx(
+        assert transmission_efficiency(30.0, 1.0, link(a)) == pytest.approx(
             0.612, rel=1e-9
         )
 
     def test_below_threshold_zero(self):
         a = aperture_for(0.8)
-        assert transmission_efficiency(5.0, 1.0, GAIN, a, LAM, L) == 0.0
+        assert transmission_efficiency(5.0, 1.0, link(a)) == 0.0
 
     def test_asymptote_is_f(self):
         a = aperture_for(0.8)
-        eta = transmission_efficiency(1e9, 1.0, GAIN, a, LAM, L)
+        eta = transmission_efficiency(1e9, 1.0, link(a))
         assert eta == pytest.approx(0.8, rel=1e-8)
 
     def test_undefined_at_zero(self):
         with pytest.raises(UndefinedAtZeroError):
-            transmission_efficiency(0.0, 1.0, GAIN, 0.8e-3, LAM, L)
+            transmission_efficiency(0.0, 1.0, link(0.8e-3))
 
 
 class TestPvStage:
@@ -166,13 +173,13 @@ class TestPvStage:
 
 class TestEndToEnd:
     def test_all_zero_at_zero_input(self):
-        state, eff = end_to_end(0.0, 1.0, GAIN, PV, 0.8e-3, LAM, L)
+        state, eff = end_to_end(0.0, 1.0, link(0.8e-3))
         assert (state.p_in, state.p_stored, state.p_beam, state.p_out) == (0, 0, 0, 0)
         assert eff.eta_all == 0.0
 
     def test_reference_55w_point(self):
         a = aperture_for(0.824)
-        state, _ = end_to_end(54.992296215591615, 1.0, GAIN, PV, a, LAM, L)
+        state, _ = end_to_end(54.992296215591615, 1.0, link(a))
         assert state.p_out == pytest.approx(1.0, rel=1e-9)
 
     def test_closed_form_composition_identity(self):
@@ -181,8 +188,8 @@ class TestEndToEnd:
             a = float(rng.uniform(3e-4, 2e-3))
             d = float(rng.uniform(0.1, 8.0))
             p_in = float(rng.uniform(0.0, 200.0))
-            state, _ = end_to_end(p_in, d, GAIN, PV, a, LAM, L)
-            fd = gain_to_beam_coefficient(d, GAIN, a, LAM, L)
+            state, _ = end_to_end(p_in, d, link(a))
+            fd = gain_to_beam_coefficient(d, link(a))
             closed = PV.a1 * fd * GAIN.eta_stored * p_in + PV.a1 * GAIN.c + PV.b1
             if state.p_beam > 0 and state.p_out > 0:
                 assert state.p_out == pytest.approx(closed, abs=1e-12, rel=1e-12)
@@ -192,14 +199,14 @@ class TestEndToEnd:
     def test_efficiency_product_identity(self):
         a = aperture_for(0.824)
         for p_in in (60.0, 100.0, 150.0):
-            _, eff = end_to_end(p_in, 1.0, GAIN, PV, a, LAM, L)
+            _, eff = end_to_end(p_in, 1.0, link(a))
             assert eff.eta_all == pytest.approx(
                 eff.eta_stored * eff.eta_trans * eff.eta_pv, abs=1e-12
             )
 
     def test_eta_all_reference(self):
         a = aperture_for(0.824)
-        _, eff = end_to_end(100.0, 1.0, GAIN, PV, a, LAM, L)
+        _, eff = end_to_end(100.0, 1.0, link(a))
         assert eff.eta_all == pytest.approx(0.04684329512, rel=1e-9)
 
     def test_clamp_sanity(self):
@@ -208,7 +215,7 @@ class TestEndToEnd:
             p_in = float(rng.uniform(0.0, 60.0))
             d = float(rng.uniform(0.0, 20.0))
             a = float(rng.uniform(0.0, 3e-3))
-            state, eff = end_to_end(p_in, d, GAIN, PV, a, LAM, L)
+            state, eff = end_to_end(p_in, d, link(a))
             assert state.p_stored >= 0 and state.p_beam >= 0 and state.p_out >= 0
             assert 0 <= eff.eta_trans <= 1 and 0 <= eff.eta_pv <= 1 and 0 <= eff.eta_all <= 1
 
@@ -216,7 +223,7 @@ class TestEndToEnd:
         a = aperture_for(0.824)
         outs, etas = [], []
         for d in np.linspace(0.5, 8.0, 40):
-            state, eff = end_to_end(100.0, float(d), GAIN, PV, a, LAM, L)
+            state, eff = end_to_end(100.0, float(d), link(a))
             outs.append(state.p_out)
             etas.append(eff.eta_all)
         assert all(b <= q for q, b in zip(outs, outs[1:]))
@@ -226,7 +233,7 @@ class TestEndToEnd:
         a = aperture_for(0.824)
         pts = []
         for p_in in (60.0, 80.0, 100.0):
-            state, _ = end_to_end(p_in, 1.0, GAIN, PV, a, LAM, L)
+            state, _ = end_to_end(p_in, 1.0, link(a))
             assert state.p_out > 0
             pts.append((p_in, state.p_out))
         slope01 = (pts[1][1] - pts[0][1]) / (pts[1][0] - pts[0][0])
@@ -237,25 +244,25 @@ class TestEndToEnd:
 class TestThresholds:
     def test_reference_values(self):
         a = aperture_for(0.824)
-        th = thresholds(1.0, GAIN, PV, a, LAM, L)
+        th = thresholds(1.0, link(a))
         assert th.p_beam == pytest.approx(4.402064812159449, rel=1e-12)
         assert th.p_stored == pytest.approx(12.186971859416808, rel=1e-9)
         assert th.p_in == pytest.approx(42.776314002867, rel=1e-9)
 
     def test_no_pv_offset(self):
-        th = thresholds(1.0, GAIN, PvParams(a1=0.3487, b1=0.0), 0.8e-3, LAM, L)
+        th = thresholds(1.0, link(0.8e-3, pv=PvParams(a1=0.3487, b1=0.0)))
         assert th.p_beam == 0.0
 
     def test_threshold_grows_with_distance(self):
         a = 0.8e-3
-        th1 = thresholds(1.0, GAIN, PV, a, LAM, L)
-        th5 = thresholds(5.0, GAIN, PV, a, LAM, L)
+        th1 = thresholds(1.0, link(a))
+        th5 = thresholds(5.0, link(a))
         assert th5.p_in > th1.p_in
 
     def test_output_flips_exactly_at_threshold(self):
         a = aperture_for(0.824)
-        th = thresholds(1.0, GAIN, PV, a, LAM, L)
-        lo, _ = end_to_end(th.p_in - 1e-6, 1.0, GAIN, PV, a, LAM, L)
-        hi, _ = end_to_end(th.p_in + 1e-6, 1.0, GAIN, PV, a, LAM, L)
+        th = thresholds(1.0, link(a))
+        lo, _ = end_to_end(th.p_in - 1e-6, 1.0, link(a))
+        hi, _ = end_to_end(th.p_in + 1e-6, 1.0, link(a))
         assert lo.p_out == 0.0
         assert hi.p_out > 0.0

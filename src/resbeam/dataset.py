@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,12 +45,10 @@ class Dataset:
         return self.columns[name]
 
 
-def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".9g")
+def _csv_cells(col: np.ndarray) -> list[str]:
+    """9-significant-digit cells; -0.0 prints as 0, infinities as inf/-inf."""
+    # '%.9g' % x is format(x, '.9g'), a little faster
+    return ["0" if x == 0 else "%.9g" % x for x in col.tolist()]
 
 
 def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
@@ -65,17 +62,13 @@ def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "csv":
         lines = [f"# {k} = {v}" for k, v in sorted(ds.provenance.items())]
-        names = list(ds.columns)
-        lines.append(",".join(names + ["flag"]))
-        cols = [ds.columns[n] for n in names]
-        for i in range(ds.n_rows):
-            cells = [_fmt(float(c[i])) for c in cols]
-            cells.append(ds.flags[i])
-            lines.append(",".join(cells))
+        lines.append(",".join([*ds.columns, "flag"]))
+        cells = [_csv_cells(col) for col in ds.columns.values()]
+        lines.extend(map(",".join, zip(*cells, ds.flags)))
         return ("\n".join(lines) + "\n").encode("utf-8")
     obj = {
         "provenance": dict(sorted(ds.provenance.items())),
-        "columns": {k: [float(x) for x in v] for k, v in ds.columns.items()},
+        "columns": {k: v.tolist() for k, v in ds.columns.items()},
         "flag": list(ds.flags),
     }
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")

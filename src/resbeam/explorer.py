@@ -1,10 +1,10 @@
 """Design-space exploration: sweeps, inverse solvers, calibration, figures.
 
-Every sweep and figure is one walk over its grid with a per-row rule over
-the cavity and power chain primitives: identical inputs produce
-bit-identical Datasets.  Rows that cannot be evaluated (unstable cavity, no
-branch solution, ratios at zero input) carry zeros plus a flag token rather
-than being dropped.
+Every sweep and figure evaluates its grid as whole columns through the column
+kernels of :mod:`resbeam.cavity` and :mod:`resbeam.powerchain`, which equal
+the scalar kernels bit for bit: identical inputs produce bit-identical
+Datasets.  Rows that cannot be evaluated (unstable cavity, no branch solution,
+ratios at zero input) carry zeros plus a flag token rather than being dropped.
 """
 
 from __future__ import annotations
@@ -18,37 +18,38 @@ import numpy as np
 
 from .cavity import (
     BRANCHES,
-    CavityGeometry,
-    beam_radii,
+    REACH_OK,
+    REACH_UNBOUNDED,
+    beam_radii_columns,
     connecting_r2,
-    g_parameters,
+    connecting_r2_columns,
+    valid_elements,
+    g_columns,
     is_stable,
-    max_transmission_distance,
+    max_distance_columns,
+    stable_columns,
 )
 from .dataset import Dataset
 from .diffraction import fundamental_loss_vs_distance
 from .errors import (
     EmptyResultError,
     InfeasibleTargetError,
-    NoSolutionError,
-    NoStableRegionError,
-    UnboundedStableRangeError,
     UnknownFigureError,
     UnreachableTargetError,
-    UnstableConfigurationError,
-    WrongSignSlopeError,
 )
 from .powerchain import (
     SystemParams,
     beam_at,
+    beam_column,
     coefficient_at_loss,
-    end_to_end,
     gain_to_beam_coefficient,
-    ladder_at,
+    gain_to_beam_column,
+    ladder_columns,
     provenance_for,
-    pv_output,
+    pv_column,
+    ratio_column,
     reference_defaults,
-    stored_power,
+    stored_column,
 )
 
 SWEEP_VARIABLES = ("d", "P_in", "P_stored", "P_beam", "R1")
@@ -58,7 +59,7 @@ FIGURE_IDS = tuple(range(6, 14))
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept variable over a strictly increasing grid, rest fixed."""
+    """One swept variable over a strictly increasing grid of finite values, rest fixed."""
 
     variable: str
     grid: tuple[float, ...]
@@ -67,15 +68,21 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
-        if len(self.grid) == 0:
-            raise ValueError("grid must be nonempty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+        grid = np.asarray(self.grid, dtype=float)
+        if grid.ndim != 1 or not grid.size:
+            raise ValueError("grid must be a nonempty sequence of numbers")
+        bad = ~np.isfinite(grid)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"grid of {self.variable} must be finite, got {grid[i]} at index {i}")
+        if (np.diff(grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
 
 
-# A row rule maps a grid value to (values, flag).  A rule that stops early
-# returns a prefix of its values; the rest of the row reads zero.
-Rule = Callable[[float], tuple[Sequence[float], str]]
+# A column rule maps the grid column to (value columns, flags): arrays that
+# read zero on rows without a value, and one flag token per row ("" when
+# clean).  A rule may return a prefix of its value columns; the rest read zero.
+Rule = Callable[[np.ndarray], tuple[Sequence[np.ndarray], list[str]]]
 
 
 def _tagged(name: str, tag: str) -> str:
@@ -86,146 +93,154 @@ def _tagged(name: str, tag: str) -> str:
     return f"{stem}_{tag}_{unit}" if unit in ("W", "m") else f"{name}_{tag}"
 
 
-def _tabulate(grid, x_col, value_cols, rules: dict[str, Rule], provenance, join=False):
-    """Walk the grid once, writing each row rule's values into zero-filled columns.
+def _tabulate(xs, x_col, value_cols, rules: dict[str, Rule], provenance, join=False):
+    """Evaluate each series' column rule on the grid column xs into one Dataset.
 
     ``rules`` maps a series tag to its rule; each series fills its own tagged
-    copy of ``value_cols`` with at most that many values per row.  When
-    several series flag a row, ``join`` joins ``tag:flag`` tokens with ';';
-    otherwise the first nonempty flag wins.
+    copy of ``value_cols``.  When several series flag a row, ``join`` joins
+    ``tag:flag`` tokens with ';'; otherwise the first nonempty flag wins.
     """
-    width = len(value_cols)
-    series = [(tag, rule, [0.0] * (len(grid) * width)) for tag, rule in rules.items()]
-    flags = [""] * len(grid)
-    for i, x in enumerate(grid):
-        for tag, rule, rows in series:
-            values, flag = rule(x)
-            rows[i * width:i * width + len(values)] = values
-            if flag and join:
-                flags[i] = f"{flags[i]};{tag}:{flag}" if flags[i] else f"{tag}:{flag}"
-            elif flag and not flags[i]:
-                flags[i] = flag
-    columns = {x_col: np.array(grid, dtype=float)}
-    for tag, _, rows in series:
-        table = np.array(rows, dtype=float).reshape(len(grid), width).T
-        columns.update((_tagged(c, tag), col) for c, col in zip(value_cols, table))
+    n = len(xs)
+    columns = {x_col: xs}
+    flags = None
+    for tag, rule in rules.items():
+        values, marks = rule(xs)
+        values = [*values, *(np.zeros(n) for _ in value_cols[len(values):])]
+        columns.update((_tagged(c, tag), v) for c, v in zip(value_cols, values))
+        if join:
+            marks = [f"{tag}:{m}" if m else "" for m in marks]
+        if flags is None:
+            flags = marks
+        else:
+            flags = [f"{a};{m}" if a and m and join else a or m for a, m in zip(flags, marks)]
     return Dataset(columns, flags, provenance)
 
 
-# Row kernels shared by sweeps, figures and the R1 design search
-_UNSTABLE = ((), "unstable")
+# Column helpers shared by sweeps, figures and the R1 design search
+
+# flag of each reach status, indexed by REACH_OK, REACH_NO_STABLE_REGION, REACH_UNBOUNDED
+_REACH_FLAGS = np.array(["", "no-stable-region", "unbounded"], dtype=object)
 
 
-def _gated(geom: CavityGeometry, rule: Rule) -> Rule:
-    """The rule at stable distances; unstable rows read zero, flagged."""
-    return lambda d: rule(d) if is_stable(geom, d) else _UNSTABLE
+def _flags(n: int, *marks: tuple[np.ndarray, str]) -> list[str]:
+    """One flag per row from (mask, token) pairs; the first pair whose mask holds wins."""
+    out = np.full(n, "", dtype=object)
+    for mask, token in reversed(marks):
+        out[mask] = token
+    return out.tolist()
 
 
-def _below(out: float, drive: float) -> str:
-    return "below-threshold" if out == 0.0 and drive > 0 else ""
+def _unstable(xs: np.ndarray) -> tuple[tuple, list[str]]:
+    return (), ["unstable"] * len(xs)
 
 
-def _reach(geom: CavityGeometry) -> tuple[tuple, str]:
-    """(d_max, contiguous) of a geometry, or no values and the reason as a flag."""
-    try:
-        md = max_transmission_distance(geom)
-    except NoStableRegionError:
-        return (), "no-stable-region"
-    except UnboundedStableRangeError:
-        return (), "unbounded"
-    return (md.d_max, 1.0 if md.contiguous else 0.0), ""
+def _masked(keep: np.ndarray, values) -> list[np.ndarray]:
+    """The value columns with the rows outside `keep` set to zero."""
+    return [np.where(keep, v, 0.0) for v in values]
 
 
-def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
-    """R1 -> (R2, d_max, contiguous)[keep] of the connected-branch design."""
-    def rule(r1):
-        try:
-            geom = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch))
-        except (NoSolutionError, WrongSignSlopeError, ValueError):
-            return (), "no-solution"
-        reach, flag = _reach(geom)
-        return (geom.r2, *reach)[keep], flag
+def _below(out: np.ndarray, drive) -> np.ndarray:
+    return (out == 0.0) & (drive > 0)
+
+
+def _stable_at(p: SystemParams, d) -> np.ndarray:
+    geo = p.geometry
+    return stable_columns(geo.l, geo.f, geo.r1, geo.r2, d)
+
+
+def _per_drive(out: np.ndarray, drive: np.ndarray, below=False) -> tuple[tuple, list[str]]:
+    """(out, out/drive) of a stage along its drive column.
+
+    Zero-drive rows are flagged undefined-at-zero; with `below`, driven rows
+    with zero output are flagged below-threshold.
+    """
+    marks = [(drive == 0.0, "undefined-at-zero")]
+    if below:
+        marks.append((_below(out, drive), "below-threshold"))
+    return (out, ratio_column(out, drive)), _flags(len(drive), *marks)
+
+
+def _distance_rule(p: SystemParams, values_at: Callable[[np.ndarray], tuple]) -> Rule:
+    """Rule d -> values_at(f(d)) at stable distances; unstable rows read zero, flagged."""
+    def rule(d):
+        stable = _stable_at(p, d)
+        return _masked(stable, values_at(gain_to_beam_column(d, p))), _flags(
+            len(d), (~stable, "unstable"))
 
     return rule
 
 
-def _beam(p: SystemParams, ps: float, fd: float, below=False) -> tuple[tuple, str]:
-    """(P_beam, eta_trans) at stored power ps and slope fd; with `below`, a zero beam is flagged."""
-    pb = beam_at(ps, fd, p.gain)
-    if ps > 0:
-        return (pb, pb / ps), _below(pb, ps) if below else ""
-    return (pb,), "undefined-at-zero"
+def _connected(l: float, f: float, r1: np.ndarray, branch: str):
+    """(r2, solvable, reach) of the connected-branch designs along an R1 column."""
+    r2, solvable = connecting_r2_columns(l, f, r1, branch)
+    return r2, solvable, max_distance_columns(l, f, r1, r2)
 
 
-def _pv(p: SystemParams, pb: float, below=False) -> tuple[tuple, str]:
-    """(P_pv, eta_pv) at beam power pb; with `below`, a zero PV output is flagged."""
-    ppv = pv_output(pb, p.pv)
-    if pb > 0:
-        return (ppv, ppv / pb), _below(ppv, pb) if below else ""
-    return (ppv,), "undefined-at-zero"
+def _design_columns(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
+    """R1 -> (R2, d_max, contiguous)[keep] of the connected-branch designs."""
+    def rule(r1):
+        r2, solvable, reach = _connected(l, f, r1, branch)
+        values = (r2, reach.d_max, reach.contiguous.astype(float))[keep]
+        return _masked(solvable, values), np.where(
+            solvable, _REACH_FLAGS[reach.status], "no-solution").tolist()
 
-
-def _output(p: SystemParams, p_in: float, d: float) -> tuple[tuple, str]:
-    state, eff = end_to_end(p_in, d, p)
-    return (state.p_out, eff.eta_all), ""
-
-
-def _radii(geom: CavityGeometry, wavelength: float, d: float) -> tuple[tuple, str]:
-    try:
-        r = beam_radii(geom, d, wavelength)
-    except UnstableConfigurationError:
-        return _UNSTABLE
-    return (r.w_gain, r.w_m1, r.w_m2), ""
+    return rule
 
 
 def _d_rule(p: SystemParams) -> Rule:
     def rule(d):
-        fd = gain_to_beam_coefficient(d, p)
-        state, eff = ladder_at(p.p_in, fd, p)
-        values = (fd, state.p_beam, eff.eta_trans, state.p_out, eff.eta_all)
-        return values, _below(state.p_out, p.p_in)
-
-    return _gated(p.geometry, rule)
-
-
-def _p_in_rule(p: SystemParams) -> Rule:
-    def rule(p_in):
-        state, eff = ladder_at(p_in, fd, p)
-        values = (state.p_stored, state.p_beam, state.p_out, eff.eta_all)
-        return values, _below(state.p_out, p_in)
-
-    fd = gain_to_beam_coefficient(p.d, p)
-    return rule if is_stable(p.geometry, p.d) else lambda p_in: _UNSTABLE
-
-
-def _p_stored_rule(p: SystemParams) -> Rule:
-    def rule(ps):
-        values, flag = _beam(p, ps, fd, below=True)
-        return (fd, *values), flag
-
-    fd = gain_to_beam_coefficient(p.d, p)
-    return rule if is_stable(p.geometry, p.d) else lambda ps: _UNSTABLE
-
-
-def _r1_rule(p: SystemParams) -> Rule:
-    def rule(r1):
-        try:
-            geom = CavityGeometry(l=p.l, f=p.geometry.f, r1=r1, r2=p.geometry.r2)
-        except ValueError:
-            return (), "invalid-r1"
-        der = g_parameters(geom, p.d)
-        reach, flag = _reach(geom)
-        return (der.g1, der.g2, 1.0 if is_stable(geom, p.d) else 0.0, *reach), flag
+        stable = _stable_at(p, d)
+        fd = gain_to_beam_column(d, p)
+        lad = ladder_columns(p.p_in, fd, p)
+        values = (fd, lad.p_beam, lad.eta_trans, lad.p_out, lad.eta_all)
+        return _masked(stable, values), _flags(
+            len(d), (~stable, "unstable"), (_below(lad.p_out, p.p_in), "below-threshold"))
 
     return rule
 
 
-# variable -> (x column, value columns, row rule for the fixed parameters)
+def _p_in_rule(p: SystemParams) -> Rule:
+    def rule(p_in):
+        lad = ladder_columns(p_in, fd, p)
+        values = (lad.p_stored, lad.p_beam, lad.p_out, lad.eta_all)
+        return values, _flags(len(p_in), (_below(lad.p_out, p_in), "below-threshold"))
+
+    fd = gain_to_beam_coefficient(p.d, p)
+    return rule if _stable_at(p, p.d) else _unstable
+
+
+def _p_stored_rule(p: SystemParams) -> Rule:
+    def rule(ps):
+        values, flags = _per_drive(beam_column(ps, fd, p.gain), ps, below=True)
+        return (np.full(len(ps), fd), *values), flags
+
+    fd = gain_to_beam_coefficient(p.d, p)
+    return rule if _stable_at(p, p.d) else _unstable
+
+
+def _r1_rule(p: SystemParams) -> Rule:
+    geo = p.geometry
+
+    def rule(r1):
+        valid = valid_elements(r1)  # as CavityGeometry checks r1
+        with np.errstate(divide="ignore", invalid="ignore"):  # invalid rows, masked below
+            _, g1, g2 = g_columns(geo.l, geo.f, r1, geo.r2, p.d)
+            stable = stable_columns(geo.l, geo.f, r1, geo.r2, p.d)
+            reach = max_distance_columns(geo.l, geo.f, r1, geo.r2)
+        values = (g1, g2, stable.astype(float), reach.d_max, reach.contiguous.astype(float))
+        return _masked(valid, values), np.where(
+            valid, _REACH_FLAGS[reach.status], "invalid-r1").tolist()
+
+    return rule
+
+
+# variable -> (x column, value columns, column rule for the fixed parameters)
 _SWEEPS = {
     "d": ("d_m", ("f_d", "P_beam_W", "eta_trans", "P_out_W", "eta_all"), _d_rule),
     "P_in": ("P_in_W", ("P_stored_W", "P_beam_W", "P_out_W", "eta_all"), _p_in_rule),
     "P_stored": ("P_stored_W", ("f_d", "P_beam_W", "eta_trans"), _p_stored_rule),
-    "P_beam": ("P_beam_W", ("P_pv_W", "eta_pv"), lambda p: lambda pb: _pv(p, pb, below=True)),
+    "P_beam": ("P_beam_W", ("P_pv_W", "eta_pv"),
+               lambda p: lambda pb: _per_drive(pv_column(pb, p.pv), pb, below=True)),
     "R1": ("R1_m", ("g1", "g2", "stable", "d_max_m", "contiguous"), _r1_rule),
 }
 
@@ -238,7 +253,8 @@ def sweep(spec: SweepSpec) -> Dataset:
     """
     x_col, value_cols, rule_for = _SWEEPS[spec.variable]
     prov = provenance_for(spec.fixed, variable=spec.variable, points=len(spec.grid))
-    return _tabulate(spec.grid, x_col, value_cols, {"": rule_for(spec.fixed)}, prov)
+    xs = np.array(spec.grid, dtype=float)
+    return _tabulate(xs, x_col, value_cols, {"": rule_for(spec.fixed)}, prov)
 
 
 def required_input_power(target_p_out: float, d: float, params: SystemParams) -> float:
@@ -247,8 +263,10 @@ def required_input_power(target_p_out: float, d: float, params: SystemParams) ->
     Raises UnreachableTargetError when the cavity is unstable at d, so no
     resonant beam forms regardless of drive.
     """
-    if not target_p_out > 0:
-        raise ValueError(f"target_p_out must be > 0, got {target_p_out}")
+    if not (target_p_out > 0 and math.isfinite(target_p_out)):
+        raise ValueError(f"target_p_out must be finite and > 0, got {target_p_out}")
+    if not (d >= 0 and math.isfinite(d)):
+        raise ValueError(f"d must be finite and >= 0, got {d}")
     if not is_stable(params.geometry, d):
         raise UnreachableTargetError(f"cavity is not stable at d = {d} m")
     fd = gain_to_beam_coefficient(d, params)
@@ -316,7 +334,6 @@ def calibrate_aperture(
             )
     return _bisect(lambda a: gap(a) < 0.0, 0.0, hi, 1e-12)
 
-
 def max_distance_vs_r1(
     l: float, f: float, r1_grid, branch: str, *, params: SystemParams | None = None
 ) -> Dataset:
@@ -328,13 +345,13 @@ def max_distance_vs_r1(
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     base = params if params is not None else reference_defaults()
-    grid = [float(r) for r in r1_grid]
-    if not grid:
+    grid = np.fromiter(r1_grid, dtype=float)
+    if not len(grid):
         raise ValueError("r1_grid must be nonempty")
     prov = provenance_for(base, variable="R1", branch=branch, points=len(grid))
     prov |= {"l": repr(l), "f": repr(f)}
     return _tabulate(grid, "R1_m", ("R2_m", "d_max_m", "contiguous"),
-                     {"": _design_rule(l, f, branch)}, prov)
+                     {"": _design_columns(l, f, branch)}, prov)
 
 
 def r1_range_for_distance(
@@ -353,21 +370,31 @@ def r1_range_for_distance(
 
     Raises EmptyResultError when no R1 in the interval qualifies.
     """
+    if not math.isfinite(target_d):
+        raise ValueError(f"target_d must be finite, got {target_d}")
     lo, hi = search_interval
     if not lo < hi:
         raise ValueError(f"invalid search interval {search_interval}")
-    design = _design_rule(l, f, branch)
 
-    def reaches(r1: float) -> bool:
-        values, flag = design(r1)
-        return flag == "unbounded" or (not flag and values[1] >= target_d)
+    def reaches(r1: np.ndarray) -> np.ndarray:
+        _, solvable, reach = _connected(l, f, r1, branch)
+        return solvable & ((reach.status == REACH_UNBOUNDED)
+                           | ((reach.status == REACH_OK) & (reach.d_max >= target_d)))
 
-    grid = np.linspace(lo, hi, grid_points).tolist()
-    hits = [reaches(r) for r in grid]
-    # every flip of the predicate between grid neighbours is an interval edge
-    edges = [_bisect(lambda r, hit=hit: reaches(r) == hit, a, b, resolution)
-             for a, b, hit, next_hit in zip(grid, grid[1:], hits, hits[1:]) if hit != next_hit]
-    bounds = ([grid[0]] if hits[0] else []) + edges + ([grid[-1]] if hits[-1] else [])
+    grid = np.linspace(lo, hi, grid_points)
+    hits = reaches(grid)
+    # every flip of the predicate between grid neighbours is an interval edge;
+    # the edges are bisected together, each as _bisect would, until its bracket
+    # is no wider than the resolution
+    flips = np.flatnonzero(hits[1:] != hits[:-1])
+    a, b, hit = grid[flips], grid[flips + 1], hits[flips]
+    while (live := b - a > resolution).any():
+        m = 0.5 * (a[live] + b[live])
+        holds = reaches(m) == hit[live]
+        a[live] = np.where(holds, m, a[live])
+        b[live] = np.where(holds, b[live], m)
+    first, last = float(grid[0]), float(grid[-1])
+    bounds = ([first] if hits[0] else []) + (0.5 * (a + b)).tolist() + ([last] if hits[-1] else [])
     if not bounds:
         raise EmptyResultError(
             f"no R1 in [{lo}, {hi}] reaches {target_d} m on the {branch} branch"
@@ -384,32 +411,55 @@ def _fig8(p: SystemParams, prov: dict) -> dict[str, Rule]:
     for branch in BRANCHES:
         r2 = connecting_r2(geo.l, geo.f, geo.r1, branch)
         prov[f"r2_{branch}"] = repr(r2)
-        rules[branch] = partial(_radii, replace(geo, r2=r2), p.wavelength)
+        rules[branch] = partial(_radii_rule, replace(geo, r2=r2), p.wavelength)
     return rules
+
+
+def _radii_rule(geom, wavelength: float, d: np.ndarray) -> tuple[tuple, list[str]]:
+    stable, radii = beam_radii_columns(geom, d, wavelength)
+    return radii, _flags(len(d), (~stable, "unstable"))
+
+
+def _beam_pair(ps, fd, gain) -> tuple[np.ndarray, np.ndarray]:
+    """(P_beam, eta_trans) at held stored power ps along an f(d) column."""
+    pb = beam_column(ps, fd, gain)
+    return pb, ratio_column(pb, ps)
+
+
+def _output_pair(p_in, fd, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """(P_out, eta_all) of the ladder; p_in and fd are columns or floats."""
+    lad = ladder_columns(p_in, fd, p)
+    return lad.p_out, lad.eta_all
+
+
+def _clean(xs: np.ndarray) -> list[str]:
+    return [""] * len(xs)
 
 
 # id -> (grid ends, x column, value columns per series, join flags,
 #        series(params, provenance) -> {tag: rule}; the tag "" is one untagged series)
 _FIGURES = {
     6: ((0.0, 100.0), "P_in_W", ("P_stored_W",), False,
-        lambda p, prov: {"": lambda p_in: ((stored_power(p_in, p.gain),), "")}),
+        lambda p, prov: {"": lambda p_in: ((stored_column(p_in, p.gain),), _clean(p_in))}),
     7: ((-1.5, -0.5), "R1_m", ("d_max_m",), True,  # d_max only, of (R2, d_max, contiguous)
-        lambda p, prov: {f"l{mm}_{b}": _design_rule(mm / 1000.0, p.geometry.f, b, slice(1, 2))
+        lambda p, prov: {f"l{mm}_{b}": _design_columns(mm / 1000.0, p.geometry.f, b, slice(1, 2))
                          for mm in (60, 80, 100) for b in BRANCHES}),
     8: ((0.1, 10.4), "d_m", ("w_gain_m", "w_m1_m", "w_m2_m"), True, _fig8),
     9: ((0.0, 50.0), "P_stored_W", ("P_beam_W", "eta_trans"), False,
-        lambda p, prov: {f"d{d:g}": partial(_beam, p, fd=gain_to_beam_coefficient(d, p))
+        lambda p, prov: {f"d{d:g}": (lambda ps, fd=gain_to_beam_coefficient(d, p):
+                                     _per_drive(beam_column(ps, fd, p.gain), ps))
                          for d in (1.0, 5.0)}),
     10: ((1.0, 10.0), "d_m", ("P_beam_W", "eta_trans"), False,
-         lambda p, prov: {f"ps{ps:g}": _gated(
-             p.geometry, lambda d, ps=ps: _beam(p, ps, gain_to_beam_coefficient(d, p)))
-             for ps in (10.0, 20.0, 30.0)}),
+         lambda p, prov: {f"ps{ps:g}": _distance_rule(p, partial(_beam_pair, ps, gain=p.gain))
+                          for ps in (10.0, 20.0, 30.0)}),
     11: ((0.0, 30.0), "P_beam_W", ("P_pv_W", "eta_pv"), False,
-         lambda p, prov: {"": lambda pb: _pv(p, pb)}),
+         lambda p, prov: {"": lambda pb: _per_drive(pv_column(pb, p.pv), pb)}),
     12: ((0.0, 100.0), "P_in_W", ("P_out_W", "eta_all"), False,
-         lambda p, prov: {f"d{d:g}": (lambda p_in, d=d: _output(p, p_in, d)) for d in (1.0, 5.0)}),
+         lambda p, prov: {f"d{d:g}": (lambda p_in, fd=gain_to_beam_coefficient(d, p):
+                                      (_output_pair(p_in, fd, p), _clean(p_in)))
+                          for d in (1.0, 5.0)}),
     13: ((1.0, 10.0), "d_m", ("P_out_W", "eta_all"), False,
-         lambda p, prov: {f"pin{pin:g}": _gated(p.geometry, lambda d, pin=pin: _output(p, pin, d))
+         lambda p, prov: {f"pin{pin:g}": _distance_rule(p, partial(_output_pair, pin, p=p))
                           for pin in (50.0, 80.0, 100.0)}),
 }
 
@@ -431,5 +481,4 @@ def reproduce_figure(figure_id: int, params: SystemParams | None = None) -> Data
         raise UnknownFigureError(f"figure id must be in 6..13, got {figure_id}")
     (lo, hi), x_col, value_cols, join, series = _FIGURES[figure_id]
     prov = provenance_for(p, figure=figure_id)
-    grid = np.linspace(lo, hi, 200).tolist()
-    return _tabulate(grid, x_col, value_cols, series(p, prov), prov, join)
+    return _tabulate(np.linspace(lo, hi, 200), x_col, value_cols, series(p, prov), prov, join)

@@ -8,7 +8,8 @@ are clamped at zero and the efficiencies below threshold are defined as 0.
 
 The stages read the link parameters from one :class:`SystemParams` bundle.
 The bundle and its parts check every parameter range once, when they are
-built, and raise :class:`UnitError` naming the configuration key.
+built, and raise :class:`UnitError` naming the configuration key.  Column
+kernels at the end of the module run the stages over numpy arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
+
+import numpy as np
 
 from . import defaults as dflt
 from .cavity import CavityGeometry
@@ -165,8 +168,8 @@ def gain_to_beam_coefficient(d: float, p: SystemParams) -> float:
 
     f(d) strictly decreases with distance.
     """
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+    if not (d >= 0 and math.isfinite(d)):
+        raise ValueError(f"d must be finite and >= 0, got {d}")
     delta00 = fundamental_loss_vs_distance(p.aperture_radius, p.wavelength, p.l, d)
     return coefficient_at_loss(delta00, p.gain)
 
@@ -248,4 +251,79 @@ def thresholds(d: float, p: SystemParams) -> Thresholds:
     p_stored_th = (p_beam_th - p.gain.c) / fd
     return Thresholds(
         p_stored=p_stored_th, p_beam=p_beam_th, p_in=p_stored_th / p.gain.eta_stored
+    )
+
+
+# ---------------------------------------------------------------------------
+# Column kernels
+#
+# The stages above over numpy columns, for drivers that evaluate whole grids.
+# Each performs its scalar stage's operations in the same order, so every
+# element equals the scalar result bit for bit; single evaluations go through
+# the scalar stages, which cost less per call.
+
+
+class LadderColumns(NamedTuple):
+    """Columns of :func:`ladder_at`: the powers and the ratios it reports."""
+
+    p_stored: np.ndarray
+    p_beam: np.ndarray
+    p_out: np.ndarray
+    eta_trans: np.ndarray
+    eta_all: np.ndarray
+
+
+def _drive_column(name: str, x) -> np.ndarray:
+    """x as a float array, checked finite and >= 0 as the scalar stages check it."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= 0) & np.isfinite(x))
+    if bad.any():
+        raise ValueError(f"{name} must be finite and >= 0, got {float(x[bad].flat[0])}")
+    return x
+
+
+def _clamp(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) elementwise; np.maximum(0.0, -0.0) would keep the -0.0."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def ratio_column(num, den) -> np.ndarray:
+    """num/den where den > 0, else 0.0: the below-threshold efficiency rule."""
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=float), np.asarray(den, dtype=float))
+    with np.errstate(over="ignore"):  # a subnormal den gives inf, as Python's division does
+        return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+
+
+def gain_to_beam_column(d, p: SystemParams) -> np.ndarray:
+    """f(d) of :func:`gain_to_beam_coefficient` along a d column."""
+    d = _drive_column("d", d)
+    exponent = -2.0 * math.pi * p.aperture_radius**2 / (p.wavelength * (p.l + d))
+    # math.exp, not np.exp: numpy's exp differs in the last bit for some arguments
+    delta00 = np.array([math.exp(x) for x in exponent.ravel().tolist()]).reshape(d.shape)
+    return coefficient_at_loss(delta00, p.gain)
+
+
+def stored_column(p_in, gain: GainParams) -> np.ndarray:
+    """:func:`stored_power` along a p_in column."""
+    return gain.eta_stored * _drive_column("p_in", p_in)
+
+
+def beam_column(p_stored, fd, gain: GainParams) -> np.ndarray:
+    """:func:`beam_at` along columns of stored power and slope (either may be a float)."""
+    return _clamp(fd * _drive_column("p_stored", p_stored) + gain.c)
+
+
+def pv_column(p_beam, pv: PvParams) -> np.ndarray:
+    """:func:`pv_output` along a beam-power column."""
+    return _clamp(pv.a1 * _drive_column("p_beam", p_beam) + pv.b1)
+
+
+def ladder_columns(p_in, fd, p: SystemParams) -> LadderColumns:
+    """:func:`ladder_at` along columns of input power and slope (either may be a float)."""
+    p_stored = stored_column(p_in, p.gain)
+    p_beam = beam_column(p_stored, fd, p.gain)
+    p_out = pv_column(p_beam, p.pv)
+    return LadderColumns(
+        p_stored=p_stored, p_beam=p_beam, p_out=p_out,
+        eta_trans=ratio_column(p_beam, p_stored), eta_all=ratio_column(p_out, p_in),
     )

@@ -3,8 +3,9 @@
 Everything here recomputes physics through a different route than the
 production code: mode radii via the complex-beam-parameter fixed point of
 explicitly composed ray matrices, stable ranges via pointwise scanning,
-calibration targets via direct algebraic inversion, and mode diffraction loss
-via adaptive quadrature of the radial intensity.
+calibration targets via direct algebraic inversion, mode diffraction loss
+via adaptive quadrature of the radial intensity, and dataset CSV cells one
+value at a time.
 """
 
 from __future__ import annotations
@@ -147,3 +148,12 @@ def random_connected_geometry(rng, branch_sign=None):
             continue
         sign = branch_sign if branch_sign is not None else (1 if rng.rand() < 0.5 else -1)
         return l, f, r1, 1.0 / (sign * c0 * den)
+
+
+def csv_cell(x: float) -> str:
+    """One CSV cell as emit_dataset wrote it when it formatted cell by cell."""
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return format(x, ".9g")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resbeam import (
     FLAT,
@@ -12,6 +14,8 @@ from resbeam import (
     NoSolutionError,
     NoStableRegionError,
     UnstableConfigurationError,
+    UnboundedStableRangeError,
+    UnitError,
     WrongSignSlopeError,
     beam_radii,
     connecting_r2,
@@ -23,6 +27,7 @@ from resbeam import (
     stability_line,
     stable_distance_intervals,
 )
+from resbeam import cavity
 
 import oracles
 
@@ -413,3 +418,108 @@ class TestRoundTripMatrix:
                 continue
             M = round_trip_matrix(g, d)
             assert is_stable(g, d) == (abs(M[0, 0] + M[1, 1]) / 2 < 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Column kernels against the scalar kernels, bit for bit
+
+ELEMENT = st.one_of(st.floats(-5.0, -0.02), st.floats(0.02, 5.0), st.just(FLAT))
+
+
+@st.composite
+def geometries(draw):
+    """Free geometries, connected-branch designs and designs a few ULPs from R1 = l - f."""
+    l, f, r1 = draw(st.floats(0.01, 0.3)), draw(ELEMENT), draw(ELEMENT)
+    if math.isfinite(f) and draw(st.booleans()):
+        r1 = l - f  # g1 stops depending on d here; rounding decides the neighbours
+        steps = draw(st.integers(-6, 6))
+        for _ in range(abs(steps)):
+            r1 = math.nextafter(r1, math.copysign(math.inf, steps))
+        r1 = r1 or FLAT
+    branch = draw(st.sampled_from([None, ORIGIN, TANGENT]))  # tangent: zero discriminant
+    try:
+        r2 = connecting_r2(l, f, r1, branch) if branch else draw(ELEMENT)
+        return CavityGeometry(l=l, f=f, r1=r1, r2=r2)
+    except (NoSolutionError, WrongSignSlopeError, UnitError):
+        return CavityGeometry(l=l, f=f, r1=r1, r2=draw(ELEMENT))
+
+
+def columns_of(geoms):
+    return [np.array([getattr(g, k) for g in geoms]) for k in ("l", "f", "r1", "r2")]
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+class TestColumnKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(geometries(), min_size=1, max_size=25))
+    @example([CavityGeometry(l=0.06, f=0.88, r1=-0.8200000000000066, r2=FLAT)])
+    # the g1*g2 = 1 quadratic has b = 0 exactly, and the two root formulas
+    # differ in the last bit of the positive root
+    @example([CavityGeometry(l=0.25, f=0.1, r1=0.75, r2=-0.25)])
+    def test_reach_matches_max_transmission_distance(self, geoms):
+        reach = cavity.max_distance_columns(*columns_of(geoms))
+        for i, g in enumerate(geoms):
+            try:
+                md = max_transmission_distance(g)
+                want = (cavity.REACH_OK, bits(md.d_max), md.contiguous)
+            except NoStableRegionError:
+                want = (cavity.REACH_NO_STABLE_REGION, bits(0.0), False)
+            except UnboundedStableRangeError:
+                want = (cavity.REACH_UNBOUNDED, bits(0.0), False)
+            got = (int(reach.status[i]), bits(reach.d_max[i]), bool(reach.contiguous[i]))
+            assert got == want, g
+
+    @settings(max_examples=200, deadline=None)
+    @given(geometries(), st.lists(st.floats(0.0, 60.0), max_size=20), st.integers(0, 3))
+    def test_stability_columns_match_scalar(self, g, ds, ulps):
+        # the boundary roots and their neighbours, where g1*g2 meets 0 or 1
+        for c in cavity._boundary_candidates(g):
+            ds += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
+            ds += [c + k * math.ulp(c) for k in (-ulps, ulps)]
+        d = np.array(ds + [0.0])
+        L, g1, g2 = cavity.g_columns(g.l, g.f, g.r1, g.r2, d)
+        stable = cavity.stable_columns(g.l, g.f, g.r1, g.r2, d)
+        for i, x in enumerate(d.tolist()):
+            der = g_parameters(g, x)
+            want = (bits(der.L), bits(der.g1), bits(der.g2))
+            assert (bits(L[i]), bits(g1[i]), bits(g2[i])) == want
+            assert bool(stable[i]) is is_stable(g, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(geometries(), st.lists(st.floats(0.0, 30.0), min_size=1, max_size=20),
+           st.lists(st.floats(0.0, 1.0), max_size=20), st.floats(2e-7, 2e-6))
+    def test_radii_columns_match_beam_radii(self, g, ds, fractions, wavelength):
+        # random distances are mostly unstable, so also take points inside the stable intervals
+        ivals = stable_distance_intervals(g, 30.0).intervals
+        if ivals:
+            ds += [lo + t * (hi - lo) for t, (lo, hi) in zip(fractions, ivals * len(fractions))]
+        d = np.array(ds)
+        stable, radii = cavity.beam_radii_columns(g, d, wavelength)
+        for i, x in enumerate(ds):
+            try:
+                r = beam_radii(g, x, wavelength)
+            except UnstableConfigurationError:
+                assert not stable[i] and all(w[i] == 0.0 for w in radii)
+                continue
+            assert stable[i]
+            assert [bits(w[i]) for w in radii] == [bits(r.w_gain), bits(r.w_m1), bits(r.w_m2)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.01, 0.3), ELEMENT, st.lists(ELEMENT, min_size=1, max_size=20),
+           st.sampled_from([ORIGIN, TANGENT]))
+    @example(0.25, 0.5, [-0.25, -1.0], ORIGIN)  # l - r1 - f = 0 exactly
+    @example(0.88, 0.88, [-1.0], TANGENT)  # l = f
+    # l - r1 - f is exactly 0 while phi + c0/r1 rounds to -8.9e-16
+    @example(0.2549, 0.2216, [0.2549 - 0.2216], ORIGIN)
+    def test_connecting_r2_columns_match_scalar(self, l, f, r1s, branch):
+        r2, solvable = cavity.connecting_r2_columns(l, f, np.array(r1s), branch)
+        for i, r1 in enumerate(r1s):
+            try:
+                want = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch)).r2
+            except (NoSolutionError, WrongSignSlopeError, UnitError):
+                assert not solvable[i] and r2[i] == 0.0
+                continue
+            assert solvable[i] and bits(r2[i]) == bits(want)

@@ -1,12 +1,21 @@
 import hashlib
+import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import resbeam.cavity
+import resbeam.explorer
 
 from resbeam import (
+    BRANCHES,
     FLAT,
+    Dataset,
     EmptyResultError,
     InfeasibleTargetError,
     SweepSpec,
@@ -221,6 +230,10 @@ class TestSweep:
             SweepSpec(variable="d", grid=(), fixed=default_params)
         with pytest.raises(ValueError):
             SweepSpec(variable="d", grid=(1.0, 1.0), fixed=default_params)
+        # NaN compares false both ways, so a pairwise check let it through to the Dataset
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="grid of d must be finite"):
+                SweepSpec(variable="d", grid=(1.0, bad, 3.0), fixed=default_params)
         for field in ("d", "p_in", "aperture_radius", "wavelength"):
             for bad in (-1.0, math.nan, math.inf):
                 with pytest.raises(ValueError):
@@ -250,6 +263,13 @@ class TestRequiredInputPower:
     def test_unstable_distance_raises(self, default_params):
         with pytest.raises(UnreachableTargetError):
             required_input_power(1.0, 15.0, default_params)
+
+    def test_rejects_non_finite_inputs(self, default_params):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="target_p_out must be finite"):
+                required_input_power(bad, 1.0, default_params)
+            with pytest.raises(ValueError, match="d must be finite"):
+                required_input_power(1.0, bad, default_params)
 
 
 class TestCalibrateAperture:
@@ -324,6 +344,11 @@ class TestR1RangeForDistance:
     def test_unreachable_target_raises(self):
         with pytest.raises(EmptyResultError):
             r1_range_for_distance(1e6, 0.06, 0.88, "origin", (-1.4, -0.9))
+
+    def test_non_finite_target_raises(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="target_d must be finite"):
+                r1_range_for_distance(bad, 0.06, 0.88, "origin", (-1.5, -0.5))
 
 
 class TestReproduceFigure:
@@ -463,3 +488,38 @@ class TestDatasetSerialization:
         ds = Dataset({"x": np.array([-0.0, 1.0])})
         body = emit_dataset(ds, "csv").decode().splitlines()
         assert body[-2].startswith("0,")
+
+    def test_json_keeps_negative_zero(self):
+        doc = json.loads(emit_dataset(Dataset({"x": np.array([-0.0, 0.0])}), "json"))
+        assert [math.copysign(1.0, v) for v in doc["columns"]["x"]] == [-1.0, 1.0]
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    @example([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1e300, -1e300, 1e-300, -1e-300, 0.1, 123456789.5, 1e16])
+    def test_csv_cells_match_per_cell_reference(self, xs):
+        lines = emit_dataset(Dataset({"x": np.array(xs)}), "csv").decode().splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == [oracles.csv_cell(x) for x in xs]
+
+
+class TestColumnDrivers:
+    # the scalar kernels a per-row loop would call; drivers evaluate columns instead
+    SCALAR_KERNELS = ("max_transmission_distance", "is_stable", "g_parameters", "beam_radii")
+
+    def test_no_scalar_kernel_calls_per_row(self, monkeypatch, default_params):
+        calls = Counter()
+        for name in self.SCALAR_KERNELS:
+            def counted(*args, _name=name, _kernel=getattr(resbeam.cavity, name), **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            for module in (resbeam.explorer, resbeam.cavity):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        spans = {"d": (0.05, 12.0), "P_in": (0.0, 200.0), "P_stored": (0.0, 50.0),
+                 "P_beam": (0.0, 30.0), "R1": (-1.6, -0.4)}
+        for variable, (lo, hi) in spans.items():
+            sweep(SweepSpec(variable, grid(lo, hi, 1000), default_params))
+        for branch in BRANCHES:
+            max_distance_vs_r1(0.06, 0.88, np.linspace(-1.6, -0.4, 1000), branch)
+        for fid in range(6, 14):
+            reproduce_figure(fid)
+        assert calls == Counter()

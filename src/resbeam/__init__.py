@@ -22,7 +22,6 @@ from .cavity import (
     g_parameters,
     is_stable,
     max_transmission_distance,
-    round_trip_matrix,
     stability_line,
     stable_distance_intervals,
 )

@@ -12,8 +12,11 @@ The cavity supports a confined Gaussian mode iff ``0 < g1*g2 < 1`` (strict);
 both g-parameters are affine in ``d``, so the set of stable distances is
 bounded by the real roots of two closed-form polynomials, no scanning needed.
 
-The column kernels at the end of the module evaluate the same closed forms
-over numpy arrays, for drivers that evaluate whole grids.
+Each closed form is written once, as a private body that runs on floats and
+numpy columns alike: it uses only + - * / and abs, takes sqrt as an argument,
+and leaves validation to its callers.  The scalar kernels wrap the bodies
+with exceptions; the column kernels at the end of the module, for drivers
+that evaluate whole grids, wrap them with masks and status codes.
 """
 
 from __future__ import annotations
@@ -44,14 +47,16 @@ BRANCHES = (ORIGIN, TANGENT)
 _MERGE_TOL = 1e-9
 
 
-def _inv(x: float) -> float:
-    """1/x with the flat (infinite) marker mapping to exactly 0."""
-    return 0.0 if math.isinf(x) else 1.0 / x
-
-
 def _check_element(name: str, value: float) -> None:
     if math.isnan(value) or value == 0.0 or value == -math.inf:
         raise UnitError(name, f"must be finite nonzero or FLAT (+inf), got {value}")
+
+
+def _check_l_f(l: float, f: float) -> None:
+    """The transmitter size and focal length checks of CavityGeometry."""
+    if not (math.isfinite(l) and l > 0):
+        raise UnitError("l", f"must be finite and > 0, got {l}")
+    _check_element("f", f)
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,7 @@ class CavityGeometry:
     r2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.l) and self.l > 0):
-            raise UnitError("l", f"must be finite and > 0, got {self.l}")
-        _check_element("f", self.f)
+        _check_l_f(self.l, self.f)
         _check_element("r1", self.r1)
         _check_element("r2", self.r2)
 
@@ -151,11 +154,53 @@ class MaxDistance(NamedTuple):
     contiguous: bool
 
 
-def effective_length(geom: CavityGeometry, d: float) -> float:
-    """Effective cavity length ``l + d - l*d/f`` (lens term zero when f is flat)."""
+def _g_terms(l, f, r1, r2, d):
+    """(L, g1, g2): L = l + d - l*d/f, g1 = 1 - d/f - L/r1, g2 = 1 - l/f - L/r2."""
+    phi = 1.0 / f
+    L = l + d - l * d * phi
+    return L, 1.0 - d * phi - L * (1.0 / r1), 1.0 - l * phi - L * (1.0 / r2)
+
+
+def _u_terms(l, r1, r2, d):
+    """(u1, u2) = (l*(1 - l/r1), d*(1 - d/r2)), the radius intermediates."""
+    return l * (1.0 - l * (1.0 / r1)), d * (1.0 - d * (1.0 / r2))
+
+
+def _radii(l, f, r1, r2, d, g, lam_pi, sqrt):
+    """(w_gain, w_m1, w_m2) from g = _g_terms(l, f, r1, r2, d); real where 0 < g1*g2 < 1."""
+    L, g1, g2 = g
+    gg = g1 * g2
+    u1, u2 = _u_terms(l, r1, r2, d)
+    # 2*x*u1*u2 + u1 + u2 with x = 1/f - 1/l - 1/d multiplied through, so the
+    # d = 0 and the near-origin cases stay finite
+    planar = (2.0 * u1 * u2 * (1.0 / f) - 2.0 * u2 * (1.0 - l * (1.0 / r1))
+              - 2.0 * u1 * (1.0 - d * (1.0 / r2)) + u1 + u2)
+    return (
+        sqrt(lam_pi * abs(planar) / sqrt((1.0 - gg) * gg)),
+        sqrt(lam_pi * abs(L) * sqrt(g2 / (g1 * (1.0 - gg)))),
+        sqrt(lam_pi * abs(L) * sqrt(g1 / (g2 * (1.0 - gg)))),
+    )
+
+
+def _connecting(l, f, r1, branch):
+    """(c0, phi + c0/r1, 1/r2) with phi = 1/f, c0 = 1 - l*phi: 1/r2 = +-c0*(phi + c0/r1)."""
+    phi = 1.0 / f
+    c0 = 1.0 - l * phi
+    den = phi + c0 * (1.0 / r1)
+    rho2 = c0 * den
+    return c0, den, -rho2 if branch == TANGENT else rho2
+
+
+def _g_at(geom: CavityGeometry, d: float):
+    """_g_terms of the geometry at one distance d >= 0."""
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    return geom.l + d - geom.l * d * _inv(geom.f)
+    return _g_terms(geom.l, geom.f, geom.r1, geom.r2, d)
+
+
+def effective_length(geom: CavityGeometry, d: float) -> float:
+    """Effective cavity length ``l + d - l*d/f`` (lens term zero when f is flat)."""
+    return _g_at(geom, d)[0]
 
 
 def g_parameters(geom: CavityGeometry, d: float) -> CavityDerived:
@@ -174,22 +219,16 @@ def g_parameters(geom: CavityGeometry, d: float) -> CavityDerived:
         intermediate ``x = 1/f - 1/l - 1/d`` is NaN at d = 0 (``x_defined``
         flags this); g1 and g2 remain valid there.
     """
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-    L = effective_length(geom, d)
-    g1 = 1.0 - d * _inv(geom.f) - L * _inv(geom.r1)
-    g2 = 1.0 - geom.l * _inv(geom.f) - L * _inv(geom.r2)
-    u1 = geom.l * (1.0 - geom.l * _inv(geom.r1))
-    u2 = d * (1.0 - d * _inv(geom.r2))
-    x = _inv(geom.f) - 1.0 / geom.l - 1.0 / d if d > 0 else math.nan
+    L, g1, g2 = _g_at(geom, d)
+    u1, u2 = _u_terms(geom.l, geom.r1, geom.r2, d)
+    x = 1.0 / geom.f - 1.0 / geom.l - 1.0 / d if d > 0 else math.nan
     return CavityDerived(L=L, g1=g1, g2=g2, u1=u1, u2=u2, x=x)
 
 
 def is_stable(geom: CavityGeometry, d: float) -> bool:
     """True iff 0 < g1*g2 < 1 with strict inequalities."""
-    der = g_parameters(geom, d)
-    gg = der.g1 * der.g2
-    return 0.0 < gg < 1.0
+    _, g1, g2 = _g_at(geom, d)
+    return 0.0 < g1 * g2 < 1.0
 
 
 def _affine(l, f, r1, r2):
@@ -197,10 +236,9 @@ def _affine(l, f, r1, r2):
 
     Takes floats or numpy columns of valid elements: 1.0/FLAT is exactly 0.0.
     """
-    phi = 1.0 / f
-    c0 = 1.0 - l * phi
+    c0, den, _ = _connecting(l, f, r1, ORIGIN)
     a1 = 1.0 - l * (1.0 / r1)
-    b1 = -(phi + c0 * (1.0 / r1))
+    b1 = -den
     a2 = c0 - l * (1.0 / r2)
     b2 = -c0 * (1.0 / r2)
     return a1, b1, a2, b2
@@ -212,8 +250,7 @@ def _g1_independent_of_d(l: float, f: float, r1: float) -> bool:
         return True
     if math.isfinite(f) and math.isfinite(r1) and l - r1 - f == 0.0:
         return True
-    phi = _inv(f)
-    return phi + (1.0 - l * phi) * _inv(r1) == 0.0
+    return _connecting(l, f, r1, ORIGIN)[1] == 0.0
 
 
 def stability_line(geom: CavityGeometry) -> StabilityLine:
@@ -270,6 +307,12 @@ def _boundary_candidates(geom: CavityGeometry) -> list[float]:
     return merged
 
 
+def _stable_segments(geom: CavityGeometry, points: list[float]) -> list[tuple[float, float]]:
+    """The gaps between consecutive points, wider than _MERGE_TOL, with a stable midpoint."""
+    return [(lo, hi) for lo, hi in zip(points, points[1:])
+            if hi - lo > _MERGE_TOL and is_stable(geom, 0.5 * (lo + hi))]
+
+
 def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceIntervals:
     """All maximal open subintervals of (0, d_limit) where the cavity is stable.
 
@@ -281,11 +324,7 @@ def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceI
     if not (d_limit > 0 and math.isfinite(d_limit)):
         raise ValueError(f"d_limit must be positive and finite, got {d_limit}")
     points = [0.0] + [c for c in _boundary_candidates(geom) if c < d_limit] + [d_limit]
-    out = []
-    for lo, hi in zip(points, points[1:]):
-        if hi - lo > _MERGE_TOL and is_stable(geom, 0.5 * (lo + hi)):
-            out.append((lo, hi))
-    return DistanceIntervals(intervals=tuple(out))
+    return DistanceIntervals(intervals=tuple(_stable_segments(geom, points)))
 
 
 def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
@@ -301,12 +340,8 @@ def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
     UnboundedStableRangeError
         When the cavity stays stable for arbitrarily large d.
     """
-    cands = _boundary_candidates(geom)
-    points = [0.0] + cands
-    segments = []
-    for lo, hi in zip(points, points[1:]):
-        if hi - lo > _MERGE_TOL and is_stable(geom, 0.5 * (lo + hi)):
-            segments.append((lo, hi))
+    points = [0.0] + _boundary_candidates(geom)
+    segments = _stable_segments(geom, points)
     beyond = max(points) + 1.0
     if is_stable(geom, beyond):
         raise UnboundedStableRangeError(probe_limit=beyond)
@@ -343,12 +378,9 @@ def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    _check_element("f", f)
+    _check_l_f(l, f)
     _check_element("r1", r1)
-    if not (math.isfinite(l) and l > 0):
-        raise ValueError(f"l must be finite and > 0, got {l}")
-    phi = _inv(f)
-    c0 = 1.0 - l * phi
+    c0, _, rho2 = _connecting(l, f, r1, branch)
     if c0 == 0.0:
         raise WrongSignSlopeError(
             "l equals f: the stability line is horizontal on both branches"
@@ -357,10 +389,6 @@ def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
         raise NoSolutionError(
             "g1 is independent of d for this (l, f, r1); no connecting line exists"
         )
-    den = phi + c0 * _inv(r1)
-    rho2 = c0 * den
-    if branch == TANGENT:
-        rho2 = -rho2
     return 1.0 / rho2
 
 
@@ -388,27 +416,14 @@ def beam_radii(geom: CavityGeometry, d: float, wavelength: float) -> BeamRadii:
     """
     if not (wavelength > 0 and math.isfinite(wavelength)):
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    der = g_parameters(geom, d)
-    gg = der.g1 * der.g2
+    g = _g_at(geom, d)
+    gg = g[1] * g[2]
     if not 0.0 < gg < 1.0:
         raise UnstableConfigurationError(
             f"g1*g2 = {gg}: mode radii require 0 < g1*g2 < 1"
         )
-    u1, u2 = der.u1, der.u2
-    # 2*x*u1*u2 + u1 + u2 with x = 1/f - 1/l - 1/d multiplied through, so the
-    # d = 0 and the near-origin cases stay finite.
-    planar = (
-        2.0 * u1 * u2 * _inv(geom.f)
-        - 2.0 * u2 * (1.0 - geom.l * _inv(geom.r1))
-        - 2.0 * u1 * (1.0 - d * _inv(geom.r2))
-        + u1
-        + u2
-    )
-    lam_pi = wavelength / math.pi
-    w_gain = math.sqrt(lam_pi * abs(planar) / math.sqrt((1.0 - gg) * gg))
-    w_m1 = math.sqrt(lam_pi * abs(der.L) * math.sqrt(der.g2 / (der.g1 * (1.0 - gg))))
-    w_m2 = math.sqrt(lam_pi * abs(der.L) * math.sqrt(der.g1 / (der.g2 * (1.0 - gg))))
-    return BeamRadii(w_gain=w_gain, w_m1=w_m1, w_m2=w_m2)
+    radii = _radii(geom.l, geom.f, geom.r1, geom.r2, d, g, wavelength / math.pi, math.sqrt)
+    return BeamRadii(*radii)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +431,10 @@ def beam_radii(geom: CavityGeometry, d: float, wavelength: float) -> BeamRadii:
 #
 # The closed forms above over numpy arrays, for drivers that evaluate whole
 # grids.  Arguments broadcast against each other and describe geometries that
-# CavityGeometry accepts (FLAT as +inf, so 1.0/FLAT is exactly 0.0, as with
-# _inv); rows a driver masks out may hold anything.  Every kernel performs its
-# scalar kernel's operations in the same order, and numpy's +, -, *, / and
-# sqrt round exactly like Python's, so each element equals the scalar result
-# bit for bit (tests/test_cavity.py checks this by property).  A column call
+# CavityGeometry accepts; rows a driver masks out may hold anything.  Every
+# kernel runs its scalar kernel's body, or the same operations in the same
+# order, so each element equals the scalar result bit for bit
+# (tests/test_cavity.py checks this by property).  A column call
 # has a fixed cost of some hundreds of microseconds, so single evaluations go
 # through the scalar kernels.  Like Python floats, the kernels overflow to inf
 # and give NaN for inf*0 without a warning (a subnormal radius does both).
@@ -449,13 +463,8 @@ def valid_elements(x) -> np.ndarray:
 
 def g_columns(l, f, r1, r2, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, g1, g2) of :func:`g_parameters` for every element; d >= 0."""
-    d = np.asarray(d, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = 1.0 / f
-        L = l + d - l * d * phi
-        g1 = 1.0 - d * phi - L * (1.0 / r1)
-        g2 = 1.0 - l * phi - L * (1.0 / r2)
-    return L, g1, g2
+        return _g_terms(l, f, r1, r2, np.asarray(d, dtype=float))
 
 
 def stable_columns(l, f, r1, r2, d) -> np.ndarray:
@@ -479,53 +488,33 @@ def beam_radii_columns(
     d = np.asarray(d, dtype=float)
     if (d < 0).any():
         raise ValueError(f"d must be >= 0, got {d[d < 0][0]}")
-    l, f, r1, r2 = geom.l, geom.f, geom.r1, geom.r2
-    L, g1, g2 = g_columns(l, f, r1, r2, d)
+    args = geom.l, geom.f, geom.r1, geom.r2, d
     # unstable rows take square roots of negatives, and are masked below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gg = g1 * g2
+        g = _g_terms(*args)
+        gg = g[1] * g[2]
         stable = (0.0 < gg) & (gg < 1.0)
-        u1 = l * (1.0 - l * _inv(r1))
-        u2 = d * (1.0 - d * _inv(r2))
-        planar = (
-            2.0 * u1 * u2 * _inv(f)
-            - 2.0 * u2 * (1.0 - l * _inv(r1))
-            - 2.0 * u1 * (1.0 - d * _inv(r2))
-            + u1
-            + u2
-        )
-        lam_pi = wavelength / math.pi
-        radii = (
-            np.sqrt(lam_pi * np.abs(planar) / np.sqrt((1.0 - gg) * gg)),
-            np.sqrt(lam_pi * np.abs(L) * np.sqrt(g2 / (g1 * (1.0 - gg)))),
-            np.sqrt(lam_pi * np.abs(L) * np.sqrt(g1 / (g2 * (1.0 - gg)))),
-        )
+        radii = _radii(*args, g, wavelength / math.pi, np.sqrt)
     return stable, tuple(np.where(stable, w, 0.0) for w in radii)
 
 
 def connecting_r2_columns(l: float, f: float, r1, branch: str) -> tuple[np.ndarray, np.ndarray]:
     """(r2, solvable) of :func:`connecting_r2` along an R1 column at fixed l, f.
 
-    ``solvable`` is False, and r2 reads 0.0, on the rows where connecting_r2
-    raises or returns an r2 that CavityGeometry rejects.
+    An invalid l or f raises UnitError, as in connecting_r2.  ``solvable`` is
+    False, and r2 reads 0.0, on the rows where connecting_r2 raises a design
+    error or returns an r2 that CavityGeometry rejects.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    _check_l_f(l, f)
     r1 = np.asarray(r1, dtype=float)
-    none = np.zeros(r1.shape), np.zeros(r1.shape, dtype=bool)
-    if not (valid_elements(f) and math.isfinite(l) and l > 0):
-        return none
-    phi = _inv(f)
-    c0 = 1.0 - l * phi
-    if c0 == 0.0:
-        return none
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = phi + c0 * (1.0 / r1)
+        c0, den, rho2 = _connecting(l, f, r1, branch)
         # the first two tests of _g1_independent_of_d; the third is den == 0
         degenerate = np.isinf(r1) if math.isinf(f) else np.isfinite(r1) & (l - r1 - f == 0.0)
-        rho2 = c0 * den
-        r2 = 1.0 / (-rho2 if branch == TANGENT else rho2)
-    solvable = valid_elements(r1) & ~degenerate & (den != 0.0) & valid_elements(r2)
+        r2 = 1.0 / rho2
+    solvable = (c0 != 0.0) & valid_elements(r1) & ~degenerate & (den != 0.0) & valid_elements(r2)
     return np.where(solvable, r2, 0.0), solvable
 
 
@@ -581,35 +570,3 @@ def max_distance_columns(l, f, r1, r2) -> ReachColumns:
     ok = segment.any(axis=1) & ~unbounded
     status = np.where(unbounded, REACH_UNBOUNDED, np.where(ok, REACH_OK, REACH_NO_STABLE_REGION))
     return ReachColumns(d_max=np.where(ok, d_max, 0.0), status=status, contiguous=contiguous & ok)
-
-
-def round_trip_matrix(geom: CavityGeometry, d: float) -> np.ndarray:
-    """Paraxial round-trip ray matrix starting at M1.
-
-    Element order: propagate l, thin lens f, propagate d, mirror r2,
-    propagate d, thin lens f, propagate l, mirror r1.  The product is
-    unimodular and ``|trace/2| < 1`` away from boundaries exactly where
-    ``is_stable`` holds.
-    """
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-
-    def prop(t):
-        return np.array([[1.0, t], [0.0, 1.0]])
-
-    def lens(focal):
-        return np.array([[1.0, 0.0], [-_inv(focal), 1.0]])
-
-    def mirror(r):
-        return np.array([[1.0, 0.0], [-2.0 * _inv(r), 1.0]])
-
-    return (
-        mirror(geom.r1)
-        @ prop(geom.l)
-        @ lens(geom.f)
-        @ prop(d)
-        @ mirror(geom.r2)
-        @ prop(d)
-        @ lens(geom.f)
-        @ prop(geom.l)
-    )

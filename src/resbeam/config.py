@@ -28,7 +28,6 @@ LENGTH_KEYS = ("l", "f", "r1", "r2", "d", "a", "wavelength")
 FLAT_OK_KEYS = ("f", "r1", "r2")
 # pin/pout/pstored are CLI flag names routed through the same parser
 POWER_KEYS = ("c", "b1", "pin", "pout", "pstored")
-DIMLESS_KEYS = ("eta_stored", "m_overlap", "r_out", "a1", "eta")
 
 
 def parse_quantity(token: str, key: str) -> float:

@@ -92,6 +92,11 @@ def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -
     return min(1.0, max(0.0, tail * math.factorial(n) / math.factorial(n + m)))
 
 
+def _tem00_exponent(aperture_radius: float, wavelength: float, l: float, d):
+    """The TEM00 loss exponent -2*pi*a^2/(lambda*(l+d)); d is a float or a numpy column."""
+    return -2.0 * math.pi * aperture_radius**2 / (wavelength * (l + d))
+
+
 def fundamental_loss_vs_distance(
     aperture_radius: float, wavelength: float, l: float, d: float
 ) -> float:
@@ -102,4 +107,4 @@ def fundamental_loss_vs_distance(
         raise ValueError(f"l + d must be > 0, got {l + d}")
     if not (aperture_radius >= 0 and math.isfinite(aperture_radius)):
         raise ValueError(f"aperture_radius must be finite and >= 0, got {aperture_radius}")
-    return math.exp(-2.0 * math.pi * aperture_radius**2 / (wavelength * (l + d)))
+    return math.exp(_tem00_exponent(aperture_radius, wavelength, l, d))

@@ -59,7 +59,7 @@ FIGURE_IDS = tuple(range(6, 14))
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept variable over a strictly increasing grid of finite values, rest fixed."""
+    """One swept variable over a strictly increasing finite grid (>= 0 but for R1), rest fixed."""
 
     variable: str
     grid: tuple[float, ...]
@@ -71,10 +71,12 @@ class SweepSpec:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or not grid.size:
             raise ValueError("grid must be a nonempty sequence of numbers")
-        bad = ~np.isfinite(grid)
+        signed = self.variable == "R1"
+        bad = ~np.isfinite(grid) if signed else ~((grid >= 0) & np.isfinite(grid))
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"grid of {self.variable} must be finite, got {grid[i]} at index {i}")
+            rule = "finite" if signed else "finite and >= 0"
+            raise ValueError(f"grid of {self.variable} must be {rule}, got {grid[i]} at index {i}")
         if (np.diff(grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
 
@@ -340,10 +342,8 @@ def max_distance_vs_r1(
     """Solve connecting_r2 then max_transmission_distance along an R1 grid.
 
     Rows where no branch solution or no stable region exists carry zeros and
-    a flag instead of aborting the sweep.
+    a flag instead of aborting the sweep; an invalid l, f or branch raises.
     """
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     base = params if params is not None else reference_defaults()
     grid = np.fromiter(r1_grid, dtype=float)
     if not len(grid):
@@ -354,19 +354,17 @@ def max_distance_vs_r1(
                      {"": _design_columns(l, f, branch)}, prov)
 
 
+_R1_SCAN_POINTS = 200
+_R1_RESOLUTION = 1e-3
+
+
 def r1_range_for_distance(
-    target_d: float,
-    l: float,
-    f: float,
-    branch: str,
-    search_interval: tuple[float, float],
-    grid_points: int = 200,
-    resolution: float = 1e-3,
+    target_d: float, l: float, f: float, branch: str, search_interval: tuple[float, float]
 ) -> list[tuple[float, float]]:
     """Maximal R1 subintervals whose connected-branch design reaches target_d.
 
-    Grid scan over the search interval, then bisection refinement of every
-    edge down to the given resolution (meters of R1).
+    Grid scan of 200 points over the search interval, then bisection
+    refinement of every edge down to 1 mm of R1.
 
     Raises EmptyResultError when no R1 in the interval qualifies.
     """
@@ -381,14 +379,14 @@ def r1_range_for_distance(
         return solvable & ((reach.status == REACH_UNBOUNDED)
                            | ((reach.status == REACH_OK) & (reach.d_max >= target_d)))
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _R1_SCAN_POINTS)
     hits = reaches(grid)
     # every flip of the predicate between grid neighbours is an interval edge;
     # the edges are bisected together, each as _bisect would, until its bracket
-    # is no wider than the resolution
+    # is no wider than _R1_RESOLUTION
     flips = np.flatnonzero(hits[1:] != hits[:-1])
     a, b, hit = grid[flips], grid[flips + 1], hits[flips]
-    while (live := b - a > resolution).any():
+    while (live := b - a > _R1_RESOLUTION).any():
         m = 0.5 * (a[live] + b[live])
         holds = reaches(m) == hit[live]
         a[live] = np.where(holds, m, a[live])

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import defaults as dflt
 from .cavity import CavityGeometry
-from .diffraction import fundamental_loss_vs_distance
+from .diffraction import _tem00_exponent, fundamental_loss_vs_distance
 from .errors import UndefinedAtZeroError, UnitError
 
 
@@ -297,7 +297,7 @@ def ratio_column(num, den) -> np.ndarray:
 def gain_to_beam_column(d, p: SystemParams) -> np.ndarray:
     """f(d) of :func:`gain_to_beam_coefficient` along a d column."""
     d = _drive_column("d", d)
-    exponent = -2.0 * math.pi * p.aperture_radius**2 / (p.wavelength * (p.l + d))
+    exponent = _tem00_exponent(p.aperture_radius, p.wavelength, p.l, d)
     # math.exp, not np.exp: numpy's exp differs in the last bit for some arguments
     delta00 = np.array([math.exp(x) for x in exponent.ravel().tolist()]).reshape(d.shape)
     return coefficient_at_loss(delta00, p.gain)

@@ -2,7 +2,8 @@
 
 Everything here recomputes physics through a different route than the
 production code: mode radii via the complex-beam-parameter fixed point of
-explicitly composed ray matrices, stable ranges via pointwise scanning,
+explicitly composed ray matrices, the stability test via the trace of the
+round-trip ray matrix, stable ranges via pointwise scanning,
 calibration targets via direct algebraic inversion, mode diffraction loss
 via adaptive quadrature of the radial intensity, and dataset CSV cells one
 value at a time.
@@ -38,6 +39,18 @@ def _chain(*ms):
     for m in ms:
         out = out @ m
     return out
+
+
+def round_trip_matrix(geom, d):
+    """Paraxial round-trip ray matrix starting at M1.
+
+    Element order: propagate l, thin lens f, propagate d, mirror r2,
+    propagate d, thin lens f, propagate l, mirror r1.  The product is
+    unimodular and ``|trace/2| < 1`` away from boundaries exactly where
+    ``is_stable`` holds.
+    """
+    return _chain(_mirror(geom.r1), _prop(geom.l), _lens(geom.f), _prop(d),
+                  _mirror(geom.r2), _prop(d), _lens(geom.f), _prop(geom.l))
 
 
 def _self_consistent_spot(M: np.ndarray, wavelength: float) -> float:

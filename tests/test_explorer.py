@@ -19,6 +19,7 @@ from resbeam import (
     EmptyResultError,
     InfeasibleTargetError,
     SweepSpec,
+    UnitError,
     UnknownFigureError,
     UnreachableTargetError,
     calibrate_aperture,
@@ -239,6 +240,13 @@ class TestSweep:
                 with pytest.raises(ValueError):
                     replace(default_params, **{field: bad})
 
+    # the P_in and P_stored rules never read their grid where the cavity is unstable
+    @pytest.mark.parametrize("variable", ["d", "P_in", "P_stored", "P_beam"])
+    def test_rejects_negative_grid_point(self, variable):
+        with pytest.raises(ValueError, match=f"grid of {variable} must be finite and >= 0, "
+                                             "got -5.0 at index 0"):
+            SweepSpec(variable, (-5.0, 1.0), UNSTABLE_D)
+
 
 class TestRequiredInputPower:
     def test_calibrated_reference(self, default_params):
@@ -324,6 +332,19 @@ class TestMaxDistanceVsR1:
     def test_degenerate_r1_flagged(self):
         ds = max_distance_vs_r1(0.25, 0.5, [-0.25], "origin")
         assert ds.flags[0] == "no-solution"
+
+
+# l and f are per-call scalars, so a bad one is an error, not a flag on every row
+@pytest.mark.parametrize("key, l, f", [("l", -0.06, 0.88), ("l", math.nan, 0.88),
+                                       ("f", 0.06, 0.0), ("f", 0.06, math.nan)])
+@pytest.mark.parametrize("driver", [
+    lambda l, f: max_distance_vs_r1(l, f, [-1.0, -0.9], "origin"),
+    lambda l, f: r1_range_for_distance(5.0, l, f, "origin", (-1.5, -0.5)),
+], ids=["max_distance_vs_r1", "r1_range_for_distance"])
+def test_r1_drivers_reject_invalid_l_f(driver, key, l, f):
+    with pytest.raises(UnitError) as err:
+        driver(l, f)
+    assert err.value.key == key
 
 
 class TestR1RangeForDistance:

@@ -3,7 +3,12 @@
 Cavity stability and maximum transmission distance, Gaussian mode radii,
 aperture diffraction loss, and the three-stage electrical-to-electrical
 power chain, plus deterministic design-space sweeps.
+
+The scalar modules load only the standard library.  The grid drivers and
+datasets need numpy, so their names and modules resolve on first use.
 """
+
+from importlib import import_module as _import_module
 
 from .cavity import (
     BRANCHES,
@@ -25,8 +30,7 @@ from .cavity import (
     stability_line,
     stable_distance_intervals,
 )
-from .config import RunConfig, load_config, parse_config, render_config
-from .dataset import Dataset, emit_dataset
+from .config import SWEEP_VARIABLES, RunConfig, load_config, parse_config, render_config
 from .diffraction import (
     associated_laguerre,
     fundamental_loss_vs_distance,
@@ -49,16 +53,6 @@ from .errors import (
     UnstableConfigurationError,
     WrongSignSlopeError,
 )
-from .explorer import (
-    SWEEP_VARIABLES,
-    SweepSpec,
-    calibrate_aperture,
-    max_distance_vs_r1,
-    r1_range_for_distance,
-    reproduce_figure,
-    required_input_power,
-    sweep,
-)
 from .powerchain import (
     EfficiencyBreakdown,
     GainParams,
@@ -67,14 +61,43 @@ from .powerchain import (
     SystemParams,
     Thresholds,
     beam_power,
+    calibrate_aperture,
     end_to_end,
     gain_to_beam_coefficient,
     pv_efficiency,
     pv_output,
     reference_defaults,
+    required_input_power,
     stored_power,
     thresholds,
     transmission_efficiency,
 )
 
 __version__ = "0.1.0"
+
+# name -> the numpy-importing module that defines it
+_LAZY = {
+    "Dataset": "dataset",
+    "emit_dataset": "dataset",
+    "SweepSpec": "explorer",
+    "max_distance_vs_r1": "explorer",
+    "r1_range_for_distance": "explorer",
+    "reproduce_figure": "explorer",
+    "sweep": "explorer",
+}
+_ARRAY_MODULES = ("columns", "dataset", "explorer")
+
+
+def __getattr__(name: str):
+    if name in _ARRAY_MODULES:
+        return _import_module(f".{name}", __name__)
+    if name in _LAZY:
+        return getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_ARRAY_MODULES})
+
+
+__all__ = [n for n in __dir__() if not n.startswith("_")]  # star imports take the lazy names too

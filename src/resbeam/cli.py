@@ -12,8 +12,6 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .cavity import (
     BRANCHES,
     CavityGeometry,
@@ -25,19 +23,20 @@ from .cavity import (
     stability_line,
     stable_distance_intervals,
 )
-from .config import RunConfig, load_config, override, parse_quantity
-from .dataset import emit_dataset
+from .config import SWEEP_VARIABLES, RunConfig, load_config, override, parse_quantity
 from .errors import ResbeamError, UnstableConfigurationError
-from .explorer import (
-    SWEEP_VARIABLES,
-    SweepSpec,
+from .powerchain import (
+    SystemParams,
     calibrate_aperture,
-    r1_range_for_distance,
-    reproduce_figure,
+    end_to_end,
+    provenance_for,
     required_input_power,
-    sweep,
+    thresholds,
 )
-from .powerchain import SystemParams, end_to_end, provenance_for, thresholds
+
+# numpy, explorer and dataset are imported inside the handlers that need them,
+# so the point commands start without loading numpy
+
 
 def _normalize_argv(argv: list[str]) -> list[str]:
     """Join "--opt -1000mm" into "--opt=-1000mm" so argparse reads it as a value.
@@ -141,17 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
+    """The config file (or the defaults) with the command-line flags laid over it."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    geo = {}
-    for key in ("l", "f", "r1", "r2", "d"):
-        raw = getattr(args, key, None)
-        if raw is not None:
-            geo[key] = parse_quantity(raw, key)
-    if getattr(args, "format", None):
-        geo["out_format"] = args.format
-    if getattr(args, "out", None):
-        geo["out_path"] = args.out
-    return override(cfg, **geo)
+    changes = {key: parse_quantity(raw, key)
+               for key in ("l", "f", "r1", "r2", "d", "sweep_from", "sweep_to")
+               if (raw := getattr(args, key, None)) is not None}
+    return override(cfg, **changes, sweep_var=getattr(args, "var", None),
+                    sweep_points=getattr(args, "points", None),
+                    out_format=getattr(args, "format", None),
+                    out_path=getattr(args, "out", None) or None)
 
 
 def _print_record(obj) -> None:
@@ -159,6 +156,8 @@ def _print_record(obj) -> None:
 
 
 def _write_dataset(ds, cfg: RunConfig) -> None:
+    from .dataset import emit_dataset
+
     data = emit_dataset(ds, cfg.out_format)
     if cfg.out_path:
         with open(cfg.out_path, "wb") as fh:
@@ -231,13 +230,12 @@ def _cmd_thresholds(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_sweep(args, cfg: RunConfig, params: SystemParams) -> None:
-    var = args.var or cfg.sweep_var
-    lo = parse_quantity(args.sweep_from, "sweep_from") if args.sweep_from else cfg.sweep_from
-    hi = parse_quantity(args.sweep_to, "sweep_to") if args.sweep_to else cfg.sweep_to
-    points = args.points if args.points is not None else cfg.sweep_points
-    grid = tuple(float(x) for x in np.linspace(lo, hi, points))
-    ds = sweep(SweepSpec(variable=var, grid=grid, fixed=params))
-    _write_dataset(ds, cfg)
+    import numpy as np
+
+    from .explorer import SweepSpec, sweep
+
+    grid = tuple(float(x) for x in np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.sweep_points))
+    _write_dataset(sweep(SweepSpec(variable=cfg.sweep_var, grid=grid, fixed=params)), cfg)
 
 
 def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:
@@ -250,6 +248,8 @@ def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_r1_range(args, cfg: RunConfig, params: SystemParams) -> dict:
+    from .explorer import r1_range_for_distance
+
     target = parse_quantity(args.target_d, "d")
     lo = parse_quantity(args.search_from, "r1")
     hi = parse_quantity(args.search_to, "r1")
@@ -274,8 +274,9 @@ def _cmd_calibrate(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_reproduce(args, cfg: RunConfig, params: SystemParams) -> None:
-    ds = reproduce_figure(args.figure, params)
-    _write_dataset(ds, cfg)
+    from .explorer import reproduce_figure
+
+    _write_dataset(reproduce_figure(args.figure, params), cfg)
 
 
 _HANDLERS = {

@@ -18,11 +18,12 @@ from dataclasses import dataclass, fields, replace
 from . import defaults as dflt
 from .cavity import FLAT, CavityGeometry
 from .errors import ParseError, UnitError
-from .explorer import SWEEP_VARIABLES
 from .powerchain import GainParams, PvParams, SystemParams
 
 _LENGTH_SCALES = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 _QUANTITY_RE = re.compile(r"([-+]?[\d.]+(?:[eE][-+]?\d+)?)\s*(mm|um|nm|m|W)?")
+
+SWEEP_VARIABLES = ("d", "P_in", "P_stored", "P_beam", "R1")
 
 LENGTH_KEYS = ("l", "f", "r1", "r2", "d", "a", "wavelength")
 FLAT_OK_KEYS = ("f", "r1", "r2")

@@ -14,8 +14,6 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 # From m = n = 48, x^m * L_n^m(x)^2 overflows a double near the cut-off
 # aperture sqrt(2n + m + 1) + 8 spot sizes; 40 keeps a margin.
 MAX_MODE_ORDER = 40
@@ -39,8 +37,14 @@ def associated_laguerre(n: int, m: int, xi):
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_laguerre(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only k-point Gauss-Laguerre nodes and weights (exact to degree 2k-1)."""
+def _gauss_laguerre(k: int):
+    """Read-only k-point Gauss-Laguerre nodes and weights (exact to degree 2k-1).
+
+    numpy loads here, at the first mode-loss evaluation, so that the scalar
+    path of the package starts without it.
+    """
+    import numpy as np
+
     nodes, weights = np.polynomial.laguerre.laggauss(k)
     nodes.flags.writeable = False
     weights.flags.writeable = False

@@ -1,10 +1,13 @@
-"""Design-space exploration: sweeps, inverse solvers, calibration, figures.
+"""Design-space exploration: sweeps, the R1 design search, figures.
+
+The point solvers ``required_input_power`` and ``calibrate_aperture`` live in
+:mod:`resbeam.powerchain` and are re-exported here under the same names.
 
 Every sweep and figure evaluates its grid as whole columns through the column
-kernels of :mod:`resbeam.cavity` and :mod:`resbeam.powerchain`, which equal
-the scalar kernels bit for bit: identical inputs produce bit-identical
-Datasets.  Rows that cannot be evaluated (unstable cavity, no branch solution,
-ratios at zero input) carry zeros plus a flag token rather than being dropped.
+kernels of :mod:`resbeam.columns`, which equal the scalar kernels bit for
+bit: identical inputs produce bit-identical Datasets.  Rows that cannot be
+evaluated (unstable cavity, no branch solution, ratios at zero input) carry
+zeros plus a flag token rather than being dropped.
 """
 
 from __future__ import annotations
@@ -16,43 +19,34 @@ from functools import partial
 
 import numpy as np
 
-from .cavity import (
-    BRANCHES,
+from .cavity import BRANCHES, connecting_r2
+from .columns import (
     REACH_OK,
     REACH_UNBOUNDED,
-    beam_radii_columns,
-    connecting_r2,
-    connecting_r2_columns,
-    valid_elements,
-    g_columns,
-    is_stable,
-    max_distance_columns,
-    stable_columns,
-)
-from .dataset import Dataset
-from .diffraction import fundamental_loss_vs_distance
-from .errors import (
-    EmptyResultError,
-    InfeasibleTargetError,
-    UnknownFigureError,
-    UnreachableTargetError,
-)
-from .powerchain import (
-    SystemParams,
-    beam_at,
     beam_column,
-    coefficient_at_loss,
-    gain_to_beam_coefficient,
+    beam_radii_columns,
+    connecting_r2_columns,
+    g_columns,
     gain_to_beam_column,
     ladder_columns,
-    provenance_for,
+    max_distance_columns,
     pv_column,
     ratio_column,
-    reference_defaults,
+    stable_columns,
     stored_column,
+    valid_elements,
 )
-
-SWEEP_VARIABLES = ("d", "P_in", "P_stored", "P_beam", "R1")
+from .config import SWEEP_VARIABLES
+from .dataset import Dataset
+from .errors import EmptyResultError, UnknownFigureError
+from .powerchain import (
+    SystemParams,
+    calibrate_aperture,
+    gain_to_beam_coefficient,
+    provenance_for,
+    reference_defaults,
+    required_input_power,
+)
 
 FIGURE_IDS = tuple(range(6, 14))
 
@@ -258,83 +252,6 @@ def sweep(spec: SweepSpec) -> Dataset:
     xs = np.array(spec.grid, dtype=float)
     return _tabulate(xs, x_col, value_cols, {"": rule_for(spec.fixed)}, prov)
 
-
-def required_input_power(target_p_out: float, d: float, params: SystemParams) -> float:
-    """Input power that produces target_p_out at distance d (closed-form inverse).
-
-    Raises UnreachableTargetError when the cavity is unstable at d, so no
-    resonant beam forms regardless of drive.
-    """
-    if not (target_p_out > 0 and math.isfinite(target_p_out)):
-        raise ValueError(f"target_p_out must be finite and > 0, got {target_p_out}")
-    if not (d >= 0 and math.isfinite(d)):
-        raise ValueError(f"d must be finite and >= 0, got {d}")
-    if not is_stable(params.geometry, d):
-        raise UnreachableTargetError(f"cavity is not stable at d = {d} m")
-    fd = gain_to_beam_coefficient(d, params)
-    slope = params.pv.a1 * fd * params.gain.eta_stored
-    if slope <= 0:
-        raise UnreachableTargetError("nonpositive end-to-end slope")
-    return (target_p_out - params.pv.a1 * params.gain.c - params.pv.b1) / slope
-
-
-def _bisect(holds, a: float, b: float, width: float) -> float:
-    """Midpoint of [a, b] shrunk to `width`, keeping holds(a) true and holds(b) false."""
-    while b - a > width:
-        m = 0.5 * (a + b)
-        if holds(m):
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def calibrate_aperture(
-    d: float, p_stored: float, eta_trans_target: float, params: SystemParams
-) -> float:
-    """Aperture radius at which eta_trans(p_stored, d) hits the target.
-
-    delta00 falls monotonically with aperture radius, so f(d) and eta_trans
-    rise monotonically toward the delta00 = 0 ceiling; the target is found by
-    bisection (|result error| < 1e-12 m, efficiency within 1e-6).
-
-    Raises InfeasibleTargetError when the target is above that ceiling (or
-    below the closed-down floor at a = 0).
-    """
-    if not (p_stored > 0 and math.isfinite(p_stored)):
-        raise ValueError(f"p_stored must be finite and > 0, got {p_stored}")
-    if not (d >= 0 and math.isfinite(d)):
-        raise ValueError(f"d must be finite and >= 0, got {d}")
-    if math.isnan(eta_trans_target):
-        raise ValueError("eta_trans_target must be a number, got nan")
-    gain, wavelength, l = params.gain, params.wavelength, params.l
-    ceiling = coefficient_at_loss(0.0, gain) + gain.c / p_stored
-    if eta_trans_target > ceiling:
-        raise InfeasibleTargetError(
-            f"target {eta_trans_target} exceeds the zero-loss ceiling {ceiling:.6f}"
-        )
-
-    def gap(a: float) -> float:
-        # the aperture is the unknown, so each step takes the slope at its loss
-        # rather than building a bundle
-        fd = coefficient_at_loss(fundamental_loss_vs_distance(a, wavelength, l, d), gain)
-        return beam_at(p_stored, fd, gain) / p_stored - eta_trans_target
-
-    g0 = gap(0.0)
-    if g0 == 0.0:
-        return 0.0
-    if g0 > 0.0:
-        raise InfeasibleTargetError(
-            f"target {eta_trans_target} is below the closed-aperture floor"
-        )
-    hi = math.sqrt(60.0 * wavelength * (l + d) / (2.0 * math.pi))
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1.0:  # 1 m aperture: numerically identical to the ceiling
-            raise InfeasibleTargetError(
-                f"target {eta_trans_target} is not reachable by any aperture"
-            )
-    return _bisect(lambda a: gap(a) < 0.0, 0.0, hi, 1e-12)
 
 def max_distance_vs_r1(
     l: float, f: float, r1_grid, branch: str, *, params: SystemParams | None = None

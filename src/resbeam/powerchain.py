@@ -8,22 +8,26 @@ are clamped at zero and the efficiencies below threshold are defined as 0.
 
 The stages read the link parameters from one :class:`SystemParams` bundle.
 The bundle and its parts check every parameter range once, when they are
-built, and raise :class:`UnitError` naming the configuration key.  Column
-kernels at the end of the module run the stages over numpy arrays.
+built, and raise :class:`UnitError` naming the configuration key.  The
+inverse solvers at the end of the module answer point design questions; the
+column kernels of :mod:`resbeam.columns` run the stages over numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from . import defaults as dflt
-from .cavity import CavityGeometry
-from .diffraction import _tem00_exponent, fundamental_loss_vs_distance
-from .errors import UndefinedAtZeroError, UnitError
+from .cavity import CavityGeometry, is_stable
+from .diffraction import fundamental_loss_vs_distance
+from .errors import (
+    InfeasibleTargetError,
+    UndefinedAtZeroError,
+    UnitError,
+    UnreachableTargetError,
+)
 
 
 def _require(key: str, value: float, ok: bool, rule: str) -> None:
@@ -234,9 +238,23 @@ def end_to_end(p_in: float, d: float, p: SystemParams) -> tuple[PowerState, Effi
     Above all thresholds the composition collapses to the closed form
     ``p_out = a1*f(d)*eta_stored*p_in + a1*c + b1`` and
     ``eta_all = eta_stored*eta_trans*eta_pv``; the staged values returned
-    here match that closed form to rounding.
+    here match that closed form to rounding.  Where the cavity is unstable at
+    d no resonant beam forms: p_stored stays, and p_beam, p_out and every
+    efficiency but eta_stored read 0.
     """
-    return ladder_at(p_in, gain_to_beam_coefficient(d, p), p)
+    state, eff = ladder_at(p_in, gain_to_beam_coefficient(d, p), p)
+    if is_stable(p.geometry, d):
+        return state, eff
+    return (replace(state, p_beam=0.0, p_out=0.0),
+            replace(eff, eta_trans=0.0, eta_pv=0.0, eta_all=0.0))
+
+
+def _formed_slope(d: float, p: SystemParams) -> float:
+    """f(d) at a distance where a resonant beam forms; UnreachableTargetError elsewhere."""
+    fd = gain_to_beam_coefficient(d, p)  # validates d
+    if not is_stable(p.geometry, d):
+        raise UnreachableTargetError(f"cavity is not stable at d = {d} m")
+    return fd
 
 
 def thresholds(d: float, p: SystemParams) -> Thresholds:
@@ -244,9 +262,10 @@ def thresholds(d: float, p: SystemParams) -> Thresholds:
 
     p_beam_th = -b1/a1, p_stored_th = (p_beam_th - c)/f(d),
     p_in_th = p_stored_th/eta_stored.  All increase with distance because
-    f(d) decreases.
+    f(d) decreases.  Raises UnreachableTargetError where the cavity is
+    unstable at d, since no drive then forms a beam.
     """
-    fd = gain_to_beam_coefficient(d, p)
+    fd = _formed_slope(d, p)
     p_beam_th = -p.pv.b1 / p.pv.a1
     p_stored_th = (p_beam_th - p.gain.c) / fd
     return Thresholds(
@@ -254,76 +273,75 @@ def thresholds(d: float, p: SystemParams) -> Thresholds:
     )
 
 
-# ---------------------------------------------------------------------------
-# Column kernels
-#
-# The stages above over numpy columns, for drivers that evaluate whole grids.
-# Each performs its scalar stage's operations in the same order, so every
-# element equals the scalar result bit for bit; single evaluations go through
-# the scalar stages, which cost less per call.
+def required_input_power(target_p_out: float, d: float, params: SystemParams) -> float:
+    """Input power that produces target_p_out at distance d (closed-form inverse).
+
+    Raises UnreachableTargetError when the cavity is unstable at d, so no
+    resonant beam forms regardless of drive.
+    """
+    if not (target_p_out > 0 and math.isfinite(target_p_out)):
+        raise ValueError(f"target_p_out must be finite and > 0, got {target_p_out}")
+    fd = _formed_slope(d, params)
+    slope = params.pv.a1 * fd * params.gain.eta_stored
+    if slope <= 0:
+        raise UnreachableTargetError("nonpositive end-to-end slope")
+    return (target_p_out - params.pv.a1 * params.gain.c - params.pv.b1) / slope
 
 
-class LadderColumns(NamedTuple):
-    """Columns of :func:`ladder_at`: the powers and the ratios it reports."""
-
-    p_stored: np.ndarray
-    p_beam: np.ndarray
-    p_out: np.ndarray
-    eta_trans: np.ndarray
-    eta_all: np.ndarray
-
-
-def _drive_column(name: str, x) -> np.ndarray:
-    """x as a float array, checked finite and >= 0 as the scalar stages check it."""
-    x = np.asarray(x, dtype=float)
-    bad = ~((x >= 0) & np.isfinite(x))
-    if bad.any():
-        raise ValueError(f"{name} must be finite and >= 0, got {float(x[bad].flat[0])}")
-    return x
+def _bisect(holds, a: float, b: float, width: float) -> float:
+    """Midpoint of [a, b] shrunk to `width`, keeping holds(a) true and holds(b) false."""
+    while b - a > width:
+        m = 0.5 * (a + b)
+        if holds(m):
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
 
 
-def _clamp(x: np.ndarray) -> np.ndarray:
-    """max(0.0, x) elementwise; np.maximum(0.0, -0.0) would keep the -0.0."""
-    return np.where(x > 0.0, x, 0.0)
+def calibrate_aperture(
+    d: float, p_stored: float, eta_trans_target: float, params: SystemParams
+) -> float:
+    """Aperture radius at which eta_trans(p_stored, d) hits the target.
 
+    delta00 falls monotonically with aperture radius, so f(d) and eta_trans
+    rise monotonically toward the delta00 = 0 ceiling; the target is found by
+    bisection (|result error| < 1e-12 m, efficiency within 1e-6).
 
-def ratio_column(num, den) -> np.ndarray:
-    """num/den where den > 0, else 0.0: the below-threshold efficiency rule."""
-    num, den = np.broadcast_arrays(np.asarray(num, dtype=float), np.asarray(den, dtype=float))
-    with np.errstate(over="ignore"):  # a subnormal den gives inf, as Python's division does
-        return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+    Raises InfeasibleTargetError when the target is above that ceiling (or
+    below the closed-down floor at a = 0).
+    """
+    if not (p_stored > 0 and math.isfinite(p_stored)):
+        raise ValueError(f"p_stored must be finite and > 0, got {p_stored}")
+    if not (d >= 0 and math.isfinite(d)):
+        raise ValueError(f"d must be finite and >= 0, got {d}")
+    if math.isnan(eta_trans_target):
+        raise ValueError("eta_trans_target must be a number, got nan")
+    gain, wavelength, l = params.gain, params.wavelength, params.l
+    ceiling = coefficient_at_loss(0.0, gain) + gain.c / p_stored
+    if eta_trans_target > ceiling:
+        raise InfeasibleTargetError(
+            f"target {eta_trans_target} exceeds the zero-loss ceiling {ceiling:.6f}"
+        )
 
+    def gap(a: float) -> float:
+        # the aperture is the unknown, so each step takes the slope at its loss
+        # rather than building a bundle
+        fd = coefficient_at_loss(fundamental_loss_vs_distance(a, wavelength, l, d), gain)
+        return beam_at(p_stored, fd, gain) / p_stored - eta_trans_target
 
-def gain_to_beam_column(d, p: SystemParams) -> np.ndarray:
-    """f(d) of :func:`gain_to_beam_coefficient` along a d column."""
-    d = _drive_column("d", d)
-    exponent = _tem00_exponent(p.aperture_radius, p.wavelength, p.l, d)
-    # math.exp, not np.exp: numpy's exp differs in the last bit for some arguments
-    delta00 = np.array([math.exp(x) for x in exponent.ravel().tolist()]).reshape(d.shape)
-    return coefficient_at_loss(delta00, p.gain)
-
-
-def stored_column(p_in, gain: GainParams) -> np.ndarray:
-    """:func:`stored_power` along a p_in column."""
-    return gain.eta_stored * _drive_column("p_in", p_in)
-
-
-def beam_column(p_stored, fd, gain: GainParams) -> np.ndarray:
-    """:func:`beam_at` along columns of stored power and slope (either may be a float)."""
-    return _clamp(fd * _drive_column("p_stored", p_stored) + gain.c)
-
-
-def pv_column(p_beam, pv: PvParams) -> np.ndarray:
-    """:func:`pv_output` along a beam-power column."""
-    return _clamp(pv.a1 * _drive_column("p_beam", p_beam) + pv.b1)
-
-
-def ladder_columns(p_in, fd, p: SystemParams) -> LadderColumns:
-    """:func:`ladder_at` along columns of input power and slope (either may be a float)."""
-    p_stored = stored_column(p_in, p.gain)
-    p_beam = beam_column(p_stored, fd, p.gain)
-    p_out = pv_column(p_beam, p.pv)
-    return LadderColumns(
-        p_stored=p_stored, p_beam=p_beam, p_out=p_out,
-        eta_trans=ratio_column(p_beam, p_stored), eta_all=ratio_column(p_out, p_in),
-    )
+    g0 = gap(0.0)
+    if g0 == 0.0:
+        return 0.0
+    if g0 > 0.0:
+        raise InfeasibleTargetError(
+            f"target {eta_trans_target} is below the closed-aperture floor"
+        )
+    hi = math.sqrt(60.0 * wavelength * (l + d) / (2.0 * math.pi))
+    while gap(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1.0:  # 1 m aperture: numerically identical to the ceiling
+            raise InfeasibleTargetError(
+                f"target {eta_trans_target} is not reachable by any aperture"
+            )
+    return _bisect(lambda a: gap(a) < 0.0, 0.0, hi, 1e-12)

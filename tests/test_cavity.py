@@ -26,7 +26,7 @@ from resbeam import (
     stability_line,
     stable_distance_intervals,
 )
-from resbeam import cavity
+from resbeam import cavity, columns
 
 import oracles
 
@@ -459,15 +459,15 @@ class TestColumnKernels:
     # differ in the last bit of the positive root
     @example([CavityGeometry(l=0.25, f=0.1, r1=0.75, r2=-0.25)])
     def test_reach_matches_max_transmission_distance(self, geoms):
-        reach = cavity.max_distance_columns(*columns_of(geoms))
+        reach = columns.max_distance_columns(*columns_of(geoms))
         for i, g in enumerate(geoms):
             try:
                 md = max_transmission_distance(g)
-                want = (cavity.REACH_OK, bits(md.d_max), md.contiguous)
+                want = (columns.REACH_OK, bits(md.d_max), md.contiguous)
             except NoStableRegionError:
-                want = (cavity.REACH_NO_STABLE_REGION, bits(0.0), False)
+                want = (columns.REACH_NO_STABLE_REGION, bits(0.0), False)
             except UnboundedStableRangeError:
-                want = (cavity.REACH_UNBOUNDED, bits(0.0), False)
+                want = (columns.REACH_UNBOUNDED, bits(0.0), False)
             got = (int(reach.status[i]), bits(reach.d_max[i]), bool(reach.contiguous[i]))
             assert got == want, g
 
@@ -479,8 +479,8 @@ class TestColumnKernels:
             ds += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
             ds += [c + k * math.ulp(c) for k in (-ulps, ulps)]
         d = np.array(ds + [0.0])
-        L, g1, g2 = cavity.g_columns(g.l, g.f, g.r1, g.r2, d)
-        stable = cavity.stable_columns(g.l, g.f, g.r1, g.r2, d)
+        L, g1, g2 = columns.g_columns(g.l, g.f, g.r1, g.r2, d)
+        stable = columns.stable_columns(g.l, g.f, g.r1, g.r2, d)
         for i, x in enumerate(d.tolist()):
             der = g_parameters(g, x)
             want = (bits(der.L), bits(der.g1), bits(der.g2))
@@ -496,7 +496,7 @@ class TestColumnKernels:
         if ivals:
             ds += [lo + t * (hi - lo) for t, (lo, hi) in zip(fractions, ivals * len(fractions))]
         d = np.array(ds)
-        stable, radii = cavity.beam_radii_columns(g, d, wavelength)
+        stable, radii = columns.beam_radii_columns(g, d, wavelength)
         for i, x in enumerate(ds):
             try:
                 r = beam_radii(g, x, wavelength)
@@ -514,7 +514,7 @@ class TestColumnKernels:
     # l - r1 - f is exactly 0 while phi + c0/r1 rounds to -8.9e-16
     @example(0.2549, 0.2216, [0.2549 - 0.2216], ORIGIN)
     def test_connecting_r2_columns_match_scalar(self, l, f, r1s, branch):
-        r2, solvable = cavity.connecting_r2_columns(l, f, np.array(r1s), branch)
+        r2, solvable = columns.connecting_r2_columns(l, f, np.array(r1s), branch)
         for i, r1 in enumerate(r1s):
             try:
                 want = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch)).r2

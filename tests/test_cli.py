@@ -184,9 +184,64 @@ class TestExitCodes:
         assert json.loads(proc.stdout)["command"] == "thresholds"
 
 
-def test_cli_import_pulls_in_no_scipy():
-    # scipy is a test-only dependency; importing it would add its import time to every CLI start
-    probe = "import resbeam.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+# the commands that never touch an array, each run once with its defaults
+SCALAR_COMMANDS = {
+    "stability": ["stability"],
+    "intervals": ["intervals"],
+    "max-distance": ["max-distance"],
+    "connect-r2": ["connect-r2", "--branch", "origin"],
+    "power": ["power", "--pin", "100W"],
+    "thresholds": ["thresholds"],
+    "required-pin": ["design", "required-pin", "--pout", "1W"],
+    "calibrate": ["calibrate", "--pstored", "30W", "--eta", "0.61"],
+}
+START_UPS = {"import-resbeam": "import resbeam", "import-resbeam.cli": "import resbeam.cli"} | {
+    name: f"import resbeam.cli; assert resbeam.cli.main({argv!r}) == 0"
+    for name, argv in SCALAR_COMMANDS.items()}
+
+
+HEAVY = "import sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+
+
+@pytest.mark.parametrize("code", START_UPS.values(), ids=START_UPS.keys())
+def test_scalar_path_loads_neither_numpy_nor_scipy(code):
+    # importing numpy is most of a CLI process's start-up; scipy is a test-only dependency
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}; {HEAVY}"], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# the public names of the package when every module was imported eagerly
+PACKAGE_EXPORTS = """
+    BRANCHES BeamRadii CavityDerived CavityGeometry ConfigError Dataset DegenerateLineError
+    DistanceIntervals EfficiencyBreakdown EmptyResultError FLAT GainParams InfeasibleTargetError
+    MaxDistance NoSolutionError NoStableRegionError ORIGIN ParseError PowerState PvParams
+    ResbeamError RunConfig SWEEP_VARIABLES StabilityLine SweepSpec SystemParams TANGENT Thresholds
+    UnboundedStableRangeError UndefinedAtZeroError UnitError UnknownFigureError
+    UnreachableTargetError UnstableConfigurationError WrongSignSlopeError associated_laguerre
+    beam_power beam_radii calibrate_aperture cavity config connecting_r2 dataset defaults
+    diffraction effective_length emit_dataset end_to_end errors explorer
+    fundamental_loss_vs_distance g_parameters gain_to_beam_coefficient is_stable load_config
+    max_distance_vs_r1 max_transmission_distance mode_diffraction_loss parse_config powerchain
+    pv_efficiency pv_output r1_range_for_distance reference_defaults render_config
+    reproduce_figure required_input_power stability_line stable_distance_intervals stored_power
+    sweep thresholds transmission_efficiency
+""".split()
+
+
+def test_package_exports_resolve_after_a_bare_import():
+    probe = f"""
+import resbeam
+listed = dir(resbeam)
+star = {{}}
+exec("from resbeam import *", star)
+print([n for n in {PACKAGE_EXPORTS!r} if n not in listed or n not in star])
+from resbeam import Dataset, emit_dataset, sweep
+assert sweep is resbeam.explorer.sweep and emit_dataset is resbeam.dataset.emit_dataset
+assert not hasattr(resbeam, "no_such_name")
+"""
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
     )
@@ -230,3 +285,29 @@ def test_overflowing_quantity_is_domain_error(capsys, argv, key):
     rec = json.loads(out)
     assert rec["error"] == "UnitError"
     assert rec["message"].startswith(f"{key}: ")
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--points", "-3"], "sweep_points"),
+    (["--points", "0"], "sweep_points"),
+    (["--from", "5m", "--to", "1m"], "sweep_from"),
+    (["--from", "2m", "--to", "2m", "--points", "1"], "sweep_from"),
+])
+def test_sweep_flags_are_validated_by_the_config(capsys, flags, key):
+    code, out = run_cli(capsys, "sweep", "--var", "d", *flags)
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["error"] == "UnitError"
+    assert rec["message"].startswith(f"{key}: ")
+
+
+def test_unstable_distance_has_no_beam(capsys):
+    # d = 11 m is past the reference d_max of 10.43 m
+    code, out = run_cli(capsys, "power", "--pin", "300W", "--d", "11m")
+    rec = json.loads(out)
+    assert code == 0 and rec["stable"] is False
+    assert rec["p_stored"] > 0
+    assert [rec[k] for k in ("p_beam", "p_out", "eta_trans", "eta_pv", "eta_all")] == [0.0] * 5
+    code, out = run_cli(capsys, "thresholds", "--d", "11m")
+    assert code == 1
+    assert json.loads(out)["error"] == "UnreachableTargetError"

@@ -31,7 +31,9 @@ from resbeam import (
     reference_defaults,
     reproduce_figure,
     required_input_power,
+    stored_power,
     sweep,
+    thresholds,
     transmission_efficiency,
 )
 
@@ -278,6 +280,37 @@ class TestRequiredInputPower:
                 required_input_power(bad, 1.0, default_params)
             with pytest.raises(ValueError, match="d must be finite"):
                 required_input_power(1.0, bad, default_params)
+
+
+@given(
+    r1=st.sampled_from([-1.0, -0.9, -1.5, FLAT]),
+    r2=st.sampled_from([REF.geometry.r2, 3.0, -5.0, FLAT]),
+    d=st.floats(0.0, 30.0),
+    c=st.floats(-10.0, 5.0),
+    b1=st.floats(-3.0, 3.0),
+    p_in=st.floats(0.0, 500.0),
+)
+@example(r1=-1.0, r2=REF.geometry.r2, d=11.0, c=-5.64, b1=-1.535, p_in=300.0)
+@example(r1=-1.0, r2=3.0, d=5.0, c=2.0, b1=1.0, p_in=100.0)  # in a gap, offsets > 0
+def test_power_thresholds_sweep_and_required_pin_agree_on_the_beam(r1, r2, d, c, b1, p_in):
+    # no resonant beam forms where the cavity is unstable, on any path
+    p = replace(REF, geometry=replace(REF.geometry, r1=r1, r2=r2), p_in=p_in,
+                gain=replace(REF.gain, c=c), pv=replace(REF.pv, b1=b1))
+    forms = is_stable(p.geometry, d)
+    state, eff = end_to_end(p_in, d, p)
+    row = sweep(SweepSpec("d", (d,), p))
+    assert (row.flags[0] == "unstable") is not forms
+    for solve in (lambda: thresholds(d, p), lambda: required_input_power(1.0, d, p)):
+        if forms:
+            solve()
+        else:
+            with pytest.raises(UnreachableTargetError):
+                solve()
+    assert state.p_stored == stored_power(p_in, p.gain)
+    got = (state.p_beam, state.p_out, eff.eta_trans, eff.eta_all)
+    assert got == tuple(row.column(k)[0] for k in ("P_beam_W", "P_out_W", "eta_trans", "eta_all"))
+    if not forms:
+        assert got + (eff.eta_pv,) == (0.0,) * 5
 
 
 class TestCalibrateAperture:

@@ -20,7 +20,8 @@ from resbeam import (
     thresholds,
     transmission_efficiency,
 )
-from resbeam.powerchain import gain_to_beam_column, ladder_at, ladder_columns
+from resbeam.columns import gain_to_beam_column, ladder_columns
+from resbeam.powerchain import ladder_at
 
 import oracles
 

@@ -30,7 +30,14 @@ from .cavity import (
     stability_line,
     stable_distance_intervals,
 )
-from .config import SWEEP_VARIABLES, RunConfig, load_config, parse_config, render_config
+from .config import (
+    SWEEP_VARIABLES,
+    RunConfig,
+    load_config,
+    parse_config,
+    reference_defaults,
+    render_config,
+)
 from .diffraction import (
     associated_laguerre,
     fundamental_loss_vs_distance,
@@ -66,7 +73,6 @@ from .powerchain import (
     gain_to_beam_coefficient,
     pv_efficiency,
     pv_output,
-    reference_defaults,
     required_input_power,
     stored_power,
     thresholds,

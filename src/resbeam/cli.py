@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 from .cavity import (
     BRANCHES,
-    CavityGeometry,
     beam_radii,
     g_parameters,
     is_stable,
@@ -23,13 +22,12 @@ from .cavity import (
     stability_line,
     stable_distance_intervals,
 )
-from .config import SWEEP_VARIABLES, RunConfig, load_config, override, parse_quantity
+from .config import SWEEP_VARIABLES, RunConfig, load_config, override, provenance_for, read_value
 from .errors import ResbeamError, UnstableConfigurationError
 from .powerchain import (
     SystemParams,
     calibrate_aperture,
     end_to_end,
-    provenance_for,
     required_input_power,
     thresholds,
 )
@@ -55,17 +53,23 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_common(sp):
+def _command(sub, name: str, help: str, geometry: bool = True, with_d: bool = True):
+    """A subcommand with the common flags and, unless left out, the geometry flags.
+
+    A flag that overrides a config value has that config key as its dest.
+    """
+    sp = sub.add_parser(name, help=help)
     sp.add_argument("--config", help="configuration file (key = value lines)")
-    sp.add_argument("--out", help="write output to this path instead of stdout")
-    sp.add_argument("--format", choices=("csv", "json"), help="dataset output format")
-
-
-def _add_geometry(sp, with_d=True):
-    for name in ("--l", "--f", "--r1", "--r2"):
-        sp.add_argument(name, help=f"{name[2:]} with unit suffix (e.g. 60mm, flat)")
-    if with_d:
+    # an empty --out is no override: the config's out_path stays
+    sp.add_argument("--out", dest="out_path", metavar="OUT", type=lambda path: path or None,
+                    help="write output to this path instead of stdout")
+    sp.add_argument("--format", dest="out_format", choices=("csv", "json"),
+                    help="dataset output format")
+    for flag in ("--l", "--f", "--r1", "--r2") if geometry else ():
+        sp.add_argument(flag, help=f"{flag[2:]} with unit suffix (e.g. 60mm, flat)")
+    if geometry and with_d:
         sp.add_argument("--d", help="transmission distance (e.g. 1m)")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,65 +79,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("stability", help="point stability evaluation")
-    _add_common(sp)
-    _add_geometry(sp)
+    _command(sub, "stability", "point stability evaluation")
 
-    sp = sub.add_parser("intervals", help="stable transmission-distance intervals")
-    _add_common(sp)
-    _add_geometry(sp, with_d=False)
+    sp = _command(sub, "intervals", "stable transmission-distance intervals", with_d=False)
     sp.add_argument("--d-limit", default="20", help="search limit (default 20 m)")
 
-    sp = sub.add_parser("max-distance", help="supremum of the stable distance set")
-    _add_common(sp)
-    _add_geometry(sp, with_d=False)
+    _command(sub, "max-distance", "supremum of the stable distance set", with_d=False)
 
-    sp = sub.add_parser("connect-r2", help="receiver curvature joining the stability regions")
-    _add_common(sp)
-    _add_geometry(sp, with_d=False)
+    sp = _command(sub, "connect-r2", "receiver curvature joining the stability regions",
+                  with_d=False)
     sp.add_argument("--branch", choices=BRANCHES, required=True)
 
-    sp = sub.add_parser("power", help="full power ladder at one operating point")
-    _add_common(sp)
-    _add_geometry(sp)
+    sp = _command(sub, "power", "full power ladder at one operating point")
     sp.add_argument("--pin", required=True, help="input electrical power (e.g. 100W)")
 
-    sp = sub.add_parser("thresholds", help="stored/beam/input power thresholds")
-    _add_common(sp)
-    _add_geometry(sp)
+    _command(sub, "thresholds", "stored/beam/input power thresholds")
 
-    sp = sub.add_parser("sweep", help="sweep one variable over a grid")
-    _add_common(sp)
-    _add_geometry(sp)
-    sp.add_argument("--var", choices=SWEEP_VARIABLES, help="default: config sweep_var")
+    sp = _command(sub, "sweep", "sweep one variable over a grid")
+    sp.add_argument("--var", dest="sweep_var", choices=SWEEP_VARIABLES,
+                    help="default: config sweep_var")
     sp.add_argument("--from", dest="sweep_from", help="default: config sweep_from")
     sp.add_argument("--to", dest="sweep_to", help="default: config sweep_to")
-    sp.add_argument("--points", type=int, help="default: config sweep_points")
+    sp.add_argument("--points", dest="sweep_points", metavar="POINTS", type=int,
+                    help="default: config sweep_points")
 
     design = sub.add_parser("design", help="inverse design solvers")
     dsub = design.add_subparsers(dest="design_command", required=True)
 
-    sp = dsub.add_parser("required-pin", help="input power for a target output power")
-    _add_common(sp)
-    _add_geometry(sp)
+    sp = _command(dsub, "required-pin", "input power for a target output power")
     sp.add_argument("--pout", required=True, help="target output power (e.g. 1W)")
 
-    sp = dsub.add_parser("r1-range", help="R1 interval reaching a target distance")
-    _add_common(sp)
-    _add_geometry(sp, with_d=False)
+    sp = _command(dsub, "r1-range", "R1 interval reaching a target distance", with_d=False)
     sp.add_argument("--target-d", required=True, help="required max distance (e.g. 5m)")
     sp.add_argument("--branch", choices=BRANCHES, default="origin")
     sp.add_argument("--search-from", default="-1.5m")
     sp.add_argument("--search-to", default="-0.5m")
 
-    sp = sub.add_parser("calibrate", help="aperture radius hitting a target efficiency")
-    _add_common(sp)
-    _add_geometry(sp)
+    sp = _command(sub, "calibrate", "aperture radius hitting a target efficiency")
     sp.add_argument("--pstored", required=True, help="stored power (e.g. 30W)")
     sp.add_argument("--eta", required=True, help="target stored-to-beam efficiency")
 
-    sp = sub.add_parser("reproduce", help="emit the dataset behind a study figure")
-    _add_common(sp)
+    sp = _command(sub, "reproduce", "emit the dataset behind a study figure", geometry=False)
     sp.add_argument("--figure", type=int, required=True, help="figure id, 6..13")
 
     return p
@@ -142,13 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> RunConfig:
     """The config file (or the defaults) with the command-line flags laid over it."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    changes = {key: parse_quantity(raw, key)
-               for key in ("l", "f", "r1", "r2", "d", "sweep_from", "sweep_to")
-               if (raw := getattr(args, key, None)) is not None}
-    return override(cfg, **changes, sweep_var=getattr(args, "var", None),
-                    sweep_points=getattr(args, "points", None),
-                    out_format=getattr(args, "format", None),
-                    out_path=getattr(args, "out", None) or None)
+    return override(cfg, **{f.name: read_value(f.name, raw) for f in fields(RunConfig)
+                            if (raw := getattr(args, f.name, None)) is not None})
 
 
 def _print_record(obj) -> None:
@@ -190,7 +171,7 @@ def _cmd_stability(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_intervals(args, cfg: RunConfig, params: SystemParams) -> dict:
-    d_limit = parse_quantity(args.d_limit, "d")
+    d_limit = read_value("d_limit", args.d_limit)
     ivals = stable_distance_intervals(params.geometry, d_limit)
     return {
         "d_limit": d_limit,
@@ -208,7 +189,7 @@ def _cmd_max_distance(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 def _cmd_connect_r2(args, cfg: RunConfig, params: SystemParams) -> dict:
     r2 = connecting_r2(cfg.l, cfg.f, cfg.r1, args.branch)
-    line = stability_line(CavityGeometry(l=cfg.l, f=cfg.f, r1=cfg.r1, r2=r2))
+    line = stability_line(replace(params.geometry, r2=r2))
     return {
         "branch": args.branch,
         "r2": r2,
@@ -218,7 +199,7 @@ def _cmd_connect_r2(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_power(args, cfg: RunConfig, params: SystemParams) -> dict:
-    p_in = parse_quantity(args.pin, "pin")
+    p_in = read_value("pin", args.pin)
     state, eff = end_to_end(p_in, cfg.d, params)
     # the record keys are the field names of the power ladder and its efficiencies
     return {"stable": is_stable(params.geometry, cfg.d), **asdict(state), **asdict(eff)}
@@ -239,7 +220,7 @@ def _cmd_sweep(args, cfg: RunConfig, params: SystemParams) -> None:
 
 
 def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:
-    target = parse_quantity(args.pout, "pout")
+    target = read_value("pout", args.pout)
     pin = required_input_power(target, cfg.d, params)
     return {
         "p_out_target": target,
@@ -250,9 +231,9 @@ def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:
 def _cmd_r1_range(args, cfg: RunConfig, params: SystemParams) -> dict:
     from .explorer import r1_range_for_distance
 
-    target = parse_quantity(args.target_d, "d")
-    lo = parse_quantity(args.search_from, "r1")
-    hi = parse_quantity(args.search_to, "r1")
+    target = read_value("target_d", args.target_d)
+    lo = read_value("search_from", args.search_from)
+    hi = read_value("search_to", args.search_to)
     ivals = r1_range_for_distance(target, cfg.l, cfg.f, args.branch, (lo, hi))
     return {
         "branch": args.branch,
@@ -262,8 +243,8 @@ def _cmd_r1_range(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_calibrate(args, cfg: RunConfig, params: SystemParams) -> dict:
-    p_stored = parse_quantity(args.pstored, "pstored")
-    eta = parse_quantity(args.eta, "eta")
+    p_stored = read_value("pstored", args.pstored)
+    eta = read_value("eta", args.eta)
     a = calibrate_aperture(cfg.d, p_stored, eta, params)
     return {
         "aperture_radius": a,

@@ -20,24 +20,40 @@ from .cavity import FLAT, CavityGeometry
 from .errors import ParseError, UnitError
 from .powerchain import GainParams, PvParams, SystemParams
 
-_LENGTH_SCALES = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 _QUANTITY_RE = re.compile(r"([-+]?[\d.]+(?:[eE][-+]?\d+)?)\s*(mm|um|nm|m|W)?")
 
 SWEEP_VARIABLES = ("d", "P_in", "P_stored", "P_beam", "R1")
 
-LENGTH_KEYS = ("l", "f", "r1", "r2", "d", "a", "wavelength")
-FLAT_OK_KEYS = ("f", "r1", "r2")
-# pin/pout/pstored are CLI flag names routed through the same parser
-POWER_KEYS = ("c", "b1", "pin", "pout", "pstored")
+_METERS = {None: 1.0, "m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
+# A unit class: (suffix -> scale to SI, the error for any other suffix, formatted
+# with the key and the suffix, and whether 'flat', an infinite radius or focal
+# length, is a value).
+_LENGTH = (_METERS, "expected a length, got watts", False)
+_LENGTH_OR_FLAT = (_METERS, _LENGTH[1], True)
+_POWER = ({None: 1.0, "W": 1.0}, "expected watts, got {suffix!r}", False)
+_SPAN = ({**_METERS, "W": 1.0}, "", False)  # a sweep bound: a length or a power, as swept
+_DIMENSIONLESS = ({None: 1.0}, "{key} is dimensionless, got unit {suffix!r}", False)
+
+# The unit class of every dimensioned name parse_quantity reads: the config
+# keys, then the values of command-line flags.  Any other name is dimensionless.
+_UNITS = {
+    "l": _LENGTH, "f": _LENGTH_OR_FLAT, "r1": _LENGTH_OR_FLAT, "r2": _LENGTH_OR_FLAT,
+    "d": _LENGTH, "a": _LENGTH, "wavelength": _LENGTH, "c": _POWER, "b1": _POWER,
+    "sweep_from": _SPAN, "sweep_to": _SPAN,
+    "pin": _POWER, "pout": _POWER, "pstored": _POWER, "d_limit": _LENGTH, "target_d": _LENGTH,
+    "search_from": _LENGTH_OR_FLAT, "search_to": _LENGTH_OR_FLAT,
+}
 
 
 def parse_quantity(token: str, key: str) -> float:
-    """Parse a value token for the given key, applying unit suffixes."""
+    """Parse a value token for the given key, applying the suffixes of its unit class."""
+    scales, wrong, flat = _UNITS.get(key, _DIMENSIONLESS)
     token = token.strip()
     if token.lower() == "flat":
-        if key in FLAT_OK_KEYS:
+        if flat:
             return FLAT
-        raise UnitError(key, "'flat' is only valid for f, r1, r2")
+        flat_keys = ", ".join(k for k in _DEFAULTS if _UNITS.get(k) is _LENGTH_OR_FLAT)
+        raise UnitError(key, f"'flat' is only valid for {flat_keys}")
     m = _QUANTITY_RE.fullmatch(token)
     if m is None:
         raise UnitError(key, f"cannot parse quantity {token!r}")
@@ -48,21 +64,9 @@ def parse_quantity(token: str, key: str) -> float:
     if not math.isfinite(value):
         raise UnitError(key, f"{token!r} is not a finite number")
     suffix = m.group(2)
-    if key in LENGTH_KEYS or key in ("sweep_from", "sweep_to"):
-        if suffix == "W" and key in LENGTH_KEYS:
-            raise UnitError(key, "expected a length, got watts")
-        if suffix in _LENGTH_SCALES:
-            return value * _LENGTH_SCALES[suffix]
-        if suffix is None or suffix == "W":
-            return value
-        raise UnitError(key, f"unknown unit {suffix!r}")
-    if key in POWER_KEYS:
-        if suffix in (None, "W"):
-            return value
-        raise UnitError(key, f"expected watts, got {suffix!r}")
-    if suffix is not None:
-        raise UnitError(key, f"{key} is dimensionless, got unit {suffix!r}")
-    return value
+    if suffix not in scales:
+        raise UnitError(key, wrong.format(key=key, suffix=suffix))
+    return value * scales[suffix]
 
 
 @dataclass(frozen=True)
@@ -102,22 +106,52 @@ class RunConfig:
             raise UnitError("out_format", f"must be csv or json, got {self.out_format!r}")
 
     def system_params(self) -> SystemParams:
-        return SystemParams(
-            geometry=CavityGeometry(l=self.l, f=self.f, r1=self.r1, r2=self.r2),
-            gain=GainParams(
-                eta_stored=self.eta_stored,
-                m_overlap=self.m_overlap,
-                c=self.c,
-                r_out=self.r_out,
-            ),
-            pv=PvParams(a1=self.a1, b1=self.b1),
-            aperture_radius=self.a,
-            wavelength=self.wavelength,
-            d=self.d,
-        )
+        """The link bundle: each number in it and in its parts reads the config key it names."""
+        def take(cls) -> dict[str, float]:
+            return {f.name: getattr(self, key) for f in fields(cls)
+                    if (key := _RENAMED.get(f.name, f.name)) in _DEFAULTS}
+
+        parts = {slot: part(**take(part)) for slot, part in _PARTS.items()}
+        return SystemParams(**parts, **take(SystemParams))
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}  # config key -> default
+
+# SystemParams field -> the dataclass of the part it holds; its other fields are numbers
+_PARTS = {"geometry": CavityGeometry, "gain": GainParams, "pv": PvParams}
+# The one bundle field whose config key is not its own name: every other number
+# in SystemParams and in its parts is named as its config key.
+_RENAMED = {"aperture_radius": "a"}
+
+
+def provenance_for(params: SystemParams, **extra) -> dict[str, str]:
+    """Full effective parameter snapshot for output embedding, by config key."""
+    # getattr, not vars(): a materialised __dict__ slows every later attribute read
+    parts = [getattr(params, slot) for slot in _PARTS]
+    values = {f.name: getattr(part, f.name) for part in parts for f in fields(part)}
+    values |= {_RENAMED.get(f.name, f.name): getattr(params, f.name)
+               for f in fields(params) if f.name not in _PARTS}
+    return {k: repr(v) for k, v in values.items()} | {k: str(v) for k, v in extra.items()}
+
+
+def reference_defaults() -> SystemParams:
+    """The reference configuration (see :mod:`resbeam.defaults`)."""
+    return RunConfig().system_params()
+
+
+def read_value(key: str, text: str) -> float | int | str:
+    """A config key's or a command-line value's value from its text.
+
+    Config files and flags both go through it.  The value is a quantity of
+    the key's unit class, unless the key's default is an int or a str.
+    """
+    default = _DEFAULTS.get(key, 0.0)
+    if isinstance(default, float):
+        return parse_quantity(text, key)
+    try:
+        return type(default)(text)
+    except ValueError:
+        raise UnitError(key, f"expected an integer, got {text!r}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -137,17 +171,9 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _FIELD_NAMES:
+        if key not in _DEFAULTS:
             raise ParseError(lineno, f"unknown key {key!r}")
-        if key in ("sweep_var", "out_path", "out_format"):
-            values[key] = value
-        elif key == "sweep_points":
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise UnitError(key, f"expected an integer, got {value!r}") from None
-        else:
-            values[key] = parse_quantity(value, key)
+        values[key] = read_value(key, value)
     return RunConfig(**values)
 
 

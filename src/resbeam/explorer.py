@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .cavity import BRANCHES, connecting_r2
+from .cavity import BRANCHES, CavityGeometry, connecting_r2, max_transmission_distance
 from .columns import (
     REACH_OK,
     REACH_UNBOUNDED,
@@ -36,15 +36,14 @@ from .columns import (
     stored_column,
     valid_elements,
 )
-from .config import SWEEP_VARIABLES
+from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset
-from .errors import EmptyResultError, UnknownFigureError
+from .errors import EmptyResultError, ResbeamError, UnboundedStableRangeError, UnknownFigureError
 from .powerchain import (
     SystemParams,
+    _bisect,
     calibrate_aperture,
     gain_to_beam_coefficient,
-    provenance_for,
-    reference_defaults,
     required_input_power,
 )
 
@@ -280,8 +279,8 @@ def r1_range_for_distance(
 ) -> list[tuple[float, float]]:
     """Maximal R1 subintervals whose connected-branch design reaches target_d.
 
-    Grid scan of 200 points over the search interval, then bisection
-    refinement of every edge down to 1 mm of R1.
+    One column scan of 200 points over the search interval, then a scalar
+    bisection of every edge down to 1 mm of R1.
 
     Raises EmptyResultError when no R1 in the interval qualifies.
     """
@@ -291,25 +290,26 @@ def r1_range_for_distance(
     if not lo < hi:
         raise ValueError(f"invalid search interval {search_interval}")
 
-    def reaches(r1: np.ndarray) -> np.ndarray:
-        _, solvable, reach = _connected(l, f, r1, branch)
-        return solvable & ((reach.status == REACH_UNBOUNDED)
-                           | ((reach.status == REACH_OK) & (reach.d_max >= target_d)))
+    def reaches(r1: float) -> bool:
+        # as the scan below reads a status: unbounded reaches, a design error does not
+        try:
+            geom = CavityGeometry(l, f, r1, connecting_r2(l, f, r1, branch))
+            return max_transmission_distance(geom).d_max >= target_d
+        except UnboundedStableRangeError:
+            return True
+        except ResbeamError:
+            return False
 
     grid = np.linspace(lo, hi, _R1_SCAN_POINTS)
-    hits = reaches(grid)
-    # every flip of the predicate between grid neighbours is an interval edge;
-    # the edges are bisected together, each as _bisect would, until its bracket
-    # is no wider than _R1_RESOLUTION
-    flips = np.flatnonzero(hits[1:] != hits[:-1])
-    a, b, hit = grid[flips], grid[flips + 1], hits[flips]
-    while (live := b - a > _R1_RESOLUTION).any():
-        m = 0.5 * (a[live] + b[live])
-        holds = reaches(m) == hit[live]
-        a[live] = np.where(holds, m, a[live])
-        b[live] = np.where(holds, b[live], m)
+    _, solvable, reach = _connected(l, f, grid, branch)
+    hits = solvable & ((reach.status == REACH_UNBOUNDED)
+                       | ((reach.status == REACH_OK) & (reach.d_max >= target_d)))
+    # every flip of the predicate between grid neighbours is an interval edge
+    edges = [_bisect(lambda r1, hit=bool(hits[i]): reaches(r1) == hit,
+                     float(grid[i]), float(grid[i + 1]), _R1_RESOLUTION)
+             for i in np.flatnonzero(hits[1:] != hits[:-1])]
     first, last = float(grid[0]), float(grid[-1])
-    bounds = ([first] if hits[0] else []) + (0.5 * (a + b)).tolist() + ([last] if hits[-1] else [])
+    bounds = ([first] if hits[0] else []) + edges + ([last] if hits[-1] else [])
     if not bounds:
         raise EmptyResultError(
             f"no R1 in [{lo}, {hi}] reaches {target_d} m on the {branch} branch"

@@ -16,7 +16,7 @@ column kernels of :mod:`resbeam.columns` run the stages over numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import defaults as dflt
@@ -94,35 +94,6 @@ class SystemParams:
         return self.geometry.l
 
 
-def reference_defaults() -> SystemParams:
-    """The reference configuration (see :mod:`resbeam.defaults`)."""
-    return SystemParams(
-        geometry=CavityGeometry(
-            l=dflt.DEFAULT_L, f=dflt.DEFAULT_F, r1=dflt.DEFAULT_R1, r2=dflt.DEFAULT_R2
-        ),
-        gain=GainParams(
-            eta_stored=dflt.DEFAULT_ETA_STORED,
-            m_overlap=dflt.DEFAULT_M_OVERLAP,
-            c=dflt.DEFAULT_C,
-            r_out=dflt.DEFAULT_R_OUT,
-        ),
-        pv=PvParams(a1=dflt.DEFAULT_A1, b1=dflt.DEFAULT_B1),
-        aperture_radius=dflt.DEFAULT_APERTURE,
-        wavelength=dflt.DEFAULT_WAVELENGTH,
-        d=dflt.DEFAULT_D,
-    )
-
-
-def provenance_for(params: SystemParams, **extra) -> dict[str, str]:
-    """Full effective parameter snapshot for output embedding."""
-    # getattr, not vars(): a materialised __dict__ slows every later attribute read
-    parts = (params.geometry, params.gain, params.pv)
-    values = {f.name: getattr(part, f.name) for part in parts for f in fields(part)}
-    values |= {"a": params.aperture_radius, "wavelength": params.wavelength,
-               "d": params.d, "p_in": params.p_in}
-    return {k: repr(v) for k, v in values.items()} | {k: str(v) for k, v in extra.items()}
-
-
 @dataclass(frozen=True)
 class PowerState:
     """The four-stage power ladder, watts, all >= 0."""
@@ -186,12 +157,13 @@ def beam_at(p_stored: float, fd: float, gain: GainParams) -> float:
 
 
 def beam_power(p_stored: float, d: float, p: SystemParams) -> float:
-    """Extracted beam power max(0, f(d)*p_stored + c); zero below the lasing threshold."""
-    return beam_at(p_stored, gain_to_beam_coefficient(d, p), p.gain)
+    """Extracted beam power max(0, f(d)*p_stored + c); 0 below threshold or at an unstable d."""
+    p_beam = beam_at(p_stored, gain_to_beam_coefficient(d, p), p.gain)
+    return p_beam if is_stable(p.geometry, d) else 0.0
 
 
 def transmission_efficiency(p_stored: float, d: float, p: SystemParams) -> float:
-    """Stored-to-beam efficiency p_beam/p_stored; 0 below threshold.
+    """Stored-to-beam efficiency p_beam/p_stored; 0 below threshold or at an unstable d.
 
     Raises UndefinedAtZeroError for p_stored = 0.
     """

@@ -287,6 +287,20 @@ def test_overflowing_quantity_is_domain_error(capsys, argv, key):
     assert rec["message"].startswith(f"{key}: ")
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["intervals", "--d-limit", "5W"], "d_limit"),
+    (["design", "r1-range", "--target-d", "5W"], "target_d"),
+    (["design", "r1-range", "--target-d", "5m", "--search-from", "3W"], "search_from"),
+    (["design", "r1-range", "--target-d", "5m", "--search-to", "-1W"], "search_to"),
+])
+def test_wrong_unit_names_the_flag(capsys, argv, key):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["error"] == "UnitError"
+    assert rec["message"] == f"{key}: expected a length, got watts"
+
+
 @pytest.mark.parametrize("flags, key", [
     (["--points", "-3"], "sweep_points"),
     (["--points", "0"], "sweep_points"),

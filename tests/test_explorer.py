@@ -15,13 +15,18 @@ import resbeam.explorer
 from resbeam import (
     BRANCHES,
     FLAT,
+    CavityGeometry,
     Dataset,
     EmptyResultError,
+    GainParams,
     InfeasibleTargetError,
+    PvParams,
     SweepSpec,
+    SystemParams,
     UnitError,
     UnknownFigureError,
     UnreachableTargetError,
+    beam_power,
     calibrate_aperture,
     emit_dataset,
     end_to_end,
@@ -309,6 +314,9 @@ def test_power_thresholds_sweep_and_required_pin_agree_on_the_beam(r1, r2, d, c,
     assert state.p_stored == stored_power(p_in, p.gain)
     got = (state.p_beam, state.p_out, eff.eta_trans, eff.eta_all)
     assert got == tuple(row.column(k)[0] for k in ("P_beam_W", "P_out_W", "eta_trans", "eta_all"))
+    assert beam_power(state.p_stored, d, p) == state.p_beam
+    if state.p_stored > 0:
+        assert transmission_efficiency(state.p_stored, d, p) == eff.eta_trans
     if not forms:
         assert got + (eff.eta_pv,) == (0.0,) * 5
 
@@ -403,6 +411,15 @@ class TestR1RangeForDistance:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="target_d must be finite"):
                 r1_range_for_distance(bad, 0.06, 0.88, "origin", (-1.5, -0.5))
+
+    def test_one_column_scan_then_scalar_edges(self, monkeypatch):
+        # an edge is refined one R1 at a time, so it stays on the scalar kernels
+        calls = []
+        scan = resbeam.explorer.max_distance_columns
+        monkeypatch.setattr(resbeam.explorer, "max_distance_columns",
+                            lambda *args: calls.append(args) or scan(*args))
+        assert len(r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5))) == 1
+        assert len(calls) == 1
 
 
 class TestReproduceFigure:
@@ -500,12 +517,32 @@ class TestPinnedDatasets:
 
 
 class TestProvenance:
+    # the 13 config keys and p_in, with reprs written out by hand: the reference
+    # bundle, and one whose values all differ, so two swapped keys show
+    REFERENCE = {
+        "l": "0.06", "f": "0.88", "r1": "-1.0", "r2": "5.246612466124661", "d": "1.0",
+        "a": "0.0007855301511370797", "wavelength": "1.064e-06", "eta_stored": "0.2849",
+        "m_overlap": "1.0", "c": "-5.64", "r_out": "0.88", "a1": "0.3487", "b1": "-1.535",
+        "p_in": "100.0",
+    }
+    DISTINCT = {
+        "l": "0.07", "f": "0.9", "r1": "-1.1", "r2": "4.0", "d": "2.0", "a": "0.0008",
+        "wavelength": "1.07e-06", "eta_stored": "0.3", "m_overlap": "0.95", "c": "-5.0",
+        "r_out": "0.85", "a1": "0.35", "b1": "-1.5", "p_in": "90.0",
+    }
+
     def test_every_dataset_embeds_parameters(self, default_params):
         ds = sweep(SweepSpec(variable="d", grid=grid(0.5, 2.0, 5), fixed=default_params))
-        for key in ("l", "f", "r1", "r2", "a", "wavelength", "eta_stored", "a1", "b1"):
-            assert key in ds.provenance
+        assert ds.provenance == {**self.REFERENCE, "variable": "d", "points": "5"}
         text = emit_dataset(ds).decode()
         assert "# a1 = 0.3487" in text
+        p = SystemParams(
+            geometry=CavityGeometry(l=0.07, f=0.9, r1=-1.1, r2=4.0),
+            gain=GainParams(eta_stored=0.3, m_overlap=0.95, c=-5.0, r_out=0.85),
+            pv=PvParams(a1=0.35, b1=-1.5), aperture_radius=8e-4, wavelength=1.07e-6,
+            d=2.0, p_in=90.0)
+        ds = sweep(SweepSpec(variable="P_in", grid=grid(0.0, 50.0, 3), fixed=p))
+        assert ds.provenance == {**self.DISTINCT, "variable": "P_in", "points": "3"}
 
 
 class TestDatasetSerialization:

@@ -27,6 +27,7 @@ from .cavity import (
     g_parameters,
     is_stable,
     max_transmission_distance,
+    r1_range_for_distance,
     stability_line,
     stable_distance_intervals,
 )
@@ -87,7 +88,6 @@ _LAZY = {
     "emit_dataset": "dataset",
     "SweepSpec": "explorer",
     "max_distance_vs_r1": "explorer",
-    "r1_range_for_distance": "explorer",
     "reproduce_figure": "explorer",
     "sweep": "explorer",
 }

@@ -27,8 +27,10 @@ from typing import NamedTuple
 
 from .errors import (
     DegenerateLineError,
+    EmptyResultError,
     NoSolutionError,
     NoStableRegionError,
+    ResbeamError,
     UnboundedStableRangeError,
     UnitError,
     UnstableConfigurationError,
@@ -43,6 +45,8 @@ BRANCHES = (ORIGIN, TANGENT)
 
 # Candidate interval boundaries closer than this (meters) are one root.
 _MERGE_TOL = 1e-9
+# Candidate R1 edges closer than this (meters) are one root.
+_R1_MERGE_TOL = 1e-12
 
 
 def _check_element(name: str, value: float) -> None:
@@ -388,6 +392,75 @@ def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
             "g1 is independent of d for this (l, f, r1); no connecting line exists"
         )
     return 1.0 / rho2
+
+
+def r1_range_for_distance(
+    target_d: float, l: float, f: float, branch: str, search_interval: tuple[float, float]
+) -> list[tuple[float, float]]:
+    """Maximal R1 subintervals whose connected-branch design reaches target_d.
+
+    On a connected branch 1/r2 = s*c0*(phi + c0*rho), with rho = 1/R1 and
+    s = +1 (origin) or -1 (tangent), so at d = T = target_d both g-parameters
+    are affine in rho; with L = l + T*c0,
+
+        g1 = (1 - T*phi) - L*rho,   g2 = c0*(1 - s*L*phi) - s*L*c0^2*rho.
+
+    An edge of {R1 : d_max(R1) >= T} is an R1 where T is a stability
+    boundary, a rho-root of g1 = 0, g2 = 0 or g1*g2 = 1, or the singular
+    R1 = l - f or 0 (no other: two d-boundaries never merge on a connected
+    branch).  One scalar reach at each gap's midpoint classifies the gap, and
+    reaching neighbours join, so an interval may hold a singular point.  The
+    edges are exact to rounding.
+
+    Raises EmptyResultError when no R1 in the interval qualifies.
+    """
+    if not math.isfinite(target_d):
+        raise ValueError(f"target_d must be finite, got {target_d}")
+    lo, hi = search_interval
+    for key, bound in (("search_from", lo), ("search_to", hi)):
+        if not math.isfinite(bound):
+            raise UnitError(key, f"must be finite, got {bound}")
+    if not lo < hi:
+        raise ValueError(f"invalid search interval {search_interval}")
+    _check_l_f(l, f)
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+
+    def reaches(r1: float) -> bool:
+        # unbounded reaches; a design error does not
+        try:
+            geom = CavityGeometry(l, f, r1, connecting_r2(l, f, r1, branch))
+            return max_transmission_distance(geom).d_max >= target_d
+        except UnboundedStableRangeError:
+            return True
+        except ResbeamError:
+            return False
+
+    phi = 1.0 / f
+    c0 = 1.0 - l * phi
+    s = 1.0 if branch == ORIGIN else -1.0
+    L = l + target_d * c0
+    p0, p1 = 1.0 - target_d * phi, -L                    # g1 = p0 + p1*rho
+    q0, q1 = c0 * (1.0 - s * L * phi), -s * L * c0 * c0  # g2 = q0 + q1*rho
+    rhos = (_quadratic_roots(0.0, p1, p0) + _quadratic_roots(0.0, q1, q0)
+            + _quadratic_roots(p1 * q1, p0 * q1 + p1 * q0, p0 * q0 - 1.0))
+    cands = sorted(c for c in [1.0 / rho for rho in rhos if rho] + [l - f, 0.0] if lo < c < hi)
+    points = [lo]
+    for c in cands:
+        if c - points[-1] > _R1_MERGE_TOL and hi - c > _R1_MERGE_TOL:
+            points.append(c)
+    points.append(hi)
+    out: list[tuple[float, float]] = []
+    for a, b in zip(points, points[1:]):
+        if not reaches(0.5 * (a + b)):
+            continue
+        if out and out[-1][1] == a:
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    if not out:
+        raise EmptyResultError(f"no R1 in [{lo}, {hi}] reaches {target_d} m on the {branch} branch")
+    return out
 
 
 def beam_radii(geom: CavityGeometry, d: float, wavelength: float) -> BeamRadii:

@@ -19,6 +19,7 @@ from .cavity import (
     is_stable,
     max_transmission_distance,
     connecting_r2,
+    r1_range_for_distance,
     stability_line,
     stable_distance_intervals,
 )
@@ -229,8 +230,6 @@ def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_r1_range(args, cfg: RunConfig, params: SystemParams) -> dict:
-    from .explorer import r1_range_for_distance
-
     target = read_value("target_d", args.target_d)
     lo = read_value("search_from", args.search_from)
     hi = read_value("search_to", args.search_to)

@@ -1,7 +1,8 @@
-"""Design-space exploration: sweeps, the R1 design search, figures.
+"""Design-space exploration: sweeps, figures and the R1 design grid.
 
 The point solvers ``required_input_power`` and ``calibrate_aperture`` live in
-:mod:`resbeam.powerchain` and are re-exported here under the same names.
+:mod:`resbeam.powerchain`, and the R1 design search ``r1_range_for_distance``
+in :mod:`resbeam.cavity`; all three are re-exported here under the same names.
 
 Every sweep and figure evaluates its grid as whole columns through the column
 kernels of :mod:`resbeam.columns`, which equal the scalar kernels bit for
@@ -12,17 +13,14 @@ zeros plus a flag token rather than being dropped.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .cavity import BRANCHES, CavityGeometry, connecting_r2, max_transmission_distance
+from .cavity import BRANCHES, connecting_r2, r1_range_for_distance
 from .columns import (
-    REACH_OK,
-    REACH_UNBOUNDED,
     beam_column,
     beam_radii_columns,
     connecting_r2_columns,
@@ -38,10 +36,9 @@ from .columns import (
 )
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset
-from .errors import EmptyResultError, ResbeamError, UnboundedStableRangeError, UnknownFigureError
+from .errors import UnknownFigureError
 from .powerchain import (
     SystemParams,
-    _bisect,
     calibrate_aperture,
     gain_to_beam_coefficient,
     required_input_power,
@@ -111,7 +108,7 @@ def _tabulate(xs, x_col, value_cols, rules: dict[str, Rule], provenance, join=Fa
     return Dataset(columns, flags, provenance)
 
 
-# Column helpers shared by sweeps, figures and the R1 design search
+# Column helpers shared by sweeps, figures and the R1 design grid
 
 # flag of each reach status, indexed by REACH_OK, REACH_NO_STABLE_REGION, REACH_UNBOUNDED
 _REACH_FLAGS = np.array(["", "no-stable-region", "unbounded"], dtype=object)
@@ -165,16 +162,11 @@ def _distance_rule(p: SystemParams, values_at: Callable[[np.ndarray], tuple]) ->
     return rule
 
 
-def _connected(l: float, f: float, r1: np.ndarray, branch: str):
-    """(r2, solvable, reach) of the connected-branch designs along an R1 column."""
-    r2, solvable = connecting_r2_columns(l, f, r1, branch)
-    return r2, solvable, max_distance_columns(l, f, r1, r2)
-
-
 def _design_columns(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
     """R1 -> (R2, d_max, contiguous)[keep] of the connected-branch designs."""
     def rule(r1):
-        r2, solvable, reach = _connected(l, f, r1, branch)
+        r2, solvable = connecting_r2_columns(l, f, r1, branch)
+        reach = max_distance_columns(l, f, r1, r2)
         values = (r2, reach.d_max, reach.contiguous.astype(float))[keep]
         return _masked(solvable, values), np.where(
             solvable, _REACH_FLAGS[reach.status], "no-solution").tolist()
@@ -268,53 +260,6 @@ def max_distance_vs_r1(
     prov |= {"l": repr(l), "f": repr(f)}
     return _tabulate(grid, "R1_m", ("R2_m", "d_max_m", "contiguous"),
                      {"": _design_columns(l, f, branch)}, prov)
-
-
-_R1_SCAN_POINTS = 200
-_R1_RESOLUTION = 1e-3
-
-
-def r1_range_for_distance(
-    target_d: float, l: float, f: float, branch: str, search_interval: tuple[float, float]
-) -> list[tuple[float, float]]:
-    """Maximal R1 subintervals whose connected-branch design reaches target_d.
-
-    One column scan of 200 points over the search interval, then a scalar
-    bisection of every edge down to 1 mm of R1.
-
-    Raises EmptyResultError when no R1 in the interval qualifies.
-    """
-    if not math.isfinite(target_d):
-        raise ValueError(f"target_d must be finite, got {target_d}")
-    lo, hi = search_interval
-    if not lo < hi:
-        raise ValueError(f"invalid search interval {search_interval}")
-
-    def reaches(r1: float) -> bool:
-        # as the scan below reads a status: unbounded reaches, a design error does not
-        try:
-            geom = CavityGeometry(l, f, r1, connecting_r2(l, f, r1, branch))
-            return max_transmission_distance(geom).d_max >= target_d
-        except UnboundedStableRangeError:
-            return True
-        except ResbeamError:
-            return False
-
-    grid = np.linspace(lo, hi, _R1_SCAN_POINTS)
-    _, solvable, reach = _connected(l, f, grid, branch)
-    hits = solvable & ((reach.status == REACH_UNBOUNDED)
-                       | ((reach.status == REACH_OK) & (reach.d_max >= target_d)))
-    # every flip of the predicate between grid neighbours is an interval edge
-    edges = [_bisect(lambda r1, hit=bool(hits[i]): reaches(r1) == hit,
-                     float(grid[i]), float(grid[i + 1]), _R1_RESOLUTION)
-             for i in np.flatnonzero(hits[1:] != hits[:-1])]
-    first, last = float(grid[0]), float(grid[-1])
-    bounds = ([first] if hits[0] else []) + edges + ([last] if hits[-1] else [])
-    if not bounds:
-        raise EmptyResultError(
-            f"no R1 in [{lo}, {hi}] reaches {target_d} m on the {branch} branch"
-        )
-    return list(zip(bounds[::2], bounds[1::2]))
 
 
 # ---------------------------------------------------------------------------

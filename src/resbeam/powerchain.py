@@ -260,28 +260,19 @@ def required_input_power(target_p_out: float, d: float, params: SystemParams) ->
     return (target_p_out - params.pv.a1 * params.gain.c - params.pv.b1) / slope
 
 
-def _bisect(holds, a: float, b: float, width: float) -> float:
-    """Midpoint of [a, b] shrunk to `width`, keeping holds(a) true and holds(b) false."""
-    while b - a > width:
-        m = 0.5 * (a + b)
-        if holds(m):
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
 def calibrate_aperture(
     d: float, p_stored: float, eta_trans_target: float, params: SystemParams
 ) -> float:
     """Aperture radius at which eta_trans(p_stored, d) hits the target.
 
-    delta00 falls monotonically with aperture radius, so f(d) and eta_trans
-    rise monotonically toward the delta00 = 0 ceiling; the target is found by
-    bisection (|result error| < 1e-12 m, efficiency within 1e-6).
+    The algebraic inverse of the forward model, exact to rounding: the target
+    needs the slope f* = eta - c/p_stored, which coefficient_at_loss gives at
+    the loss delta* = 2*(1-R)*m / ((1+R)*f*) + ln R, which the TEM00 loss
+    exp(-2*pi*a^2/(lambda*(l+d))) gives at a = sqrt(-ln(delta*)*lambda*(l+d)/(2*pi)).
 
-    Raises InfeasibleTargetError when the target is above that ceiling (or
-    below the closed-down floor at a = 0).
+    Raises InfeasibleTargetError when the target is above the zero-loss
+    ceiling, below the closed-down floor at a = 0, or not reachable by any
+    aperture up to 1 m.
     """
     if not (p_stored > 0 and math.isfinite(p_stored)):
         raise ValueError(f"p_stored must be finite and > 0, got {p_stored}")
@@ -295,25 +286,17 @@ def calibrate_aperture(
         raise InfeasibleTargetError(
             f"target {eta_trans_target} exceeds the zero-loss ceiling {ceiling:.6f}"
         )
-
-    def gap(a: float) -> float:
-        # the aperture is the unknown, so each step takes the slope at its loss
-        # rather than building a bundle
-        fd = coefficient_at_loss(fundamental_loss_vs_distance(a, wavelength, l, d), gain)
-        return beam_at(p_stored, fd, gain) / p_stored - eta_trans_target
-
-    g0 = gap(0.0)
-    if g0 == 0.0:
+    floor = beam_at(p_stored, coefficient_at_loss(1.0, gain), gain) / p_stored  # a = 0: loss 1
+    if eta_trans_target == floor:
         return 0.0
-    if g0 > 0.0:
-        raise InfeasibleTargetError(
-            f"target {eta_trans_target} is below the closed-aperture floor"
-        )
-    hi = math.sqrt(60.0 * wavelength * (l + d) / (2.0 * math.pi))
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1.0:  # 1 m aperture: numerically identical to the ceiling
-            raise InfeasibleTargetError(
-                f"target {eta_trans_target} is not reachable by any aperture"
-            )
-    return _bisect(lambda a: gap(a) < 0.0, 0.0, hi, 1e-12)
+    if eta_trans_target < floor:
+        raise InfeasibleTargetError(f"target {eta_trans_target} is below the closed-aperture floor")
+    r = gain.r_out
+    slope = eta_trans_target - gain.c / p_stored
+    delta = 2.0 * (1.0 - r) * gain.m_overlap / ((1.0 + r) * slope) + math.log(r)
+    if delta > 0.0:
+        # just above the floor, rounding can put delta a hair above 1
+        a = math.sqrt(max(0.0, -math.log(delta)) * wavelength * (l + d) / (2.0 * math.pi))
+        if a <= 1.0:  # past a 1 m aperture the efficiency is the ceiling to rounding
+            return a
+    raise InfeasibleTargetError(f"target {eta_trans_target} is not reachable by any aperture")

@@ -3,10 +3,10 @@
 Everything here recomputes physics through a different route than the
 production code: mode radii via the complex-beam-parameter fixed point of
 explicitly composed ray matrices, the stability test via the trace of the
-round-trip ray matrix, stable ranges via pointwise scanning,
-calibration targets via direct algebraic inversion, mode diffraction loss
-via adaptive quadrature of the radial intensity, and dataset CSV cells one
-value at a time.
+round-trip ray matrix, stable ranges via pointwise scanning, R1 design
+ranges via a dense R1 scan, calibration targets via direct algebraic
+inversion, mode diffraction loss via adaptive quadrature of the radial
+intensity, and dataset CSV cells one value at a time.
 """
 
 from __future__ import annotations
@@ -113,6 +113,47 @@ def scan_transitions(mask, d_grid):
     """Distances where a stability mask flips, located between samples."""
     flips = np.flatnonzero(np.diff(mask.astype(np.int8)))
     return [0.5 * (d_grid[i] + d_grid[i + 1]) for i in flips]
+
+
+def scan_r1_range(target, l, f, branch, lo, hi, points=20001):
+    """R1 runs whose connected-branch design reaches target, from a dense R1 scan.
+
+    The grid spans [lo, hi] and skips the single points without a design,
+    R1 = 0 and R1 = l - f (where rounding decides the reach of the R1 within a
+    few ULPs).  Each row takes its r2 from 1/r2 = s*c0*(1/f + c0/r1), reads
+    the affine g coefficients off the defining formulas at d = 0 and d = 1,
+    and reaches when some distance past the target is stable: a midpoint
+    between the target, the later roots of g1 = 0, g2 = 0 and g1*g2 = 1, and
+    two points beyond them.  Returns the (first, last) grid point of every
+    reaching run.
+    """
+    r1 = np.linspace(lo, hi, points)
+    r1 = r1[(r1 != 0.0) & (np.abs(r1 - (l - f)) > 1e-12)][:, None]
+    phi = _inv(f)
+    c0 = 1.0 - l * phi
+    inv_r2 = (1.0 if branch == "origin" else -1.0) * c0 * (phi + c0 / r1)
+
+    def g(d):
+        L = l + d - l * d * phi
+        return 1.0 - d * phi - L / r1, 1.0 - l * phi - L * inv_r2
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        (a1, a2), (e1, e2) = g(0.0), g(1.0)
+        b1, b2 = e1 - a1, e2 - a2
+        qa, qb, qc = b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0
+        sq = np.sqrt(qb * qb - 4.0 * qa * qc)
+        roots = np.hstack([-a1 / b1, -a2 / b2, (-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)])
+    later = np.where(np.isfinite(roots) & (roots > target), roots, target)
+    pts = np.sort(np.hstack([np.full_like(r1, target), later]), axis=1)
+    pts = np.hstack([pts, pts[:, -1:] + 1.0, pts[:, -1:] + 2.0])
+    g1, g2 = g(0.5 * (pts[:, 1:] + pts[:, :-1]))
+    gg = g1 * g2
+    reach = ((gg > 0.0) & (gg < 1.0)).any(axis=1)
+    r1 = r1[:, 0]
+    flips = np.flatnonzero(np.diff(reach.astype(np.int8)))
+    starts = [0] * bool(reach[0]) + [i + 1 for i in flips if reach[i + 1]]
+    ends = [i for i in flips if reach[i]] + [len(r1) - 1] * bool(reach[-1])
+    return [(float(r1[i]), float(r1[j])) for i, j in zip(starts, ends)]
 
 
 def aperture_for_coefficient(target_f, d, r_out, m_overlap, c_unused, wavelength, l):

@@ -194,6 +194,7 @@ SCALAR_COMMANDS = {
     "thresholds": ["thresholds"],
     "required-pin": ["design", "required-pin", "--pout", "1W"],
     "calibrate": ["calibrate", "--pstored", "30W", "--eta", "0.61"],
+    "r1-range": ["design", "r1-range", "--target-d", "5m"],
 }
 START_UPS = {"import-resbeam": "import resbeam", "import-resbeam.cli": "import resbeam.cli"} | {
     name: f"import resbeam.cli; assert resbeam.cli.main({argv!r}) == 0"
@@ -299,6 +300,16 @@ def test_wrong_unit_names_the_flag(capsys, argv, key):
     rec = json.loads(out)
     assert rec["error"] == "UnitError"
     assert rec["message"] == f"{key}: expected a length, got watts"
+
+
+@pytest.mark.parametrize("flag", ["--search-from", "--search-to"])
+def test_flat_search_bound_is_a_domain_error(capsys, flag):
+    code = main(["design", "r1-range", "--target-d", "5m", flag, "flat"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    rec = json.loads(captured.out)
+    assert rec["error"] == "UnitError"
+    assert rec["message"] == f"{flag[2:].replace('-', '_')}: must be finite, got inf"
 
 
 @pytest.mark.parametrize("flags, key", [

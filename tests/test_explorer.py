@@ -3,13 +3,15 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import resbeam.cavity
+import resbeam.columns
 import resbeam.explorer
 
 from resbeam import (
@@ -28,8 +30,10 @@ from resbeam import (
     UnreachableTargetError,
     beam_power,
     calibrate_aperture,
+    connecting_r2,
     emit_dataset,
     end_to_end,
+    g_parameters,
     max_distance_vs_r1,
     is_stable,
     r1_range_for_distance,
@@ -41,6 +45,8 @@ from resbeam import (
     thresholds,
     transmission_efficiency,
 )
+
+from resbeam.defaults import DEFAULT_APERTURE
 
 import oracles
 
@@ -344,7 +350,7 @@ class TestCalibrateAperture:
             calibrate_aperture(1.0, 30.0, 0.99, default_params)
 
     def test_nan_target_is_rejected(self, default_params):
-        # no comparison with NaN fires, so an unchecked target bisects down to a = 0
+        # no comparison with NaN fires, so an unchecked target slips past every range check
         with pytest.raises(ValueError):
             calibrate_aperture(1.0, 30.0, math.nan, default_params)
 
@@ -352,6 +358,31 @@ class TestCalibrateAperture:
         p = default_params
         floor = transmission_efficiency(30.0, 1.0, replace(p, aperture_radius=0.0))
         assert calibrate_aperture(1.0, 30.0, floor, p) == 0.0
+
+    def test_reference_gives_the_default_aperture(self, default_params):
+        a = calibrate_aperture(1.0, 30.0, 0.61, default_params)
+        assert a == pytest.approx(DEFAULT_APERTURE, rel=1e-15)
+
+    def test_one_ulp_below_the_ceiling_is_infeasible(self, default_params):
+        # the needed loss rounds to 0 here, which no finite aperture gives
+        g = default_params.gain
+        ceiling = 2 * (1 - g.r_out) * g.m_overlap / ((1 + g.r_out) * -math.log(g.r_out)) + g.c / 30.0
+        with pytest.raises(InfeasibleTargetError, match="not reachable by any aperture"):
+            calibrate_aperture(1.0, 30.0, math.nextafter(ceiling, 0.0), default_params)
+
+    @given(d=st.floats(0.0, 10.0), p_stored=st.floats(5.0, 80.0), share=st.floats(0.0, 0.99),
+           r_out=st.floats(0.5, 0.99), c=st.floats(-10.0, 2.0), wavelength=st.floats(5e-7, 2e-6))
+    def test_round_trip_through_the_forward_model(self, d, p_stored, share, r_out, c, wavelength):
+        p = replace(REF, gain=replace(REF.gain, r_out=r_out, c=c), wavelength=wavelength)
+        assume(is_stable(p.geometry, d))
+        # floor and ceiling of the efficiency: a closed aperture and a 1 m one
+        floor, ceiling = (transmission_efficiency(p_stored, d, replace(p, aperture_radius=a))
+                          for a in (0.0, 1.0))
+        assume(ceiling > floor)  # else every aperture leaves the beam below threshold
+        target = floor + share * (ceiling - floor)
+        a = calibrate_aperture(d, p_stored, target, p)
+        got = transmission_efficiency(p_stored, d, replace(p, aperture_radius=a))
+        assert got == pytest.approx(target, abs=1e-9)
 
 
 class TestMaxDistanceVsR1:
@@ -412,14 +443,97 @@ class TestR1RangeForDistance:
             with pytest.raises(ValueError, match="target_d must be finite"):
                 r1_range_for_distance(bad, 0.06, 0.88, "origin", (-1.5, -0.5))
 
-    def test_one_column_scan_then_scalar_edges(self, monkeypatch):
-        # an edge is refined one R1 at a time, so it stays on the scalar kernels
-        calls = []
-        scan = resbeam.explorer.max_distance_columns
-        monkeypatch.setattr(resbeam.explorer, "max_distance_columns",
-                            lambda *args: calls.append(args) or scan(*args))
+    def test_runs_no_column_kernel(self, monkeypatch):
+        # the edges are closed-form roots, classified one scalar reach per gap
+        def column_call(*args):
+            raise AssertionError("column kernel called")
+
+        for module in (resbeam.columns, resbeam.explorer):
+            for name in ("max_distance_columns", "connecting_r2_columns"):
+                monkeypatch.setattr(module, name, column_call)
         assert len(r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5))) == 1
-        assert len(calls) == 1
+        assert resbeam.explorer.r1_range_for_distance is resbeam.cavity.r1_range_for_distance
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["search_from", "search_to"])
+    def test_non_finite_search_bound_names_it(self, key, bad):
+        window = (bad, -0.5) if key == "search_from" else (-1.5, bad)
+        with pytest.raises(UnitError) as err:
+            r1_range_for_distance(5.0, 0.06, 0.88, "origin", window)
+        assert err.value.key == key
+
+    def test_edges_are_exact_boundaries(self):
+        # at each inner edge the target distance is a stability boundary of the design
+        for branch in BRANCHES:
+            for lo, hi in r1_range_for_distance(3.0, 0.06, 0.88, branch, (-1.5, -0.5)):
+                for r1 in {lo, hi} - {-1.5, -0.5}:
+                    g = CavityGeometry(0.06, 0.88, r1, connecting_r2(0.06, 0.88, r1, branch))
+                    der = g_parameters(g, 3.0)
+                    gg = der.g1 * der.g2
+                    assert min(abs(der.g1), abs(der.g2), abs(gg - 1.0)) < 1e-12
+
+
+R1_SCAN_POINTS = 20001
+
+
+@st.composite
+def r1_searches(draw):
+    """(target, l, f, branch, window): windows inside [-2, -0.2], across l - f, or across 0."""
+    l, f = draw(st.floats(0.03, 0.12)), draw(st.floats(0.3, 2.0))
+    target, branch = draw(st.floats(0.5, 14.0)), draw(st.sampled_from(BRANCHES))
+    kind = draw(st.sampled_from(["inside", "across l - f", "across 0"]))
+    if kind == "inside":
+        lo, hi = sorted((draw(st.floats(-2.0, -0.2)), draw(st.floats(-2.0, -0.2))))
+    elif kind == "across l - f":
+        lo, hi = draw(st.floats(-2.0, l - f)), draw(st.floats(l - f, max(l - f, -0.2)))
+    else:
+        lo, hi = draw(st.floats(-2.0, -0.2)), draw(st.floats(0.2, 2.0))
+    assume(hi - lo > 0.01)
+    return target, l, f, branch, (lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r1_searches())
+@example((5.0, 0.06, 0.88, "origin", (-1.5, -0.5)))
+@example((2.0, 0.06, 0.88, "tangent", (-1.5, -0.5)))  # reaches on both sides of l - f
+@example((0.5, 0.06, 0.88, "tangent", (-2.0, 2.0)))  # two intervals, R1 = 0 between
+def test_r1_range_matches_a_dense_scan(search):
+    target, l, f, branch, (lo, hi) = search
+    try:
+        got = r1_range_for_distance(target, l, f, branch, (lo, hi))
+    except EmptyResultError:
+        got = []
+    step = (hi - lo) / (R1_SCAN_POINTS - 1)
+    # a feature narrower than the grid may fall between its points
+    assume(all(b - a > 2.0 * step for a, b in got))
+    assume(all(c - b > 2.0 * step for (_, b), (c, _) in zip(got, got[1:])))
+    want = oracles.scan_r1_range(target, l, f, branch, lo, hi, R1_SCAN_POINTS)
+    assert len(got) == len(want)
+    for edges, grid_edges in zip(got, want):
+        assert all(abs(x - y) <= 1.001 * step for x, y in zip(edges, grid_edges))
+
+
+@given(l=st.floats(0.03, 0.12), f=st.floats(0.3, 2.0),
+       r1=st.one_of(st.floats(-2.0, -0.2), st.floats(0.2, 2.0)))
+def test_connected_branches_never_merge_two_d_boundaries(l, f, r1):
+    # in exact arithmetic, so R1 edges need no discriminant candidates: on the
+    # origin branch the roots of g1 = 0 and g2 = 0 always coincide, and on the
+    # tangent branch g1*g2 = 1 always has a double root in d
+    l, f, r1 = Fraction(l), Fraction(f), Fraction(r1)
+    c0 = 1 - l / f
+    den = 1 / f + c0 / r1
+    assume(c0 != 0 and den != 0)
+    for sign in (1, -1):
+        def g(d):
+            L = l + d - l * d / f
+            return 1 - d / f - L / r1, 1 - l / f - L * sign * c0 * den
+
+        (a1, a2), (e1, e2) = g(0), g(1)
+        b1, b2 = e1 - a1, e2 - a2
+        if sign == 1:
+            assert a1 * b2 - a2 * b1 == 0
+        else:
+            assert (a1 * b2 + a2 * b1) ** 2 - 4 * b1 * b2 * (a1 * a2 - 1) == 0
 
 
 class TestReproduceFigure:

@@ -194,9 +194,9 @@ def _connecting(l, f, r1, branch):
 
 
 def _g_at(geom: CavityGeometry, d: float):
-    """_g_terms of the geometry at one distance d >= 0."""
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+    """_g_terms of the geometry at one finite distance d >= 0."""
+    if not 0.0 <= d < math.inf:
+        raise ValueError(f"d must be finite and >= 0, got {d}")
     return _g_terms(geom.l, geom.f, geom.r1, geom.r2, d)
 
 

@@ -24,7 +24,7 @@ from .cavity import (
     stable_distance_intervals,
 )
 from .config import SWEEP_VARIABLES, RunConfig, load_config, override, provenance_for, read_value
-from .errors import ResbeamError, UnstableConfigurationError
+from .errors import ResbeamError
 from .powerchain import (
     SystemParams,
     calibrate_aperture,
@@ -134,7 +134,7 @@ def _load(args) -> RunConfig:
 
 
 def _print_record(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_dataset(ds, cfg: RunConfig) -> None:
@@ -163,11 +163,8 @@ def _cmd_stability(args, cfg: RunConfig, params: SystemParams) -> dict:
         "radii": None,
     }
     if stable:
-        try:
-            r = beam_radii(geom, cfg.d, cfg.wavelength)
-            record["radii"] = {"w_gain": r.w_gain, "w_m1": r.w_m1, "w_m2": r.w_m2}
-        except UnstableConfigurationError:
-            pass
+        r = beam_radii(geom, cfg.d, cfg.wavelength)
+        record["radii"] = {"w_gain": r.w_gain, "w_m1": r.w_m1, "w_m2": r.w_m2}
     return record
 
 

@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass, fields, replace
 
-from . import defaults as dflt
 from .cavity import FLAT, CavityGeometry
 from .errors import ParseError, UnitError
 from .powerchain import GainParams, PvParams, SystemParams
@@ -41,7 +40,7 @@ _UNITS = {
     "d": _LENGTH, "a": _LENGTH, "wavelength": _LENGTH, "c": _POWER, "b1": _POWER,
     "sweep_from": _SPAN, "sweep_to": _SPAN,
     "pin": _POWER, "pout": _POWER, "pstored": _POWER, "d_limit": _LENGTH, "target_d": _LENGTH,
-    "search_from": _LENGTH_OR_FLAT, "search_to": _LENGTH_OR_FLAT,
+    "search_from": _LENGTH, "search_to": _LENGTH,
 }
 
 
@@ -69,23 +68,33 @@ def parse_quantity(token: str, key: str) -> float:
     return value * scales[suffix]
 
 
+_P_IN = 100.0  # W, the reference drive of every bundle a config builds; no key sets it
+
+# The reference link.  Transmitter: 808 nm diode side-pumped Nd:YAG rod lasing
+# at 1064 nm, with a measured thermal-lens focal length of 880 mm and a 60 mm
+# transmitter size.  Receiver: an R = 0.88 output mirror behind a photovoltaic
+# panel fitted by p_pv = 0.3487*p_beam - 1.535 W at its maximum power point.
 @dataclass(frozen=True)
 class RunConfig:
     """Validated physical parameters plus sweep and output settings."""
 
-    l: float = dflt.DEFAULT_L
-    f: float = dflt.DEFAULT_F
-    r1: float = dflt.DEFAULT_R1
-    r2: float = dflt.DEFAULT_R2
-    d: float = dflt.DEFAULT_D
-    a: float = dflt.DEFAULT_APERTURE
-    wavelength: float = dflt.DEFAULT_WAVELENGTH
-    eta_stored: float = dflt.DEFAULT_ETA_STORED
-    m_overlap: float = dflt.DEFAULT_M_OVERLAP
-    c: float = dflt.DEFAULT_C
-    r_out: float = dflt.DEFAULT_R_OUT
-    a1: float = dflt.DEFAULT_A1
-    b1: float = dflt.DEFAULT_B1
+    l: float = 0.06             # m, gain medium to M1
+    f: float = 0.88             # m, thermal lens focal length
+    r1: float = -1.0            # m, signed curvature of M1
+    # Through-origin receiver curvature 1/(c0*(1/f + c0/r1)) for l, f and r1
+    # above; the stable distance range is then contiguous up to ~10.43 m.
+    r2: float = 5.246612466124661
+    d: float = 1.0              # m, transmission distance
+    # Effective aperture radius (m), never measured directly: calibrated so that
+    # eta_trans(d = 1 m, p_stored = 30 W) = 0.61, which pins f(1 m) = 0.798.
+    a: float = 7.855301511370797e-4
+    wavelength: float = 1.064e-6
+    eta_stored: float = 0.2849
+    m_overlap: float = 1.0
+    c: float = -5.64            # W
+    r_out: float = 0.88
+    a1: float = 0.3487
+    b1: float = -1.535          # W
     sweep_var: str = "d"
     sweep_from: float = 0.1
     sweep_to: float = 10.0
@@ -112,7 +121,7 @@ class RunConfig:
                     if (key := _RENAMED.get(f.name, f.name)) in _DEFAULTS}
 
         parts = {slot: part(**take(part)) for slot, part in _PARTS.items()}
-        return SystemParams(**parts, **take(SystemParams))
+        return SystemParams(**parts, **take(SystemParams), p_in=_P_IN)
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}  # config key -> default
@@ -135,7 +144,7 @@ def provenance_for(params: SystemParams, **extra) -> dict[str, str]:
 
 
 def reference_defaults() -> SystemParams:
-    """The reference configuration (see :mod:`resbeam.defaults`)."""
+    """The reference link: the bundle of RunConfig's defaults."""
     return RunConfig().system_params()
 
 

@@ -16,7 +16,7 @@ class Dataset:
 
     Flags are short tokens ("" for clean rows); rows that could not be
     evaluated carry zeros in the numeric columns and a nonempty flag, never
-    NaN.  Provenance holds the full effective parameter set of the run.
+    NaN or inf.  Provenance holds the full effective parameter set of the run.
     """
 
     columns: dict[str, np.ndarray]
@@ -34,8 +34,8 @@ class Dataset:
         if len(self.flags) != n:
             raise ValueError(f"{len(self.flags)} flags for {n} rows")
         for name, col in self.columns.items():
-            if np.isnan(col).any():
-                raise ValueError(f"column {name} contains NaN; flag the row instead")
+            if not np.isfinite(col).all():
+                raise ValueError(f"column {name} contains NaN or inf; flag the row instead")
 
     @property
     def n_rows(self) -> int:
@@ -46,7 +46,7 @@ class Dataset:
 
 
 def _csv_cells(col: np.ndarray) -> list[str]:
-    """9-significant-digit cells; -0.0 prints as 0, infinities as inf/-inf."""
+    """9-significant-digit cells; -0.0 prints as 0."""
     # '%.9g' % x is format(x, '.9g'), a little faster
     return ["0" if x == 0 else "%.9g" % x for x in col.tolist()]
 
@@ -71,4 +71,4 @@ def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
         "columns": {k: v.tolist() for k, v in ds.columns.items()},
         "flag": list(ds.flags),
     }
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+    return (json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")

@@ -57,7 +57,7 @@ def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -
     Parameters
     ----------
     m, n : int
-        Azimuthal and radial mode indices, each in [0, MAX_MODE_ORDER] (40).
+        Azimuthal and radial mode indices, each an integer in [0, MAX_MODE_ORDER] (40).
     aperture_radius : float
         Aperture radius in meters, finite and >= 0.
     spot : float
@@ -73,10 +73,11 @@ def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -
         exp(-y), which floor((m + 2n)/2) + 1 Gauss-Laguerre nodes integrate
         exactly.  Every term is nonnegative, so nothing cancels.
     """
-    if not (0 <= m <= MAX_MODE_ORDER and 0 <= n <= MAX_MODE_ORDER):
+    if not (0 <= m <= MAX_MODE_ORDER and 0 <= n <= MAX_MODE_ORDER and m % 1 == n % 1 == 0):
         raise ValueError(
-            f"mode orders must be in [0, {MAX_MODE_ORDER}], got m={m}, n={n}"
+            f"mode orders must be integers in [0, {MAX_MODE_ORDER}], got m={m}, n={n}"
         )
+    m, n = int(m), int(n)
     if not (spot > 0 and math.isfinite(spot)):
         raise ValueError(f"spot must be finite and > 0, got {spot}")
     if not (aperture_radius >= 0 and math.isfinite(aperture_radius)):
@@ -105,10 +106,10 @@ def fundamental_loss_vs_distance(
     aperture_radius: float, wavelength: float, l: float, d: float
 ) -> float:
     """Distance-dependent TEM00 diffraction loss exp(-2*pi*a^2/(lambda*(l+d)))."""
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
-    if not l + d > 0:
-        raise ValueError(f"l + d must be > 0, got {l + d}")
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
+    if not 0.0 < l + d < math.inf:
+        raise ValueError(f"l + d must be finite and > 0, got {l + d}")
     if not (aperture_radius >= 0 and math.isfinite(aperture_radius)):
         raise ValueError(f"aperture_radius must be finite and >= 0, got {aperture_radius}")
     return math.exp(_tem00_exponent(aperture_radius, wavelength, l, d))

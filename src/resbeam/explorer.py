@@ -58,17 +58,23 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or not grid.size:
-            raise ValueError("grid must be a nonempty sequence of numbers")
-        signed = self.variable == "R1"
-        bad = ~np.isfinite(grid) if signed else ~((grid >= 0) & np.isfinite(grid))
-        if bad.any():
-            i = int(np.argmax(bad))
-            rule = "finite" if signed else "finite and >= 0"
-            raise ValueError(f"grid of {self.variable} must be {rule}, got {grid[i]} at index {i}")
+        grid = _checked_grid(self.variable, self.grid)
         if (np.diff(grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
+
+
+def _checked_grid(variable: str, points) -> np.ndarray:
+    """The points as a nonempty float column, each finite, and >= 0 but for R1."""
+    grid = np.asarray(points, dtype=float)
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError("grid must be a nonempty sequence of numbers")
+    signed = variable == "R1"
+    bad = ~np.isfinite(grid) if signed else ~((grid >= 0) & np.isfinite(grid))
+    if bad.any():
+        i = int(np.argmax(bad))
+        rule = "finite" if signed else "finite and >= 0"
+        raise ValueError(f"grid of {variable} must be {rule}, got {grid[i]} at index {i}")
+    return grid
 
 
 # A column rule maps the grid column to (value columns, flags): arrays that
@@ -90,7 +96,8 @@ def _tabulate(xs, x_col, value_cols, rules: dict[str, Rule], provenance, join=Fa
 
     ``rules`` maps a series tag to its rule; each series fills its own tagged
     copy of ``value_cols``.  When several series flag a row, ``join`` joins
-    ``tag:flag`` tokens with ';'; otherwise the first nonempty flag wins.
+    ``tag:flag`` tokens with ';'; otherwise the first nonempty flag wins.  A row
+    with a value that overflowed to +-inf reads zero, flagged ``overflow``.
     """
     n = len(xs)
     columns = {x_col: xs}
@@ -105,6 +112,10 @@ def _tabulate(xs, x_col, value_cols, rules: dict[str, Rule], provenance, join=Fa
             flags = marks
         else:
             flags = [f"{a};{m}" if a and m and join else a or m for a, m in zip(flags, marks)]
+    finite = np.logical_and.reduce([np.isfinite(v) for v in columns.values()])
+    if not finite.all():
+        columns = {k: v if k == x_col else np.where(finite, v, 0.0) for k, v in columns.items()}
+        flags = [m if ok else "overflow" for m, ok in zip(flags, finite.tolist())]
     return Dataset(columns, flags, provenance)
 
 
@@ -250,12 +261,11 @@ def max_distance_vs_r1(
     """Solve connecting_r2 then max_transmission_distance along an R1 grid.
 
     Rows where no branch solution or no stable region exists carry zeros and
-    a flag instead of aborting the sweep; an invalid l, f or branch raises.
+    a flag instead of aborting the sweep; an invalid l, f or branch, or a
+    non-finite R1, raises.
     """
     base = params if params is not None else reference_defaults()
-    grid = np.fromiter(r1_grid, dtype=float)
-    if not len(grid):
-        raise ValueError("r1_grid must be nonempty")
+    grid = _checked_grid("R1", np.fromiter(r1_grid, dtype=float))
     prov = provenance_for(base, variable="R1", branch=branch, points=len(grid))
     prov |= {"l": repr(l), "f": repr(f)}
     return _tabulate(grid, "R1_m", ("R2_m", "d_max_m", "contiguous"),

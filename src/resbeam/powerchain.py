@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from . import defaults as dflt
 from .cavity import CavityGeometry, is_stable
 from .diffraction import fundamental_loss_vs_distance
 from .errors import (
@@ -47,9 +46,9 @@ class GainParams:
     """
 
     eta_stored: float
-    m_overlap: float = dflt.DEFAULT_M_OVERLAP
-    c: float = dflt.DEFAULT_C
-    r_out: float = dflt.DEFAULT_R_OUT
+    m_overlap: float
+    c: float
+    r_out: float
 
     def __post_init__(self):
         m = self.m_overlap
@@ -80,8 +79,8 @@ class SystemParams:
     pv: PvParams
     aperture_radius: float
     wavelength: float
-    d: float = dflt.DEFAULT_D
-    p_in: float = 100.0
+    d: float
+    p_in: float
 
     def __post_init__(self):
         for key, v in (("a", self.aperture_radius), ("d", self.d), ("p_in", self.p_in)):
@@ -270,9 +269,9 @@ def calibrate_aperture(
     the loss delta* = 2*(1-R)*m / ((1+R)*f*) + ln R, which the TEM00 loss
     exp(-2*pi*a^2/(lambda*(l+d))) gives at a = sqrt(-ln(delta*)*lambda*(l+d)/(2*pi)).
 
-    Raises InfeasibleTargetError when the target is above the zero-loss
-    ceiling, below the closed-down floor at a = 0, or not reachable by any
-    aperture up to 1 m.
+    A target equal to the floor, eta_trans at a = 0, gives 0.0.  Raises
+    InfeasibleTargetError when the target is below that floor, above the
+    zero-loss ceiling, or not reachable by any aperture up to 1 m.
     """
     if not (p_stored > 0 and math.isfinite(p_stored)):
         raise ValueError(f"p_stored must be finite and > 0, got {p_stored}")
@@ -281,16 +280,17 @@ def calibrate_aperture(
     if math.isnan(eta_trans_target):
         raise ValueError("eta_trans_target must be a number, got nan")
     gain, wavelength, l = params.gain, params.wavelength, params.l
-    ceiling = coefficient_at_loss(0.0, gain) + gain.c / p_stored
-    if eta_trans_target > ceiling:
-        raise InfeasibleTargetError(
-            f"target {eta_trans_target} exceeds the zero-loss ceiling {ceiling:.6f}"
-        )
+    # floor first: with no beam at any aperture the unclamped ceiling lies below it
     floor = beam_at(p_stored, coefficient_at_loss(1.0, gain), gain) / p_stored  # a = 0: loss 1
     if eta_trans_target == floor:
         return 0.0
     if eta_trans_target < floor:
         raise InfeasibleTargetError(f"target {eta_trans_target} is below the closed-aperture floor")
+    ceiling = coefficient_at_loss(0.0, gain) + gain.c / p_stored
+    if eta_trans_target > ceiling:
+        raise InfeasibleTargetError(
+            f"target {eta_trans_target} exceeds the zero-loss ceiling {ceiling:.6f}"
+        )
     r = gain.r_out
     slope = eta_trans_target - gain.c / p_stored
     delta = 2.0 * (1.0 - r) * gain.m_overlap / ((1.0 + r) * slope) + math.log(r)

@@ -69,6 +69,13 @@ class TestEffectiveLength:
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
             effective_length(geom(), -0.1)
+        # a non-finite d gets the same rule on every kernel, not a False or a NaN record
+        kernels = (effective_length, g_parameters, is_stable,
+                   lambda g, d: beam_radii(g, d, 1.064e-6))
+        for kernel in kernels:
+            for d in (-0.1, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="d must be finite and >= 0"):
+                    kernel(geom(), d)
 
 
 class TestGParameters:

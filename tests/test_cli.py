@@ -1,10 +1,14 @@
+import argparse
 import json
+import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from resbeam.cli import main
+from resbeam import RunConfig, UnitError, cli, config
+from resbeam.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +88,11 @@ class TestPointCommands:
         rec = json.loads(out)
         assert code == 0
         assert rec["aperture_radius"] == pytest.approx(7.855301511370797e-4, rel=1e-6)
+
+    def test_records_never_hold_a_non_standard_constant(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                cli._print_record({"x": bad})
 
 
 class TestDatasets:
@@ -222,7 +231,7 @@ PACKAGE_EXPORTS = """
     ResbeamError RunConfig SWEEP_VARIABLES StabilityLine SweepSpec SystemParams TANGENT Thresholds
     UnboundedStableRangeError UndefinedAtZeroError UnitError UnknownFigureError
     UnreachableTargetError UnstableConfigurationError WrongSignSlopeError associated_laguerre
-    beam_power beam_radii calibrate_aperture cavity config connecting_r2 dataset defaults
+    beam_power beam_radii calibrate_aperture cavity config connecting_r2 dataset
     diffraction effective_length emit_dataset end_to_end errors explorer
     fundamental_loss_vs_distance g_parameters gain_to_beam_coefficient is_stable load_config
     max_distance_vs_r1 max_transmission_distance mode_diffraction_loss parse_config powerchain
@@ -309,7 +318,31 @@ def test_flat_search_bound_is_a_domain_error(capsys, flag):
     assert code == 1 and captured.err == ""
     rec = json.loads(captured.out)
     assert rec["error"] == "UnitError"
-    assert rec["message"] == f"{flag[2:].replace('-', '_')}: must be finite, got inf"
+    assert rec["message"] == f"{flag[2:].replace('-', '_')}: 'flat' is only valid for f, r1, r2"
+
+
+def _option_dests(parser):
+    """The dest of every option of the parser and of all its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_dests(sub)
+        elif action.option_strings:
+            yield action.dest
+
+
+def test_unit_table_names_only_keys_and_flags():
+    names = {f.name for f in fields(RunConfig)} | set(_option_dests(build_parser()))
+    assert set(config._UNITS) <= names
+    # 'flat' is an infinite radius or focal length, and no other value
+    flat = set()
+    for name in names:
+        try:
+            config.parse_quantity("flat", name)
+        except UnitError:
+            continue
+        flat.add(name)
+    assert flat == {"f", "r1", "r2"}
 
 
 @pytest.mark.parametrize("flags, key", [

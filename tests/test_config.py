@@ -13,7 +13,8 @@ from resbeam import (
     reference_defaults,
     render_config,
 )
-from resbeam.defaults import DEFAULT_APERTURE, DEFAULT_R2
+
+REF = RunConfig()  # the reference link
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 OUTSIDE_UNIT = st.floats(max_value=0.0) | st.floats(min_value=1.0) | NON_FINITE
@@ -66,8 +67,8 @@ class TestParseConfig:
         assert cfg.l == 0.06
         assert cfg.f == 0.88
         assert cfg.r1 == -1.0
-        assert cfg.r2 == DEFAULT_R2
-        assert cfg.a == DEFAULT_APERTURE
+        assert cfg.r2 == 5.246612466124661
+        assert cfg.a == 7.855301511370797e-4
         assert cfg.wavelength == 1.064e-6
         assert cfg.eta_stored == 0.2849
         assert cfg.c == -5.64
@@ -158,8 +159,8 @@ class TestRenderRoundTrip:
         assert parse_config(render_config(cfg)) == cfg
 
     def test_full_precision_floats(self):
-        cfg = parse_config(f"a = {DEFAULT_APERTURE!r}\n")
-        assert parse_config(render_config(cfg)).a == DEFAULT_APERTURE
+        cfg = parse_config(f"a = {REF.a!r}\n")
+        assert parse_config(render_config(cfg)).a == REF.a
 
 
 class TestSystemParams:
@@ -168,4 +169,4 @@ class TestSystemParams:
         assert p.geometry.l == 0.06
         assert p.gain.eta_stored == 0.2849
         assert p.pv.b1 == -1.535
-        assert p.aperture_radius == DEFAULT_APERTURE
+        assert p.aperture_radius == REF.a

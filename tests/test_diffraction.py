@@ -92,7 +92,7 @@ class TestModeDiffractionLoss:
                 want = oracles.quadrature_mode_loss(m, n, ratio, 1.0)
                 assert math.isfinite(got)
                 assert abs(got - want) < 1e-10, (m, n, ratio, got, want)
-        for m, n in ((top + 1, 0), (0, top + 1), (-1, 0), (0, -1)):
+        for m, n in ((top + 1, 0), (0, top + 1), (-1, 0), (0, -1), (1.5, 0), (0, 2.5)):
             with pytest.raises(ValueError):
                 mode_diffraction_loss(m, n, 1.0, 1.0)
 
@@ -173,3 +173,7 @@ class TestFundamentalLossVsDistance:
             fundamental_loss_vs_distance(1e-3, 0.0, 0.06, 1.0)
         with pytest.raises(ValueError):
             fundamental_loss_vs_distance(1e-3, 1.064e-6, 0.0, 0.0)
+        # an infinite wavelength or distance would read as no loss at all
+        for wavelength, d in ((math.inf, 1.0), (1.064e-6, math.inf), (1.064e-6, math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                fundamental_loss_vs_distance(1e-3, wavelength, 0.06, d)

@@ -23,6 +23,7 @@ from resbeam import (
     GainParams,
     InfeasibleTargetError,
     PvParams,
+    RunConfig,
     SweepSpec,
     SystemParams,
     UnitError,
@@ -45,8 +46,6 @@ from resbeam import (
     thresholds,
     transmission_efficiency,
 )
-
-from resbeam.defaults import DEFAULT_APERTURE
 
 import oracles
 
@@ -303,6 +302,7 @@ class TestRequiredInputPower:
 )
 @example(r1=-1.0, r2=REF.geometry.r2, d=11.0, c=-5.64, b1=-1.535, p_in=300.0)
 @example(r1=-1.0, r2=3.0, d=5.0, c=2.0, b1=1.0, p_in=100.0)  # in a gap, offsets > 0
+@example(r1=-1.0, r2=REF.geometry.r2, d=0.0, c=0.0, b1=1.0, p_in=2.2250738585e-313)  # overflow
 def test_power_thresholds_sweep_and_required_pin_agree_on_the_beam(r1, r2, d, c, b1, p_in):
     # no resonant beam forms where the cavity is unstable, on any path
     p = replace(REF, geometry=replace(REF.geometry, r1=r1, r2=r2), p_in=p_in,
@@ -319,7 +319,11 @@ def test_power_thresholds_sweep_and_required_pin_agree_on_the_beam(r1, r2, d, c,
                 solve()
     assert state.p_stored == stored_power(p_in, p.gain)
     got = (state.p_beam, state.p_out, eff.eta_trans, eff.eta_all)
-    assert got == tuple(row.column(k)[0] for k in ("P_beam_W", "P_out_W", "eta_trans", "eta_all"))
+    want = tuple(row.column(k)[0] for k in ("P_beam_W", "P_out_W", "eta_trans", "eta_all"))
+    if row.flags[0] == "overflow":  # a ratio past the largest float: the row reads 0
+        assert not all(map(math.isfinite, got)) and want == (0.0,) * 4
+    else:
+        assert got == want
     assert beam_power(state.p_stored, d, p) == state.p_beam
     if state.p_stored > 0:
         assert transmission_efficiency(state.p_stored, d, p) == eff.eta_trans
@@ -359,9 +363,17 @@ class TestCalibrateAperture:
         floor = transmission_efficiency(30.0, 1.0, replace(p, aperture_radius=0.0))
         assert calibrate_aperture(1.0, 30.0, floor, p) == 0.0
 
+    def test_floor_answers_before_the_ceiling(self, default_params):
+        # no aperture lifts this beam over threshold: eta is 0 at every a, and
+        # the unclamped zero-loss ceiling is negative
+        p = replace(default_params, gain=replace(default_params.gain, r_out=0.5, c=-5.0))
+        assert calibrate_aperture(0.0, 5.0, 0.0, p) == 0.0
+        with pytest.raises(InfeasibleTargetError, match="below the closed-aperture floor"):
+            calibrate_aperture(0.0, 5.0, -0.1, p)
+
     def test_reference_gives_the_default_aperture(self, default_params):
         a = calibrate_aperture(1.0, 30.0, 0.61, default_params)
-        assert a == pytest.approx(DEFAULT_APERTURE, rel=1e-15)
+        assert a == pytest.approx(RunConfig().a, rel=1e-15)
 
     def test_one_ulp_below_the_ceiling_is_infeasible(self, default_params):
         # the needed loss rounds to 0 here, which no finite aperture gives
@@ -378,7 +390,6 @@ class TestCalibrateAperture:
         # floor and ceiling of the efficiency: a closed aperture and a 1 m one
         floor, ceiling = (transmission_efficiency(p_stored, d, replace(p, aperture_radius=a))
                           for a in (0.0, 1.0))
-        assume(ceiling > floor)  # else every aperture leaves the beam below threshold
         target = floor + share * (ceiling - floor)
         a = calibrate_aperture(d, p_stored, target, p)
         got = transmission_efficiency(p_stored, d, replace(p, aperture_radius=a))
@@ -404,6 +415,11 @@ class TestMaxDistanceVsR1:
     def test_degenerate_r1_flagged(self):
         ds = max_distance_vs_r1(0.25, 0.5, [-0.25], "origin")
         assert ds.flags[0] == "no-solution"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_r1_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"grid of R1 must be finite, got {bad} at index 1"):
+            max_distance_vs_r1(0.06, 0.88, [-1.0, bad], "origin")
 
 
 # l and f are per-call scalars, so a bad one is an error, not a flag on every row
@@ -679,8 +695,23 @@ class TestDatasetSerialization:
     def test_flagged_rows_never_serialize_nan(self, default_params):
         from resbeam import Dataset
 
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="contains NaN or inf"):
+                Dataset({"x": np.array([1.0, bad])})
+
+    def test_json_never_writes_a_non_standard_constant(self):
+        ds = Dataset({"x": np.array([1.0, 2.0])})
+        ds.columns["x"][1] = math.inf  # past the checks of construction
         with pytest.raises(ValueError):
-            Dataset({"x": np.array([1.0, math.nan])})
+            emit_dataset(ds, "json")
+
+    def test_overflowed_rows_read_zero_flagged(self, default_params):
+        ds = sweep(SweepSpec("R1", (-1.0, -1e-320, 1e-320), default_params))
+        assert ds.flags == ["", "overflow", "overflow"]
+        assert ds.column("R1_m")[1:].tolist() == [-1e-320, 1e-320]
+        for name in ("g1", "g2", "stable", "d_max_m", "contiguous"):
+            assert ds.column(name)[1:].tolist() == [0.0, 0.0]
+        assert ds.column("d_max_m")[0] == pytest.approx(10.428834688346878, rel=1e-12)
 
     def test_rejects_unknown_format(self, default_params):
         ds = sweep(SweepSpec(variable="P_beam", grid=grid(0.0, 30.0, 3), fixed=default_params))
@@ -698,8 +729,8 @@ class TestDatasetSerialization:
         doc = json.loads(emit_dataset(Dataset({"x": np.array([-0.0, 0.0])}), "json"))
         assert [math.copysign(1.0, v) for v in doc["columns"]["x"]] == [-1.0, 1.0]
 
-    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
-    @example([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
               1e300, -1e300, 1e-300, -1e-300, 0.1, 123456789.5, 1e16])
     def test_csv_cells_match_per_cell_reference(self, xs):
         lines = emit_dataset(Dataset({"x": np.array(xs)}), "csv").decode().splitlines()

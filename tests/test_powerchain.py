@@ -46,14 +46,14 @@ def aperture_for(target_f, d=1.0, gain=GAIN):
 class TestParamValidation:
     def test_gain_ranges(self):
         with pytest.raises(ValueError):
-            GainParams(eta_stored=1.5)
+            replace(GAIN, eta_stored=1.5)
         with pytest.raises(ValueError):
-            GainParams(eta_stored=0.3, r_out=1.0)
+            replace(GAIN, r_out=1.0)
         with pytest.raises(ValueError):
-            GainParams(eta_stored=0.3, m_overlap=0.0)
+            replace(GAIN, m_overlap=0.0)
         for c in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
-                GainParams(eta_stored=0.3, c=c)
+                replace(GAIN, c=c)
 
     def test_pv_ranges(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,40 @@
+"""The examples of README.md run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from resbeam import parse_config
+from resbeam.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+# (info string, body) of every fenced code block
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, flags=re.M | re.S)
+
+
+def block(info: str, marker: str) -> str:
+    """The one block of the given info string whose body contains the marker."""
+    (body,) = [body for kind, body in BLOCKS if kind == info and marker in body]
+    return body
+
+
+def test_quickstart_runs():
+    exec(block("python", "import resbeam as rb"), {})
+
+
+def test_every_command_line_exits_zero(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the examples write their --out files here
+    lines = [ln for ln in block("bash", "resbeam stability").splitlines() if ln.strip()]
+    assert len(lines) == 11
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "resbeam"
+        assert main(argv[1:]) == 0, (line, capsys.readouterr().out)
+
+
+def test_configuration_file_parses():
+    cfg = parse_config(block("", "eta_stored = "))
+    assert cfg.a == pytest.approx(7.855301511e-4, rel=1e-15)
+    assert cfg.sweep_var == "d"

@@ -23,8 +23,9 @@ from .cavity import (
     stability_line,
     stable_distance_intervals,
 )
-from .config import SWEEP_VARIABLES, RunConfig, load_config, override, provenance_for, read_value
-from .errors import ResbeamError
+from .config import (SWEEP_VARIABLES, RunConfig, load_config, override, parse_quantity,
+                     provenance_for)
+from .errors import ResbeamError, UnitError
 from .powerchain import (
     SystemParams,
     calibrate_aperture,
@@ -54,22 +55,21 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
-def _command(sub, name: str, help: str, geometry: bool = True, with_d: bool = True):
-    """A subcommand with the common flags and, unless left out, the geometry flags.
+_GEOMETRY = ("l", "f", "r1", "r2")
+_AT_D = (*_GEOMETRY, "d")
 
-    A flag that overrides a config value has that config key as its dest.
+
+def _command(sub, command: str, help: str, handler, keys=_AT_D):
+    """The subparser of `resbeam <command>`, with a flag for each config key its handler reads.
+
+    A flag that overrides a config key has that key as its dest.
     """
-    sp = sub.add_parser(name, help=help)
+    sp = sub.add_parser(command.split()[-1], help=help)
+    sp.set_defaults(handler=handler, command=command)
     sp.add_argument("--config", help="configuration file (key = value lines)")
-    # an empty --out is no override: the config's out_path stays
-    sp.add_argument("--out", dest="out_path", metavar="OUT", type=lambda path: path or None,
-                    help="write output to this path instead of stdout")
-    sp.add_argument("--format", dest="out_format", choices=("csv", "json"),
-                    help="dataset output format")
-    for flag in ("--l", "--f", "--r1", "--r2") if geometry else ():
-        sp.add_argument(flag, help=f"{flag[2:]} with unit suffix (e.g. 60mm, flat)")
-    if geometry and with_d:
-        sp.add_argument("--d", help="transmission distance (e.g. 1m)")
+    for key in keys:
+        sp.add_argument(f"--{key}", help="transmission distance (e.g. 1m)" if key == "d"
+                        else f"{key} with unit suffix (e.g. 60mm, flat)")
     return sp
 
 
@@ -80,56 +80,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    _command(sub, "stability", "point stability evaluation")
+    _command(sub, "stability", "point stability evaluation", _cmd_stability)
 
-    sp = _command(sub, "intervals", "stable transmission-distance intervals", with_d=False)
+    sp = _command(sub, "intervals", "stable transmission-distance intervals", _cmd_intervals,
+                  _GEOMETRY)
     sp.add_argument("--d-limit", default="20", help="search limit (default 20 m)")
 
-    _command(sub, "max-distance", "supremum of the stable distance set", with_d=False)
+    _command(sub, "max-distance", "supremum of the stable distance set", _cmd_max_distance,
+             _GEOMETRY)
 
     sp = _command(sub, "connect-r2", "receiver curvature joining the stability regions",
-                  with_d=False)
+                  _cmd_connect_r2, ("l", "f", "r1"))
     sp.add_argument("--branch", choices=BRANCHES, required=True)
 
-    sp = _command(sub, "power", "full power ladder at one operating point")
+    sp = _command(sub, "power", "full power ladder at one operating point", _cmd_power)
     sp.add_argument("--pin", required=True, help="input electrical power (e.g. 100W)")
 
-    _command(sub, "thresholds", "stored/beam/input power thresholds")
+    _command(sub, "thresholds", "stored/beam/input power thresholds", _cmd_thresholds)
 
-    sp = _command(sub, "sweep", "sweep one variable over a grid")
-    sp.add_argument("--var", dest="sweep_var", choices=SWEEP_VARIABLES,
-                    help="default: config sweep_var")
-    sp.add_argument("--from", dest="sweep_from", help="default: config sweep_from")
-    sp.add_argument("--to", dest="sweep_to", help="default: config sweep_to")
-    sp.add_argument("--points", dest="sweep_points", metavar="POINTS", type=int,
-                    help="default: config sweep_points")
+    sweep = _command(sub, "sweep", "sweep one variable over a grid", _cmd_sweep)
+    sweep.add_argument("--var", dest="sweep_var", choices=SWEEP_VARIABLES, default="d",
+                       help="swept variable (default: d)")
+    sweep.add_argument("--from", dest="sweep_from", default="0.1", help="grid start (default: 0.1)")
+    sweep.add_argument("--to", dest="sweep_to", default="10", help="grid end (default: 10)")
+    sweep.add_argument("--points", dest="sweep_points", metavar="POINTS", type=int, default=200,
+                       help="grid points (default: 200)")
 
     design = sub.add_parser("design", help="inverse design solvers")
-    dsub = design.add_subparsers(dest="design_command", required=True)
+    dsub = design.add_subparsers(required=True)
 
-    sp = _command(dsub, "required-pin", "input power for a target output power")
+    sp = _command(dsub, "design required-pin", "input power for a target output power",
+                  _cmd_required_pin)
     sp.add_argument("--pout", required=True, help="target output power (e.g. 1W)")
 
-    sp = _command(dsub, "r1-range", "R1 interval reaching a target distance", with_d=False)
+    sp = _command(dsub, "design r1-range", "R1 interval reaching a target distance",
+                  _cmd_r1_range, ("l", "f"))
     sp.add_argument("--target-d", required=True, help="required max distance (e.g. 5m)")
     sp.add_argument("--branch", choices=BRANCHES, default="origin")
     sp.add_argument("--search-from", default="-1.5m")
     sp.add_argument("--search-to", default="-0.5m")
 
-    sp = _command(sub, "calibrate", "aperture radius hitting a target efficiency")
+    sp = _command(sub, "calibrate", "aperture radius hitting a target efficiency",
+                  _cmd_calibrate)
     sp.add_argument("--pstored", required=True, help="stored power (e.g. 30W)")
     sp.add_argument("--eta", required=True, help="target stored-to-beam efficiency")
 
-    sp = _command(sub, "reproduce", "emit the dataset behind a study figure", geometry=False)
-    sp.add_argument("--figure", type=int, required=True, help="figure id, 6..13")
+    reproduce = _command(sub, "reproduce", "emit the dataset behind a study figure",
+                         _cmd_reproduce, ())
+    reproduce.add_argument("--figure", type=int, required=True, help="figure id, 6..13")
+
+    for sp in (sweep, reproduce):  # the dataset commands
+        sp.add_argument("--out", help="write the dataset to this path instead of stdout")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv", help="dataset format")
 
     return p
 
 
 def _load(args) -> RunConfig:
     """The config file (or the defaults) with the command-line flags laid over it."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    return override(cfg, **{f.name: read_value(f.name, raw) for f in fields(RunConfig)
+    cfg = load_config(args.config) if args.config else RunConfig()
+    return override(cfg, **{f.name: parse_quantity(raw, f.name) for f in fields(RunConfig)
                             if (raw := getattr(args, f.name, None)) is not None})
 
 
@@ -137,12 +147,12 @@ def _print_record(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _write_dataset(ds, cfg: RunConfig) -> None:
+def _write_dataset(ds, args) -> None:
     from .dataset import emit_dataset
 
-    data = emit_dataset(ds, cfg.out_format)
-    if cfg.out_path:
-        with open(cfg.out_path, "wb") as fh:
+    data = emit_dataset(ds, args.format)
+    if args.out:
+        with open(args.out, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.write(data.decode("utf-8"))
@@ -169,7 +179,7 @@ def _cmd_stability(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_intervals(args, cfg: RunConfig, params: SystemParams) -> dict:
-    d_limit = read_value("d_limit", args.d_limit)
+    d_limit = parse_quantity(args.d_limit, "d_limit")
     ivals = stable_distance_intervals(params.geometry, d_limit)
     return {
         "d_limit": d_limit,
@@ -197,7 +207,7 @@ def _cmd_connect_r2(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_power(args, cfg: RunConfig, params: SystemParams) -> dict:
-    p_in = read_value("pin", args.pin)
+    p_in = parse_quantity(args.pin, "pin")
     state, eff = end_to_end(p_in, cfg.d, params)
     # the record keys are the field names of the power ladder and its efficiencies
     return {"stable": is_stable(params.geometry, cfg.d), **asdict(state), **asdict(eff)}
@@ -213,12 +223,18 @@ def _cmd_sweep(args, cfg: RunConfig, params: SystemParams) -> None:
 
     from .explorer import SweepSpec, sweep
 
-    grid = tuple(float(x) for x in np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.sweep_points))
-    _write_dataset(sweep(SweepSpec(variable=cfg.sweep_var, grid=grid, fixed=params)), cfg)
+    lo = parse_quantity(args.sweep_from, "sweep_from")
+    hi = parse_quantity(args.sweep_to, "sweep_to")
+    if not lo < hi:
+        raise UnitError("sweep_from", "sweep_from must be < sweep_to")
+    if args.sweep_points < 1:
+        raise UnitError("sweep_points", f"must be >= 1, got {args.sweep_points}")
+    grid = tuple(float(x) for x in np.linspace(lo, hi, args.sweep_points))
+    _write_dataset(sweep(SweepSpec(variable=args.sweep_var, grid=grid, fixed=params)), args)
 
 
 def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:
-    target = read_value("pout", args.pout)
+    target = parse_quantity(args.pout, "pout")
     pin = required_input_power(target, cfg.d, params)
     return {
         "p_out_target": target,
@@ -227,9 +243,9 @@ def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_r1_range(args, cfg: RunConfig, params: SystemParams) -> dict:
-    target = read_value("target_d", args.target_d)
-    lo = read_value("search_from", args.search_from)
-    hi = read_value("search_to", args.search_to)
+    target = parse_quantity(args.target_d, "target_d")
+    lo = parse_quantity(args.search_from, "search_from")
+    hi = parse_quantity(args.search_to, "search_to")
     ivals = r1_range_for_distance(target, cfg.l, cfg.f, args.branch, (lo, hi))
     return {
         "branch": args.branch,
@@ -239,8 +255,8 @@ def _cmd_r1_range(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_calibrate(args, cfg: RunConfig, params: SystemParams) -> dict:
-    p_stored = read_value("pstored", args.pstored)
-    eta = read_value("eta", args.eta)
+    p_stored = parse_quantity(args.pstored, "pstored")
+    eta = parse_quantity(args.eta, "eta")
     a = calibrate_aperture(cfg.d, p_stored, eta, params)
     return {
         "aperture_radius": a,
@@ -253,22 +269,7 @@ def _cmd_calibrate(args, cfg: RunConfig, params: SystemParams) -> dict:
 def _cmd_reproduce(args, cfg: RunConfig, params: SystemParams) -> None:
     from .explorer import reproduce_figure
 
-    _write_dataset(reproduce_figure(args.figure, params), cfg)
-
-
-_HANDLERS = {
-    "stability": _cmd_stability,
-    "intervals": _cmd_intervals,
-    "max-distance": _cmd_max_distance,
-    "connect-r2": _cmd_connect_r2,
-    "power": _cmd_power,
-    "thresholds": _cmd_thresholds,
-    "sweep": _cmd_sweep,
-    "design required-pin": _cmd_required_pin,
-    "design r1-range": _cmd_r1_range,
-    "calibrate": _cmd_calibrate,
-    "reproduce": _cmd_reproduce,
-}
+    _write_dataset(reproduce_figure(args.figure, params), args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,18 +279,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_normalize_argv(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    command = args.command
-    if command == "design":
-        command = f"design {args.design_command}"
     try:
         cfg = _load(args)
         params = cfg.system_params()
-        record = _HANDLERS[command](args, cfg, params)
+        record = args.handler(args, cfg, params)
         if record is not None:
-            _print_record({"command": command, **record, "params": provenance_for(params)})
+            _print_record({"command": args.command, **record, "params": provenance_for(params)})
         return 0
     except (ResbeamError, ValueError) as exc:
-        _print_record({"error": type(exc).__name__, "message": str(exc)})
+        where = {name: getattr(exc, name) for name in ("key", "line") if hasattr(exc, name)}
+        _print_record({"error": type(exc).__name__, "message": str(exc), **where})
         return 1
     except OSError as exc:
         _print_record({"error": "IoError", "message": str(exc)})

@@ -1,11 +1,13 @@
-"""Key-value run configuration with explicit unit suffixes.
+"""Key-value link configuration with explicit unit suffixes.
 
 The file format is one ``key = value`` assignment per line, ``#`` comments,
 and units spelled out on every dimensioned value (``r1 = -1000mm``,
 ``wavelength = 1064nm``, ``c = -5.64W``); bare numbers mean base SI units
 (meters, watts).  Mixing millimeter and meter quantities silently is how
-thousand-fold errors happen, hence the suffixes.  Missing keys fall back to
-the reference defaults, and every run echoes its full effective
+thousand-fold errors happen, hence the suffixes.  The keys are the 13
+physical parameters of the link; what a run sweeps and where it writes are
+command-line flags of the command that reads them.  Missing keys fall back
+to the reference defaults, and every run echoes its full effective
 configuration into the output provenance.
 """
 
@@ -76,7 +78,7 @@ _P_IN = 100.0  # W, the reference drive of every bundle a config builds; no key 
 # panel fitted by p_pv = 0.3487*p_beam - 1.535 W at its maximum power point.
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated physical parameters plus sweep and output settings."""
+    """The 13 physical keys of a link, each checked by the bundle it fills."""
 
     l: float = 0.06             # m, gain medium to M1
     f: float = 0.88             # m, thermal lens focal length
@@ -95,24 +97,9 @@ class RunConfig:
     r_out: float = 0.88
     a1: float = 0.3487
     b1: float = -1.535          # W
-    sweep_var: str = "d"
-    sweep_from: float = 0.1
-    sweep_to: float = 10.0
-    sweep_points: int = 200
-    out_path: str = ""
-    out_format: str = "csv"
 
     def __post_init__(self):
         self.system_params()  # the bundle checks every physical key, naming it
-        if self.sweep_var not in SWEEP_VARIABLES:
-            raise UnitError(
-                "sweep_var", f"must be one of {SWEEP_VARIABLES}, got {self.sweep_var!r}")
-        if not self.sweep_from < self.sweep_to:
-            raise UnitError("sweep_from", "sweep_from must be < sweep_to")
-        if self.sweep_points < 1:
-            raise UnitError("sweep_points", f"must be >= 1, got {self.sweep_points}")
-        if self.out_format not in ("csv", "json"):
-            raise UnitError("out_format", f"must be csv or json, got {self.out_format!r}")
 
     def system_params(self) -> SystemParams:
         """The link bundle: each number in it and in its parts reads the config key it names."""
@@ -148,21 +135,6 @@ def reference_defaults() -> SystemParams:
     return RunConfig().system_params()
 
 
-def read_value(key: str, text: str) -> float | int | str:
-    """A config key's or a command-line value's value from its text.
-
-    Config files and flags both go through it.  The value is a quantity of
-    the key's unit class, unless the key's default is an int or a str.
-    """
-    default = _DEFAULTS.get(key, 0.0)
-    if isinstance(default, float):
-        return parse_quantity(text, key)
-    try:
-        return type(default)(text)
-    except ValueError:
-        raise UnitError(key, f"expected an integer, got {text!r}") from None
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse configuration text; unknown keys and bad units are rejected.
 
@@ -170,7 +142,7 @@ def parse_config(text: str) -> RunConfig:
     unknown-key problems, UnitError (naming the key) for unit or range
     violations.  An empty file yields the full default configuration.
     """
-    values: dict[str, object] = {}
+    values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -182,7 +154,7 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in _DEFAULTS:
             raise ParseError(lineno, f"unknown key {key!r}")
-        values[key] = read_value(key, value)
+        values[key] = parse_quantity(value, key)
     return RunConfig(**values)
 
 
@@ -191,11 +163,7 @@ def render_config(cfg: RunConfig) -> str:
     lines = []
     for f in fields(RunConfig):
         v = getattr(cfg, f.name)
-        if isinstance(v, float):
-            txt = "flat" if math.isinf(v) else repr(v)
-        else:
-            txt = str(v)
-        lines.append(f"{f.name} = {txt}")
+        lines.append(f"{f.name} = {'flat' if math.isinf(v) else repr(v)}")
     return "\n".join(lines) + "\n"
 
 

@@ -197,23 +197,26 @@ def _d_rule(p: SystemParams) -> Rule:
     return rule
 
 
+def _held(p: SystemParams, d: float, rule: Callable[..., tuple]) -> Rule:
+    """rule with fd = f(d) for a series held at d; if d is unstable, every row zero, flagged."""
+    return partial(rule, fd=gain_to_beam_coefficient(d, p)) if _stable_at(p, d) else _unstable
+
+
 def _p_in_rule(p: SystemParams) -> Rule:
-    def rule(p_in):
+    def rule(p_in, fd):
         lad = ladder_columns(p_in, fd, p)
         values = (lad.p_stored, lad.p_beam, lad.p_out, lad.eta_all)
         return values, _flags(len(p_in), (_below(lad.p_out, p_in), "below-threshold"))
 
-    fd = gain_to_beam_coefficient(p.d, p)
-    return rule if _stable_at(p, p.d) else _unstable
+    return _held(p, p.d, rule)
 
 
 def _p_stored_rule(p: SystemParams) -> Rule:
-    def rule(ps):
+    def rule(ps, fd):
         values, flags = _per_drive(beam_column(ps, fd, p.gain), ps, below=True)
         return (np.full(len(ps), fd), *values), flags
 
-    fd = gain_to_beam_coefficient(p.d, p)
-    return rule if _stable_at(p, p.d) else _unstable
+    return _held(p, p.d, rule)
 
 
 def _r1_rule(p: SystemParams) -> Rule:
@@ -316,8 +319,8 @@ _FIGURES = {
                          for mm in (60, 80, 100) for b in BRANCHES}),
     8: ((0.1, 10.4), "d_m", ("w_gain_m", "w_m1_m", "w_m2_m"), True, _fig8),
     9: ((0.0, 50.0), "P_stored_W", ("P_beam_W", "eta_trans"), False,
-        lambda p, prov: {f"d{d:g}": (lambda ps, fd=gain_to_beam_coefficient(d, p):
-                                     _per_drive(beam_column(ps, fd, p.gain), ps))
+        lambda p, prov: {f"d{d:g}": _held(p, d, lambda ps, fd:
+                                          _per_drive(beam_column(ps, fd, p.gain), ps))
                          for d in (1.0, 5.0)}),
     10: ((1.0, 10.0), "d_m", ("P_beam_W", "eta_trans"), False,
          lambda p, prov: {f"ps{ps:g}": _distance_rule(p, partial(_beam_pair, ps, gain=p.gain))
@@ -325,8 +328,8 @@ _FIGURES = {
     11: ((0.0, 30.0), "P_beam_W", ("P_pv_W", "eta_pv"), False,
          lambda p, prov: {"": lambda pb: _per_drive(pv_column(pb, p.pv), pb)}),
     12: ((0.0, 100.0), "P_in_W", ("P_out_W", "eta_all"), False,
-         lambda p, prov: {f"d{d:g}": (lambda p_in, fd=gain_to_beam_coefficient(d, p):
-                                      (_output_pair(p_in, fd, p), _clean(p_in)))
+         lambda p, prov: {f"d{d:g}": _held(p, d, lambda p_in, fd:
+                                           (_output_pair(p_in, fd, p), _clean(p_in)))
                           for d in (1.0, 5.0)}),
     13: ((1.0, 10.0), "d_m", ("P_out_W", "eta_all"), False,
          lambda p, prov: {f"pin{pin:g}": _distance_rule(p, partial(_output_pair, pin, p=p))

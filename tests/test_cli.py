@@ -126,10 +126,15 @@ class TestDatasets:
         assert rows[0].startswith("d_m,")
         assert len(rows) == 11
 
-    def test_sweep_defaults_from_config(self, capsys, tmp_path):
+    def test_sweep_settings_are_flags_not_config_keys(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("sweep_var = P_beam\nsweep_from = 0\nsweep_to = 30\nsweep_points = 7\n")
+        cfg.write_text("d = 2m\nsweep_var = P_beam\n")
         code, out = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1
+        rec = json.loads(out)
+        assert (rec["error"], rec["line"]) == ("ParseError", 2)
+        code, out = run_cli(capsys, "sweep", "--var", "P_beam", "--from", "0", "--to", "30W",
+                            "--points", "7")
         assert code == 0
         rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert rows[0].startswith("P_beam_W,")
@@ -158,6 +163,7 @@ class TestConfigIntegration:
         assert code == 1
         rec = json.loads(out)
         assert rec["error"] == "UnitError"
+        assert rec["key"] == "eta_stored" and "line" not in rec
 
 
 class TestExitCodes:
@@ -295,6 +301,7 @@ def test_overflowing_quantity_is_domain_error(capsys, argv, key):
     rec = json.loads(out)
     assert rec["error"] == "UnitError"
     assert rec["message"].startswith(f"{key}: ")
+    assert rec["key"] == key
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -302,6 +309,7 @@ def test_overflowing_quantity_is_domain_error(capsys, argv, key):
     (["design", "r1-range", "--target-d", "5W"], "target_d"),
     (["design", "r1-range", "--target-d", "5m", "--search-from", "3W"], "search_from"),
     (["design", "r1-range", "--target-d", "5m", "--search-to", "-1W"], "search_to"),
+    (["power", "--pin", "1W", "--d", "5W"], "d"),
 ])
 def test_wrong_unit_names_the_flag(capsys, argv, key):
     code, out = run_cli(capsys, *argv)
@@ -309,6 +317,7 @@ def test_wrong_unit_names_the_flag(capsys, argv, key):
     rec = json.loads(out)
     assert rec["error"] == "UnitError"
     assert rec["message"] == f"{key}: expected a length, got watts"
+    assert rec["key"] == key
 
 
 @pytest.mark.parametrize("flag", ["--search-from", "--search-to"])
@@ -329,6 +338,23 @@ def _option_dests(parser):
                 yield from _option_dests(sub)
         elif action.option_strings:
             yield action.dest
+
+
+# each command's words, and the flags of the config keys its handler never reads
+COMMAND_WORDS = [argv[:2] if argv[0] == "design" else argv[:1]
+                 for argv in SCALAR_COMMANDS.values()] + [["sweep"], ["reproduce"]]
+UNREAD_FLAGS = [(name, flag, value) for name in SCALAR_COMMANDS
+                for flag, value in (("--out", "x.json"), ("--format", "json"))] + [
+    ("r1-range", "--r1", "-3m"), ("r1-range", "--r2", "flat"), ("connect-r2", "--r2", "flat")]
+
+
+@pytest.mark.parametrize("argv", [
+    *(words + ["--help"] for words in COMMAND_WORDS),
+    *(SCALAR_COMMANDS[name] + [flag, value] for name, flag, value in UNREAD_FLAGS),
+], ids=" ".join)
+def test_each_command_takes_only_the_flags_it_reads(capsys, argv):
+    # --help exits 0; a flag of a key the command never reads is a usage error
+    assert main(argv) == (0 if argv[-1] == "--help" else 2)
 
 
 def test_unit_table_names_only_keys_and_flags():
@@ -357,6 +383,7 @@ def test_sweep_flags_are_validated_by_the_config(capsys, flags, key):
     rec = json.loads(out)
     assert rec["error"] == "UnitError"
     assert rec["message"].startswith(f"{key}: ")
+    assert rec["key"] == key
 
 
 def test_unstable_distance_has_no_beam(capsys):

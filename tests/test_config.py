@@ -135,14 +135,16 @@ class TestParseConfig:
         cfg = parse_config("d = 1m\nd = 2m\n")
         assert cfg.d == 2.0
 
-    def test_sweep_settings(self):
-        cfg = parse_config("sweep_var = P_in\nsweep_from = 0\nsweep_to = 100\nsweep_points = 50\n")
-        assert cfg.sweep_var == "P_in"
-        assert cfg.sweep_points == 50
-
-    def test_bad_sweep_var(self):
-        with pytest.raises(UnitError):
-            parse_config("sweep_var = q\n")
+    # what a run sweeps and where it writes are command-line flags, not config keys
+    @pytest.mark.parametrize("key", ["sweep_var", "sweep_from", "sweep_to", "sweep_points",
+                                     "out_path", "out_format"])
+    def test_run_setting_is_an_unknown_key(self, key):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"d = 1m\n{key} = 1\n")
+        assert err.value.line == 2
+        assert str(err.value) == f"line 2: unknown key {key!r}"
+        with pytest.raises(TypeError):
+            RunConfig(**{key: 1})
 
     def test_zero_curvature_rejected(self):
         with pytest.raises(UnitError):
@@ -155,7 +157,7 @@ class TestRenderRoundTrip:
         assert parse_config(render_config(cfg)) == cfg
 
     def test_modified_round_trip(self):
-        cfg = parse_config("f = flat\nr1 = -900mm\nd = 3.25m\nsweep_points = 17\nout_format = json\n")
+        cfg = parse_config("f = flat\nr1 = -900mm\nd = 3.25m\nc = -6W\neta_stored = 0.3\n")
         assert parse_config(render_config(cfg)) == cfg
 
     def test_full_precision_floats(self):

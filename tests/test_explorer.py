@@ -175,8 +175,8 @@ FIGURE_R2_3_SHA256 = {
         "json": "eeefa4b7bbaa0330b7cf037beefa7f0ab8ddeaa02c00a89de292d730b7a07321",
     },
     9: {
-        "csv": "93a614f982ffcb4db3c5771d598e2bbb06e117545ea90af0d3b51ffe01f015bd",
-        "json": "7b04eb54a02a7799c9f1a88909e1b0da9146a2d446cf769691c27ef61747dc8d",
+        "csv": "8b7d1b3698f9335172cc95561f1ec95d8efdd238782d13ccbb5c407a4d0969bf",
+        "json": "38c78d3f4e3eea8686de8fbc74dda260e36878c63849f8761203796fa521c1c6",
     },
     10: {
         "csv": "045b8268fa0e5604316c1d6e8c551f82a2b8c3675e48acd4403f5490e9b04661",
@@ -187,8 +187,8 @@ FIGURE_R2_3_SHA256 = {
         "json": "234286a59df80ed11f3ffc7d5ec6fdf673b7d645e36a0de2a6a2dddfe8164477",
     },
     12: {
-        "csv": "e2f9c67042053f3c0c381f5703997e692b088cb3722c84230feddabbcbbc9a82",
-        "json": "d43d98e6d2c41c5b681d592e07d6c056b5ff1414ad7ff3e23e6808bc8f380cbb",
+        "csv": "f1dcfe0321ed91d3dab231ef71c5127aa4f07e1014ab0c3cb4c03be75f4ba54c",
+        "json": "18dabfad4549899ed5c5a903b2e7f6625d0331bd669191057e77db761f2e70d3",
     },
     13: {
         "csv": "770483d687c3832e1b06b2203b3b7d8caaf029598ce7ce959fc54eb960ec358f",
@@ -636,10 +636,14 @@ class TestPinnedDatasets:
         assert hashlib.sha256(emit_dataset(ds, fmt)).hexdigest() == FIGURE_R2_3_SHA256[fid][fmt]
 
     def test_stability_gate_per_figure(self):
-        # figures 9 and 12 evaluate d = 5 m ungated; 10 and 13 flag the gap
+        # figures 9 and 12 zero their series held at d = 5 m; 10 and 13 flag the gap
         assert not is_stable(R2_3.geometry, 5.0)
-        assert reproduce_figure(9, R2_3).column("P_beam_d5_W")[-1] > 0.0
-        assert not any(reproduce_figure(12, R2_3).flags)
+        for fid, power, ratio in ((9, "P_beam", "eta_trans"), (12, "P_out", "eta_all")):
+            ds = reproduce_figure(fid, R2_3)
+            assert not ds.column(f"{power}_d5_W").any() and not ds.column(f"{ratio}_d5").any()
+            assert ds.column(f"{power}_d1_W")[-1] > 0.0
+            # the first nonempty flag wins: figure 9's zero-drive row stays undefined-at-zero
+            assert set(ds.flags[1:]) == {"unstable"}
         for fid in (10, 13):
             ds = reproduce_figure(fid, R2_3)
             d = ds.column("d_m")

@@ -37,4 +37,3 @@ def test_every_command_line_exits_zero(tmp_path, monkeypatch, capsys):
 def test_configuration_file_parses():
     cfg = parse_config(block("", "eta_stored = "))
     assert cfg.a == pytest.approx(7.855301511e-4, rel=1e-15)
-    assert cfg.sweep_var == "d"

@@ -32,9 +32,9 @@ from .errors import (
     NoStableRegionError,
     ResbeamError,
     UnboundedStableRangeError,
-    UnitError,
     UnstableConfigurationError,
     WrongSignSlopeError,
+    require,
 )
 
 FLAT = math.inf
@@ -51,13 +51,13 @@ _R1_MERGE_TOL = 1e-12
 
 def _check_element(name: str, value: float) -> None:
     if math.isnan(value) or value == 0.0 or value == -math.inf:
-        raise UnitError(name, f"must be finite nonzero or FLAT (+inf), got {value}")
+        require(name, value, False, "finite nonzero or FLAT (+inf)")
 
 
 def _check_l_f(l: float, f: float) -> None:
     """The transmitter size and focal length checks of CavityGeometry."""
     if not (math.isfinite(l) and l > 0):
-        raise UnitError("l", f"must be finite and > 0, got {l}")
+        require("l", l, False, "finite and > 0")
     _check_element("f", f)
 
 
@@ -196,7 +196,7 @@ def _connecting(l, f, r1, branch):
 def _g_at(geom: CavityGeometry, d: float):
     """_g_terms of the geometry at one finite distance d >= 0."""
     if not 0.0 <= d < math.inf:
-        raise ValueError(f"d must be finite and >= 0, got {d}")
+        require("d", d, False, "finite and >= 0")
     return _g_terms(geom.l, geom.f, geom.r1, geom.r2, d)
 
 
@@ -324,7 +324,7 @@ def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceI
     when the cavity is nowhere stable.
     """
     if not (d_limit > 0 and math.isfinite(d_limit)):
-        raise ValueError(f"d_limit must be positive and finite, got {d_limit}")
+        require("d_limit", d_limit, False, "finite and > 0")
     points = [0.0] + [c for c in _boundary_candidates(geom) if c < d_limit] + [d_limit]
     return DistanceIntervals(intervals=tuple(_stable_segments(geom, points)))
 
@@ -379,7 +379,7 @@ def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
         When l = f, which forces a zero slope on either branch.
     """
     if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+        require("branch", branch, False, f"one of {BRANCHES}")
     _check_l_f(l, f)
     _check_element("r1", r1)
     c0, _, rho2 = _connecting(l, f, r1, branch)
@@ -415,16 +415,16 @@ def r1_range_for_distance(
     Raises EmptyResultError when no R1 in the interval qualifies.
     """
     if not math.isfinite(target_d):
-        raise ValueError(f"target_d must be finite, got {target_d}")
+        require("target_d", target_d, False, "finite")
     lo, hi = search_interval
     for key, bound in (("search_from", lo), ("search_to", hi)):
         if not math.isfinite(bound):
-            raise UnitError(key, f"must be finite, got {bound}")
+            require(key, bound, False, "finite")
     if not lo < hi:
-        raise ValueError(f"invalid search interval {search_interval}")
+        require("search_from", lo, False, f"< search_to = {hi!r}")
     _check_l_f(l, f)
     if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+        require("branch", branch, False, f"one of {BRANCHES}")
 
     def reaches(r1: float) -> bool:
         # unbounded reaches; a design error does not
@@ -485,8 +485,7 @@ def beam_radii(geom: CavityGeometry, d: float, wavelength: float) -> BeamRadii:
     UnstableConfigurationError
         When 0 < g1*g2 < 1 fails (the radicands are not positive).
     """
-    if not (wavelength > 0 and math.isfinite(wavelength)):
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    require("wavelength", wavelength, 0.0 < wavelength < math.inf, "finite and > 0")
     g = _g_at(geom, d)
     gg = g[1] * g[2]
     if not 0.0 < gg < 1.0:

@@ -25,7 +25,7 @@ from .cavity import (
 )
 from .config import (SWEEP_VARIABLES, RunConfig, load_config, override, parse_quantity,
                      provenance_for)
-from .errors import ResbeamError, UnitError
+from .errors import ResbeamError, require
 from .powerchain import (
     SystemParams,
     calibrate_aperture,
@@ -64,7 +64,7 @@ def _command(sub, command: str, help: str, handler, keys=_AT_D):
 
     A flag that overrides a config key has that key as its dest.
     """
-    sp = sub.add_parser(command.split()[-1], help=help)
+    sp = sub.add_parser(command.split()[-1], help=help, allow_abbrev=False)
     sp.set_defaults(handler=handler, command=command)
     sp.add_argument("--config", help="configuration file (key = value lines)")
     for key in keys:
@@ -77,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="resbeam",
         description="Resonant-beam power link: cavity stability and power chain",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", dest="sweep_points", metavar="POINTS", type=int, default=200,
                        help="grid points (default: 200)")
 
-    design = sub.add_parser("design", help="inverse design solvers")
+    design = sub.add_parser("design", help="inverse design solvers", allow_abbrev=False)
     dsub = design.add_subparsers(required=True)
 
     sp = _command(dsub, "design required-pin", "input power for a target output power",
@@ -223,12 +224,10 @@ def _cmd_sweep(args, cfg: RunConfig, params: SystemParams) -> None:
 
     from .explorer import SweepSpec, sweep
 
-    lo = parse_quantity(args.sweep_from, "sweep_from")
-    hi = parse_quantity(args.sweep_to, "sweep_to")
-    if not lo < hi:
-        raise UnitError("sweep_from", "sweep_from must be < sweep_to")
-    if args.sweep_points < 1:
-        raise UnitError("sweep_points", f"must be >= 1, got {args.sweep_points}")
+    lo = parse_quantity(args.sweep_from, "sweep_from", args.sweep_var)
+    hi = parse_quantity(args.sweep_to, "sweep_to", args.sweep_var)
+    require("sweep_from", lo, lo < hi, f"< sweep_to = {hi!r}")
+    require("sweep_points", args.sweep_points, args.sweep_points >= 1, ">= 1")
     grid = tuple(float(x) for x in np.linspace(lo, hi, args.sweep_points))
     _write_dataset(sweep(SweepSpec(variable=args.sweep_var, grid=grid, fixed=params)), args)
 
@@ -287,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
             _print_record({"command": args.command, **record, "params": provenance_for(params)})
         return 0
     except (ResbeamError, ValueError) as exc:
-        where = {name: getattr(exc, name) for name in ("key", "line") if hasattr(exc, name)}
+        where = {k: v for k in ("key", "line", "value") if (v := getattr(exc, k, None)) is not None}
         _print_record({"error": type(exc).__name__, "message": str(exc), **where})
         return 1
     except OSError as exc:

@@ -30,6 +30,7 @@ from .cavity import (
     _radii,
 )
 from .diffraction import _tem00_exponent
+from .errors import require
 from .powerchain import GainParams, PvParams, SystemParams, coefficient_at_loss
 
 REACH_OK, REACH_NO_STABLE_REGION, REACH_UNBOUNDED = 0, 1, 2
@@ -76,11 +77,8 @@ def beam_radii_columns(
     The radii read 0.0 where the cavity is unstable, which is where
     beam_radii raises UnstableConfigurationError.
     """
-    if not (wavelength > 0 and math.isfinite(wavelength)):
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    d = np.asarray(d, dtype=float)
-    if (d < 0).any():
-        raise ValueError(f"d must be >= 0, got {d[d < 0][0]}")
+    require("wavelength", wavelength, 0.0 < wavelength < math.inf, "finite and > 0")
+    d = _drive_column("d", d)
     args = geom.l, geom.f, geom.r1, geom.r2, d
     # unstable rows take square roots of negatives, and are masked below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -98,8 +96,7 @@ def connecting_r2_columns(l: float, f: float, r1, branch: str) -> tuple[np.ndarr
     False, and r2 reads 0.0, on the rows where connecting_r2 raises a design
     error or returns an r2 that CavityGeometry rejects.
     """
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    require("branch", branch, branch in BRANCHES, f"one of {BRANCHES}")
     _check_l_f(l, f)
     r1 = np.asarray(r1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -180,7 +177,7 @@ def _drive_column(name: str, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     bad = ~((x >= 0) & np.isfinite(x))
     if bad.any():
-        raise ValueError(f"{name} must be finite and >= 0, got {float(x[bad].flat[0])}")
+        require(name, float(x[bad].flat[0]), False, "finite and >= 0")
     return x
 
 

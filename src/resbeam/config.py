@@ -21,7 +21,7 @@ from .cavity import FLAT, CavityGeometry
 from .errors import ParseError, UnitError
 from .powerchain import GainParams, PvParams, SystemParams
 
-_QUANTITY_RE = re.compile(r"([-+]?[\d.]+(?:[eE][-+]?\d+)?)\s*(mm|um|nm|m|W)?")
+_QUANTITY_RE = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(mm|um|nm|m|W)?")
 
 SWEEP_VARIABLES = ("d", "P_in", "P_stored", "P_beam", "R1")
 
@@ -32,41 +32,37 @@ _METERS = {None: 1.0, "m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 _LENGTH = (_METERS, "expected a length, got watts", False)
 _LENGTH_OR_FLAT = (_METERS, _LENGTH[1], True)
 _POWER = ({None: 1.0, "W": 1.0}, "expected watts, got {suffix!r}", False)
-_SPAN = ({**_METERS, "W": 1.0}, "", False)  # a sweep bound: a length or a power, as swept
 _DIMENSIONLESS = ({None: 1.0}, "{key} is dimensionless, got unit {suffix!r}", False)
 
-# The unit class of every dimensioned name parse_quantity reads: the config
-# keys, then the values of command-line flags.  Any other name is dimensionless.
+# The unit class of each dimensioned name parse_quantity reads: the config keys, the flag
+# values and the sweep variables (a sweep bound takes its variable's).  Others are dimensionless.
 _UNITS = {
     "l": _LENGTH, "f": _LENGTH_OR_FLAT, "r1": _LENGTH_OR_FLAT, "r2": _LENGTH_OR_FLAT,
     "d": _LENGTH, "a": _LENGTH, "wavelength": _LENGTH, "c": _POWER, "b1": _POWER,
-    "sweep_from": _SPAN, "sweep_to": _SPAN,
     "pin": _POWER, "pout": _POWER, "pstored": _POWER, "d_limit": _LENGTH, "target_d": _LENGTH,
     "search_from": _LENGTH, "search_to": _LENGTH,
+    "R1": _LENGTH, "P_in": _POWER, "P_stored": _POWER, "P_beam": _POWER,
 }
 
 
-def parse_quantity(token: str, key: str) -> float:
-    """Parse a value token for the given key, applying the suffixes of its unit class."""
-    scales, wrong, flat = _UNITS.get(key, _DIMENSIONLESS)
+def parse_quantity(token: str, key: str, unit: str | None = None) -> float:
+    """Parse a value token for key, in the unit class of the name ``unit`` (default: key)."""
+    scales, wrong, flat = _UNITS.get(unit or key, _DIMENSIONLESS)
     token = token.strip()
     if token.lower() == "flat":
         if flat:
             return FLAT
         flat_keys = ", ".join(k for k in _DEFAULTS if _UNITS.get(k) is _LENGTH_OR_FLAT)
-        raise UnitError(key, f"'flat' is only valid for {flat_keys}")
+        raise UnitError(key, f"'flat' is only valid for {flat_keys}", token)
     m = _QUANTITY_RE.fullmatch(token)
     if m is None:
-        raise UnitError(key, f"cannot parse quantity {token!r}")
-    try:
-        value = float(m.group(1))
-    except ValueError:
-        raise UnitError(key, f"cannot parse number {m.group(1)!r}") from None
+        raise UnitError(key, f"cannot parse quantity {token!r}", token)
+    value = float(m.group(1))
     if not math.isfinite(value):
-        raise UnitError(key, f"{token!r} is not a finite number")
+        raise UnitError(key, f"{token!r} is not a finite number", token)
     suffix = m.group(2)
     if suffix not in scales:
-        raise UnitError(key, wrong.format(key=key, suffix=suffix))
+        raise UnitError(key, wrong.format(key=key, suffix=suffix), token)
     return value * scales[suffix]
 
 
@@ -139,23 +135,28 @@ def parse_config(text: str) -> RunConfig:
     """Parse configuration text; unknown keys and bad units are rejected.
 
     Raises ParseError (with the offending line number) for syntax and
-    unknown-key problems, UnitError (naming the key) for unit or range
-    violations.  An empty file yields the full default configuration.
+    unknown-key problems, UnitError (naming the key and its line) for unit or
+    range violations.  An empty file yields the full default configuration.
     """
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(lineno, f"expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if key not in _DEFAULTS:
-            raise ParseError(lineno, f"unknown key {key!r}")
-        values[key] = parse_quantity(value, key)
-    return RunConfig(**values)
+    lines: dict[str, int] = {}  # key -> the line of its last assignment
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(lineno, f"expected 'key = value', got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip().lower()
+            if key not in _DEFAULTS:
+                raise ParseError(lineno, f"unknown key {key!r}")
+            lines[key] = lineno
+            values[key] = parse_quantity(value, key)
+        return RunConfig(**values)
+    except UnitError as exc:
+        exc.line = lines.get(exc.key)
+        raise
 
 
 def render_config(cfg: RunConfig) -> str:

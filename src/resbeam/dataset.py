@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import require
+
 FORMATS = ("csv", "json")
 
 
@@ -58,8 +60,7 @@ def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
     name_unit columns plus a trailing ``flag`` column, 9-significant-digit
     values, LF line endings.  JSON: ``{"provenance", "columns", "flag"}``.
     """
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    require("format", fmt, fmt in FORMATS, f"one of {FORMATS}")
     if fmt == "csv":
         lines = [f"# {k} = {v}" for k, v in sorted(ds.provenance.items())]
         lines.append(",".join([*ds.columns, "flag"]))

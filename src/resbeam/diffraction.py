@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import math
 
+from .errors import require
+
 # From m = n = 48, x^m * L_n^m(x)^2 overflows a double near the cut-off
 # aperture sqrt(2n + m + 1) + 8 spot sizes; 40 keeps a margin.
 MAX_MODE_ORDER = 40
@@ -26,7 +28,7 @@ def associated_laguerre(n: int, m: int, xi):
     occur as transverse mode indices.
     """
     if n < 0 or m < 0:
-        raise ValueError(f"mode orders must be >= 0, got n={n}, m={m}")
+        require("n" if n < 0 else "m", n if n < 0 else m, False, ">= 0")
     prev = xi * 0.0 + 1.0
     if n == 0:
         return prev
@@ -74,14 +76,13 @@ def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -
         exactly.  Every term is nonnegative, so nothing cancels.
     """
     if not (0 <= m <= MAX_MODE_ORDER and 0 <= n <= MAX_MODE_ORDER and m % 1 == n % 1 == 0):
-        raise ValueError(
-            f"mode orders must be integers in [0, {MAX_MODE_ORDER}], got m={m}, n={n}"
-        )
+        key, order = ("n", n) if 0 <= m <= MAX_MODE_ORDER and m % 1 == 0 else ("m", m)
+        require(key, order, False, f"an integer in [0, {MAX_MODE_ORDER}]")
     m, n = int(m), int(n)
     if not (spot > 0 and math.isfinite(spot)):
-        raise ValueError(f"spot must be finite and > 0, got {spot}")
+        require("spot", spot, False, "finite and > 0")
     if not (aperture_radius >= 0 and math.isfinite(aperture_radius)):
-        raise ValueError(f"aperture_radius must be finite and >= 0, got {aperture_radius}")
+        require("aperture_radius", aperture_radius, False, "finite and >= 0")
     if aperture_radius == 0.0:
         return 1.0
     u = aperture_radius / spot
@@ -107,9 +108,9 @@ def fundamental_loss_vs_distance(
 ) -> float:
     """Distance-dependent TEM00 diffraction loss exp(-2*pi*a^2/(lambda*(l+d)))."""
     if not 0.0 < wavelength < math.inf:
-        raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
+        require("wavelength", wavelength, False, "finite and > 0")
     if not 0.0 < l + d < math.inf:
-        raise ValueError(f"l + d must be finite and > 0, got {l + d}")
+        require("l + d", l + d, False, "finite and > 0")
     if not (aperture_radius >= 0 and math.isfinite(aperture_radius)):
-        raise ValueError(f"aperture_radius must be finite and >= 0, got {aperture_radius}")
+        require("aperture_radius", aperture_radius, False, "finite and >= 0")
     return math.exp(_tem00_exponent(aperture_radius, wavelength, l, d))

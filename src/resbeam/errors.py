@@ -1,7 +1,8 @@
-"""Exception hierarchy for resbeam.
+"""Exception hierarchy for resbeam, and the one range check :func:`require`.
 
 Every domain failure raised by the library derives from :class:`ResbeamError`
-so callers (and the CLI) can distinguish model-domain errors from bugs.
+so callers (and the CLI) can distinguish model-domain errors from bugs.  Hot
+kernels test a range inline and call ``require`` only when the test fails.
 """
 
 
@@ -72,12 +73,22 @@ class ParseError(ConfigError):
 
 
 class UnitError(ConfigError, ValueError):
-    """A parameter value has a wrong unit or is out of its valid range.
+    """A value has a wrong unit or is out of its valid range.
 
-    Raised by the parameter bundles as well as the config parser; ``key`` is
-    the configuration key (``a``, not ``aperture_radius``).
+    ``key`` names a config key (``a``, not ``aperture_radius``), a command-line
+    value (``pout``) or a library argument (``p_in``, also for ``--pin``);
+    ``value`` is the offending token or number repr, ``line`` its config line.
     """
 
-    def __init__(self, key: str, message: str):
+    line: int | None = None
+
+    def __init__(self, key: str, message: str, value: str):
         self.key = key
+        self.value = value
         super().__init__(f"{key}: {message}")
+
+
+def require(key: str, value: object, ok: bool, rule: str) -> None:
+    """Unless ok, raise UnitError(key, "must be <rule>, got <repr(value)>")."""
+    if not ok:
+        raise UnitError(key, f"must be {rule}, got {value!r}", repr(value))

@@ -36,7 +36,7 @@ from .columns import (
 )
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset
-from .errors import UnknownFigureError
+from .errors import UnknownFigureError, require
 from .powerchain import (
     SystemParams,
     calibrate_aperture,
@@ -56,24 +56,22 @@ class SweepSpec:
     fixed: SystemParams
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
-        grid = _checked_grid(self.variable, self.grid)
-        if (np.diff(grid) <= 0).any():
-            raise ValueError("grid must be strictly increasing")
+        v = self.variable
+        require("variable", v, v in SWEEP_VARIABLES, f"one of {SWEEP_VARIABLES}")
+        grid = _checked_grid(v, self.grid)
+        down = np.flatnonzero(np.diff(grid) <= 0)
+        if down.size:  # name the first pair out of order
+            require("grid", tuple(grid[down[0]:down[0] + 2].tolist()), False, "strictly increasing")
 
 
 def _checked_grid(variable: str, points) -> np.ndarray:
     """The points as a nonempty float column, each finite, and >= 0 but for R1."""
     grid = np.asarray(points, dtype=float)
-    if grid.ndim != 1 or not grid.size:
-        raise ValueError("grid must be a nonempty sequence of numbers")
+    require("grid", points, grid.ndim == 1 and grid.size > 0, "a nonempty sequence of numbers")
     signed = variable == "R1"
     bad = ~np.isfinite(grid) if signed else ~((grid >= 0) & np.isfinite(grid))
     if bad.any():
-        i = int(np.argmax(bad))
-        rule = "finite" if signed else "finite and >= 0"
-        raise ValueError(f"grid of {variable} must be {rule}, got {grid[i]} at index {i}")
+        require("grid", float(grid[bad][0]), False, "finite" if signed else "finite and >= 0")
     return grid
 
 

@@ -24,15 +24,9 @@ from .diffraction import fundamental_loss_vs_distance
 from .errors import (
     InfeasibleTargetError,
     UndefinedAtZeroError,
-    UnitError,
     UnreachableTargetError,
+    require,
 )
-
-
-def _require(key: str, value: float, ok: bool, rule: str) -> None:
-    """Raise a UnitError naming the config key unless the range check holds."""
-    if not ok:
-        raise UnitError(key, f"must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,11 +45,10 @@ class GainParams:
     r_out: float
 
     def __post_init__(self):
-        m = self.m_overlap
-        _require("eta_stored", self.eta_stored, 0.0 < self.eta_stored < 1.0, "in (0, 1)")
-        _require("m_overlap", m, m > 0.0 and math.isfinite(m), "finite and > 0")
-        _require("c", self.c, math.isfinite(self.c), "finite")
-        _require("r_out", self.r_out, 0.0 < self.r_out < 1.0, "in (0, 1)")
+        require("eta_stored", self.eta_stored, 0.0 < self.eta_stored < 1.0, "in (0, 1)")
+        require("m_overlap", self.m_overlap, 0.0 < self.m_overlap < math.inf, "finite and > 0")
+        require("c", self.c, math.isfinite(self.c), "finite")
+        require("r_out", self.r_out, 0.0 < self.r_out < 1.0, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -66,8 +59,8 @@ class PvParams:
     b1: float
 
     def __post_init__(self):
-        _require("a1", self.a1, 0.0 < self.a1 < 1.0, "in (0, 1)")
-        _require("b1", self.b1, math.isfinite(self.b1), "finite")
+        require("a1", self.a1, 0.0 < self.a1 < 1.0, "in (0, 1)")
+        require("b1", self.b1, math.isfinite(self.b1), "finite")
 
 
 @dataclass(frozen=True)
@@ -84,9 +77,8 @@ class SystemParams:
 
     def __post_init__(self):
         for key, v in (("a", self.aperture_radius), ("d", self.d), ("p_in", self.p_in)):
-            _require(key, v, v >= 0 and math.isfinite(v), "finite and >= 0")
-        w = self.wavelength
-        _require("wavelength", w, w > 0 and math.isfinite(w), "finite and > 0")
+            require(key, v, 0.0 <= v < math.inf, "finite and >= 0")
+        require("wavelength", self.wavelength, 0.0 < self.wavelength < math.inf, "finite and > 0")
 
     @property
     def l(self) -> float:
@@ -121,8 +113,7 @@ class Thresholds(NamedTuple):
 
 def stored_power(p_in: float, gain: GainParams) -> float:
     """Stored power per second in the gain medium: eta_stored * p_in."""
-    if not (p_in >= 0 and math.isfinite(p_in)):
-        raise ValueError(f"p_in must be finite and >= 0, got {p_in}")
+    require("p_in", p_in, 0.0 <= p_in < math.inf, "finite and >= 0")
     return gain.eta_stored * p_in
 
 
@@ -143,7 +134,7 @@ def gain_to_beam_coefficient(d: float, p: SystemParams) -> float:
     f(d) strictly decreases with distance.
     """
     if not (d >= 0 and math.isfinite(d)):
-        raise ValueError(f"d must be finite and >= 0, got {d}")
+        require("d", d, False, "finite and >= 0")
     delta00 = fundamental_loss_vs_distance(p.aperture_radius, p.wavelength, p.l, d)
     return coefficient_at_loss(delta00, p.gain)
 
@@ -151,7 +142,7 @@ def gain_to_beam_coefficient(d: float, p: SystemParams) -> float:
 def beam_at(p_stored: float, fd: float, gain: GainParams) -> float:
     """Extracted beam power max(0, fd*p_stored + c) at a held slope fd = f(d)."""
     if not (p_stored >= 0 and math.isfinite(p_stored)):
-        raise ValueError(f"p_stored must be finite and >= 0, got {p_stored}")
+        require("p_stored", p_stored, False, "finite and >= 0")
     return max(0.0, fd * p_stored + gain.c)
 
 
@@ -173,8 +164,7 @@ def transmission_efficiency(p_stored: float, d: float, p: SystemParams) -> float
 
 def pv_output(p_beam: float, pv: PvParams) -> float:
     """Photovoltaic output max(0, a1*p_beam + b1); zero below the PV threshold."""
-    if not (p_beam >= 0 and math.isfinite(p_beam)):
-        raise ValueError(f"p_beam must be finite and >= 0, got {p_beam}")
+    require("p_beam", p_beam, 0.0 <= p_beam < math.inf, "finite and >= 0")
     return max(0.0, pv.a1 * p_beam + pv.b1)
 
 
@@ -251,7 +241,7 @@ def required_input_power(target_p_out: float, d: float, params: SystemParams) ->
     resonant beam forms regardless of drive.
     """
     if not (target_p_out > 0 and math.isfinite(target_p_out)):
-        raise ValueError(f"target_p_out must be finite and > 0, got {target_p_out}")
+        require("target_p_out", target_p_out, False, "finite and > 0")
     fd = _formed_slope(d, params)
     slope = params.pv.a1 * fd * params.gain.eta_stored
     if slope <= 0:
@@ -271,14 +261,16 @@ def calibrate_aperture(
 
     A target equal to the floor, eta_trans at a = 0, gives 0.0.  Raises
     InfeasibleTargetError when the target is below that floor, above the
-    zero-loss ceiling, or not reachable by any aperture up to 1 m.
+    zero-loss ceiling, or not reachable by any aperture up to 1 m, and
+    UnreachableTargetError where the cavity is unstable at d, since no
+    aperture then forms a beam.
     """
     if not (p_stored > 0 and math.isfinite(p_stored)):
-        raise ValueError(f"p_stored must be finite and > 0, got {p_stored}")
-    if not (d >= 0 and math.isfinite(d)):
-        raise ValueError(f"d must be finite and >= 0, got {d}")
+        require("p_stored", p_stored, False, "finite and > 0")
+    if not is_stable(params.geometry, d):  # validates d
+        raise UnreachableTargetError(f"cavity is not stable at d = {d} m")
     if math.isnan(eta_trans_target):
-        raise ValueError("eta_trans_target must be a number, got nan")
+        require("eta_trans_target", eta_trans_target, False, "a number")
     gain, wavelength, l = params.gain, params.wavelength, params.l
     # floor first: with no beam at any aperture the unclamped ceiling lies below it
     floor = beam_at(p_stored, coefficient_at_loss(1.0, gain), gain) / p_stored  # a = 0: loss 1

@@ -74,7 +74,7 @@ class TestEffectiveLength:
                    lambda g, d: beam_radii(g, d, 1.064e-6))
         for kernel in kernels:
             for d in (-0.1, math.nan, math.inf, -math.inf):
-                with pytest.raises(ValueError, match="d must be finite and >= 0"):
+                with pytest.raises(UnitError, match="d: must be finite and >= 0"):
                     kernel(geom(), d)
 
 

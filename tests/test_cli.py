@@ -163,7 +163,7 @@ class TestConfigIntegration:
         assert code == 1
         rec = json.loads(out)
         assert rec["error"] == "UnitError"
-        assert rec["key"] == "eta_stored" and "line" not in rec
+        assert (rec["key"], rec["line"], rec["value"]) == ("eta_stored", 1, "1.5")
 
 
 class TestExitCodes:
@@ -178,6 +178,10 @@ class TestExitCodes:
         assert main(["bogus"]) == 2
         assert main(["sweep", "--var", "bogus"]) == 2  # invalid choice
         assert main(["power"]) == 2  # missing required --pin
+        # no flag is taken for a longer one it begins
+        assert main(["power", "--pi", "100W"]) == 2
+        assert main(["sweep", "--form", "json"]) == 2
+        assert main(["design", "required-pin", "--po", "1W"]) == 2
         assert main([]) == 2
 
     def test_unknown_figure_is_domain_error(self, capsys):
@@ -188,7 +192,8 @@ class TestExitCodes:
     def test_invalid_value_is_domain_error(self, capsys):
         code, out = run_cli(capsys, "intervals", "--d-limit", "0")
         assert code == 1
-        assert json.loads(out)["error"] == "ValueError"
+        rec = json.loads(out)
+        assert (rec["error"], rec["key"], rec["value"]) == ("UnitError", "d_limit", "0.0")
 
     def test_subprocess_entrypoint(self):
         proc = subprocess.run(
@@ -320,6 +325,29 @@ def test_wrong_unit_names_the_flag(capsys, argv, key):
     assert rec["key"] == key
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["power", "--pin", "-1W"], "p_in", "-1.0"),
+    (["intervals", "--d-limit", "-5m"], "d_limit", "-5.0"),
+    (["calibrate", "--pstored", "0W", "--eta", "0.5"], "p_stored", "0.0"),
+    (["design", "required-pin", "--pout", "-1W"], "target_p_out", "-1.0"),
+    (["design", "r1-range", "--target-d", "5m", "--search-from", "-0.5m", "--search-to", "-1.5m"],
+     "search_from", "-0.5"),
+    (["sweep", "--from", "5m", "--to", "1m"], "sweep_from", "5.0"),
+    (["sweep", "--points", "0"], "sweep_points", "0"),
+    # sweep bounds take the unit of the swept variable
+    (["sweep", "--var", "d", "--from", "1W", "--to", "5W"], "sweep_from", "1W"),
+    (["sweep", "--var", "R1", "--from", "-1.5m", "--to", "-0.5W"], "sweep_to", "-0.5W"),
+    (["sweep", "--var", "P_in", "--from", "1m", "--to", "5m"], "sweep_from", "1m"),
+    (["sweep", "--var", "P_beam", "--from", "1W", "--to", "5mm"], "sweep_to", "5mm"),
+])
+def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    rec = json.loads(out)
+    assert (rec["error"], rec["key"], rec["value"]) == ("UnitError", key, value)
+    assert rec["message"].startswith(f"{key}: ") and "line" not in rec
+
+
 @pytest.mark.parametrize("flag", ["--search-from", "--search-to"])
 def test_flat_search_bound_is_a_domain_error(capsys, flag):
     code = main(["design", "r1-range", "--target-d", "5m", flag, "flat"])
@@ -359,7 +387,8 @@ def test_each_command_takes_only_the_flags_it_reads(capsys, argv):
 
 def test_unit_table_names_only_keys_and_flags():
     names = {f.name for f in fields(RunConfig)} | set(_option_dests(build_parser()))
-    assert set(config._UNITS) <= names
+    assert set(config._UNITS) <= names | set(config.SWEEP_VARIABLES)
+    assert set(config.SWEEP_VARIABLES) <= set(config._UNITS)  # each sweep bound has a unit
     # 'flat' is an infinite radius or focal length, and no other value
     flat = set()
     for name in names:

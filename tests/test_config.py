@@ -117,6 +117,16 @@ class TestParseConfig:
             parse_config("d = 1e999m\n")
         assert err.value.key == "d"
 
+    @pytest.mark.parametrize("text, key, line, value", [
+        ("# link\n\nl = 5W\n", "l", 3, "5W"),  # a unit error while parsing
+        ("eta_stored = 0.3\nd = 2m\neta_stored = 1.5\n", "eta_stored", 3, "1.5"),  # a range error
+        ("d = -1m\nc = -5W\n", "d", 1, "-1.0"),
+    ])
+    def test_value_error_names_key_line_and_value(self, text, key, line, value):
+        with pytest.raises(UnitError) as err:
+            parse_config(text)
+        assert (err.value.key, err.value.line, err.value.value) == (key, line, value)
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ParseError) as err:
             parse_config("l = 60mm\nbogus = 3\n")

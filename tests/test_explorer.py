@@ -245,7 +245,7 @@ class TestSweep:
             SweepSpec(variable="d", grid=(1.0, 1.0), fixed=default_params)
         # NaN compares false both ways, so a pairwise check let it through to the Dataset
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="grid of d must be finite"):
+            with pytest.raises(UnitError, match="grid: must be finite"):
                 SweepSpec(variable="d", grid=(1.0, bad, 3.0), fixed=default_params)
         for field in ("d", "p_in", "aperture_radius", "wavelength"):
             for bad in (-1.0, math.nan, math.inf):
@@ -255,8 +255,7 @@ class TestSweep:
     # the P_in and P_stored rules never read their grid where the cavity is unstable
     @pytest.mark.parametrize("variable", ["d", "P_in", "P_stored", "P_beam"])
     def test_rejects_negative_grid_point(self, variable):
-        with pytest.raises(ValueError, match=f"grid of {variable} must be finite and >= 0, "
-                                             "got -5.0 at index 0"):
+        with pytest.raises(UnitError, match="grid: must be finite and >= 0, got -5.0"):
             SweepSpec(variable, (-5.0, 1.0), UNSTABLE_D)
 
 
@@ -286,9 +285,9 @@ class TestRequiredInputPower:
 
     def test_rejects_non_finite_inputs(self, default_params):
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="target_p_out must be finite"):
+            with pytest.raises(UnitError, match="target_p_out: must be finite"):
                 required_input_power(bad, 1.0, default_params)
-            with pytest.raises(ValueError, match="d must be finite"):
+            with pytest.raises(UnitError, match="d: must be finite"):
                 required_input_power(1.0, bad, default_params)
 
 
@@ -358,6 +357,12 @@ class TestCalibrateAperture:
         with pytest.raises(ValueError):
             calibrate_aperture(1.0, 30.0, math.nan, default_params)
 
+    def test_unstable_distance_raises(self, default_params):
+        # past d_max = 10.43 m no aperture forms a beam, so eta_trans is 0 at any a
+        with pytest.raises(UnreachableTargetError, match="not stable at d = 11.0 m"):
+            calibrate_aperture(11.0, 30.0, 0.5, default_params)
+        assert transmission_efficiency(30.0, 11.0, default_params) == 0.0
+
     def test_floor_target_returns_zero(self, default_params):
         p = default_params
         floor = transmission_efficiency(30.0, 1.0, replace(p, aperture_radius=0.0))
@@ -418,7 +423,7 @@ class TestMaxDistanceVsR1:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_r1_is_rejected(self, bad):
-        with pytest.raises(ValueError, match=f"grid of R1 must be finite, got {bad} at index 1"):
+        with pytest.raises(UnitError, match=f"grid: must be finite, got {bad}"):
             max_distance_vs_r1(0.06, 0.88, [-1.0, bad], "origin")
 
 
@@ -456,7 +461,7 @@ class TestR1RangeForDistance:
 
     def test_non_finite_target_raises(self):
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="target_d must be finite"):
+            with pytest.raises(UnitError, match="target_d: must be finite"):
                 r1_range_for_distance(bad, 0.06, 0.88, "origin", (-1.5, -0.5))
 
     def test_runs_no_column_kernel(self, monkeypatch):

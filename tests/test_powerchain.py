@@ -10,6 +10,7 @@ from resbeam import (
     GainParams,
     PvParams,
     UndefinedAtZeroError,
+    UnitError,
     beam_power,
     end_to_end,
     gain_to_beam_coefficient,
@@ -123,7 +124,7 @@ class TestGainToBeamCoefficient:
         )
         for stage in stages:
             for bad in (-1.0, math.nan, math.inf):
-                with pytest.raises(ValueError, match="d must be finite"):
+                with pytest.raises(UnitError, match="d: must be finite"):
                     stage(bad)
 
 
@@ -158,7 +159,7 @@ class TestColumnKernels:
 
     def test_columns_reject_bad_drive(self):
         for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="p_in must be finite"):
+            with pytest.raises(UnitError, match="p_in: must be finite"):
                 ladder_columns(np.array([1.0, bad]), 0.5, link(7.855e-4))
 
 

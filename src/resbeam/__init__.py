@@ -4,8 +4,8 @@ Cavity stability and maximum transmission distance, Gaussian mode radii,
 aperture diffraction loss, and the three-stage electrical-to-electrical
 power chain, plus deterministic design-space sweeps.
 
-The scalar modules load only the standard library.  The grid drivers and
-datasets need numpy, so their names and modules resolve on first use.
+numpy loads only with the column kernels, for grids past 256 points, and at
+the first mode_diffraction_loss.  The grid drivers and datasets load on first use.
 """
 
 from importlib import import_module as _import_module
@@ -82,7 +82,7 @@ from .powerchain import (
 
 __version__ = "0.1.0"
 
-# name -> the numpy-importing module that defines it
+# name -> the module, loaded on first use, that defines it
 _LAZY = {
     "Dataset": "dataset",
     "emit_dataset": "dataset",
@@ -91,11 +91,11 @@ _LAZY = {
     "reproduce_figure": "explorer",
     "sweep": "explorer",
 }
-_ARRAY_MODULES = ("columns", "dataset", "explorer")
+_LAZY_MODULES = ("columns", "dataset", "explorer")
 
 
 def __getattr__(name: str):
-    if name in _ARRAY_MODULES:
+    if name in _LAZY_MODULES:
         return _import_module(f".{name}", __name__)
     if name in _LAZY:
         return getattr(_import_module(f".{_LAZY[name]}", __name__), name)
@@ -103,7 +103,7 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY, *_ARRAY_MODULES})
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})
 
 
 __all__ = [n for n in __dir__() if not n.startswith("_")]  # star imports take the lazy names too

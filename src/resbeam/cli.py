@@ -34,8 +34,9 @@ from .powerchain import (
     thresholds,
 )
 
-# numpy, explorer and dataset are imported inside the handlers that need them,
-# so the point commands start without loading numpy
+# explorer and dataset are imported inside the handlers that need them, so the
+# point commands do not load them; numpy loads only for a grid longer than
+# explorer.ROWS_MAX, which the CLI's sweeps reach only past 256 --points
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -220,16 +221,16 @@ def _cmd_thresholds(args, cfg: RunConfig, params: SystemParams) -> dict:
 
 
 def _cmd_sweep(args, cfg: RunConfig, params: SystemParams) -> None:
-    import numpy as np
+    from .explorer import SweepSpec, linspace, sweep
 
-    from .explorer import SweepSpec, sweep
-
-    lo = parse_quantity(args.sweep_from, "sweep_from", args.sweep_var)
-    hi = parse_quantity(args.sweep_to, "sweep_to", args.sweep_var)
+    var, n = args.sweep_var, args.sweep_points
+    lo = parse_quantity(args.sweep_from, "sweep_from", var)
+    hi = parse_quantity(args.sweep_to, "sweep_to", var)
+    for key, bound in (("sweep_from", lo), ("sweep_to", hi)):  # only R1 may be negative
+        require(key, bound, var == "R1" or bound >= 0, "finite and >= 0")
     require("sweep_from", lo, lo < hi, f"< sweep_to = {hi!r}")
-    require("sweep_points", args.sweep_points, args.sweep_points >= 1, ">= 1")
-    grid = tuple(float(x) for x in np.linspace(lo, hi, args.sweep_points))
-    _write_dataset(sweep(SweepSpec(variable=args.sweep_var, grid=grid, fixed=params)), args)
+    require("sweep_points", n, n >= 1, ">= 1")
+    _write_dataset(sweep(SweepSpec(var, tuple(linspace(lo, hi, n)), params)), args)
 
 
 def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:

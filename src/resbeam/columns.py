@@ -1,11 +1,12 @@
 """Column kernels: the cavity closed forms and power-chain stages over numpy arrays.
 
-For drivers that evaluate whole grids.  Arguments broadcast against each other
-and describe geometries that CavityGeometry accepts; rows a driver masks out
-may hold anything.  Every kernel runs its scalar kernel's body from
+For the dataset grids longer than ``explorer.ROWS_MAX``, which run through
+the column rules at the end of this module.  Arguments broadcast against each
+other and describe geometries that CavityGeometry accepts; rows a driver masks
+out may hold anything.  Every kernel runs its scalar kernel's body from
 :mod:`resbeam.cavity` or :mod:`resbeam.powerchain`, or the same operations in
 the same order, so each element equals the scalar result bit for bit
-(tests/test_cavity.py and tests/test_powerchain.py check this by property).
+(tests/test_cavity.py, test_powerchain.py and test_rows.py check this by property).
 A column call has a fixed cost of some hundreds of microseconds, so single
 evaluations go through the scalar kernels.  Like Python floats, the kernels
 overflow to inf and give NaN for inf*0 without a warning (a subnormal radius
@@ -22,12 +23,10 @@ import numpy as np
 from .cavity import (
     _MERGE_TOL,
     BRANCHES,
-    CavityGeometry,
     _affine,
     _check_l_f,
     _connecting,
     _g_terms,
-    _radii,
 )
 from .diffraction import _tem00_exponent
 from .errors import require
@@ -67,26 +66,6 @@ def stable_columns(l, f, r1, r2, d) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         gg = g1 * g2
     return (0.0 < gg) & (gg < 1.0)
-
-
-def beam_radii_columns(
-    geom: CavityGeometry, d, wavelength: float
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(stable, (w_gain, w_m1, w_m2)) of :func:`resbeam.cavity.beam_radii` along a d column.
-
-    The radii read 0.0 where the cavity is unstable, which is where
-    beam_radii raises UnstableConfigurationError.
-    """
-    require("wavelength", wavelength, 0.0 < wavelength < math.inf, "finite and > 0")
-    d = _drive_column("d", d)
-    args = geom.l, geom.f, geom.r1, geom.r2, d
-    # unstable rows take square roots of negatives, and are masked below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = _g_terms(*args)
-        gg = g[1] * g[2]
-        stable = (0.0 < gg) & (gg < 1.0)
-        radii = _radii(*args, g, wavelength / math.pi, np.sqrt)
-    return stable, tuple(np.where(stable, w, 0.0) for w in radii)
 
 
 def connecting_r2_columns(l: float, f: float, r1, branch: str) -> tuple[np.ndarray, np.ndarray]:
@@ -226,3 +205,75 @@ def ladder_columns(p_in, fd, p: SystemParams) -> LadderColumns:
         p_stored=p_stored, p_beam=p_beam, p_out=p_out,
         eta_trans=ratio_column(p_beam, p_stored), eta_all=ratio_column(p_out, p_in),
     )
+
+
+# ---------------------------------------------------------------------------
+# Column rules: the column forms of the rules of resbeam.explorer, which map
+# their arguments and the grid column (last) to (value columns, flags).
+
+# flag of each reach status, indexed by REACH_OK, REACH_NO_STABLE_REGION, REACH_UNBOUNDED
+_REACH_FLAGS = np.array(["", "no-stable-region", "unbounded"], dtype=object)
+
+
+def _flags(n: int, *marks: tuple[np.ndarray, str]) -> list[str]:
+    """One flag per row from (mask, token) pairs; the first pair whose mask holds wins."""
+    out = np.full(n, "", dtype=object)
+    for mask, token in reversed(marks):
+        out[mask] = token
+    return out.tolist()
+
+
+def _masked(keep: np.ndarray, values) -> list[np.ndarray]:
+    """The value columns with the rows outside `keep` set to zero."""
+    return [np.where(keep, v, 0.0) for v in values]
+
+
+def _per_drive(out: np.ndarray, drive: np.ndarray, below=False) -> tuple[tuple, list[str]]:
+    """(out, out/drive) of a stage along its drive column, flagged as explorer._per_drive."""
+    below = below and (out == 0.0) & (drive > 0)
+    marks = (drive == 0.0, "undefined-at-zero"), (below, "below-threshold")
+    return (out, ratio_column(out, drive)), _flags(len(drive), *marks)
+
+
+def design_rule(l: float, f: float, branch: str, keep: slice, r1: np.ndarray):
+    r2, solvable = connecting_r2_columns(l, f, r1, branch)
+    reach = max_distance_columns(l, f, r1, r2)
+    values = (r2, reach.d_max, reach.contiguous.astype(float))[keep]
+    return _masked(solvable, values), np.where(
+        solvable, _REACH_FLAGS[reach.status], "no-solution").tolist()
+
+
+def d_rule(p: SystemParams, d: np.ndarray):
+    stable = stable_columns(p.geometry.l, p.geometry.f, p.geometry.r1, p.geometry.r2, d)
+    fd = gain_to_beam_column(d, p)
+    lad = ladder_columns(p.p_in, fd, p)
+    values = (fd, lad.p_beam, lad.eta_trans, lad.p_out, lad.eta_all)
+    return _masked(stable, values), _flags(
+        len(d), (~stable, "unstable"), ((lad.p_out == 0.0) & (p.p_in > 0), "below-threshold"))
+
+
+def p_in_rule(p: SystemParams, fd: float, p_in: np.ndarray):
+    lad = ladder_columns(p_in, fd, p)
+    values = (lad.p_stored, lad.p_beam, lad.p_out, lad.eta_all)
+    return values, _flags(len(p_in), ((lad.p_out == 0.0) & (p_in > 0), "below-threshold"))
+
+
+def p_stored_rule(p: SystemParams, fd: float, ps: np.ndarray):
+    values, flags = _per_drive(beam_column(ps, fd, p.gain), ps, below=True)
+    return (np.full(len(ps), fd), *values), flags
+
+
+def p_beam_rule(p: SystemParams, pb: np.ndarray):
+    return _per_drive(pv_column(pb, p.pv), pb, below=True)
+
+
+def r1_rule(p: SystemParams, r1: np.ndarray):
+    geo = p.geometry
+    valid = valid_elements(r1)  # as CavityGeometry checks r1
+    with np.errstate(divide="ignore", invalid="ignore"):  # invalid rows, masked below
+        _, g1, g2 = g_columns(geo.l, geo.f, r1, geo.r2, p.d)
+        stable = stable_columns(geo.l, geo.f, r1, geo.r2, p.d)
+        reach = max_distance_columns(geo.l, geo.f, r1, geo.r2)
+    values = (g1, g2, stable.astype(float), reach.d_max, reach.contiguous.astype(float))
+    return _masked(valid, values), np.where(
+        valid, _REACH_FLAGS[reach.status], "invalid-r1").tolist()

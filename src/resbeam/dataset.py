@@ -1,11 +1,10 @@
-"""Columnar sweep results and their byte-deterministic serialization."""
+"""Columnar sweep results and their byte-deterministic serialization, without numpy."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import require
 
@@ -21,12 +20,12 @@ class Dataset:
     NaN or inf.  Provenance holds the full effective parameter set of the run.
     """
 
-    columns: dict[str, np.ndarray]
+    columns: dict[str, list[float]]
     flags: list[str] = field(default_factory=list)
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.columns = {k: np.asarray(v, dtype=float) for k, v in self.columns.items()}
+        self.columns = {k: _floats(v) for k, v in self.columns.items()}
         lengths = {len(v) for v in self.columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"columns have unequal lengths: {lengths}")
@@ -36,21 +35,29 @@ class Dataset:
         if len(self.flags) != n:
             raise ValueError(f"{len(self.flags)} flags for {n} rows")
         for name, col in self.columns.items():
-            if not np.isfinite(col).all():
+            if not (math.isfinite(sum(col)) or all(map(math.isfinite, col))):  # inf/NaN poison sum
                 raise ValueError(f"column {name} contains NaN or inf; flag the row instead")
 
     @property
     def n_rows(self) -> int:
         return len(self.flags)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
+    def column(self, name: str):
+        import numpy as np  # here only: a Dataset holds lists
+
+        return np.array(self.columns[name])
 
 
-def _csv_cells(col: np.ndarray) -> list[str]:
+def _floats(values) -> list[float]:
+    """The numbers as a list of floats; a 1-D numpy array converts in one call."""
+    one_call = getattr(values, "ndim", 0) == 1
+    return values.astype(float).tolist() if one_call else list(map(float, values))
+
+
+def _csv_cells(col: list[float]) -> list[str]:
     """9-significant-digit cells; -0.0 prints as 0."""
     # '%.9g' % x is format(x, '.9g'), a little faster
-    return ["0" if x == 0 else "%.9g" % x for x in col.tolist()]
+    return ["0" if x == 0 else "%.9g" % x for x in col]
 
 
 def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
@@ -69,7 +76,7 @@ def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
         return ("\n".join(lines) + "\n").encode("utf-8")
     obj = {
         "provenance": dict(sorted(ds.provenance.items())),
-        "columns": {k: v.tolist() for k, v in ds.columns.items()},
+        "columns": ds.columns,
         "flag": list(ds.flags),
     }
     return (json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")

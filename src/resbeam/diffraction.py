@@ -27,13 +27,14 @@ def associated_laguerre(n: int, m: int, xi):
     Accepts a scalar or ndarray argument.  Stable for the modest orders that
     occur as transverse mode indices.
     """
-    if n < 0 or m < 0:
-        require("n" if n < 0 else "m", n if n < 0 else m, False, ">= 0")
+    for key, order in (("n", n), ("m", m)):
+        if not (order >= 0 and order % 1 == 0):  # NaN fails both
+            require(key, order, False, "an integer >= 0")
     prev = xi * 0.0 + 1.0
     if n == 0:
         return prev
     cur = 1.0 + m - xi
-    for k in range(1, n):
+    for k in range(1, int(n)):
         prev, cur = cur, ((2.0 * k + 1.0 + m - xi) * cur - (k + m) * prev) / (k + 1.0)
     return cur
 

@@ -4,47 +4,59 @@ The point solvers ``required_input_power`` and ``calibrate_aperture`` live in
 :mod:`resbeam.powerchain`, and the R1 design search ``r1_range_for_distance``
 in :mod:`resbeam.cavity`; all three are re-exported here under the same names.
 
-Every sweep and figure evaluates its grid as whole columns through the column
-kernels of :mod:`resbeam.columns`, which equal the scalar kernels bit for
-bit: identical inputs produce bit-identical Datasets.  Rows that cannot be
+A grid of up to ROWS_MAX points runs row by row on the public scalar kernels,
+whose exceptions become the row flags, without numpy: every figure (200
+points) and the CLI's default sweeps run so.  A longer grid runs as columns
+through :mod:`resbeam.columns`, with the same bits.  Rows that cannot be
 evaluated (unstable cavity, no branch solution, ratios at zero input) carry
 zeros plus a flag token rather than being dropped.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
-import numpy as np
-
-from .cavity import BRANCHES, connecting_r2, r1_range_for_distance
-from .columns import (
-    beam_column,
-    beam_radii_columns,
-    connecting_r2_columns,
-    g_columns,
-    gain_to_beam_column,
-    ladder_columns,
-    max_distance_columns,
-    pv_column,
-    ratio_column,
-    stable_columns,
-    stored_column,
-    valid_elements,
+from .cavity import (
+    BRANCHES,
+    CavityGeometry,
+    _check_l_f,
+    beam_radii,
+    connecting_r2,
+    g_parameters,
+    is_stable,
+    max_transmission_distance,
+    r1_range_for_distance,
 )
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
-from .dataset import Dataset
-from .errors import UnknownFigureError, require
+from .dataset import Dataset, _floats
+from .errors import (
+    NoStableRegionError,
+    ResbeamError,
+    UnboundedStableRangeError,
+    UnknownFigureError,
+    UnstableConfigurationError,
+    require,
+)
 from .powerchain import (
     SystemParams,
+    beam_at,
     calibrate_aperture,
     gain_to_beam_coefficient,
+    pv_output,
     required_input_power,
+    stored_power,
 )
 
 FIGURE_IDS = tuple(range(6, 14))
+
+# Grids of up to this many points run as rows, longer ones as columns.  With
+# numpy loaded, columns overtake rows at 20 to 50 points, but at 256 points rows
+# lose at most 6 ms, and save a CLI process its numpy import (about 100 ms).
+ROWS_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -59,26 +71,39 @@ class SweepSpec:
         v = self.variable
         require("variable", v, v in SWEEP_VARIABLES, f"one of {SWEEP_VARIABLES}")
         grid = _checked_grid(v, self.grid)
-        down = np.flatnonzero(np.diff(grid) <= 0)
-        if down.size:  # name the first pair out of order
-            require("grid", tuple(grid[down[0]:down[0] + 2].tolist()), False, "strictly increasing")
+        if not all(map(float.__lt__, grid, grid[1:])):  # name the first pair out of order
+            pair = next(q for q in zip(grid, grid[1:]) if q[0] >= q[1])
+            require("grid", pair, False, "strictly increasing")
 
 
-def _checked_grid(variable: str, points) -> np.ndarray:
-    """The points as a nonempty float column, each finite, and >= 0 but for R1."""
-    grid = np.asarray(points, dtype=float)
-    require("grid", points, grid.ndim == 1 and grid.size > 0, "a nonempty sequence of numbers")
+def _checked_grid(variable: str, points) -> list[float]:
+    """The points as a nonempty list of floats, each finite, and >= 0 but for R1."""
+    try:
+        grid = _floats(points)
+    except TypeError:  # not a sequence, or a nested one
+        grid = []
+    require("grid", points, len(grid) > 0, "a nonempty sequence of numbers")
     signed = variable == "R1"
-    bad = ~np.isfinite(grid) if signed else ~((grid >= 0) & np.isfinite(grid))
-    if bad.any():
-        require("grid", float(grid[bad][0]), False, "finite" if signed else "finite and >= 0")
+    if not (all(map(math.isfinite, grid)) and (signed or min(grid) >= 0)):
+        bad = next(x for x in grid if not (math.isfinite(x) and (signed or x >= 0)))
+        require("grid", bad, False, "finite" if signed else "finite and >= 0")
     return grid
 
 
-# A column rule maps the grid column to (value columns, flags): arrays that
-# read zero on rows without a value, and one flag token per row ("" when
-# clean).  A rule may return a prefix of its value columns; the rest read zero.
-Rule = Callable[[np.ndarray], tuple[Sequence[np.ndarray], list[str]]]
+class Rule(NamedTuple):
+    """A series: ``row(x)`` gives (values, flag) at one grid point on the scalar kernels,
+    ``columns(xs)`` (value columns, flags) with the same bits.  Values may be a prefix of
+    the value columns; the rest read zero.  Figures (200 points) have no column form."""
+
+    row: Callable[[float], tuple]
+    columns: Callable | None = None
+
+
+def _column_rule(name: str, *args):
+    """resbeam.columns.<name>(*args), the grid column last; numpy loads here."""
+    from . import columns
+
+    return getattr(columns, name)(*args)
 
 
 def _tagged(name: str, tag: str) -> str:
@@ -89,157 +114,170 @@ def _tagged(name: str, tag: str) -> str:
     return f"{stem}_{tag}_{unit}" if unit in ("W", "m") else f"{name}_{tag}"
 
 
-def _tabulate(xs, x_col, value_cols, rules: dict[str, Rule], provenance, join=False):
-    """Evaluate each series' column rule on the grid column xs into one Dataset.
+def _joined(flag: str, tag: str, mark: str, join: bool) -> str:
+    """A row's flag after one more series' mark (see _tabulate)."""
+    if join and mark:
+        return f"{flag};{tag}:{mark}" if flag else f"{tag}:{mark}"
+    return flag or mark
+
+
+def _by_rows(xs: list[float], width: int, rules: dict[str, Rule], join: bool):
+    """(columns, flags) of the rules' row forms; an overflowed row reads zero."""
+    rows, flags = [], []
+    for x in xs:
+        row, flag = [x], ""
+        for tag, rule in rules.items():
+            values, mark = rule.row(x)
+            row += (*values, *[0.0] * (width - len(values)))
+            flag = _joined(flag, tag, mark, join)
+        if not all(map(math.isfinite, row)):
+            row, flag = [x] + [0.0] * (len(row) - 1), "overflow"
+        rows.append(row)
+        flags.append(flag)
+    return list(zip(*rows)), flags
+
+
+def _by_columns(xs: list[float], width: int, rules: dict[str, Rule], join: bool):
+    """(columns, flags) of the rules' column forms; numpy loads here."""
+    import numpy as np
+
+    grid = np.array(xs)
+    table, flags = [grid], None
+    for tag, rule in rules.items():
+        values, marks = rule.columns(grid)
+        table += [*values, *(np.zeros(len(xs)) for _ in range(width - len(values)))]
+        flags = marks if flags is None and not join else [  # one series: its own marks
+            _joined(a, tag, m, join) for a, m in zip(flags or [""] * len(xs), marks)]
+    finite = np.logical_and.reduce([np.isfinite(v) for v in table])
+    if not finite.all():
+        table = [grid] + [np.where(finite, v, 0.0) for v in table[1:]]
+        flags = [m if ok else "overflow" for m, ok in zip(flags, finite.tolist())]
+    return table, flags
+
+
+def _tabulate(xs: list[float], x_col, value_cols, rules: dict, provenance, join=False) -> Dataset:
+    """Evaluate each series' rule on the grid xs into one Dataset.
 
     ``rules`` maps a series tag to its rule; each series fills its own tagged
     copy of ``value_cols``.  When several series flag a row, ``join`` joins
     ``tag:flag`` tokens with ';'; otherwise the first nonempty flag wins.  A row
     with a value that overflowed to +-inf reads zero, flagged ``overflow``.
     """
-    n = len(xs)
-    columns = {x_col: xs}
-    flags = None
-    for tag, rule in rules.items():
-        values, marks = rule(xs)
-        values = [*values, *(np.zeros(n) for _ in value_cols[len(values):])]
-        columns.update((_tagged(c, tag), v) for c, v in zip(value_cols, values))
-        if join:
-            marks = [f"{tag}:{m}" if m else "" for m in marks]
-        if flags is None:
-            flags = marks
-        else:
-            flags = [f"{a};{m}" if a and m and join else a or m for a, m in zip(flags, marks)]
-    finite = np.logical_and.reduce([np.isfinite(v) for v in columns.values()])
-    if not finite.all():
-        columns = {k: v if k == x_col else np.where(finite, v, 0.0) for k, v in columns.items()}
-        flags = [m if ok else "overflow" for m, ok in zip(flags, finite.tolist())]
-    return Dataset(columns, flags, provenance)
+    tabulate = _by_columns if len(xs) > ROWS_MAX else _by_rows
+    table, flags = tabulate(xs, len(value_cols), rules, join)
+    names = [x_col] + [_tagged(c, tag) for tag in rules for c in value_cols]
+    return Dataset(dict(zip(names, table)), flags, provenance)
 
 
-# Column helpers shared by sweeps, figures and the R1 design grid
-
-# flag of each reach status, indexed by REACH_OK, REACH_NO_STABLE_REGION, REACH_UNBOUNDED
-_REACH_FLAGS = np.array(["", "no-stable-region", "unbounded"], dtype=object)
+def _below(out: float, drive: float) -> str:
+    return "below-threshold" if out == 0.0 and drive > 0 else ""
 
 
-def _flags(n: int, *marks: tuple[np.ndarray, str]) -> list[str]:
-    """One flag per row from (mask, token) pairs; the first pair whose mask holds wins."""
-    out = np.full(n, "", dtype=object)
-    for mask, token in reversed(marks):
-        out[mask] = token
-    return out.tolist()
+def _per_drive(out: float, drive: float, below=False) -> tuple:
+    """((out, out/drive), flag) of a stage: the ratio reads 0 and the flag undefined-at-zero at
+    zero drive, and with `below`, a driven row with no output is flagged below-threshold."""
+    flag = "undefined-at-zero" if drive == 0.0 else _below(out, drive) if below else ""
+    return (out, out / drive if drive > 0 else 0.0), flag
 
 
-def _unstable(xs: np.ndarray) -> tuple[tuple, list[str]]:
-    return (), ["unstable"] * len(xs)
+def _ladder(p_in: float, fd: float, p: SystemParams) -> tuple:
+    """(p_stored, p_beam, p_out, eta_trans, eta_all) of ladder_at, without building its records."""
+    ps = stored_power(p_in, p.gain)
+    pb = beam_at(ps, fd, p.gain)
+    po = pv_output(pb, p.pv)
+    return ps, pb, po, pb / ps if ps > 0 else 0.0, po / p_in if p_in > 0 else 0.0
 
 
-def _masked(keep: np.ndarray, values) -> list[np.ndarray]:
-    """The value columns with the rows outside `keep` set to zero."""
-    return [np.where(keep, v, 0.0) for v in values]
+_UNSTABLE = Rule(lambda x: ((), "unstable"), lambda xs: ((), ["unstable"] * len(xs)))
 
 
-def _below(out: np.ndarray, drive) -> np.ndarray:
-    return (out == 0.0) & (drive > 0)
+def _held(p: SystemParams, d: float, row: Callable, columns: str = "") -> Rule:
+    """row with fd = f(d) for a series held at d; if d is unstable, every row zero, flagged."""
+    if not is_stable(p.geometry, d):
+        return _UNSTABLE
+    fd = gain_to_beam_coefficient(d, p)
+    return Rule(partial(row, fd=fd), columns and partial(_column_rule, columns, p, fd))
 
 
-def _stable_at(p: SystemParams, d) -> np.ndarray:
-    geo = p.geometry
-    return stable_columns(geo.l, geo.f, geo.r1, geo.r2, d)
+def _distance_rule(p: SystemParams, at: Callable, columns: str = "") -> Rule:
+    """Rule d -> at(f(d)) at stable distances; unstable rows read zero, flagged."""
+    def row(d):
+        return at(gain_to_beam_coefficient(d, p)) if is_stable(p.geometry, d) else _UNSTABLE.row(d)
+
+    return Rule(row, columns and partial(_column_rule, columns, p))
 
 
-def _per_drive(out: np.ndarray, drive: np.ndarray, below=False) -> tuple[tuple, list[str]]:
-    """(out, out/drive) of a stage along its drive column.
-
-    Zero-drive rows are flagged undefined-at-zero; with `below`, driven rows
-    with zero output are flagged below-threshold.
-    """
-    marks = [(drive == 0.0, "undefined-at-zero")]
-    if below:
-        marks.append((_below(out, drive), "below-threshold"))
-    return (out, ratio_column(out, drive)), _flags(len(drive), *marks)
-
-
-def _distance_rule(p: SystemParams, values_at: Callable[[np.ndarray], tuple]) -> Rule:
-    """Rule d -> values_at(f(d)) at stable distances; unstable rows read zero, flagged."""
-    def rule(d):
-        stable = _stable_at(p, d)
-        return _masked(stable, values_at(gain_to_beam_column(d, p))), _flags(
-            len(d), (~stable, "unstable"))
-
-    return rule
+def _reach(geom: CavityGeometry) -> tuple[float, float, str]:
+    """(d_max, contiguous as 1.0 or 0.0, flag); the two reach errors read zero, flagged."""
+    try:
+        d_max, contiguous = max_transmission_distance(geom)
+    except NoStableRegionError:
+        return 0.0, 0.0, "no-stable-region"
+    except UnboundedStableRangeError:
+        return 0.0, 0.0, "unbounded"
+    return d_max, float(contiguous), ""
 
 
-def _design_columns(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
+def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
     """R1 -> (R2, d_max, contiguous)[keep] of the connected-branch designs."""
-    def rule(r1):
-        r2, solvable = connecting_r2_columns(l, f, r1, branch)
-        reach = max_distance_columns(l, f, r1, r2)
-        values = (r2, reach.d_max, reach.contiguous.astype(float))[keep]
-        return _masked(solvable, values), np.where(
-            solvable, _REACH_FLAGS[reach.status], "no-solution").tolist()
+    require("branch", branch, branch in BRANCHES, f"one of {BRANCHES}")
+    _check_l_f(l, f)
 
-    return rule
+    def row(r1):
+        try:
+            geom = CavityGeometry(l, f, r1, connecting_r2(l, f, r1, branch))
+        except ResbeamError:  # no design, or an R1 or R2 CavityGeometry rejects
+            return (), "no-solution"
+        d_max, contiguous, flag = _reach(geom)
+        return (geom.r2, d_max, contiguous)[keep], flag
+
+    return Rule(row, partial(_column_rule, "design_rule", l, f, branch, keep))
 
 
 def _d_rule(p: SystemParams) -> Rule:
-    def rule(d):
-        stable = _stable_at(p, d)
-        fd = gain_to_beam_column(d, p)
-        lad = ladder_columns(p.p_in, fd, p)
-        values = (fd, lad.p_beam, lad.eta_trans, lad.p_out, lad.eta_all)
-        return _masked(stable, values), _flags(
-            len(d), (~stable, "unstable"), (_below(lad.p_out, p.p_in), "below-threshold"))
+    def at(fd):
+        _, pb, po, eta_trans, eta_all = _ladder(p.p_in, fd, p)
+        return (fd, pb, eta_trans, po, eta_all), _below(po, p.p_in)
 
-    return rule
-
-
-def _held(p: SystemParams, d: float, rule: Callable[..., tuple]) -> Rule:
-    """rule with fd = f(d) for a series held at d; if d is unstable, every row zero, flagged."""
-    return partial(rule, fd=gain_to_beam_coefficient(d, p)) if _stable_at(p, d) else _unstable
+    return _distance_rule(p, at, "d_rule")
 
 
 def _p_in_rule(p: SystemParams) -> Rule:
-    def rule(p_in, fd):
-        lad = ladder_columns(p_in, fd, p)
-        values = (lad.p_stored, lad.p_beam, lad.p_out, lad.eta_all)
-        return values, _flags(len(p_in), (_below(lad.p_out, p_in), "below-threshold"))
+    def row(p_in, fd):
+        ps, pb, po, _, eta_all = _ladder(p_in, fd, p)
+        return (ps, pb, po, eta_all), _below(po, p_in)
 
-    return _held(p, p.d, rule)
+    return _held(p, p.d, row, "p_in_rule")
 
 
 def _p_stored_rule(p: SystemParams) -> Rule:
-    def rule(ps, fd):
-        values, flags = _per_drive(beam_column(ps, fd, p.gain), ps, below=True)
-        return (np.full(len(ps), fd), *values), flags
+    def row(ps, fd):
+        values, flag = _per_drive(beam_at(ps, fd, p.gain), ps, below=True)
+        return (fd, *values), flag
 
-    return _held(p, p.d, rule)
+    return _held(p, p.d, row, "p_stored_rule")
 
 
 def _r1_rule(p: SystemParams) -> Rule:
-    geo = p.geometry
+    def row(r1):
+        if r1 == 0.0:  # the grid is finite, so the one R1 CavityGeometry rejects
+            return (), "invalid-r1"
+        geom = replace(p.geometry, r1=r1)
+        der = g_parameters(geom, p.d)
+        d_max, contiguous, flag = _reach(geom)
+        return (der.g1, der.g2, float(is_stable(geom, p.d)), d_max, contiguous), flag
 
-    def rule(r1):
-        valid = valid_elements(r1)  # as CavityGeometry checks r1
-        with np.errstate(divide="ignore", invalid="ignore"):  # invalid rows, masked below
-            _, g1, g2 = g_columns(geo.l, geo.f, r1, geo.r2, p.d)
-            stable = stable_columns(geo.l, geo.f, r1, geo.r2, p.d)
-            reach = max_distance_columns(geo.l, geo.f, r1, geo.r2)
-        values = (g1, g2, stable.astype(float), reach.d_max, reach.contiguous.astype(float))
-        return _masked(valid, values), np.where(
-            valid, _REACH_FLAGS[reach.status], "invalid-r1").tolist()
-
-    return rule
+    return Rule(row, partial(_column_rule, "r1_rule", p))
 
 
-# variable -> (x column, value columns, column rule for the fixed parameters)
+# variable -> (x column, value columns, rule for the fixed parameters)
 _SWEEPS = {
     "d": ("d_m", ("f_d", "P_beam_W", "eta_trans", "P_out_W", "eta_all"), _d_rule),
     "P_in": ("P_in_W", ("P_stored_W", "P_beam_W", "P_out_W", "eta_all"), _p_in_rule),
     "P_stored": ("P_stored_W", ("f_d", "P_beam_W", "eta_trans"), _p_stored_rule),
     "P_beam": ("P_beam_W", ("P_pv_W", "eta_pv"),
-               lambda p: lambda pb: _per_drive(pv_column(pb, p.pv), pb, below=True)),
+               lambda p: Rule(lambda pb: _per_drive(pv_output(pb, p.pv), pb, below=True),
+                              partial(_column_rule, "p_beam_rule", p))),
     "R1": ("R1_m", ("g1", "g2", "stable", "d_max_m", "contiguous"), _r1_rule),
 }
 
@@ -252,8 +290,7 @@ def sweep(spec: SweepSpec) -> Dataset:
     """
     x_col, value_cols, rule_for = _SWEEPS[spec.variable]
     prov = provenance_for(spec.fixed, variable=spec.variable, points=len(spec.grid))
-    xs = np.array(spec.grid, dtype=float)
-    return _tabulate(xs, x_col, value_cols, {"": rule_for(spec.fixed)}, prov)
+    return _tabulate(_floats(spec.grid), x_col, value_cols, {"": rule_for(spec.fixed)}, prov)
 
 
 def max_distance_vs_r1(
@@ -266,11 +303,11 @@ def max_distance_vs_r1(
     non-finite R1, raises.
     """
     base = params if params is not None else reference_defaults()
-    grid = _checked_grid("R1", np.fromiter(r1_grid, dtype=float))
+    grid = _checked_grid("R1", r1_grid)
     prov = provenance_for(base, variable="R1", branch=branch, points=len(grid))
     prov |= {"l": repr(l), "f": repr(f)}
     return _tabulate(grid, "R1_m", ("R2_m", "d_max_m", "contiguous"),
-                     {"": _design_columns(l, f, branch)}, prov)
+                     {"": _design_rule(l, f, branch)}, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -278,61 +315,63 @@ def max_distance_vs_r1(
 
 
 def _fig8(p: SystemParams, prov: dict) -> dict[str, Rule]:
-    geo, rules = p.geometry, {}
+    def radii(geom, d):
+        try:
+            r = beam_radii(geom, d, p.wavelength)
+        except UnstableConfigurationError:
+            return (), "unstable"
+        return (r.w_gain, r.w_m1, r.w_m2), ""
+
+    rules = {}
     for branch in BRANCHES:
-        r2 = connecting_r2(geo.l, geo.f, geo.r1, branch)
+        r2 = connecting_r2(p.geometry.l, p.geometry.f, p.geometry.r1, branch)
         prov[f"r2_{branch}"] = repr(r2)
-        rules[branch] = partial(_radii_rule, replace(geo, r2=r2), p.wavelength)
+        rules[branch] = Rule(partial(radii, replace(p.geometry, r2=r2)))
     return rules
 
 
-def _radii_rule(geom, wavelength: float, d: np.ndarray) -> tuple[tuple, list[str]]:
-    stable, radii = beam_radii_columns(geom, d, wavelength)
-    return radii, _flags(len(d), (~stable, "unstable"))
+def _beams(ps: float, fd: float, p: SystemParams) -> tuple:
+    """((P_beam, eta_trans), flag) at stored power ps and slope fd."""
+    return _per_drive(beam_at(ps, fd, p.gain), ps)
 
 
-def _beam_pair(ps, fd, gain) -> tuple[np.ndarray, np.ndarray]:
-    """(P_beam, eta_trans) at held stored power ps along an f(d) column."""
-    pb = beam_column(ps, fd, gain)
-    return pb, ratio_column(pb, ps)
-
-
-def _output_pair(p_in, fd, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """(P_out, eta_all) of the ladder; p_in and fd are columns or floats."""
-    lad = ladder_columns(p_in, fd, p)
-    return lad.p_out, lad.eta_all
-
-
-def _clean(xs: np.ndarray) -> list[str]:
-    return [""] * len(xs)
+def _outputs(p_in: float, fd: float, p: SystemParams) -> tuple:
+    """((P_out, eta_all), "") of the ladder at input power p_in and slope fd."""
+    return _ladder(p_in, fd, p)[2::2], ""
 
 
 # id -> (grid ends, x column, value columns per series, join flags,
 #        series(params, provenance) -> {tag: rule}; the tag "" is one untagged series)
 _FIGURES = {
     6: ((0.0, 100.0), "P_in_W", ("P_stored_W",), False,
-        lambda p, prov: {"": lambda p_in: ((stored_column(p_in, p.gain),), _clean(p_in))}),
+        lambda p, prov: {"": Rule(lambda p_in: ((stored_power(p_in, p.gain),), ""))}),
     7: ((-1.5, -0.5), "R1_m", ("d_max_m",), True,  # d_max only, of (R2, d_max, contiguous)
-        lambda p, prov: {f"l{mm}_{b}": _design_columns(mm / 1000.0, p.geometry.f, b, slice(1, 2))
+        lambda p, prov: {f"l{mm}_{b}": _design_rule(mm / 1000.0, p.geometry.f, b, slice(1, 2))
                          for mm in (60, 80, 100) for b in BRANCHES}),
     8: ((0.1, 10.4), "d_m", ("w_gain_m", "w_m1_m", "w_m2_m"), True, _fig8),
     9: ((0.0, 50.0), "P_stored_W", ("P_beam_W", "eta_trans"), False,
-        lambda p, prov: {f"d{d:g}": _held(p, d, lambda ps, fd:
-                                          _per_drive(beam_column(ps, fd, p.gain), ps))
-                         for d in (1.0, 5.0)}),
+        lambda p, prov: {f"d{d:g}": _held(p, d, partial(_beams, p=p)) for d in (1.0, 5.0)}),
     10: ((1.0, 10.0), "d_m", ("P_beam_W", "eta_trans"), False,
-         lambda p, prov: {f"ps{ps:g}": _distance_rule(p, partial(_beam_pair, ps, gain=p.gain))
+         lambda p, prov: {f"ps{ps:g}": _distance_rule(p, partial(_beams, ps, p=p))
                           for ps in (10.0, 20.0, 30.0)}),
     11: ((0.0, 30.0), "P_beam_W", ("P_pv_W", "eta_pv"), False,
-         lambda p, prov: {"": lambda pb: _per_drive(pv_column(pb, p.pv), pb)}),
+         lambda p, prov: {"": Rule(lambda pb: _per_drive(pv_output(pb, p.pv), pb))}),
     12: ((0.0, 100.0), "P_in_W", ("P_out_W", "eta_all"), False,
-         lambda p, prov: {f"d{d:g}": _held(p, d, lambda p_in, fd:
-                                           (_output_pair(p_in, fd, p), _clean(p_in)))
-                          for d in (1.0, 5.0)}),
+         lambda p, prov: {f"d{d:g}": _held(p, d, partial(_outputs, p=p)) for d in (1.0, 5.0)}),
     13: ((1.0, 10.0), "d_m", ("P_out_W", "eta_all"), False,
-         lambda p, prov: {f"pin{pin:g}": _distance_rule(p, partial(_output_pair, pin, p=p))
+         lambda p, prov: {f"pin{pin:g}": _distance_rule(p, partial(_outputs, pin, p=p))
                           for pin in (50.0, 80.0, 100.0)}),
 }
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy.linspace(lo, hi, n) bit for bit, without numpy; n >= 1."""
+    if n == 1:
+        return [0.0 * (hi - lo) + lo]
+    step = (hi - lo) / (n - 1)  # numpy scales a subnormal span by i/(n-1) first
+    out = [i * step + lo if step else i / (n - 1) * (hi - lo) + lo for i in range(n)]
+    out[-1] = hi
+    return out
 
 
 def reproduce_figure(figure_id: int, params: SystemParams | None = None) -> Dataset:
@@ -352,4 +391,4 @@ def reproduce_figure(figure_id: int, params: SystemParams | None = None) -> Data
         raise UnknownFigureError(f"figure id must be in 6..13, got {figure_id}")
     (lo, hi), x_col, value_cols, join, series = _FIGURES[figure_id]
     prov = provenance_for(p, figure=figure_id)
-    return _tabulate(np.linspace(lo, hi, 200), x_col, value_cols, series(p, prov), prov, join)
+    return _tabulate(linspace(lo, hi, 200), x_col, value_cols, series(p, prov), prov, join)

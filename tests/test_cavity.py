@@ -495,25 +495,6 @@ class TestColumnKernels:
             assert bool(stable[i]) is is_stable(g, x)
 
     @settings(max_examples=200, deadline=None)
-    @given(geometries(), st.lists(st.floats(0.0, 30.0), min_size=1, max_size=20),
-           st.lists(st.floats(0.0, 1.0), max_size=20), st.floats(2e-7, 2e-6))
-    def test_radii_columns_match_beam_radii(self, g, ds, fractions, wavelength):
-        # random distances are mostly unstable, so also take points inside the stable intervals
-        ivals = stable_distance_intervals(g, 30.0).intervals
-        if ivals:
-            ds += [lo + t * (hi - lo) for t, (lo, hi) in zip(fractions, ivals * len(fractions))]
-        d = np.array(ds)
-        stable, radii = columns.beam_radii_columns(g, d, wavelength)
-        for i, x in enumerate(ds):
-            try:
-                r = beam_radii(g, x, wavelength)
-            except UnstableConfigurationError:
-                assert not stable[i] and all(w[i] == 0.0 for w in radii)
-                continue
-            assert stable[i]
-            assert [bits(w[i]) for w in radii] == [bits(r.w_gain), bits(r.w_m1), bits(r.w_m2)]
-
-    @settings(max_examples=200, deadline=None)
     @given(st.floats(0.01, 0.3), ELEMENT, st.lists(ELEMENT, min_size=1, max_size=20),
            st.sampled_from([ORIGIN, TANGENT]))
     @example(0.25, 0.5, [-0.25, -1.0], ORIGIN)  # l - r1 - f = 0 exactly

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -216,9 +217,16 @@ SCALAR_COMMANDS = {
     "calibrate": ["calibrate", "--pstored", "30W", "--eta", "0.61"],
     "r1-range": ["design", "r1-range", "--target-d", "5m"],
 }
+# the dataset commands at the CLI's grid sizes: a figure has 200 points, and so has a default sweep
+DATASET_COMMANDS = {
+    f"sweep-{var}": ["sweep", "--var", var, "--from", lo, "--to", hi]
+    for var, lo, hi in (("d", "0.1m", "10m"), ("P_in", "0W", "150W"), ("P_stored", "0W", "50W"),
+                        ("P_beam", "0W", "30W"), ("R1", "-1.5m", "-0.5m"))
+} | {f"reproduce-{fid}-{fmt}": ["reproduce", "--figure", str(fid), "--format", fmt]
+     for fid in range(6, 14) for fmt in ("csv", "json")}
 START_UPS = {"import-resbeam": "import resbeam", "import-resbeam.cli": "import resbeam.cli"} | {
     name: f"import resbeam.cli; assert resbeam.cli.main({argv!r}) == 0"
-    for name, argv in SCALAR_COMMANDS.items()}
+    for name, argv in (SCALAR_COMMANDS | DATASET_COMMANDS).items()}
 
 
 HEAVY = "import sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
@@ -226,7 +234,8 @@ HEAVY = "import sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'num
 
 @pytest.mark.parametrize("code", START_UPS.values(), ids=START_UPS.keys())
 def test_scalar_path_loads_neither_numpy_nor_scipy(code):
-    # importing numpy is most of a CLI process's start-up; scipy is a test-only dependency
+    # importing numpy is most of a CLI process's start-up; scipy is a test-only dependency.
+    # Grids of up to explorer.ROWS_MAX points run as rows, so no command here needs numpy.
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}; {HEAVY}"], capture_output=True, text=True, timeout=120,
     )
@@ -339,6 +348,11 @@ def test_wrong_unit_names_the_flag(capsys, argv, key):
     (["sweep", "--var", "R1", "--from", "-1.5m", "--to", "-0.5W"], "sweep_to", "-0.5W"),
     (["sweep", "--var", "P_in", "--from", "1m", "--to", "5m"], "sweep_from", "1m"),
     (["sweep", "--var", "P_beam", "--from", "1W", "--to", "5mm"], "sweep_to", "5mm"),
+    # only R1 takes a negative bound; a bad bound is named, not the grid built from it
+    (["sweep", "--var", "d", "--from", "-1m", "--to", "5m"], "sweep_from", "-1.0"),
+    (["sweep", "--var", "P_in", "--from", "-5W", "--to", "-1W"], "sweep_from", "-5.0"),
+    (["sweep", "--var", "P_stored", "--from", "5W", "--to", "-1W"], "sweep_to", "-1.0"),
+    (["sweep", "--var", "P_beam", "--from", "-0.5W", "--to", "5W"], "sweep_from", "-0.5"),
 ])
 def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
     code, out = run_cli(capsys, *argv)
@@ -425,3 +439,23 @@ def test_unstable_distance_has_no_beam(capsys):
     code, out = run_cli(capsys, "thresholds", "--d", "11m")
     assert code == 1
     assert json.loads(out)["error"] == "UnreachableTargetError"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+POOL = json.loads((PERFBENCH / "reference" / "cli_pool.json").read_text())["entries"]
+DATASET_POOL = {f"{i}-{e['type']}": e for i, e in enumerate(POOL) if e["kind"] == "dataset"}
+
+
+@pytest.mark.parametrize("entry", DATASET_POOL.values(), ids=DATASET_POOL.keys())
+def test_benchmark_dataset_entries_pass_in_process(entry, capsys, tmp_path, monkeypatch):
+    # the benchmark's own check of each recorded sweep and figure run; perfbench is only read
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    cfg, out = tmp_path / "run.cfg", tmp_path / f"out.{entry['format']}"
+    if entry["config"] is not None:
+        cfg.write_text(entry["config"], encoding="utf-8")
+    argv = [a.replace("{cfg}", str(cfg)).replace("{out}", str(out)) for a in entry["argv"]]
+    code, stdout = run_cli(capsys, *argv)
+    written = out.read_bytes() if "{out}" in entry["argv"] else None
+    assert workloads.check_cli(entry, (code, stdout.encode(), written))

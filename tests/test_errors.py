@@ -25,7 +25,7 @@ from resbeam import (
     stable_distance_intervals,
     stored_power,
 )
-from resbeam.columns import beam_radii_columns, connecting_r2_columns, stored_column
+from resbeam.columns import connecting_r2_columns, gain_to_beam_column, stored_column
 from resbeam.powerchain import beam_at
 
 REF = reference_defaults()
@@ -44,16 +44,15 @@ CHECKS = [
     ("r1_range-branch", lambda: r1_range_for_distance(5.0, 0.06, 0.88, "up", WINDOW),
      "branch", "'up'"),
     ("beam_radii-wavelength", lambda: beam_radii(GEOM, 1.0, 0.0), "wavelength", "0.0"),
-    ("beam_radii_columns-wavelength", lambda: beam_radii_columns(GEOM, [1.0], -1.0),
-     "wavelength", "-1.0"),
-    # a non-finite d was an "unstable" row here, where beam_radii raises
-    ("beam_radii_columns-d", lambda: beam_radii_columns(GEOM, [1.0, math.nan], 1.064e-6),
-     "d", "nan"),
+    # a non-finite d is no row of a d column, as beam_radii and gain_to_beam_coefficient raise
+    ("gain_to_beam_column-d", lambda: gain_to_beam_column([1.0, math.nan], REF), "d", "nan"),
     ("connecting_r2_columns-branch", lambda: connecting_r2_columns(0.06, 0.88, [-1.0], "up"),
      "branch", "'up'"),
     ("drive-column", lambda: stored_column(np.array([1.0, -2.0]), REF.gain), "p_in", "-2.0"),
     ("laguerre-n", lambda: associated_laguerre(-1, 0, 0.5), "n", "-1"),
     ("laguerre-m", lambda: associated_laguerre(1, -2, 0.5), "m", "-2"),
+    ("laguerre-n-nan", lambda: associated_laguerre(math.nan, 0, 0.5), "n", "nan"),
+    ("laguerre-n-fraction", lambda: associated_laguerre(1.5, 0, 0.5), "n", "1.5"),
     ("mode-m", lambda: mode_diffraction_loss(41, 0, 1e-3, 1e-3), "m", "41"),
     ("mode-n", lambda: mode_diffraction_loss(0, 0.5, 1e-3, 1e-3), "n", "0.5"),
     ("spot", lambda: mode_diffraction_loss(0, 0, 1e-3, 0.0), "spot", "0.0"),

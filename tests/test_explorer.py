@@ -469,9 +469,9 @@ class TestR1RangeForDistance:
         def column_call(*args):
             raise AssertionError("column kernel called")
 
-        for module in (resbeam.columns, resbeam.explorer):
-            for name in ("max_distance_columns", "connecting_r2_columns"):
-                monkeypatch.setattr(module, name, column_call)
+        # explorer reaches the column kernels only through resbeam.columns
+        for name in ("max_distance_columns", "connecting_r2_columns"):
+            monkeypatch.setattr(resbeam.columns, name, column_call)
         assert len(r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5))) == 1
         assert resbeam.explorer.r1_range_for_distance is resbeam.cavity.r1_range_for_distance
 
@@ -747,10 +747,10 @@ class TestDatasetSerialization:
 
 
 class TestColumnDrivers:
-    # the scalar kernels a per-row loop would call; drivers evaluate columns instead
+    # the scalar kernels a per-row loop calls; grids past ROWS_MAX evaluate columns instead
     SCALAR_KERNELS = ("max_transmission_distance", "is_stable", "g_parameters", "beam_radii")
 
-    def test_no_scalar_kernel_calls_per_row(self, monkeypatch, default_params):
+    def count_scalar_calls(self, monkeypatch, build) -> Counter:
         calls = Counter()
         for name in self.SCALAR_KERNELS:
             def counted(*args, _name=name, _kernel=getattr(resbeam.cavity, name), **kwargs):
@@ -759,12 +759,30 @@ class TestColumnDrivers:
 
             for module in (resbeam.explorer, resbeam.cavity):
                 monkeypatch.setattr(module, name, counted, raising=False)
+        build()
+        monkeypatch.undo()
+        return calls
+
+    def test_no_scalar_kernel_calls_per_row(self, monkeypatch, default_params):
+        # a sweep held at one distance checks it once, however long its grid
         spans = {"d": (0.05, 12.0), "P_in": (0.0, 200.0), "P_stored": (0.0, 50.0),
                  "P_beam": (0.0, 30.0), "R1": (-1.6, -0.4)}
-        for variable, (lo, hi) in spans.items():
-            sweep(SweepSpec(variable, grid(lo, hi, 1000), default_params))
-        for branch in BRANCHES:
-            max_distance_vs_r1(0.06, 0.88, np.linspace(-1.6, -0.4, 1000), branch)
-        for fid in range(6, 14):
-            reproduce_figure(fid)
-        assert calls == Counter()
+        for n in (1000, 500):
+            calls = self.count_scalar_calls(monkeypatch, lambda: [
+                *(sweep(SweepSpec(v, grid(lo, hi, n), default_params))
+                  for v, (lo, hi) in spans.items()),
+                *(max_distance_vs_r1(0.06, 0.88, np.linspace(-1.6, -0.4, n), b)
+                  for b in BRANCHES)])
+            assert calls == Counter(is_stable=2)
+
+    @pytest.mark.parametrize("n", [resbeam.explorer.ROWS_MAX, resbeam.explorer.ROWS_MAX + 1])
+    def test_grid_length_picks_the_path(self, monkeypatch, default_params, n):
+        calls = self.count_scalar_calls(
+            monkeypatch, lambda: sweep(SweepSpec("R1", grid(-1.6, -0.4, n), default_params)))
+        rows = n <= resbeam.explorer.ROWS_MAX
+        assert calls["max_transmission_distance"] == (n if rows else 0)
+
+    def test_figures_run_as_rows(self, monkeypatch):
+        calls = self.count_scalar_calls(
+            monkeypatch, lambda: [reproduce_figure(fid) for fid in (7, 8)])
+        assert calls["max_transmission_distance"] == 6 * 200 and calls["beam_radii"] == 2 * 200

@@ -86,8 +86,7 @@ class CavityGeometry:
         _check_element("r2", self.r2)
 
 
-@dataclass(frozen=True)
-class CavityDerived:
+class CavityDerived(NamedTuple):
     """Per-distance derived quantities feeding stability and radius formulas."""
 
     L: float   # effective cavity length, meters
@@ -102,8 +101,7 @@ class CavityDerived:
         return not math.isnan(self.x)
 
 
-@dataclass(frozen=True)
-class StabilityLine:
+class StabilityLine(NamedTuple):
     """The line traced by (g1(d), g2(d)) as the distance d varies."""
 
     slope: float
@@ -138,12 +136,8 @@ class DistanceIntervals:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def contains(self, d: float) -> bool:
-        return any(lo < d < hi for lo, hi in self.intervals)
 
-
-@dataclass(frozen=True)
-class BeamRadii:
+class BeamRadii(NamedTuple):
     """TEM00 mode radii at the gain medium, M1 and M2 (meters)."""
 
     w_gain: float
@@ -224,7 +218,7 @@ def g_parameters(geom: CavityGeometry, d: float) -> CavityDerived:
     L, g1, g2 = _g_at(geom, d)
     u1, u2 = _u_terms(geom.l, geom.r1, geom.r2, d)
     x = 1.0 / geom.f - 1.0 / geom.l - 1.0 / d if d > 0 else math.nan
-    return CavityDerived(L=L, g1=g1, g2=g2, u1=u1, u2=u2, x=x)
+    return CavityDerived(L, g1, g2, u1, u2, x)
 
 
 def is_stable(geom: CavityGeometry, d: float) -> bool:
@@ -272,7 +266,7 @@ def stability_line(geom: CavityGeometry) -> StabilityLine:
         )
     a1, b1, a2, b2 = _affine(geom.l, geom.f, geom.r1, geom.r2)
     slope = b2 / b1
-    return StabilityLine(slope=slope, intercept=a2 - a1 * slope)
+    return StabilityLine(slope, a2 - a1 * slope)
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 from .cavity import (
     BRANCHES,
@@ -145,6 +146,21 @@ def _load(args) -> RunConfig:
                             if (raw := getattr(args, f.name, None)) is not None})
 
 
+def _numbers(value) -> list:
+    """The floats in a record value, those of nested dicts and lists included."""
+    if isinstance(value, (dict, list)):
+        return [x for v in (value.values() if isinstance(value, dict) else value)
+                for x in _numbers(v)]
+    return [value] if isinstance(value, float) else []
+
+
+def _check_finite(record: dict) -> None:
+    """Raise UnitError naming the first field, in sorted order, that holds a non-finite number."""
+    for key in sorted(record):
+        for value in _numbers(record[key]):
+            require(key, value, math.isfinite(value), "finite")
+
+
 def _print_record(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
@@ -160,27 +176,17 @@ def _write_dataset(ds, args) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
-# A handler takes (args, config, bundle) and returns the fields of its JSON
-# record, or None once it has written a dataset.
-def _cmd_stability(args, cfg: RunConfig, params: SystemParams) -> dict:
-    geom = params.geometry
-    der = g_parameters(geom, cfg.d)
-    stable = is_stable(geom, cfg.d)
-    record = {
-        "L": der.L,
-        "g1": der.g1,
-        "g2": der.g2,
-        "g1g2": der.g1 * der.g2,
-        "stable": stable,
-        "radii": None,
-    }
-    if stable:
-        r = beam_radii(geom, cfg.d, cfg.wavelength)
-        record["radii"] = {"w_gain": r.w_gain, "w_m1": r.w_m1, "w_m2": r.w_m2}
-    return record
+# A handler takes (args, bundle) and returns the fields of its JSON record, or
+# None once it has written a dataset.
+def _cmd_stability(args, params: SystemParams) -> dict:
+    geom, d = params.geometry, params.d
+    L, g1, g2, *_ = g_parameters(geom, d)
+    stable = is_stable(geom, d)
+    radii = beam_radii(geom, d, params.wavelength)._asdict() if stable else None
+    return {"L": L, "g1": g1, "g2": g2, "g1g2": g1 * g2, "stable": stable, "radii": radii}
 
 
-def _cmd_intervals(args, cfg: RunConfig, params: SystemParams) -> dict:
+def _cmd_intervals(args, params: SystemParams) -> dict:
     d_limit = parse_quantity(args.d_limit, "d_limit")
     ivals = stable_distance_intervals(params.geometry, d_limit)
     return {
@@ -189,38 +195,30 @@ def _cmd_intervals(args, cfg: RunConfig, params: SystemParams) -> dict:
     }
 
 
-def _cmd_max_distance(args, cfg: RunConfig, params: SystemParams) -> dict:
-    md = max_transmission_distance(params.geometry)
-    return {
-        "d_max": md.d_max,
-        "contiguous": md.contiguous,
-    }
+def _cmd_max_distance(args, params: SystemParams) -> dict:
+    return max_transmission_distance(params.geometry)._asdict()
 
 
-def _cmd_connect_r2(args, cfg: RunConfig, params: SystemParams) -> dict:
-    r2 = connecting_r2(cfg.l, cfg.f, cfg.r1, args.branch)
-    line = stability_line(replace(params.geometry, r2=r2))
-    return {
-        "branch": args.branch,
-        "r2": r2,
-        "slope": line.slope,
-        "intercept": line.intercept,
-    }
+def _cmd_connect_r2(args, params: SystemParams) -> dict:
+    geom = params.geometry
+    r2 = connecting_r2(geom.l, geom.f, geom.r1, args.branch)
+    line = stability_line(replace(geom, r2=r2))
+    return {"branch": args.branch, "r2": r2, **line._asdict()}
 
 
-def _cmd_power(args, cfg: RunConfig, params: SystemParams) -> dict:
+def _cmd_power(args, params: SystemParams) -> dict:
     p_in = parse_quantity(args.pin, "pin")
-    state, eff = end_to_end(p_in, cfg.d, params)
+    state, eff = end_to_end(p_in, params.d, params)
     # the record keys are the field names of the power ladder and its efficiencies
-    return {"stable": is_stable(params.geometry, cfg.d), **asdict(state), **asdict(eff)}
+    return {"stable": is_stable(params.geometry, params.d), **state._asdict(), **eff._asdict()}
 
 
-def _cmd_thresholds(args, cfg: RunConfig, params: SystemParams) -> dict:
-    th = thresholds(cfg.d, params)
-    return {"d": cfg.d, **{f"{stage}_th": value for stage, value in th._asdict().items()}}
+def _cmd_thresholds(args, params: SystemParams) -> dict:
+    th = thresholds(params.d, params)
+    return {"d": params.d, **{f"{stage}_th": value for stage, value in th._asdict().items()}}
 
 
-def _cmd_sweep(args, cfg: RunConfig, params: SystemParams) -> None:
+def _cmd_sweep(args, params: SystemParams) -> None:
     from .explorer import SweepSpec, linspace, sweep
 
     var, n = args.sweep_var, args.sweep_points
@@ -233,20 +231,20 @@ def _cmd_sweep(args, cfg: RunConfig, params: SystemParams) -> None:
     _write_dataset(sweep(SweepSpec(var, tuple(linspace(lo, hi, n)), params)), args)
 
 
-def _cmd_required_pin(args, cfg: RunConfig, params: SystemParams) -> dict:
+def _cmd_required_pin(args, params: SystemParams) -> dict:
     target = parse_quantity(args.pout, "pout")
-    pin = required_input_power(target, cfg.d, params)
+    pin = required_input_power(target, params.d, params)
     return {
         "p_out_target": target,
         "p_in_required": pin,
     }
 
 
-def _cmd_r1_range(args, cfg: RunConfig, params: SystemParams) -> dict:
+def _cmd_r1_range(args, params: SystemParams) -> dict:
     target = parse_quantity(args.target_d, "target_d")
     lo = parse_quantity(args.search_from, "search_from")
     hi = parse_quantity(args.search_to, "search_to")
-    ivals = r1_range_for_distance(target, cfg.l, cfg.f, args.branch, (lo, hi))
+    ivals = r1_range_for_distance(target, params.l, params.geometry.f, args.branch, (lo, hi))
     return {
         "branch": args.branch,
         "target_d": target,
@@ -254,19 +252,19 @@ def _cmd_r1_range(args, cfg: RunConfig, params: SystemParams) -> dict:
     }
 
 
-def _cmd_calibrate(args, cfg: RunConfig, params: SystemParams) -> dict:
+def _cmd_calibrate(args, params: SystemParams) -> dict:
     p_stored = parse_quantity(args.pstored, "pstored")
     eta = parse_quantity(args.eta, "eta")
-    a = calibrate_aperture(cfg.d, p_stored, eta, params)
+    a = calibrate_aperture(params.d, p_stored, eta, params)
     return {
         "aperture_radius": a,
         "eta_trans_target": eta,
         "p_stored": p_stored,
-        "d": cfg.d,
+        "d": params.d,
     }
 
 
-def _cmd_reproduce(args, cfg: RunConfig, params: SystemParams) -> None:
+def _cmd_reproduce(args, params: SystemParams) -> None:
     from .explorer import reproduce_figure
 
     _write_dataset(reproduce_figure(args.figure, params), args)
@@ -280,10 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _load(args)
-        params = cfg.system_params()
-        record = args.handler(args, cfg, params)
+        params = _load(args).system_params()
+        record = args.handler(args, params)
         if record is not None:
+            _check_finite(record)
             _print_record({"command": args.command, **record, "params": provenance_for(params)})
         return 0
     except (ResbeamError, ValueError) as exc:

@@ -46,6 +46,7 @@ from .powerchain import (
     beam_at,
     calibrate_aperture,
     gain_to_beam_coefficient,
+    ladder_at,
     pv_output,
     required_input_power,
     stored_power,
@@ -180,14 +181,6 @@ def _per_drive(out: float, drive: float, below=False) -> tuple:
     return (out, out / drive if drive > 0 else 0.0), flag
 
 
-def _ladder(p_in: float, fd: float, p: SystemParams) -> tuple:
-    """(p_stored, p_beam, p_out, eta_trans, eta_all) of ladder_at, without building its records."""
-    ps = stored_power(p_in, p.gain)
-    pb = beam_at(ps, fd, p.gain)
-    po = pv_output(pb, p.pv)
-    return ps, pb, po, pb / ps if ps > 0 else 0.0, po / p_in if p_in > 0 else 0.0
-
-
 _UNSTABLE = Rule(lambda x: ((), "unstable"), lambda xs: ((), ["unstable"] * len(xs)))
 
 
@@ -236,7 +229,7 @@ def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
 
 def _d_rule(p: SystemParams) -> Rule:
     def at(fd):
-        _, pb, po, eta_trans, eta_all = _ladder(p.p_in, fd, p)
+        (_, _, pb, po), (_, eta_trans, _, eta_all) = ladder_at(p.p_in, fd, p)
         return (fd, pb, eta_trans, po, eta_all), _below(po, p.p_in)
 
     return _distance_rule(p, at, "d_rule")
@@ -244,7 +237,7 @@ def _d_rule(p: SystemParams) -> Rule:
 
 def _p_in_rule(p: SystemParams) -> Rule:
     def row(p_in, fd):
-        ps, pb, po, _, eta_all = _ladder(p_in, fd, p)
+        (_, ps, pb, po), (_, _, _, eta_all) = ladder_at(p_in, fd, p)
         return (ps, pb, po, eta_all), _below(po, p_in)
 
     return _held(p, p.d, row, "p_in_rule")
@@ -337,7 +330,8 @@ def _beams(ps: float, fd: float, p: SystemParams) -> tuple:
 
 def _outputs(p_in: float, fd: float, p: SystemParams) -> tuple:
     """((P_out, eta_all), "") of the ladder at input power p_in and slope fd."""
-    return _ladder(p_in, fd, p)[2::2], ""
+    (_, _, _, p_out), (_, _, _, eta_all) = ladder_at(p_in, fd, p)
+    return (p_out, eta_all), ""
 
 
 # id -> (grid ends, x column, value columns per series, join flags,

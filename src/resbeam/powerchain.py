@@ -16,7 +16,7 @@ column kernels of :mod:`resbeam.columns` run the stages over numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cavity import CavityGeometry, is_stable
@@ -85,8 +85,7 @@ class SystemParams:
         return self.geometry.l
 
 
-@dataclass(frozen=True)
-class PowerState:
+class PowerState(NamedTuple):
     """The four-stage power ladder, watts, all >= 0."""
 
     p_in: float
@@ -95,8 +94,7 @@ class PowerState:
     p_out: float
 
 
-@dataclass(frozen=True)
-class EfficiencyBreakdown:
+class EfficiencyBreakdown(NamedTuple):
     """Per-stage and end-to-end efficiencies; below-threshold stages read 0."""
 
     eta_stored: float
@@ -183,14 +181,12 @@ def ladder_at(p_in: float, fd: float, p: SystemParams) -> tuple[PowerState, Effi
     p_stored = stored_power(p_in, p.gain)  # validates p_in
     p_beam = beam_at(p_stored, fd, p.gain)
     p_out = pv_output(p_beam, p.pv)
-    state = PowerState(p_in=p_in, p_stored=p_stored, p_beam=p_beam, p_out=p_out)
-    eff = EfficiencyBreakdown(
-        eta_stored=p.gain.eta_stored,
-        eta_trans=p_beam / p_stored if p_stored > 0 else 0.0,
-        eta_pv=p_out / p_beam if p_beam > 0 else 0.0,
-        eta_all=p_out / p_in if p_in > 0 else 0.0,
+    return PowerState(p_in, p_stored, p_beam, p_out), EfficiencyBreakdown(
+        p.gain.eta_stored,
+        p_beam / p_stored if p_stored > 0 else 0.0,
+        p_out / p_beam if p_beam > 0 else 0.0,
+        p_out / p_in if p_in > 0 else 0.0,
     )
-    return state, eff
 
 
 def end_to_end(p_in: float, d: float, p: SystemParams) -> tuple[PowerState, EfficiencyBreakdown]:
@@ -206,8 +202,8 @@ def end_to_end(p_in: float, d: float, p: SystemParams) -> tuple[PowerState, Effi
     state, eff = ladder_at(p_in, gain_to_beam_coefficient(d, p), p)
     if is_stable(p.geometry, d):
         return state, eff
-    return (replace(state, p_beam=0.0, p_out=0.0),
-            replace(eff, eta_trans=0.0, eta_pv=0.0, eta_all=0.0))
+    return (state._replace(p_beam=0.0, p_out=0.0),
+            eff._replace(eta_trans=0.0, eta_pv=0.0, eta_all=0.0))
 
 
 def _formed_slope(d: float, p: SystemParams) -> float:

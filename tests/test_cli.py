@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from resbeam import RunConfig, UnitError, cli, config
+from resbeam import (BeamRadii, CavityDerived, EfficiencyBreakdown, MaxDistance, PowerState,
+                     RunConfig, StabilityLine, Thresholds, UnitError, cli, config)
 from resbeam.cli import build_parser, main
 
 
@@ -439,6 +440,65 @@ def test_unstable_distance_has_no_beam(capsys):
     code, out = run_cli(capsys, "thresholds", "--d", "11m")
     assert code == 1
     assert json.loads(out)["error"] == "UnreachableTargetError"
+
+
+# the fields of each point record at the reference link, beside "command" and "params"
+RECORD_KEYS = {
+    "stability": "L g1 g2 g1g2 stable radii",
+    "intervals": "d_limit intervals",
+    "max-distance": "d_max contiguous",
+    "connect-r2": "branch r2 slope intercept",
+    "power": "stable p_in p_stored p_beam p_out eta_stored eta_trans eta_pv eta_all",
+    "thresholds": "d p_stored_th p_beam_th p_in_th",
+    "required-pin": "p_out_target p_in_required",
+    "calibrate": "aperture_radius eta_trans_target p_stored d",
+    "r1-range": "branch target_d intervals",
+}
+RESULT_FIELDS = {
+    CavityDerived: "L g1 g2 u1 u2 x",
+    StabilityLine: "slope intercept",
+    BeamRadii: "w_gain w_m1 w_m2",
+    MaxDistance: "d_max contiguous",
+    PowerState: "p_in p_stored p_beam p_out",
+    EfficiencyBreakdown: "eta_stored eta_trans eta_pv eta_all",
+    Thresholds: "p_stored p_beam p_in",
+}
+
+
+def test_point_records_hold_exactly_the_result_fields(capsys):
+    # records are built from the results' own fields, so a renamed field would rename a key
+    for cls, names in RESULT_FIELDS.items():
+        assert issubclass(cls, tuple) and cls._fields == tuple(names.split()), cls
+    for name, argv in SCALAR_COMMANDS.items():
+        code, out = run_cli(capsys, *argv)
+        rec = json.loads(out)
+        assert code == 0, name
+        assert set(rec) == {"command", "params", *RECORD_KEYS[name].split()}, name
+    assert list(json.loads(run_cli(capsys, "stability")[1])["radii"]) == list(BeamRadii._fields)
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["stability", "--r1", "1e-320m"], "g1", "-inf"),
+    (["stability", "--d", "1e300m"], "g1g2", "inf"),
+    (["design", "required-pin", "--pout", "1e308W"], "p_in_required", "inf"),
+    # a PV offset that gives output at no beam, over a subnormal drive
+    (["power", "--pin", "2e-313W", "--config", "{cfg}"], "eta_all", "inf"),
+])
+def test_overflowed_record_field_is_named(capsys, tmp_path, argv, key, value):
+    cfg = tmp_path / "pv.cfg"
+    cfg.write_text("c = 0W\nb1 = 1W\n", encoding="utf-8")
+    code, out = run_cli(capsys, *(str(cfg) if a == "{cfg}" else a for a in argv))
+    assert code == 1
+    rec = json.loads(out)
+    assert (rec["error"], rec["key"], rec["value"]) == ("UnitError", key, value)
+    assert rec["message"] == f"{key}: must be finite, got {value}"
+
+
+def test_nested_record_numbers_are_checked():
+    # a number inside radii or intervals is named by its top-level field
+    with pytest.raises(UnitError) as exc:
+        cli._check_finite({"radii": {"w_gain": math.inf}, "intervals": [[0.0, math.nan]], "d": 1.0})
+    assert (exc.value.key, exc.value.value) == ("intervals", "nan")
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

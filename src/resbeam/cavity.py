@@ -35,6 +35,7 @@ from .errors import (
     UnstableConfigurationError,
     WrongSignSlopeError,
     require,
+    rule_error,
 )
 
 FLAT = math.inf
@@ -47,11 +48,15 @@ BRANCHES = (ORIGIN, TANGENT)
 _MERGE_TOL = 1e-9
 # Candidate R1 edges closer than this (meters) are one root.
 _R1_MERGE_TOL = 1e-12
+_ELEMENT = "finite nonzero or FLAT (+inf)"
+
+
+def _is_element(value: float) -> bool:
+    return not (math.isnan(value) or value == 0.0 or value == -math.inf)
 
 
 def _check_element(name: str, value: float) -> None:
-    if math.isnan(value) or value == 0.0 or value == -math.inf:
-        require(name, value, False, "finite nonzero or FLAT (+inf)")
+    require(name, value, _is_element(value), _ELEMENT)
 
 
 def _check_l_f(l: float, f: float) -> None:
@@ -285,9 +290,9 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
     return sorted({q / a, c / q})
 
 
-def _boundary_candidates(geom: CavityGeometry) -> list[float]:
+def _boundary_candidates(l: float, f: float, r1: float, r2: float) -> list[float]:
     """All d > 0 where g1*g2 crosses or touches 0 or 1, near-duplicates merged."""
-    a1, b1, a2, b2 = _affine(geom.l, geom.f, geom.r1, geom.r2)
+    a1, b1, a2, b2 = _affine(l, f, r1, r2)
     cands = []
     if b1 != 0.0:
         cands.append(-a1 / b1)
@@ -303,10 +308,16 @@ def _boundary_candidates(geom: CavityGeometry) -> list[float]:
     return merged
 
 
-def _stable_segments(geom: CavityGeometry, points: list[float]) -> list[tuple[float, float]]:
+def _stable_at(l: float, f: float, r1: float, r2: float, d: float) -> bool:
+    """is_stable of valid elements at a finite d >= 0."""
+    _, g1, g2 = _g_terms(l, f, r1, r2, d)
+    return 0.0 < g1 * g2 < 1.0
+
+
+def _stable_segments(l, f, r1, r2, points: list[float]) -> list[tuple[float, float]]:
     """The gaps between consecutive points, wider than _MERGE_TOL, with a stable midpoint."""
     return [(lo, hi) for lo, hi in zip(points, points[1:])
-            if hi - lo > _MERGE_TOL and is_stable(geom, 0.5 * (lo + hi))]
+            if hi - lo > _MERGE_TOL and _stable_at(l, f, r1, r2, 0.5 * (lo + hi))]
 
 
 def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceIntervals:
@@ -319,8 +330,29 @@ def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceI
     """
     if not (d_limit > 0 and math.isfinite(d_limit)):
         require("d_limit", d_limit, False, "finite and > 0")
-    points = [0.0] + [c for c in _boundary_candidates(geom) if c < d_limit] + [d_limit]
-    return DistanceIntervals(intervals=tuple(_stable_segments(geom, points)))
+    elements = (geom.l, geom.f, geom.r1, geom.r2)
+    points = [0.0] + [c for c in _boundary_candidates(*elements) if c < d_limit] + [d_limit]
+    return DistanceIntervals(intervals=tuple(_stable_segments(*elements, points)))
+
+
+def _reach(l: float, f: float, r1: float, r2: float) -> tuple[float, bool, str]:
+    """(d_max, contiguous, flag) of max_transmission_distance on valid elements.
+
+    The flag is "" for a bounded stable set, else "unbounded" (d_max the
+    distance found stable past every boundary) or "no-stable-region" (d_max 0).
+    """
+    points = [0.0] + _boundary_candidates(l, f, r1, r2)
+    beyond = points[-1] + 1.0
+    if _stable_at(l, f, r1, r2, beyond):
+        return beyond, False, "unbounded"
+    segments = _stable_segments(l, f, r1, r2, points)
+    if not segments:
+        return 0.0, False, "no-stable-region"
+    contiguous = all(
+        nxt_lo - hi <= _MERGE_TOL
+        for (_, hi), (nxt_lo, _) in zip(segments, segments[1:])
+    )
+    return segments[-1][1], contiguous, ""
 
 
 def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
@@ -336,18 +368,31 @@ def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
     UnboundedStableRangeError
         When the cavity stays stable for arbitrarily large d.
     """
-    points = [0.0] + _boundary_candidates(geom)
-    segments = _stable_segments(geom, points)
-    beyond = max(points) + 1.0
-    if is_stable(geom, beyond):
-        raise UnboundedStableRangeError(probe_limit=beyond)
-    if not segments:
+    d_max, contiguous, flag = _reach(geom.l, geom.f, geom.r1, geom.r2)
+    if flag == "unbounded":
+        raise UnboundedStableRangeError(probe_limit=d_max)
+    if flag:
         raise NoStableRegionError("no transmission distance satisfies 0 < g1*g2 < 1")
-    contiguous = all(
-        nxt_lo - hi <= _MERGE_TOL
-        for (_, hi), (nxt_lo, _) in zip(segments, segments[1:])
-    )
-    return MaxDistance(d_max=segments[-1][1], contiguous=contiguous)
+    return MaxDistance(d_max, contiguous)
+
+
+def _connected_r2(l: float, f: float, r1: float, branch: str) -> float | ResbeamError:
+    """connecting_r2 on a checked l, f and branch: the r2, or the error to raise."""
+    if not _is_element(r1):
+        return rule_error("r1", r1, _ELEMENT)
+    c0, _, rho2 = _connecting(l, f, r1, branch)
+    if c0 == 0.0:
+        return WrongSignSlopeError(
+            "l equals f: the stability line is horizontal on both branches"
+        )
+    if _g1_independent_of_d(l, f, r1):
+        return NoSolutionError(
+            "g1 is independent of d for this (l, f, r1); no connecting line exists"
+        )
+    r2 = 1.0 / rho2
+    if not _is_element(r2):  # 1/r1 overflowed, or rho2 underflowed to -0.0
+        return rule_error("r1", r1, f"an R1 whose connecting r2 is {_ELEMENT}")
+    return r2
 
 
 def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
@@ -371,21 +416,17 @@ def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
         so no line placement exists.
     WrongSignSlopeError
         When l = f, which forces a zero slope on either branch.
+    UnitError
+        Naming r1, when r2 would not be a valid element (0 or -inf), as for a
+        subnormal r1.
     """
     if branch not in BRANCHES:
         require("branch", branch, False, f"one of {BRANCHES}")
     _check_l_f(l, f)
-    _check_element("r1", r1)
-    c0, _, rho2 = _connecting(l, f, r1, branch)
-    if c0 == 0.0:
-        raise WrongSignSlopeError(
-            "l equals f: the stability line is horizontal on both branches"
-        )
-    if _g1_independent_of_d(l, f, r1):
-        raise NoSolutionError(
-            "g1 is independent of d for this (l, f, r1); no connecting line exists"
-        )
-    return 1.0 / rho2
+    r2 = _connected_r2(l, f, r1, branch)
+    if isinstance(r2, ResbeamError):
+        raise r2
+    return r2
 
 
 def r1_range_for_distance(
@@ -422,13 +463,11 @@ def r1_range_for_distance(
 
     def reaches(r1: float) -> bool:
         # unbounded reaches; a design error does not
-        try:
-            geom = CavityGeometry(l, f, r1, connecting_r2(l, f, r1, branch))
-            return max_transmission_distance(geom).d_max >= target_d
-        except UnboundedStableRangeError:
-            return True
-        except ResbeamError:
+        r2 = _connected_r2(l, f, r1, branch)
+        if isinstance(r2, ResbeamError):
             return False
+        d_max, _, flag = _reach(l, f, r1, r2)
+        return flag == "unbounded" or (not flag and d_max >= target_d)
 
     phi = 1.0 / f
     c0 = 1.0 - l * phi

@@ -4,9 +4,11 @@ A Laguerre-Gaussian mode of spot size ``w`` truncated by an aperture of
 radius ``a`` loses the fraction of its power carried beyond r = a.  The
 angular integral cancels, and with x = 2r^2/w^2 the radial tail is a
 polynomial times exp(-x), which Gauss-Laguerre quadrature integrates
-exactly.  The fundamental mode additionally has the distance-dependent
-closed form ``exp(-2*pi*a^2 / (lambda*(l + d)))`` via the equivalent
-confocal resonator, which the power chain consumes directly.
+exactly; its nodes are found once per order by Newton's method, in plain
+floats, so that the module runs without numpy.  The fundamental mode
+additionally has the distance-dependent closed form
+``exp(-2*pi*a^2 / (lambda*(l + d)))`` via the equivalent confocal resonator,
+which the power chain consumes directly.
 """
 
 from __future__ import annotations
@@ -21,6 +23,17 @@ from .errors import require
 MAX_MODE_ORDER = 40
 
 
+def _laguerre(n: int, m, x):
+    """L_n^m(x) by the three-term recurrence, for orders the caller has checked."""
+    prev = x * 0.0 + 1.0
+    if n == 0:
+        return prev
+    cur = 1.0 + m - x
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + 1.0 + m - x) * cur - (k + m) * prev) / (k + 1.0)
+    return cur
+
+
 def associated_laguerre(n: int, m: int, xi):
     """Associated Laguerre polynomial L_n^m(xi) by the three-term recurrence.
 
@@ -30,28 +43,35 @@ def associated_laguerre(n: int, m: int, xi):
     for key, order in (("n", n), ("m", m)):
         if not (order >= 0 and order % 1 == 0):  # NaN fails both
             require(key, order, False, "an integer >= 0")
-    prev = xi * 0.0 + 1.0
-    if n == 0:
-        return prev
-    cur = 1.0 + m - xi
-    for k in range(1, int(n)):
-        prev, cur = cur, ((2.0 * k + 1.0 + m - xi) * cur - (k + m) * prev) / (k + 1.0)
-    return cur
+    return _laguerre(int(n), m, xi)
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_laguerre(k: int):
-    """Read-only k-point Gauss-Laguerre nodes and weights (exact to degree 2k-1).
+def _gauss_laguerre(k: int) -> tuple[tuple[float, float], ...]:
+    """The k (node, weight) pairs of Gauss-Laguerre quadrature (exact to degree 2k-1).
 
-    numpy loads here, at the first mode-loss evaluation, so that the scalar
-    path of the package starts without it.
+    Each node is a root of L_k, found by Newton's method on the three-term
+    recurrence from the asymptotic guesses of ``gaulag`` (Press et al.,
+    Numerical Recipes, section 4.6); its weight is x / (k L_{k-1}(x))^2.  Once
+    a Newton step is below 1e-13 of the node, the quadratic convergence leaves
+    the node exact to rounding.  Plain floats, so that no mode loss needs numpy.
     """
-    import numpy as np
-
-    nodes, weights = np.polynomial.laguerre.laggauss(k)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    pairs: list[tuple[float, float]] = []
+    for i in range(k):
+        if i == 0:
+            z = 3.0 / (1.0 + 2.4 * k)
+        elif i == 1:
+            z += 15.0 / (1.0 + 2.5 * k)
+        else:
+            z += (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (z - pairs[-2][0])
+        for _ in range(100):
+            p1 = _laguerre(k, 0, z)
+            step = z * p1 / (k * (p1 - _laguerre(k - 1, 0, z)))  # x L_k' = k (L_k - L_{k-1})
+            z -= step
+            if abs(step) <= 1e-13 * z:
+                break
+        pairs.append((z, z / (k * _laguerre(k - 1, 0, z)) ** 2))
+    return tuple(pairs)
 
 
 def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -> float:
@@ -93,9 +113,11 @@ def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -
         return 0.0
 
     t = 2.0 * u * u
-    nodes, weights = _gauss_laguerre((m + 2 * n) // 2 + 1)
-    x = nodes + t
-    tail = math.exp(-t) * float(weights @ (x**m * associated_laguerre(n, m, x) ** 2))
+    tail = 0.0
+    for node, weight in _gauss_laguerre((m + 2 * n) // 2 + 1):
+        x = node + t
+        tail += weight * (x**m * _laguerre(n, m, x) ** 2)
+    tail *= math.exp(-t)
     return min(1.0, max(0.0, tail * math.factorial(n) / math.factorial(n + m)))
 
 

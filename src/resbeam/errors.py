@@ -88,7 +88,12 @@ class UnitError(ConfigError, ValueError):
         super().__init__(f"{key}: {message}")
 
 
+def rule_error(key: str, value: object, rule: str) -> UnitError:
+    """UnitError(key, "must be <rule>, got <repr(value)>"), for a body that returns its error."""
+    return UnitError(key, f"must be {rule}, got {value!r}", repr(value))
+
+
 def require(key: str, value: object, ok: bool, rule: str) -> None:
-    """Unless ok, raise UnitError(key, "must be <rule>, got <repr(value)>")."""
+    """Unless ok, raise rule_error(key, value, rule)."""
     if not ok:
-        raise UnitError(key, f"must be {rule}, got {value!r}", repr(value))
+        raise rule_error(key, value, rule)

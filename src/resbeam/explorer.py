@@ -4,12 +4,13 @@ The point solvers ``required_input_power`` and ``calibrate_aperture`` live in
 :mod:`resbeam.powerchain`, and the R1 design search ``r1_range_for_distance``
 in :mod:`resbeam.cavity`; all three are re-exported here under the same names.
 
-A grid of up to ROWS_MAX points runs row by row on the public scalar kernels,
-whose exceptions become the row flags, without numpy: every figure (200
-points) and the CLI's default sweeps run so.  A longer grid runs as columns
-through :mod:`resbeam.columns`, with the same bits.  Rows that cannot be
-evaluated (unstable cavity, no branch solution, ratios at zero input) carry
-zeros plus a flag token rather than being dropped.
+A grid of up to ROWS_MAX points runs row by row, without numpy, on the scalar
+kernels, whose exceptions become the row flags, and on the private
+connected-r2 and reach bodies of :mod:`resbeam.cavity`, which return theirs:
+every figure (200 points) and the CLI's default sweeps run so.  A longer grid
+runs as columns through :mod:`resbeam.columns`, with the same bits.  Rows that
+cannot be evaluated (unstable cavity, no branch solution, ratios at zero input)
+carry zeros plus a flag token rather than being dropped.
 """
 
 from __future__ import annotations
@@ -22,21 +23,19 @@ from typing import NamedTuple
 
 from .cavity import (
     BRANCHES,
-    CavityGeometry,
     _check_l_f,
+    _connected_r2,
+    _g_terms,
+    _reach,
     beam_radii,
     connecting_r2,
-    g_parameters,
     is_stable,
-    max_transmission_distance,
     r1_range_for_distance,
 )
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset, _floats
 from .errors import (
-    NoStableRegionError,
     ResbeamError,
-    UnboundedStableRangeError,
     UnknownFigureError,
     UnstableConfigurationError,
     require,
@@ -200,15 +199,10 @@ def _distance_rule(p: SystemParams, at: Callable, columns: str = "") -> Rule:
     return Rule(row, columns and partial(_column_rule, columns, p))
 
 
-def _reach(geom: CavityGeometry) -> tuple[float, float, str]:
-    """(d_max, contiguous as 1.0 or 0.0, flag); the two reach errors read zero, flagged."""
-    try:
-        d_max, contiguous = max_transmission_distance(geom)
-    except NoStableRegionError:
-        return 0.0, 0.0, "no-stable-region"
-    except UnboundedStableRangeError:
-        return 0.0, 0.0, "unbounded"
-    return d_max, float(contiguous), ""
+def _reach_row(l: float, f: float, r1: float, r2: float) -> tuple[float, float, str]:
+    """(d_max, contiguous as 1.0 or 0.0, flag); an unbounded or empty reach reads zero, flagged."""
+    d_max, contiguous, flag = _reach(l, f, r1, r2)
+    return (0.0, 0.0, flag) if flag else (d_max, float(contiguous), "")
 
 
 def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
@@ -217,12 +211,11 @@ def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
     _check_l_f(l, f)
 
     def row(r1):
-        try:
-            geom = CavityGeometry(l, f, r1, connecting_r2(l, f, r1, branch))
-        except ResbeamError:  # no design, or an R1 or R2 CavityGeometry rejects
+        r2 = _connected_r2(l, f, r1, branch)
+        if isinstance(r2, ResbeamError):  # no design, or an R1 or R2 that is no element
             return (), "no-solution"
-        d_max, contiguous, flag = _reach(geom)
-        return (geom.r2, d_max, contiguous)[keep], flag
+        d_max, contiguous, flag = _reach_row(l, f, r1, r2)
+        return (r2, d_max, contiguous)[keep], flag
 
     return Rule(row, partial(_column_rule, "design_rule", l, f, branch, keep))
 
@@ -252,13 +245,14 @@ def _p_stored_rule(p: SystemParams) -> Rule:
 
 
 def _r1_rule(p: SystemParams) -> Rule:
+    l, f, r2, d = p.geometry.l, p.geometry.f, p.geometry.r2, p.d
+
     def row(r1):
         if r1 == 0.0:  # the grid is finite, so the one R1 CavityGeometry rejects
             return (), "invalid-r1"
-        geom = replace(p.geometry, r1=r1)
-        der = g_parameters(geom, p.d)
-        d_max, contiguous, flag = _reach(geom)
-        return (der.g1, der.g2, float(is_stable(geom, p.d)), d_max, contiguous), flag
+        _, g1, g2 = _g_terms(l, f, r1, r2, d)
+        d_max, contiguous, flag = _reach_row(l, f, r1, r2)
+        return (g1, g2, float(0.0 < g1 * g2 < 1.0), d_max, contiguous), flag
 
     return Rule(row, partial(_column_rule, "r1_rule", p))
 

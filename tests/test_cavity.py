@@ -11,10 +11,12 @@ from resbeam import (
     TANGENT,
     CavityGeometry,
     DegenerateLineError,
+    EmptyResultError,
     NoSolutionError,
     NoStableRegionError,
     UnstableConfigurationError,
     UnboundedStableRangeError,
+    ResbeamError,
     UnitError,
     WrongSignSlopeError,
     beam_radii,
@@ -23,6 +25,7 @@ from resbeam import (
     g_parameters,
     is_stable,
     max_transmission_distance,
+    r1_range_for_distance,
     stability_line,
     stable_distance_intervals,
 )
@@ -482,7 +485,7 @@ class TestColumnKernels:
     @given(geometries(), st.lists(st.floats(0.0, 60.0), max_size=20), st.integers(0, 3))
     def test_stability_columns_match_scalar(self, g, ds, ulps):
         # the boundary roots and their neighbours, where g1*g2 meets 0 or 1
-        for c in cavity._boundary_candidates(g):
+        for c in cavity._boundary_candidates(g.l, g.f, g.r1, g.r2):
             ds += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
             ds += [c + k * math.ulp(c) for k in (-ulps, ulps)]
         d = np.array(ds + [0.0])
@@ -510,3 +513,82 @@ class TestColumnKernels:
                 assert not solvable[i] and r2[i] == 0.0
                 continue
             assert solvable[i] and bits(r2[i]) == bits(want)
+
+
+def public_design(l, f, r1, branch):
+    """(r2, d_max, contiguous, flag) by connecting_r2, CavityGeometry and
+    max_transmission_distance, or the class of the error on the way; for an
+    unbounded reach d_max is the probe limit."""
+    try:
+        g = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch))
+    except ResbeamError as exc:
+        return type(exc)
+    try:
+        return (bits(g.r2), *map(bits, max_transmission_distance(g)), "")
+    except NoStableRegionError:
+        return bits(g.r2), bits(0.0), bits(False), "no-stable-region"
+    except UnboundedStableRangeError as exc:
+        return bits(g.r2), bits(exc.probe_limit), bits(False), "unbounded"
+
+
+def private_design(l, f, r1, branch):
+    """The same by the private bodies, which the R1 search and the design rows call."""
+    r2 = cavity._connected_r2(l, f, r1, branch)
+    if isinstance(r2, ResbeamError):
+        return type(r2)
+    d_max, contiguous, flag = cavity._reach(l, f, r1, r2)
+    return bits(r2), bits(d_max), bits(contiguous), flag
+
+
+R1_PROBE = st.one_of(ELEMENT, st.sampled_from([0.0, 1e-320, -1e-320, math.nan, -math.inf]))
+
+
+class TestHoistedChecks:
+    """The private bodies, which take l, f and branch as checked, agree with the public route."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.01, 0.3), ELEMENT, R1_PROBE, st.sampled_from([ORIGIN, TANGENT]),
+           st.booleans())
+    @example(0.88, 0.88, -1.0, TANGENT, False)  # l = f
+    @example(0.25, 0.5, -0.25, ORIGIN, False)  # R1 = l - f exactly
+    @example(0.06, FLAT, -1.0, ORIGIN, False)
+    @example(0.06, 0.88, FLAT, TANGENT, False)
+    @example(0.06, FLAT, FLAT, ORIGIN, False)
+    @example(0.06, 0.88, 1e-320, ORIGIN, False)  # r2 would be 0
+    @example(0.06, 0.88, 0.0, ORIGIN, False)
+    def test_bodies_match_the_public_route(self, l, f, r1, branch, at_l_minus_f):
+        if at_l_minus_f and math.isfinite(f):
+            r1 = (l - f) or FLAT
+        assert private_design(l, f, r1, branch) == public_design(l, f, r1, branch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.5, 20.0), st.floats(0.01, 0.3), ELEMENT, st.sampled_from([ORIGIN, TANGENT]),
+           st.floats(-3.0, 3.0), st.floats(1e-6, 4.0))
+    @example(5.0, 0.06, 0.88, ORIGIN, -1.5, 1.0)
+    @example(5.0, 0.88, 0.88, TANGENT, -1.5, 1.0)  # l = f
+    @example(5.0, 0.06, FLAT, ORIGIN, -1.5, 3.0)
+    @example(3.0, 0.06, 0.88, TANGENT, -0.85, 0.05)  # around R1 = l - f = -0.82
+    @example(3.0, 0.06, 0.88, ORIGIN, -1e-320, 2e-320)  # the one gap's probe is R1 = 0
+    @example(3.0, 0.06, 0.88, ORIGIN, 1e-320, 1e-320)  # a subnormal probe: r2 would be 0
+    def test_r1_range_probes_match_the_public_route(self, target, l, f, branch, lo, width):
+        # every gap r1_range_for_distance probes is classed as a public call there would class
+        # it (unbounded reaches, a design error does not), so it returns the same intervals
+        probes = []
+
+        def body(l, f, r1, branch, _body=cavity._connected_r2):
+            probes.append(r1)
+            return _body(l, f, r1, branch)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cavity, "_connected_r2", body)
+            try:
+                got = r1_range_for_distance(target, l, f, branch, (lo, lo + width))
+            except EmptyResultError:
+                got = []
+        assert probes
+        for r1 in probes:
+            public = public_design(l, f, r1, branch)
+            assert private_design(l, f, r1, branch) == public
+            reaches = not isinstance(public, type) and (
+                public[3] == "unbounded" or (not public[3] and float.fromhex(public[1]) >= target))
+            assert reaches == any(a < r1 < b for a, b in got), r1

@@ -225,7 +225,8 @@ DATASET_COMMANDS = {
                         ("P_beam", "0W", "30W"), ("R1", "-1.5m", "-0.5m"))
 } | {f"reproduce-{fid}-{fmt}": ["reproduce", "--figure", str(fid), "--format", fmt]
      for fid in range(6, 14) for fmt in ("csv", "json")}
-START_UPS = {"import-resbeam": "import resbeam", "import-resbeam.cli": "import resbeam.cli"} | {
+START_UPS = {"import-resbeam": "import resbeam", "import-resbeam.cli": "import resbeam.cli",
+             "mode-loss": "import resbeam; resbeam.mode_diffraction_loss(2, 3, 1e-3, 1e-3)"} | {
     name: f"import resbeam.cli; assert resbeam.cli.main({argv!r}) == 0"
     for name, argv in (SCALAR_COMMANDS | DATASET_COMMANDS).items()}
 
@@ -236,7 +237,8 @@ HEAVY = "import sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'num
 @pytest.mark.parametrize("code", START_UPS.values(), ids=START_UPS.keys())
 def test_scalar_path_loads_neither_numpy_nor_scipy(code):
     # importing numpy is most of a CLI process's start-up; scipy is a test-only dependency.
-    # Grids of up to explorer.ROWS_MAX points run as rows, so no command here needs numpy.
+    # Grids of up to explorer.ROWS_MAX points run as rows, so no command here needs numpy,
+    # and the mode-loss quadrature nodes are plain floats.
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}; {HEAVY}"], capture_output=True, text=True, timeout=120,
     )
@@ -354,6 +356,8 @@ def test_wrong_unit_names_the_flag(capsys, argv, key):
     (["sweep", "--var", "P_in", "--from", "-5W", "--to", "-1W"], "sweep_from", "-5.0"),
     (["sweep", "--var", "P_stored", "--from", "5W", "--to", "-1W"], "sweep_to", "-1.0"),
     (["sweep", "--var", "P_beam", "--from", "-0.5W", "--to", "5W"], "sweep_from", "-0.5"),
+    # a subnormal R1 whose connecting r2 would be 0 names the R1
+    (["connect-r2", "--branch", "origin", "--r1", "1e-320m"], "r1", "1e-320"),
 ])
 def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
     code, out = run_cli(capsys, *argv)

@@ -9,7 +9,7 @@ from resbeam import (
     fundamental_loss_vs_distance,
     mode_diffraction_loss,
 )
-from resbeam.diffraction import MAX_MODE_ORDER
+from resbeam.diffraction import MAX_MODE_ORDER, _gauss_laguerre
 
 import oracles
 
@@ -49,6 +49,16 @@ class TestAssociatedLaguerre:
     def test_rejects_negative_orders(self):
         with pytest.raises(ValueError):
             associated_laguerre(-1, 0, 1.0)
+
+
+class TestGaussLaguerreNodes:
+    def test_match_numpy_for_every_order_in_use(self):
+        # the mode losses up to MAX_MODE_ORDER take k = (m + 2n) // 2 + 1 <= 61 nodes
+        for k in range(1, (3 * MAX_MODE_ORDER) // 2 + 2):
+            nodes, weights = np.polynomial.laguerre.laggauss(k)
+            got_nodes, got_weights = zip(*_gauss_laguerre(k))
+            assert got_nodes == pytest.approx(nodes.tolist(), rel=1e-12, abs=0), k
+            assert got_weights == pytest.approx(weights.tolist(), rel=1e-10, abs=0), k
 
 
 class TestModeDiffractionLoss:

@@ -37,6 +37,9 @@ CHECKS = [
     ("cavity-d", lambda: is_stable(GEOM, -1.0), "d", "-1.0"),
     ("d_limit", lambda: stable_distance_intervals(GEOM, 0.0), "d_limit", "0.0"),
     ("connecting_r2-branch", lambda: connecting_r2(0.06, 0.88, -1.0, "up"), "branch", "'up'"),
+    ("connecting_r2-r1", lambda: connecting_r2(0.06, 0.88, -math.inf, "origin"), "r1", "-inf"),
+    # 1/r1 overflows, so r2 would be 0: the R1 that was set is named, not the r2 it gives
+    ("connecting_r2-r2", lambda: connecting_r2(0.06, 0.88, 1e-320, "origin"), "r1", "1e-320"),
     ("target_d", lambda: r1_range_for_distance(math.nan, 0.06, 0.88, "origin", WINDOW),
      "target_d", "nan"),
     ("search-window-order", lambda: r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-0.5, -1.5)),

@@ -1,7 +1,7 @@
-"""Column kernels: the cavity closed forms and power-chain stages over numpy arrays.
+"""Column kernels: the cavity closed forms over numpy arrays, and the column kit.
 
-For the dataset grids longer than ``explorer.ROWS_MAX``, which run through
-the column rules at the end of this module.  Arguments broadcast against each
+A dataset grid longer than ``explorer.ROWS_MAX`` runs its rules on the column
+kit COLUMNS at the end of this module.  Arguments broadcast against each
 other and describe geometries that CavityGeometry accepts; rows a driver masks
 out may hold anything.  Every kernel runs its scalar kernel's body from
 :mod:`resbeam.cavity` or :mod:`resbeam.powerchain`, or the same operations in
@@ -23,14 +23,15 @@ import numpy as np
 from .cavity import (
     _MERGE_TOL,
     BRANCHES,
+    CavityGeometry,
     _affine,
     _check_l_f,
     _connecting,
     _g_terms,
+    _radii,
 )
-from .diffraction import _tem00_exponent
 from .errors import require
-from .powerchain import GainParams, PvParams, SystemParams, coefficient_at_loss
+from .explorer import Kit
 
 REACH_OK, REACH_NO_STABLE_REGION, REACH_UNBOUNDED = 0, 1, 2
 
@@ -141,30 +142,6 @@ def max_distance_columns(l, f, r1, r2) -> ReachColumns:
     return ReachColumns(d_max=np.where(ok, d_max, 0.0), status=status, contiguous=contiguous & ok)
 
 
-class LadderColumns(NamedTuple):
-    """Columns of :func:`resbeam.powerchain.ladder_at`: the powers and the ratios it reports."""
-
-    p_stored: np.ndarray
-    p_beam: np.ndarray
-    p_out: np.ndarray
-    eta_trans: np.ndarray
-    eta_all: np.ndarray
-
-
-def _drive_column(name: str, x) -> np.ndarray:
-    """x as a float array, checked finite and >= 0 as the scalar stages check it."""
-    x = np.asarray(x, dtype=float)
-    bad = ~((x >= 0) & np.isfinite(x))
-    if bad.any():
-        require(name, float(x[bad].flat[0]), False, "finite and >= 0")
-    return x
-
-
-def _clamp(x: np.ndarray) -> np.ndarray:
-    """max(0.0, x) elementwise; np.maximum(0.0, -0.0) would keep the -0.0."""
-    return np.where(x > 0.0, x, 0.0)
-
-
 def ratio_column(num, den) -> np.ndarray:
     """num/den where den > 0, else 0.0: the below-threshold efficiency rule."""
     num, den = np.broadcast_arrays(np.asarray(num, dtype=float), np.asarray(den, dtype=float))
@@ -172,55 +149,10 @@ def ratio_column(num, den) -> np.ndarray:
         return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
-def gain_to_beam_column(d, p: SystemParams) -> np.ndarray:
-    """f(d) of :func:`resbeam.powerchain.gain_to_beam_coefficient` along a d column."""
-    d = _drive_column("d", d)
-    exponent = _tem00_exponent(p.aperture_radius, p.wavelength, p.l, d)
-    # math.exp, not np.exp: numpy's exp differs in the last bit for some arguments
-    delta00 = np.array([math.exp(x) for x in exponent.ravel().tolist()]).reshape(d.shape)
-    return coefficient_at_loss(delta00, p.gain)
-
-
-def stored_column(p_in, gain: GainParams) -> np.ndarray:
-    """:func:`resbeam.powerchain.stored_power` along a p_in column."""
-    return gain.eta_stored * _drive_column("p_in", p_in)
-
-
-def beam_column(p_stored, fd, gain: GainParams) -> np.ndarray:
-    """:func:`~resbeam.powerchain.beam_at` along columns (or floats) of stored power and slope."""
-    return _clamp(fd * _drive_column("p_stored", p_stored) + gain.c)
-
-
-def pv_column(p_beam, pv: PvParams) -> np.ndarray:
-    """:func:`resbeam.powerchain.pv_output` along a beam-power column."""
-    return _clamp(pv.a1 * _drive_column("p_beam", p_beam) + pv.b1)
-
-
-def ladder_columns(p_in, fd, p: SystemParams) -> LadderColumns:
-    """:func:`~resbeam.powerchain.ladder_at` along columns (or floats) of input power and slope."""
-    p_stored = stored_column(p_in, p.gain)
-    p_beam = beam_column(p_stored, fd, p.gain)
-    p_out = pv_column(p_beam, p.pv)
-    return LadderColumns(
-        p_stored=p_stored, p_beam=p_beam, p_out=p_out,
-        eta_trans=ratio_column(p_beam, p_stored), eta_all=ratio_column(p_out, p_in),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Column rules: the column forms of the rules of resbeam.explorer, which map
-# their arguments and the grid column (last) to (value columns, flags).
-
-# flag of each reach status, indexed by REACH_OK, REACH_NO_STABLE_REGION, REACH_UNBOUNDED
-_REACH_FLAGS = np.array(["", "no-stable-region", "unbounded"], dtype=object)
-
-
-def _flags(n: int, *marks: tuple[np.ndarray, str]) -> list[str]:
-    """One flag per row from (mask, token) pairs; the first pair whose mask holds wins."""
-    out = np.full(n, "", dtype=object)
-    for mask, token in reversed(marks):
-        out[mask] = token
-    return out.tolist()
+# The column kit: the operations of the explorer's dataset rules on numpy
+# columns, with the bits of its row kit.  explorer._by_columns runs them under
+# np.errstate(all="ignore"), since an overflow there is flagged, not warned of.
 
 
 def _masked(keep: np.ndarray, values) -> list[np.ndarray]:
@@ -228,52 +160,44 @@ def _masked(keep: np.ndarray, values) -> list[np.ndarray]:
     return [np.where(keep, v, 0.0) for v in values]
 
 
-def _per_drive(out: np.ndarray, drive: np.ndarray, below=False) -> tuple[tuple, list[str]]:
-    """(out, out/drive) of a stage along its drive column, flagged as explorer._per_drive."""
-    below = below and (out == 0.0) & (drive > 0)
-    marks = (drive == 0.0, "undefined-at-zero"), (below, "below-threshold")
-    return (out, ratio_column(out, drive)), _flags(len(drive), *marks)
+def _reach_marks(reach: ReachColumns) -> tuple:
+    return ((reach.status == REACH_NO_STABLE_REGION, "no-stable-region"),
+            (reach.status == REACH_UNBOUNDED, "unbounded"))
 
 
-def design_rule(l: float, f: float, branch: str, keep: slice, r1: np.ndarray):
+def _design(l: float, f: float, branch: str, r1: np.ndarray) -> tuple:
     r2, solvable = connecting_r2_columns(l, f, r1, branch)
     reach = max_distance_columns(l, f, r1, r2)
-    values = (r2, reach.d_max, reach.contiguous.astype(float))[keep]
-    return _masked(solvable, values), np.where(
-        solvable, _REACH_FLAGS[reach.status], "no-solution").tolist()
+    values = (r2, reach.d_max, reach.contiguous.astype(float))
+    return _masked(solvable, values), ((~solvable, "no-solution"), *_reach_marks(reach))
 
 
-def d_rule(p: SystemParams, d: np.ndarray):
-    stable = stable_columns(p.geometry.l, p.geometry.f, p.geometry.r1, p.geometry.r2, d)
-    fd = gain_to_beam_column(d, p)
-    lad = ladder_columns(p.p_in, fd, p)
-    values = (fd, lad.p_beam, lad.eta_trans, lad.p_out, lad.eta_all)
-    return _masked(stable, values), _flags(
-        len(d), (~stable, "unstable"), ((lad.p_out == 0.0) & (p.p_in > 0), "below-threshold"))
-
-
-def p_in_rule(p: SystemParams, fd: float, p_in: np.ndarray):
-    lad = ladder_columns(p_in, fd, p)
-    values = (lad.p_stored, lad.p_beam, lad.p_out, lad.eta_all)
-    return values, _flags(len(p_in), ((lad.p_out == 0.0) & (p_in > 0), "below-threshold"))
-
-
-def p_stored_rule(p: SystemParams, fd: float, ps: np.ndarray):
-    values, flags = _per_drive(beam_column(ps, fd, p.gain), ps, below=True)
-    return (np.full(len(ps), fd), *values), flags
-
-
-def p_beam_rule(p: SystemParams, pb: np.ndarray):
-    return _per_drive(pv_column(pb, p.pv), pb, below=True)
-
-
-def r1_rule(p: SystemParams, r1: np.ndarray):
-    geo = p.geometry
+def _r1(l: float, f: float, r2: float, d: float, r1: np.ndarray) -> tuple:
     valid = valid_elements(r1)  # as CavityGeometry checks r1
-    with np.errstate(divide="ignore", invalid="ignore"):  # invalid rows, masked below
-        _, g1, g2 = g_columns(geo.l, geo.f, r1, geo.r2, p.d)
-        stable = stable_columns(geo.l, geo.f, r1, geo.r2, p.d)
-        reach = max_distance_columns(geo.l, geo.f, r1, geo.r2)
-    values = (g1, g2, stable.astype(float), reach.d_max, reach.contiguous.astype(float))
-    return _masked(valid, values), np.where(
-        valid, _REACH_FLAGS[reach.status], "invalid-r1").tolist()
+    _, g1, g2 = g_columns(l, f, r1, r2, d)
+    gg = g1 * g2
+    reach = max_distance_columns(l, f, r1, r2)
+    values = (g1, g2, ((0.0 < gg) & (gg < 1.0)).astype(float), reach.d_max,
+              reach.contiguous.astype(float))
+    return _masked(valid, values), ((~valid, "invalid-r1"), *_reach_marks(reach))
+
+
+def _radii_columns(geometry: CavityGeometry, wavelength: float, d: np.ndarray) -> tuple:
+    args = geometry.l, geometry.f, geometry.r1, geometry.r2, d
+    g = _g_terms(*args)
+    gg = g[1] * g[2]
+    stable = (0.0 < gg) & (gg < 1.0)
+    radii = _radii(*args, g, wavelength / math.pi, np.sqrt)
+    return _masked(stable, radii), ((~stable, "unstable"),)
+
+
+COLUMNS = Kit(
+    clamp=lambda x: np.where(x > 0.0, x, 0.0),  # np.maximum(0.0, -0.0) would keep the -0.0
+    ratio=ratio_column,
+    # math.exp, not np.exp: numpy's exp differs in the last bit for some arguments
+    exp=lambda x: np.array([math.exp(v) for v in x.tolist()]),
+    stable=lambda g, d: stable_columns(g.l, g.f, g.r1, g.r2, d),
+    not_=np.logical_not,
+    masked=_masked,
+    design=_design, r1=_r1, radii=_radii_columns,
+)

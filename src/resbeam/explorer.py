@@ -4,29 +4,32 @@ The point solvers ``required_input_power`` and ``calibrate_aperture`` live in
 :mod:`resbeam.powerchain`, and the R1 design search ``r1_range_for_distance``
 in :mod:`resbeam.cavity`; all three are re-exported here under the same names.
 
-A grid of up to ROWS_MAX points runs row by row, without numpy, on the scalar
-kernels, whose exceptions become the row flags, and on the private
-connected-r2 and reach bodies of :mod:`resbeam.cavity`, which return theirs:
-every figure (200 points) and the CLI's default sweeps run so.  A longer grid
-runs as columns through :mod:`resbeam.columns`, with the same bits.  Rows that
-cannot be evaluated (unstable cavity, no branch solution, ratios at zero input)
-carry zeros plus a flag token rather than being dropped.
+Each dataset rule is written once, on the operations of a kit (see Kit), and
+runs on the unchecked bodies of the power stages, the connected r2 and the
+reach, which flag a row rather than raise.  A grid of up to ROWS_MAX points
+runs its rules row by row on the row kit, without numpy: every figure (200
+points) and the CLI's default sweeps run so.  A longer grid runs them on the
+column kit of :mod:`resbeam.columns`, with the same bits.  Rows that cannot be
+evaluated (unstable cavity, no branch solution, ratios at zero input) carry
+zeros plus a flag token rather than being dropped.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import NamedTuple
 
 from .cavity import (
     BRANCHES,
+    CavityGeometry,
     _check_l_f,
     _connected_r2,
     _g_terms,
     _reach,
+    _stable_at,
     beam_radii,
     connecting_r2,
     is_stable,
@@ -34,6 +37,7 @@ from .cavity import (
 )
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset, _floats
+from .diffraction import _tem00_exponent
 from .errors import (
     ResbeamError,
     UnknownFigureError,
@@ -42,20 +46,23 @@ from .errors import (
 )
 from .powerchain import (
     SystemParams,
-    beam_at,
+    _beam,
+    _clamp,
+    _ladder,
+    _pv,
+    _ratio,
+    _stored,
     calibrate_aperture,
+    coefficient_at_loss,
     gain_to_beam_coefficient,
-    ladder_at,
-    pv_output,
     required_input_power,
-    stored_power,
 )
 
 FIGURE_IDS = tuple(range(6, 14))
 
 # Grids of up to this many points run as rows, longer ones as columns.  With
-# numpy loaded, columns overtake rows at 20 to 50 points, but at 256 points rows
-# lose at most 6 ms, and save a CLI process its numpy import (about 100 ms).
+# numpy loaded, columns overtake rows at 30 to 50 points, but at 256 points rows
+# lose at most 2.5 ms, and save a CLI process its numpy import (about 100 ms).
 ROWS_MAX = 256
 
 
@@ -90,20 +97,54 @@ def _checked_grid(variable: str, points) -> list[float]:
     return grid
 
 
-class Rule(NamedTuple):
-    """A series: ``row(x)`` gives (values, flag) at one grid point on the scalar kernels,
-    ``columns(xs)`` (value columns, flags) with the same bits.  Values may be a prefix of
-    the value columns; the rest read zero.  Figures (200 points) have no column form."""
+# The operations the dataset rules run on, one float at a time in the row kit
+# ROWS (no numpy) or a numpy column at a time in resbeam.columns.COLUMNS, with
+# the same bits.  A rule ``rule(kit, x) -> (values, marks)`` is written once on
+# them; ``marks`` are (mask, token) pairs, and the first that holds gives a row
+# its flag.  clamp(x) is max(0.0, x) and ratio(num, den) is num/den where
+# den > 0, else 0.0; stable(geometry, d) and not_ give masks, a bool or a bool
+# column, and masked(keep, values) zeroes the values outside keep.  The rows
+# design(l, f, branch, r1), r1(l, f, r2, d, r1) and radii(geometry, wavelength,
+# d) stop early where there is no value, so each kit writes those three in its
+# own form; each returns (values, marks).
+Kit = namedtuple("Kit", "clamp ratio exp stable not_ masked design r1 radii")
 
-    row: Callable[[float], tuple]
-    columns: Callable | None = None
+
+def _reach_row(l: float, f: float, r1: float, r2: float) -> tuple[float, float, str]:
+    """(d_max, contiguous as 1.0 or 0.0, flag); an unbounded or empty reach reads zero, flagged."""
+    d_max, contiguous, flag = _reach(l, f, r1, r2)
+    return (0.0, 0.0, flag) if flag else (d_max, float(contiguous), "")
 
 
-def _column_rule(name: str, *args):
-    """resbeam.columns.<name>(*args), the grid column last; numpy loads here."""
-    from . import columns
+def _design_row(l: float, f: float, branch: str, r1: float) -> tuple:
+    r2 = _connected_r2(l, f, r1, branch)
+    if isinstance(r2, ResbeamError):  # no design, or an R1 or R2 that is no element
+        return (), ((True, "no-solution"),)
+    d_max, contiguous, flag = _reach_row(l, f, r1, r2)
+    return (r2, d_max, contiguous), ((True, flag),)
 
-    return getattr(columns, name)(*args)
+
+def _r1_row(l: float, f: float, r2: float, d: float, r1: float) -> tuple:
+    if r1 == 0.0:  # the grid is finite, so the one R1 CavityGeometry rejects
+        return (), ((True, "invalid-r1"),)
+    _, g1, g2 = _g_terms(l, f, r1, r2, d)
+    d_max, contiguous, flag = _reach_row(l, f, r1, r2)
+    return (g1, g2, float(0.0 < g1 * g2 < 1.0), d_max, contiguous), ((True, flag),)
+
+
+def _radii_row(geometry: CavityGeometry, wavelength: float, d: float) -> tuple:
+    try:
+        return beam_radii(geometry, d, wavelength), ()
+    except UnstableConfigurationError:
+        return (), ((True, "unstable"),)
+
+
+ROWS = Kit(
+    clamp=_clamp, ratio=_ratio, exp=math.exp,
+    stable=lambda g, d: _stable_at(g.l, g.f, g.r1, g.r2, d), not_=operator.not_,
+    masked=lambda keep, values: values if keep else (),
+    design=_design_row, r1=_r1_row, radii=_radii_row,
+)
 
 
 def _tagged(name: str, tag: str) -> str:
@@ -121,14 +162,19 @@ def _joined(flag: str, tag: str, mark: str, join: bool) -> str:
     return flag or mark
 
 
-def _by_rows(xs: list[float], width: int, rules: dict[str, Rule], join: bool):
-    """(columns, flags) of the rules' row forms; an overflowed row reads zero."""
+def _by_rows(xs: list[float], width: int, rules: dict, join: bool):
+    """(columns, flags) of the rules run on ROWS; an overflowed row reads zero."""
     rows, flags = [], []
     for x in xs:
         row, flag = [x], ""
         for tag, rule in rules.items():
-            values, mark = rule.row(x)
+            values, marks = rule(ROWS, x)
             row += (*values, *[0.0] * (width - len(values)))
+            mark = ""
+            for held, token in marks:  # the first mark that holds wins
+                if held:
+                    mark = token
+                    break
             flag = _joined(flag, tag, mark, join)
         if not all(map(math.isfinite, row)):
             row, flag = [x] + [0.0] * (len(row) - 1), "overflow"
@@ -137,17 +183,24 @@ def _by_rows(xs: list[float], width: int, rules: dict[str, Rule], join: bool):
     return list(zip(*rows)), flags
 
 
-def _by_columns(xs: list[float], width: int, rules: dict[str, Rule], join: bool):
-    """(columns, flags) of the rules' column forms; numpy loads here."""
+def _by_columns(xs: list[float], width: int, rules: dict, join: bool):
+    """(columns, flags) of the rules run on the column kit; numpy loads here."""
     import numpy as np
+
+    from .columns import COLUMNS
 
     grid = np.array(xs)
     table, flags = [grid], None
-    for tag, rule in rules.items():
-        values, marks = rule.columns(grid)
-        table += [*values, *(np.zeros(len(xs)) for _ in range(width - len(values)))]
-        flags = marks if flags is None and not join else [  # one series: its own marks
-            _joined(a, tag, m, join) for a, m in zip(flags or [""] * len(xs), marks)]
+    with np.errstate(all="ignore"):
+        for tag, rule in rules.items():
+            values, marks = rule(COLUMNS, grid)
+            table += [np.full(len(xs), v) if np.ndim(v) == 0 else v for v in values]
+            table += [np.zeros(len(xs))] * (width - len(values))
+            first = np.full(len(xs), "", dtype=object)
+            for mask, token in reversed(marks):  # the first that holds wins; True marks every row
+                first[mask] = token
+            flags = first.tolist() if flags is None and not join else [  # one series: its marks
+                _joined(a, tag, m, join) for a, m in zip(flags or [""] * len(xs), first.tolist())]
     finite = np.logical_and.reduce([np.isfinite(v) for v in table])
     if not finite.all():
         table = [grid] + [np.where(finite, v, 0.0) for v in table[1:]]
@@ -159,9 +212,10 @@ def _tabulate(xs: list[float], x_col, value_cols, rules: dict, provenance, join=
     """Evaluate each series' rule on the grid xs into one Dataset.
 
     ``rules`` maps a series tag to its rule; each series fills its own tagged
-    copy of ``value_cols``.  When several series flag a row, ``join`` joins
-    ``tag:flag`` tokens with ';'; otherwise the first nonempty flag wins.  A row
-    with a value that overflowed to +-inf reads zero, flagged ``overflow``.
+    copy of ``value_cols``, and values missing at the end read zero.  When
+    several series flag a row, ``join`` joins ``tag:flag`` tokens with ';';
+    otherwise the first nonempty flag wins.  A row with a value that
+    overflowed to +-inf reads zero, flagged ``overflow``.
     """
     tabulate = _by_columns if len(xs) > ROWS_MAX else _by_rows
     table, flags = tabulate(xs, len(value_cols), rules, join)
@@ -169,92 +223,83 @@ def _tabulate(xs: list[float], x_col, value_cols, rules: dict, provenance, join=
     return Dataset(dict(zip(names, table)), flags, provenance)
 
 
-def _below(out: float, drive: float) -> str:
-    return "below-threshold" if out == 0.0 and drive > 0 else ""
+def _per_drive(k, out, drive, below=False) -> tuple:
+    """((out, out/drive), marks) of a stage: the ratio reads 0 and the row is flagged
+    undefined-at-zero at zero drive, and with `below`, a driven row with no output is
+    flagged below-threshold."""
+    below = (out == 0.0) & (drive > 0) & below
+    marks = (drive == 0.0, "undefined-at-zero"), (below, "below-threshold")
+    return (out, k.ratio(out, drive)), marks
 
 
-def _per_drive(out: float, drive: float, below=False) -> tuple:
-    """((out, out/drive), flag) of a stage: the ratio reads 0 and the flag undefined-at-zero at
-    zero drive, and with `below`, a driven row with no output is flagged below-threshold."""
-    flag = "undefined-at-zero" if drive == 0.0 else _below(out, drive) if below else ""
-    return (out, out / drive if drive > 0 else 0.0), flag
+def _unstable(k, x) -> tuple:
+    return (), ((True, "unstable"),)
 
 
-_UNSTABLE = Rule(lambda x: ((), "unstable"), lambda xs: ((), ["unstable"] * len(xs)))
-
-
-def _held(p: SystemParams, d: float, row: Callable, columns: str = "") -> Rule:
-    """row with fd = f(d) for a series held at d; if d is unstable, every row zero, flagged."""
+def _held(p: SystemParams, d: float, rule: Callable) -> Callable:
+    """rule(k, x, fd) at the fd = f(d) of a held d; at an unstable d every row is zero, flagged."""
     if not is_stable(p.geometry, d):
-        return _UNSTABLE
+        return _unstable
     fd = gain_to_beam_coefficient(d, p)
-    return Rule(partial(row, fd=fd), columns and partial(_column_rule, columns, p, fd))
+    return lambda k, x: rule(k, x, fd)
 
 
-def _distance_rule(p: SystemParams, at: Callable, columns: str = "") -> Rule:
-    """Rule d -> at(f(d)) at stable distances; unstable rows read zero, flagged."""
-    def row(d):
-        return at(gain_to_beam_coefficient(d, p)) if is_stable(p.geometry, d) else _UNSTABLE.row(d)
+def _at_distance(p: SystemParams, at: Callable) -> Callable:
+    """Rule d -> at(k, f(d)) at stable distances; unstable rows read zero, flagged."""
+    geometry, a, wavelength, l, gain = p.geometry, p.aperture_radius, p.wavelength, p.l, p.gain
 
-    return Rule(row, columns and partial(_column_rule, columns, p))
+    def rule(k, d):
+        stable = k.stable(geometry, d)
+        fd = coefficient_at_loss(k.exp(_tem00_exponent(a, wavelength, l, d)), gain)  # f(d)
+        values, marks = at(k, fd)
+        return k.masked(stable, values), [(k.not_(stable), "unstable"), *marks]
+
+    return rule
 
 
-def _reach_row(l: float, f: float, r1: float, r2: float) -> tuple[float, float, str]:
-    """(d_max, contiguous as 1.0 or 0.0, flag); an unbounded or empty reach reads zero, flagged."""
-    d_max, contiguous, flag = _reach(l, f, r1, r2)
-    return (0.0, 0.0, flag) if flag else (d_max, float(contiguous), "")
-
-
-def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Rule:
+def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Callable:
     """R1 -> (R2, d_max, contiguous)[keep] of the connected-branch designs."""
     require("branch", branch, branch in BRANCHES, f"one of {BRANCHES}")
     _check_l_f(l, f)
 
-    def row(r1):
-        r2 = _connected_r2(l, f, r1, branch)
-        if isinstance(r2, ResbeamError):  # no design, or an R1 or R2 that is no element
-            return (), "no-solution"
-        d_max, contiguous, flag = _reach_row(l, f, r1, r2)
-        return (r2, d_max, contiguous)[keep], flag
+    def rule(k, r1):
+        values, marks = k.design(l, f, branch, r1)
+        return values[keep], marks
 
-    return Rule(row, partial(_column_rule, "design_rule", l, f, branch, keep))
+    return rule
 
 
-def _d_rule(p: SystemParams) -> Rule:
-    def at(fd):
-        (_, _, pb, po), (_, eta_trans, _, eta_all) = ladder_at(p.p_in, fd, p)
-        return (fd, pb, eta_trans, po, eta_all), _below(po, p.p_in)
+def _d_rule(p: SystemParams) -> Callable:
+    def at(k, fd):
+        (_, _, pb, po), (_, eta_trans, _, eta_all) = _ladder(p.p_in, fd, p, k.clamp, k.ratio)
+        return (fd, pb, eta_trans, po, eta_all), [((po == 0.0) & (p.p_in > 0), "below-threshold")]
 
-    return _distance_rule(p, at, "d_rule")
-
-
-def _p_in_rule(p: SystemParams) -> Rule:
-    def row(p_in, fd):
-        (_, ps, pb, po), (_, _, _, eta_all) = ladder_at(p_in, fd, p)
-        return (ps, pb, po, eta_all), _below(po, p_in)
-
-    return _held(p, p.d, row, "p_in_rule")
+    return _at_distance(p, at)
 
 
-def _p_stored_rule(p: SystemParams) -> Rule:
-    def row(ps, fd):
-        values, flag = _per_drive(beam_at(ps, fd, p.gain), ps, below=True)
-        return (fd, *values), flag
+def _p_in_rule(p: SystemParams) -> Callable:
+    def rule(k, p_in, fd):
+        (_, ps, pb, po), (_, _, _, eta_all) = _ladder(p_in, fd, p, k.clamp, k.ratio)
+        return (ps, pb, po, eta_all), [((po == 0.0) & (p_in > 0), "below-threshold")]
 
-    return _held(p, p.d, row, "p_stored_rule")
+    return _held(p, p.d, rule)
 
 
-def _r1_rule(p: SystemParams) -> Rule:
+def _p_stored_rule(p: SystemParams) -> Callable:
+    def rule(k, ps, fd):
+        values, marks = _per_drive(k, _beam(ps, fd, p.gain, k.clamp), ps, below=True)
+        return (fd, *values), marks
+
+    return _held(p, p.d, rule)
+
+
+def _p_beam_rule(p: SystemParams) -> Callable:
+    return lambda k, pb: _per_drive(k, _pv(pb, p.pv, k.clamp), pb, below=True)
+
+
+def _r1_rule(p: SystemParams) -> Callable:
     l, f, r2, d = p.geometry.l, p.geometry.f, p.geometry.r2, p.d
-
-    def row(r1):
-        if r1 == 0.0:  # the grid is finite, so the one R1 CavityGeometry rejects
-            return (), "invalid-r1"
-        _, g1, g2 = _g_terms(l, f, r1, r2, d)
-        d_max, contiguous, flag = _reach_row(l, f, r1, r2)
-        return (g1, g2, float(0.0 < g1 * g2 < 1.0), d_max, contiguous), flag
-
-    return Rule(row, partial(_column_rule, "r1_rule", p))
+    return lambda k, r1: k.r1(l, f, r2, d, r1)
 
 
 # variable -> (x column, value columns, rule for the fixed parameters)
@@ -262,9 +307,7 @@ _SWEEPS = {
     "d": ("d_m", ("f_d", "P_beam_W", "eta_trans", "P_out_W", "eta_all"), _d_rule),
     "P_in": ("P_in_W", ("P_stored_W", "P_beam_W", "P_out_W", "eta_all"), _p_in_rule),
     "P_stored": ("P_stored_W", ("f_d", "P_beam_W", "eta_trans"), _p_stored_rule),
-    "P_beam": ("P_beam_W", ("P_pv_W", "eta_pv"),
-               lambda p: Rule(lambda pb: _per_drive(pv_output(pb, p.pv), pb, below=True),
-                              partial(_column_rule, "p_beam_rule", p))),
+    "P_beam": ("P_beam_W", ("P_pv_W", "eta_pv"), _p_beam_rule),
     "R1": ("R1_m", ("g1", "g2", "stable", "d_max_m", "contiguous"), _r1_rule),
 }
 
@@ -301,54 +344,50 @@ def max_distance_vs_r1(
 # Figure reproduction
 
 
-def _fig8(p: SystemParams, prov: dict) -> dict[str, Rule]:
-    def radii(geom, d):
-        try:
-            r = beam_radii(geom, d, p.wavelength)
-        except UnstableConfigurationError:
-            return (), "unstable"
-        return (r.w_gain, r.w_m1, r.w_m2), ""
-
+def _fig8(p: SystemParams, prov: dict) -> dict[str, Callable]:
     rules = {}
     for branch in BRANCHES:
         r2 = connecting_r2(p.geometry.l, p.geometry.f, p.geometry.r1, branch)
         prov[f"r2_{branch}"] = repr(r2)
-        rules[branch] = Rule(partial(radii, replace(p.geometry, r2=r2)))
+        geometry = replace(p.geometry, r2=r2)
+        rules[branch] = lambda k, d, g=geometry: k.radii(g, p.wavelength, d)
     return rules
 
 
-def _beams(ps: float, fd: float, p: SystemParams) -> tuple:
-    """((P_beam, eta_trans), flag) at stored power ps and slope fd."""
-    return _per_drive(beam_at(ps, fd, p.gain), ps)
+def _beams(k, ps, fd, p: SystemParams) -> tuple:
+    """((P_beam, eta_trans), marks) at stored power ps and slope fd."""
+    return _per_drive(k, _beam(ps, fd, p.gain, k.clamp), ps)
 
 
-def _outputs(p_in: float, fd: float, p: SystemParams) -> tuple:
-    """((P_out, eta_all), "") of the ladder at input power p_in and slope fd."""
-    (_, _, _, p_out), (_, _, _, eta_all) = ladder_at(p_in, fd, p)
-    return (p_out, eta_all), ""
+def _outputs(k, p_in, fd, p: SystemParams) -> tuple:
+    """((P_out, eta_all), no marks) of the ladder at input power p_in and slope fd."""
+    (_, _, _, p_out), (_, _, _, eta_all) = _ladder(p_in, fd, p, k.clamp, k.ratio)
+    return (p_out, eta_all), ()
 
 
 # id -> (grid ends, x column, value columns per series, join flags,
 #        series(params, provenance) -> {tag: rule}; the tag "" is one untagged series)
 _FIGURES = {
     6: ((0.0, 100.0), "P_in_W", ("P_stored_W",), False,
-        lambda p, prov: {"": Rule(lambda p_in: ((stored_power(p_in, p.gain),), ""))}),
+        lambda p, prov: {"": lambda k, p_in: ((_stored(p_in, p.gain),), ())}),
     7: ((-1.5, -0.5), "R1_m", ("d_max_m",), True,  # d_max only, of (R2, d_max, contiguous)
         lambda p, prov: {f"l{mm}_{b}": _design_rule(mm / 1000.0, p.geometry.f, b, slice(1, 2))
                          for mm in (60, 80, 100) for b in BRANCHES}),
     8: ((0.1, 10.4), "d_m", ("w_gain_m", "w_m1_m", "w_m2_m"), True, _fig8),
     9: ((0.0, 50.0), "P_stored_W", ("P_beam_W", "eta_trans"), False,
-        lambda p, prov: {f"d{d:g}": _held(p, d, partial(_beams, p=p)) for d in (1.0, 5.0)}),
+        lambda p, prov: {f"d{d:g}": _held(p, d, lambda k, ps, fd: _beams(k, ps, fd, p))
+                         for d in (1.0, 5.0)}),
     10: ((1.0, 10.0), "d_m", ("P_beam_W", "eta_trans"), False,
-         lambda p, prov: {f"ps{ps:g}": _distance_rule(p, partial(_beams, ps, p=p))
+         lambda p, prov: {f"ps{ps:g}": _at_distance(p, lambda k, fd, ps=ps: _beams(k, ps, fd, p))
                           for ps in (10.0, 20.0, 30.0)}),
     11: ((0.0, 30.0), "P_beam_W", ("P_pv_W", "eta_pv"), False,
-         lambda p, prov: {"": Rule(lambda pb: _per_drive(pv_output(pb, p.pv), pb))}),
+         lambda p, prov: {"": lambda k, pb: _per_drive(k, _pv(pb, p.pv, k.clamp), pb)}),
     12: ((0.0, 100.0), "P_in_W", ("P_out_W", "eta_all"), False,
-         lambda p, prov: {f"d{d:g}": _held(p, d, partial(_outputs, p=p)) for d in (1.0, 5.0)}),
+         lambda p, prov: {f"d{d:g}": _held(p, d, lambda k, p_in, fd: _outputs(k, p_in, fd, p))
+                          for d in (1.0, 5.0)}),
     13: ((1.0, 10.0), "d_m", ("P_out_W", "eta_all"), False,
-         lambda p, prov: {f"pin{pin:g}": _distance_rule(p, partial(_outputs, pin, p=p))
-                          for pin in (50.0, 80.0, 100.0)}),
+         lambda p, prov: {f"pin{pin:g}": _at_distance(
+             p, lambda k, fd, pin=pin: _outputs(k, pin, fd, p)) for pin in (50.0, 80.0, 100.0)}),
 }
 
 

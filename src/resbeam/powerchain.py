@@ -9,8 +9,10 @@ are clamped at zero and the efficiencies below threshold are defined as 0.
 The stages read the link parameters from one :class:`SystemParams` bundle.
 The bundle and its parts check every parameter range once, when they are
 built, and raise :class:`UnitError` naming the configuration key.  The
-inverse solvers at the end of the module answer point design questions; the
-column kernels of :mod:`resbeam.columns` run the stages over numpy arrays.
+stages share their arithmetic with the dataset rules of :mod:`resbeam.explorer`
+through the unchecked bodies ``_stored``, ``_beam``, ``_pv`` and ``_ladder``,
+which take the clamp and ratio of the rows or of the numpy columns.  The
+inverse solvers at the end of the module answer point design questions.
 """
 
 from __future__ import annotations
@@ -109,10 +111,34 @@ class Thresholds(NamedTuple):
     p_in: float
 
 
+# The stage bodies, unchecked.  They take the clamp and ratio of a kit, so they
+# run on floats (_clamp, _ratio) and on numpy columns (resbeam.columns) alike.
+
+
+def _clamp(x: float) -> float:
+    return x if x > 0.0 else 0.0  # max(0.0, x): -0.0 and NaN read 0.0
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0 else 0.0  # the below-threshold efficiency rule
+
+
+def _stored(p_in, gain: GainParams):
+    return gain.eta_stored * p_in
+
+
+def _beam(p_stored, fd, gain: GainParams, clamp):
+    return clamp(fd * p_stored + gain.c)
+
+
+def _pv(p_beam, pv: PvParams, clamp):
+    return clamp(pv.a1 * p_beam + pv.b1)
+
+
 def stored_power(p_in: float, gain: GainParams) -> float:
     """Stored power per second in the gain medium: eta_stored * p_in."""
     require("p_in", p_in, 0.0 <= p_in < math.inf, "finite and >= 0")
-    return gain.eta_stored * p_in
+    return _stored(p_in, gain)
 
 
 def coefficient_at_loss(delta00: float, gain: GainParams) -> float:
@@ -141,7 +167,7 @@ def beam_at(p_stored: float, fd: float, gain: GainParams) -> float:
     """Extracted beam power max(0, fd*p_stored + c) at a held slope fd = f(d)."""
     if not (p_stored >= 0 and math.isfinite(p_stored)):
         require("p_stored", p_stored, False, "finite and >= 0")
-    return max(0.0, fd * p_stored + gain.c)
+    return _beam(p_stored, fd, gain, _clamp)
 
 
 def beam_power(p_stored: float, d: float, p: SystemParams) -> float:
@@ -163,7 +189,7 @@ def transmission_efficiency(p_stored: float, d: float, p: SystemParams) -> float
 def pv_output(p_beam: float, pv: PvParams) -> float:
     """Photovoltaic output max(0, a1*p_beam + b1); zero below the PV threshold."""
     require("p_beam", p_beam, 0.0 <= p_beam < math.inf, "finite and >= 0")
-    return max(0.0, pv.a1 * p_beam + pv.b1)
+    return _pv(p_beam, pv, _clamp)
 
 
 def pv_efficiency(p_beam: float, pv: PvParams) -> float:
@@ -176,17 +202,24 @@ def pv_efficiency(p_beam: float, pv: PvParams) -> float:
     return pv_output(p_beam, pv) / p_beam
 
 
-def ladder_at(p_in: float, fd: float, p: SystemParams) -> tuple[PowerState, EfficiencyBreakdown]:
-    """The three stages at input power p_in, with the slope fd = f(d) held."""
-    p_stored = stored_power(p_in, p.gain)  # validates p_in
-    p_beam = beam_at(p_stored, fd, p.gain)
-    p_out = pv_output(p_beam, p.pv)
+def _ladder(p_in, fd, p: SystemParams, clamp, ratio) -> tuple[PowerState, EfficiencyBreakdown]:
+    """The three stages at input power p_in and slope fd; an overflow reads inf."""
+    p_stored = _stored(p_in, p.gain)
+    p_beam = _beam(p_stored, fd, p.gain, clamp)
+    p_out = _pv(p_beam, p.pv, clamp)
     return PowerState(p_in, p_stored, p_beam, p_out), EfficiencyBreakdown(
-        p.gain.eta_stored,
-        p_beam / p_stored if p_stored > 0 else 0.0,
-        p_out / p_beam if p_beam > 0 else 0.0,
-        p_out / p_in if p_in > 0 else 0.0,
-    )
+        p.gain.eta_stored, ratio(p_beam, p_stored), ratio(p_out, p_beam), ratio(p_out, p_in))
+
+
+def ladder_at(p_in: float, fd: float, p: SystemParams) -> tuple[PowerState, EfficiencyBreakdown]:
+    """The three stages at input power p_in, with the slope fd = f(d) held.
+
+    Raises UnitError for a bad p_in, and for a beam power that overflowed.
+    """
+    require("p_in", p_in, 0.0 <= p_in < math.inf, "finite and >= 0")
+    state, eff = _ladder(p_in, fd, p, _clamp, _ratio)
+    require("p_beam", state.p_beam, state.p_beam < math.inf, "finite and >= 0")  # as pv_output
+    return state, eff
 
 
 def end_to_end(p_in: float, d: float, p: SystemParams) -> tuple[PowerState, EfficiencyBreakdown]:

@@ -142,6 +142,16 @@ class TestDatasets:
         assert rows[0].startswith("P_beam_W,")
         assert len(rows) == 8
 
+    def test_overflowing_beam_is_flagged_not_an_error(self, capsys, tmp_path):
+        # a huge mode overlap overflows the beam power: those rows read zero, flagged
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m_overlap = 1e308\n")
+        code = main(["reproduce", "--figure", "13", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
+        assert len(rows) == 200 and "overflow" in {row[-1] for row in rows}
+
     def test_cli_byte_determinism(self, capsys):
         _, a = run_cli(capsys, "reproduce", "--figure", "9")
         _, b = run_cli(capsys, "reproduce", "--figure", "9")

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from resbeam import (
@@ -25,7 +24,7 @@ from resbeam import (
     stable_distance_intervals,
     stored_power,
 )
-from resbeam.columns import connecting_r2_columns, gain_to_beam_column, stored_column
+from resbeam.columns import connecting_r2_columns
 from resbeam.powerchain import beam_at
 
 REF = reference_defaults()
@@ -47,11 +46,8 @@ CHECKS = [
     ("r1_range-branch", lambda: r1_range_for_distance(5.0, 0.06, 0.88, "up", WINDOW),
      "branch", "'up'"),
     ("beam_radii-wavelength", lambda: beam_radii(GEOM, 1.0, 0.0), "wavelength", "0.0"),
-    # a non-finite d is no row of a d column, as beam_radii and gain_to_beam_coefficient raise
-    ("gain_to_beam_column-d", lambda: gain_to_beam_column([1.0, math.nan], REF), "d", "nan"),
     ("connecting_r2_columns-branch", lambda: connecting_r2_columns(0.06, 0.88, [-1.0], "up"),
      "branch", "'up'"),
-    ("drive-column", lambda: stored_column(np.array([1.0, -2.0]), REF.gain), "p_in", "-2.0"),
     ("laguerre-n", lambda: associated_laguerre(-1, 0, 0.5), "n", "-1"),
     ("laguerre-m", lambda: associated_laguerre(1, -2, 0.5), "m", "-2"),
     ("laguerre-n-nan", lambda: associated_laguerre(math.nan, 0, 0.5), "n", "nan"),

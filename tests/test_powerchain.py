@@ -21,8 +21,8 @@ from resbeam import (
     thresholds,
     transmission_efficiency,
 )
-from resbeam.columns import gain_to_beam_column, ladder_columns
-from resbeam.powerchain import ladder_at
+from resbeam.columns import COLUMNS
+from resbeam.powerchain import _ladder, ladder_at
 
 import oracles
 
@@ -120,7 +120,6 @@ class TestGainToBeamCoefficient:
             lambda d: transmission_efficiency(10.0, d, p),
             lambda d: end_to_end(10.0, d, p),
             lambda d: thresholds(d, p),
-            lambda d: gain_to_beam_column(np.array([1.0, d]), p),
         )
         for stage in stages:
             for bad in (-1.0, math.nan, math.inf):
@@ -129,17 +128,7 @@ class TestGainToBeamCoefficient:
 
 
 class TestColumnKernels:
-    """The column stages equal the scalar stages bit for bit, element by element."""
-
-    @given(
-        d=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40),
-        a=st.floats(1e-5, 5e-3),
-        r_out=st.floats(0.01, 0.999),
-    )
-    def test_coefficient_column_matches_scalar(self, d, a, r_out):
-        p = link(a, gain=GainParams(eta_stored=0.2849, m_overlap=1.0, c=-5.64, r_out=r_out))
-        col = gain_to_beam_column(np.array(d), p).tolist()
-        assert col == [gain_to_beam_coefficient(x, p) for x in d]
+    """The stage body on columns equals the scalar stages bit for bit, element by element."""
 
     @given(
         p_in=st.lists(st.floats(0.0, 1e4) | st.just(-0.0), min_size=1, max_size=40),
@@ -149,18 +138,15 @@ class TestColumnKernels:
     )
     def test_ladder_columns_match_ladder_at(self, p_in, fd, c, b1):
         p = link(7.855e-4, gain=replace(GAIN, c=c), pv=replace(PV, b1=b1))
-        cols = ladder_columns(np.array(p_in), fd, p)
+        state, eff = _ladder(np.array(p_in), fd, p, COLUMNS.clamp, COLUMNS.ratio)
+        cols = (state.p_stored, state.p_beam, state.p_out, eff.eta_trans, eff.eta_pv, eff.eta_all)
         for i, x in enumerate(p_in):
             state, eff = ladder_at(x, fd, p)
-            want = (state.p_stored, state.p_beam, state.p_out, eff.eta_trans, eff.eta_all)
+            want = (state.p_stored, state.p_beam, state.p_out, eff.eta_trans, eff.eta_pv,
+                    eff.eta_all)
             got = tuple(float(c[i]) for c in cols)
             # repr tells -0.0 from 0.0, which JSON output keeps
             assert list(map(repr, got)) == list(map(repr, want))
-
-    def test_columns_reject_bad_drive(self):
-        for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(UnitError, match="p_in: must be finite"):
-                ladder_columns(np.array([1.0, bad]), 0.5, link(7.855e-4))
 
 
 class TestBeamPower:

@@ -1,10 +1,10 @@
-"""Rows and columns give the same bytes.
+"""Rows and columns give the same bytes, and the numbers of the public kernels.
 
-A grid of up to ``explorer.ROWS_MAX`` points runs row by row on the scalar
-kernels, a longer one as columns on the column kernels.  Each property here
-forces one dataset through both paths and compares the emitted CSV and JSON.
-Figures have no column form in the library, so their column path is built
-here from the column kernels, as the figures were built before they ran as rows.
+A grid of up to ``explorer.ROWS_MAX`` points runs its rule on the row kit, a
+longer one on the column kit.  Each property here forces one dataset through
+both paths and compares the emitted CSV and JSON.  Since the rules no longer
+call the public power-chain kernels, the sweeps' rows are also checked against
+them.
 """
 
 import math
@@ -23,20 +23,17 @@ from resbeam import (
     SWEEP_VARIABLES,
     SweepSpec,
     UnitError,
-    cavity,
-    columns,
-    connecting_r2,
     emit_dataset,
     explorer,
     gain_to_beam_coefficient,
-    is_stable,
     max_distance_vs_r1,
+    pv_output,
     reference_defaults,
     reproduce_figure,
     sweep,
 )
-from resbeam.config import provenance_for
-from resbeam.explorer import ROWS_MAX, Rule, linspace
+from resbeam.explorer import ROWS_MAX, linspace
+from resbeam.powerchain import beam_at, ladder_at
 
 REF = reference_defaults()
 R1_UNBOUNDED = -0.8200000000000066  # within rounding of R1 = l - f
@@ -94,6 +91,47 @@ def sweeps(draw):
 @example(SweepSpec("P_beam", (0.0,), REF))
 def test_sweep_rows_equal_columns(spec):
     assert_paths_agree(lambda: sweep(spec))
+    if spec.variable == "R1":
+        return
+    ds = sweep(spec)
+    for i, (x, flag) in enumerate(zip(spec.grid, ds.flags)):
+        if flag not in ("unstable", "overflow"):  # a row that holds its values
+            got = [col[i] for col in list(ds.columns.values())[1:]]
+            # repr tells -0.0 from 0.0, which JSON output keeps
+            assert list(map(repr, got)) == list(map(repr, kernel_row(spec.variable, x, spec.fixed)))
+
+
+def kernel_row(variable: str, x: float, p) -> tuple:
+    """The value columns of a sweep's row at x, from the public kernels."""
+    if variable == "P_beam":
+        out = pv_output(x, p.pv)
+        return out, out / x if x > 0 else 0.0
+    fd = gain_to_beam_coefficient(x if variable == "d" else p.d, p)
+    if variable == "P_stored":
+        pb = beam_at(x, fd, p.gain)
+        return fd, pb, pb / x if x > 0 else 0.0
+    (_, ps, pb, po), (_, eta_trans, _, eta_all) = ladder_at(p.p_in if variable == "d" else x, fd, p)
+    return (fd, pb, eta_trans, po, eta_all) if variable == "d" else (ps, pb, po, eta_all)
+
+
+OVERFLOWING = replace(REF, gain=replace(REF.gain, m_overlap=1e308))  # fd * P_stored is inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sweep(SweepSpec("d", tuple(linspace(0.0, 15.0, 200)), OVERFLOWING)),
+    lambda: sweep(SweepSpec("P_in", tuple(linspace(0.0, 300.0, 200)), OVERFLOWING)),
+    lambda: reproduce_figure(12, OVERFLOWING),
+    lambda: reproduce_figure(13, OVERFLOWING),
+], ids=["sweep-d", "sweep-P_in", "figure-12", "figure-13"])
+def test_overflowing_beam_flags_rows_on_both_paths(build):
+    # the beam power overflows: those rows read zero, flagged, and the dataset is built
+    for rows_max in (math.inf, -1):
+        with patch.object(explorer, "ROWS_MAX", rows_max):
+            ds = build()
+        assert "overflow" in ds.flags
+        assert all(v == 0.0 for col in list(ds.columns.values())[1:]
+                   for v, flag in zip(col, ds.flags) if flag == "overflow")
+    assert_paths_agree(build)
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,83 +144,13 @@ def test_design_grid_rows_equal_columns(l, f, grid, branch):
     assert_paths_agree(lambda: max_distance_vs_r1(l, f, grid, branch))
 
 
-def column_series(fid: int, p) -> dict:
-    """Each series of a figure as a column rule on the column kernels."""
-    geo, gain = p.geometry, p.gain
-
-    def clean(xs):
-        return [""] * len(xs)
-
-    def held(d, values):  # values(fd, xs) at the slope of a held distance
-        if not is_stable(geo, d):
-            return lambda xs: ((), ["unstable"] * len(xs))
-        return partial(values, gain_to_beam_coefficient(d, p))
-
-    def at_distance(values):  # values(fd column) where stable, else zero, flagged
-        def rule(d):
-            stable = columns.stable_columns(geo.l, geo.f, geo.r1, geo.r2, d)
-            fd = columns.gain_to_beam_column(d, p)
-            flags = columns._flags(len(d), (~stable, "unstable"))
-            return columns._masked(stable, values(fd)), flags
-
-        return rule
-
-    def radii(r2, d):
-        args = geo.l, geo.f, geo.r1, r2, d
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # unstable rows
-            g = cavity._g_terms(*args)
-            gg = g[1] * g[2]
-            w = cavity._radii(*args, g, p.wavelength / math.pi, np.sqrt)
-        stable = (0.0 < gg) & (gg < 1.0)
-        return columns._masked(stable, w), columns._flags(len(d), (~stable, "unstable"))
-
-    def outputs(p_in, fd):
-        lad = columns.ladder_columns(p_in, fd, p)
-        return lad.p_out, lad.eta_all
-
-    def beams(ps, fd):
-        pb = columns.beam_column(ps, fd, gain)
-        return pb, columns.ratio_column(pb, ps)
-
-    series = {
-        6: lambda: {"": lambda x: ((columns.stored_column(x, gain),), clean(x))},
-        7: lambda: {f"l{mm}_{b}": partial(columns.design_rule, mm / 1000.0, geo.f, b, slice(1, 2))
-                    for mm in (60, 80, 100) for b in BRANCHES},
-        8: lambda: {b: partial(radii, connecting_r2(geo.l, geo.f, geo.r1, b)) for b in BRANCHES},
-        9: lambda: {f"d{d:g}": held(d, lambda fd, ps: columns._per_drive(
-            columns.beam_column(ps, fd, gain), ps)) for d in (1.0, 5.0)},
-        10: lambda: {f"ps{ps:g}": at_distance(partial(beams, ps)) for ps in (10.0, 20.0, 30.0)},
-        11: lambda: {"": lambda pb: columns._per_drive(columns.pv_column(pb, p.pv), pb)},
-        12: lambda: {f"d{d:g}": held(d, lambda fd, x: (outputs(x, fd), clean(x)))
-                     for d in (1.0, 5.0)},
-        13: lambda: {f"pin{pin:g}": at_distance(partial(outputs, pin))
-                     for pin in (50.0, 80.0, 100.0)},
-    }
-    return series[fid]()
-
-
-def figure_by_columns(fid: int, p):
-    """reproduce_figure(fid, p) with its series forced through the column path."""
-    (lo, hi), x_col, value_cols, join, series = explorer._FIGURES[fid]
-    prov = provenance_for(p, figure=fid)
-    rules = series(p, prov)
-    col_rules = column_series(fid, p)
-    assert list(col_rules) == list(rules)
-    rules = {tag: Rule(rule.row, col_rules[tag]) for tag, rule in rules.items()}
-    with patch.object(explorer, "ROWS_MAX", -1):
-        return explorer._tabulate(linspace(lo, hi, 200), x_col, value_cols, rules, prov, join)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(explorer.FIGURE_IDS), links())
 @example(8, replace(REF, geometry=replace(REF.geometry, r2=3.0)))
 @example(12, replace(REF, geometry=replace(REF.geometry, r2=3.0)))
 @example(9, replace(REF, gain=replace(REF.gain, c=2.0)))
 def test_figure_rows_equal_columns(fid, p):
-    rows = reproduce_figure(fid, p)
-    cols = figure_by_columns(fid, p)
-    for fmt in ("csv", "json"):
-        assert emit_dataset(rows, fmt) == emit_dataset(cols, fmt)
+    assert_paths_agree(lambda: reproduce_figure(fid, p))
 
 
 @given(st.floats(-1e6, 1e6), st.floats(1e-300, 1e6), st.integers(1, 600))

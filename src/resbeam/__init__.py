@@ -5,7 +5,8 @@ aperture diffraction loss, and the three-stage electrical-to-electrical
 power chain, plus deterministic design-space sweeps.
 
 numpy loads only on the column path, where explorer._by_columns runs a grid
-past 256 points on the column kit of resbeam.columns, and in Dataset.column().
+past 256 points on the column kit resbeam.columns.COLUMNS, the one public name
+of that module, and in Dataset.column().
 The grid drivers and datasets load on first use.
 """
 

@@ -13,10 +13,10 @@ both g-parameters are affine in ``d``, so the set of stable distances is
 bounded by the real roots of two closed-form polynomials, no scanning needed.
 
 Each closed form is written once, as a private body that runs on floats and
-numpy columns alike: it uses only + - * / and abs, takes sqrt as an argument,
+numpy columns alike: it uses only + - * / & and abs, takes sqrt as an argument,
 and leaves validation to its callers.  The scalar kernels here wrap the bodies
-with exceptions; the column kernels of :mod:`resbeam.columns`, for drivers
-that evaluate whole grids, wrap them with masks and status codes.
+with exceptions; the dataset rules of :mod:`resbeam.explorer` run them on
+whole grids and flag a row rather than raise.
 """
 
 from __future__ import annotations
@@ -246,12 +246,12 @@ def _affine(l, f, r1, r2):
 
 
 def _g1_independent_of_d(l: float, f: float, r1: float) -> bool:
-    """True when the d-coefficient of g1 vanishes (degenerate line family)."""
-    if math.isinf(f) and math.isinf(r1):
-        return True
-    if math.isfinite(f) and math.isfinite(r1) and l - r1 - f == 0.0:
-        return True
-    return _connecting(l, f, r1, ORIGIN)[1] == 0.0
+    """True when the d-coefficient of g1 vanishes (degenerate line family).
+
+    l - r1 - f is -inf for a flat f or r1, and phi + c0/r1 is exactly 0.0 for
+    an all-flat f and r1, so the one test covers every form.
+    """
+    return l - r1 - f == 0.0 or _connecting(l, f, r1, ORIGIN)[1] == 0.0
 
 
 def stability_line(geom: CavityGeometry) -> StabilityLine:
@@ -308,10 +308,11 @@ def _boundary_candidates(l: float, f: float, r1: float, r2: float) -> list[float
     return merged
 
 
-def _stable_at(l: float, f: float, r1: float, r2: float, d: float) -> bool:
-    """is_stable of valid elements at a finite d >= 0."""
+def _stable_at(l, f, r1, r2, d):
+    """is_stable of valid elements at a finite d >= 0, on floats or numpy columns."""
     _, g1, g2 = _g_terms(l, f, r1, r2, d)
-    return 0.0 < g1 * g2 < 1.0
+    gg = g1 * g2
+    return (0.0 < gg) & (gg < 1.0)
 
 
 def _stable_segments(l, f, r1, r2, points: list[float]) -> list[tuple[float, float]]:

@@ -122,8 +122,11 @@ def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -
 
 
 def _tem00_exponent(aperture_radius: float, wavelength: float, l: float, d):
-    """The TEM00 loss exponent -2*pi*a^2/(lambda*(l+d)); d is a float or a numpy column."""
-    return -2.0 * math.pi * aperture_radius**2 / (wavelength * (l + d))
+    """The TEM00 loss exponent -2*pi*a^2/(lambda*(l+d)); d is a float or a numpy column.
+
+    a*a, unlike a**2, overflows to inf for a huge aperture: the zero-loss limit.
+    """
+    return -2.0 * math.pi * (aperture_radius * aperture_radius) / (wavelength * (l + d))
 
 
 def fundamental_loss_vs_distance(

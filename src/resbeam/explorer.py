@@ -17,20 +17,18 @@ zeros plus a flag token rather than being dropped.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cavity import (
     BRANCHES,
-    CavityGeometry,
     _check_l_f,
     _connected_r2,
     _g_terms,
+    _radii,
     _reach,
     _stable_at,
-    beam_radii,
     connecting_r2,
     is_stable,
     r1_range_for_distance,
@@ -38,12 +36,7 @@ from .cavity import (
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset, _floats
 from .diffraction import _tem00_exponent
-from .errors import (
-    ResbeamError,
-    UnknownFigureError,
-    UnstableConfigurationError,
-    require,
-)
+from .errors import ResbeamError, UnknownFigureError, require
 from .powerchain import (
     SystemParams,
     _beam,
@@ -99,52 +92,33 @@ def _checked_grid(variable: str, points) -> list[float]:
 
 # The operations the dataset rules run on, one float at a time in the row kit
 # ROWS (no numpy) or a numpy column at a time in resbeam.columns.COLUMNS, with
-# the same bits.  A rule ``rule(kit, x) -> (values, marks)`` is written once on
+# the same bits.  A rule ``rule(k, x) -> (values, marks)`` is written once on
 # them; ``marks`` are (mask, token) pairs, and the first that holds gives a row
 # its flag.  clamp(x) is max(0.0, x) and ratio(num, den) is num/den where
-# den > 0, else 0.0; stable(geometry, d) and not_ give masks, a bool or a bool
-# column, and masked(keep, values) zeroes the values outside keep.  The rows
-# design(l, f, branch, r1), r1(l, f, r2, d, r1) and radii(geometry, wavelength,
-# d) stop early where there is no value, so each kit writes those three in its
-# own form; each returns (values, marks).
-Kit = namedtuple("Kit", "clamp ratio exp stable not_ masked design r1 radii")
+# den > 0, else 0.0.  when(ok, row, token) is row() where the mask ok holds and
+# zero values flagged token elsewhere: rows call row() only where ok holds,
+# columns call it once.  connected(l, f, r1, branch) is (r2, ok), the r2 of the
+# connected branch where it is a valid element, and reach(l, f, r1, r2) is
+# ((d_max, contiguous), marks), zero where no bounded stable set exists.
+Kit = namedtuple("Kit", "clamp ratio exp sqrt when connected reach")
 
 
-def _reach_row(l: float, f: float, r1: float, r2: float) -> tuple[float, float, str]:
-    """(d_max, contiguous as 1.0 or 0.0, flag); an unbounded or empty reach reads zero, flagged."""
-    d_max, contiguous, flag = _reach(l, f, r1, r2)
-    return (0.0, 0.0, flag) if flag else (d_max, float(contiguous), "")
+def _when(ok: bool, row: Callable, token: str) -> tuple:
+    return row() if ok else ((), ((True, token),))
 
 
-def _design_row(l: float, f: float, branch: str, r1: float) -> tuple:
+def _connected(l: float, f: float, r1: float, branch: str) -> tuple[float, bool]:
     r2 = _connected_r2(l, f, r1, branch)
-    if isinstance(r2, ResbeamError):  # no design, or an R1 or R2 that is no element
-        return (), ((True, "no-solution"),)
-    d_max, contiguous, flag = _reach_row(l, f, r1, r2)
-    return (r2, d_max, contiguous), ((True, flag),)
+    return (0.0, False) if isinstance(r2, ResbeamError) else (r2, True)
 
 
-def _r1_row(l: float, f: float, r2: float, d: float, r1: float) -> tuple:
-    if r1 == 0.0:  # the grid is finite, so the one R1 CavityGeometry rejects
-        return (), ((True, "invalid-r1"),)
-    _, g1, g2 = _g_terms(l, f, r1, r2, d)
-    d_max, contiguous, flag = _reach_row(l, f, r1, r2)
-    return (g1, g2, float(0.0 < g1 * g2 < 1.0), d_max, contiguous), ((True, flag),)
+def _reach_row(l: float, f: float, r1: float, r2: float) -> tuple:
+    d_max, contiguous, flag = _reach(l, f, r1, r2)
+    return ((0.0, 0.0) if flag else (d_max, float(contiguous))), ((True, flag),)
 
 
-def _radii_row(geometry: CavityGeometry, wavelength: float, d: float) -> tuple:
-    try:
-        return beam_radii(geometry, d, wavelength), ()
-    except UnstableConfigurationError:
-        return (), ((True, "unstable"),)
-
-
-ROWS = Kit(
-    clamp=_clamp, ratio=_ratio, exp=math.exp,
-    stable=lambda g, d: _stable_at(g.l, g.f, g.r1, g.r2, d), not_=operator.not_,
-    masked=lambda keep, values: values if keep else (),
-    design=_design_row, r1=_r1_row, radii=_radii_row,
-)
+ROWS = Kit(clamp=_clamp, ratio=_ratio, exp=math.exp, sqrt=math.sqrt,
+           when=_when, connected=_connected, reach=_reach_row)
 
 
 def _tagged(name: str, tag: str) -> str:
@@ -246,13 +220,14 @@ def _held(p: SystemParams, d: float, rule: Callable) -> Callable:
 
 def _at_distance(p: SystemParams, at: Callable) -> Callable:
     """Rule d -> at(k, f(d)) at stable distances; unstable rows read zero, flagged."""
-    geometry, a, wavelength, l, gain = p.geometry, p.aperture_radius, p.wavelength, p.l, p.gain
+    g, a, wavelength, gain = p.geometry, p.aperture_radius, p.wavelength, p.gain
+    l, f, r1, r2 = g.l, g.f, g.r1, g.r2
 
     def rule(k, d):
-        stable = k.stable(geometry, d)
-        fd = coefficient_at_loss(k.exp(_tem00_exponent(a, wavelength, l, d)), gain)  # f(d)
-        values, marks = at(k, fd)
-        return k.masked(stable, values), [(k.not_(stable), "unstable"), *marks]
+        def row():
+            return at(k, coefficient_at_loss(k.exp(_tem00_exponent(a, wavelength, l, d)), gain))
+
+        return k.when(_stable_at(l, f, r1, r2, d), row, "unstable")
 
     return rule
 
@@ -263,8 +238,13 @@ def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Callable:
     _check_l_f(l, f)
 
     def rule(k, r1):
-        values, marks = k.design(l, f, branch, r1)
-        return values[keep], marks
+        r2, ok = k.connected(l, f, r1, branch)
+
+        def row():
+            (d_max, contiguous), marks = k.reach(l, f, r1, r2)
+            return (r2, d_max, contiguous)[keep], marks
+
+        return k.when(ok, row, "no-solution")
 
     return rule
 
@@ -299,7 +279,18 @@ def _p_beam_rule(p: SystemParams) -> Callable:
 
 def _r1_rule(p: SystemParams) -> Callable:
     l, f, r2, d = p.geometry.l, p.geometry.f, p.geometry.r2, p.d
-    return lambda k, r1: k.r1(l, f, r2, d, r1)
+
+    def rule(k, r1):
+        def row():
+            _, g1, g2 = _g_terms(l, f, r1, r2, d)
+            gg = g1 * g2
+            (d_max, contiguous), marks = k.reach(l, f, r1, r2)
+            return (g1, g2, ((0.0 < gg) & (gg < 1.0)) * 1.0, d_max, contiguous), marks
+
+        # the grid is finite, so 0.0 is the one R1 CavityGeometry rejects
+        return k.when(r1 != 0.0, row, "invalid-r1")
+
+    return rule
 
 
 # variable -> (x column, value columns, rule for the fixed parameters)
@@ -344,13 +335,26 @@ def max_distance_vs_r1(
 # Figure reproduction
 
 
+def _radii_rule(l: float, f: float, r1: float, r2: float, wavelength: float) -> Callable:
+    """d -> the three mode radii of beam_radii; unstable rows read zero, flagged."""
+    lam_pi = wavelength / math.pi
+
+    def rule(k, d):
+        g = _g_terms(l, f, r1, r2, d)
+        gg = g[1] * g[2]
+        return k.when((0.0 < gg) & (gg < 1.0),
+                      lambda: (_radii(l, f, r1, r2, d, g, lam_pi, k.sqrt), ()), "unstable")
+
+    return rule
+
+
 def _fig8(p: SystemParams, prov: dict) -> dict[str, Callable]:
     rules = {}
+    l, f, r1 = p.geometry.l, p.geometry.f, p.geometry.r1
     for branch in BRANCHES:
-        r2 = connecting_r2(p.geometry.l, p.geometry.f, p.geometry.r1, branch)
+        r2 = connecting_r2(l, f, r1, branch)  # a valid element, or it raises
         prov[f"r2_{branch}"] = repr(r2)
-        geometry = replace(p.geometry, r2=r2)
-        rules[branch] = lambda k, d, g=geometry: k.radii(g, p.wavelength, d)
+        rules[branch] = _radii_rule(l, f, r1, r2, p.wavelength)
     return rules
 
 

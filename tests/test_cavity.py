@@ -29,7 +29,8 @@ from resbeam import (
     stability_line,
     stable_distance_intervals,
 )
-from resbeam import cavity, columns
+from resbeam import cavity
+from resbeam.columns import COLUMNS
 
 import oracles
 
@@ -469,17 +470,18 @@ class TestColumnKernels:
     # differ in the last bit of the positive root
     @example([CavityGeometry(l=0.25, f=0.1, r1=0.75, r2=-0.25)])
     def test_reach_matches_max_transmission_distance(self, geoms):
-        reach = columns.max_distance_columns(*columns_of(geoms))
+        with np.errstate(all="ignore"):
+            (d_max, contiguous), marks = COLUMNS.reach(*columns_of(geoms))
         for i, g in enumerate(geoms):
             try:
                 md = max_transmission_distance(g)
-                want = (columns.REACH_OK, bits(md.d_max), md.contiguous)
+                want = ("", bits(md.d_max), md.contiguous)
             except NoStableRegionError:
-                want = (columns.REACH_NO_STABLE_REGION, bits(0.0), False)
+                want = ("no-stable-region", bits(0.0), False)
             except UnboundedStableRangeError:
-                want = (columns.REACH_UNBOUNDED, bits(0.0), False)
-            got = (int(reach.status[i]), bits(reach.d_max[i]), bool(reach.contiguous[i]))
-            assert got == want, g
+                want = ("unbounded", bits(0.0), False)
+            first = next((token for mask, token in marks if mask[i]), "")
+            assert (first, bits(d_max[i]), bool(contiguous[i])) == want, g
 
     @settings(max_examples=200, deadline=None)
     @given(geometries(), st.lists(st.floats(0.0, 60.0), max_size=20), st.integers(0, 3))
@@ -489,8 +491,9 @@ class TestColumnKernels:
             ds += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
             ds += [c + k * math.ulp(c) for k in (-ulps, ulps)]
         d = np.array(ds + [0.0])
-        L, g1, g2 = columns.g_columns(g.l, g.f, g.r1, g.r2, d)
-        stable = columns.stable_columns(g.l, g.f, g.r1, g.r2, d)
+        with np.errstate(all="ignore"):
+            L, g1, g2 = cavity._g_terms(g.l, g.f, g.r1, g.r2, d)
+            stable = cavity._stable_at(g.l, g.f, g.r1, g.r2, d)
         for i, x in enumerate(d.tolist()):
             der = g_parameters(g, x)
             want = (bits(der.L), bits(der.g1), bits(der.g2))
@@ -504,8 +507,10 @@ class TestColumnKernels:
     @example(0.88, 0.88, [-1.0], TANGENT)  # l = f
     # l - r1 - f is exactly 0 while phi + c0/r1 rounds to -8.9e-16
     @example(0.2549, 0.2216, [0.2549 - 0.2216], ORIGIN)
+    @example(0.06, FLAT, [FLAT, -1.0], ORIGIN)  # all-flat f and r1: phi + c0/r1 is exactly 0
     def test_connecting_r2_columns_match_scalar(self, l, f, r1s, branch):
-        r2, solvable = columns.connecting_r2_columns(l, f, np.array(r1s), branch)
+        with np.errstate(all="ignore"):
+            r2, solvable = COLUMNS.connected(l, f, np.array(r1s), branch)
         for i, r1 in enumerate(r1s):
             try:
                 want = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch)).r2

@@ -152,6 +152,18 @@ class TestDatasets:
         rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
         assert len(rows) == 200 and "overflow" in {row[-1] for row in rows}
 
+    @pytest.mark.parametrize("argv", [
+        ["power", "--pin", "10W"], ["thresholds"], ["reproduce", "--figure", "13"],
+        ["sweep", "--var", "d", "--points", "300"],
+    ], ids=["power", "thresholds", "figure-13", "sweep-d-300"])
+    def test_huge_aperture_has_no_loss(self, capsys, tmp_path, argv):
+        # the squared radius overflows to inf, so the loss reads 0 and nothing raises
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a = 1e200m\n")
+        code = main([*argv, "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "") and out
+
     def test_cli_byte_determinism(self, capsys):
         _, a = run_cli(capsys, "reproduce", "--figure", "9")
         _, b = run_cli(capsys, "reproduce", "--figure", "9")

@@ -164,6 +164,8 @@ class TestFundamentalLossVsDistance:
 
     def test_large_aperture_limit(self):
         assert fundamental_loss_vs_distance(1.0, 1.064e-6, 0.06, 1.0) == 0.0
+        # a^2 overflows to inf here, and the loss reads 0 rather than raising
+        assert fundamental_loss_vs_distance(1e200, 1.064e-6, 0.06, 1.0) == 0.0
 
     def test_strictly_increasing_in_distance(self):
         d = np.linspace(0.1, 30.0, 50)

@@ -16,6 +16,7 @@ from resbeam import (
     fundamental_loss_vs_distance,
     gain_to_beam_coefficient,
     is_stable,
+    max_distance_vs_r1,
     mode_diffraction_loss,
     pv_output,
     r1_range_for_distance,
@@ -24,7 +25,6 @@ from resbeam import (
     stable_distance_intervals,
     stored_power,
 )
-from resbeam.columns import connecting_r2_columns
 from resbeam.powerchain import beam_at
 
 REF = reference_defaults()
@@ -46,7 +46,7 @@ CHECKS = [
     ("r1_range-branch", lambda: r1_range_for_distance(5.0, 0.06, 0.88, "up", WINDOW),
      "branch", "'up'"),
     ("beam_radii-wavelength", lambda: beam_radii(GEOM, 1.0, 0.0), "wavelength", "0.0"),
-    ("connecting_r2_columns-branch", lambda: connecting_r2_columns(0.06, 0.88, [-1.0], "up"),
+    ("max_distance_vs_r1-branch", lambda: max_distance_vs_r1(0.06, 0.88, [-1.0], "up"),
      "branch", "'up'"),
     ("laguerre-n", lambda: associated_laguerre(-1, 0, 0.5), "n", "-1"),
     ("laguerre-m", lambda: associated_laguerre(1, -2, 0.5), "m", "-2"),

@@ -469,9 +469,11 @@ class TestR1RangeForDistance:
         def column_call(*args):
             raise AssertionError("column kernel called")
 
-        # explorer reaches the column kernels only through resbeam.columns
-        for name in ("max_distance_columns", "connecting_r2_columns"):
+        # explorer reaches the column kernels only through the kit resbeam.columns.COLUMNS
+        for name in ("_reach", "_connected"):
             monkeypatch.setattr(resbeam.columns, name, column_call)
+        monkeypatch.setattr(resbeam.columns, "COLUMNS", resbeam.columns.COLUMNS._replace(
+            reach=column_call, connected=column_call))
         assert len(r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5))) == 1
         assert resbeam.explorer.r1_range_for_distance is resbeam.cavity.r1_range_for_distance
 
@@ -749,9 +751,10 @@ class TestDatasetSerialization:
 class TestColumnDrivers:
     # the scalar kernels a per-row loop calls, by the name each counts under; grids past
     # ROWS_MAX evaluate columns instead.  Every reach, max_transmission_distance's and a row's
-    # alike, runs through the private body cavity._reach, so that body is what is counted.
+    # alike, runs through the private body cavity._reach, so that body is what is counted;
+    # figure 8's rows run the radii body cavity._radii, not beam_radii.
     SCALAR_KERNELS = {"_reach": "max_transmission_distance", "is_stable": "is_stable",
-                      "g_parameters": "g_parameters", "beam_radii": "beam_radii"}
+                      "g_parameters": "g_parameters", "_radii": "_radii"}
 
     def count_scalar_calls(self, monkeypatch, build) -> Counter:
         calls = Counter()
@@ -786,6 +789,10 @@ class TestColumnDrivers:
         assert calls["max_transmission_distance"] == (n if rows else 0)
 
     def test_figures_run_as_rows(self, monkeypatch):
+        figures = {}
         calls = self.count_scalar_calls(
-            monkeypatch, lambda: [reproduce_figure(fid) for fid in (7, 8)])
-        assert calls["max_transmission_distance"] == 6 * 200 and calls["beam_radii"] == 2 * 200
+            monkeypatch, lambda: figures.update((fid, reproduce_figure(fid)) for fid in (7, 8)))
+        # figure 8's radii body runs on each stable (branch, row) pair, and on no other
+        stable_pairs = sum(2 - flag.count(":unstable") for flag in figures[8].flags)
+        assert stable_pairs == 299
+        assert calls["max_transmission_distance"] == 6 * 200 and calls["_radii"] == stable_pairs

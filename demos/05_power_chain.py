@@ -9,7 +9,6 @@ electricity (linear law with its own threshold).  Composing them gives the
 end-to-end closed form and the input power needed for a target charge rate.
 """
 
-from dataclasses import replace
 
 from resbeam import (
     calibrate_aperture,
@@ -45,6 +44,6 @@ for d in (1.0, 2.0, 5.0):
 # the 61%-at-30 W operating point and reused everywhere else
 a = calibrate_aperture(1.0, 30.0, 0.61, params)
 print(f"\ncalibrated aperture radius: {a * 1e3:.4f} mm")
-calibrated = replace(params, aperture_radius=a)
+calibrated = params._replace(aperture_radius=a)
 state, eff = end_to_end(100.0, 1.0, calibrated)
 print(f"end-to-end efficiency at 100 W, 1 m: {eff.eta_all * 100:.2f} %")

@@ -22,7 +22,6 @@ whole grids and flag a row rather than raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     EmptyResultError,
     NoSolutionError,
     NoStableRegionError,
+    Record,
     ResbeamError,
     UnboundedStableRangeError,
     UnstableConfigurationError,
@@ -66,8 +66,7 @@ def _check_l_f(l: float, f: float) -> None:
     _check_element("f", f)
 
 
-@dataclass(frozen=True)
-class CavityGeometry:
+class CavityGeometry(Record):
     """Physical resonator parameters.
 
     Attributes
@@ -116,8 +115,7 @@ class StabilityLine(NamedTuple):
         return self.slope * g1 + self.intercept
 
 
-@dataclass(frozen=True)
-class DistanceIntervals:
+class DistanceIntervals(Record):
     """Ordered disjoint open intervals of stable transmission distance."""
 
     intervals: tuple[tuple[float, float], ...]
@@ -125,10 +123,8 @@ class DistanceIntervals:
     def __post_init__(self):
         prev_hi = -math.inf
         for lo, hi in self.intervals:
-            if not lo < hi:
-                raise ValueError(f"empty interval ({lo}, {hi})")
-            if lo < prev_hi:
-                raise ValueError("intervals overlap or are out of order")
+            if not prev_hi <= lo < hi:
+                require("intervals", (lo, hi), False, "nonempty, disjoint and in order")
             prev_hi = hi
 
     def __iter__(self):
@@ -333,7 +329,7 @@ def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceI
         require("d_limit", d_limit, False, "finite and > 0")
     elements = (geom.l, geom.f, geom.r1, geom.r2)
     points = [0.0] + [c for c in _boundary_candidates(*elements) if c < d_limit] + [d_limit]
-    return DistanceIntervals(intervals=tuple(_stable_segments(*elements, points)))
+    return DistanceIntervals(tuple(_stable_segments(*elements, points)))
 
 
 def _reach(l: float, f: float, r1: float, r2: float) -> tuple[float, bool, str]:

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
 
 from .cavity import (
     BRANCHES,
@@ -61,89 +60,11 @@ _GEOMETRY = ("l", "f", "r1", "r2")
 _AT_D = (*_GEOMETRY, "d")
 
 
-def _command(sub, command: str, help: str, handler, keys=_AT_D):
-    """The subparser of `resbeam <command>`, with a flag for each config key its handler reads.
-
-    A flag that overrides a config key has that key as its dest.
-    """
-    sp = sub.add_parser(command.split()[-1], help=help, allow_abbrev=False)
-    sp.set_defaults(handler=handler, command=command)
-    sp.add_argument("--config", help="configuration file (key = value lines)")
-    for key in keys:
-        sp.add_argument(f"--{key}", help="transmission distance (e.g. 1m)" if key == "d"
-                        else f"{key} with unit suffix (e.g. 60mm, flat)")
-    return sp
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="resbeam",
-        description="Resonant-beam power link: cavity stability and power chain",
-        allow_abbrev=False,
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    _command(sub, "stability", "point stability evaluation", _cmd_stability)
-
-    sp = _command(sub, "intervals", "stable transmission-distance intervals", _cmd_intervals,
-                  _GEOMETRY)
-    sp.add_argument("--d-limit", default="20", help="search limit (default 20 m)")
-
-    _command(sub, "max-distance", "supremum of the stable distance set", _cmd_max_distance,
-             _GEOMETRY)
-
-    sp = _command(sub, "connect-r2", "receiver curvature joining the stability regions",
-                  _cmd_connect_r2, ("l", "f", "r1"))
-    sp.add_argument("--branch", choices=BRANCHES, required=True)
-
-    sp = _command(sub, "power", "full power ladder at one operating point", _cmd_power)
-    sp.add_argument("--pin", required=True, help="input electrical power (e.g. 100W)")
-
-    _command(sub, "thresholds", "stored/beam/input power thresholds", _cmd_thresholds)
-
-    sweep = _command(sub, "sweep", "sweep one variable over a grid", _cmd_sweep)
-    sweep.add_argument("--var", dest="sweep_var", choices=SWEEP_VARIABLES, default="d",
-                       help="swept variable (default: d)")
-    sweep.add_argument("--from", dest="sweep_from", default="0.1", help="grid start (default: 0.1)")
-    sweep.add_argument("--to", dest="sweep_to", default="10", help="grid end (default: 10)")
-    sweep.add_argument("--points", dest="sweep_points", metavar="POINTS", type=int, default=200,
-                       help="grid points (default: 200)")
-
-    design = sub.add_parser("design", help="inverse design solvers", allow_abbrev=False)
-    dsub = design.add_subparsers(required=True)
-
-    sp = _command(dsub, "design required-pin", "input power for a target output power",
-                  _cmd_required_pin)
-    sp.add_argument("--pout", required=True, help="target output power (e.g. 1W)")
-
-    sp = _command(dsub, "design r1-range", "R1 interval reaching a target distance",
-                  _cmd_r1_range, ("l", "f"))
-    sp.add_argument("--target-d", required=True, help="required max distance (e.g. 5m)")
-    sp.add_argument("--branch", choices=BRANCHES, default="origin")
-    sp.add_argument("--search-from", default="-1.5m")
-    sp.add_argument("--search-to", default="-0.5m")
-
-    sp = _command(sub, "calibrate", "aperture radius hitting a target efficiency",
-                  _cmd_calibrate)
-    sp.add_argument("--pstored", required=True, help="stored power (e.g. 30W)")
-    sp.add_argument("--eta", required=True, help="target stored-to-beam efficiency")
-
-    reproduce = _command(sub, "reproduce", "emit the dataset behind a study figure",
-                         _cmd_reproduce, ())
-    reproduce.add_argument("--figure", type=int, required=True, help="figure id, 6..13")
-
-    for sp in (sweep, reproduce):  # the dataset commands
-        sp.add_argument("--out", help="write the dataset to this path instead of stdout")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv", help="dataset format")
-
-    return p
-
-
 def _load(args) -> RunConfig:
     """The config file (or the defaults) with the command-line flags laid over it."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    return override(cfg, **{f.name: parse_quantity(raw, f.name) for f in fields(RunConfig)
-                            if (raw := getattr(args, f.name, None)) is not None})
+    return override(cfg, **{name: parse_quantity(raw, name) for name in RunConfig._fields
+                            if (raw := getattr(args, name, None)) is not None})
 
 
 def _numbers(value) -> list:
@@ -177,7 +98,7 @@ def _write_dataset(ds, args) -> None:
 
 
 # A handler takes (args, bundle) and returns the fields of its JSON record, or
-# None once it has written a dataset.
+# its Dataset.
 def _cmd_stability(args, params: SystemParams) -> dict:
     geom, d = params.geometry, params.d
     L, g1, g2, *_ = g_parameters(geom, d)
@@ -202,7 +123,7 @@ def _cmd_max_distance(args, params: SystemParams) -> dict:
 def _cmd_connect_r2(args, params: SystemParams) -> dict:
     geom = params.geometry
     r2 = connecting_r2(geom.l, geom.f, geom.r1, args.branch)
-    line = stability_line(replace(geom, r2=r2))
+    line = stability_line(geom._replace(r2=r2))
     return {"branch": args.branch, "r2": r2, **line._asdict()}
 
 
@@ -218,7 +139,7 @@ def _cmd_thresholds(args, params: SystemParams) -> dict:
     return {"d": params.d, **{f"{stage}_th": value for stage, value in th._asdict().items()}}
 
 
-def _cmd_sweep(args, params: SystemParams) -> None:
+def _cmd_sweep(args, params: SystemParams):
     from .explorer import SweepSpec, linspace, sweep
 
     var, n = args.sweep_var, args.sweep_points
@@ -228,7 +149,7 @@ def _cmd_sweep(args, params: SystemParams) -> None:
         require(key, bound, var == "R1" or bound >= 0, "finite and >= 0")
     require("sweep_from", lo, lo < hi, f"< sweep_to = {hi!r}")
     require("sweep_points", n, n >= 1, ">= 1")
-    _write_dataset(sweep(SweepSpec(var, tuple(linspace(lo, hi, n)), params)), args)
+    return sweep(SweepSpec(var, tuple(linspace(lo, hi, n)), params))
 
 
 def _cmd_required_pin(args, params: SystemParams) -> dict:
@@ -264,32 +185,126 @@ def _cmd_calibrate(args, params: SystemParams) -> dict:
     }
 
 
-def _cmd_reproduce(args, params: SystemParams) -> None:
+def _cmd_reproduce(args, params: SystemParams):
     from .explorer import reproduce_figure
 
-    _write_dataset(reproduce_figure(args.figure, params), args)
+    return reproduce_figure(args.figure, params)
+
+
+_DATASET_OPTIONS = (
+    ("--out", dict(help="write the dataset to this path instead of stdout")),
+    ("--format", dict(choices=("csv", "json"), default="csv", help="dataset format")),
+)
+# The commands, by their words after "resbeam": (help, handler, the config keys
+# it reads, each a flag whose dest is the key, and its other options in order)
+_COMMANDS = {
+    "stability": ("point stability evaluation", _cmd_stability, _AT_D, ()),
+    "intervals": ("stable transmission-distance intervals", _cmd_intervals, _GEOMETRY, (
+        ("--d-limit", dict(default="20", help="search limit (default 20 m)")),)),
+    "max-distance": ("supremum of the stable distance set", _cmd_max_distance, _GEOMETRY, ()),
+    "connect-r2": ("receiver curvature joining the stability regions", _cmd_connect_r2,
+                   ("l", "f", "r1"), (("--branch", dict(choices=BRANCHES, required=True)),)),
+    "power": ("full power ladder at one operating point", _cmd_power, _AT_D, (
+        ("--pin", dict(required=True, help="input electrical power (e.g. 100W)")),)),
+    "thresholds": ("stored/beam/input power thresholds", _cmd_thresholds, _AT_D, ()),
+    "sweep": ("sweep one variable over a grid", _cmd_sweep, _AT_D, (
+        ("--var", dict(dest="sweep_var", choices=SWEEP_VARIABLES, default="d",
+                       help="swept variable (default: d)")),
+        ("--from", dict(dest="sweep_from", default="0.1", help="grid start (default: 0.1)")),
+        ("--to", dict(dest="sweep_to", default="10", help="grid end (default: 10)")),
+        ("--points", dict(dest="sweep_points", metavar="POINTS", type=int, default=200,
+                          help="grid points (default: 200)")),
+        *_DATASET_OPTIONS)),
+    "design required-pin": ("input power for a target output power", _cmd_required_pin, _AT_D, (
+        ("--pout", dict(required=True, help="target output power (e.g. 1W)")),)),
+    "design r1-range": ("R1 interval reaching a target distance", _cmd_r1_range, ("l", "f"), (
+        ("--target-d", dict(required=True, help="required max distance (e.g. 5m)")),
+        ("--branch", dict(choices=BRANCHES, default="origin")),
+        ("--search-from", dict(default="-1.5m")),
+        ("--search-to", dict(default="-0.5m")))),
+    "calibrate": ("aperture radius hitting a target efficiency", _cmd_calibrate, _AT_D, (
+        ("--pstored", dict(required=True, help="stored power (e.g. 30W)")),
+        ("--eta", dict(required=True, help="target stored-to-beam efficiency")))),
+    "reproduce": ("emit the dataset behind a study figure", _cmd_reproduce, (), (
+        ("--figure", dict(type=int, required=True, help="figure id, 6..13")),
+        *_DATASET_OPTIONS)),
+}
+_GROUPS = {"design": "inverse design solvers"}  # a first word that takes a second
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The resbeam parser; given a command's words (e.g. "design r1-range"), with it alone.
+
+    A flag that overrides a config key has that key as its dest.
+    """
+    p = argparse.ArgumentParser(
+        prog="resbeam",
+        description="Resonant-beam power link: cavity stability and power chain",
+        allow_abbrev=False,
+    )
+    subs = {"": p.add_subparsers(dest="command", required=True)}
+    for words, (help, handler, keys, options) in _COMMANDS.items():
+        if command not in (None, words):
+            continue
+        group, _, name = words.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(group, help=_GROUPS[group], allow_abbrev=False
+                                              ).add_subparsers(required=True)
+        sp = subs[group].add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(handler=handler, command=words)
+        sp.add_argument("--config", help="configuration file (key = value lines)")
+        for key in keys:
+            sp.add_argument(f"--{key}", help="transmission distance (e.g. 1m)" if key == "d"
+                            else f"{key} with unit suffix (e.g. 60mm, flat)")
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+    return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line; argparse exits (SystemExit) on --help and on a usage error.
+
+    When argv begins with a command's words, only that command's parser is
+    built.  Anything else, and a usage error at the root, goes through the
+    full parser, so that its help and error text are those of every command.
+    """
+    words = " ".join(argv[:2] if argv[:1] == ["design"] else argv[:1])
+    if words in _COMMANDS:
+        args, unknown = build_parser(words).parse_known_args(argv)
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_normalize_argv(argv))
+        args = _parse_args(_normalize_argv(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # The step an error record names: "parse" reads the config file and the key
+    # flags, "build" checks the bundle, "evaluate" runs the handler and
+    # "serialise" checks and writes its output.  A UnitError that knows its
+    # step ("parse" for any quantity token, "build" for the bundle) names it.
+    stage = "parse"
     try:
         params = _load(args).system_params()
-        record = args.handler(args, params)
-        if record is not None:
-            _check_finite(record)
-            _print_record({"command": args.command, **record, "params": provenance_for(params)})
+        stage = "evaluate"
+        out = args.handler(args, params)
+        stage = "serialise"
+        if isinstance(out, dict):
+            _check_finite(out)
+            _print_record({"command": args.command, **out, "params": provenance_for(params)})
+        else:
+            _write_dataset(out, args)
         return 0
     except (ResbeamError, ValueError) as exc:
         where = {k: v for k in ("key", "line", "value") if (v := getattr(exc, k, None)) is not None}
-        _print_record({"error": type(exc).__name__, "message": str(exc), **where})
+        _print_record({"error": type(exc).__name__, "message": str(exc), **where,
+                       "stage": getattr(exc, "stage", None) or stage})
         return 1
     except OSError as exc:
-        _print_record({"error": "IoError", "message": str(exc)})
+        _print_record({"error": "IoError", "message": str(exc), "stage": stage})
         return 1
 
 

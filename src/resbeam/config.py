@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, replace
 
 from .cavity import FLAT, CavityGeometry
-from .errors import ParseError, UnitError
+from .errors import ParseError, Record, UnitError
 from .powerchain import GainParams, PvParams, SystemParams
 
 _QUANTITY_RE = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(mm|um|nm|m|W)?")
@@ -53,16 +52,16 @@ def parse_quantity(token: str, key: str, unit: str | None = None) -> float:
         if flat:
             return FLAT
         flat_keys = ", ".join(k for k in _DEFAULTS if _UNITS.get(k) is _LENGTH_OR_FLAT)
-        raise UnitError(key, f"'flat' is only valid for {flat_keys}", token)
+        raise UnitError(key, f"'flat' is only valid for {flat_keys}", token, "parse")
     m = _QUANTITY_RE.fullmatch(token)
     if m is None:
-        raise UnitError(key, f"cannot parse quantity {token!r}", token)
+        raise UnitError(key, f"cannot parse quantity {token!r}", token, "parse")
     value = float(m.group(1))
     if not math.isfinite(value):
-        raise UnitError(key, f"{token!r} is not a finite number", token)
+        raise UnitError(key, f"{token!r} is not a finite number", token, "parse")
     suffix = m.group(2)
     if suffix not in scales:
-        raise UnitError(key, wrong.format(key=key, suffix=suffix), token)
+        raise UnitError(key, wrong.format(key=key, suffix=suffix), token, "parse")
     return value * scales[suffix]
 
 
@@ -72,8 +71,7 @@ _P_IN = 100.0  # W, the reference drive of every bundle a config builds; no key 
 # at 1064 nm, with a measured thermal-lens focal length of 880 mm and a 60 mm
 # transmitter size.  Receiver: an R = 0.88 output mirror behind a photovoltaic
 # panel fitted by p_pv = 0.3487*p_beam - 1.535 W at its maximum power point.
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """The 13 physical keys of a link, each checked by the bundle it fills."""
 
     l: float = 0.06             # m, gain medium to M1
@@ -95,21 +93,25 @@ class RunConfig:
     b1: float = -1.535          # W
 
     def __post_init__(self):
-        self.system_params()  # the bundle checks every physical key, naming it
+        try:
+            self.system_params()  # the bundle checks every physical key, naming it
+        except UnitError as exc:
+            exc.stage = "build"
+            raise
 
     def system_params(self) -> SystemParams:
         """The link bundle: each number in it and in its parts reads the config key it names."""
         def take(cls) -> dict[str, float]:
-            return {f.name: getattr(self, key) for f in fields(cls)
-                    if (key := _RENAMED.get(f.name, f.name)) in _DEFAULTS}
+            return {name: getattr(self, key) for name in cls._fields
+                    if (key := _RENAMED.get(name, name)) in _DEFAULTS}
 
         parts = {slot: part(**take(part)) for slot, part in _PARTS.items()}
         return SystemParams(**parts, **take(SystemParams), p_in=_P_IN)
 
 
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}  # config key -> default
+_DEFAULTS = RunConfig._field_defaults  # config key -> default
 
-# SystemParams field -> the dataclass of the part it holds; its other fields are numbers
+# SystemParams field -> the record class of the part it holds; its other fields are numbers
 _PARTS = {"geometry": CavityGeometry, "gain": GainParams, "pv": PvParams}
 # The one bundle field whose config key is not its own name: every other number
 # in SystemParams and in its parts is named as its config key.
@@ -120,9 +122,9 @@ def provenance_for(params: SystemParams, **extra) -> dict[str, str]:
     """Full effective parameter snapshot for output embedding, by config key."""
     # getattr, not vars(): a materialised __dict__ slows every later attribute read
     parts = [getattr(params, slot) for slot in _PARTS]
-    values = {f.name: getattr(part, f.name) for part in parts for f in fields(part)}
-    values |= {_RENAMED.get(f.name, f.name): getattr(params, f.name)
-               for f in fields(params) if f.name not in _PARTS}
+    values = {name: getattr(part, name) for part in parts for name in part._fields}
+    values |= {_RENAMED.get(name, name): getattr(params, name)
+               for name in params._fields if name not in _PARTS}
     return {k: repr(v) for k, v in values.items()} | {k: str(v) for k, v in extra.items()}
 
 
@@ -162,9 +164,8 @@ def parse_config(text: str) -> RunConfig:
 def render_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(render_config(c)) == c."""
     lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {'flat' if math.isinf(v) else repr(v)}")
+    for name, v in cfg._asdict().items():
+        lines.append(f"{name} = {'flat' if math.isinf(v) else repr(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -176,4 +177,4 @@ def load_config(path: str) -> RunConfig:
 def override(cfg: RunConfig, **changes) -> RunConfig:
     """Replace the given fields, dropping None values (CLI flag overlay)."""
     real = {k: v for k, v in changes.items() if v is not None}
-    return replace(cfg, **real) if real else cfg
+    return cfg._replace(**real) if real else cfg

@@ -4,34 +4,30 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .errors import require
 
 FORMATS = ("csv", "json")
 
 
-@dataclass
 class Dataset:
     """Named numeric series plus a per-row flag and a provenance snapshot.
 
-    Flags are short tokens ("" for clean rows); rows that could not be
-    evaluated carry zeros in the numeric columns and a nonempty flag, never
-    NaN or inf.  Provenance holds the full effective parameter set of the run.
+    Flags are short tokens ("" for clean rows; none given means all clean);
+    rows that could not be evaluated carry zeros in the numeric columns and a
+    nonempty flag, never NaN or inf.  Provenance holds the full effective
+    parameter set of the run.  The columns are stored as lists of floats.
     """
 
-    columns: dict[str, list[float]]
-    flags: list[str] = field(default_factory=list)
-    provenance: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.columns = {k: _floats(v) for k, v in self.columns.items()}
+    def __init__(self, columns: dict, flags: list[str] | None = None,
+                 provenance: dict[str, str] | None = None):
+        self.columns: dict[str, list[float]] = {k: _floats(v) for k, v in columns.items()}
         lengths = {len(v) for v in self.columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"columns have unequal lengths: {lengths}")
         n = lengths.pop() if lengths else 0
-        if not self.flags:
-            self.flags = [""] * n
+        self.flags: list[str] = flags or [""] * n
+        self.provenance: dict[str, str] = {} if provenance is None else provenance
         if len(self.flags) != n:
             raise ValueError(f"{len(self.flags)} flags for {n} rows")
         for name, col in self.columns.items():

@@ -137,6 +137,8 @@ def fundamental_loss_vs_distance(
         require("wavelength", wavelength, False, "finite and > 0")
     if not 0.0 < l + d < math.inf:
         require("l + d", l + d, False, "finite and > 0")
+    if not wavelength * (l + d) > 0.0:  # the divisor of the exponent underflows
+        require("wavelength", wavelength, False, "such that wavelength * (l + d) > 0")
     if not (aperture_radius >= 0 and math.isfinite(aperture_radius)):
         require("aperture_radius", aperture_radius, False, "finite and >= 0")
     return math.exp(_tem00_exponent(aperture_radius, wavelength, l, d))

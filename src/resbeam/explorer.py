@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .cavity import (
     BRANCHES,
@@ -36,7 +35,7 @@ from .cavity import (
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset, _floats
 from .diffraction import _tem00_exponent
-from .errors import ResbeamError, UnknownFigureError, require
+from .errors import Record, ResbeamError, UnknownFigureError, require
 from .powerchain import (
     SystemParams,
     _beam,
@@ -59,8 +58,7 @@ FIGURE_IDS = tuple(range(6, 14))
 ROWS_MAX = 256
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """One swept variable over a strictly increasing finite grid (>= 0 but for R1), rest fixed."""
 
     variable: str

@@ -18,21 +18,20 @@ inverse solvers at the end of the module answer point design questions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cavity import CavityGeometry, is_stable
 from .diffraction import fundamental_loss_vs_distance
 from .errors import (
     InfeasibleTargetError,
+    Record,
     UndefinedAtZeroError,
     UnreachableTargetError,
     require,
 )
 
 
-@dataclass(frozen=True)
-class GainParams:
+class GainParams(Record):
     """Transmitter conversion coefficients.
 
     eta_stored: electrical-to-stored conversion efficiency, in (0, 1).
@@ -53,8 +52,7 @@ class GainParams:
         require("r_out", self.r_out, 0.0 < self.r_out < 1.0, "in (0, 1)")
 
 
-@dataclass(frozen=True)
-class PvParams:
+class PvParams(Record):
     """Fitted linear photovoltaic law p_pv = a1*p_beam + b1 (maximum power point)."""
 
     a1: float
@@ -65,8 +63,7 @@ class PvParams:
         require("b1", self.b1, math.isfinite(self.b1), "finite")
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(Record):
     """Full parameter bundle for one link configuration."""
 
     geometry: CavityGeometry
@@ -81,6 +78,9 @@ class SystemParams:
         for key, v in (("a", self.aperture_radius), ("d", self.d), ("p_in", self.p_in)):
             require(key, v, 0.0 <= v < math.inf, "finite and >= 0")
         require("wavelength", self.wavelength, 0.0 < self.wavelength < math.inf, "finite and > 0")
+        # the TEM00 loss divides by wavelength * (l + d), which must not underflow at any d >= 0
+        require("wavelength", self.wavelength, self.wavelength * self.l > 0.0,
+                "such that wavelength * l > 0")
 
     @property
     def l(self) -> float:

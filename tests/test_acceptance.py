@@ -8,7 +8,6 @@ deterministic.
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,7 +188,7 @@ def test_criterion_6_calibrated_operating_point():
     with criterion(6, "calibration hits 61% at (1 m, 30 W); 55 W +/- 3 for 1 W; eta_all 4.5% +/- 0.5"):
         base = reference_defaults()
         a = calibrate_aperture(1.0, 30.0, 0.61, base)
-        params = replace(base, aperture_radius=a)
+        params = base._replace(aperture_radius=a)
         eta = transmission_efficiency(30.0, 1.0, params)
         assert abs(eta - 0.61) <= 0.005
         pin = required_input_power(1.0, 1.0, params)

@@ -3,7 +3,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -164,6 +163,21 @@ class TestDatasets:
         out, err = capsys.readouterr()
         assert (code, err) == (0, "") and out
 
+    @pytest.mark.parametrize("argv", [
+        ["power", "--pin", "10W"], ["thresholds"], ["sweep", "--var", "d", "--points", "20"],
+        ["sweep", "--var", "d", "--points", "300"],
+    ], ids=["power", "thresholds", "sweep-d-20", "sweep-d-300"])
+    def test_subnormal_wavelength_is_named_on_both_paths(self, capsys, tmp_path, argv):
+        # wavelength * (l + d) would underflow to 0, the divisor of the TEM00 loss exponent
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wavelength = 5e-324m\nd = 0.1m\n")
+        code = main([*argv, "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        rec = json.loads(out)
+        assert (rec["error"], rec["key"], rec["line"], rec["stage"]) == (
+            "UnitError", "wavelength", 1, "build")
+
     def test_cli_byte_determinism(self, capsys):
         _, a = run_cli(capsys, "reproduce", "--figure", "9")
         _, b = run_cli(capsys, "reproduce", "--figure", "9")
@@ -254,6 +268,7 @@ START_UPS = {"import-resbeam": "import resbeam", "import-resbeam.cli": "import r
 
 
 HEAVY = "import sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+INTROSPECTION = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
 
 
 @pytest.mark.parametrize("code", START_UPS.values(), ids=START_UPS.keys())
@@ -261,10 +276,14 @@ def test_scalar_path_loads_neither_numpy_nor_scipy(code):
     # importing numpy is most of a CLI process's start-up; scipy is a test-only dependency.
     # Grids of up to explorer.ROWS_MAX points run as rows, so no command here needs numpy,
     # and the mode-loss quadrature nodes are plain floats.
+    # Nor does any start-up load dataclasses or inspect (with ast, dis and tokenize, about
+    # 10 ms): the bundles are errors.Record, which needs neither.
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}; {HEAVY}"], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", f"{code}; {HEAVY}; {INTROSPECTION}"],
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2] == "[]"
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
@@ -387,6 +406,31 @@ def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
     rec = json.loads(out)
     assert (rec["error"], rec["key"], rec["value"]) == ("UnitError", key, value)
     assert rec["message"].startswith(f"{key}: ") and "line" not in rec
+    # a token of the wrong unit fails while it is parsed, and the record's value is that
+    # token; every other case here is a handler's range check on a parsed number
+    assert rec["stage"] == ("parse" if value[-1] in "mW" else "evaluate")
+
+
+@pytest.mark.parametrize("argv, error, stage", [
+    (["stability", "--d", "5W"], "UnitError", "parse"),
+    (["stability", "--config", "{tmp}/syntax.cfg"], "ParseError", "parse"),
+    (["stability", "--config", "{tmp}/missing.cfg"], "IoError", "parse"),
+    (["stability", "--d", "-1m"], "UnitError", "build"),
+    (["stability", "--config", "{tmp}/range.cfg"], "UnitError", "build"),
+    (["max-distance", "--r1", "flat", "--r2", "flat", "--f", "flat"], "NoStableRegionError",
+     "evaluate"),
+    (["power", "--pin", "-1W"], "UnitError", "evaluate"),
+    (["power", "--pin", "5m"], "UnitError", "parse"),
+    (["stability", "--d", "1e300m"], "UnitError", "serialise"),
+    (["reproduce", "--figure", "6", "--out", "{tmp}/missing/x.csv"], "IoError", "serialise"),
+], ids=["quantity", "config-syntax", "config-file", "flag-range", "config-range", "handler",
+        "handler-range", "handler-quantity", "record", "out-file"])
+def test_error_record_names_its_stage(capsys, tmp_path, argv, error, stage):
+    (tmp_path / "syntax.cfg").write_text("d 1m\n")
+    (tmp_path / "range.cfg").write_text("eta_stored = 1.5\n")
+    code, out = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["stage"]) == (1, error, stage)
 
 
 @pytest.mark.parametrize("flag", ["--search-from", "--search-to"])
@@ -426,8 +470,23 @@ def test_each_command_takes_only_the_flags_it_reads(capsys, argv):
     assert main(argv) == (0 if argv[-1] == "--help" else 2)
 
 
+@pytest.mark.parametrize("argv", [
+    *(words + ["--help"] for words in COMMAND_WORDS),
+    ["power", "--pi", "100W"], ["design", "required-pin", "--po", "1W"], ["sweep", "--var", "x"],
+    ["stability", "--d", "1m", "stray"],
+], ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    # main builds only the named command's parser; its help and usage errors are the full one's
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(cli._normalize_argv(argv))
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == (exc.value.code, want.out, want.err)
+
+
 def test_unit_table_names_only_keys_and_flags():
-    names = {f.name for f in fields(RunConfig)} | set(_option_dests(build_parser()))
+    names = set(RunConfig._fields) | set(_option_dests(build_parser()))
     assert set(config._UNITS) <= names | set(config.SWEEP_VARIABLES)
     assert set(config.SWEEP_VARIABLES) <= set(config._UNITS)  # each sweep bound has a unit
     # 'flat' is an infinite radius or focal length, and no other value

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -46,8 +45,8 @@ def bundle_with(key, value):
     ref = reference_defaults()
     for part, keys in BUNDLE_PARTS.items():
         if key in keys:
-            return replace(getattr(ref, part), **{key: value})
-    return replace(ref, **{"aperture_radius" if key == "a" else key: value})
+            return getattr(ref, part)._replace(**{key: value})
+    return ref._replace(**{"aperture_radius" if key == "a" else key: value})
 
 
 @pytest.mark.parametrize("key", sorted(INVALID))

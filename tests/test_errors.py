@@ -6,6 +6,7 @@ import pytest
 
 from resbeam import (
     Dataset,
+    DistanceIntervals,
     SweepSpec,
     UnitError,
     associated_laguerre,
@@ -35,6 +36,7 @@ WINDOW = (-1.5, -0.5)
 CHECKS = [
     ("cavity-d", lambda: is_stable(GEOM, -1.0), "d", "-1.0"),
     ("d_limit", lambda: stable_distance_intervals(GEOM, 0.0), "d_limit", "0.0"),
+    ("intervals", lambda: DistanceIntervals(((0.0, 2.0), (1.0, 3.0))), "intervals", "(1.0, 3.0)"),
     ("connecting_r2-branch", lambda: connecting_r2(0.06, 0.88, -1.0, "up"), "branch", "'up'"),
     ("connecting_r2-r1", lambda: connecting_r2(0.06, 0.88, -math.inf, "origin"), "r1", "-inf"),
     # 1/r1 overflows, so r2 would be 0: the R1 that was set is named, not the r2 it gives
@@ -63,6 +65,10 @@ CHECKS = [
      "l + d", "-0.94"),
     ("tem00-aperture", lambda: fundamental_loss_vs_distance(math.nan, 1.064e-6, 0.06, 1.0),
      "aperture_radius", "nan"),
+    # the divisor wavelength * (l + d) of the loss exponent would underflow to 0
+    ("tem00-underflow", lambda: fundamental_loss_vs_distance(1e-3, 5e-324, 0.06, 0.1),
+     "wavelength", "5e-324"),
+    ("link-underflow", lambda: REF._replace(wavelength=5e-324), "wavelength", "5e-324"),
     ("sweep-variable", lambda: SweepSpec("q", (1.0,), REF), "variable", "'q'"),
     ("grid-increasing", lambda: SweepSpec("d", (1.0, 2.0, 2.0), REF), "grid", "(2.0, 2.0)"),
     ("grid-empty", lambda: SweepSpec("d", (), REF), "grid", "()"),

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -69,10 +68,10 @@ def grid(lo, hi, n):
 
 
 REF = reference_defaults()
-UNSTABLE_D = replace(REF, d=11.0)  # past d_max = 10.43 m
-FLAT_R2 = replace(REF, geometry=replace(REF.geometry, r2=FLAT))
+UNSTABLE_D = REF._replace(d=11.0)  # past d_max = 10.43 m
+FLAT_R2 = REF._replace(geometry=REF.geometry._replace(r2=FLAT))
 # Stable set (0, 2.94) U (5.18, 8.18) m, so d = 5 m falls in the gap.
-R2_3 = replace(REF, geometry=replace(REF.geometry, r2=3.0))
+R2_3 = REF._replace(geometry=REF.geometry._replace(r2=3.0))
 # A few ULPs from R1 = l - f = -0.82 m, where g1 and g2 stop depending on d;
 # rounding leaves the cavity stable at every distance.
 R1_UNBOUNDED = -0.8200000000000066
@@ -81,7 +80,7 @@ R1_DESIGN_GRID = (-1.5, -1.0, R1_UNBOUNDED, -0.82, -0.7, -0.5, 0.0, 0.5, 1.0)
 # name -> (dataset builder, flag tokens its rows carry)
 DATASET_CASES = {
     "sweep-d": (
-        lambda: sweep(SweepSpec("d", grid(0.1, 12.0, 60), replace(REF, p_in=60.0))),
+        lambda: sweep(SweepSpec("d", grid(0.1, 12.0, 60), REF._replace(p_in=60.0))),
         {"unstable", "below-threshold"},
     ),
     "sweep-P_in": (
@@ -250,7 +249,7 @@ class TestSweep:
         for field in ("d", "p_in", "aperture_radius", "wavelength"):
             for bad in (-1.0, math.nan, math.inf):
                 with pytest.raises(ValueError):
-                    replace(default_params, **{field: bad})
+                    default_params._replace(**{field: bad})
 
     # the P_in and P_stored rules never read their grid where the cavity is unstable
     @pytest.mark.parametrize("variable", ["d", "P_in", "P_stored", "P_beam"])
@@ -304,8 +303,8 @@ class TestRequiredInputPower:
 @example(r1=-1.0, r2=REF.geometry.r2, d=0.0, c=0.0, b1=1.0, p_in=2.2250738585e-313)  # overflow
 def test_power_thresholds_sweep_and_required_pin_agree_on_the_beam(r1, r2, d, c, b1, p_in):
     # no resonant beam forms where the cavity is unstable, on any path
-    p = replace(REF, geometry=replace(REF.geometry, r1=r1, r2=r2), p_in=p_in,
-                gain=replace(REF.gain, c=c), pv=replace(REF.pv, b1=b1))
+    p = REF._replace(geometry=REF.geometry._replace(r1=r1, r2=r2), p_in=p_in,
+                     gain=REF.gain._replace(c=c), pv=REF.pv._replace(b1=b1))
     forms = is_stable(p.geometry, d)
     state, eff = end_to_end(p_in, d, p)
     row = sweep(SweepSpec("d", (d,), p))
@@ -335,7 +334,7 @@ class TestCalibrateAperture:
         p = default_params
         a = calibrate_aperture(1.0, 30.0, 0.61, p)
         assert a == pytest.approx(7.855301511370797e-4, rel=1e-6)
-        eta = transmission_efficiency(30.0, 1.0, replace(p, aperture_radius=a))
+        eta = transmission_efficiency(30.0, 1.0, p._replace(aperture_radius=a))
         assert eta == pytest.approx(0.61, abs=1e-6)
 
     def test_matches_algebraic_inversion(self, default_params):
@@ -365,13 +364,13 @@ class TestCalibrateAperture:
 
     def test_floor_target_returns_zero(self, default_params):
         p = default_params
-        floor = transmission_efficiency(30.0, 1.0, replace(p, aperture_radius=0.0))
+        floor = transmission_efficiency(30.0, 1.0, p._replace(aperture_radius=0.0))
         assert calibrate_aperture(1.0, 30.0, floor, p) == 0.0
 
     def test_floor_answers_before_the_ceiling(self, default_params):
         # no aperture lifts this beam over threshold: eta is 0 at every a, and
         # the unclamped zero-loss ceiling is negative
-        p = replace(default_params, gain=replace(default_params.gain, r_out=0.5, c=-5.0))
+        p = default_params._replace(gain=default_params.gain._replace(r_out=0.5, c=-5.0))
         assert calibrate_aperture(0.0, 5.0, 0.0, p) == 0.0
         with pytest.raises(InfeasibleTargetError, match="below the closed-aperture floor"):
             calibrate_aperture(0.0, 5.0, -0.1, p)
@@ -390,14 +389,14 @@ class TestCalibrateAperture:
     @given(d=st.floats(0.0, 10.0), p_stored=st.floats(5.0, 80.0), share=st.floats(0.0, 0.99),
            r_out=st.floats(0.5, 0.99), c=st.floats(-10.0, 2.0), wavelength=st.floats(5e-7, 2e-6))
     def test_round_trip_through_the_forward_model(self, d, p_stored, share, r_out, c, wavelength):
-        p = replace(REF, gain=replace(REF.gain, r_out=r_out, c=c), wavelength=wavelength)
+        p = REF._replace(gain=REF.gain._replace(r_out=r_out, c=c), wavelength=wavelength)
         assume(is_stable(p.geometry, d))
         # floor and ceiling of the efficiency: a closed aperture and a 1 m one
-        floor, ceiling = (transmission_efficiency(p_stored, d, replace(p, aperture_radius=a))
+        floor, ceiling = (transmission_efficiency(p_stored, d, p._replace(aperture_radius=a))
                           for a in (0.0, 1.0))
         target = floor + share * (ceiling - floor)
         a = calibrate_aperture(d, p_stored, target, p)
-        got = transmission_efficiency(p_stored, d, replace(p, aperture_radius=a))
+        got = transmission_efficiency(p_stored, d, p._replace(aperture_radius=a))
         assert got == pytest.approx(target, abs=1e-9)
 
 

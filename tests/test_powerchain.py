@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ PV = PvParams(a1=0.3487, b1=-1.535)
 
 def link(a, gain=GAIN, pv=PV):
     """The reference bundle with aperture a and the given gain and PV stages."""
-    return replace(reference_defaults(), aperture_radius=a, gain=gain, pv=pv)
+    return reference_defaults()._replace(aperture_radius=a, gain=gain, pv=pv)
 
 
 def aperture_for(target_f, d=1.0, gain=GAIN):
@@ -47,14 +46,14 @@ def aperture_for(target_f, d=1.0, gain=GAIN):
 class TestParamValidation:
     def test_gain_ranges(self):
         with pytest.raises(ValueError):
-            replace(GAIN, eta_stored=1.5)
+            GAIN._replace(eta_stored=1.5)
         with pytest.raises(ValueError):
-            replace(GAIN, r_out=1.0)
+            GAIN._replace(r_out=1.0)
         with pytest.raises(ValueError):
-            replace(GAIN, m_overlap=0.0)
+            GAIN._replace(m_overlap=0.0)
         for c in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
-                replace(GAIN, c=c)
+                GAIN._replace(c=c)
 
     def test_pv_ranges(self):
         with pytest.raises(ValueError):
@@ -137,7 +136,7 @@ class TestColumnKernels:
         b1=st.floats(-5.0, 5.0) | st.just(-0.0),
     )
     def test_ladder_columns_match_ladder_at(self, p_in, fd, c, b1):
-        p = link(7.855e-4, gain=replace(GAIN, c=c), pv=replace(PV, b1=b1))
+        p = link(7.855e-4, gain=GAIN._replace(c=c), pv=PV._replace(b1=b1))
         state, eff = _ladder(np.array(p_in), fd, p, COLUMNS.clamp, COLUMNS.ratio)
         cols = (state.p_stored, state.p_beam, state.p_out, eff.eta_trans, eff.eta_pv, eff.eta_all)
         for i, x in enumerate(p_in):

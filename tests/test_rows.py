@@ -8,7 +8,6 @@ them.
 """
 
 import math
-from dataclasses import replace
 from functools import partial
 from unittest.mock import patch
 
@@ -58,12 +57,12 @@ def assert_paths_agree(build):
 @st.composite
 def links(draw):
     """Reference links with a stable or unstable held d, thresholds moved, and tiny drives."""
-    geo = replace(REF.geometry, r1=draw(st.sampled_from([-1.0, -0.9, -1.5, FLAT, R1_UNBOUNDED])),
-                  r2=draw(st.sampled_from([REF.geometry.r2, 3.0, -5.0, FLAT])))
-    return replace(REF, geometry=geo, d=draw(st.floats(0.0, 15.0)),
-                   p_in=draw(st.one_of(st.floats(0.0, 300.0), st.just(2.2250738585e-313))),
-                   gain=replace(REF.gain, c=draw(st.floats(-10.0, 5.0))),
-                   pv=replace(REF.pv, b1=draw(st.floats(-3.0, 3.0))))
+    geo = REF.geometry._replace(r1=draw(st.sampled_from([-1.0, -0.9, -1.5, FLAT, R1_UNBOUNDED])),
+                                r2=draw(st.sampled_from([REF.geometry.r2, 3.0, -5.0, FLAT])))
+    return REF._replace(geometry=geo, d=draw(st.floats(0.0, 15.0)),
+                        p_in=draw(st.one_of(st.floats(0.0, 300.0), st.just(2.2250738585e-313))),
+                        gain=REF.gain._replace(c=draw(st.floats(-10.0, 5.0))),
+                        pv=REF.pv._replace(b1=draw(st.floats(-3.0, 3.0))))
 
 
 def grids(lo, hi, specials=()):
@@ -85,8 +84,8 @@ def sweeps(draw):
 @settings(max_examples=150, deadline=None)
 @given(sweeps())
 @example(SweepSpec("R1", (-1.0, -1e-320, 0.0, 1e-320), REF))  # overflow and invalid rows
-@example(SweepSpec("d", (0.0, 5.0, 11.0), replace(REF, p_in=2.2250738585e-313)))
-@example(SweepSpec("P_in", tuple(linspace(0.0, 300.0, ROWS_MAX)), replace(REF, d=11.0)))
+@example(SweepSpec("d", (0.0, 5.0, 11.0), REF._replace(p_in=2.2250738585e-313)))
+@example(SweepSpec("P_in", tuple(linspace(0.0, 300.0, ROWS_MAX)), REF._replace(d=11.0)))
 @example(SweepSpec("P_stored", tuple(linspace(0.0, 60.0, ROWS_MAX + 1)), REF))
 @example(SweepSpec("P_beam", (0.0,), REF))
 def test_sweep_rows_equal_columns(spec):
@@ -114,7 +113,7 @@ def kernel_row(variable: str, x: float, p) -> tuple:
     return (fd, pb, eta_trans, po, eta_all) if variable == "d" else (ps, pb, po, eta_all)
 
 
-OVERFLOWING = replace(REF, gain=replace(REF.gain, m_overlap=1e308))  # fd * P_stored is inf
+OVERFLOWING = REF._replace(gain=REF.gain._replace(m_overlap=1e308))  # fd * P_stored is inf
 
 
 @pytest.mark.parametrize("build", [
@@ -146,9 +145,9 @@ def test_design_grid_rows_equal_columns(l, f, grid, branch):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(explorer.FIGURE_IDS), links())
-@example(8, replace(REF, geometry=replace(REF.geometry, r2=3.0)))
-@example(12, replace(REF, geometry=replace(REF.geometry, r2=3.0)))
-@example(9, replace(REF, gain=replace(REF.gain, c=2.0)))
+@example(8, REF._replace(geometry=REF.geometry._replace(r2=3.0)))
+@example(12, REF._replace(geometry=REF.geometry._replace(r2=3.0)))
+@example(9, REF._replace(gain=REF.gain._replace(c=2.0)))
 def test_figure_rows_equal_columns(fid, p):
     assert_paths_agree(lambda: reproduce_figure(fid, p))
 

@@ -55,7 +55,6 @@ from .errors import (
     NoStableRegionError,
     ParseError,
     ResbeamError,
-    UnboundedStableRangeError,
     UndefinedAtZeroError,
     UnitError,
     UnknownFigureError,

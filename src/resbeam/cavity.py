@@ -31,7 +31,6 @@ from .errors import (
     NoStableRegionError,
     Record,
     ResbeamError,
-    UnboundedStableRangeError,
     UnstableConfigurationError,
     WrongSignSlopeError,
     require,
@@ -241,13 +240,14 @@ def _affine(l, f, r1, r2):
     return a1, b1, a2, b2
 
 
-def _g1_independent_of_d(l: float, f: float, r1: float) -> bool:
+def _g1_independent_of_d(l: float, f: float, r1: float, den: float) -> bool:
     """True when the d-coefficient of g1 vanishes (degenerate line family).
 
-    l - r1 - f is -inf for a flat f or r1, and phi + c0/r1 is exactly 0.0 for
-    an all-flat f and r1, so the one test covers every form.
+    den is the phi + c0/r1 of _connecting, minus that coefficient.  l - r1 - f
+    is -inf for a flat f or r1, and den is exactly 0.0 for an all-flat f and
+    r1, so the one test covers every form.
     """
-    return l - r1 - f == 0.0 or _connecting(l, f, r1, ORIGIN)[1] == 0.0
+    return l - r1 - f == 0.0 or den == 0.0
 
 
 def stability_line(geom: CavityGeometry) -> StabilityLine:
@@ -260,12 +260,12 @@ def stability_line(geom: CavityGeometry) -> StabilityLine:
         the family is a vertical line in the stability diagram and has no
         slope/intercept form.
     """
-    if _g1_independent_of_d(geom.l, geom.f, geom.r1):
+    a1, b1, a2, b2 = _affine(geom.l, geom.f, geom.r1, geom.r2)
+    if _g1_independent_of_d(geom.l, geom.f, geom.r1, -b1):
         raise DegenerateLineError(
             "g1 is independent of d (l - r1 - f = 0 or all-flat optics); "
             "the d-family has no g2(g1) form"
         )
-    a1, b1, a2, b2 = _affine(geom.l, geom.f, geom.r1, geom.r2)
     slope = b2 / b1
     return StabilityLine(slope, a2 - a1 * slope)
 
@@ -335,13 +335,13 @@ def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceI
 def _reach(l: float, f: float, r1: float, r2: float) -> tuple[float, bool, str]:
     """(d_max, contiguous, flag) of max_transmission_distance on valid elements.
 
-    The flag is "" for a bounded stable set, else "unbounded" (d_max the
-    distance found stable past every boundary) or "no-stable-region" (d_max 0).
+    The flag is "" when some distance is stable, d_max then the last boundary
+    root that ends a stable segment, else "no-stable-region" (d_max 0).  In
+    exact arithmetic the stable set is bounded: g1*g2 is a polynomial in d,
+    constant only where both slopes vanish, and there a1*a2 = 1.  So no
+    distance past the last root is tested.
     """
     points = [0.0] + _boundary_candidates(l, f, r1, r2)
-    beyond = points[-1] + 1.0
-    if _stable_at(l, f, r1, r2, beyond):
-        return beyond, False, "unbounded"
     segments = _stable_segments(l, f, r1, r2, points)
     if not segments:
         return 0.0, False, "no-stable-region"
@@ -355,19 +355,16 @@ def _reach(l: float, f: float, r1: float, r2: float) -> tuple[float, bool, str]:
 def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
     """Supremum of the stable distance set plus a contiguity flag.
 
-    The flag reports whether the set is contiguous from its infimum when
-    isolated touch points (zero-width gaps) are ignored.
+    The set is always bounded, so the supremum is a finite boundary root.  The
+    flag reports whether the set is contiguous from its infimum when isolated
+    touch points (zero-width gaps) are ignored.
 
     Raises
     ------
     NoStableRegionError
         When no distance is stable.
-    UnboundedStableRangeError
-        When the cavity stays stable for arbitrarily large d.
     """
     d_max, contiguous, flag = _reach(geom.l, geom.f, geom.r1, geom.r2)
-    if flag == "unbounded":
-        raise UnboundedStableRangeError(probe_limit=d_max)
     if flag:
         raise NoStableRegionError("no transmission distance satisfies 0 < g1*g2 < 1")
     return MaxDistance(d_max, contiguous)
@@ -377,17 +374,17 @@ def _connected_r2(l: float, f: float, r1: float, branch: str) -> float | Resbeam
     """connecting_r2 on a checked l, f and branch: the r2, or the error to raise."""
     if not _is_element(r1):
         return rule_error("r1", r1, _ELEMENT)
-    c0, _, rho2 = _connecting(l, f, r1, branch)
+    c0, den, rho2 = _connecting(l, f, r1, branch)
     if c0 == 0.0:
         return WrongSignSlopeError(
             "l equals f: the stability line is horizontal on both branches"
         )
-    if _g1_independent_of_d(l, f, r1):
+    if _g1_independent_of_d(l, f, r1, den):
         return NoSolutionError(
             "g1 is independent of d for this (l, f, r1); no connecting line exists"
         )
-    r2 = 1.0 / rho2
-    if not _is_element(r2):  # 1/r1 overflowed, or rho2 underflowed to -0.0
+    # c0*den may underflow to +-0.0, and an overflowed 1/r1 gives r2 = +-0.0
+    if rho2 == 0.0 or not _is_element(r2 := 1.0 / rho2):
         return rule_error("r1", r1, f"an R1 whose connecting r2 is {_ELEMENT}")
     return r2
 
@@ -459,12 +456,12 @@ def r1_range_for_distance(
         require("branch", branch, False, f"one of {BRANCHES}")
 
     def reaches(r1: float) -> bool:
-        # unbounded reaches; a design error does not
+        # a design error does not reach
         r2 = _connected_r2(l, f, r1, branch)
         if isinstance(r2, ResbeamError):
             return False
         d_max, _, flag = _reach(l, f, r1, r2)
-        return flag == "unbounded" or (not flag and d_max >= target_d)
+        return not flag and d_max >= target_d
 
     phi = 1.0 / f
     c0 = 1.0 - l * phi

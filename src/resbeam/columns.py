@@ -35,7 +35,8 @@ def _connected(l: float, f: float, r1: np.ndarray, branch: str) -> tuple:
     c0, den, rho2 = _connecting(l, f, r1, branch)
     r2 = 1.0 / rho2
     # den == 0 and l - r1 - f == 0 are the two tests of _g1_independent_of_d
-    ok = _element(r1) & (c0 != 0.0) & (l - r1 - f != 0.0) & (den != 0.0) & _element(r2)
+    ok = (_element(r1) & (c0 != 0.0) & (l - r1 - f != 0.0) & (den != 0.0) & (rho2 != 0.0)
+          & _element(r2))
     return np.where(ok, r2, 0.0), ok
 
 
@@ -67,16 +68,15 @@ def _reach_candidates(l, f, r1, r2) -> np.ndarray:
 def _reach(l, f, r1, r2) -> tuple:
     """((d_max, contiguous), marks) of cavity._reach for every row of (l, f, r1, r2) columns.
 
-    The same boundary candidates, merge, midpoint stability tests, probe one
-    meter beyond the last boundary and contiguity rule as the row body; an
-    unbounded or empty stable set reads zero, marked as its row is flagged.
+    The same boundary candidates, merge, midpoint stability tests and
+    contiguity rule as the row body; an empty stable set reads zero, marked as
+    its row is flagged.
     """
     geom = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (l, f, r1, r2)))
     cands = _reach_candidates(*geom)
     points = np.concatenate([np.zeros_like(cands[:, :1]), cands], axis=1)
     lo, hi = points[:, :-1], points[:, 1:]
     segment = (hi - lo > _MERGE_TOL) & _stable_at(*(c[:, None] for c in geom), 0.5 * (lo + hi))
-    unbounded = _stable_at(*geom, np.fmax.reduce(points, axis=1) + 1.0)
     n = len(points)
     d_max, prev_hi = np.zeros(n), np.full(n, math.nan)
     contiguous = np.ones(n, dtype=bool)
@@ -85,10 +85,8 @@ def _reach(l, f, r1, r2) -> tuple:
         contiguous &= ~(seg & (lo[:, j] - prev_hi > _MERGE_TOL))  # no gap to the previous one
         prev_hi = np.where(seg, hi[:, j], prev_hi)
         d_max = np.where(seg, hi[:, j], d_max)
-    empty = ~segment.any(axis=1)
-    ok = ~(empty | unbounded)
-    values = np.where(ok, d_max, 0.0), (contiguous & ok) * 1.0
-    return values, ((unbounded, "unbounded"), (empty, "no-stable-region"))
+    empty = ~segment.any(axis=1)  # d_max stayed zero there
+    return (d_max, (contiguous & ~empty) * 1.0), ((empty, "no-stable-region"),)
 
 
 def _when(ok: np.ndarray, row, token: str) -> tuple:

@@ -31,16 +31,6 @@ class NoStableRegionError(ResbeamError):
     """The cavity is unstable at every transmission distance."""
 
 
-class UnboundedStableRangeError(ResbeamError):
-    """The stable distance set has no finite supremum."""
-
-    def __init__(self, probe_limit: float):
-        self.probe_limit = probe_limit
-        super().__init__(
-            f"stable at every probed distance (checked past d = {probe_limit} m)"
-        )
-
-
 class UndefinedAtZeroError(ResbeamError):
     """An efficiency ratio was requested at zero input power."""
 

@@ -97,7 +97,7 @@ def _checked_grid(variable: str, points) -> list[float]:
 # zero values flagged token elsewhere: rows call row() only where ok holds,
 # columns call it once.  connected(l, f, r1, branch) is (r2, ok), the r2 of the
 # connected branch where it is a valid element, and reach(l, f, r1, r2) is
-# ((d_max, contiguous), marks), zero where no bounded stable set exists.
+# ((d_max, contiguous), marks), zero where no distance is stable.
 Kit = namedtuple("Kit", "clamp ratio exp sqrt when connected reach")
 
 

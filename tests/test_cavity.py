@@ -15,7 +15,6 @@ from resbeam import (
     NoSolutionError,
     NoStableRegionError,
     UnstableConfigurationError,
-    UnboundedStableRangeError,
     ResbeamError,
     UnitError,
     WrongSignSlopeError,
@@ -276,6 +275,17 @@ class TestMaxTransmissionDistance:
         assert md.d_max == pytest.approx(9.94, rel=1e-12)
         assert md.contiguous
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.01, 0.3), st.floats(1.0, 1e300))
+    @example(0.06, 1e18)  # past 2**53 m, where d + 1 m rounds back to d
+    def test_plane_mirrors_reach_r2_minus_l(self, l, r2):
+        # f = r1 = FLAT: g1 = 1 and g2 = 1 - (l + d)/r2, so the stable set is (0, r2 - l)
+        md = max_transmission_distance(CavityGeometry(l=l, f=FLAT, r1=FLAT, r2=r2))
+        assert abs(md.d_max - (r2 - l)) <= 2 * math.ulp(r2 - l) and md.contiguous
+        with np.errstate(all="ignore"):
+            (d_max, contiguous), _ = COLUMNS.reach(l, FLAT, FLAT, r2)
+        assert (bits(d_max[0]), bool(contiguous[0])) == (bits(md.d_max), True)
+
     def test_no_stable_region(self):
         with pytest.raises(NoStableRegionError):
             max_transmission_distance(CavityGeometry(l=0.06, f=FLAT, r1=FLAT, r2=FLAT))
@@ -478,8 +488,6 @@ class TestColumnKernels:
                 want = ("", bits(md.d_max), md.contiguous)
             except NoStableRegionError:
                 want = ("no-stable-region", bits(0.0), False)
-            except UnboundedStableRangeError:
-                want = ("unbounded", bits(0.0), False)
             first = next((token for mask, token in marks if mask[i]), "")
             assert (first, bits(d_max[i]), bool(contiguous[i])) == want, g
 
@@ -508,6 +516,9 @@ class TestColumnKernels:
     # l - r1 - f is exactly 0 while phi + c0/r1 rounds to -8.9e-16
     @example(0.2549, 0.2216, [0.2549 - 0.2216], ORIGIN)
     @example(0.06, FLAT, [FLAT, -1.0], ORIGIN)  # all-flat f and r1: phi + c0/r1 is exactly 0
+    # c0*(phi + c0/r1) underflows to -+0.0, so r2 would be infinite
+    @example(1e308, 1.0000000000000004e308, [-5.551115123125724e292], ORIGIN)
+    @example(1e308, 1.0000000000000004e308, [-5.551115123125724e292], TANGENT)
     def test_connecting_r2_columns_match_scalar(self, l, f, r1s, branch):
         with np.errstate(all="ignore"):
             r2, solvable = COLUMNS.connected(l, f, np.array(r1s), branch)
@@ -522,8 +533,7 @@ class TestColumnKernels:
 
 def public_design(l, f, r1, branch):
     """(r2, d_max, contiguous, flag) by connecting_r2, CavityGeometry and
-    max_transmission_distance, or the class of the error on the way; for an
-    unbounded reach d_max is the probe limit."""
+    max_transmission_distance, or the class of the error on the way."""
     try:
         g = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch))
     except ResbeamError as exc:
@@ -532,8 +542,6 @@ def public_design(l, f, r1, branch):
         return (bits(g.r2), *map(bits, max_transmission_distance(g)), "")
     except NoStableRegionError:
         return bits(g.r2), bits(0.0), bits(False), "no-stable-region"
-    except UnboundedStableRangeError as exc:
-        return bits(g.r2), bits(exc.probe_limit), bits(False), "unbounded"
 
 
 def private_design(l, f, r1, branch):
@@ -577,7 +585,7 @@ class TestHoistedChecks:
     @example(3.0, 0.06, 0.88, ORIGIN, 1e-320, 1e-320)  # a subnormal probe: r2 would be 0
     def test_r1_range_probes_match_the_public_route(self, target, l, f, branch, lo, width):
         # every gap r1_range_for_distance probes is classed as a public call there would class
-        # it (unbounded reaches, a design error does not), so it returns the same intervals
+        # it (a design error does not reach), so it returns the same intervals
         probes = []
 
         def body(l, f, r1, branch, _body=cavity._connected_r2):
@@ -594,6 +602,6 @@ class TestHoistedChecks:
         for r1 in probes:
             public = public_design(l, f, r1, branch)
             assert private_design(l, f, r1, branch) == public
-            reaches = not isinstance(public, type) and (
-                public[3] == "unbounded" or (not public[3] and float.fromhex(public[1]) >= target))
+            reaches = (not isinstance(public, type) and not public[3]
+                       and float.fromhex(public[1]) >= target)
             assert reaches == any(a < r1 < b for a, b in got), r1

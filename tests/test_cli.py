@@ -293,7 +293,7 @@ PACKAGE_EXPORTS = """
     DistanceIntervals EfficiencyBreakdown EmptyResultError FLAT GainParams InfeasibleTargetError
     MaxDistance NoSolutionError NoStableRegionError ORIGIN ParseError PowerState PvParams
     ResbeamError RunConfig SWEEP_VARIABLES StabilityLine SweepSpec SystemParams TANGENT Thresholds
-    UnboundedStableRangeError UndefinedAtZeroError UnitError UnknownFigureError
+    UndefinedAtZeroError UnitError UnknownFigureError
     UnreachableTargetError UnstableConfigurationError WrongSignSlopeError associated_laguerre
     beam_power beam_radii calibrate_aperture cavity config connecting_r2 dataset
     diffraction effective_length emit_dataset end_to_end errors explorer
@@ -399,6 +399,9 @@ def test_wrong_unit_names_the_flag(capsys, argv, key):
     (["sweep", "--var", "P_beam", "--from", "-0.5W", "--to", "5W"], "sweep_from", "-0.5"),
     # a subnormal R1 whose connecting r2 would be 0 names the R1
     (["connect-r2", "--branch", "origin", "--r1", "1e-320m"], "r1", "1e-320"),
+    # and so does one whose c0*(phi + c0/r1) underflows to 0
+    (["connect-r2", "--branch", "origin", "--l", "1e308m", "--f", "1.0000000000000004e308m",
+      "--r1=-5.551115123125724e292m"], "r1", "-5.551115123125724e+292"),
 ])
 def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
     code, out = run_cli(capsys, *argv)
@@ -421,10 +424,13 @@ def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
      "evaluate"),
     (["power", "--pin", "-1W"], "UnitError", "evaluate"),
     (["power", "--pin", "5m"], "UnitError", "parse"),
+    (["stability", "--d", "nan"], "UnitError", "parse"),
+    (["power", "--pin", "1_000W"], "UnitError", "parse"),
     (["stability", "--d", "1e300m"], "UnitError", "serialise"),
     (["reproduce", "--figure", "6", "--out", "{tmp}/missing/x.csv"], "IoError", "serialise"),
 ], ids=["quantity", "config-syntax", "config-file", "flag-range", "config-range", "handler",
-        "handler-range", "handler-quantity", "record", "out-file"])
+        "handler-range", "handler-quantity", "quantity-nan", "quantity-digits", "record",
+        "out-file"])
 def test_error_record_names_its_stage(capsys, tmp_path, argv, error, stage):
     (tmp_path / "syntax.cfg").write_text("d 1m\n")
     (tmp_path / "range.cfg").write_text("eta_stored = 1.5\n")

@@ -120,6 +120,10 @@ class TestParseConfig:
         ("# link\n\nl = 5W\n", "l", 3, "5W"),  # a unit error while parsing
         ("eta_stored = 0.3\nd = 2m\neta_stored = 1.5\n", "eta_stored", 3, "1.5"),  # a range error
         ("d = -1m\nc = -5W\n", "d", 1, "-1.0"),
+        # tokens that are no quantity
+        ("d = nan\n", "d", 1, "nan"),
+        ("l = 60mm\nr1 = -inf\n", "r1", 2, "-inf"),
+        ("a = 1_000um\n", "a", 1, "1_000um"),
     ])
     def test_value_error_names_key_line_and_value(self, text, key, line, value):
         with pytest.raises(UnitError) as err:

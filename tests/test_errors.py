@@ -41,6 +41,10 @@ CHECKS = [
     ("connecting_r2-r1", lambda: connecting_r2(0.06, 0.88, -math.inf, "origin"), "r1", "-inf"),
     # 1/r1 overflows, so r2 would be 0: the R1 that was set is named, not the r2 it gives
     ("connecting_r2-r2", lambda: connecting_r2(0.06, 0.88, 1e-320, "origin"), "r1", "1e-320"),
+    # c0*(phi + c0/r1) underflows to 0, so r2 would be infinite
+    ("connecting_r2-rho2", lambda: connecting_r2(1e308, 1.0000000000000004e308,
+                                                 -5.551115123125724e292, "tangent"),
+     "r1", "-5.551115123125724e+292"),
     ("target_d", lambda: r1_range_for_distance(math.nan, 0.06, 0.88, "origin", WINDOW),
      "target_d", "nan"),
     ("search-window-order", lambda: r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-0.5, -1.5)),

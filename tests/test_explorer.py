@@ -72,10 +72,10 @@ UNSTABLE_D = REF._replace(d=11.0)  # past d_max = 10.43 m
 FLAT_R2 = REF._replace(geometry=REF.geometry._replace(r2=FLAT))
 # Stable set (0, 2.94) U (5.18, 8.18) m, so d = 5 m falls in the gap.
 R2_3 = REF._replace(geometry=REF.geometry._replace(r2=3.0))
-# A few ULPs from R1 = l - f = -0.82 m, where g1 and g2 stop depending on d;
-# rounding leaves the cavity stable at every distance.
-R1_UNBOUNDED = -0.8200000000000066
-R1_DESIGN_GRID = (-1.5, -1.0, R1_UNBOUNDED, -0.82, -0.7, -0.5, 0.0, 0.5, 1.0)
+# A few ULPs from R1 = l - f = -0.82 m, where g1 stops depending on d; rounding
+# leaves it a slope of about 1e-14 per meter, so the reach ends near 1e14 m.
+R1_NEAR_L_MINUS_F = -0.8200000000000066
+R1_DESIGN_GRID = (-1.5, -1.0, R1_NEAR_L_MINUS_F, -0.82, -0.7, -0.5, 0.0, 0.5, 1.0)
 
 # name -> (dataset builder, flag tokens its rows carry)
 DATASET_CASES = {
@@ -105,17 +105,17 @@ DATASET_CASES = {
     ),
     "sweep-R1": (
         lambda: sweep(SweepSpec(
-            "R1", (-1.5, -1.0, R1_UNBOUNDED, -0.6, -0.1, 0.0, 0.05, 0.3, 3.0), FLAT_R2
+            "R1", (-1.5, -1.0, R1_NEAR_L_MINUS_F, -0.6, -0.1, 0.0, 0.05, 0.3, 3.0), FLAT_R2
         )),
-        {"unbounded", "no-stable-region", "invalid-r1"},
+        {"no-stable-region", "invalid-r1"},
     ),
     "r1-design-origin": (
         lambda: max_distance_vs_r1(0.06, 0.88, R1_DESIGN_GRID, "origin"),
-        {"unbounded", "no-stable-region", "no-solution"},
+        {"no-stable-region", "no-solution"},
     ),
     "r1-design-tangent": (
         lambda: max_distance_vs_r1(0.06, 0.88, R1_DESIGN_GRID, "tangent"),
-        {"unbounded", "no-solution"},
+        {"no-solution"},
     ),
 }
 
@@ -147,16 +147,16 @@ DATASET_SHA256 = {
         "json": "74aeb62bbf89fa3acd8a22b7f44f8063761cdf01a7bd47e42dc566af4f3731ce",
     },
     "sweep-R1": {
-        "csv": "dadae75b159184265071e91d89c2fd3be9fb3bef53cd707f4a205f64ae02e33d",
-        "json": "e3ef06f7f1debd8c6b24823f040159c618283abf4d3c820c905661f36bca9d2a",
+        "csv": "ce70ba4878049b34b19566551c2ec669a517bff2830a6157e92c36ccdde00795",
+        "json": "b1d3cb873107b3bae575ec2b04e63b78a20f9c873317ffed41abbd179a780f0f",
     },
     "r1-design-origin": {
-        "csv": "33ebe38ca1e4751da0801492983191e588619991d7eb0339ea6a61236d89bc4c",
-        "json": "8b0a1191013c4d110b0f7c5898579c576a7527fdb6259bcef93238305c612110",
+        "csv": "8bba935ffe34fbb6ac8f00ad821abb2220b6108cee78591e0ac45f79cdcc858f",
+        "json": "d55e738974dc415310fbad69b86912b0bf282c7aaf62dd7b42469f72cb0cd83c",
     },
     "r1-design-tangent": {
-        "csv": "235bd87a6ecff20a953706c12f4255eb0ec1334b84e66f46834ea52edb1a56d8",
-        "json": "7064e0ae4bddd8dbcece90b5370d2ff7a6e5218e962d7f48ba9c07f6a8e576dc",
+        "csv": "e157d4806383e520777da7909569a4a391bad52fd6a83c2d40061ba0d97a1e8f",
+        "json": "7adc8d12dee0862747894146986c35eeb6094d813957e875cee7e925ad0b0e30",
     },
 }
 

@@ -13,10 +13,14 @@ both g-parameters are affine in ``d``, so the set of stable distances is
 bounded by the real roots of two closed-form polynomials, no scanning needed.
 
 Each closed form is written once, as a private body that runs on floats and
-numpy columns alike: it uses only + - * / & and abs, takes sqrt as an argument,
-and leaves validation to its callers.  The scalar kernels here wrap the bodies
-with exceptions; the dataset rules of :mod:`resbeam.explorer` run them on
-whole grids and flag a row rather than raise.
+numpy columns alike: it uses only + - * / & | and abs, takes sqrt as an
+argument, and leaves validation to its callers.  The reach is such a body
+too: _roots gives the four boundary roots, _boundaries merges them and
+_supremum classifies the gaps between them; these take the selection pick
+and the sort ascending as well, which on floats drops the roots the merge
+would never keep.  The scalar kernels here wrap the bodies with exceptions;
+the dataset rules of :mod:`resbeam.explorer` run them on whole grids and
+flag a row rather than raise.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ _R1_MERGE_TOL = 1e-12
 _ELEMENT = "finite nonzero or FLAT (+inf)"
 
 
-def _is_element(value: float) -> bool:
-    return not (math.isnan(value) or value == 0.0 or value == -math.inf)
+def _is_element(x):
+    """Mask of the values CavityGeometry accepts, on floats or numpy columns."""
+    return (x != 0.0) & (x != -math.inf) & (x == x)
 
 
 def _check_element(name: str, value: float) -> None:
@@ -270,38 +275,39 @@ def stability_line(geom: CavityGeometry) -> StabilityLine:
     return StabilityLine(slope, a2 - a1 * slope)
 
 
-def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a*x^2 + b*x + c, stabilized against cancellation."""
-    if a == 0.0:
-        if b == 0.0:
-            return []
-        return [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    if disc == 0.0 or b == 0.0:
-        s = math.sqrt(disc)
-        return sorted({(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)})
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return sorted({q / a, c / q})
+def _pick(mask, a, b):
+    """a where mask holds, else b: the selection of the row kit (numpy.where on columns)."""
+    return a if mask else b
 
 
-def _boundary_candidates(l: float, f: float, r1: float, r2: float) -> list[float]:
-    """All d > 0 where g1*g2 crosses or touches 0 or 1, near-duplicates merged."""
-    a1, b1, a2, b2 = _affine(l, f, r1, r2)
-    cands = []
-    if b1 != 0.0:
-        cands.append(-a1 / b1)
-    if b2 != 0.0:
-        cands.append(-a2 / b2)
-    cands += _quadratic_roots(b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0)
-    cands = sorted(c for c in cands if c > 0.0 and math.isfinite(c))
-    merged: list[float] = []
-    for c in cands:
-        if merged and c - merged[-1] <= _MERGE_TOL * max(1.0, c):
-            continue
-        merged.append(c)
-    return merged
+def _ascending(roots) -> list[float]:
+    """The roots in (0, inf), sorted: the row kit keeps only those the merge can keep."""
+    return sorted([r for r in roots if 0.0 < r < math.inf])
+
+
+def _roots(a1, b1, a2, b2, pick, sqrt):
+    """The x-roots of g1 = 0, g2 = 0 and g1*g2 = 1 for g1 = a1 + b1*x, g2 = a2 + b2*x.
+
+    Four values, +inf where a root is missing: the two linear roots, then the
+    two of the quadratic g1*g2 - 1, stabilized against cancellation.  Every
+    branch is evaluated, so each divisor is kept off zero with x + (x == 0.0)
+    and sqrt never sees a negative: no float operation raises.
+    """
+    inf = math.inf
+    qa, qb, qc = b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0
+    disc = qb * qb - 4.0 * qa * qc
+    s = sqrt(disc * (disc > 0.0))
+    q = -0.5 * (qb + pick(qb < 0.0, -s, s))
+    wa, wq = qa + (qa == 0.0), q + (q == 0.0)
+    wa2 = 2.0 * wa
+    real, centred = (qa != 0.0) & (disc >= 0.0), (disc == 0.0) | (qb == 0.0)
+    return (
+        pick(b1 != 0.0, -a1 / (b1 + (b1 == 0.0)), inf),
+        pick(b2 != 0.0, -a2 / (b2 + (b2 == 0.0)), inf),
+        pick(real, pick(centred, (-qb - s) / wa2, q / wa),
+             pick((qa == 0.0) & (qb != 0.0), -qc / (qb + (qb == 0.0)), inf)),
+        pick(real, pick(centred, (-qb + s) / wa2, qc / wq), inf),
+    )
 
 
 def _stable_at(l, f, r1, r2, d):
@@ -311,10 +317,46 @@ def _stable_at(l, f, r1, r2, d):
     return (0.0 < gg) & (gg < 1.0)
 
 
-def _stable_segments(l, f, r1, r2, points: list[float]) -> list[tuple[float, float]]:
-    """The gaps between consecutive points, wider than _MERGE_TOL, with a stable midpoint."""
-    return [(lo, hi) for lo, hi in zip(points, points[1:])
-            if hi - lo > _MERGE_TOL and _stable_at(l, f, r1, r2, 0.5 * (lo + hi))]
+def _boundaries(l, f, r1, r2, pick, ascending, sqrt):
+    """(lo, c, keep) for each boundary root c of valid elements, in ascending order.
+
+    The merge rule: c is kept when it is positive, finite and more than
+    _MERGE_TOL*max(1, c) past lo, the last kept root (0.0 while none is);
+    the two comparisons of step are that test.  Here and in _supremum, masks
+    meet only through &, | and pick: on a Python bool ~True is -2, so no
+    mask is negated.
+    """
+    lo = 0.0
+    for c in ascending(_roots(*_affine(l, f, r1, r2), pick, sqrt)):
+        step = c - lo
+        keep = (0.0 < c) & (c < math.inf) & (
+            (lo == 0.0) | ((step > _MERGE_TOL) & (step > _MERGE_TOL * c)))
+        yield lo, c, keep
+        lo = pick(keep, c, lo)
+
+
+def _gap(l, f, r1, r2, lo, hi):
+    """The gap rule: (lo, hi) is stable when wider than _MERGE_TOL and stable at its midpoint."""
+    return (hi - lo > _MERGE_TOL) & _stable_at(l, f, r1, r2, 0.5 * (lo + hi))
+
+
+def _supremum(l, f, r1, r2, pick, ascending, sqrt):
+    """(d_max, split, found) of the stable distance set of valid elements.
+
+    found: some gap between kept boundary roots (0.0 first) is stable; d_max
+    is then the end of the last stable gap, else 0.0.  split: a stable gap
+    starts more than _MERGE_TOL past the end of the one before.  In exact
+    arithmetic the stable set is bounded: g1*g2 is a polynomial in d,
+    constant only where both slopes vanish, and there a1*a2 = 1.  So no
+    distance past the last root is tested.
+    """
+    d_max, split, found = 0.0, False, False
+    for lo, c, keep in _boundaries(l, f, r1, r2, pick, ascending, sqrt):
+        stable = keep & _gap(l, f, r1, r2, lo, c)
+        split = split | (stable & found & (lo - d_max > _MERGE_TOL))
+        found = found | stable
+        d_max = pick(stable, c, d_max)
+    return d_max, split, found
 
 
 def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceIntervals:
@@ -327,29 +369,21 @@ def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceI
     """
     if not (d_limit > 0 and math.isfinite(d_limit)):
         require("d_limit", d_limit, False, "finite and > 0")
-    elements = (geom.l, geom.f, geom.r1, geom.r2)
-    points = [0.0] + [c for c in _boundary_candidates(*elements) if c < d_limit] + [d_limit]
-    return DistanceIntervals(tuple(_stable_segments(*elements, points)))
+    l, f, r1, r2 = geom.l, geom.f, geom.r1, geom.r2
+    kept = _boundaries(l, f, r1, r2, _pick, _ascending, math.sqrt)
+    points = [0.0] + [c for _, c, keep in kept if keep and c < d_limit] + [d_limit]
+    return DistanceIntervals(tuple([
+        (lo, hi) for lo, hi in zip(points, points[1:]) if _gap(l, f, r1, r2, lo, hi)]))
 
 
 def _reach(l: float, f: float, r1: float, r2: float) -> tuple[float, bool, str]:
     """(d_max, contiguous, flag) of max_transmission_distance on valid elements.
 
-    The flag is "" when some distance is stable, d_max then the last boundary
-    root that ends a stable segment, else "no-stable-region" (d_max 0).  In
-    exact arithmetic the stable set is bounded: g1*g2 is a polynomial in d,
-    constant only where both slopes vanish, and there a1*a2 = 1.  So no
-    distance past the last root is tested.
+    _supremum on the row kit; the flag is "" when some distance is stable,
+    else "no-stable-region" (d_max 0).
     """
-    points = [0.0] + _boundary_candidates(l, f, r1, r2)
-    segments = _stable_segments(l, f, r1, r2, points)
-    if not segments:
-        return 0.0, False, "no-stable-region"
-    contiguous = all(
-        nxt_lo - hi <= _MERGE_TOL
-        for (_, hi), (nxt_lo, _) in zip(segments, segments[1:])
-    )
-    return segments[-1][1], contiguous, ""
+    d_max, split, found = _supremum(l, f, r1, r2, _pick, _ascending, math.sqrt)
+    return (d_max, not split, "") if found else (0.0, False, "no-stable-region")
 
 
 def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
@@ -443,8 +477,8 @@ def r1_range_for_distance(
 
     Raises EmptyResultError when no R1 in the interval qualifies.
     """
-    if not math.isfinite(target_d):
-        require("target_d", target_d, False, "finite")
+    if not 0.0 <= target_d < math.inf:
+        require("target_d", target_d, False, "finite and >= 0")
     lo, hi = search_interval
     for key, bound in (("search_from", lo), ("search_to", hi)):
         if not math.isfinite(bound):
@@ -469,8 +503,8 @@ def r1_range_for_distance(
     L = l + target_d * c0
     p0, p1 = 1.0 - target_d * phi, -L                    # g1 = p0 + p1*rho
     q0, q1 = c0 * (1.0 - s * L * phi), -s * L * c0 * c0  # g2 = q0 + q1*rho
-    rhos = (_quadratic_roots(0.0, p1, p0) + _quadratic_roots(0.0, q1, q0)
-            + _quadratic_roots(p1 * q1, p0 * q1 + p1 * q0, p0 * q0 - 1.0))
+    # a missing rho-root reads inf, which maps to R1 = 0, a candidate anyway
+    rhos = _roots(p0, p1, q0, q1, _pick, math.sqrt)
     cands = sorted(c for c in [1.0 / rho for rho in rhos if rho] + [l - f, 0.0] if lo < c < hi)
     points = [lo]
     for c in cands:
@@ -479,7 +513,7 @@ def r1_range_for_distance(
     points.append(hi)
     out: list[tuple[float, float]] = []
     for a, b in zip(points, points[1:]):
-        if not reaches(0.5 * (a + b)):
+        if not reaches(0.5 * a + 0.5 * b):  # 0.5 * (a + b) overflows past +-9e307
             continue
         if out and out[-1][1] == a:
             out[-1] = (out[-1][0], b)

@@ -4,9 +4,10 @@ Everything here recomputes physics through a different route than the
 production code: mode radii via the complex-beam-parameter fixed point of
 explicitly composed ray matrices, the stability test via the trace of the
 round-trip ray matrix, stable ranges via pointwise scanning, R1 design
-ranges via a dense R1 scan, calibration targets via direct algebraic
-inversion, mode diffraction loss via adaptive quadrature of the radial
-intensity, and dataset CSV cells one value at a time.
+ranges via a dense R1 scan, the reach and the R1 edges via lists (the route
+resbeam took before its one reach body), calibration targets via direct
+algebraic inversion, mode diffraction loss via adaptive quadrature of the
+radial intensity, and dataset CSV cells one value at a time.
 """
 
 from __future__ import annotations
@@ -154,6 +155,123 @@ def scan_r1_range(target, l, f, branch, lo, hi, points=20001):
     starts = [0] * bool(reach[0]) + [i + 1 for i in flips if reach[i + 1]]
     ends = [i for i in flips if reach[i]] + [len(r1) - 1] * bool(reach[-1])
     return [(float(r1[i]), float(r1[j])) for i, j in zip(starts, ends)]
+
+
+# The list-based reach: each root by its own branch, the candidates merged in
+# a list and each gap between them tested in turn.  resbeam computed its reach
+# so until one body, run alike on floats and columns, replaced it; the same
+# operations in the same order, so every result must agree bit for bit.
+
+LIST_MERGE_TOL = 1e-9  # boundaries closer than this (meters) are one root
+LIST_R1_MERGE_TOL = 1e-12  # R1 edges closer than this (meters) are one edge
+
+
+def quadratic_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a*x^2 + b*x + c, stabilized against cancellation."""
+    if a == 0.0:
+        if b == 0.0:
+            return []
+        return [-c / b]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    if disc == 0.0 or b == 0.0:
+        s = math.sqrt(disc)
+        return sorted({(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)})
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return sorted({q / a, c / q})
+
+
+def _list_affine(l, f, r1, r2):
+    """(a1, b1, a2, b2) with g1 = a1 + b1*d and g2 = a2 + b2*d, written out."""
+    phi = 1.0 / f
+    c0 = 1.0 - l * phi
+    return 1.0 - l * (1.0 / r1), -(phi + c0 * (1.0 / r1)), c0 - l * (1.0 / r2), -c0 * (1.0 / r2)
+
+
+def _list_stable(l, f, r1, r2, d) -> bool:
+    phi = 1.0 / f
+    L = l + d - l * d * phi
+    gg = (1.0 - d * phi - L * (1.0 / r1)) * (1.0 - l * phi - L * (1.0 / r2))
+    return 0.0 < gg < 1.0
+
+
+def list_boundaries(l, f, r1, r2) -> list[float]:
+    """All d > 0 where g1*g2 crosses or touches 0 or 1, near-duplicates merged."""
+    a1, b1, a2, b2 = _list_affine(l, f, r1, r2)
+    cands = []
+    if b1 != 0.0:
+        cands.append(-a1 / b1)
+    if b2 != 0.0:
+        cands.append(-a2 / b2)
+    cands += quadratic_roots(b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0)
+    merged: list[float] = []
+    for c in sorted(c for c in cands if c > 0.0 and math.isfinite(c)):
+        if merged and c - merged[-1] <= LIST_MERGE_TOL * max(1.0, c):
+            continue
+        merged.append(c)
+    return merged
+
+
+def list_segments(l, f, r1, r2, points) -> list[tuple[float, float]]:
+    """The gaps between consecutive points wider than LIST_MERGE_TOL with a stable midpoint."""
+    return [(lo, hi) for lo, hi in zip(points, points[1:])
+            if hi - lo > LIST_MERGE_TOL and _list_stable(l, f, r1, r2, 0.5 * (lo + hi))]
+
+
+def list_intervals(l, f, r1, r2, d_limit) -> list[tuple[float, float]]:
+    """stable_distance_intervals by the list route."""
+    points = [0.0] + [c for c in list_boundaries(l, f, r1, r2) if c < d_limit] + [d_limit]
+    return list_segments(l, f, r1, r2, points)
+
+
+def list_reach(l, f, r1, r2) -> tuple[float, bool, str]:
+    """(d_max, contiguous, flag): the end of the last stable segment, whether no
+    gap wider than LIST_MERGE_TOL parts two segments, and "no-stable-region"
+    (with 0.0 and False) when there is no segment."""
+    segments = list_segments(l, f, r1, r2, [0.0] + list_boundaries(l, f, r1, r2))
+    if not segments:
+        return 0.0, False, "no-stable-region"
+    contiguous = all(nxt_lo - hi <= LIST_MERGE_TOL
+                     for (_, hi), (nxt_lo, _) in zip(segments, segments[1:]))
+    return segments[-1][1], contiguous, ""
+
+
+def list_r1_range(target, l, f, branch, lo, hi, r2_of) -> list[tuple[float, float]]:
+    """r1_range_for_distance by the list route; r2_of(r1) is the design's r2, or None.
+
+    The edges are the R1 = 1/rho of the three rho-root calls, l - f and 0,
+    merged; each gap is classed by list_reach at the midpoint 0.5*a + 0.5*b,
+    which does not overflow, and reaching neighbours join.
+    """
+    phi = 1.0 / f
+    c0 = 1.0 - l * phi
+    s = 1.0 if branch == "origin" else -1.0
+    L = l + target * c0
+    p0, p1 = 1.0 - target * phi, -L
+    q0, q1 = c0 * (1.0 - s * L * phi), -s * L * c0 * c0
+    rhos = (quadratic_roots(0.0, p1, p0) + quadratic_roots(0.0, q1, q0)
+            + quadratic_roots(p1 * q1, p0 * q1 + p1 * q0, p0 * q0 - 1.0))
+    cands = sorted(c for c in [1.0 / rho for rho in rhos if rho] + [l - f, 0.0] if lo < c < hi)
+    points = [lo]
+    for c in cands:
+        if c - points[-1] > LIST_R1_MERGE_TOL and hi - c > LIST_R1_MERGE_TOL:
+            points.append(c)
+    points.append(hi)
+    out: list[tuple[float, float]] = []
+    for a, b in zip(points, points[1:]):
+        r1 = 0.5 * a + 0.5 * b
+        r2 = r2_of(r1)
+        if r2 is None:
+            continue
+        d_max, _, flag = list_reach(l, f, r1, r2)
+        if flag or d_max < target:
+            continue
+        if out and out[-1][1] == a:
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return out
 
 
 def aperture_for_coefficient(target_f, d, r_out, m_overlap, c_unused, wavelength, l):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from resbeam import (
@@ -494,8 +494,9 @@ class TestColumnKernels:
     @settings(max_examples=200, deadline=None)
     @given(geometries(), st.lists(st.floats(0.0, 60.0), max_size=20), st.integers(0, 3))
     def test_stability_columns_match_scalar(self, g, ds, ulps):
-        # the boundary roots and their neighbours, where g1*g2 meets 0 or 1
-        for c in cavity._boundary_candidates(g.l, g.f, g.r1, g.r2):
+        # the kept boundary roots and their neighbours, where g1*g2 meets 0 or 1
+        row_kit = (cavity._pick, cavity._ascending, math.sqrt)
+        for c in [c for _, c, keep in cavity._boundaries(g.l, g.f, g.r1, g.r2, *row_kit) if keep]:
             ds += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
             ds += [c + k * math.ulp(c) for k in (-ulps, ulps)]
         d = np.array(ds + [0.0])
@@ -529,6 +530,117 @@ class TestColumnKernels:
                 assert not solvable[i] and r2[i] == 0.0
                 continue
             assert solvable[i] and bits(r2[i]) == bits(want)
+
+
+# ---------------------------------------------------------------------------
+# The one reach body against the list route of tests/oracles.py, bit for bit
+
+def interval_bits(intervals):
+    return [(bits(lo), bits(hi)) for lo, hi in intervals]
+
+
+NEAR_L_MINUS_F = -0.8200000000000066  # a few ULPs from R1 = l - f at l = 0.06, f = 0.88
+
+
+class TestListReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(geometries(), min_size=1, max_size=25),
+           st.one_of(st.floats(1e-3, 100.0), st.floats(100.0, 1e300)))
+    @example([CavityGeometry(l=0.06, f=0.88, r1=NEAR_L_MINUS_F, r2=FLAT)], 1e300)
+    @example([CavityGeometry(l=0.06, f=0.88, r1=NEAR_L_MINUS_F,
+                             r2=connecting_r2(0.06, 0.88, NEAR_L_MINUS_F, branch))
+              for branch in (ORIGIN, TANGENT)], 1e300)
+    @example([CavityGeometry(l=0.06, f=FLAT, r1=FLAT, r2=1e18)], 1e300)  # past 2**53 m
+    @example([CavityGeometry(l=0.25, f=0.1, r1=0.75, r2=-0.25)], 20.0)  # quadratic b = 0
+    @example([geom(), geom(r2=3.0), geom(r2=connecting_r2(0.06, 0.88, -1.0, TANGENT))], 5.0)
+    def test_reach_and_intervals_match_the_list_route(self, geoms, d_limit):
+        with np.errstate(all="ignore"):
+            (d_max, contiguous), marks = COLUMNS.reach(*columns_of(geoms))
+        for i, g in enumerate(geoms):
+            elements = (g.l, g.f, g.r1, g.r2)
+            ref_d, ref_contiguous, ref_flag = oracles.list_reach(*elements)
+            want = (ref_flag, bits(ref_d), ref_contiguous)
+            try:
+                md = max_transmission_distance(g)
+                assert ("", bits(md.d_max), md.contiguous) == want, g
+            except NoStableRegionError:
+                assert ref_flag == "no-stable-region", g
+            first = next((token for mask, token in marks if mask[i]), "")
+            assert (first, bits(d_max[i]), bool(contiguous[i])) == want, g
+            got = stable_distance_intervals(g, d_limit).intervals
+            assert interval_bits(got) == interval_bits(oracles.list_intervals(*elements, d_limit))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 20.0), st.floats(0.01, 0.3), ELEMENT, st.sampled_from([ORIGIN, TANGENT]),
+           st.floats(-3.0, 3.0), st.floats(1e-6, 4.0))
+    @example(5.0, 0.06, 0.88, ORIGIN, -1.5, 1.0)
+    @example(3.0, 0.06, 0.88, TANGENT, -0.85, 0.05)  # around R1 = l - f = -0.82
+    @example(0.5, 0.06, 0.88, TANGENT, -2.0, 4.0)  # two intervals, R1 = 0 between
+    @example(5.0, 0.88, 0.88, ORIGIN, -1.5, 1.0)  # l = f: no design anywhere
+    @example(1.0, 0.06, 0.88, ORIGIN, -1.7e308, 7e307)  # 0.5 * (a + b) would overflow
+    def test_r1_range_matches_the_list_route(self, target, l, f, branch, lo, width):
+        def r2_of(r1):
+            try:
+                return CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch)).r2
+            except ResbeamError:
+                return None
+
+        want = oracles.list_r1_range(target, l, f, branch, lo, lo + width, r2_of)
+        try:
+            got = r1_range_for_distance(target, l, f, branch, (lo, lo + width))
+        except EmptyResultError:
+            got = []
+        assert interval_bits(got) == interval_bits(want)
+
+
+ROOT_COEFFICIENT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(-4.0, 4.0), st.floats())
+# (a1, b1, a2, b2) with g1 = a1 + b1*x, g2 = a2 + b2*x; the quadratic is
+# qa*x^2 + qb*x + qc with qa = b1*b2, qb = a1*b2 + a2*b1, qc = a1*a2 - 1
+ROOT_CASES = [
+    (0.5, 1.0, 1.5, -1.0),  # disc == 0 exactly, qb = 1: the tangent touch point
+    (2.0, 1.0, 2.0, -1.0),  # qb == 0, disc = 12
+    (1.0, 2.0, 3.0, 0.0),  # qa == 0, qb = 6: one quadratic root
+    (1.0, 0.0, 1.0, 0.0),  # qa == qb == 0: none
+    (0.0, 1.0, 0.0, -1.0),  # disc < 0: none
+    (0.25, 1.0, 3.0, 2.0),  # two distinct real roots
+]
+NONZERO_SLOPE = st.one_of(st.floats(-10.0, -0.1), st.floats(0.1, 10.0))
+
+
+class TestRoots:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[ROOT_COEFFICIENT] * 4), min_size=1, max_size=20))
+    @example(ROOT_CASES)
+    @example([(5e-324, 5e-324, 5e-324, 5e-324), (1e308, 1e308, -1e308, 1e308),
+              (math.nan, 1.0, 1.0, 1.0), (1.0, math.inf, 1.0, -0.0), (-0.0, -0.0, 0.0, 0.0)])
+    def test_floats_never_raise_and_equal_columns(self, coefficients):
+        rows = [cavity._roots(*c, cavity._pick, math.sqrt) for c in coefficients]
+        with np.errstate(all="ignore"):
+            columns = cavity._roots(*map(np.array, zip(*coefficients)), np.where, np.sqrt)
+        for i, row in enumerate(rows):
+            assert [bits(x) for x in row] == [bits(c[i]) for c in columns], coefficients[i]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-10.0, 10.0), NONZERO_SLOPE, st.floats(-10.0, 10.0), NONZERO_SLOPE)
+    def test_well_conditioned_roots_match_numpy(self, a1, b1, a2, b2):
+        qa, qb, qc = b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0
+        # the discriminant's sign is clear and no root is near a double root
+        assume(abs(qb * qb - 4.0 * qa * qc) > 1e-3 * (qb * qb + abs(4.0 * qa * qc)))
+        self.check_against_numpy(a1, b1, a2, b2)
+
+    @pytest.mark.parametrize("a1, b1, a2, b2", ROOT_CASES)
+    def test_special_cases_match_numpy(self, a1, b1, a2, b2):
+        self.check_against_numpy(a1, b1, a2, b2)
+
+    @staticmethod
+    def check_against_numpy(a1, b1, a2, b2):
+        got = cavity._roots(a1, b1, a2, b2, cavity._pick, math.sqrt)
+        quadratic = [b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0]
+        want = [r.real for p in ([b1, a1], [b2, a2], quadratic) for r in np.roots(p)
+                if abs(r.imag) <= 1e-9 * max(1.0, abs(r))]
+        assert sorted(x for x in got if x != math.inf) == pytest.approx(sorted(want), rel=1e-9, abs=1e-12)
 
 
 def public_design(l, f, r1, branch):

@@ -349,6 +349,14 @@ def test_negative_search_interval_and_sweep_range(capsys):
     assert [float(r.split(",")[0]) for r in rows] == [-1.5, -1.0, -0.5]
 
 
+def test_r1_range_window_past_9e307(capsys):
+    # the one gap's midpoint, taken as 0.5 * (a + b), would overflow to -inf
+    code, out = run_cli(capsys, "design", "r1-range", "--target-d", "1m",
+                        "--search-from=-1.7e308m", "--search-to=-1e308m")
+    assert code == 0
+    assert json.loads(out)["intervals"] == [[-1.7e308, -1e308]]
+
+
 @pytest.mark.parametrize("argv, key", [
     (["stability", "--d", "1e999"], "d"),
     (["power", "--pin", "1e999W"], "pin"),
@@ -402,6 +410,8 @@ def test_wrong_unit_names_the_flag(capsys, argv, key):
     # and so does one whose c0*(phi + c0/r1) underflows to 0
     (["connect-r2", "--branch", "origin", "--l", "1e308m", "--f", "1.0000000000000004e308m",
       "--r1=-5.551115123125724e292m"], "r1", "-5.551115123125724e+292"),
+    # a target distance below zero
+    (["design", "r1-range", "--target-d=-5m"], "target_d", "-5.0"),
 ])
 def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
     code, out = run_cli(capsys, *argv)

@@ -47,6 +47,8 @@ CHECKS = [
      "r1", "-5.551115123125724e+292"),
     ("target_d", lambda: r1_range_for_distance(math.nan, 0.06, 0.88, "origin", WINDOW),
      "target_d", "nan"),
+    ("target_d-negative", lambda: r1_range_for_distance(-5.0, 0.06, 0.88, "origin", WINDOW),
+     "target_d", "-5.0"),
     ("search-window-order", lambda: r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-0.5, -1.5)),
      "search_from", "-0.5"),
     ("r1_range-branch", lambda: r1_range_for_distance(5.0, 0.06, 0.88, "up", WINDOW),

@@ -463,6 +463,12 @@ class TestR1RangeForDistance:
             with pytest.raises(UnitError, match="target_d: must be finite"):
                 r1_range_for_distance(bad, 0.06, 0.88, "origin", (-1.5, -0.5))
 
+    def test_window_past_9e307_is_probed_inside(self):
+        # every R1 here reaches 1.82 m on the origin branch; 0.5 * (a + b) would overflow
+        # to -inf there, which has no design
+        window = (-1.7e308, -1e308)
+        assert r1_range_for_distance(1.0, 0.06, 0.88, "origin", window) == [window]
+
     def test_runs_no_column_kernel(self, monkeypatch):
         # the edges are closed-form roots, classified one scalar reach per gap
         def column_call(*args):

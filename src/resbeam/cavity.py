@@ -14,11 +14,13 @@ bounded by the real roots of two closed-form polynomials, no scanning needed.
 
 Each closed form is written once, as a private body that runs on floats and
 numpy columns alike: it uses only + - * / & | and abs, takes sqrt as an
-argument, and leaves validation to its callers.  The reach is such a body
-too: _roots gives the four boundary roots, _boundaries merges them and
-_supremum classifies the gaps between them; these take the selection pick
-and the sort ascending as well, which on floats drops the roots the merge
-would never keep.  The scalar kernels here wrap the bodies with exceptions;
+argument, and leaves validation to its callers.  The reach at a fixed r2 is
+such a body too: _roots gives the four boundary roots, _boundaries merges
+them and _supremum classifies the gaps between them; these take the
+selection pick and the sort ascending as well, which on floats drops the
+roots the merge would never keep.  On a connected branch the reach is one
+linear solve instead, _design, which the design rows and the R1 search run.
+The scalar kernels here wrap the bodies with exceptions;
 the dataset rules of :mod:`resbeam.explorer` run them on whole grids and
 flag a row rather than raise.
 """
@@ -34,11 +36,9 @@ from .errors import (
     NoSolutionError,
     NoStableRegionError,
     Record,
-    ResbeamError,
     UnstableConfigurationError,
     WrongSignSlopeError,
     require,
-    rule_error,
 )
 
 FLAT = math.inf
@@ -184,10 +184,13 @@ def _radii(l, f, r1, r2, d, g, lam_pi, sqrt):
 
 
 def _connecting(l, f, r1, branch):
-    """(c0, phi + c0/r1, 1/r2) with phi = 1/f, c0 = 1 - l*phi: 1/r2 = +-c0*(phi + c0/r1)."""
+    """(c0, phi + c0/r1, 1/r2) with phi = 1/f, c0 = 1 - l*phi: 1/r2 = +-c0*(phi + c0/r1).
+
+    1/r1 is kept off zero, so no float operation raises.
+    """
     phi = 1.0 / f
     c0 = 1.0 - l * phi
-    den = phi + c0 * (1.0 / r1)
+    den = phi + c0 * (1.0 / (r1 + (r1 == 0.0)))
     rho2 = c0 * den
     return c0, den, -rho2 if branch == TANGENT else rho2
 
@@ -237,22 +240,19 @@ def _affine(l, f, r1, r2):
 
     Takes floats or numpy columns of valid elements: 1.0/FLAT is exactly 0.0.
     """
-    c0, den, _ = _connecting(l, f, r1, ORIGIN)
-    a1 = 1.0 - l * (1.0 / r1)
-    b1 = -den
-    a2 = c0 - l * (1.0 / r2)
-    b2 = -c0 * (1.0 / r2)
-    return a1, b1, a2, b2
+    phi = 1.0 / f
+    c0 = 1.0 - l * phi
+    ir1 = 1.0 / r1
+    return 1.0 - l * ir1, -(phi + c0 * ir1), c0 - l * (1.0 / r2), -c0 * (1.0 / r2)
 
 
-def _g1_independent_of_d(l: float, f: float, r1: float, den: float) -> bool:
-    """True when the d-coefficient of g1 vanishes (degenerate line family).
+def _g1_varies(l, f, r1, den):
+    """Mask of the (l, f, r1) whose g1 depends on d; den is minus its d-coefficient.
 
-    den is the phi + c0/r1 of _connecting, minus that coefficient.  l - r1 - f
-    is -inf for a flat f or r1, and den is exactly 0.0 for an all-flat f and
-    r1, so the one test covers every form.
+    l - r1 - f is -inf for a flat f or r1, and den is exactly 0.0 for an
+    all-flat f and r1, so the one test covers every form.
     """
-    return l - r1 - f == 0.0 or den == 0.0
+    return (l - r1 - f != 0.0) & (den != 0.0)
 
 
 def stability_line(geom: CavityGeometry) -> StabilityLine:
@@ -266,7 +266,7 @@ def stability_line(geom: CavityGeometry) -> StabilityLine:
         slope/intercept form.
     """
     a1, b1, a2, b2 = _affine(geom.l, geom.f, geom.r1, geom.r2)
-    if _g1_independent_of_d(geom.l, geom.f, geom.r1, -b1):
+    if not _g1_varies(geom.l, geom.f, geom.r1, -b1):
         raise DegenerateLineError(
             "g1 is independent of d (l - r1 - f = 0 or all-flat optics); "
             "the d-family has no g2(g1) form"
@@ -336,8 +336,13 @@ def _boundaries(l, f, r1, r2, pick, ascending, sqrt):
 
 
 def _gap(l, f, r1, r2, lo, hi):
-    """The gap rule: (lo, hi) is stable when wider than _MERGE_TOL and stable at its midpoint."""
-    return (hi - lo > _MERGE_TOL) & _stable_at(l, f, r1, r2, 0.5 * (lo + hi))
+    """The gap rule: (lo, hi) is stable when wider than _MERGE_TOL and stable a quarter in.
+
+    Not at the midpoint: g1*g2 has its vertex midway between the roots of
+    g1 = 0 and g2 = 0, and where a tangent touch point's discriminant rounds
+    negative, the gap between those roots has g1*g2 = 1 there, to rounding.
+    """
+    return (hi - lo > _MERGE_TOL) & _stable_at(l, f, r1, r2, lo + 0.25 * (hi - lo))
 
 
 def _supremum(l, f, r1, r2, pick, ascending, sqrt):
@@ -404,23 +409,43 @@ def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
     return MaxDistance(d_max, contiguous)
 
 
-def _connected_r2(l: float, f: float, r1: float, branch: str) -> float | ResbeamError:
-    """connecting_r2 on a checked l, f and branch: the r2, or the error to raise."""
-    if not _is_element(r1):
-        return rule_error("r1", r1, _ELEMENT)
+def _design(l, f, r1, branch, pick):
+    """(r2, d_max, ok, found) of the connected-branch design at R1 = r1, on a checked l, f and branch.
+
+    ok: the design exists, as connecting_r2 decides (it raises where ok is
+    false), and r2 is its 1/rho2.  found: ok, and some distance is stable;
+    d_max is then the supremum of the stable distances of the exact design
+    at r1.  A body on floats or numpy columns: divisors are kept off zero.
+
+    On a connected branch g2 = c0^2*g1 (origin) or 2*c0 - c0^2*g1
+    (tangent), so with u = c0*g1, affine in d, g1*g2 is u^2 or
+    1 - (u - 1)^2: stable iff u is in (-1, 1) less 0, or in (0, 2) less 1.
+    The stable set is one interval less its touch point, and its end is
+    where u reaches -1 or 1 (origin), 0 or 2 (tangent), as u falls or
+    rises.  u = 0 at d0 = -a1/b1 = f*(r1 - l)/(r1 + f - l), the root of
+    g1, and u = 1 at d1 = -l/c0 = l*f/(l - f), so u = t at
+    d1 + (t - 1)*(d1 - d0).  Near R1 = l - f, r1 + f - l is summed by
+    TwoSum, where phi + c0/r1 cancels; l - f is exact where c0 = 1 - l/f
+    cancels.  A flat f has d0 = r1 - l and d1 = -l, a flat R1 d0 = f.
+    An end that is exactly 0 then comes out 0: where c0*g1(0) is 0 (R1 = l),
+    or, with a flat f, 2 or -1.  r1 + f - l is 0 only where l - r1 - f is,
+    so no design passes ok and then has d0 = 0/0.
+    """
     c0, den, rho2 = _connecting(l, f, r1, branch)
-    if c0 == 0.0:
-        return WrongSignSlopeError(
-            "l equals f: the stability line is horizontal on both branches"
-        )
-    if _g1_independent_of_d(l, f, r1, den):
-        return NoSolutionError(
-            "g1 is independent of d for this (l, f, r1); no connecting line exists"
-        )
-    # c0*den may underflow to +-0.0, and an overflowed 1/r1 gives r2 = +-0.0
-    if rho2 == 0.0 or not _is_element(r2 := 1.0 / rho2):
-        return rule_error("r1", r1, f"an R1 whose connecting r2 is {_ELEMENT}")
-    return r2
+    r2 = 1.0 / (rho2 + (rho2 == 0.0))
+    ok = (_is_element(r1) & (c0 != 0.0) & (l != f) & _g1_varies(l, f, r1, den)
+          & (rho2 != 0.0) & _is_element(r2))
+    s = r1 + f
+    t = s - r1
+    num = (s - l) + ((r1 - (s - t)) + (f - t))  # r1 + f - l
+    d1 = l * pick(f == FLAT, -1.0, f / ((l - f) + (l == f)))
+    d0 = pick(f == FLAT, r1 - l, pick(r1 == FLAT, f, f * ((r1 - l) / (num + (num == 0.0)))))
+    rising = d1 > d0
+    if branch == ORIGIN:
+        d_max = pick(rising, d1, 2.0 * d0 - d1)
+    else:
+        d_max = pick(rising, 2.0 * d1 - d0, d0)
+    return r2, d_max, ok, ok & (d_max > 0.0)
 
 
 def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
@@ -451,9 +476,15 @@ def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
     if branch not in BRANCHES:
         require("branch", branch, False, f"one of {BRANCHES}")
     _check_l_f(l, f)
-    r2 = _connected_r2(l, f, r1, branch)
-    if isinstance(r2, ResbeamError):
-        raise r2
+    _check_element("r1", r1)
+    c0, den, rho2 = _connecting(l, f, r1, branch)
+    if c0 == 0.0 or l == f:
+        raise WrongSignSlopeError("l equals f: the stability line is horizontal on both branches")
+    if not _g1_varies(l, f, r1, den):
+        raise NoSolutionError("g1 is independent of d for this (l, f, r1); no connecting line exists")
+    # c0*den may underflow to +-0.0, and an overflowed 1/r1 gives r2 = +-0.0
+    if rho2 == 0.0 or not _is_element(r2 := 1.0 / rho2):
+        require("r1", r1, False, f"an R1 whose connecting r2 is {_ELEMENT}")
     return r2
 
 
@@ -471,9 +502,9 @@ def r1_range_for_distance(
     An edge of {R1 : d_max(R1) >= T} is an R1 where T is a stability
     boundary, a rho-root of g1 = 0, g2 = 0 or g1*g2 = 1, or the singular
     R1 = l - f or 0 (no other: two d-boundaries never merge on a connected
-    branch).  One scalar reach at each gap's midpoint classifies the gap, and
-    reaching neighbours join, so an interval may hold a singular point.  The
-    edges are exact to rounding.
+    branch).  The closed-form reach of the design at each gap's midpoint
+    (_design) classifies the gap, and reaching neighbours join, so an
+    interval may hold a singular point.  The edges are exact to rounding.
 
     Raises EmptyResultError when no R1 in the interval qualifies.
     """
@@ -490,12 +521,8 @@ def r1_range_for_distance(
         require("branch", branch, False, f"one of {BRANCHES}")
 
     def reaches(r1: float) -> bool:
-        # a design error does not reach
-        r2 = _connected_r2(l, f, r1, branch)
-        if isinstance(r2, ResbeamError):
-            return False
-        d_max, _, flag = _reach(l, f, r1, r2)
-        return not flag and d_max >= target_d
+        _, d_max, _, found = _design(l, f, r1, branch, _pick)  # a design error is not found
+        return found and d_max >= target_d
 
     phi = 1.0 / f
     c0 = 1.0 - l * phi

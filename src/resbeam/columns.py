@@ -3,13 +3,14 @@
 A dataset grid longer than ``explorer.ROWS_MAX`` runs its rules on COLUMNS,
 under ``np.errstate(all="ignore")``, since an overflow there is flagged, not
 warned of.  Most operations are the cavity and power-stage bodies themselves,
-which run on floats and columns alike; the reach is cavity._supremum with
-numpy's where, sort and sqrt.  What is written here is columnar by nature:
-``when`` evaluates every row and zeroes those outside its mask, and the
-connected r2 tests each row's design as a mask.  Each element equals the row
-kit's result bit for bit (tests/test_cavity.py and test_rows.py check this by
-property).  Like Python floats, the columns overflow to inf and give
-NaN for inf*0 (a subnormal radius does both).
+which run on floats and columns alike; the design is cavity._design and the
+reach cavity._supremum, with numpy's where (and sort and sqrt).  What is
+written here is columnar by nature: ``when`` evaluates every row and zeroes
+those outside its mask, and the design and the reach mark rows rather than
+branch on them.  Each element equals the row kit's result bit for bit
+(tests/test_cavity.py and test_rows.py check this by property).  Like Python
+floats, the columns overflow to inf and give NaN for inf*0 (a subnormal
+radius does both).
 """
 
 from __future__ import annotations
@@ -18,21 +19,15 @@ import math
 
 import numpy as np
 
-from .cavity import _connecting, _is_element, _supremum
+from .cavity import _design, _supremum
 from .explorer import Kit
 
 
-def _connected(l: float, f: float, r1: np.ndarray, branch: str) -> tuple:
-    """(r2, ok) of cavity._connected_r2 along an R1 column, on a checked l, f and branch.
-
-    ok is False, and r2 reads 0.0, where _connected_r2 returns an error.
-    """
-    c0, den, rho2 = _connecting(l, f, r1, branch)
-    r2 = 1.0 / rho2
-    # den == 0 and l - r1 - f == 0 are the two tests of _g1_independent_of_d
-    ok = (_is_element(r1) & (c0 != 0.0) & (l - r1 - f != 0.0) & (den != 0.0) & (rho2 != 0.0)
-          & _is_element(r2))
-    return np.where(ok, r2, 0.0), ok
+def _design_column(l: float, f: float, r1: np.ndarray, branch: str) -> tuple:
+    """((r2, d_max, contiguous), marks) of the row kit's design along an R1 column."""
+    r2, d_max, ok, found = _design(l, f, r1, branch, np.where)
+    values = np.where(ok, r2, 0.0), np.where(found, d_max, 0.0), found * 1.0
+    return values, ((~ok, "no-solution"), (~found, "no-stable-region"))
 
 
 def _reach(l, f, r1, r2) -> tuple:
@@ -59,5 +54,5 @@ COLUMNS = Kit(
     ratio=_ratio,
     # math.exp, not np.exp: numpy's exp differs in the last bit for some arguments
     exp=lambda x: np.array([math.exp(v) for v in x.tolist()]),
-    sqrt=np.sqrt, when=_when, connected=_connected, reach=_reach,
+    sqrt=np.sqrt, when=_when, design=_design_column, reach=_reach,
 )

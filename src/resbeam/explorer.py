@@ -23,8 +23,9 @@ from collections.abc import Callable
 from .cavity import (
     BRANCHES,
     _check_l_f,
-    _connected_r2,
+    _design,
     _g_terms,
+    _pick,
     _radii,
     _reach,
     _stable_at,
@@ -35,7 +36,7 @@ from .cavity import (
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset, _floats
 from .diffraction import _tem00_exponent
-from .errors import Record, ResbeamError, UnknownFigureError, require
+from .errors import Record, UnknownFigureError, require
 from .powerchain import (
     SystemParams,
     _beam,
@@ -95,19 +96,23 @@ def _checked_grid(variable: str, points) -> list[float]:
 # its flag.  clamp(x) is max(0.0, x) and ratio(num, den) is num/den where
 # den > 0, else 0.0.  when(ok, row, token) is row() where the mask ok holds and
 # zero values flagged token elsewhere: rows call row() only where ok holds,
-# columns call it once.  connected(l, f, r1, branch) is (r2, ok), the r2 of the
-# connected branch where it is a valid element, and reach(l, f, r1, r2) is
-# ((d_max, contiguous), marks), zero where no distance is stable.
-Kit = namedtuple("Kit", "clamp ratio exp sqrt when connected reach")
+# columns call it once.  design(l, f, r1, branch) is ((r2, d_max, contiguous),
+# marks) of the connected-branch design at r1 (cavity._design), zero where it
+# has no design or no stable distance, and reach(l, f, r1, r2) is
+# ((d_max, contiguous), marks) of the generic reach at a fixed r2, zero where no
+# distance is stable.
+Kit = namedtuple("Kit", "clamp ratio exp sqrt when design reach")
 
 
 def _when(ok: bool, row: Callable, token: str) -> tuple:
     return row() if ok else ((), ((True, token),))
 
 
-def _connected(l: float, f: float, r1: float, branch: str) -> tuple[float, bool]:
-    r2 = _connected_r2(l, f, r1, branch)
-    return (0.0, False) if isinstance(r2, ResbeamError) else (r2, True)
+def _design_row(l: float, f: float, r1: float, branch: str) -> tuple:
+    r2, d_max, ok, found = _design(l, f, r1, branch, _pick)
+    if not ok:
+        return (), ((True, "no-solution"),)
+    return ((r2, d_max, 1.0) if found else (r2, 0.0, 0.0)), ((not found, "no-stable-region"),)
 
 
 def _reach_row(l: float, f: float, r1: float, r2: float) -> tuple:
@@ -116,7 +121,7 @@ def _reach_row(l: float, f: float, r1: float, r2: float) -> tuple:
 
 
 ROWS = Kit(clamp=_clamp, ratio=_ratio, exp=math.exp, sqrt=math.sqrt,
-           when=_when, connected=_connected, reach=_reach_row)
+           when=_when, design=_design_row, reach=_reach_row)
 
 
 def _tagged(name: str, tag: str) -> str:
@@ -236,13 +241,8 @@ def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Callable:
     _check_l_f(l, f)
 
     def rule(k, r1):
-        r2, ok = k.connected(l, f, r1, branch)
-
-        def row():
-            (d_max, contiguous), marks = k.reach(l, f, r1, r2)
-            return (r2, d_max, contiguous)[keep], marks
-
-        return k.when(ok, row, "no-solution")
+        values, marks = k.design(l, f, r1, branch)
+        return values[keep], marks
 
     return rule
 
@@ -315,8 +315,10 @@ def sweep(spec: SweepSpec) -> Dataset:
 def max_distance_vs_r1(
     l: float, f: float, r1_grid, branch: str, *, params: SystemParams | None = None
 ) -> Dataset:
-    """Solve connecting_r2 then max_transmission_distance along an R1 grid.
+    """The connecting r2 and the reach of the connected-branch design along an R1 grid.
 
+    A row's d_max is the closed-form reach of the exact branch design at its
+    R1 (cavity._design), and a design's stable set is always contiguous.
     Rows where no branch solution or no stable region exists carry zeros and
     a flag instead of aborting the sweep; an invalid l, f or branch, or a
     non-finite R1, raises.

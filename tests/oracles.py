@@ -5,14 +5,17 @@ production code: mode radii via the complex-beam-parameter fixed point of
 explicitly composed ray matrices, the stability test via the trace of the
 round-trip ray matrix, stable ranges via pointwise scanning, R1 design
 ranges via a dense R1 scan, the reach and the R1 edges via lists (the route
-resbeam took before its one reach body), calibration targets via direct
-algebraic inversion, mode diffraction loss via adaptive quadrature of the
-radial intensity, and dataset CSV cells one value at a time.
+resbeam took before its one reach body), the reach of a connected-branch
+design and the existence of a stable distance in exact rational arithmetic,
+calibration targets via direct algebraic inversion, mode diffraction loss
+via adaptive quadrature of the radial intensity, and dataset CSV cells one
+value at a time.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -214,9 +217,9 @@ def list_boundaries(l, f, r1, r2) -> list[float]:
 
 
 def list_segments(l, f, r1, r2, points) -> list[tuple[float, float]]:
-    """The gaps between consecutive points wider than LIST_MERGE_TOL with a stable midpoint."""
+    """The gaps between consecutive points wider than LIST_MERGE_TOL, stable a quarter in."""
     return [(lo, hi) for lo, hi in zip(points, points[1:])
-            if hi - lo > LIST_MERGE_TOL and _list_stable(l, f, r1, r2, 0.5 * (lo + hi))]
+            if hi - lo > LIST_MERGE_TOL and _list_stable(l, f, r1, r2, lo + 0.25 * (hi - lo))]
 
 
 def list_intervals(l, f, r1, r2, d_limit) -> list[tuple[float, float]]:
@@ -237,11 +240,11 @@ def list_reach(l, f, r1, r2) -> tuple[float, bool, str]:
     return segments[-1][1], contiguous, ""
 
 
-def list_r1_range(target, l, f, branch, lo, hi, r2_of) -> list[tuple[float, float]]:
-    """r1_range_for_distance by the list route; r2_of(r1) is the design's r2, or None.
+def list_r1_range(target, l, f, branch, lo, hi, reaches) -> list[tuple[float, float]]:
+    """r1_range_for_distance by the list route; reaches(r1) tells whether the design at r1 reaches.
 
     The edges are the R1 = 1/rho of the three rho-root calls, l - f and 0,
-    merged; each gap is classed by list_reach at the midpoint 0.5*a + 0.5*b,
+    merged; each gap is classed by reaches at the midpoint 0.5*a + 0.5*b,
     which does not overflow, and reaching neighbours join.
     """
     phi = 1.0 / f
@@ -260,18 +263,89 @@ def list_r1_range(target, l, f, branch, lo, hi, r2_of) -> list[tuple[float, floa
     points.append(hi)
     out: list[tuple[float, float]] = []
     for a, b in zip(points, points[1:]):
-        r1 = 0.5 * a + 0.5 * b
-        r2 = r2_of(r1)
-        if r2 is None:
-            continue
-        d_max, _, flag = list_reach(l, f, r1, r2)
-        if flag or d_max < target:
+        if not reaches(0.5 * a + 0.5 * b):
             continue
         if out and out[-1][1] == a:
             out[-1] = (out[-1][0], b)
         else:
             out.append((a, b))
     return out
+
+
+# Exact references.  Every float is a rational and 1/FLAT is 0, so a design's
+# g-parameters, taken from their definitions at d = 0 and d = 1, are exact.
+
+def _exact_inv(x: float) -> Fraction:
+    return Fraction(0) if math.isinf(x) else 1 / Fraction(x)
+
+
+def exact_affine(l, f, r1, inv_r2) -> tuple[Fraction, ...]:
+    """(a1, b1, a2, b2) with g1 = a1 + b1*d and g2 = a2 + b2*d, exact, for 1/r2 = inv_r2."""
+    l, phi, inv_r1 = Fraction(l), _exact_inv(f), _exact_inv(r1)
+
+    def g(d):
+        L = l + d - l * d * phi
+        return 1 - d * phi - L * inv_r1, 1 - l * phi - L * inv_r2
+
+    (a1, a2), (e1, e2) = g(0), g(1)
+    return a1, e1 - a1, a2, e2 - a2
+
+
+def _square_root(q: Fraction) -> Fraction:
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    assert root * root == q, q
+    return root
+
+
+def exact_branch_reach(l, f, r1, branch):
+    """(d_max, found) of the exact connected-branch design at R1 = r1, in Fractions, or None
+    where it has none (c0 = 0, or g1 independent of d).
+
+    Its 1/r2 = s*c0*(1/f + c0/r1) is taken exactly.  The stable set's boundaries
+    are the roots of g1 = 0, g2 = 0 and g1*g2 = 1, rational on a connected
+    branch (the quadratic's discriminant is a square: both roots of the origin
+    branch are rational, and the tangent branch's touch point is a double
+    root), and the gap between each pair of them is classed at its midpoint;
+    d_max is the end of the last stable gap, 0 when none is.
+    """
+    phi, inv_r1 = _exact_inv(f), _exact_inv(r1)
+    c0 = 1 - Fraction(l) * phi
+    den = phi + c0 * inv_r1
+    if c0 == 0 or den == 0:
+        return None
+    a1, b1, a2, b2 = exact_affine(l, f, r1, (1 if branch == "origin" else -1) * c0 * den)
+    qa, qb, qc = b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1
+    s = _square_root(qb * qb - 4 * qa * qc)
+    roots = {-a1 / b1, -a2 / b2, (-qb - s) / (2 * qa), (-qb + s) / (2 * qa)}
+    points = [Fraction(0)] + sorted(r for r in roots if r > 0)
+    stable = [hi for lo, hi in zip(points, points[1:])
+              if 0 < (a1 + b1 * (lo + hi) / 2) * (a2 + b2 * (lo + hi) / 2) < 1]
+    return (stable[-1], True) if stable else (Fraction(0), False)
+
+
+def exact_stable_exists(l, f, r1, r2) -> bool:
+    """Whether some d > 0 has 0 < g1*g2 < 1 for the float design (l, f, r1, r2), decided exactly.
+
+    P = g1*g2 is a polynomial of degree <= 2.  Between 0, the positive roots of
+    g1 and g2 and P's vertex it is monotone and of one sign, and past the last
+    of them it is monotone and, where positive, not falling.  So a gap holds a
+    stable distance iff P is positive inside it and below 1 at one of its ends
+    (at its start, past the last point).
+    """
+    a1, b1, a2, b2 = exact_affine(l, f, r1, _exact_inv(r2))
+
+    def P(d):
+        return (a1 + b1 * d) * (a2 + b2 * d)
+
+    qa, qb = b1 * b2, a1 * b2 + a2 * b1
+    cuts = [-a1 / b1 if b1 else 0, -a2 / b2 if b2 else 0, -qb / (2 * qa) if qa else 0]
+    points = [Fraction(0)] + sorted({c for c in cuts if c > 0})
+    for lo, hi in zip(points, points[1:] + [None]):
+        inside = P(lo + 1) if hi is None else P((lo + hi) / 2)
+        low = P(lo) if hi is None else min(P(lo), P(hi))
+        if inside > 0 and low < 1:
+            return True
+    return False
 
 
 def aperture_for_coefficient(target_f, d, r_out, m_overlap, c_unused, wavelength, l):

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from resbeam import (
     stability_line,
     stable_distance_intervals,
 )
-from resbeam import cavity
+from resbeam import cavity, explorer, max_distance_vs_r1
 from resbeam.columns import COLUMNS
 
 import oracles
@@ -258,6 +260,11 @@ def _merge_small_gaps(intervals, tol):
     return merged
 
 
+# |x| log-uniform in [0.01, 10], either sign
+LOG_SIGNED = st.builds(math.copysign, st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e),
+                       st.sampled_from([1.0, -1.0]))
+
+
 class TestMaxTransmissionDistance:
     def test_connected_branch(self):
         r2 = connecting_r2(0.06, 0.88, -1.0, ORIGIN)
@@ -289,6 +296,27 @@ class TestMaxTransmissionDistance:
     def test_no_stable_region(self):
         with pytest.raises(NoStableRegionError):
             max_transmission_distance(CavityGeometry(l=0.06, f=FLAT, r1=FLAT, r2=FLAT))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.01, 0.3), LOG_SIGNED, LOG_SIGNED)
+    # the touch point's discriminant rounds negative, and g1*g2 rounds to >= 1 at the
+    # midpoint of the gap between the roots of g1 = 0 and g2 = 0; the last has l > f
+    @example(0.15579429746852422, 0.09779609198763684, -0.3372565495547999)
+    @example(0.06629440704570498, 0.020571817767210707, -0.07730685742119849)
+    @example(0.2875637216234658, 0.01040225242571834, 2.893728194498793)
+    def test_tangent_designs_find_the_exact_stable_set(self, l, f, r1):
+        # the generic reach and the intervals, on the written r2, find a stable distance
+        # exactly where one exists for that r2
+        try:
+            g = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, TANGENT))
+        except ResbeamError:
+            return
+        try:
+            d_limit, found = 2.0 * max_transmission_distance(g).d_max, True
+        except NoStableRegionError:
+            d_limit, found = 1e6, False
+        assert found == oracles.exact_stable_exists(l, f, r1, g.r2)
+        assert bool(stable_distance_intervals(g, d_limit).intervals) == found
 
 
 class TestConnectingR2:
@@ -520,9 +548,11 @@ class TestColumnKernels:
     # c0*(phi + c0/r1) underflows to -+0.0, so r2 would be infinite
     @example(1e308, 1.0000000000000004e308, [-5.551115123125724e292], ORIGIN)
     @example(1e308, 1.0000000000000004e308, [-5.551115123125724e292], TANGENT)
+    @example(0.05478167673755327, 0.05478167673755327, [-1.0], ORIGIN)  # l = f, c0 = -1.1e-16
     def test_connecting_r2_columns_match_scalar(self, l, f, r1s, branch):
         with np.errstate(all="ignore"):
-            r2, solvable = COLUMNS.connected(l, f, np.array(r1s), branch)
+            (r2, _, _), ((no_solution, _), _) = COLUMNS.design(l, f, np.array(r1s), branch)
+        solvable = ~no_solution
         for i, r1 in enumerate(r1s):
             try:
                 want = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch)).r2
@@ -579,13 +609,16 @@ class TestListReference:
     @example(5.0, 0.88, 0.88, ORIGIN, -1.5, 1.0)  # l = f: no design anywhere
     @example(1.0, 0.06, 0.88, ORIGIN, -1.7e308, 7e307)  # 0.5 * (a + b) would overflow
     def test_r1_range_matches_the_list_route(self, target, l, f, branch, lo, width):
-        def r2_of(r1):
+        # each gap is classed by the exact design at its probe, where connecting_r2 gives one
+        def reaches(r1):
             try:
-                return CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch)).r2
+                CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch))
             except ResbeamError:
-                return None
+                return False
+            d_max, found = oracles.exact_branch_reach(l, f, r1, branch)
+            return found and d_max >= target
 
-        want = oracles.list_r1_range(target, l, f, branch, lo, lo + width, r2_of)
+        want = oracles.list_r1_range(target, l, f, branch, lo, lo + width, reaches)
         try:
             got = r1_range_for_distance(target, l, f, branch, (lo, lo + width))
         except EmptyResultError:
@@ -656,25 +689,43 @@ def public_design(l, f, r1, branch):
         return bits(g.r2), bits(0.0), bits(False), "no-stable-region"
 
 
-def private_design(l, f, r1, branch):
-    """The same by the private bodies, which the R1 search and the design rows call."""
-    r2 = cavity._connected_r2(l, f, r1, branch)
-    if isinstance(r2, ResbeamError):
-        return type(r2)
-    d_max, contiguous, flag = cavity._reach(l, f, r1, r2)
-    return bits(r2), bits(d_max), bits(contiguous), flag
+def cancellation(l, f, r1) -> float:
+    """The smaller of |b1| against |1/f| + |c0/r1| and |c0| against 1 + |l/f|, each a sum
+    against the sizes of its terms, exactly; near 1e-16 the written 1/r2 = +-c0*(-b1), and
+    any reach of it, is rounding."""
+    phi, inv_r1 = oracles._exact_inv(f), oracles._exact_inv(r1)
+    c0 = 1 - Fraction(l) * phi
+    b1 = abs(phi + c0 * inv_r1) / (abs(phi) + abs(c0 * inv_r1))
+    return float(min(b1, abs(c0) / (1 + abs(Fraction(l) * phi))))
+
+
+# Where b1 and c0 are this far above rounding level, the generic reach on the written r2
+# answers as the closed form does (flags, and d_max within 1e-7 relative): over 67,066
+# random designs with a cancellation of b1 above 1e-6, the largest difference was 1.1e-8.
+ABOVE_ROUNDING = 1e-6
+
+
+def check_against_the_public_route(l, f, r1, branch, d_max, found):
+    # the generic reach drops a stable set that ends within _MERGE_TOL of d = 0
+    if cancellation(l, f, r1) > ABOVE_ROUNDING and abs(d_max) > cavity._MERGE_TOL:
+        public = public_design(l, f, r1, branch)
+        assert (public[3] == "") == found, (l, f, r1, branch)
+        assert float.fromhex(public[1]) == pytest.approx(d_max if found else 0.0, rel=1e-7)
 
 
 R1_PROBE = st.one_of(ELEMENT, st.sampled_from([0.0, 1e-320, -1e-320, math.nan, -math.inf]))
 
 
 class TestHoistedChecks:
-    """The private bodies, which take l, f and branch as checked, agree with the public route."""
+    """The design body, which takes l, f and branch as checked, agrees with the public route."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.01, 0.3), ELEMENT, R1_PROBE, st.sampled_from([ORIGIN, TANGENT]),
            st.booleans())
     @example(0.88, 0.88, -1.0, TANGENT, False)  # l = f
+    # l = f, where 1 - l*(1/f) rounds to -1.1e-16 rather than 0
+    @example(0.05478167673755327, 0.05478167673755327, -1.0, ORIGIN, False)
+    @example(0.020000000000000004, 0.02, -1.0, ORIGIN, False)  # c0 = 1 - l/f at rounding level
     @example(0.25, 0.5, -0.25, ORIGIN, False)  # R1 = l - f exactly
     @example(0.06, FLAT, -1.0, ORIGIN, False)
     @example(0.06, 0.88, FLAT, TANGENT, False)
@@ -682,9 +733,18 @@ class TestHoistedChecks:
     @example(0.06, 0.88, 1e-320, ORIGIN, False)  # r2 would be 0
     @example(0.06, 0.88, 0.0, ORIGIN, False)
     def test_bodies_match_the_public_route(self, l, f, r1, branch, at_l_minus_f):
+        # the design exists, with the same r2, exactly where connecting_r2 gives one; its
+        # reach is the exact design's, and the generic reach's on r2 above rounding level
         if at_l_minus_f and math.isfinite(f):
             r1 = (l - f) or FLAT
-        assert private_design(l, f, r1, branch) == public_design(l, f, r1, branch)
+        r2, d_max, ok, found = cavity._design(l, f, r1, branch, cavity._pick)
+        public = public_design(l, f, r1, branch)
+        assert ok is not isinstance(public, type), (l, f, r1, branch)
+        if not ok:
+            return
+        assert bits(r2) == public[0]
+        assert_matches_exact(d_max, found, oracles.exact_branch_reach(l, f, r1, branch), l, f)
+        check_against_the_public_route(l, f, r1, branch, d_max, found)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.5, 20.0), st.floats(0.01, 0.3), ELEMENT, st.sampled_from([ORIGIN, TANGENT]),
@@ -696,24 +756,122 @@ class TestHoistedChecks:
     @example(3.0, 0.06, 0.88, ORIGIN, -1e-320, 2e-320)  # the one gap's probe is R1 = 0
     @example(3.0, 0.06, 0.88, ORIGIN, 1e-320, 1e-320)  # a subnormal probe: r2 would be 0
     def test_r1_range_probes_match_the_public_route(self, target, l, f, branch, lo, width):
-        # every gap r1_range_for_distance probes is classed as a public call there would class
-        # it (a design error does not reach), so it returns the same intervals
+        # every gap r1_range_for_distance probes is classed as the exact design at its probe
+        # is (a design error does not reach), and as the public route classes it wherever
+        # |b1| is above rounding level
         probes = []
 
-        def body(l, f, r1, branch, _body=cavity._connected_r2):
+        def body(l, f, r1, branch, pick, _body=cavity._design):
             probes.append(r1)
-            return _body(l, f, r1, branch)
+            return _body(l, f, r1, branch, pick)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cavity, "_connected_r2", body)
+            mp.setattr(cavity, "_design", body)
             try:
                 got = r1_range_for_distance(target, l, f, branch, (lo, lo + width))
             except EmptyResultError:
                 got = []
         assert probes
         for r1 in probes:
-            public = public_design(l, f, r1, branch)
-            assert private_design(l, f, r1, branch) == public
-            reaches = (not isinstance(public, type) and not public[3]
-                       and float.fromhex(public[1]) >= target)
-            assert reaches == any(a < r1 < b for a, b in got), r1
+            reached = any(a < r1 < b for a, b in got)
+            _, d_max, ok, found = cavity._design(l, f, r1, branch, cavity._pick)
+            assert ok is not isinstance(public_design(l, f, r1, branch), type)
+            if not ok:
+                assert not reached, r1
+                continue
+            exact = oracles.exact_branch_reach(l, f, r1, branch)
+            assert reached == (exact[1] and exact[0] >= target), r1
+            check_against_the_public_route(l, f, r1, branch, d_max, found)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form reach of a connected-branch design against the exact design
+
+# d_max is d1, d0, 2*d1 - d0 or 2*d0 - d1, with d1 = l*f/(l - f) and d0 = f*(r1 - l)/(r1 + f - l)
+# (cavity._design); its error is measured in ULPs of exact d_max + |d1|, which bounds both
+# terms (the sum cancels where the stable set ends near d = 0).  Over 200,000 random designs,
+# half within 64 ULPs of R1 = l - f, the largest error was 6.2 ULPs; counting the roundings
+# of d1 (3) and d0 (5) in 2*d1 - d0 bounds it by 16.
+REACH_ULPS = 16
+
+
+def d_touch(l, f) -> Fraction:
+    """|-l/c0|, exactly: the distance where c0*g1 = 1 on either branch."""
+    return abs(Fraction(l) / (1 - Fraction(l) * oracles._exact_inv(f)))
+
+
+def assert_matches_exact(d_max: float, found: bool, exact: tuple, l: float, f: float) -> None:
+    """found is the exact design's, and then d_max within the budget of its d_max.
+
+    Where the exact stable set ends at d = 0 itself (a tie, as at R1 = l on the
+    tangent branch, where c0*g1 starts at 0 and falls), the computed end is
+    within the budget of 0 and its sign, so the flag, is rounding: there
+    either flag passes.
+    """
+    exact_d, exact_found = exact
+    scale = exact_d + d_touch(l, f)
+    if scale >= Fraction(2) ** 1023:  # the budget is past the float range, and so may d_max be
+        assert found == exact_found
+        return
+    slack = REACH_ULPS * math.ulp(float(scale))
+    if found != exact_found:
+        assert abs(d_max) <= slack and exact_d <= slack, (d_max, float(exact_d))
+    elif found:
+        assert abs(Fraction(d_max) - exact_d) <= slack, (d_max, float(exact_d))
+
+
+@st.composite
+def branch_designs(draw):
+    """(l, f, branch, R1 column): ordinary R1 and R1 within 64 ULPs of l - f."""
+    l, f = draw(st.floats(0.01, 0.3)), draw(ELEMENT)
+
+    def near(k):
+        r1 = l - f
+        for _ in range(abs(k)):
+            r1 = math.nextafter(r1, math.copysign(math.inf, k))
+        return r1 or FLAT
+
+    r1 = ELEMENT if not math.isfinite(f) else st.one_of(ELEMENT, st.integers(-64, 64).map(near))
+    return l, f, draw(st.sampled_from([ORIGIN, TANGENT])), draw(st.lists(r1, min_size=1, max_size=20))
+
+
+SUBNORMAL_SLOPE = (0.06, 1e300, ORIGIN, [-1.0000000000000002e300])  # b1 = -1.5e-316
+
+
+class TestBranchReach:
+    @settings(max_examples=300, deadline=None)
+    @given(branch_designs())
+    @example((0.06, 0.88, ORIGIN, [NEAR_L_MINUS_F, -0.82, -1.0, -1.5, 0.0]))
+    @example((0.06, 0.88, TANGENT, [NEAR_L_MINUS_F, -0.82, -1.0, -1.5, 0.0]))
+    @example(SUBNORMAL_SLOPE)  # the exact d_max is past the float range: it reads inf
+    @example((0.06, 1e300, TANGENT, [-9.999999999999998e299]))
+    @example((0.3, 0.1, ORIGIN, [-1.0, 0.5]))  # f < l: origin designs rising to u = 1
+    # ties at d = 0: c0*g1 starts at 0 (R1 = l) and at 2 (f = FLAT, R1 = -l) on the tangent branch
+    @example((0.125, -5.0, TANGENT, [0.125]))
+    @example((0.1, FLAT, TANGENT, [0.1, -0.1]))
+    # f < l and subnormal slopes: m overflows; the second design's r2 would be -inf
+    @example((1e300, 5e299, ORIGIN, [4.999999999999999e299, 5.000000000000001e299]))
+    def test_flags_and_d_max_agree_with_the_exact_design(self, design):
+        l, f, branch, r1s = design
+        rows = [cavity._design(l, f, r1, branch, cavity._pick) for r1 in r1s]
+        with np.errstate(all="ignore"):
+            columns = cavity._design(l, f, np.array(r1s), branch, np.where)
+        for i, (r1, (r2, d_max, ok, found)) in enumerate(zip(r1s, rows)):
+            row = (bits(r2), bits(d_max), ok, found)
+            assert row == (bits(columns[0][i]), bits(columns[1][i]), columns[2][i], columns[3][i])
+            if not ok:  # where connecting_r2 refuses an exact design, R1 is within rounding of l - f
+                assert (r1 == 0.0 or oracles.exact_branch_reach(l, f, r1, branch) is None
+                        or abs(r1 - (l - f)) <= 1e-12 * abs(l - f)), r1
+                continue
+            assert_matches_exact(d_max, found, oracles.exact_branch_reach(l, f, r1, branch), l, f)
+
+    def test_an_overflowing_reach_is_flagged_and_reaches(self):
+        # a subnormal slope: the reach of the exact design lies past the float range
+        l, f, branch, (r1,) = SUBNORMAL_SLOPE
+        assert oracles.exact_branch_reach(l, f, r1, branch)[0] > Fraction(2) ** 1024
+        for rows_max in (math.inf, -1):  # rows, then columns
+            with patch.object(explorer, "ROWS_MAX", rows_max):
+                ds = max_distance_vs_r1(l, f, [r1], branch)
+            assert ds.flags == ["overflow"] and ds.columns["d_max_m"] == [0.0]
+        window = (math.nextafter(r1, -math.inf), math.nextafter(r1, 0.0))  # probed at r1
+        assert r1_range_for_distance(1e300, l, f, branch, window) == [window]

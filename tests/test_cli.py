@@ -45,6 +45,20 @@ class TestPointCommands:
         assert rec["d_max"] == pytest.approx(10.428834688346878, rel=1e-9)
         assert rec["contiguous"] is True
 
+    def test_tangent_touch_point_keeps_its_stable_set(self, capsys):
+        # a tangent design whose touch point's discriminant rounds negative: the gap between
+        # the roots of g1 = 0 and g2 = 0 has g1*g2 = 1 at its midpoint, to rounding, but is
+        # stable on (0.122, 0.403) m in exact arithmetic; all three commands say so
+        design = ("--l", "0.15579429746852422m", "--f", "0.09779609198763684m",
+                  "--r1=-0.3372565495547999m", "--r2", "0.14070571376477478m")
+        code, out = run_cli(capsys, "stability", *design, "--d", "0.3m")
+        assert code == 0 and json.loads(out)["stable"] is True
+        code, out = run_cli(capsys, "max-distance", *design)
+        assert code == 0 and json.loads(out)["d_max"] == pytest.approx(0.403, abs=5e-4)
+        code, out = run_cli(capsys, "intervals", *design, "--d-limit", "1m")
+        (lo, hi), = json.loads(out)["intervals"]
+        assert code == 0 and (lo, hi) == pytest.approx((0.122, 0.403), abs=5e-4)
+
     def test_connect_r2_both_branches(self, capsys):
         code, out = run_cli(capsys, "connect-r2", "--branch", "origin")
         rec = json.loads(out)

@@ -151,12 +151,12 @@ DATASET_SHA256 = {
         "json": "b1d3cb873107b3bae575ec2b04e63b78a20f9c873317ffed41abbd179a780f0f",
     },
     "r1-design-origin": {
-        "csv": "8bba935ffe34fbb6ac8f00ad821abb2220b6108cee78591e0ac45f79cdcc858f",
-        "json": "d55e738974dc415310fbad69b86912b0bf282c7aaf62dd7b42469f72cb0cd83c",
+        "csv": "d772162f3a95426423f2d0c6c3882c078d5b4ac6ec22f145eff7c268a6ee63ca",
+        "json": "577e17c68665399fc8893b5a55c80dd6c2b43427f5fc3e5955538e771191e449",
     },
     "r1-design-tangent": {
-        "csv": "e157d4806383e520777da7909569a4a391bad52fd6a83c2d40061ba0d97a1e8f",
-        "json": "7adc8d12dee0862747894146986c35eeb6094d813957e875cee7e925ad0b0e30",
+        "csv": "657fb05dfa93eb87b8bf69ad10195a655c3cc4b21f29c00ca67483ac3e3206d6",
+        "json": "95def8ba911b67e7fb4d4701b36ad3549f823211ac572b5bfd94d1d79f0b63ab",
     },
 }
 
@@ -167,7 +167,7 @@ FIGURE_R2_3_SHA256 = {
     },
     7: {
         "csv": "08119ca9c9f9c0e5adaf72e0db2eb786b3e582283753281a27afc6c37f25d5f6",
-        "json": "dd499d00dc433356a8c8b51a46a5a727b7b7a06200ea773c2e296a90192e92cc",
+        "json": "240a2d09bfc1aaa113885c6ba974fb37897098c7dbf762fe7036735b7bbfd797",
     },
     8: {
         "csv": "1530707555968739259e2eaf7544aac8a7fd3d875620f8889f8fa898dd023efc",
@@ -469,16 +469,40 @@ class TestR1RangeForDistance:
         window = (-1.7e308, -1e308)
         assert r1_range_for_distance(1.0, 0.06, 0.88, "origin", window) == [window]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 20.0), st.floats(0.03, 0.12), st.sampled_from([0.88, 0.5, 2.0, FLAT]),
+           st.sampled_from(BRANCHES), st.floats(-3.0, 2.0), st.floats(0.01, 2.0))
+    @example(5.0, 0.06, 0.88, "origin", -1.5, 1.0)
+    @example(3.0, 0.06, 0.88, "tangent", -0.85, 0.05)  # around R1 = l - f = -0.82
+    @example(0.5, 0.06, 0.88, "tangent", -2.0, 3.0)  # two intervals, R1 = 0 between
+    def test_intervals_are_where_the_design_rows_reach(self, target, l, f, branch, lo, width):
+        # one question, one answer: every R1 inside a returned interval has a design row that
+        # reaches the target (a reach past the float range reads overflow), and every R1
+        # outside has none; R1 within 1e-9 of an edge, of the window's ends, of l - f or of 0
+        # is left out
+        window = (lo, lo + width)
+        try:
+            intervals = r1_range_for_distance(target, l, f, branch, window)
+        except EmptyResultError:
+            intervals = []
+        edges = {e for interval in [window, *intervals] for e in interval} | {l - f, 0.0} - {-math.inf}
+        r1s = [r1 for r1 in np.linspace(*window, 200).tolist()
+               if all(abs(r1 - e) > 1e-9 * max(1.0, abs(e)) for e in edges)]
+        ds = max_distance_vs_r1(l, f, r1s, branch)
+        for r1, d_max, flag in zip(r1s, ds.columns["d_max_m"], ds.flags):
+            reaches = (flag == "" and d_max >= target) or flag == "overflow"
+            assert reaches == any(a < r1 < b for a, b in intervals), (r1, d_max, flag)
+
     def test_runs_no_column_kernel(self, monkeypatch):
         # the edges are closed-form roots, classified one scalar reach per gap
         def column_call(*args):
             raise AssertionError("column kernel called")
 
         # explorer reaches the column kernels only through the kit resbeam.columns.COLUMNS
-        for name in ("_reach", "_connected"):
+        for name in ("_reach", "_design_column"):
             monkeypatch.setattr(resbeam.columns, name, column_call)
         monkeypatch.setattr(resbeam.columns, "COLUMNS", resbeam.columns.COLUMNS._replace(
-            reach=column_call, connected=column_call))
+            reach=column_call, design=column_call))
         assert len(r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5))) == 1
         assert resbeam.explorer.r1_range_for_distance is resbeam.cavity.r1_range_for_distance
 
@@ -800,4 +824,37 @@ class TestColumnDrivers:
         # figure 8's radii body runs on each stable (branch, row) pair, and on no other
         stable_pairs = sum(2 - flag.count(":unstable") for flag in figures[8].flags)
         assert stable_pairs == 299
-        assert calls["max_transmission_distance"] == 6 * 200 and calls["_radii"] == stable_pairs
+        # figure 7's design rows take the closed-form reach (see below), not the generic one
+        assert calls["max_transmission_distance"] == 0 and calls["_radii"] == stable_pairs
+
+    def count_generic_reaches(self, monkeypatch, build) -> Counter:
+        """Calls of the generic reach: cavity._reach (rows) and its body cavity._supremum
+        (rows through _reach, and columns)."""
+        calls = Counter()
+        for name, modules in (("_reach", (resbeam.explorer, resbeam.cavity)),
+                              ("_supremum", (resbeam.cavity, resbeam.columns))):
+            def counted(*args, _name=name, _body=getattr(resbeam.cavity, name)):
+                calls[_name] += 1
+                return _body(*args)
+
+            for module in modules:
+                monkeypatch.setattr(module, name, counted)
+        build()
+        monkeypatch.undo()
+        return calls
+
+    def test_designs_run_no_generic_reach(self, monkeypatch, default_params):
+        # a guard against a silent fallback: every connected-branch design (figure 7, the
+        # design grids on rows and on columns, the R1 search's probes) takes the closed form
+        rows, columns = grid(-1.6, -0.4, 200), grid(-1.6, -0.4, 1000)
+        calls = self.count_generic_reaches(monkeypatch, lambda: [
+            reproduce_figure(7), r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5)),
+            *(max_distance_vs_r1(0.06, 0.88, r1s, b) for r1s in (rows, columns) for b in BRANCHES)])
+        assert calls == Counter()
+        # the fixed-r2 callers keep the generic reach: the R1 sweep, one row or column at a
+        # time, and max_transmission_distance
+        for r1s, want in ((rows, Counter(_reach=200, _supremum=200)), (columns, Counter(_supremum=1))):
+            spec = SweepSpec("R1", r1s, default_params)
+            assert self.count_generic_reaches(monkeypatch, lambda: sweep(spec)) == want
+        reach = lambda: resbeam.cavity.max_transmission_distance(default_params.geometry)
+        assert self.count_generic_reaches(monkeypatch, reach) == Counter(_reach=1, _supremum=1)

@@ -20,9 +20,9 @@ them and _supremum classifies the gaps between them; these take the
 selection pick and the sort ascending as well, which on floats drops the
 roots the merge would never keep.  On a connected branch the reach is one
 linear solve instead, _design, which the design rows and the R1 search run.
-The scalar kernels here wrap the bodies with exceptions;
-the dataset rules of :mod:`resbeam.explorer` run them on whole grids and
-flag a row rather than raise.
+The scalar kernels here wrap the bodies with exceptions; the dataset rules
+of :mod:`resbeam.explorer` call them on whole grids with the primitives of
+a kit (pick, ascending, sqrt) and flag a row rather than raise.
 """
 
 from __future__ import annotations
@@ -323,8 +323,8 @@ def _boundaries(l, f, r1, r2, pick, ascending, sqrt):
     The merge rule: c is kept when it is positive, finite and more than
     _MERGE_TOL*max(1, c) past lo, the last kept root (0.0 while none is);
     the two comparisons of step are that test.  Here and in _supremum, masks
-    meet only through &, | and pick: on a Python bool ~True is -2, so no
-    mask is negated.
+    meet only through &, |, pick and found > split (found and not split): on
+    a Python bool ~True is -2, so no mask is negated.
     """
     lo = 0.0
     for c in ascending(_roots(*_affine(l, f, r1, r2), pick, sqrt)):
@@ -346,11 +346,12 @@ def _gap(l, f, r1, r2, lo, hi):
 
 
 def _supremum(l, f, r1, r2, pick, ascending, sqrt):
-    """(d_max, split, found) of the stable distance set of valid elements.
+    """(d_max, contiguous, found) of the stable distance set of valid elements.
 
     found: some gap between kept boundary roots (0.0 first) is stable; d_max
-    is then the end of the last stable gap, else 0.0.  split: a stable gap
-    starts more than _MERGE_TOL past the end of the one before.  In exact
+    is then the end of the last stable gap, else 0.0.  contiguous: found, and
+    no stable gap starts more than _MERGE_TOL past the end of the one before
+    (that would split the set).  In exact
     arithmetic the stable set is bounded: g1*g2 is a polynomial in d,
     constant only where both slopes vanish, and there a1*a2 = 1.  So no
     distance past the last root is tested.
@@ -361,7 +362,7 @@ def _supremum(l, f, r1, r2, pick, ascending, sqrt):
         split = split | (stable & found & (lo - d_max > _MERGE_TOL))
         found = found | stable
         d_max = pick(stable, c, d_max)
-    return d_max, split, found
+    return d_max, found > split, found  # found and not split, on bools and bool columns
 
 
 def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceIntervals:
@@ -381,16 +382,6 @@ def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceI
         (lo, hi) for lo, hi in zip(points, points[1:]) if _gap(l, f, r1, r2, lo, hi)]))
 
 
-def _reach(l: float, f: float, r1: float, r2: float) -> tuple[float, bool, str]:
-    """(d_max, contiguous, flag) of max_transmission_distance on valid elements.
-
-    _supremum on the row kit; the flag is "" when some distance is stable,
-    else "no-stable-region" (d_max 0).
-    """
-    d_max, split, found = _supremum(l, f, r1, r2, _pick, _ascending, math.sqrt)
-    return (d_max, not split, "") if found else (0.0, False, "no-stable-region")
-
-
 def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
     """Supremum of the stable distance set plus a contiguity flag.
 
@@ -403,8 +394,9 @@ def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
     NoStableRegionError
         When no distance is stable.
     """
-    d_max, contiguous, flag = _reach(geom.l, geom.f, geom.r1, geom.r2)
-    if flag:
+    d_max, contiguous, found = _supremum(
+        geom.l, geom.f, geom.r1, geom.r2, _pick, _ascending, math.sqrt)
+    if not found:
         raise NoStableRegionError("no transmission distance satisfies 0 < g1*g2 < 1")
     return MaxDistance(d_max, contiguous)
 

@@ -26,7 +26,7 @@ class Dataset:
         if len(lengths) > 1:
             raise ValueError(f"columns have unequal lengths: {lengths}")
         n = lengths.pop() if lengths else 0
-        self.flags: list[str] = flags or [""] * n
+        self.flags: list[str] = [""] * n if flags is None else flags
         self.provenance: dict[str, str] = {} if provenance is None else provenance
         if len(self.flags) != n:
             raise ValueError(f"{len(self.flags)} flags for {n} rows")

@@ -4,12 +4,13 @@ The point solvers ``required_input_power`` and ``calibrate_aperture`` live in
 :mod:`resbeam.powerchain`, and the R1 design search ``r1_range_for_distance``
 in :mod:`resbeam.cavity`; all three are re-exported here under the same names.
 
-Each dataset rule is written once, on the operations of a kit (see Kit), and
-runs on the unchecked bodies of the power stages, the connected r2 and the
-reach, which flag a row rather than raise.  A grid of up to ROWS_MAX points
-runs its rules row by row on the row kit, without numpy: every figure (200
-points) and the CLI's default sweeps run so.  A longer grid runs them on the
-column kit of :mod:`resbeam.columns`, with the same bits.  Rows that cannot be
+Each dataset rule is written once, on the primitives of a kit (see Kit): it
+calls the unchecked bodies of the power stages, the connected-branch design
+and the reach itself, with the kit's pick, ascending and sqrt, and flags a
+row rather than raise.  A grid of up to ROWS_MAX points runs its rules row by
+row on the row kit, without numpy: every figure (200 points) and the CLI's
+default sweeps run so.  A longer grid runs them on the column kit of
+:mod:`resbeam.columns`, with the same bits.  Rows that cannot be
 evaluated (unstable cavity, no branch solution, ratios at zero input) carry
 zeros plus a flag token rather than being dropped.
 """
@@ -22,13 +23,14 @@ from collections.abc import Callable
 
 from .cavity import (
     BRANCHES,
+    _ascending,
     _check_l_f,
     _design,
     _g_terms,
     _pick,
     _radii,
-    _reach,
     _stable_at,
+    _supremum,
     connecting_r2,
     is_stable,
     r1_range_for_distance,
@@ -40,7 +42,6 @@ from .errors import Record, UnknownFigureError, require
 from .powerchain import (
     SystemParams,
     _beam,
-    _clamp,
     _ladder,
     _pv,
     _ratio,
@@ -89,39 +90,23 @@ def _checked_grid(variable: str, points) -> list[float]:
     return grid
 
 
-# The operations the dataset rules run on, one float at a time in the row kit
-# ROWS (no numpy) or a numpy column at a time in resbeam.columns.COLUMNS, with
-# the same bits.  A rule ``rule(k, x) -> (values, marks)`` is written once on
-# them; ``marks`` are (mask, token) pairs, and the first that holds gives a row
-# its flag.  clamp(x) is max(0.0, x) and ratio(num, den) is num/den where
-# den > 0, else 0.0.  when(ok, row, token) is row() where the mask ok holds and
-# zero values flagged token elsewhere: rows call row() only where ok holds,
-# columns call it once.  design(l, f, r1, branch) is ((r2, d_max, contiguous),
-# marks) of the connected-branch design at r1 (cavity._design), zero where it
-# has no design or no stable distance, and reach(l, f, r1, r2) is
-# ((d_max, contiguous), marks) of the generic reach at a fixed r2, zero where no
-# distance is stable.
-Kit = namedtuple("Kit", "clamp ratio exp sqrt when design reach")
+# The primitives the dataset rules and the bodies they call run on, one float
+# at a time in the row kit ROWS (no numpy) or a numpy column at a time in
+# resbeam.columns.COLUMNS, with the same bits.  A rule ``rule(k, x) -> (values,
+# marks)`` is written once on them; ``marks`` are (mask, token) pairs, and the
+# first that holds gives a row its flag.  pick(mask, a, b) is a where the mask
+# holds, else b, and ascending(roots) the boundary roots in ascending order (see
+# cavity._boundaries).  when(ok, row, token) is row() where the mask ok holds
+# and zero values flagged token elsewhere: rows call row() only where ok holds,
+# columns call it once.
+Kit = namedtuple("Kit", "pick ascending exp sqrt when")
 
 
 def _when(ok: bool, row: Callable, token: str) -> tuple:
     return row() if ok else ((), ((True, token),))
 
 
-def _design_row(l: float, f: float, r1: float, branch: str) -> tuple:
-    r2, d_max, ok, found = _design(l, f, r1, branch, _pick)
-    if not ok:
-        return (), ((True, "no-solution"),)
-    return ((r2, d_max, 1.0) if found else (r2, 0.0, 0.0)), ((not found, "no-stable-region"),)
-
-
-def _reach_row(l: float, f: float, r1: float, r2: float) -> tuple:
-    d_max, contiguous, flag = _reach(l, f, r1, r2)
-    return ((0.0, 0.0) if flag else (d_max, float(contiguous))), ((True, flag),)
-
-
-ROWS = Kit(clamp=_clamp, ratio=_ratio, exp=math.exp, sqrt=math.sqrt,
-           when=_when, design=_design_row, reach=_reach_row)
+ROWS = Kit(pick=_pick, ascending=_ascending, exp=math.exp, sqrt=math.sqrt, when=_when)
 
 
 def _tagged(name: str, tag: str) -> str:
@@ -206,7 +191,7 @@ def _per_drive(k, out, drive, below=False) -> tuple:
     flagged below-threshold."""
     below = (out == 0.0) & (drive > 0) & below
     marks = (drive == 0.0, "undefined-at-zero"), (below, "below-threshold")
-    return (out, k.ratio(out, drive)), marks
+    return (out, _ratio(out, drive, k.pick)), marks
 
 
 def _unstable(k, x) -> tuple:
@@ -241,15 +226,16 @@ def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Callable:
     _check_l_f(l, f)
 
     def rule(k, r1):
-        values, marks = k.design(l, f, r1, branch)
-        return values[keep], marks
+        r2, d_max, ok, found = _design(l, f, r1, branch, k.pick)
+        values = k.pick(ok, r2, 0.0), k.pick(found, d_max, 0.0), found * 1.0
+        return values[keep], ((found, ""), (ok, "no-stable-region"), (True, "no-solution"))
 
     return rule
 
 
 def _d_rule(p: SystemParams) -> Callable:
     def at(k, fd):
-        (_, _, pb, po), (_, eta_trans, _, eta_all) = _ladder(p.p_in, fd, p, k.clamp, k.ratio)
+        (_, _, pb, po), (_, eta_trans, _, eta_all) = _ladder(p.p_in, fd, p, k.pick)
         return (fd, pb, eta_trans, po, eta_all), [((po == 0.0) & (p.p_in > 0), "below-threshold")]
 
     return _at_distance(p, at)
@@ -257,7 +243,7 @@ def _d_rule(p: SystemParams) -> Callable:
 
 def _p_in_rule(p: SystemParams) -> Callable:
     def rule(k, p_in, fd):
-        (_, ps, pb, po), (_, _, _, eta_all) = _ladder(p_in, fd, p, k.clamp, k.ratio)
+        (_, ps, pb, po), (_, _, _, eta_all) = _ladder(p_in, fd, p, k.pick)
         return (ps, pb, po, eta_all), [((po == 0.0) & (p_in > 0), "below-threshold")]
 
     return _held(p, p.d, rule)
@@ -265,14 +251,14 @@ def _p_in_rule(p: SystemParams) -> Callable:
 
 def _p_stored_rule(p: SystemParams) -> Callable:
     def rule(k, ps, fd):
-        values, marks = _per_drive(k, _beam(ps, fd, p.gain, k.clamp), ps, below=True)
+        values, marks = _per_drive(k, _beam(ps, fd, p.gain, k.pick), ps, below=True)
         return (fd, *values), marks
 
     return _held(p, p.d, rule)
 
 
 def _p_beam_rule(p: SystemParams) -> Callable:
-    return lambda k, pb: _per_drive(k, _pv(pb, p.pv, k.clamp), pb, below=True)
+    return lambda k, pb: _per_drive(k, _pv(pb, p.pv, k.pick), pb, below=True)
 
 
 def _r1_rule(p: SystemParams) -> Callable:
@@ -282,8 +268,9 @@ def _r1_rule(p: SystemParams) -> Callable:
         def row():
             _, g1, g2 = _g_terms(l, f, r1, r2, d)
             gg = g1 * g2
-            (d_max, contiguous), marks = k.reach(l, f, r1, r2)
-            return (g1, g2, ((0.0 < gg) & (gg < 1.0)) * 1.0, d_max, contiguous), marks
+            d_max, contiguous, found = _supremum(l, f, r1, r2, k.pick, k.ascending, k.sqrt)
+            return ((g1, g2, ((0.0 < gg) & (gg < 1.0)) * 1.0, d_max, contiguous * 1.0),
+                    ((found, ""), (True, "no-stable-region")))
 
         # the grid is finite, so 0.0 is the one R1 CavityGeometry rejects
         return k.when(r1 != 0.0, row, "invalid-r1")
@@ -360,12 +347,12 @@ def _fig8(p: SystemParams, prov: dict) -> dict[str, Callable]:
 
 def _beams(k, ps, fd, p: SystemParams) -> tuple:
     """((P_beam, eta_trans), marks) at stored power ps and slope fd."""
-    return _per_drive(k, _beam(ps, fd, p.gain, k.clamp), ps)
+    return _per_drive(k, _beam(ps, fd, p.gain, k.pick), ps)
 
 
 def _outputs(k, p_in, fd, p: SystemParams) -> tuple:
     """((P_out, eta_all), no marks) of the ladder at input power p_in and slope fd."""
-    (_, _, _, p_out), (_, _, _, eta_all) = _ladder(p_in, fd, p, k.clamp, k.ratio)
+    (_, _, _, p_out), (_, _, _, eta_all) = _ladder(p_in, fd, p, k.pick)
     return (p_out, eta_all), ()
 
 
@@ -385,7 +372,7 @@ _FIGURES = {
          lambda p, prov: {f"ps{ps:g}": _at_distance(p, lambda k, fd, ps=ps: _beams(k, ps, fd, p))
                           for ps in (10.0, 20.0, 30.0)}),
     11: ((0.0, 30.0), "P_beam_W", ("P_pv_W", "eta_pv"), False,
-         lambda p, prov: {"": lambda k, pb: _per_drive(k, _pv(pb, p.pv, k.clamp), pb)}),
+         lambda p, prov: {"": lambda k, pb: _per_drive(k, _pv(pb, p.pv, k.pick), pb)}),
     12: ((0.0, 100.0), "P_in_W", ("P_out_W", "eta_all"), False,
          lambda p, prov: {f"d{d:g}": _held(p, d, lambda k, p_in, fd: _outputs(k, p_in, fd, p))
                           for d in (1.0, 5.0)}),

@@ -11,8 +11,8 @@ The bundle and its parts check every parameter range once, when they are
 built, and raise :class:`UnitError` naming the configuration key.  The
 stages share their arithmetic with the dataset rules of :mod:`resbeam.explorer`
 through the unchecked bodies ``_stored``, ``_beam``, ``_pv`` and ``_ladder``,
-which take the clamp and ratio of the rows or of the numpy columns.  The
-inverse solvers at the end of the module answer point design questions.
+which take the selection ``pick`` of a kit: cavity._pick on floats,
+numpy.where on columns.  The inverse solvers at the end of the module answer point design questions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .cavity import CavityGeometry, is_stable
+from .cavity import CavityGeometry, _pick, is_stable
 from .diffraction import fundamental_loss_vs_distance
 from .errors import (
     InfeasibleTargetError,
@@ -111,28 +111,28 @@ class Thresholds(NamedTuple):
     p_in: float
 
 
-# The stage bodies, unchecked.  They take the clamp and ratio of a kit, so they
-# run on floats (_clamp, _ratio) and on numpy columns (resbeam.columns) alike.
+# The stage bodies, unchecked.  They take the selection pick of a kit, so they
+# run on floats (cavity._pick) and on numpy columns (numpy.where) alike.  A
+# clamp is pick(x > 0.0, x, 0.0): max(0.0, x), where -0.0 and NaN read 0.0.
 
 
-def _clamp(x: float) -> float:
-    return x if x > 0.0 else 0.0  # max(0.0, x): -0.0 and NaN read 0.0
-
-
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0  # the below-threshold efficiency rule
+def _ratio(num, den, pick):
+    """num/den where den > 0, else 0.0: the below-threshold efficiency rule."""
+    return pick(den > 0, num, 0.0) / pick(den > 0, den, 1.0)
 
 
 def _stored(p_in, gain: GainParams):
     return gain.eta_stored * p_in
 
 
-def _beam(p_stored, fd, gain: GainParams, clamp):
-    return clamp(fd * p_stored + gain.c)
+def _beam(p_stored, fd, gain: GainParams, pick):
+    x = fd * p_stored + gain.c
+    return pick(x > 0.0, x, 0.0)
 
 
-def _pv(p_beam, pv: PvParams, clamp):
-    return clamp(pv.a1 * p_beam + pv.b1)
+def _pv(p_beam, pv: PvParams, pick):
+    x = pv.a1 * p_beam + pv.b1
+    return pick(x > 0.0, x, 0.0)
 
 
 def stored_power(p_in: float, gain: GainParams) -> float:
@@ -167,7 +167,7 @@ def beam_at(p_stored: float, fd: float, gain: GainParams) -> float:
     """Extracted beam power max(0, fd*p_stored + c) at a held slope fd = f(d)."""
     if not (p_stored >= 0 and math.isfinite(p_stored)):
         require("p_stored", p_stored, False, "finite and >= 0")
-    return _beam(p_stored, fd, gain, _clamp)
+    return _beam(p_stored, fd, gain, _pick)
 
 
 def beam_power(p_stored: float, d: float, p: SystemParams) -> float:
@@ -189,7 +189,7 @@ def transmission_efficiency(p_stored: float, d: float, p: SystemParams) -> float
 def pv_output(p_beam: float, pv: PvParams) -> float:
     """Photovoltaic output max(0, a1*p_beam + b1); zero below the PV threshold."""
     require("p_beam", p_beam, 0.0 <= p_beam < math.inf, "finite and >= 0")
-    return _pv(p_beam, pv, _clamp)
+    return _pv(p_beam, pv, _pick)
 
 
 def pv_efficiency(p_beam: float, pv: PvParams) -> float:
@@ -202,13 +202,14 @@ def pv_efficiency(p_beam: float, pv: PvParams) -> float:
     return pv_output(p_beam, pv) / p_beam
 
 
-def _ladder(p_in, fd, p: SystemParams, clamp, ratio) -> tuple[PowerState, EfficiencyBreakdown]:
+def _ladder(p_in, fd, p: SystemParams, pick) -> tuple[PowerState, EfficiencyBreakdown]:
     """The three stages at input power p_in and slope fd; an overflow reads inf."""
     p_stored = _stored(p_in, p.gain)
-    p_beam = _beam(p_stored, fd, p.gain, clamp)
-    p_out = _pv(p_beam, p.pv, clamp)
+    p_beam = _beam(p_stored, fd, p.gain, pick)
+    p_out = _pv(p_beam, p.pv, pick)
     return PowerState(p_in, p_stored, p_beam, p_out), EfficiencyBreakdown(
-        p.gain.eta_stored, ratio(p_beam, p_stored), ratio(p_out, p_beam), ratio(p_out, p_in))
+        p.gain.eta_stored, _ratio(p_beam, p_stored, pick), _ratio(p_out, p_beam, pick),
+        _ratio(p_out, p_in, pick))
 
 
 def ladder_at(p_in: float, fd: float, p: SystemParams) -> tuple[PowerState, EfficiencyBreakdown]:
@@ -217,7 +218,7 @@ def ladder_at(p_in: float, fd: float, p: SystemParams) -> tuple[PowerState, Effi
     Raises UnitError for a bad p_in, and for a beam power that overflowed.
     """
     require("p_in", p_in, 0.0 <= p_in < math.inf, "finite and >= 0")
-    state, eff = _ladder(p_in, fd, p, _clamp, _ratio)
+    state, eff = _ladder(p_in, fd, p, _pick)
     require("p_beam", state.p_beam, state.p_beam < math.inf, "finite and >= 0")  # as pv_output
     return state, eff
 

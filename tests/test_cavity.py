@@ -290,7 +290,7 @@ class TestMaxTransmissionDistance:
         md = max_transmission_distance(CavityGeometry(l=l, f=FLAT, r1=FLAT, r2=r2))
         assert abs(md.d_max - (r2 - l)) <= 2 * math.ulp(r2 - l) and md.contiguous
         with np.errstate(all="ignore"):
-            (d_max, contiguous), _ = COLUMNS.reach(l, FLAT, FLAT, r2)
+            d_max, contiguous, _ = column_reach(*map(np.atleast_1d, (l, FLAT, FLAT, r2)))
         assert (bits(d_max[0]), bool(contiguous[0])) == (bits(md.d_max), True)
 
     def test_no_stable_region(self):
@@ -496,6 +496,11 @@ def columns_of(geoms):
     return [np.array([getattr(g, k) for g in geoms]) for k in ("l", "f", "r1", "r2")]
 
 
+def column_reach(l, f, r1, r2):
+    """(d_max, contiguous, found) of the reach body on the column kit's primitives."""
+    return cavity._supremum(l, f, r1, r2, COLUMNS.pick, COLUMNS.ascending, COLUMNS.sqrt)
+
+
 def bits(x: float) -> str:
     return float(x).hex()
 
@@ -509,14 +514,14 @@ class TestColumnKernels:
     @example([CavityGeometry(l=0.25, f=0.1, r1=0.75, r2=-0.25)])
     def test_reach_matches_max_transmission_distance(self, geoms):
         with np.errstate(all="ignore"):
-            (d_max, contiguous), marks = COLUMNS.reach(*columns_of(geoms))
+            d_max, contiguous, found = column_reach(*columns_of(geoms))
         for i, g in enumerate(geoms):
             try:
                 md = max_transmission_distance(g)
                 want = ("", bits(md.d_max), md.contiguous)
             except NoStableRegionError:
                 want = ("no-stable-region", bits(0.0), False)
-            first = next((token for mask, token in marks if mask[i]), "")
+            first = "" if found[i] else "no-stable-region"
             assert (first, bits(d_max[i]), bool(contiguous[i])) == want, g
 
     @settings(max_examples=200, deadline=None)
@@ -550,9 +555,10 @@ class TestColumnKernels:
     @example(1e308, 1.0000000000000004e308, [-5.551115123125724e292], TANGENT)
     @example(0.05478167673755327, 0.05478167673755327, [-1.0], ORIGIN)  # l = f, c0 = -1.1e-16
     def test_connecting_r2_columns_match_scalar(self, l, f, r1s, branch):
+        # the design rule runs cavity._design on the column; its marks are found, ok, True
         with np.errstate(all="ignore"):
-            (r2, _, _), ((no_solution, _), _) = COLUMNS.design(l, f, np.array(r1s), branch)
-        solvable = ~no_solution
+            (r2, _, _), (_, (solvable, _), _) = explorer._design_rule(l, f, branch)(
+                COLUMNS, np.array(r1s))
         for i, r1 in enumerate(r1s):
             try:
                 want = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch)).r2
@@ -585,7 +591,7 @@ class TestListReference:
     @example([geom(), geom(r2=3.0), geom(r2=connecting_r2(0.06, 0.88, -1.0, TANGENT))], 5.0)
     def test_reach_and_intervals_match_the_list_route(self, geoms, d_limit):
         with np.errstate(all="ignore"):
-            (d_max, contiguous), marks = COLUMNS.reach(*columns_of(geoms))
+            d_max, contiguous, found = column_reach(*columns_of(geoms))
         for i, g in enumerate(geoms):
             elements = (g.l, g.f, g.r1, g.r2)
             ref_d, ref_contiguous, ref_flag = oracles.list_reach(*elements)
@@ -595,7 +601,7 @@ class TestListReference:
                 assert ("", bits(md.d_max), md.contiguous) == want, g
             except NoStableRegionError:
                 assert ref_flag == "no-stable-region", g
-            first = next((token for mask, token in marks if mask[i]), "")
+            first = "" if found[i] else "no-stable-region"
             assert (first, bits(d_max[i]), bool(contiguous[i])) == want, g
             got = stable_distance_intervals(g, d_limit).intervals
             assert interval_bits(got) == interval_bits(oracles.list_intervals(*elements, d_limit))

@@ -498,11 +498,9 @@ class TestR1RangeForDistance:
         def column_call(*args):
             raise AssertionError("column kernel called")
 
-        # explorer reaches the column kernels only through the kit resbeam.columns.COLUMNS
-        for name in ("_reach", "_design_column"):
-            monkeypatch.setattr(resbeam.columns, name, column_call)
+        # the bodies run on columns only through the kit resbeam.columns.COLUMNS
         monkeypatch.setattr(resbeam.columns, "COLUMNS", resbeam.columns.COLUMNS._replace(
-            reach=column_call, design=column_call))
+            pick=column_call, ascending=column_call))
         assert len(r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5))) == 1
         assert resbeam.explorer.r1_range_for_distance is resbeam.cavity.r1_range_for_distance
 
@@ -739,6 +737,14 @@ class TestDatasetSerialization:
             with pytest.raises(ValueError, match="contains NaN or inf"):
                 Dataset({"x": np.array([1.0, bad])})
 
+    @pytest.mark.parametrize("flags", [[], ["a"], ["a", "b", "c"]])
+    def test_flag_count_must_match_the_rows(self, flags):
+        # an empty list is a count like any other, not "all clean"
+        with pytest.raises(ValueError, match=f"{len(flags)} flags for 2 rows"):
+            Dataset({"x": [1.0, 2.0]}, flags)
+        assert Dataset({"x": [1.0, 2.0]}).flags == ["", ""]
+        assert Dataset({}, []).n_rows == 0
+
     def test_json_never_writes_a_non_standard_constant(self):
         ds = Dataset({"x": np.array([1.0, 2.0])})
         ds.columns["x"][1] = math.inf  # past the checks of construction
@@ -780,16 +786,18 @@ class TestDatasetSerialization:
 class TestColumnDrivers:
     # the scalar kernels a per-row loop calls, by the name each counts under; grids past
     # ROWS_MAX evaluate columns instead.  Every reach, max_transmission_distance's and a row's
-    # alike, runs through the private body cavity._reach, so that body is what is counted;
-    # figure 8's rows run the radii body cavity._radii, not beam_radii.
-    SCALAR_KERNELS = {"_reach": "max_transmission_distance", "is_stable": "is_stable",
+    # alike, runs the private body cavity._supremum, so its calls on a float R1 (not on an R1
+    # column) are what is counted; figure 8's rows run the radii body cavity._radii, not
+    # beam_radii.
+    SCALAR_KERNELS = {"_supremum": "max_transmission_distance", "is_stable": "is_stable",
                       "g_parameters": "g_parameters", "_radii": "_radii"}
 
     def count_scalar_calls(self, monkeypatch, build) -> Counter:
         calls = Counter()
         for name, counts_as in self.SCALAR_KERNELS.items():
             def counted(*args, _name=counts_as, _kernel=getattr(resbeam.cavity, name), **kwargs):
-                calls[_name] += 1
+                if _name != "max_transmission_distance" or isinstance(args[2], float):
+                    calls[_name] += 1
                 return _kernel(*args, **kwargs)
 
             for module in (resbeam.explorer, resbeam.cavity):
@@ -828,17 +836,16 @@ class TestColumnDrivers:
         assert calls["max_transmission_distance"] == 0 and calls["_radii"] == stable_pairs
 
     def count_generic_reaches(self, monkeypatch, build) -> Counter:
-        """Calls of the generic reach: cavity._reach (rows) and its body cavity._supremum
-        (rows through _reach, and columns)."""
+        """Calls of the generic reach body cavity._supremum, on rows (a float R1) and on
+        columns (an R1 column)."""
         calls = Counter()
-        for name, modules in (("_reach", (resbeam.explorer, resbeam.cavity)),
-                              ("_supremum", (resbeam.cavity, resbeam.columns))):
-            def counted(*args, _name=name, _body=getattr(resbeam.cavity, name)):
-                calls[_name] += 1
-                return _body(*args)
 
-            for module in modules:
-                monkeypatch.setattr(module, name, counted)
+        def counted(*args, _body=resbeam.cavity._supremum):
+            calls["rows" if isinstance(args[2], float) else "columns"] += 1
+            return _body(*args)
+
+        for module in (resbeam.explorer, resbeam.cavity):
+            monkeypatch.setattr(module, "_supremum", counted)
         build()
         monkeypatch.undo()
         return calls
@@ -853,8 +860,8 @@ class TestColumnDrivers:
         assert calls == Counter()
         # the fixed-r2 callers keep the generic reach: the R1 sweep, one row or column at a
         # time, and max_transmission_distance
-        for r1s, want in ((rows, Counter(_reach=200, _supremum=200)), (columns, Counter(_supremum=1))):
+        for r1s, want in ((rows, Counter(rows=200)), (columns, Counter(columns=1))):
             spec = SweepSpec("R1", r1s, default_params)
             assert self.count_generic_reaches(monkeypatch, lambda: sweep(spec)) == want
         reach = lambda: resbeam.cavity.max_transmission_distance(default_params.geometry)
-        assert self.count_generic_reaches(monkeypatch, reach) == Counter(_reach=1, _supremum=1)
+        assert self.count_generic_reaches(monkeypatch, reach) == Counter(rows=1)

@@ -5,9 +5,8 @@ aperture diffraction loss, and the three-stage electrical-to-electrical
 power chain, plus deterministic design-space sweeps.
 
 numpy loads only on the column path, where explorer._by_columns runs a grid
-past 256 points on the column kit resbeam.columns.COLUMNS, the one public name
-of that module, and in Dataset.column().
-The grid drivers and datasets load on first use.
+past 256 points on the column kit explorer._column_kit(), and in
+Dataset.column().  The grid drivers and datasets load on first use.
 """
 
 from importlib import import_module as _import_module
@@ -92,7 +91,7 @@ _LAZY = {
     "reproduce_figure": "explorer",
     "sweep": "explorer",
 }
-_LAZY_MODULES = ("columns", "dataset", "explorer")
+_LAZY_MODULES = ("dataset", "explorer")
 
 
 def __getattr__(name: str):

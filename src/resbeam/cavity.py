@@ -162,6 +162,12 @@ def _g_terms(l, f, r1, r2, d):
     return L, 1.0 - d * phi - L * (1.0 / r1), 1.0 - l * phi - L * (1.0 / r2)
 
 
+def _stable(g):
+    """The stability test 0 < g1*g2 < 1, strict, of g = _g_terms(...): a bool or a mask."""
+    gg = g[1] * g[2]
+    return (0.0 < gg) & (gg < 1.0)
+
+
 def _u_terms(l, r1, r2, d):
     """(u1, u2) = (l*(1 - l/r1), d*(1 - d/r2)), the radius intermediates."""
     return l * (1.0 - l * (1.0 / r1)), d * (1.0 - d * (1.0 / r2))
@@ -231,8 +237,7 @@ def g_parameters(geom: CavityGeometry, d: float) -> CavityDerived:
 
 def is_stable(geom: CavityGeometry, d: float) -> bool:
     """True iff 0 < g1*g2 < 1 with strict inequalities."""
-    _, g1, g2 = _g_at(geom, d)
-    return 0.0 < g1 * g2 < 1.0
+    return _stable(_g_at(geom, d))
 
 
 def _affine(l, f, r1, r2):
@@ -310,13 +315,6 @@ def _roots(a1, b1, a2, b2, pick, sqrt):
     )
 
 
-def _stable_at(l, f, r1, r2, d):
-    """is_stable of valid elements at a finite d >= 0, on floats or numpy columns."""
-    _, g1, g2 = _g_terms(l, f, r1, r2, d)
-    gg = g1 * g2
-    return (0.0 < gg) & (gg < 1.0)
-
-
 def _boundaries(l, f, r1, r2, pick, ascending, sqrt):
     """(lo, c, keep) for each boundary root c of valid elements, in ascending order.
 
@@ -342,7 +340,7 @@ def _gap(l, f, r1, r2, lo, hi):
     g1 = 0 and g2 = 0, and where a tangent touch point's discriminant rounds
     negative, the gap between those roots has g1*g2 = 1 there, to rounding.
     """
-    return (hi - lo > _MERGE_TOL) & _stable_at(l, f, r1, r2, lo + 0.25 * (hi - lo))
+    return (hi - lo > _MERGE_TOL) & _stable(_g_terms(l, f, r1, r2, lo + 0.25 * (hi - lo)))
 
 
 def _supremum(l, f, r1, r2, pick, ascending, sqrt):
@@ -567,10 +565,9 @@ def beam_radii(geom: CavityGeometry, d: float, wavelength: float) -> BeamRadii:
     """
     require("wavelength", wavelength, 0.0 < wavelength < math.inf, "finite and > 0")
     g = _g_at(geom, d)
-    gg = g[1] * g[2]
-    if not 0.0 < gg < 1.0:
+    if not _stable(g):
         raise UnstableConfigurationError(
-            f"g1*g2 = {gg}: mode radii require 0 < g1*g2 < 1"
+            f"g1*g2 = {g[1] * g[2]}: mode radii require 0 < g1*g2 < 1"
         )
     radii = _radii(geom.l, geom.f, geom.r1, geom.r2, d, g, wavelength / math.pi, math.sqrt)
     return BeamRadii(*radii)

@@ -82,15 +82,10 @@ class UnitError(ConfigError, ValueError):
         super().__init__(f"{key}: {message}")
 
 
-def rule_error(key: str, value: object, rule: str) -> UnitError:
-    """UnitError(key, "must be <rule>, got <repr(value)>"), for a body that returns its error."""
-    return UnitError(key, f"must be {rule}, got {value!r}", repr(value))
-
-
 def require(key: str, value: object, ok: bool, rule: str) -> None:
-    """Unless ok, raise rule_error(key, value, rule)."""
+    """Unless ok, raise UnitError(key, "must be <rule>, got <repr(value)>")."""
     if not ok:
-        raise rule_error(key, value, rule)
+        raise UnitError(key, f"must be {rule}, got {value!r}", repr(value))
 
 
 class Record:

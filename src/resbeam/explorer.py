@@ -9,8 +9,10 @@ calls the unchecked bodies of the power stages, the connected-branch design
 and the reach itself, with the kit's pick, ascending and sqrt, and flags a
 row rather than raise.  A grid of up to ROWS_MAX points runs its rules row by
 row on the row kit, without numpy: every figure (200 points) and the CLI's
-default sweeps run so.  A longer grid runs them on the column kit of
-:mod:`resbeam.columns`, with the same bits.  Rows that cannot be
+default sweeps run so.  A longer grid runs them on the column kit, on numpy
+columns, with the same bits, under ``np.errstate(all="ignore")``: like Python
+floats, the columns overflow to inf and give NaN for inf*0 (a subnormal radius
+does both), and such a row is flagged, not warned of.  Rows that cannot be
 evaluated (unstable cavity, no branch solution, ratios at zero input) carry
 zeros plus a flag token rather than being dropped.
 """
@@ -29,7 +31,7 @@ from .cavity import (
     _g_terms,
     _pick,
     _radii,
-    _stable_at,
+    _stable,
     _supremum,
     connecting_r2,
     is_stable,
@@ -78,9 +80,9 @@ class SweepSpec(Record):
 
 def _checked_grid(variable: str, points) -> list[float]:
     """The points as a nonempty list of floats, each finite, and >= 0 but for R1."""
-    try:
-        grid = _floats(points)
-    except TypeError:  # not a sequence, or a nested one
+    try:  # a string is a sequence, but of characters: "123" is no grid of three points
+        grid = [] if isinstance(points, (str, bytes)) else _floats(points)
+    except (TypeError, ValueError):  # not a sequence, a nested one, or one with a non-number
         grid = []
     require("grid", points, len(grid) > 0, "a nonempty sequence of numbers")
     signed = variable == "R1"
@@ -91,8 +93,8 @@ def _checked_grid(variable: str, points) -> list[float]:
 
 
 # The primitives the dataset rules and the bodies they call run on, one float
-# at a time in the row kit ROWS (no numpy) or a numpy column at a time in
-# resbeam.columns.COLUMNS, with the same bits.  A rule ``rule(k, x) -> (values,
+# at a time in the row kit ROWS (no numpy) or a numpy column at a time in the
+# column kit _column_kit(), with the same bits.  A rule ``rule(k, x) -> (values,
 # marks)`` is written once on them; ``marks`` are (mask, token) pairs, and the
 # first that holds gives a row its flag.  pick(mask, a, b) is a where the mask
 # holds, else b, and ascending(roots) the boundary roots in ascending order (see
@@ -107,6 +109,25 @@ def _when(ok: bool, row: Callable, token: str) -> tuple:
 
 
 ROWS = Kit(pick=_pick, ascending=_ascending, exp=math.exp, sqrt=math.sqrt, when=_when)
+
+
+def _column_kit() -> Kit:
+    """The kit on numpy columns; numpy loads here.  Its when evaluates every row
+    and zeroes those outside its mask."""
+    import numpy as np
+
+    def when(ok: np.ndarray, row: Callable, token: str) -> tuple:
+        values, marks = row()
+        return [np.where(ok, v, 0.0) for v in values], ((~ok, token), *marks)
+
+    return Kit(
+        pick=np.where,
+        # _affine of a scalar l, f and r2 with an R1 column gives some roots 0-d
+        ascending=lambda roots: np.sort(np.broadcast_arrays(*roots), axis=0),
+        # math.exp, not np.exp: numpy's exp differs in the last bit for some arguments
+        exp=lambda x: np.array([math.exp(v) for v in x.tolist()]),
+        sqrt=np.sqrt, when=when,
+    )
 
 
 def _tagged(name: str, tag: str) -> str:
@@ -149,13 +170,12 @@ def _by_columns(xs: list[float], width: int, rules: dict, join: bool):
     """(columns, flags) of the rules run on the column kit; numpy loads here."""
     import numpy as np
 
-    from .columns import COLUMNS
-
+    kit = _column_kit()
     grid = np.array(xs)
     table, flags = [grid], None
     with np.errstate(all="ignore"):
         for tag, rule in rules.items():
-            values, marks = rule(COLUMNS, grid)
+            values, marks = rule(kit, grid)
             table += [np.full(len(xs), v) if np.ndim(v) == 0 else v for v in values]
             table += [np.zeros(len(xs))] * (width - len(values))
             first = np.full(len(xs), "", dtype=object)
@@ -215,7 +235,7 @@ def _at_distance(p: SystemParams, at: Callable) -> Callable:
         def row():
             return at(k, coefficient_at_loss(k.exp(_tem00_exponent(a, wavelength, l, d)), gain))
 
-        return k.when(_stable_at(l, f, r1, r2, d), row, "unstable")
+        return k.when(_stable(_g_terms(l, f, r1, r2, d)), row, "unstable")
 
     return rule
 
@@ -266,10 +286,9 @@ def _r1_rule(p: SystemParams) -> Callable:
 
     def rule(k, r1):
         def row():
-            _, g1, g2 = _g_terms(l, f, r1, r2, d)
-            gg = g1 * g2
+            g = _g_terms(l, f, r1, r2, d)
             d_max, contiguous, found = _supremum(l, f, r1, r2, k.pick, k.ascending, k.sqrt)
-            return ((g1, g2, ((0.0 < gg) & (gg < 1.0)) * 1.0, d_max, contiguous * 1.0),
+            return ((g[1], g[2], _stable(g) * 1.0, d_max, contiguous * 1.0),
                     ((found, ""), (True, "no-stable-region")))
 
         # the grid is finite, so 0.0 is the one R1 CavityGeometry rejects
@@ -328,9 +347,8 @@ def _radii_rule(l: float, f: float, r1: float, r2: float, wavelength: float) -> 
 
     def rule(k, d):
         g = _g_terms(l, f, r1, r2, d)
-        gg = g[1] * g[2]
-        return k.when((0.0 < gg) & (gg < 1.0),
-                      lambda: (_radii(l, f, r1, r2, d, g, lam_pi, k.sqrt), ()), "unstable")
+        return k.when(_stable(g), lambda: (_radii(l, f, r1, r2, d, g, lam_pi, k.sqrt), ()),
+                      "unstable")
 
     return rule
 

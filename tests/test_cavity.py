@@ -31,10 +31,10 @@ from resbeam import (
     stable_distance_intervals,
 )
 from resbeam import cavity, explorer, max_distance_vs_r1
-from resbeam.columns import COLUMNS
 
 import oracles
 
+COLUMNS = explorer._column_kit()
 LAM = 1.064e-6
 
 
@@ -535,7 +535,7 @@ class TestColumnKernels:
         d = np.array(ds + [0.0])
         with np.errstate(all="ignore"):
             L, g1, g2 = cavity._g_terms(g.l, g.f, g.r1, g.r2, d)
-            stable = cavity._stable_at(g.l, g.f, g.r1, g.r2, d)
+            stable = cavity._stable(cavity._g_terms(g.l, g.f, g.r1, g.r2, d))
         for i, x in enumerate(d.tolist()):
             der = g_parameters(g, x)
             want = (bits(der.L), bits(der.g1), bits(der.g2))

@@ -276,6 +276,7 @@ DATASET_COMMANDS = {
 } | {f"reproduce-{fid}-{fmt}": ["reproduce", "--figure", str(fid), "--format", fmt]
      for fid in range(6, 14) for fmt in ("csv", "json")}
 START_UPS = {"import-resbeam": "import resbeam", "import-resbeam.cli": "import resbeam.cli",
+             "star-import": "from resbeam import *",
              "mode-loss": "import resbeam; resbeam.mode_diffraction_loss(2, 3, 1e-3, 1e-3)"} | {
     name: f"import resbeam.cli; assert resbeam.cli.main({argv!r}) == 0"
     for name, argv in (SCALAR_COMMANDS | DATASET_COMMANDS).items()}
@@ -452,12 +453,16 @@ def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
     (["power", "--pin", "1_000W"], "UnitError", "parse"),
     (["stability", "--d", "1e300m"], "UnitError", "serialise"),
     (["reproduce", "--figure", "6", "--out", "{tmp}/missing/x.csv"], "IoError", "serialise"),
+    # a subnormal mode overlap makes f(d) read 0.0, so no input power reaches the target
+    (["design", "required-pin", "--pout", "1W", "--config", "{tmp}/faint.cfg"],
+     "UnreachableTargetError", "evaluate"),
 ], ids=["quantity", "config-syntax", "config-file", "flag-range", "config-range", "handler",
         "handler-range", "handler-quantity", "quantity-nan", "quantity-digits", "record",
-        "out-file"])
+        "out-file", "zero-slope"])
 def test_error_record_names_its_stage(capsys, tmp_path, argv, error, stage):
     (tmp_path / "syntax.cfg").write_text("d 1m\n")
     (tmp_path / "range.cfg").write_text("eta_stored = 1.5\n")
+    (tmp_path / "faint.cfg").write_text("m_overlap = 5e-324\n")
     code, out = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     rec = json.loads(out)
     assert (code, rec["error"], rec["stage"]) == (1, error, stage)

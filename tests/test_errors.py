@@ -79,6 +79,15 @@ CHECKS = [
     ("grid-increasing", lambda: SweepSpec("d", (1.0, 2.0, 2.0), REF), "grid", "(2.0, 2.0)"),
     ("grid-empty", lambda: SweepSpec("d", (), REF), "grid", "()"),
     ("grid-range", lambda: SweepSpec("d", (-5.0, 1.0), REF), "grid", "-5.0"),
+    # not a sequence of numbers: a string is one of characters, a float does not iterate,
+    # and a nested list holds lists
+    ("grid-text", lambda: SweepSpec("d", "abc", REF), "grid", "'abc'"),
+    ("grid-digits", lambda: SweepSpec("d", "123", REF), "grid", "'123'"),
+    ("grid-bytes", lambda: SweepSpec("d", b"123", REF), "grid", "b'123'"),
+    ("grid-scalar", lambda: SweepSpec("d", 5.0, REF), "grid", "5.0"),
+    ("grid-nested", lambda: SweepSpec("d", [[1.0, 2.0]], REF), "grid", "[[1.0, 2.0]]"),
+    ("grid-r1-text", lambda: max_distance_vs_r1(0.06, 0.88, [-1.0, "x"], "origin"),
+     "grid", "[-1.0, 'x']"),
     ("stored_power", lambda: stored_power(-1.0, REF.gain), "p_in", "-1.0"),
     ("gain_to_beam", lambda: gain_to_beam_coefficient(math.inf, REF), "d", "inf"),
     ("beam_at", lambda: beam_at(-1.0, 0.5, REF.gain), "p_stored", "-1.0"),

@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import resbeam.cavity
-import resbeam.columns
 import resbeam.explorer
 
 from resbeam import (
@@ -34,6 +33,7 @@ from resbeam import (
     emit_dataset,
     end_to_end,
     g_parameters,
+    gain_to_beam_coefficient,
     max_distance_vs_r1,
     is_stable,
     r1_range_for_distance,
@@ -282,6 +282,13 @@ class TestRequiredInputPower:
         with pytest.raises(UnreachableTargetError):
             required_input_power(1.0, 15.0, default_params)
 
+    def test_zero_slope_raises(self, default_params):
+        # a subnormal mode overlap makes f(d) read 0.0 at a stable d: no drive gives output
+        p = default_params._replace(gain=default_params.gain._replace(m_overlap=5e-324))
+        assert is_stable(p.geometry, 1.0) and gain_to_beam_coefficient(1.0, p) == 0.0
+        with pytest.raises(UnreachableTargetError, match="nonpositive end-to-end slope"):
+            required_input_power(1.0, 1.0, p)
+
     def test_rejects_non_finite_inputs(self, default_params):
         for bad in (math.nan, math.inf):
             with pytest.raises(UnitError, match="target_p_out: must be finite"):
@@ -498,9 +505,9 @@ class TestR1RangeForDistance:
         def column_call(*args):
             raise AssertionError("column kernel called")
 
-        # the bodies run on columns only through the kit resbeam.columns.COLUMNS
-        monkeypatch.setattr(resbeam.columns, "COLUMNS", resbeam.columns.COLUMNS._replace(
-            pick=column_call, ascending=column_call))
+        # the bodies run on columns only through the column kit explorer._column_kit()
+        kit = resbeam.explorer._column_kit()._replace(pick=column_call, ascending=column_call)
+        monkeypatch.setattr(resbeam.explorer, "_column_kit", lambda: kit)
         assert len(r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5))) == 1
         assert resbeam.explorer.r1_range_for_distance is resbeam.cavity.r1_range_for_distance
 
@@ -744,6 +751,10 @@ class TestDatasetSerialization:
             Dataset({"x": [1.0, 2.0]}, flags)
         assert Dataset({"x": [1.0, 2.0]}).flags == ["", ""]
         assert Dataset({}, []).n_rows == 0
+
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="columns have unequal lengths"):
+            Dataset({"a": [1.0], "b": [1.0, 2.0]})
 
     def test_json_never_writes_a_non_standard_constant(self):
         ds = Dataset({"x": np.array([1.0, 2.0])})

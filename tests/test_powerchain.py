@@ -20,7 +20,7 @@ from resbeam import (
     thresholds,
     transmission_efficiency,
 )
-from resbeam.columns import COLUMNS
+from resbeam.explorer import _column_kit
 from resbeam.powerchain import _ladder, ladder_at
 
 import oracles
@@ -142,7 +142,7 @@ class TestColumnKernels:
         p = link(7.855e-4, gain=GAIN._replace(c=c), pv=PV._replace(b1=b1))
         # on columns an overflow is flagged, not warned of, as in explorer._by_columns
         with np.errstate(all="ignore"):
-            state, eff = _ladder(np.array(p_in), fd, p, COLUMNS.pick)
+            state, eff = _ladder(np.array(p_in), fd, p, _column_kit().pick)
         cols = (state.p_stored, state.p_beam, state.p_out, eff.eta_trans, eff.eta_pv, eff.eta_all)
         for i, x in enumerate(p_in):
             state, eff = ladder_at(x, fd, p)

@@ -15,14 +15,14 @@ bounded by the real roots of two closed-form polynomials, no scanning needed.
 Each closed form is written once, as a private body that runs on floats and
 numpy columns alike: it uses only + - * / & | and abs, takes sqrt as an
 argument, and leaves validation to its callers.  The reach at a fixed r2 is
-such a body too: _roots gives the four boundary roots, _boundaries merges
-them and _supremum classifies the gaps between them; these take the
-selection pick and the sort ascending as well, which on floats drops the
-roots the merge would never keep.  On a connected branch the reach is one
-linear solve instead, _design, which the design rows and the R1 search run.
-The scalar kernels here wrap the bodies with exceptions; the dataset rules
-of :mod:`resbeam.explorer` call them on whole grids with the primitives of
-a kit (pick, ascending, sqrt) and flag a row rather than raise.
+such a body too: g1*g2 is a parabola in d, so _pieces reads the stable set's
+two ordered pieces off the sign of its leading coefficient and the roots
+_roots gives, ordered with the selection pick, and both _supremum and
+stable_distance_intervals read those pieces.  On a connected branch the
+reach is one linear solve instead, _design, which the design rows and the R1
+search run.  The scalar kernels here wrap the bodies with exceptions; the
+dataset rules of :mod:`resbeam.explorer` call them on whole grids with the
+primitives of a kit (pick, sqrt) and flag a row rather than raise.
 """
 
 from __future__ import annotations
@@ -47,8 +47,11 @@ ORIGIN = "origin"    # stability line through the origin, positive slope
 TANGENT = "tangent"  # stability line tangent to g1*g2 = 1, negative slope
 BRANCHES = (ORIGIN, TANGENT)
 
-# Candidate interval boundaries closer than this (meters) are one root.
+# Stability boundaries closer than this (meters, or this share of a boundary
+# past 1 m) are one touch point.
 _MERGE_TOL = 1e-9
+# A discriminant within this share of (a1*b2 - a2*b1)^2 is 0 to rounding (64 ULPs).
+_TOUCH = 64 * 2.0 ** -52
 # Candidate R1 edges closer than this (meters) are one root.
 _R1_MERGE_TOL = 1e-12
 _ELEMENT = "finite nonzero or FLAT (+inf)"
@@ -285,22 +288,20 @@ def _pick(mask, a, b):
     return a if mask else b
 
 
-def _ascending(roots) -> list[float]:
-    """The roots in (0, inf), sorted: the row kit keeps only those the merge can keep."""
-    return sorted([r for r in roots if 0.0 < r < math.inf])
-
-
 def _roots(a1, b1, a2, b2, pick, sqrt):
     """The x-roots of g1 = 0, g2 = 0 and g1*g2 = 1 for g1 = a1 + b1*x, g2 = a2 + b2*x.
 
     Four values, +inf where a root is missing: the two linear roots, then the
-    two of the quadratic g1*g2 - 1, stabilized against cancellation.  Every
+    two of the quadratic g1*g2 - 1, stabilized against cancellation.  Its
+    discriminant is written (a1*b2 - a2*b1)^2 + 4*b1*b2, which never cancels
+    where b1*b2 > 0 and cancels only at a tangent touch where b1*b2 < 0.  Every
     branch is evaluated, so each divisor is kept off zero with x + (x == 0.0)
     and sqrt never sees a negative: no float operation raises.
     """
     inf = math.inf
     qa, qb, qc = b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0
-    disc = qb * qb - 4.0 * qa * qc
+    w = a1 * b2 - a2 * b1
+    disc = w * w + 4.0 * qa
     s = sqrt(disc * (disc > 0.0))
     q = -0.5 * (qb + pick(qb < 0.0, -s, s))
     wa, wq = qa + (qa == 0.0), q + (q == 0.0)
@@ -315,76 +316,77 @@ def _roots(a1, b1, a2, b2, pick, sqrt):
     )
 
 
-def _boundaries(l, f, r1, r2, pick, ascending, sqrt):
-    """(lo, c, keep) for each boundary root c of valid elements, in ascending order.
+def _pieces(l, f, r1, r2, pick, sqrt):
+    """(lo1, hi1, lo2, hi2, touch): the stable set of valid elements as two ordered open pieces.
 
-    The merge rule: c is kept when it is positive, finite and more than
-    _MERGE_TOL*max(1, c) past lo, the last kept root (0.0 while none is);
-    the two comparisons of step are that test.  Here and in _supremum, masks
-    meet only through &, |, pick and found > split (found and not split): on
-    a Python bool ~True is -2, so no mask is negated.
+    g1*g2 is a parabola in d with leading coefficient qa = b1*b2, so with its
+    0-roots ra <= rb and 1-roots s1 <= s2 (of _roots, ordered by pick) the
+    pieces need no test point: (s1, ra) and (rb, s2) where qa > 0; (ra, s1)
+    and (s2, rb), or (ra, rb) alone without real 1-roots, where qa < 0; and
+    where qa = 0, so that rb and s2 are missing (+inf), the one piece between
+    ra and s1, or none where g1*g2 is constant.  A piece is empty where
+    hi <= lo, and hi1 <= lo2; neither is clipped to d > 0.  Which pieces exist
+    follows from the coefficients, not from whether a root is finite, so a
+    piece may end at an overflowed inf.  touch: the pieces meet at one point
+    to rounding, as rb - ra within _MERGE_TOL*max(1, rb) or, where qa < 0, a
+    discriminant within _TOUCH of (a1*b2 - a2*b1)^2.
     """
-    lo = 0.0
-    for c in ascending(_roots(*_affine(l, f, r1, r2), pick, sqrt)):
-        step = c - lo
-        keep = (0.0 < c) & (c < math.inf) & (
-            (lo == 0.0) | ((step > _MERGE_TOL) & (step > _MERGE_TOL * c)))
-        yield lo, c, keep
-        lo = pick(keep, c, lo)
+    a1, b1, a2, b2 = _affine(l, f, r1, r2)
+    z1, z2, t1, t2 = _roots(a1, b1, a2, b2, pick, sqrt)
+    qa, qb, w = b1 * b2, a1 * b2 + a2 * b1, a1 * b2 - a2 * b1
+    disc = w * w + 4.0 * qa
+    low, high = z2 < z1, t2 < t1
+    ra, rb = pick(low, z2, z1), pick(low, z1, z2)
+    s1, s2 = pick(high, t2, t1), pick(high, t1, t2)
+    # no 1-root: the set is (ra, rb) where qa < 0, and empty where g1*g2 is constant
+    none = (disc < 0.0) | (qa == 0.0) & (qb == 0.0)
+    s1, s2 = pick(none, pick(qa < 0.0, rb, ra), s1), pick(none, rb, s2)
+    up = (qa > 0.0) | (qa == 0.0) & (s1 < ra)
+    touch = ((rb - ra <= _MERGE_TOL) | (rb - ra <= _MERGE_TOL * rb)
+             | (qa < 0.0) & (disc <= _TOUCH * (w * w)))
+    return pick(up, s1, ra), pick(up, ra, s1), pick(up, rb, s2), pick(up, s2, rb), touch
 
 
-def _gap(l, f, r1, r2, lo, hi):
-    """The gap rule: (lo, hi) is stable when wider than _MERGE_TOL and stable a quarter in.
-
-    Not at the midpoint: g1*g2 has its vertex midway between the roots of
-    g1 = 0 and g2 = 0, and where a tangent touch point's discriminant rounds
-    negative, the gap between those roots has g1*g2 = 1 there, to rounding.
-    """
-    return (hi - lo > _MERGE_TOL) & _stable(_g_terms(l, f, r1, r2, lo + 0.25 * (hi - lo)))
-
-
-def _supremum(l, f, r1, r2, pick, ascending, sqrt):
+def _supremum(l, f, r1, r2, pick, sqrt):
     """(d_max, contiguous, found) of the stable distance set of valid elements.
 
-    found: some gap between kept boundary roots (0.0 first) is stable; d_max
-    is then the end of the last stable gap, else 0.0.  contiguous: found, and
-    no stable gap starts more than _MERGE_TOL past the end of the one before
-    (that would split the set).  In exact
-    arithmetic the stable set is bounded: g1*g2 is a polynomial in d,
-    constant only where both slopes vanish, and there a1*a2 = 1.  So no
-    distance past the last root is tested.
+    found: a piece of _pieces is nonempty past d = 0; d_max is then the end
+    of the last such piece, else 0.0.  contiguous: found, and the set is not
+    split, as it is where both pieces are nonempty and do not touch.  Masks
+    meet only through &, |, pick and a > b (a and not b, on bools and bool
+    columns): on a Python bool ~True is -2, so no mask is negated.
     """
-    d_max, split, found = 0.0, False, False
-    for lo, c, keep in _boundaries(l, f, r1, r2, pick, ascending, sqrt):
-        stable = keep & _gap(l, f, r1, r2, lo, c)
-        split = split | (stable & found & (lo - d_max > _MERGE_TOL))
-        found = found | stable
-        d_max = pick(stable, c, d_max)
-    return d_max, found > split, found  # found and not split, on bools and bool columns
+    lo1, hi1, lo2, hi2, touch = _pieces(l, f, r1, r2, pick, sqrt)
+    one, two = (hi1 > lo1) & (hi1 > 0.0), (hi2 > lo2) & (hi2 > 0.0)
+    found = one | two
+    return pick(two, hi2, pick(one, hi1, 0.0)), found > ((one & two) > touch), found
 
 
 def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceIntervals:
     """All maximal open subintervals of (0, d_limit) where the cavity is stable.
 
-    Since g1 and g2 are affine in d, the boundaries come from the closed-form
-    roots of ``g1*g2 = 0`` (the two linear factors) and ``g1*g2 = 1`` (a
-    quadratic); isolated touch points split intervals.  Returns an empty set
-    when the cavity is nowhere stable.
+    These are the pieces of the stable set (see _pieces) that are nonempty
+    past d = 0, clipped to (0, d_limit); where the two pieces touch, the
+    second starts where the first ends, so an isolated touch point splits
+    the set into two intervals that share it.  Returns an empty set when the
+    cavity is nowhere stable.
     """
     if not (d_limit > 0 and math.isfinite(d_limit)):
         require("d_limit", d_limit, False, "finite and > 0")
-    l, f, r1, r2 = geom.l, geom.f, geom.r1, geom.r2
-    kept = _boundaries(l, f, r1, r2, _pick, _ascending, math.sqrt)
-    points = [0.0] + [c for _, c, keep in kept if keep and c < d_limit] + [d_limit]
-    return DistanceIntervals(tuple([
-        (lo, hi) for lo, hi in zip(points, points[1:]) if _gap(l, f, r1, r2, lo, hi)]))
+    lo1, hi1, lo2, hi2, touch = _pieces(geom.l, geom.f, geom.r1, geom.r2, _pick, math.sqrt)
+    out = [(lo if lo > 0.0 else 0.0, hi if hi < d_limit else d_limit)
+           for lo, hi in ((lo1, hi1), (lo2, hi2)) if hi > lo and hi > 0.0 and lo < d_limit]
+    if touch and len(out) == 2:
+        out[1] = (out[0][1], out[1][1])
+    return DistanceIntervals(tuple(out))
 
 
 def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
     """Supremum of the stable distance set plus a contiguity flag.
 
-    The set is always bounded, so the supremum is a finite boundary root.  The
-    flag reports whether the set is contiguous from its infimum when isolated
+    The set is bounded in exact arithmetic, so the supremum is a boundary
+    root; it reads inf where that root lies past the float range.  The flag
+    reports whether the set is contiguous from its infimum when isolated
     touch points (zero-width gaps) are ignored.
 
     Raises
@@ -392,8 +394,7 @@ def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
     NoStableRegionError
         When no distance is stable.
     """
-    d_max, contiguous, found = _supremum(
-        geom.l, geom.f, geom.r1, geom.r2, _pick, _ascending, math.sqrt)
+    d_max, contiguous, found = _supremum(geom.l, geom.f, geom.r1, geom.r2, _pick, math.sqrt)
     if not found:
         raise NoStableRegionError("no transmission distance satisfies 0 < g1*g2 < 1")
     return MaxDistance(d_max, contiguous)

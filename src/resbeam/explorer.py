@@ -6,11 +6,11 @@ in :mod:`resbeam.cavity`; all three are re-exported here under the same names.
 
 Each dataset rule is written once, on the primitives of a kit (see Kit): it
 calls the unchecked bodies of the power stages, the connected-branch design
-and the reach itself, with the kit's pick, ascending and sqrt, and flags a
-row rather than raise.  A grid of up to ROWS_MAX points runs its rules row by
-row on the row kit, without numpy: every figure (200 points) and the CLI's
-default sweeps run so.  A longer grid runs them on the column kit, on numpy
-columns, with the same bits, under ``np.errstate(all="ignore")``: like Python
+and the reach itself, with the kit's pick and sqrt, and flags a row rather
+than raise.  A grid of up to ROWS_MAX points runs its rules row by row on the
+row kit, without numpy: every figure (200 points) and the CLI's default
+sweeps run so.  A longer grid runs them on the column kit, on numpy columns,
+with the same bits, under ``np.errstate(all="ignore")``: like Python
 floats, the columns overflow to inf and give NaN for inf*0 (a subnormal radius
 does both), and such a row is flagged, not warned of.  Rows that cannot be
 evaluated (unstable cavity, no branch solution, ratios at zero input) carry
@@ -25,7 +25,6 @@ from collections.abc import Callable
 
 from .cavity import (
     BRANCHES,
-    _ascending,
     _check_l_f,
     _design,
     _g_terms,
@@ -97,18 +96,18 @@ def _checked_grid(variable: str, points) -> list[float]:
 # column kit _column_kit(), with the same bits.  A rule ``rule(k, x) -> (values,
 # marks)`` is written once on them; ``marks`` are (mask, token) pairs, and the
 # first that holds gives a row its flag.  pick(mask, a, b) is a where the mask
-# holds, else b, and ascending(roots) the boundary roots in ascending order (see
-# cavity._boundaries).  when(ok, row, token) is row() where the mask ok holds
-# and zero values flagged token elsewhere: rows call row() only where ok holds,
+# holds, else b; the min and max of two roots are picks too (see
+# cavity._pieces).  when(ok, row, token) is row() where the mask ok holds and
+# zero values flagged token elsewhere: rows call row() only where ok holds,
 # columns call it once.
-Kit = namedtuple("Kit", "pick ascending exp sqrt when")
+Kit = namedtuple("Kit", "pick exp sqrt when")
 
 
 def _when(ok: bool, row: Callable, token: str) -> tuple:
     return row() if ok else ((), ((True, token),))
 
 
-ROWS = Kit(pick=_pick, ascending=_ascending, exp=math.exp, sqrt=math.sqrt, when=_when)
+ROWS = Kit(pick=_pick, exp=math.exp, sqrt=math.sqrt, when=_when)
 
 
 def _column_kit() -> Kit:
@@ -122,8 +121,6 @@ def _column_kit() -> Kit:
 
     return Kit(
         pick=np.where,
-        # _affine of a scalar l, f and r2 with an R1 column gives some roots 0-d
-        ascending=lambda roots: np.sort(np.broadcast_arrays(*roots), axis=0),
         # math.exp, not np.exp: numpy's exp differs in the last bit for some arguments
         exp=lambda x: np.array([math.exp(v) for v in x.tolist()]),
         sqrt=np.sqrt, when=when,
@@ -287,7 +284,7 @@ def _r1_rule(p: SystemParams) -> Callable:
     def rule(k, r1):
         def row():
             g = _g_terms(l, f, r1, r2, d)
-            d_max, contiguous, found = _supremum(l, f, r1, r2, k.pick, k.ascending, k.sqrt)
+            d_max, contiguous, found = _supremum(l, f, r1, r2, k.pick, k.sqrt)
             return ((g[1], g[2], _stable(g) * 1.0, d_max, contiguous * 1.0),
                     ((found, ""), (True, "no-stable-region")))
 

@@ -5,8 +5,9 @@ production code: mode radii via the complex-beam-parameter fixed point of
 explicitly composed ray matrices, the stability test via the trace of the
 round-trip ray matrix, stable ranges via pointwise scanning, R1 design
 ranges via a dense R1 scan, the reach and the R1 edges via lists (the route
-resbeam took before its one reach body), the reach of a connected-branch
-design and the existence of a stable distance in exact rational arithmetic,
+resbeam took before it read the stable set off the shape of g1*g2), the
+reach of a connected-branch design, the existence of a stable distance and
+the whole stable set in exact rational arithmetic,
 calibration targets via direct algebraic inversion, mode diffraction loss
 via adaptive quadrature of the radial intensity, and dataset CSV cells one
 value at a time.
@@ -15,6 +16,7 @@ value at a time.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -161,9 +163,9 @@ def scan_r1_range(target, l, f, branch, lo, hi, points=20001):
 
 
 # The list-based reach: each root by its own branch, the candidates merged in
-# a list and each gap between them tested in turn.  resbeam computed its reach
-# so until one body, run alike on floats and columns, replaced it; the same
-# operations in the same order, so every result must agree bit for bit.
+# a list and each gap between them tested a quarter of the way in.  resbeam
+# computed its reach so until it read the stable set's pieces off the sign of
+# the leading coefficient of g1*g2; above rounding level both give one answer.
 
 LIST_MERGE_TOL = 1e-9  # boundaries closer than this (meters) are one root
 LIST_R1_MERGE_TOL = 1e-12  # R1 edges closer than this (meters) are one edge
@@ -220,12 +222,6 @@ def list_segments(l, f, r1, r2, points) -> list[tuple[float, float]]:
     """The gaps between consecutive points wider than LIST_MERGE_TOL, stable a quarter in."""
     return [(lo, hi) for lo, hi in zip(points, points[1:])
             if hi - lo > LIST_MERGE_TOL and _list_stable(l, f, r1, r2, lo + 0.25 * (hi - lo))]
-
-
-def list_intervals(l, f, r1, r2, d_limit) -> list[tuple[float, float]]:
-    """stable_distance_intervals by the list route."""
-    points = [0.0] + [c for c in list_boundaries(l, f, r1, r2) if c < d_limit] + [d_limit]
-    return list_segments(l, f, r1, r2, points)
 
 
 def list_reach(l, f, r1, r2) -> tuple[float, bool, str]:
@@ -346,6 +342,49 @@ def exact_stable_exists(l, f, r1, r2) -> bool:
         if inside > 0 and low < 1:
             return True
     return False
+
+
+EXACT_DIGITS = 120  # the digits of an irrational root of g1*g2 = 1
+
+
+def _unit_roots(qa: Fraction, qb: Fraction, qc: Fraction) -> list[Fraction]:
+    """The real roots of qa*x^2 + qb*x + qc: exact where rational, else to EXACT_DIGITS digits."""
+    if qa == 0:
+        return [-qc / qb] if qb else []
+    disc = qb * qb - 4 * qa * qc
+    if disc < 0:
+        return []
+    num, den = disc.numerator, disc.denominator
+    if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
+        s = Fraction(math.isqrt(num), math.isqrt(den))
+    else:
+        with localcontext() as ctx:
+            ctx.prec = EXACT_DIGITS
+            s = Fraction((Decimal(num) / Decimal(den)).sqrt())
+    q = -(qb + (s if qb >= 0 else -s)) / 2  # -qb and the root add, never cancel
+    return [q / qa, qc / q] if q else [Fraction(0)]
+
+
+def exact_reach(l, f, r1, r2) -> list[tuple[Fraction, Fraction]]:
+    """The stable set {d > 0 : 0 < g1*g2 < 1} of the float design (l, f, r1, r2), as ordered
+    open intervals of Fractions (an end past every root would read inf).
+
+    The boundaries are 0, the positive roots of g1 = 0 and g2 = 0, exact, and those of
+    g1*g2 = 1 (_unit_roots).  Each gap between consecutive boundaries is classed by g1*g2
+    at its midpoint, exactly, and the tail past the last boundary one meter on.  Stable
+    gaps stay apart, so two intervals that share an end meet at a touch point.
+    """
+    a1, b1, a2, b2 = exact_affine(l, f, r1, _exact_inv(r2))
+
+    def P(d):
+        return (a1 + b1 * d) * (a2 + b2 * d)
+
+    cuts = [-a1 / b1 if b1 else 0, -a2 / b2 if b2 else 0,
+            *_unit_roots(b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1)]
+    points = [Fraction(0)] + sorted({c for c in cuts if c > 0})
+    return [(lo, math.inf if hi is None else hi)
+            for lo, hi in zip(points, points[1:] + [None])
+            if 0 < P(lo + 1 if hi is None else (lo + hi) / 2) < 1]
 
 
 def aperture_for_coefficient(target_f, d, r_out, m_overlap, c_unused, wavelength, l):

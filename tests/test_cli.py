@@ -468,6 +468,14 @@ def test_error_record_names_its_stage(capsys, tmp_path, argv, error, stage):
     assert (code, rec["error"], rec["stage"]) == (1, error, stage)
 
 
+def test_a_reach_past_the_float_range_names_d_max(capsys):
+    # the stable set runs out to about 6e314 m, so d_max reads inf, which no record holds
+    code, out = run_cli(capsys, "max-distance", "--l", "1e300m", "--f", "-1e300m",
+                        "--r1", "1.9999999999999983e300m", "--r2", "flat")
+    rec = json.loads(out)
+    assert (code, rec["error"], rec["key"], rec["stage"]) == (1, "UnitError", "d_max", "serialise")
+
+
 @pytest.mark.parametrize("flag", ["--search-from", "--search-to"])
 def test_flat_search_bound_is_a_domain_error(capsys, flag):
     code = main(["design", "r1-range", "--target-d", "5m", flag, "flat"])

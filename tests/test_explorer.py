@@ -506,7 +506,7 @@ class TestR1RangeForDistance:
             raise AssertionError("column kernel called")
 
         # the bodies run on columns only through the column kit explorer._column_kit()
-        kit = resbeam.explorer._column_kit()._replace(pick=column_call, ascending=column_call)
+        kit = resbeam.explorer._column_kit()._replace(pick=column_call)
         monkeypatch.setattr(resbeam.explorer, "_column_kit", lambda: kit)
         assert len(r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5))) == 1
         assert resbeam.explorer.r1_range_for_distance is resbeam.cavity.r1_range_for_distance

@@ -19,10 +19,13 @@ such a body too: g1*g2 is a parabola in d, so _pieces reads the stable set's
 two ordered pieces off the sign of its leading coefficient and the roots
 _roots gives, ordered with the selection pick, and both _supremum and
 stable_distance_intervals read those pieces.  On a connected branch the
-reach is one linear solve instead, _design, which the design rows and the R1
-search run.  The scalar kernels here wrap the bodies with exceptions; the
-dataset rules of :mod:`resbeam.explorer` call them on whole grids with the
-primitives of a kit (pick, sqrt) and flag a row rather than raise.
+reach is one linear solve instead, _design, which the design rows run; its
+only R1-dependent term is a monotone map of R1 on each side of R1 = l - f,
+so the R1 search inverts that map at each threshold the target sets, with
+no root search and no design tried.  The scalar kernels here wrap the
+bodies with exceptions; the dataset rules of :mod:`resbeam.explorer` call
+them on whole grids with the primitives of a kit (pick, sqrt) and flag a
+row rather than raise.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ BRANCHES = (ORIGIN, TANGENT)
 _MERGE_TOL = 1e-9
 # A discriminant within this share of (a1*b2 - a2*b1)^2 is 0 to rounding (64 ULPs).
 _TOUCH = 64 * 2.0 ** -52
-# Candidate R1 edges closer than this (meters) are one root.
-_R1_MERGE_TOL = 1e-12
 _ELEMENT = "finite nonzero or FLAT (+inf)"
 
 
@@ -289,7 +290,7 @@ def _pick(mask, a, b):
 
 
 def _roots(a1, b1, a2, b2, pick, sqrt):
-    """The x-roots of g1 = 0, g2 = 0 and g1*g2 = 1 for g1 = a1 + b1*x, g2 = a2 + b2*x.
+    """The d-roots of g1 = 0, g2 = 0 and g1*g2 = 1 for g1 = a1 + b1*d, g2 = a2 + b2*d, for _pieces.
 
     Four values, +inf where a root is missing: the two linear roots, then the
     two of the quadratic g1*g2 - 1, stabilized against cancellation.  Its
@@ -484,18 +485,25 @@ def r1_range_for_distance(
 ) -> list[tuple[float, float]]:
     """Maximal R1 subintervals whose connected-branch design reaches target_d.
 
-    On a connected branch 1/r2 = s*c0*(phi + c0*rho), with rho = 1/R1 and
-    s = +1 (origin) or -1 (tangent), so at d = T = target_d both g-parameters
-    are affine in rho; with L = l + T*c0,
+    By _design, the reach of the design at R1 is set by d1 = l*f/(l - f),
+    which does not depend on R1, and d0 = f*(R1 - l)/(R1 + f - l), which
+    rises on each side of its pole R1 = l - f: from f to +inf below it, from
+    -inf to f above it (a flat f has d0 = R1 - l, rising everywhere).  With
+    T = target_d, every design reaches where d1 >= T (and d1 > 0); otherwise
+    the design reaches iff d0 >= (T + d1)/2 (origin), or d0 >= T or
+    d0 <= 2*d1 - T (tangent).  A threshold D inverts in one division,
 
-        g1 = (1 - T*phi) - L*rho,   g2 = c0*(1 - s*L*phi) - s*L*c0^2*rho.
+        R1(D) = (D - d1)*(f - l)/(f - D)    (D - d1 for a flat f),
 
-    An edge of {R1 : d_max(R1) >= T} is an R1 where T is a stability
-    boundary, a rho-root of g1 = 0, g2 = 0 or g1*g2 = 1, or the singular
-    R1 = l - f or 0 (no other: two d-boundaries never merge on a connected
-    branch).  The closed-form reach of the design at each gap's midpoint
-    (_design) classifies the gap, and reaching neighbours join, so an
-    interval may hold a singular point.  The edges are exact to rounding.
+    and which side of the pole it cuts is known from D against f, so the
+    edges need no root search and no test point; they are exact to the
+    rounding of d1 and D.
+    No design exists at R1 = 0 and R1 = l - f, nor where r2 = 1/rho2 leaves
+    the float range: |R1| <= max(1, c0^2)*2^-1024 (1/rho2 rounds to 0), and
+    within f^2*2^-1024 of l - f on the side where rho2 < 0 (1/rho2 rounds to
+    -inf; wider than an ULP of l - f only for |f| past about 1e292).  An
+    interval ends where one of these begins, and reaching neighbours join
+    across it, so an interval may hold such a singular point.
 
     Raises EmptyResultError when no R1 in the interval qualifies.
     """
@@ -511,32 +519,50 @@ def r1_range_for_distance(
     if branch not in BRANCHES:
         require("branch", branch, False, f"one of {BRANCHES}")
 
-    def reaches(r1: float) -> bool:
-        _, d_max, _, found = _design(l, f, r1, branch, _pick)  # a design error is not found
-        return found and d_max >= target_d
+    inf = math.inf
+    c0 = 1.0 - l * (1.0 / f)
+    flat = f == FLAT
+    d1 = l * (-1.0 if flat else f / ((l - f) + (l == f)))  # as _design computes it
+    if d1 >= target_d and d1 > 0.0:  # the spans of d0 that reach
+        spans = [(-inf, inf)]
+    elif branch == ORIGIN:
+        spans = [(0.5 * target_d + 0.5 * d1, inf)]
+    else:
+        spans = [(-inf, 2.0 * d1 - target_d), (target_d, inf)]
+    band = max(1.0, c0 * c0) * 2.0 ** -1024
+    holes = [(-band, band)]
+    if c0 == 0.0 or l == f:  # no design anywhere
+        sides = []
+    elif flat:
+        sides = [(-inf, inf, -inf, inf)]  # R1 from, R1 to, d0 from, d0 to
+    else:
+        p, w = l - f, abs(f) * (abs(f) * 2.0 ** -1024)
+        holes.append((p, p + w) if branch == ORIGIN else (p - w, p))  # rho2 < 0 on that side
+        sides = [(-inf, p, f, inf), (p, inf, -inf, f)]
 
-    phi = 1.0 / f
-    c0 = 1.0 - l * phi
-    s = 1.0 if branch == ORIGIN else -1.0
-    L = l + target_d * c0
-    p0, p1 = 1.0 - target_d * phi, -L                    # g1 = p0 + p1*rho
-    q0, q1 = c0 * (1.0 - s * L * phi), -s * L * c0 * c0  # g2 = q0 + q1*rho
-    # a missing rho-root reads inf, which maps to R1 = 0, a candidate anyway
-    rhos = _roots(p0, p1, q0, q1, _pick, math.sqrt)
-    cands = sorted(c for c in [1.0 / rho for rho in rhos if rho] + [l - f, 0.0] if lo < c < hi)
-    points = [lo]
-    for c in cands:
-        if c - points[-1] > _R1_MERGE_TOL and hi - c > _R1_MERGE_TOL:
-            points.append(c)
-    points.append(hi)
+    def r1_at(D):  # the R1 where d0 = D
+        return D - d1 if flat else (D - d1) * ((f - l) / (f - D))
+
     out: list[tuple[float, float]] = []
-    for a, b in zip(points, points[1:]):
-        if not reaches(0.5 * a + 0.5 * b):  # 0.5 * (a + b) overflows past +-9e307
-            continue
-        if out and out[-1][1] == a:
-            out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
+    for r_from, r_to, d_from, d_to in sides:
+        for u, v in spans:
+            if u >= d_to or v <= d_from:
+                continue
+            # an edge that rounds past the pole stays on its side
+            a = max(lo, r_from if u <= d_from else max(r1_at(u), r_from))
+            b = min(hi, r_to if v >= d_to else min(r1_at(v), r_to))
+            for h0, h1 in holes:
+                if h0 <= a < h1:
+                    a = h1
+                if h0 < b <= h1:
+                    b = h0
+            if a >= b:
+                continue
+            # join across a hole, and across a gap that rounding closed
+            if out and (a <= out[-1][1] or any(out[-1][1] == h0 and a == h1 for h0, h1 in holes)):
+                out[-1] = (out[-1][0], b)
+            else:
+                out.append((a, b))
     if not out:
         raise EmptyResultError(f"no R1 in [{lo}, {hi}] reaches {target_d} m on the {branch} branch")
     return out

@@ -168,7 +168,6 @@ def scan_r1_range(target, l, f, branch, lo, hi, points=20001):
 # the leading coefficient of g1*g2; above rounding level both give one answer.
 
 LIST_MERGE_TOL = 1e-9  # boundaries closer than this (meters) are one root
-LIST_R1_MERGE_TOL = 1e-12  # R1 edges closer than this (meters) are one edge
 
 
 def quadratic_roots(a: float, b: float, c: float) -> list[float]:
@@ -236,38 +235,6 @@ def list_reach(l, f, r1, r2) -> tuple[float, bool, str]:
     return segments[-1][1], contiguous, ""
 
 
-def list_r1_range(target, l, f, branch, lo, hi, reaches) -> list[tuple[float, float]]:
-    """r1_range_for_distance by the list route; reaches(r1) tells whether the design at r1 reaches.
-
-    The edges are the R1 = 1/rho of the three rho-root calls, l - f and 0,
-    merged; each gap is classed by reaches at the midpoint 0.5*a + 0.5*b,
-    which does not overflow, and reaching neighbours join.
-    """
-    phi = 1.0 / f
-    c0 = 1.0 - l * phi
-    s = 1.0 if branch == "origin" else -1.0
-    L = l + target * c0
-    p0, p1 = 1.0 - target * phi, -L
-    q0, q1 = c0 * (1.0 - s * L * phi), -s * L * c0 * c0
-    rhos = (quadratic_roots(0.0, p1, p0) + quadratic_roots(0.0, q1, q0)
-            + quadratic_roots(p1 * q1, p0 * q1 + p1 * q0, p0 * q0 - 1.0))
-    cands = sorted(c for c in [1.0 / rho for rho in rhos if rho] + [l - f, 0.0] if lo < c < hi)
-    points = [lo]
-    for c in cands:
-        if c - points[-1] > LIST_R1_MERGE_TOL and hi - c > LIST_R1_MERGE_TOL:
-            points.append(c)
-    points.append(hi)
-    out: list[tuple[float, float]] = []
-    for a, b in zip(points, points[1:]):
-        if not reaches(0.5 * a + 0.5 * b):
-            continue
-        if out and out[-1][1] == a:
-            out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
-    return out
-
-
 # Exact references.  Every float is a rational and 1/FLAT is 0, so a design's
 # g-parameters, taken from their definitions at d = 0 and d = 1, are exact.
 
@@ -317,6 +284,55 @@ def exact_branch_reach(l, f, r1, branch):
     stable = [hi for lo, hi in zip(points, points[1:])
               if 0 < (a1 + b1 * (lo + hi) / 2) * (a2 + b2 * (lo + hi) / 2) < 1]
     return (stable[-1], True) if stable else (Fraction(0), False)
+
+
+def exact_d0(l, f, r1) -> Fraction:
+    """d0 = f*(r1 - l)/(r1 + f - l) of the connected-branch design at R1 = r1, exactly
+    (r1 - l for a flat f): the root of g1, whose position against exact_d1 sets the
+    design's reach."""
+    l, r1 = Fraction(l), Fraction(r1)
+    if math.isinf(f):
+        return r1 - l
+    return Fraction(f) * (r1 - l) / (r1 + Fraction(f) - l)
+
+
+def exact_d1(l, f) -> Fraction:
+    """d1 = l*f/(l - f) of every connected-branch design at l, f, exactly (-l for a flat f):
+    where c0*g1 = 1.  It is d0 at R1 = 0."""
+    return exact_d0(l, f, 0)
+
+
+def exact_r1_range(target, l, f, branch, lo, hi) -> list[tuple[Fraction, Fraction]]:
+    """The R1 in (lo, hi) whose exact connected-branch design reaches target, in Fractions:
+    ordered open intervals, reaching neighbours joined across any point between them.
+
+    d1 = l*f/(l - f) (-l for a flat f) is the same for every R1, so an edge is an R1
+    where d0 meets one of the thresholds (T + d1)/2, T or 2*d1 - T; d0 is a Moebius map
+    of R1, which meets each D != f at one R1 = (f*l + D*(f - l))/(f - D) (D + l for a
+    flat f).  These, 0 and l - f are the candidates, and each gap between them is classed
+    by exact_branch_reach at its midpoint, so no threshold rule is taken on trust.
+    """
+    T, L, lo, hi = Fraction(target), Fraction(l), Fraction(lo), Fraction(hi)
+    if l == f:
+        return []
+    d1 = exact_d1(l, f)
+    if math.isinf(f):
+        cands = {D + L for D in ((T + d1) / 2, T, 2 * d1 - T)}
+    else:
+        F = Fraction(f)
+        cands = {(F * L + D * (F - L)) / (F - D) for D in ((T + d1) / 2, T, 2 * d1 - T) if D != F}
+        cands.add(L - F)
+    points = [lo, *sorted(c for c in cands | {Fraction(0)} if lo < c < hi), hi]
+    out: list[tuple[Fraction, Fraction]] = []
+    for a, b in zip(points, points[1:]):
+        reach = exact_branch_reach(l, f, (a + b) / 2, branch)
+        if not (reach and reach[1] and reach[0] >= T):
+            continue
+        if out and out[-1][1] == a:
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return out
 
 
 def exact_stable_exists(l, f, r1, r2) -> bool:

@@ -471,8 +471,7 @@ class TestR1RangeForDistance:
                 r1_range_for_distance(bad, 0.06, 0.88, "origin", (-1.5, -0.5))
 
     def test_window_past_9e307_is_probed_inside(self):
-        # every R1 here reaches 1.82 m on the origin branch; 0.5 * (a + b) would overflow
-        # to -inf there, which has no design
+        # every R1 here reaches 1.82 m on the origin branch, out to ends whose sum overflows
         window = (-1.7e308, -1e308)
         assert r1_range_for_distance(1.0, 0.06, 0.88, "origin", window) == [window]
 
@@ -501,7 +500,7 @@ class TestR1RangeForDistance:
             assert reaches == any(a < r1 < b for a, b in intervals), (r1, d_max, flag)
 
     def test_runs_no_column_kernel(self, monkeypatch):
-        # the edges are closed-form roots, classified one scalar reach per gap
+        # the edges are thresholds inverted in closed form, one scalar division each
         def column_call(*args):
             raise AssertionError("column kernel called")
 
@@ -863,7 +862,7 @@ class TestColumnDrivers:
 
     def test_designs_run_no_generic_reach(self, monkeypatch, default_params):
         # a guard against a silent fallback: every connected-branch design (figure 7, the
-        # design grids on rows and on columns, the R1 search's probes) takes the closed form
+        # design grids on rows and on columns, the R1 search) takes the closed form
         rows, columns = grid(-1.6, -0.4, 200), grid(-1.6, -0.4, 1000)
         calls = self.count_generic_reaches(monkeypatch, lambda: [
             reproduce_figure(7), r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5)),

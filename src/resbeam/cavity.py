@@ -15,17 +15,17 @@ bounded by the real roots of two closed-form polynomials, no scanning needed.
 Each closed form is written once, as a private body that runs on floats and
 numpy columns alike: it uses only + - * / & | and abs, takes sqrt as an
 argument, and leaves validation to its callers.  The reach at a fixed r2 is
-such a body too: g1*g2 is a parabola in d, so _pieces reads the stable set's
-two ordered pieces off the sign of its leading coefficient and the roots
-_roots gives, ordered with the selection pick, and both _supremum and
-stable_distance_intervals read those pieces.  On a connected branch the
-reach is one linear solve instead, _design, which the design rows run; its
-only R1-dependent term is a monotone map of R1 on each side of R1 = l - f,
-so the R1 search inverts that map at each threshold the target sets, with
-no root search and no design tried.  The scalar kernels here wrap the
-bodies with exceptions; the dataset rules of :mod:`resbeam.explorer` call
-them on whole grids with the primitives of a kit (pick, sqrt) and flag a
-row rather than raise.
+such a body too: g1*g2 is a parabola in d, so _pieces works out its
+coefficients once, orders its roots with the selection pick and reads the
+stable set's two pieces off the sign of its leading coefficient, and both
+_supremum and stable_distance_intervals read those pieces.  On a connected
+branch the reach is one linear solve instead, _design, which the design
+rows run; its only R1-dependent term is a monotone map of R1 on each side
+of R1 = l - f, so the R1 search inverts that map at each threshold the
+target sets, with no root search and no design tried.  The scalar kernels
+here wrap the bodies with exceptions; the dataset rules of
+:mod:`resbeam.explorer` call them on whole grids with the primitives of a
+kit (pick, sqrt) and flag a row rather than raise.
 """
 
 from __future__ import annotations
@@ -289,62 +289,56 @@ def _pick(mask, a, b):
     return a if mask else b
 
 
-def _roots(a1, b1, a2, b2, pick, sqrt):
-    """The d-roots of g1 = 0, g2 = 0 and g1*g2 = 1 for g1 = a1 + b1*d, g2 = a2 + b2*d, for _pieces.
+def _pieces(a1, b1, a2, b2, pick, sqrt):
+    """(lo1, hi1, lo2, hi2, touch): the stable set of g1 = a1 + b1*d, g2 = a2 + b2*d in two pieces.
 
-    Four values, +inf where a root is missing: the two linear roots, then the
-    two of the quadratic g1*g2 - 1, stabilized against cancellation.  Its
-    discriminant is written (a1*b2 - a2*b1)^2 + 4*b1*b2, which never cancels
-    where b1*b2 > 0 and cancels only at a tangent touch where b1*b2 < 0.  Every
-    branch is evaluated, so each divisor is kept off zero with x + (x == 0.0)
-    and sqrt never sees a negative: no float operation raises.
+    g1*g2 is a parabola in d with leading coefficient qa = b1*b2, so with the
+    0-roots ra <= rb of g1 and g2 and the 1-roots s1 <= s2 of g1*g2 = 1
+    (ordered by pick, +inf where missing) the pieces are open and need no
+    test point: (s1, ra) and (rb, s2) where qa > 0; (ra, s1) and (s2, rb), or
+    (ra, rb) alone without real 1-roots, where qa < 0; and where qa = 0, so
+    that rb and s2 are missing, the one piece between ra and s1, or none
+    where g1*g2 is constant.  A piece is empty where hi <= lo, and
+    hi1 <= lo2; neither is clipped to d > 0.  Which pieces exist follows from
+    the coefficients, not from whether a root is finite, so a piece may end
+    at an overflowed inf; but where 4*qa overflows or the discriminant is
+    NaN, the 1-roots are the 0-roots to rounding and both pieces are empty.
+    touch: the pieces meet at one point to rounding, as rb - ra within
+    _MERGE_TOL*max(1, rb) or, where qa < 0, a discriminant within _TOUCH of
+    (a1*b2 - a2*b1)^2.
+
+    The 1-roots are stabilized against cancellation, and the discriminant is
+    written (a1*b2 - a2*b1)^2 + 4*qa, which never cancels where qa > 0 and
+    cancels only at a tangent touch where qa < 0.  centred takes
+    (-qb -+ s)/(2*qa), so the symmetric roots of qb = 0 come out bit for bit.
+    Every branch is evaluated, so each divisor is kept off zero with
+    x + (x == 0.0) and sqrt never sees a negative: no float operation raises.
     """
     inf = math.inf
-    qa, qb, qc = b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0
-    w = a1 * b2 - a2 * b1
-    disc = w * w + 4.0 * qa
+    qa, qb, qc, w = b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0, a1 * b2 - a2 * b1
+    ww, qa4 = w * w, 4.0 * qa
+    disc = ww + qa4
     s = sqrt(disc * (disc > 0.0))
     q = -0.5 * (qb + pick(qb < 0.0, -s, s))
     wa, wq = qa + (qa == 0.0), q + (q == 0.0)
     wa2 = 2.0 * wa
     real, centred = (qa != 0.0) & (disc >= 0.0), (disc == 0.0) | (qb == 0.0)
-    return (
-        pick(b1 != 0.0, -a1 / (b1 + (b1 == 0.0)), inf),
-        pick(b2 != 0.0, -a2 / (b2 + (b2 == 0.0)), inf),
-        pick(real, pick(centred, (-qb - s) / wa2, q / wa),
-             pick((qa == 0.0) & (qb != 0.0), -qc / (qb + (qb == 0.0)), inf)),
-        pick(real, pick(centred, (-qb + s) / wa2, qc / wq), inf),
-    )
-
-
-def _pieces(l, f, r1, r2, pick, sqrt):
-    """(lo1, hi1, lo2, hi2, touch): the stable set of valid elements as two ordered open pieces.
-
-    g1*g2 is a parabola in d with leading coefficient qa = b1*b2, so with its
-    0-roots ra <= rb and 1-roots s1 <= s2 (of _roots, ordered by pick) the
-    pieces need no test point: (s1, ra) and (rb, s2) where qa > 0; (ra, s1)
-    and (s2, rb), or (ra, rb) alone without real 1-roots, where qa < 0; and
-    where qa = 0, so that rb and s2 are missing (+inf), the one piece between
-    ra and s1, or none where g1*g2 is constant.  A piece is empty where
-    hi <= lo, and hi1 <= lo2; neither is clipped to d > 0.  Which pieces exist
-    follows from the coefficients, not from whether a root is finite, so a
-    piece may end at an overflowed inf.  touch: the pieces meet at one point
-    to rounding, as rb - ra within _MERGE_TOL*max(1, rb) or, where qa < 0, a
-    discriminant within _TOUCH of (a1*b2 - a2*b1)^2.
-    """
-    a1, b1, a2, b2 = _affine(l, f, r1, r2)
-    z1, z2, t1, t2 = _roots(a1, b1, a2, b2, pick, sqrt)
-    qa, qb, w = b1 * b2, a1 * b2 + a2 * b1, a1 * b2 - a2 * b1
-    disc = w * w + 4.0 * qa
+    z1 = pick(b1 != 0.0, -a1 / (b1 + (b1 == 0.0)), inf)
+    z2 = pick(b2 != 0.0, -a2 / (b2 + (b2 == 0.0)), inf)
+    t1 = pick(real, pick(centred, (-qb - s) / wa2, q / wa),
+              pick((qa == 0.0) & (qb != 0.0), -qc / (qb + (qb == 0.0)), inf))
+    t2 = pick(real, pick(centred, (-qb + s) / wa2, qc / wq), inf)
     low, high = z2 < z1, t2 < t1
     ra, rb = pick(low, z2, z1), pick(low, z1, z2)
     s1, s2 = pick(high, t2, t1), pick(high, t1, t2)
     # no 1-root: the set is (ra, rb) where qa < 0, and empty where g1*g2 is constant
-    none = (disc < 0.0) | (qa == 0.0) & (qb == 0.0)
-    s1, s2 = pick(none, pick(qa < 0.0, rb, ra), s1), pick(none, rb, s2)
+    # or its coefficients overflowed
+    big = (abs(qa4) == inf) | (disc != disc)
+    none = (disc < 0.0) | (qa == 0.0) & (qb == 0.0) | big
+    s1, s2 = pick(none, pick((qa < 0.0) > big, rb, ra), s1), pick(none, rb, s2)
     up = (qa > 0.0) | (qa == 0.0) & (s1 < ra)
     touch = ((rb - ra <= _MERGE_TOL) | (rb - ra <= _MERGE_TOL * rb)
-             | (qa < 0.0) & (disc <= _TOUCH * (w * w)))
+             | (qa < 0.0) & (disc <= _TOUCH * ww))
     return pick(up, s1, ra), pick(up, ra, s1), pick(up, rb, s2), pick(up, s2, rb), touch
 
 
@@ -357,7 +351,7 @@ def _supremum(l, f, r1, r2, pick, sqrt):
     meet only through &, |, pick and a > b (a and not b, on bools and bool
     columns): on a Python bool ~True is -2, so no mask is negated.
     """
-    lo1, hi1, lo2, hi2, touch = _pieces(l, f, r1, r2, pick, sqrt)
+    lo1, hi1, lo2, hi2, touch = _pieces(*_affine(l, f, r1, r2), pick, sqrt)
     one, two = (hi1 > lo1) & (hi1 > 0.0), (hi2 > lo2) & (hi2 > 0.0)
     found = one | two
     return pick(two, hi2, pick(one, hi1, 0.0)), found > ((one & two) > touch), found
@@ -374,7 +368,8 @@ def stable_distance_intervals(geom: CavityGeometry, d_limit: float) -> DistanceI
     """
     if not (d_limit > 0 and math.isfinite(d_limit)):
         require("d_limit", d_limit, False, "finite and > 0")
-    lo1, hi1, lo2, hi2, touch = _pieces(geom.l, geom.f, geom.r1, geom.r2, _pick, math.sqrt)
+    lo1, hi1, lo2, hi2, touch = _pieces(
+        *_affine(geom.l, geom.f, geom.r1, geom.r2), _pick, math.sqrt)
     out = [(lo if lo > 0.0 else 0.0, hi if hi < d_limit else d_limit)
            for lo, hi in ((lo1, hi1), (lo2, hi2)) if hi > lo and hi > 0.0 and lo < d_limit]
     if touch and len(out) == 2:

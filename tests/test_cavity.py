@@ -381,6 +381,27 @@ class TestMaxTransmissionDistance:
                 ds = sweep(spec)
             assert ds.flags == ["overflow"] and ds.columns["d_max_m"] == [0.0]
 
+    @pytest.mark.parametrize("l, f, r1, branch", [
+        *[(0.25, FLAT, r1, branch) for r1 in (-1e-160, 1e-200, -1.35e-216) for branch in BRANCHES],
+        # 4*b1*b2 overflows while b1*b2 does not, and the discriminant is NaN on the tangent
+        # branch or +inf on the origin branch
+        (0.06, 0.88, 1e-154, TANGENT), (0.06, 0.88, -1e-154, TANGENT),
+        (0.06, 0.88, 1e-154, ORIGIN),
+    ])
+    def test_an_overflowed_parabola_has_no_reach(self, l, f, r1, branch, default_params):
+        # a connected design with tiny |R1|: b1*b2 overflows, and the exact set is empty
+        g = CavityGeometry(l=l, f=f, r1=r1, r2=connecting_r2(l, f, r1, branch))
+        assert not oracles.exact_reach(l, f, r1, g.r2)
+        assert not cavity._design(l, f, r1, branch, cavity._pick)[3]
+        with pytest.raises(NoStableRegionError):
+            max_transmission_distance(g)
+        assert stable_distance_intervals(g, 20.0).is_empty
+        spec = SweepSpec("R1", [r1], default_params._replace(geometry=g))
+        for rows_max in (math.inf, -1):  # rows, then columns
+            with patch.object(explorer, "ROWS_MAX", rows_max):
+                ds = sweep(spec)
+            assert ds.flags == ["no-stable-region"] and ds.columns["d_max_m"] == [0.0]
+
 
 class TestConnectingR2:
     def test_through_origin_value(self):
@@ -570,7 +591,7 @@ class TestColumnKernels:
     @given(geometries(), st.lists(st.floats(0.0, 60.0), max_size=20), st.integers(0, 3))
     def test_stability_columns_match_scalar(self, g, ds, ulps):
         # the ends of the stable pieces and their neighbours, where g1*g2 meets 0 or 1
-        ends = cavity._pieces(g.l, g.f, g.r1, g.r2, cavity._pick, math.sqrt)[:4]
+        ends = cavity._pieces(*cavity._affine(g.l, g.f, g.r1, g.r2), cavity._pick, math.sqrt)[:4]
         for c in [c for c in ends if 0.0 < c < math.inf]:
             ds += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
             ds += [c + k * math.ulp(c) for k in (-ulps, ulps)]
@@ -804,17 +825,21 @@ NONZERO_SLOPE = st.one_of(st.floats(-10.0, -0.1), st.floats(0.1, 10.0))
 
 
 class TestRoots:
+    """The reach body cavity._pieces on raw coefficients (a1, b1, a2, b2) of g1 = a1 + b1*x,
+    g2 = a2 + b2*x: its pieces end at the roots of g1, g2 and g1*g2 - 1."""
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(*[ROOT_COEFFICIENT] * 4), min_size=1, max_size=20))
     @example(ROOT_CASES)
     @example([(5e-324, 5e-324, 5e-324, 5e-324), (1e308, 1e308, -1e308, 1e308),
               (math.nan, 1.0, 1.0, 1.0), (1.0, math.inf, 1.0, -0.0), (-0.0, -0.0, 0.0, 0.0)])
     def test_floats_never_raise_and_equal_columns(self, coefficients):
-        rows = [cavity._roots(*c, cavity._pick, math.sqrt) for c in coefficients]
+        rows = [cavity._pieces(*c, cavity._pick, math.sqrt) for c in coefficients]
         with np.errstate(all="ignore"):
-            columns = cavity._roots(*map(np.array, zip(*coefficients)), np.where, np.sqrt)
-        for i, row in enumerate(rows):
-            assert [bits(x) for x in row] == [bits(c[i]) for c in columns], coefficients[i]
+            columns = cavity._pieces(*map(np.array, zip(*coefficients)), np.where, np.sqrt)
+        for i, (*ends, touch) in enumerate(rows):
+            want = [bits(c[i]) for c in columns[:4]], bool(columns[4][i])
+            assert ([bits(x) for x in ends], touch) == want, coefficients[i]
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-10.0, 10.0), NONZERO_SLOPE, st.floats(-10.0, 10.0), NONZERO_SLOPE)
@@ -830,11 +855,16 @@ class TestRoots:
 
     @staticmethod
     def check_against_numpy(a1, b1, a2, b2):
-        got = cavity._roots(a1, b1, a2, b2, cavity._pick, math.sqrt)
+        # the pieces end only at roots of g1, g2 and g1*g2 - 1, and at each real one
+        lo1, hi1, lo2, hi2, _ = cavity._pieces(a1, b1, a2, b2, cavity._pick, math.sqrt)
+        assert hi1 <= lo2
+        got = {x for x in (lo1, hi1, lo2, hi2) if x != math.inf}
         quadratic = [b1 * b2, a1 * b2 + a2 * b1, a1 * a2 - 1.0]
-        want = [r.real for p in ([b1, a1], [b2, a2], quadratic) for r in np.roots(p)
-                if abs(r.imag) <= 1e-9 * max(1.0, abs(r))]
-        assert sorted(x for x in got if x != math.inf) == pytest.approx(sorted(want), rel=1e-9, abs=1e-12)
+        want = {r.real for p in ([b1, a1], [b2, a2], quadratic) for r in np.roots(p)
+                if abs(r.imag) <= 1e-9 * max(1.0, abs(r))}
+        for xs, ys in ((got, want), (want, got)):
+            for x in xs:
+                assert any(x == pytest.approx(y, rel=1e-9, abs=1e-12) for y in ys), (x, ys)
 
 
 def public_design(l, f, r1, branch):
@@ -952,7 +982,7 @@ class TestHoistedChecks:
             raise AssertionError("called")
 
         monkeypatch.setattr(cavity, "_design", refuse)
-        monkeypatch.setattr(cavity, "_roots", refuse)
+        monkeypatch.setattr(cavity, "_pieces", refuse)
         (lo, hi), = r1_range_for_distance(5.0, 0.06, 0.88, ORIGIN, (-1.5, -0.5))
         assert lo == pytest.approx(-1.3077173579109063, rel=1e-12) and hi == 0.06 - 0.88
 

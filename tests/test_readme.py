@@ -1,17 +1,26 @@
 """The examples of README.md run as written."""
 
+import importlib
+import pkgutil
 import re
 import shlex
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
+import resbeam
 from resbeam import parse_config
 from resbeam.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # (info string, body) of every fenced code block
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, flags=re.M | re.S)
+
+
+# every backticked dotted name, as `cavity._design`, `explorer._column_kit()` or
+# `resbeam.errors.Record`, without its resbeam. prefix
+DOTTED = [name.removeprefix("resbeam.") for name in re.findall(r"`([\w.]+?)(?:\(\))?`", README)]
 
 
 def block(info: str, marker: str) -> str:
@@ -37,3 +46,20 @@ def test_every_command_line_exits_zero(tmp_path, monkeypatch, capsys):
 def test_configuration_file_parses():
     cfg = parse_config(block("", "eta_stored = "))
     assert cfg.a == pytest.approx(7.855301511e-4, rel=1e-15)
+
+
+def resolves(name: str) -> bool:
+    module, *attrs = name.split(".")
+    try:
+        reduce(getattr, attrs, importlib.import_module(f"resbeam.{module}"))
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_named_module_attribute_resolves():
+    # a rename cannot leave a stale name in the prose
+    modules = {info.name for info in pkgutil.iter_modules(resbeam.__path__)}
+    names = [name for name in DOTTED if name.split(".")[0] in modules]
+    assert {"cavity._pieces", "explorer._column_kit", "errors.Record"} <= set(names)
+    assert [name for name in names if not resolves(name)] == []

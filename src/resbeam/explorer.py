@@ -14,7 +14,7 @@ with the same bits, under ``np.errstate(all="ignore")``: like Python
 floats, the columns overflow to inf and give NaN for inf*0 (a subnormal radius
 does both), and such a row is flagged, not warned of.  Rows that cannot be
 evaluated (unstable cavity, no branch solution, ratios at zero input) carry
-zeros plus a flag token rather than being dropped.
+zeros plus a flag token, picked like any value, rather than being dropped.
 """
 
 from __future__ import annotations
@@ -94,17 +94,17 @@ def _checked_grid(variable: str, points) -> list[float]:
 # The primitives the dataset rules and the bodies they call run on, one float
 # at a time in the row kit ROWS (no numpy) or a numpy column at a time in the
 # column kit _column_kit(), with the same bits.  A rule ``rule(k, x) -> (values,
-# marks)`` is written once on them; ``marks`` are (mask, token) pairs, and the
-# first that holds gives a row its flag.  pick(mask, a, b) is a where the mask
-# holds, else b; the min and max of two roots are picks too (see
-# cavity._pieces).  when(ok, row, token) is row() where the mask ok holds and
-# zero values flagged token elsewhere: rows call row() only where ok holds,
-# columns call it once.
+# flag)`` is written once on them; ``flag`` is a row's token, or "" for a clean
+# row, picked like any value, so precedence is the nesting of picks.
+# pick(mask, a, b) is a where the mask holds, else b; the min and max of two
+# roots are picks too (see cavity._pieces).  when(ok, row, token) is row() where
+# the mask ok holds and zero values flagged token elsewhere: rows call row()
+# only where ok holds, columns call it once.
 Kit = namedtuple("Kit", "pick exp sqrt when")
 
 
 def _when(ok: bool, row: Callable, token: str) -> tuple:
-    return row() if ok else ((), ((True, token),))
+    return row() if ok else ((), token)
 
 
 ROWS = Kit(pick=_pick, exp=math.exp, sqrt=math.sqrt, when=_when)
@@ -116,8 +116,8 @@ def _column_kit() -> Kit:
     import numpy as np
 
     def when(ok: np.ndarray, row: Callable, token: str) -> tuple:
-        values, marks = row()
-        return [np.where(ok, v, 0.0) for v in values], ((~ok, token), *marks)
+        values, flag = row()
+        return [np.where(ok, v, 0.0) for v in values], np.where(ok, flag, token)
 
     return Kit(
         pick=np.where,
@@ -148,13 +148,8 @@ def _by_rows(xs: list[float], width: int, rules: dict, join: bool):
     for x in xs:
         row, flag = [x], ""
         for tag, rule in rules.items():
-            values, marks = rule(ROWS, x)
+            values, mark = rule(ROWS, x)
             row += (*values, *[0.0] * (width - len(values)))
-            mark = ""
-            for held, token in marks:  # the first mark that holds wins
-                if held:
-                    mark = token
-                    break
             flag = _joined(flag, tag, mark, join)
         if not all(map(math.isfinite, row)):
             row, flag = [x] + [0.0] * (len(row) - 1), "overflow"
@@ -168,18 +163,16 @@ def _by_columns(xs: list[float], width: int, rules: dict, join: bool):
     import numpy as np
 
     kit = _column_kit()
-    grid = np.array(xs)
+    grid, n = np.array(xs), len(xs)
     table, flags = [grid], None
     with np.errstate(all="ignore"):
         for tag, rule in rules.items():
-            values, marks = rule(kit, grid)
-            table += [np.full(len(xs), v) if np.ndim(v) == 0 else v for v in values]
-            table += [np.zeros(len(xs))] * (width - len(values))
-            first = np.full(len(xs), "", dtype=object)
-            for mask, token in reversed(marks):  # the first that holds wins; True marks every row
-                first[mask] = token
-            flags = first.tolist() if flags is None and not join else [  # one series: its marks
-                _joined(a, tag, m, join) for a, m in zip(flags or [""] * len(xs), first.tolist())]
+            values, flag = rule(kit, grid)
+            table += [np.full(n, v) if np.ndim(v) == 0 else v for v in values]
+            table += [np.zeros(n)] * (width - len(values))
+            marks = np.broadcast_to(flag, n).tolist()  # a flag may be one token for every row
+            flags = marks if flags is None and not join else [  # one series: its flags
+                _joined(a, tag, m, join) for a, m in zip(flags or [""] * n, marks)]
     finite = np.logical_and.reduce([np.isfinite(v) for v in table])
     if not finite.all():
         table = [grid] + [np.where(finite, v, 0.0) for v in table[1:]]
@@ -203,16 +196,16 @@ def _tabulate(xs: list[float], x_col, value_cols, rules: dict, provenance, join=
 
 
 def _per_drive(k, out, drive, below=False) -> tuple:
-    """((out, out/drive), marks) of a stage: the ratio reads 0 and the row is flagged
+    """((out, out/drive), flag) of a stage: the ratio reads 0 and the row is flagged
     undefined-at-zero at zero drive, and with `below`, a driven row with no output is
     flagged below-threshold."""
     below = (out == 0.0) & (drive > 0) & below
-    marks = (drive == 0.0, "undefined-at-zero"), (below, "below-threshold")
-    return (out, _ratio(out, drive, k.pick)), marks
+    flag = k.pick(drive == 0.0, "undefined-at-zero", k.pick(below, "below-threshold", ""))
+    return (out, _ratio(out, drive, k.pick)), flag
 
 
 def _unstable(k, x) -> tuple:
-    return (), ((True, "unstable"),)
+    return (), "unstable"
 
 
 def _held(p: SystemParams, d: float, rule: Callable) -> Callable:
@@ -245,7 +238,7 @@ def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Callable:
     def rule(k, r1):
         r2, d_max, ok, found = _design(l, f, r1, branch, k.pick)
         values = k.pick(ok, r2, 0.0), k.pick(found, d_max, 0.0), found * 1.0
-        return values[keep], ((found, ""), (ok, "no-stable-region"), (True, "no-solution"))
+        return values[keep], k.pick(found, "", k.pick(ok, "no-stable-region", "no-solution"))
 
     return rule
 
@@ -253,7 +246,8 @@ def _design_rule(l: float, f: float, branch: str, keep=slice(None)) -> Callable:
 def _d_rule(p: SystemParams) -> Callable:
     def at(k, fd):
         (_, _, pb, po), (_, eta_trans, _, eta_all) = _ladder(p.p_in, fd, p, k.pick)
-        return (fd, pb, eta_trans, po, eta_all), [((po == 0.0) & (p.p_in > 0), "below-threshold")]
+        below = (po == 0.0) & (p.p_in > 0)
+        return (fd, pb, eta_trans, po, eta_all), k.pick(below, "below-threshold", "")
 
     return _at_distance(p, at)
 
@@ -261,15 +255,15 @@ def _d_rule(p: SystemParams) -> Callable:
 def _p_in_rule(p: SystemParams) -> Callable:
     def rule(k, p_in, fd):
         (_, ps, pb, po), (_, _, _, eta_all) = _ladder(p_in, fd, p, k.pick)
-        return (ps, pb, po, eta_all), [((po == 0.0) & (p_in > 0), "below-threshold")]
+        return (ps, pb, po, eta_all), k.pick((po == 0.0) & (p_in > 0), "below-threshold", "")
 
     return _held(p, p.d, rule)
 
 
 def _p_stored_rule(p: SystemParams) -> Callable:
     def rule(k, ps, fd):
-        values, marks = _per_drive(k, _beam(ps, fd, p.gain, k.pick), ps, below=True)
-        return (fd, *values), marks
+        values, flag = _per_drive(k, _beam(ps, fd, p.gain, k.pick), ps, below=True)
+        return (fd, *values), flag
 
     return _held(p, p.d, rule)
 
@@ -286,7 +280,7 @@ def _r1_rule(p: SystemParams) -> Callable:
             g = _g_terms(l, f, r1, r2, d)
             d_max, contiguous, found = _supremum(l, f, r1, r2, k.pick, k.sqrt)
             return ((g[1], g[2], _stable(g) * 1.0, d_max, contiguous * 1.0),
-                    ((found, ""), (True, "no-stable-region")))
+                    k.pick(found, "", "no-stable-region"))
 
         # the grid is finite, so 0.0 is the one R1 CavityGeometry rejects
         return k.when(r1 != 0.0, row, "invalid-r1")
@@ -344,7 +338,7 @@ def _radii_rule(l: float, f: float, r1: float, r2: float, wavelength: float) -> 
 
     def rule(k, d):
         g = _g_terms(l, f, r1, r2, d)
-        return k.when(_stable(g), lambda: (_radii(l, f, r1, r2, d, g, lam_pi, k.sqrt), ()),
+        return k.when(_stable(g), lambda: (_radii(l, f, r1, r2, d, g, lam_pi, k.sqrt), ""),
                       "unstable")
 
     return rule
@@ -361,21 +355,21 @@ def _fig8(p: SystemParams, prov: dict) -> dict[str, Callable]:
 
 
 def _beams(k, ps, fd, p: SystemParams) -> tuple:
-    """((P_beam, eta_trans), marks) at stored power ps and slope fd."""
+    """((P_beam, eta_trans), flag) at stored power ps and slope fd."""
     return _per_drive(k, _beam(ps, fd, p.gain, k.pick), ps)
 
 
 def _outputs(k, p_in, fd, p: SystemParams) -> tuple:
-    """((P_out, eta_all), no marks) of the ladder at input power p_in and slope fd."""
+    """((P_out, eta_all), no flag) of the ladder at input power p_in and slope fd."""
     (_, _, _, p_out), (_, _, _, eta_all) = _ladder(p_in, fd, p, k.pick)
-    return (p_out, eta_all), ()
+    return (p_out, eta_all), ""
 
 
 # id -> (grid ends, x column, value columns per series, join flags,
 #        series(params, provenance) -> {tag: rule}; the tag "" is one untagged series)
 _FIGURES = {
     6: ((0.0, 100.0), "P_in_W", ("P_stored_W",), False,
-        lambda p, prov: {"": lambda k, p_in: ((_stored(p_in, p.gain),), ())}),
+        lambda p, prov: {"": lambda k, p_in: ((_stored(p_in, p.gain),), "")}),
     7: ((-1.5, -0.5), "R1_m", ("d_max_m",), True,  # d_max only, of (R2, d_max, contiguous)
         lambda p, prov: {f"l{mm}_{b}": _design_rule(mm / 1000.0, p.geometry.f, b, slice(1, 2))
                          for mm in (60, 80, 100) for b in BRANCHES}),

@@ -249,16 +249,15 @@ def _formed_slope(d: float, p: SystemParams) -> float:
 
 
 def thresholds(d: float, p: SystemParams) -> Thresholds:
-    """Minimum stored/beam/input powers for nonzero electrical output.
+    """Stored/beam/input powers at which each stage starts to pass power on.
 
-    p_beam_th = -b1/a1, p_stored_th = (p_beam_th - c)/f(d),
-    p_in_th = p_stored_th/eta_stored.  All increase with distance because
-    f(d) decreases.  Raises UnreachableTargetError where the cavity is
-    unstable at d, since no drive then forms a beam.
+    p_beam_th = max(0, -b1/a1), p_stored_th = max(0, (p_beam_th - c)/f(d)) and
+    p_in_th = p_stored_th/eta_stored; none falls with distance, as f(d) does.
+    Raises UnreachableTargetError where the cavity is unstable at d.
     """
     fd = _formed_slope(d, p)
-    p_beam_th = -p.pv.b1 / p.pv.a1
-    p_stored_th = (p_beam_th - p.gain.c) / fd
+    p_beam_th = max(0.0, -p.pv.b1 / p.pv.a1)
+    p_stored_th = max(0.0, (p_beam_th - p.gain.c) / fd)
     return Thresholds(
         p_stored=p_stored_th, p_beam=p_beam_th, p_in=p_stored_th / p.gain.eta_stored
     )
@@ -268,7 +267,8 @@ def required_input_power(target_p_out: float, d: float, params: SystemParams) ->
     """Input power that produces target_p_out at distance d (closed-form inverse).
 
     Raises UnreachableTargetError when the cavity is unstable at d, so no
-    resonant beam forms regardless of drive.
+    resonant beam forms regardless of drive, and when the target lies below
+    the output at zero input, max(0, a1*max(0, c) + b1), which no drive lowers.
     """
     if not (target_p_out > 0 and math.isfinite(target_p_out)):
         require("target_p_out", target_p_out, False, "finite and > 0")
@@ -276,7 +276,11 @@ def required_input_power(target_p_out: float, d: float, params: SystemParams) ->
     slope = params.pv.a1 * fd * params.gain.eta_stored
     if slope <= 0:
         raise UnreachableTargetError("nonpositive end-to-end slope")
-    return (target_p_out - params.pv.a1 * params.gain.c - params.pv.b1) / slope
+    at_zero = _pv(_beam(0.0, fd, params.gain, _pick), params.pv, _pick)
+    if target_p_out < at_zero:
+        raise UnreachableTargetError(f"target is below the output at zero input, {at_zero} W")
+    # at that output itself, rounding may put the closed form a hair below 0
+    return max(0.0, (target_p_out - params.pv.a1 * params.gain.c - params.pv.b1) / slope)
 
 
 def calibrate_aperture(

@@ -456,13 +456,17 @@ def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
     # a subnormal mode overlap makes f(d) read 0.0, so no input power reaches the target
     (["design", "required-pin", "--pout", "1W", "--config", "{tmp}/faint.cfg"],
      "UnreachableTargetError", "evaluate"),
+    # b1 = 1 W gives 1 W out at zero input, and no drive gives less
+    (["design", "required-pin", "--pout", "0.5W", "--config", "{tmp}/offset.cfg"],
+     "UnreachableTargetError", "evaluate"),
 ], ids=["quantity", "config-syntax", "config-file", "flag-range", "config-range", "handler",
         "handler-range", "handler-quantity", "quantity-nan", "quantity-digits", "record",
-        "out-file", "zero-slope"])
+        "out-file", "zero-slope", "below-zero-input"])
 def test_error_record_names_its_stage(capsys, tmp_path, argv, error, stage):
     (tmp_path / "syntax.cfg").write_text("d 1m\n")
     (tmp_path / "range.cfg").write_text("eta_stored = 1.5\n")
     (tmp_path / "faint.cfg").write_text("m_overlap = 5e-324\n")
+    (tmp_path / "offset.cfg").write_text("b1 = 1W\n")
     code, out = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     rec = json.loads(out)
     assert (code, rec["error"], rec["stage"]) == (1, error, stage)

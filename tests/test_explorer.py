@@ -282,6 +282,32 @@ class TestRequiredInputPower:
         with pytest.raises(UnreachableTargetError):
             required_input_power(1.0, 15.0, default_params)
 
+    # a positive offset gives output at zero input, max(0, a1*max(0, c) + b1), and no
+    # drive gives less; at or above it the answer round-trips
+    @pytest.mark.parametrize("offsets, below", [
+        ({"b1": 1.0}, 0.5), ({"c": 5.0, "b1": 1.0}, 1.0), ({"c": 5.0}, 0.1),
+        ({"c": 0.2, "b1": 1.0}, 1.0),  # at its zero-input output the closed form reads -1.1e-16
+    ], ids=["b1", "c-and-b1", "c", "rounding"])
+    def test_a_target_below_the_zero_input_output_raises(self, offsets, below):
+        p = RunConfig(**offsets).system_params()
+        at_zero = end_to_end(0.0, 1.0, p)[0].p_out
+        assert 0.0 < below < at_zero == p.pv.a1 * max(0.0, p.gain.c) + p.pv.b1
+        with pytest.raises(UnreachableTargetError, match="below the output at zero input"):
+            required_input_power(below, 1.0, p)
+        for target in (at_zero, math.nextafter(at_zero, math.inf), 2.0 * at_zero):
+            pin = required_input_power(target, 1.0, p)
+            assert pin >= 0.0
+            assert end_to_end(pin, 1.0, p)[0].p_out == pytest.approx(target, rel=1e-12)
+
+    def test_thresholds_clamp_at_zero(self):
+        # c = 5 W, b1 = 1 W: every stage passes power at zero drive
+        assert thresholds(1.0, RunConfig(c=5.0, b1=1.0).system_params()) == (0.0, 0.0, 0.0)
+        # b1 = 1 W alone: the PV passes power at zero beam, and the beam forms at -c/f(d)
+        p = RunConfig(b1=1.0).system_params()
+        th = thresholds(1.0, p)
+        assert th.p_beam == 0.0 and th.p_stored == -p.gain.c / gain_to_beam_coefficient(1.0, p)
+        assert th.p_in == th.p_stored / p.gain.eta_stored
+
     def test_zero_slope_raises(self, default_params):
         # a subnormal mode overlap makes f(d) read 0.0 at a stable d: no drive gives output
         p = default_params._replace(gain=default_params.gain._replace(m_overlap=5e-324))
@@ -316,10 +342,18 @@ def test_power_thresholds_sweep_and_required_pin_agree_on_the_beam(r1, r2, d, c,
     state, eff = end_to_end(p_in, d, p)
     row = sweep(SweepSpec("d", (d,), p))
     assert (row.flags[0] == "unstable") is not forms
-    for solve in (lambda: thresholds(d, p), lambda: required_input_power(1.0, d, p)):
-        if forms:
-            solve()
+    if forms:
+        assert min(thresholds(d, p)) >= 0.0
+        # 1 W is out of reach exactly where the output at zero input exceeds it
+        if end_to_end(0.0, d, p)[0].p_out > 1.0:
+            with pytest.raises(UnreachableTargetError, match="below the output at zero input"):
+                required_input_power(1.0, d, p)
         else:
+            pin = required_input_power(1.0, d, p)
+            assert pin >= 0.0
+            assert end_to_end(pin, d, p)[0].p_out == pytest.approx(1.0, rel=1e-9)
+    else:
+        for solve in (lambda: thresholds(d, p), lambda: required_input_power(1.0, d, p)):
             with pytest.raises(UnreachableTargetError):
                 solve()
     assert state.p_stored == stored_power(p_in, p.gain)

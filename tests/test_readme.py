@@ -10,13 +10,19 @@ from pathlib import Path
 import pytest
 
 import resbeam
-from resbeam import parse_config
+from resbeam import SweepSpec, parse_config, reference_defaults, reproduce_figure, sweep
+from resbeam.explorer import FIGURE_IDS
 from resbeam.cli import main
 
+REF = reference_defaults()
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # (info string, body) of every fenced code block
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, flags=re.M | re.S)
 
+
+# the Flag column of the flag table in "Output format"
+FLAG_TABLE = README.split("| Dataset | Flag | Row |", 1)[1].split("\n\n", 1)[0]
+FLAG_CELLS = re.findall(r"^\|[^|\n]*\|([^|\n]*)\|", FLAG_TABLE, flags=re.M)
 
 # every backticked dotted name, as `cavity._design`, `explorer._column_kit()` or
 # `resbeam.errors.Record`, without its resbeam. prefix
@@ -63,3 +69,19 @@ def test_every_named_module_attribute_resolves():
     names = [name for name in DOTTED if name.split(".")[0] in modules]
     assert {"cavity._pieces", "explorer._column_kit", "errors.Record"} <= set(names)
     assert [name for name in names if not resolves(name)] == []
+
+
+def test_flag_table_names_every_token_the_rules_emit():
+    # a plain token of the table is one the rules emit, as a row's whole flag or as
+    # the base of a joined tag:token, and the other way round
+    from test_explorer import DATASET_CASES, R2_3
+
+    datasets = [build() for build, _ in DATASET_CASES.values()]
+    datasets += [reproduce_figure(fid, p) for fid in FIGURE_IDS for p in (REF, R2_3)]
+    datasets.append(sweep(SweepSpec("R1", (1e-320,), REF)))  # g1 = -inf: overflow
+    emitted = {token.rpartition(":")[2]
+               for ds in datasets for flag in ds.flags for token in flag.split(";")} - {""}
+    documented = {token for cell in FLAG_CELLS for token in re.findall(r"`([a-z0-9-]+)`", cell)}
+    assert emitted == documented == {
+        "unstable", "below-threshold", "undefined-at-zero", "invalid-r1", "no-stable-region",
+        "no-solution", "overflow"}

@@ -8,6 +8,7 @@ error (printed as a machine-readable JSON error record), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -309,7 +310,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run main() as the process: the console script and ``python -m resbeam.cli``.
+
+    Only this function freezes the heap, since only it owns the process; main()
+    never does, so tests, the library and other in-process callers keep theirs.
+    """
+    code = main()
+    gc.freeze()  # so interpreter shutdown skips collecting and tearing down the heap
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -248,39 +248,52 @@ def _formed_slope(d: float, p: SystemParams) -> float:
     return fd
 
 
+def _lift(excess, slope):
+    """The drive that raises an output by excess at a slope >= 0: max(0, excess/slope), inf at 0."""
+    if excess <= 0.0:
+        return 0.0
+    return excess / slope if slope > 0.0 else math.inf
+
+
 def thresholds(d: float, p: SystemParams) -> Thresholds:
     """Stored/beam/input powers at which each stage starts to pass power on.
 
     p_beam_th = max(0, -b1/a1), p_stored_th = max(0, (p_beam_th - c)/f(d)) and
     p_in_th = p_stored_th/eta_stored; none falls with distance, as f(d) does.
-    Raises UnreachableTargetError where the cavity is unstable at d.
+    Raises UnreachableTargetError where the cavity is unstable at d, and where
+    p_in_th is not finite: f(d) underflowed, or the quotient overflowed.
     """
     fd = _formed_slope(d, p)
     p_beam_th = max(0.0, -p.pv.b1 / p.pv.a1)
-    p_stored_th = max(0.0, (p_beam_th - p.gain.c) / fd)
-    return Thresholds(
-        p_stored=p_stored_th, p_beam=p_beam_th, p_in=p_stored_th / p.gain.eta_stored
-    )
+    p_stored_th = _lift(p_beam_th - p.gain.c, fd)
+    p_in_th = p_stored_th / p.gain.eta_stored
+    if p_in_th == math.inf:
+        raise UnreachableTargetError(
+            f"no finite input power reaches the output threshold at d = {d} m")
+    return Thresholds(p_stored=p_stored_th, p_beam=p_beam_th, p_in=p_in_th)
 
 
 def required_input_power(target_p_out: float, d: float, params: SystemParams) -> float:
     """Input power that produces target_p_out at distance d (closed-form inverse).
 
     Raises UnreachableTargetError when the cavity is unstable at d, so no
-    resonant beam forms regardless of drive, and when the target lies below
-    the output at zero input, max(0, a1*max(0, c) + b1), which no drive lowers.
+    resonant beam forms regardless of drive, when the target lies below
+    the output at zero input, max(0, a1*max(0, c) + b1), which no drive lowers,
+    and when the answer is not finite: the end-to-end slope a1*f(d)*eta_stored
+    underflowed, or the quotient overflowed.
     """
     if not (target_p_out > 0 and math.isfinite(target_p_out)):
         require("target_p_out", target_p_out, False, "finite and > 0")
     fd = _formed_slope(d, params)
-    slope = params.pv.a1 * fd * params.gain.eta_stored
-    if slope <= 0:
-        raise UnreachableTargetError("nonpositive end-to-end slope")
     at_zero = _pv(_beam(0.0, fd, params.gain, _pick), params.pv, _pick)
     if target_p_out < at_zero:
         raise UnreachableTargetError(f"target is below the output at zero input, {at_zero} W")
-    # at that output itself, rounding may put the closed form a hair below 0
-    return max(0.0, (target_p_out - params.pv.a1 * params.gain.c - params.pv.b1) / slope)
+    # at that output itself, rounding may put the closed form a hair below 0, read as 0
+    p_in = _lift(target_p_out - params.pv.a1 * params.gain.c - params.pv.b1,
+                 params.pv.a1 * fd * params.gain.eta_stored)
+    if p_in == math.inf:
+        raise UnreachableTargetError(f"no finite input power gives {target_p_out} W at d = {d} m")
+    return p_in
 
 
 def calibrate_aperture(

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import gc
 import json
 import math
 import subprocess
@@ -256,6 +258,72 @@ class TestExitCodes:
         assert json.loads(proc.stdout)["command"] == "thresholds"
 
 
+def run_module(*argv):
+    """resbeam in a process of its own, through the __main__ block of resbeam.cli."""
+    return subprocess.run([sys.executable, "-m", "resbeam.cli", *argv], capture_output=True,
+                          timeout=120)
+
+
+class TestProcessExit:
+    # entrypoint freezes the heap of the process it ends, so it runs only in a child here:
+    # called in this process, it would freeze the test runner's heap
+
+    @pytest.mark.parametrize("argv, code", [
+        (["power", "--pin", "100W"], 0),
+        (["intervals", "--d-limit", "0"], 1),
+        (["power", "--pi", "100W"], 2),
+    ], ids=["success", "domain-error", "usage-error"])
+    def test_exit_code_and_stdout_are_those_of_main(self, capsys, argv, code):
+        proc = run_module(*argv)
+        assert (proc.returncode, main(argv)) == (code, code)
+        here = capsys.readouterr()
+        assert (proc.stdout, proc.stderr) == (here.out.encode(), here.err.encode())
+
+    def test_piped_dataset_is_byte_equal_to_main(self, capsys):
+        argv = ["sweep", "--points", "200", "--format", "json"]
+        proc = run_module(*argv)
+        assert (proc.returncode, main(argv)) == (0, 0)
+        assert proc.stdout == capsys.readouterr().out.encode()
+        assert len(json.loads(proc.stdout)["columns"]["d_m"]) == 200
+
+    def test_out_file_is_byte_equal_to_main(self, tmp_path):
+        argv = ["reproduce", "--figure", "7", "--format", "csv", "--out"]
+        proc = run_module(*argv, str(tmp_path / "child.csv"))
+        assert (proc.returncode, proc.stdout) == (0, b"")
+        assert main([*argv, str(tmp_path / "here.csv")]) == 0
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["power", "--pin", "100W"], ["reproduce", "--figure", "7"]],
+                             ids=["point", "dataset"])
+    def test_main_leaves_the_heap_unfrozen(self, capsys, argv):
+        before = gc.get_freeze_count()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_entrypoint_freezes_the_heap_before_it_exits(self):
+        probe = ("import gc, sys, resbeam.cli\n"
+                 "sys.argv = ['resbeam', 'power', '--pin', '100W']\n"
+                 "try:\n    resbeam.cli.entrypoint()\n"
+                 "except SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)\n")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=120)
+        record, exit_line = proc.stdout.splitlines()
+        assert json.loads(record)["command"] == "power"
+        assert exit_line == "0 True"
+
+    def test_both_start_paths_take_entrypoint(self):
+        # the console script and `python -m resbeam.cli` end through the one function that
+        # freezes the heap, so a renamed script cannot silently lose the shutdown skip
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            module, _, func = tomllib.load(fh)["project"]["scripts"]["resbeam"].partition(":")
+        assert (module, func) == ("resbeam.cli", "entrypoint")
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        main_blocks = [node.body for node in tree.body if isinstance(node, ast.If)
+                       and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [[ast.unparse(stmt) for stmt in body] for body in main_blocks] == [[f"{func}()"]]
+
+
 # the commands that never touch an array, each run once with its defaults
 SCALAR_COMMANDS = {
     "stability": ["stability"],
@@ -459,13 +527,23 @@ def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
     # b1 = 1 W gives 1 W out at zero input, and no drive gives less
     (["design", "required-pin", "--pout", "0.5W", "--config", "{tmp}/offset.cfg"],
      "UnreachableTargetError", "evaluate"),
+    # a faint mode overlap leaves f(d) > 0, but the input power for 1 W, and the input
+    # threshold, overflow; at 5e-324 the input threshold divides by f(d) = 0.0
+    (["design", "required-pin", "--pout", "1W", "--config", "{tmp}/dim.cfg"],
+     "UnreachableTargetError", "evaluate"),
+    (["thresholds", "--config", "{tmp}/dim.cfg"], "UnreachableTargetError", "evaluate"),
+    (["thresholds", "--config", "{tmp}/faint.cfg"], "UnreachableTargetError", "evaluate"),
+    # the quotient overflows at the reference link
+    (["design", "required-pin", "--pout", "1e308W"], "UnreachableTargetError", "evaluate"),
 ], ids=["quantity", "config-syntax", "config-file", "flag-range", "config-range", "handler",
         "handler-range", "handler-quantity", "quantity-nan", "quantity-digits", "record",
-        "out-file", "zero-slope", "below-zero-input"])
+        "out-file", "zero-slope", "below-zero-input", "overflowed-pin", "overflowed-threshold",
+        "zero-slope-threshold", "overflowed-target"])
 def test_error_record_names_its_stage(capsys, tmp_path, argv, error, stage):
     (tmp_path / "syntax.cfg").write_text("d 1m\n")
     (tmp_path / "range.cfg").write_text("eta_stored = 1.5\n")
     (tmp_path / "faint.cfg").write_text("m_overlap = 5e-324\n")
+    (tmp_path / "dim.cfg").write_text("m_overlap = 1e-310\n")
     (tmp_path / "offset.cfg").write_text("b1 = 1W\n")
     code, out = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     rec = json.loads(out)
@@ -612,7 +690,8 @@ def test_point_records_hold_exactly_the_result_fields(capsys):
 @pytest.mark.parametrize("argv, key, value", [
     (["stability", "--r1", "1e-320m"], "g1", "-inf"),
     (["stability", "--d", "1e300m"], "g1g2", "inf"),
-    (["design", "required-pin", "--pout", "1e308W"], "p_in_required", "inf"),
+    # f = 1e-310 m: the effective length l + d - l*d/f overflows
+    (["stability", "--f", "1e-310m"], "L", "-inf"),
     # a PV offset that gives output at no beam, over a subnormal drive
     (["power", "--pin", "2e-313W", "--config", "{cfg}"], "eta_all", "inf"),
 ])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -312,8 +313,35 @@ class TestRequiredInputPower:
         # a subnormal mode overlap makes f(d) read 0.0 at a stable d: no drive gives output
         p = default_params._replace(gain=default_params.gain._replace(m_overlap=5e-324))
         assert is_stable(p.geometry, 1.0) and gain_to_beam_coefficient(1.0, p) == 0.0
-        with pytest.raises(UnreachableTargetError, match="nonpositive end-to-end slope"):
+        with pytest.raises(UnreachableTargetError, match="no finite input power gives 1.0 W"):
             required_input_power(1.0, 1.0, p)
+        # nor does any drive reach the output threshold, which divided by f(d) = 0.0
+        with pytest.raises(UnreachableTargetError, match="no finite input power reaches"):
+            thresholds(1.0, p)
+
+    # a faint mode overlap leaves f(d) > 0 but the answer overflows at a stable d, and so
+    # does a huge target or PV offset at the reference link
+    @pytest.mark.parametrize("offsets, target", [
+        ({"m_overlap": 1e-310}, 1.0), ({}, 1.7e308), ({"b1": -1.7e308}, 1.7e308),
+    ], ids=["faint", "huge-target", "huge-offset"])
+    def test_a_non_finite_input_power_raises(self, offsets, target):
+        p = RunConfig(**offsets).system_params()
+        assert is_stable(p.geometry, 1.0)
+        gives = re.escape(f"no finite input power gives {target} W at d = 1.0 m")
+        with pytest.raises(UnreachableTargetError, match=gives):
+            required_input_power(target, 1.0, p)
+        if offsets:  # the reference link's thresholds are finite
+            with pytest.raises(UnreachableTargetError, match="no finite input power reaches the "
+                                                             "output threshold at d = 1.0 m"):
+                thresholds(1.0, p)
+
+    @pytest.mark.parametrize("m_overlap", [1e-310, 5e-324])
+    def test_a_stage_on_at_zero_drive_has_a_zero_threshold_at_a_faint_overlap(self, m_overlap):
+        # c = 5 W, b1 = 1 W: every stage passes power at zero drive, whatever f(d) is
+        p = RunConfig(m_overlap=m_overlap, c=5.0, b1=1.0).system_params()
+        assert thresholds(1.0, p) == (0.0, 0.0, 0.0)
+        at_zero = p.pv.a1 * p.gain.c + p.pv.b1
+        assert required_input_power(at_zero, 1.0, p) == 0.0
 
     def test_rejects_non_finite_inputs(self, default_params):
         for bad in (math.nan, math.inf):

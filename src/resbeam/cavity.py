@@ -14,18 +14,20 @@ bounded by the real roots of two closed-form polynomials, no scanning needed.
 
 Each closed form is written once, as a private body that runs on floats and
 numpy columns alike: it uses only + - * / & | and abs, takes sqrt as an
-argument, and leaves validation to its callers.  The reach at a fixed r2 is
-such a body too: g1*g2 is a parabola in d, so _pieces works out its
-coefficients once, orders its roots with the selection pick and reads the
-stable set's two pieces off the sign of its leading coefficient, and both
-_supremum and stable_distance_intervals read those pieces.  On a connected
-branch the reach is one linear solve instead, _design, which the design
-rows run; its only R1-dependent term is a monotone map of R1 on each side
-of R1 = l - f, so the R1 search inverts that map at each threshold the
-target sets, with no root search and no design tried.  The scalar kernels
-here wrap the bodies with exceptions; the dataset rules of
-:mod:`resbeam.explorer` call them on whole grids with the primitives of a
-kit (pick, sqrt) and flag a row rather than raise.
+argument, and leaves validation to its callers.  _lens_mirror holds the
+terms the lens and M1 set (c0 = 1 - l/f, g1's slope, whether g1 depends on
+d, and d1), which the design, connecting_r2, stability_line and the R1
+search read.  The reach at a fixed r2 is such a body too: g1*g2 is a
+parabola in d, so _pieces works out its coefficients once, orders its roots
+with the selection pick and reads the stable set's two pieces off the sign
+of its leading coefficient, and both _supremum and stable_distance_intervals
+read those pieces.  On a connected branch the reach is one linear solve
+instead, _design, which the design rows run; its only R1-dependent term is
+a monotone map of R1 on each side of R1 = l - f, so the R1 search inverts
+that map at each threshold the target sets, with no root search and no
+design tried.  The scalar kernels here wrap the bodies with exceptions; the
+dataset rules of :mod:`resbeam.explorer` call them on whole grids with the
+primitives of a kit (pick, sqrt) and flag a row rather than raise.
 """
 
 from __future__ import annotations
@@ -193,18 +195,6 @@ def _radii(l, f, r1, r2, d, g, lam_pi, sqrt):
     )
 
 
-def _connecting(l, f, r1, branch):
-    """(c0, phi + c0/r1, 1/r2) with phi = 1/f, c0 = 1 - l*phi: 1/r2 = +-c0*(phi + c0/r1).
-
-    1/r1 is kept off zero, so no float operation raises.
-    """
-    phi = 1.0 / f
-    c0 = 1.0 - l * phi
-    den = phi + c0 * (1.0 / (r1 + (r1 == 0.0)))
-    rho2 = c0 * den
-    return c0, den, -rho2 if branch == TANGENT else rho2
-
-
 def _g_at(geom: CavityGeometry, d: float):
     """_g_terms of the geometry at one finite distance d >= 0."""
     if not 0.0 <= d < math.inf:
@@ -255,13 +245,23 @@ def _affine(l, f, r1, r2):
     return 1.0 - l * ir1, -(phi + c0 * ir1), c0 - l * (1.0 / r2), -c0 * (1.0 / r2)
 
 
-def _g1_varies(l, f, r1, den):
-    """Mask of the (l, f, r1) whose g1 depends on d; den is minus its d-coefficient.
+def _lens_mirror(l, f, r1, pick):
+    """(c0, den, varies, d1): the terms the lens and M1 set, on floats or numpy columns.
 
-    l - r1 - f is -inf for a flat f or r1, and den is exactly 0.0 for an
-    all-flat f and r1, so the one test covers every form.
+    With M2 flat, _affine gives g2 = c0 = 1 - l/f and g1 = a1 - den*d, den =
+    1/f + c0/r1 = (r1 + f - l)/(f*r1), with 1/r1 kept off zero so that no
+    float operation raises.  varies: g1 depends on d; l - r1 - f is -inf for
+    a flat f or r1, and den is exactly 0.0 for an all-flat f and r1, so the
+    one test covers every form.  A connected design has 1/r2 = +-c0*den, and
+    its u = c0*g1 is 0 at d0 = f*(r1 - l)/(r1 + f - l) (r1 - l for a flat f,
+    f for a flat r1) and 1 at d1 = -l/c0 = l*f/(l - f) (-l for a flat f).
+    den keeps the form phi + c0/r1, which cancels near r1 = l - f: the pinned
+    dataset digests and the benchmark's R2_m oracle hold 1/r2 to its bits.
     """
-    return (l - r1 - f != 0.0) & (den != 0.0)
+    _, b1, c0, _ = _affine(l, f, r1 + (r1 == 0.0), FLAT)
+    den = -b1
+    d1 = l * pick(f == FLAT, -1.0, f / ((l - f) + (l == f)))
+    return c0, den, (l - r1 - f != 0.0) & (den != 0.0), d1
 
 
 def stability_line(geom: CavityGeometry) -> StabilityLine:
@@ -274,12 +274,12 @@ def stability_line(geom: CavityGeometry) -> StabilityLine:
         the family is a vertical line in the stability diagram and has no
         slope/intercept form.
     """
-    a1, b1, a2, b2 = _affine(geom.l, geom.f, geom.r1, geom.r2)
-    if not _g1_varies(geom.l, geom.f, geom.r1, -b1):
+    if not _lens_mirror(geom.l, geom.f, geom.r1, _pick)[2]:
         raise DegenerateLineError(
             "g1 is independent of d (l - r1 - f = 0 or all-flat optics); "
             "the d-family has no g2(g1) form"
         )
+    a1, b1, a2, b2 = _affine(geom.l, geom.f, geom.r1, geom.r2)
     slope = b2 / b1
     return StabilityLine(slope, a2 - a1 * slope)
 
@@ -409,23 +409,20 @@ def _design(l, f, r1, branch, pick):
     1 - (u - 1)^2: stable iff u is in (-1, 1) less 0, or in (0, 2) less 1.
     The stable set is one interval less its touch point, and its end is
     where u reaches -1 or 1 (origin), 0 or 2 (tangent), as u falls or
-    rises.  u = 0 at d0 = -a1/b1 = f*(r1 - l)/(r1 + f - l), the root of
-    g1, and u = 1 at d1 = -l/c0 = l*f/(l - f), so u = t at
-    d1 + (t - 1)*(d1 - d0).  Near R1 = l - f, r1 + f - l is summed by
-    TwoSum, where phi + c0/r1 cancels; l - f is exact where c0 = 1 - l/f
-    cancels.  A flat f has d0 = r1 - l and d1 = -l, a flat R1 d0 = f.
+    rises.  With d0 and d1 of _lens_mirror, u = t at d1 + (t - 1)*(d1 - d0).
+    Near R1 = l - f, d0's r1 + f - l is summed by TwoSum, where den
+    cancels; l - f is exact where c0 = 1 - l/f cancels.
     An end that is exactly 0 then comes out 0: where c0*g1(0) is 0 (R1 = l),
     or, with a flat f, 2 or -1.  r1 + f - l is 0 only where l - r1 - f is,
     so no design passes ok and then has d0 = 0/0.
     """
-    c0, den, rho2 = _connecting(l, f, r1, branch)
+    c0, den, varies, d1 = _lens_mirror(l, f, r1, pick)
+    rho2 = -c0 * den if branch == TANGENT else c0 * den
     r2 = 1.0 / (rho2 + (rho2 == 0.0))
-    ok = (_is_element(r1) & (c0 != 0.0) & (l != f) & _g1_varies(l, f, r1, den)
-          & (rho2 != 0.0) & _is_element(r2))
+    ok = _is_element(r1) & (c0 != 0.0) & (l != f) & varies & (rho2 != 0.0) & _is_element(r2)
     s = r1 + f
     t = s - r1
     num = (s - l) + ((r1 - (s - t)) + (f - t))  # r1 + f - l
-    d1 = l * pick(f == FLAT, -1.0, f / ((l - f) + (l == f)))
     d0 = pick(f == FLAT, r1 - l, pick(r1 == FLAT, f, f * ((r1 - l) / (num + (num == 0.0)))))
     rising = d1 > d0
     if branch == ORIGIN:
@@ -464,11 +461,12 @@ def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
         require("branch", branch, False, f"one of {BRANCHES}")
     _check_l_f(l, f)
     _check_element("r1", r1)
-    c0, den, rho2 = _connecting(l, f, r1, branch)
+    c0, den, varies, _ = _lens_mirror(l, f, r1, _pick)
     if c0 == 0.0 or l == f:
         raise WrongSignSlopeError("l equals f: the stability line is horizontal on both branches")
-    if not _g1_varies(l, f, r1, den):
+    if not varies:
         raise NoSolutionError("g1 is independent of d for this (l, f, r1); no connecting line exists")
+    rho2 = -c0 * den if branch == TANGENT else c0 * den
     # c0*den may underflow to +-0.0, and an overflowed 1/r1 gives r2 = +-0.0
     if rho2 == 0.0 or not _is_element(r2 := 1.0 / rho2):
         require("r1", r1, False, f"an R1 whose connecting r2 is {_ELEMENT}")
@@ -480,13 +478,13 @@ def r1_range_for_distance(
 ) -> list[tuple[float, float]]:
     """Maximal R1 subintervals whose connected-branch design reaches target_d.
 
-    By _design, the reach of the design at R1 is set by d1 = l*f/(l - f),
-    which does not depend on R1, and d0 = f*(R1 - l)/(R1 + f - l), which
-    rises on each side of its pole R1 = l - f: from f to +inf below it, from
-    -inf to f above it (a flat f has d0 = R1 - l, rising everywhere).  With
-    T = target_d, every design reaches where d1 >= T (and d1 > 0); otherwise
-    the design reaches iff d0 >= (T + d1)/2 (origin), or d0 >= T or
-    d0 <= 2*d1 - T (tangent).  A threshold D inverts in one division,
+    By _design, the reach of the design at R1 is set by d0 and d1 of
+    _lens_mirror.  d1 does not depend on R1, and d0 rises on each side of its
+    pole R1 = l - f: from f to +inf below it, from -inf to f above it (a flat
+    f has d0 = R1 - l, rising everywhere).  With T = target_d, every design
+    reaches where d1 >= T (and d1 > 0); otherwise the design reaches iff
+    d0 >= (T + d1)/2 (origin), or d0 >= T or d0 <= 2*d1 - T (tangent).  A
+    threshold D inverts in one division,
 
         R1(D) = (D - d1)*(f - l)/(f - D)    (D - d1 for a flat f),
 
@@ -515,9 +513,8 @@ def r1_range_for_distance(
         require("branch", branch, False, f"one of {BRANCHES}")
 
     inf = math.inf
-    c0 = 1.0 - l * (1.0 / f)
+    c0, _, _, d1 = _lens_mirror(l, f, FLAT, _pick)  # neither depends on R1
     flat = f == FLAT
-    d1 = l * (-1.0 if flat else f / ((l - f) + (l == f)))  # as _design computes it
     if d1 >= target_d and d1 > 0.0:  # the spans of d0 that reach
         spans = [(-inf, inf)]
     elif branch == ORIGIN:

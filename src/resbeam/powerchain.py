@@ -78,9 +78,10 @@ class SystemParams(Record):
         for key, v in (("a", self.aperture_radius), ("d", self.d), ("p_in", self.p_in)):
             require(key, v, 0.0 <= v < math.inf, "finite and >= 0")
         require("wavelength", self.wavelength, 0.0 < self.wavelength < math.inf, "finite and > 0")
-        # the TEM00 loss divides by wavelength * (l + d), which must not underflow at any d >= 0
-        require("wavelength", self.wavelength, self.wavelength * self.l > 0.0,
-                "such that wavelength * l > 0")
+        # the TEM00 loss divides by wavelength * (l + d), which must not underflow at any d >= 0;
+        # the smaller factor is named
+        key, v = ("l", self.l) if self.l < self.wavelength else ("wavelength", self.wavelength)
+        require(key, v, self.wavelength * self.l > 0.0, "such that wavelength * l > 0")
 
     @property
     def l(self) -> float:

@@ -41,6 +41,8 @@ import oracles
 
 COLUMNS = explorer._column_kit()
 LAM = 1.064e-6
+# a valid mirror or lens element: |x| in [0.02, 5] m, either sign, or flat
+ELEMENT = st.one_of(st.floats(-5.0, -0.02), st.floats(0.02, 5.0), st.just(FLAT))
 
 
 def geom(l=0.06, f=0.88, r1=-1.0, r2=5.2466):
@@ -157,12 +159,47 @@ class TestStabilityLine:
         der = g_parameters(geom(r2=-5.0), 1.0)
         assert line.g2_at(der.g1) == pytest.approx(der.g2, abs=1e-9)
 
-    def test_degenerate_when_g1_constant(self):
-        # dyadic values so l - r1 - f = 0 holds exactly in binary floats
-        with pytest.raises(DegenerateLineError):
-            stability_line(CavityGeometry(l=0.25, f=0.5, r1=-0.25, r2=5.0))
-        with pytest.raises(DegenerateLineError):
-            stability_line(CavityGeometry(l=0.06, f=FLAT, r1=FLAT, r2=5.0))
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.01, 0.3), ELEMENT, ELEMENT, st.none() | st.integers(-64, 64))
+    # dyadic values so l - r1 - f = 0 holds exactly in binary floats
+    @example(0.25, 0.5, -0.25, None)
+    @example(0.06, FLAT, FLAT, None)  # all-flat f and r1: g1 = 1
+    @example(0.06, FLAT, -1.0, None)
+    @example(0.06, 0.88, FLAT, None)
+    # R1 = l - f as it rounds, and 1 and 64 ULPs to either side
+    @example(0.06, 0.88, FLAT, 0)
+    @example(0.06, 0.88, FLAT, 1)
+    @example(0.06, 0.88, FLAT, -1)
+    @example(0.06, 0.88, FLAT, 64)
+    @example(0.06, 0.88, FLAT, -64)
+    # l - r1 - f is exactly 0 while phi + c0/r1 rounds to -8.9e-16
+    @example(0.2549, 0.2216, FLAT, 0)
+    def test_degenerate_when_g1_constant(self, l, f, r1, ulps):
+        # where g1 does not depend on d there is no line, no connecting r2 and no design;
+        # where it does, connecting_r2 gives an r2 exactly where _design's ok holds, on rows
+        # and on columns.  With c0 = 0 or l = f no design exists whatever g1 does.
+        if ulps is not None and math.isfinite(f):
+            r1 = stepped(l - f, ulps) or FLAT
+        try:
+            stability_line(CavityGeometry(l=l, f=f, r1=r1, r2=5.0))
+            degenerate = False
+        except DegenerateLineError:
+            degenerate = True
+        if l - r1 - f == 0.0 or f == r1 == FLAT:
+            assert degenerate, (l, f, r1)
+        for branch in BRANCHES:
+            try:
+                connecting_r2(l, f, r1, branch)
+                refused = None
+            except WrongSignSlopeError:
+                return
+            except (NoSolutionError, UnitError) as exc:
+                refused = type(exc)
+            assert (refused is NoSolutionError) == degenerate, (l, f, r1)
+            ok = cavity._design(l, f, r1, branch, cavity._pick)[2]
+            with np.errstate(all="ignore"):
+                column = cavity._design(l, f, np.array([r1]), branch, np.where)[2]
+            assert ok == bool(column[0]) == (refused is None), (l, f, r1, branch)
 
     def test_line_membership_random(self):
         rng = np.random.RandomState(11)
@@ -270,9 +307,6 @@ PAST_THE_FLOAT_RANGE = (1e300, -1e300, 1.9999999999999983e300, FLAT)
 # |x| log-uniform in [0.01, 10], either sign
 LOG_SIGNED = st.builds(math.copysign, st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e),
                        st.sampled_from([1.0, -1.0]))
-
-
-ELEMENT = st.one_of(st.floats(-5.0, -0.02), st.floats(0.02, 5.0), st.just(FLAT))
 
 
 def stepped(x: float, k: int) -> float:

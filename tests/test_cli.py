@@ -507,6 +507,16 @@ def test_bad_value_record_names_key_and_value(capsys, argv, key, value):
     assert rec["stage"] == ("parse" if value[-1] in "mW" else "evaluate")
 
 
+def test_a_subnormal_l_is_named_not_the_wavelength(capsys):
+    # wavelength * l underflows to 0 with the reference wavelength: l, the smaller factor, is
+    # named, in the one wording of the rule
+    code, out = run_cli(capsys, "stability", "--l", "1e-320m")
+    rec = json.loads(out)
+    assert code == 1 and (rec["error"], rec["key"], rec["value"], rec["stage"]) == (
+        "UnitError", "l", "1e-320", "build")
+    assert rec["message"] == "l: must be such that wavelength * l > 0, got 1e-320"
+
+
 @pytest.mark.parametrize("argv, error, stage", [
     (["stability", "--d", "5W"], "UnitError", "parse"),
     (["stability", "--config", "{tmp}/syntax.cfg"], "ParseError", "parse"),

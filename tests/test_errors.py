@@ -75,6 +75,8 @@ CHECKS = [
     ("tem00-underflow", lambda: fundamental_loss_vs_distance(1e-3, 5e-324, 0.06, 0.1),
      "wavelength", "5e-324"),
     ("link-underflow", lambda: REF._replace(wavelength=5e-324), "wavelength", "5e-324"),
+    # the same product, with l the factor that underflows it: l is named
+    ("link-underflow-l", lambda: REF._replace(geometry=GEOM._replace(l=1e-320)), "l", "1e-320"),
     ("sweep-variable", lambda: SweepSpec("q", (1.0,), REF), "variable", "'q'"),
     ("grid-increasing", lambda: SweepSpec("d", (1.0, 2.0, 2.0), REF), "grid", "(2.0, 2.0)"),
     ("grid-empty", lambda: SweepSpec("d", (), REF), "grid", "()"),

@@ -4,9 +4,9 @@ Cavity stability and maximum transmission distance, Gaussian mode radii,
 aperture diffraction loss, and the three-stage electrical-to-electrical
 power chain, plus deterministic design-space sweeps.
 
-numpy loads only on the column path, where explorer._by_columns runs a grid
-past 256 points on the column kit explorer._column_kit(), and in
-Dataset.column().  The grid drivers and datasets load on first use.
+resbeam imports numpy only in Dataset.column().  A grid runs on the column
+kit explorer._column_kit() where numpy is already loaded, and as rows
+elsewhere.  The grid drivers and datasets load on first use.
 """
 
 from importlib import import_module as _import_module

@@ -131,11 +131,13 @@ class DistanceIntervals(Record):
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        intervals = tuple(self.intervals)  # the tuple checked, not the caller's sequence
         prev_hi = -math.inf
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             if not prev_hi <= lo < hi:
                 require("intervals", (lo, hi), False, "nonempty, disjoint and in order")
             prev_hi = hi
+        object.__setattr__(self, "intervals", intervals)
 
     def __iter__(self):
         return iter(self.intervals)

@@ -36,8 +36,8 @@ from .powerchain import (
 )
 
 # explorer and dataset are imported inside the handlers that need them, so the
-# point commands do not load them; numpy loads only for a grid longer than
-# explorer.ROWS_MAX, which the CLI's sweeps reach only past 256 --points
+# point commands do not load them; no command loads numpy, since a grid runs as
+# rows wherever numpy is not loaded already
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:

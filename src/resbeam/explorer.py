@@ -7,9 +7,9 @@ in :mod:`resbeam.cavity`; all three are re-exported here under the same names.
 Each dataset rule is written once, on the primitives of a kit (see Kit): it
 calls the unchecked bodies of the power stages, the connected-branch design
 and the reach itself, with the kit's pick and sqrt, and flags a row rather
-than raise.  A grid of up to ROWS_MAX points runs its rules row by row on the
-row kit, without numpy: every figure (200 points) and the CLI's default
-sweeps run so.  A longer grid runs them on the column kit, on numpy columns,
+than raise.  Where numpy is not loaded a grid runs its rules row by row on
+the row kit, so no CLI command imports numpy, at any --points.  Where numpy
+is already loaded a grid runs them on the column kit, on numpy columns,
 with the same bits, under ``np.errstate(all="ignore")``: like Python
 floats, the columns overflow to inf and give NaN for inf*0 (a subnormal radius
 does both), and such a row is flagged, not warned of.  Rows that cannot be
@@ -20,8 +20,9 @@ zeros plus a flag token, picked like any value, rather than being dropped.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from .cavity import (
     BRANCHES,
@@ -55,12 +56,6 @@ from .powerchain import (
 
 FIGURE_IDS = tuple(range(6, 14))
 
-# Grids of up to this many points run as rows, longer ones as columns.  With
-# numpy loaded, columns overtake rows at 30 to 50 points, but at 256 points rows
-# lose at most 2.5 ms, and save a CLI process its numpy import (about 100 ms).
-ROWS_MAX = 256
-
-
 class SweepSpec(Record):
     """One swept variable over a strictly increasing finite grid (>= 0 but for R1), rest fixed."""
 
@@ -75,14 +70,15 @@ class SweepSpec(Record):
         if not all(map(float.__lt__, grid, grid[1:])):  # name the first pair out of order
             pair = next(q for q in zip(grid, grid[1:]) if q[0] >= q[1])
             require("grid", pair, False, "strictly increasing")
+        object.__setattr__(self, "grid", grid)  # the tuple checked, not the caller's sequence
 
 
-def _checked_grid(variable: str, points) -> list[float]:
-    """The points as a nonempty list of floats, each finite, and >= 0 but for R1."""
+def _checked_grid(variable: str, points) -> tuple[float, ...]:
+    """The points as a nonempty tuple of floats, each finite, and >= 0 but for R1."""
     try:  # a string is a sequence, but of characters: "123" is no grid of three points
-        grid = [] if isinstance(points, (str, bytes)) else _floats(points)
+        grid = () if isinstance(points, (str, bytes)) else tuple(_floats(points))
     except (TypeError, ValueError):  # not a sequence, a nested one, or one with a non-number
-        grid = []
+        grid = ()
     require("grid", points, len(grid) > 0, "a nonempty sequence of numbers")
     signed = variable == "R1"
     if not (all(map(math.isfinite, grid)) and (signed or min(grid) >= 0)):
@@ -111,8 +107,8 @@ ROWS = Kit(pick=_pick, exp=math.exp, sqrt=math.sqrt, when=_when)
 
 
 def _column_kit() -> Kit:
-    """The kit on numpy columns; numpy loads here.  Its when evaluates every row
-    and zeroes those outside its mask."""
+    """The kit on numpy columns.  Its when evaluates every row and zeroes those
+    outside its mask."""
     import numpy as np
 
     def when(ok: np.ndarray, row: Callable, token: str) -> tuple:
@@ -142,7 +138,7 @@ def _joined(flag: str, tag: str, mark: str, join: bool) -> str:
     return flag or mark
 
 
-def _by_rows(xs: list[float], width: int, rules: dict, join: bool):
+def _by_rows(xs: Sequence[float], width: int, rules: dict, join: bool):
     """(columns, flags) of the rules run on ROWS; an overflowed row reads zero."""
     rows, flags = [], []
     for x in xs:
@@ -158,8 +154,8 @@ def _by_rows(xs: list[float], width: int, rules: dict, join: bool):
     return list(zip(*rows)), flags
 
 
-def _by_columns(xs: list[float], width: int, rules: dict, join: bool):
-    """(columns, flags) of the rules run on the column kit; numpy loads here."""
+def _by_columns(xs: Sequence[float], width: int, rules: dict, join: bool):
+    """(columns, flags) of the rules run on the column kit."""
     import numpy as np
 
     kit = _column_kit()
@@ -180,16 +176,18 @@ def _by_columns(xs: list[float], width: int, rules: dict, join: bool):
     return table, flags
 
 
-def _tabulate(xs: list[float], x_col, value_cols, rules: dict, provenance, join=False) -> Dataset:
+def _tabulate(xs: Sequence[float], x_col, value_cols, rules: dict, provenance,
+              join=False) -> Dataset:
     """Evaluate each series' rule on the grid xs into one Dataset.
 
     ``rules`` maps a series tag to its rule; each series fills its own tagged
     copy of ``value_cols``, and values missing at the end read zero.  When
     several series flag a row, ``join`` joins ``tag:flag`` tokens with ';';
     otherwise the first nonempty flag wins.  A row with a value that
-    overflowed to +-inf reads zero, flagged ``overflow``.
+    overflowed to +-inf reads zero, flagged ``overflow``.  It runs as columns
+    where numpy is already loaded and as rows elsewhere, never importing numpy.
     """
-    tabulate = _by_columns if len(xs) > ROWS_MAX else _by_rows
+    tabulate = _by_columns if "numpy" in sys.modules else _by_rows
     table, flags = tabulate(xs, len(value_cols), rules, join)
     names = [x_col] + [_tagged(c, tag) for tag in rules for c in value_cols]
     return Dataset(dict(zip(names, table)), flags, provenance)
@@ -306,7 +304,7 @@ def sweep(spec: SweepSpec) -> Dataset:
     """
     x_col, value_cols, rule_for = _SWEEPS[spec.variable]
     prov = provenance_for(spec.fixed, variable=spec.variable, points=len(spec.grid))
-    return _tabulate(_floats(spec.grid), x_col, value_cols, {"": rule_for(spec.fixed)}, prov)
+    return _tabulate(spec.grid, x_col, value_cols, {"": rule_for(spec.fixed)}, prov)
 
 
 def max_distance_vs_r1(

@@ -9,15 +9,17 @@ route against tests/oracles.py, which works in Fractions:
   of rho2 = 1/r2 against the exact design's;
 * ``_design`` (rows): refusals, wrong ``found`` and the error of d_max
   against ``exact_branch_reach``, in units of the exact d_max + |d1|;
-* ``_supremum`` (rows, and columns bit for bit) on the printed r2: wrong
-  ``found`` and the error of d_max against ``exact_reach`` of that float
-  design;
+* ``_supremum`` (rows, and columns bit for bit) on the printed r2, and on
+  designs with an element within 3 ULPs of l: wrong ``found`` and the error
+  of d_max against ``exact_reach`` of that float design; near l also the
+  slivers, sets under 1e-15 m read where the exact set is empty;
 * ``r1_range_for_distance``: interval counts and edge errors against
   ``exact_r1_range``.
 
 Bands: R1 within 64 ULPs of l - f; R1 within 1e-12*max(1, |l - f|) of it;
-generic connected designs on their printed r2; R1 searches.  Run from the
-repository root:
+generic connected designs on their printed r2; R1, f, or r2 with flat optics
+within 3 ULPs of l, where a root of g1, g2 or g1*g2 = 1 lies at d = 0 to
+rounding; R1 searches.  Run from the repository root:
 
     PYTHONPATH=src python tests/differential.py --seed 32 --n 2000 --out DIFF_32.json
 
@@ -83,6 +85,14 @@ def printed(rng):
 DESIGN_BANDS = {"l-f-64ulp": near_ulps, "l-f-1e-12": near_relative, "printed-r2": printed}
 
 
+def near_l(rng):
+    """(l, f, r1, r2): R1, f, or r2 with flat f and R1, within 3 ULPs of l; the rest drawn."""
+    l, f = lens(rng)
+    r1, r2 = (math.copysign(10.0 ** rng.uniform(-2.0, 0.5), rng.random() - 0.5) for _ in "12")
+    near = stepped(l, rng.randint(-3, 3))
+    return ((l, f, near, r2), (l, near, r1, r2), (l, math.inf, math.inf, near))[rng.randrange(3)]
+
+
 class Route:
     """Counts and error samples of one route in one band, and a digest of its answers."""
 
@@ -114,7 +124,7 @@ def relative(got: float, exact: Fraction, scale: Fraction) -> float:
 
 
 def design_band(draw, rng: random.Random, n: int) -> dict:
-    conn, design, reach = Route(), Route(), Route()
+    conn, design = Route(), Route()
     printed_designs = []
     for _ in range(n):
         l, f, r1 = draw(rng)
@@ -154,12 +164,20 @@ def design_band(draw, rng: random.Random, n: int) -> dict:
                 scale = exact_d + abs(oracles.exact_d1(l, f))
                 design.error(relative(d_max, exact_d, scale), 1e-15)
 
-    # the generic reach on each printed r2, rows and columns
-    if printed_designs:
+    return {"connecting_r2": conn.report("rho2_rel_error"),
+            "_design": design.report("d_max_error_of_d_max_plus_d1"),
+            "_supremum": supremum_route(printed_designs).report("d_max_rel_error")}
+
+
+def supremum_route(designs: list, slivers: bool = False) -> Route:
+    """The generic reach on each design, rows and columns, against exact_reach; with
+    slivers, also the stable sets under 1e-15 m it reads where the exact set is empty."""
+    reach = Route()
+    if designs:
         with np.errstate(all="ignore"):
             col_d, col_contiguous, col_found = cavity._supremum(
-                *map(np.array, zip(*printed_designs)), np.where, np.sqrt)
-    for i, (l, f, r1, r2) in enumerate(printed_designs):
+                *map(np.array, zip(*designs)), np.where, np.sqrt)
+    for i, (l, f, r1, r2) in enumerate(designs):
         d_max, contiguous, found = cavity._supremum(l, f, r1, r2, cavity._pick, math.sqrt)
         reach.answer(d_max, bool(contiguous), bool(found))
         reach.count("designs")
@@ -168,13 +186,12 @@ def design_band(draw, rng: random.Random, n: int) -> dict:
                     != (float(col_d[i]).hex(), bool(col_contiguous[i]), bool(col_found[i])))
         stable = oracles.exact_reach(l, f, r1, r2)
         reach.count("wrong_found", bool(found) != bool(stable))
+        if slivers:
+            reach.count("sliver_under_1e-15_where_empty", found and not stable and d_max < 1e-15)
         if found and stable and stable[-1][1] != math.inf and math.isfinite(d_max):
             end = stable[-1][1]
             reach.error(relative(d_max, end, end), 1e-9)
-
-    return {"connecting_r2": conn.report("rho2_rel_error"),
-            "_design": design.report("d_max_error_of_d_max_plus_d1"),
-            "_supremum": reach.report("d_max_rel_error")}
+    return reach
 
 
 def r1_search_band(rng: random.Random, n: int) -> dict:
@@ -208,6 +225,9 @@ def run(seed: int, n: int) -> dict:
     bands = {}
     for i, (name, draw) in enumerate(DESIGN_BANDS.items()):
         bands[name] = design_band(draw, random.Random(f"{seed}-{i}"), n)
+    rng = random.Random(f"{seed}-near-l")  # its own stream: the bands above draw as before
+    designs = [near_l(rng) for _ in range(n)]
+    bands["l-3ulp"] = {"_supremum": supremum_route(designs, slivers=True).report("d_max_rel_error")}
     bands["r1-search"] = r1_search_band(random.Random(f"{seed}-search"), n)
     return {"seed": seed, "n": n, "bands": bands}
 

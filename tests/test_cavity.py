@@ -2,7 +2,6 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from resbeam import (
 from resbeam import cavity, explorer, max_distance_vs_r1
 
 import oracles
+from conftest import forced
 
 COLUMNS = explorer._column_kit()
 LAM = 1.064e-6
@@ -410,8 +410,8 @@ class TestMaxTransmissionDistance:
         g = CavityGeometry(l=l, f=f, r1=r1, r2=r2)
         assert max_transmission_distance(g).d_max == math.inf
         spec = SweepSpec("R1", [r1], default_params._replace(geometry=g))
-        for rows_max in (math.inf, -1):  # rows, then columns
-            with patch.object(explorer, "ROWS_MAX", rows_max):
+        for path in ("rows", "columns"):
+            with forced(path):
                 ds = sweep(spec)
             assert ds.flags == ["overflow"] and ds.columns["d_max_m"] == [0.0]
 
@@ -431,8 +431,8 @@ class TestMaxTransmissionDistance:
             max_transmission_distance(g)
         assert stable_distance_intervals(g, 20.0).is_empty
         spec = SweepSpec("R1", [r1], default_params._replace(geometry=g))
-        for rows_max in (math.inf, -1):  # rows, then columns
-            with patch.object(explorer, "ROWS_MAX", rows_max):
+        for path in ("rows", "columns"):
+            with forced(path):
                 ds = sweep(spec)
             assert ds.flags == ["no-stable-region"] and ds.columns["d_max_m"] == [0.0]
 
@@ -1104,8 +1104,8 @@ class TestBranchReach:
         # a subnormal slope: the reach of the exact design lies past the float range
         l, f, branch, (r1,) = SUBNORMAL_SLOPE
         assert oracles.exact_branch_reach(l, f, r1, branch)[0] > Fraction(2) ** 1024
-        for rows_max in (math.inf, -1):  # rows, then columns
-            with patch.object(explorer, "ROWS_MAX", rows_max):
+        for path in ("rows", "columns"):
+            with forced(path):
                 ds = max_distance_vs_r1(l, f, [r1], branch)
             assert ds.flags == ["overflow"] and ds.columns["d_max_m"] == [0.0]
         window = (math.nextafter(r1, -math.inf), math.nextafter(r1, 0.0))  # r1 alone inside

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import resbeam
 from resbeam import (BeamRadii, CavityDerived, EfficiencyBreakdown, MaxDistance, PowerState,
                      RunConfig, StabilityLine, Thresholds, UnitError, cli, config)
 from resbeam.cli import build_parser, main
@@ -336,18 +337,29 @@ SCALAR_COMMANDS = {
     "calibrate": ["calibrate", "--pstored", "30W", "--eta", "0.61"],
     "r1-range": ["design", "r1-range", "--target-d", "5m"],
 }
-# the dataset commands at the CLI's grid sizes: a figure has 200 points, and so has a default sweep
+# the dataset commands: a figure has 200 points, and so has a default sweep; each sweep
+# also runs on 1000 points, since no grid length may make the CLI import numpy
 DATASET_COMMANDS = {
-    f"sweep-{var}": ["sweep", "--var", var, "--from", lo, "--to", hi]
+    f"sweep-{var}{tag}": ["sweep", "--var", var, "--from", lo, "--to", hi, *points]
     for var, lo, hi in (("d", "0.1m", "10m"), ("P_in", "0W", "150W"), ("P_stored", "0W", "50W"),
                         ("P_beam", "0W", "30W"), ("R1", "-1.5m", "-0.5m"))
+    for tag, points in (("", []), ("-1000", ["--points", "1000"]))
 } | {f"reproduce-{fid}-{fmt}": ["reproduce", "--figure", str(fid), "--format", fmt]
      for fid in range(6, 14) for fmt in ("csv", "json")}
+LONG_COMMANDS = {name: argv for name, argv in DATASET_COMMANDS.items() if name.endswith("-1000")}
+# the library's grid drivers on 1000-point grids, as expressions on the package
+LONG_GRIDS = {
+    "sweep-library-1000": "resbeam.sweep(resbeam.SweepSpec('R1', resbeam.explorer.linspace("
+                          "-1.5, -0.5, 1000), resbeam.reference_defaults()))",
+    "max-distance-vs-r1-1000": "resbeam.max_distance_vs_r1(0.06, 0.88, "
+                               "resbeam.explorer.linspace(-1.5, -0.5, 1000), 'tangent')",
+}
 START_UPS = {"import-resbeam": "import resbeam", "import-resbeam.cli": "import resbeam.cli",
              "star-import": "from resbeam import *",
              "mode-loss": "import resbeam; resbeam.mode_diffraction_loss(2, 3, 1e-3, 1e-3)"} | {
     name: f"import resbeam.cli; assert resbeam.cli.main({argv!r}) == 0"
-    for name, argv in (SCALAR_COMMANDS | DATASET_COMMANDS).items()}
+    for name, argv in (SCALAR_COMMANDS | DATASET_COMMANDS).items()} | {
+    name: f"import resbeam; {code}" for name, code in LONG_GRIDS.items()}
 
 
 HEAVY = "import sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
@@ -357,8 +369,8 @@ INTROSPECTION = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
 @pytest.mark.parametrize("code", START_UPS.values(), ids=START_UPS.keys())
 def test_scalar_path_loads_neither_numpy_nor_scipy(code):
     # importing numpy is most of a CLI process's start-up; scipy is a test-only dependency.
-    # Grids of up to explorer.ROWS_MAX points run as rows, so no command here needs numpy,
-    # and the mode-loss quadrature nodes are plain floats.
+    # A grid of any length runs as rows where numpy is not loaded, so no command here needs
+    # numpy, and the mode-loss quadrature nodes are plain floats.
     # Nor does any start-up load dataclasses or inspect (with ast, dis and tokenize, about
     # 10 ms): the bundles are errors.Record, which needs neither.
     proc = subprocess.run(
@@ -368,6 +380,31 @@ def test_scalar_path_loads_neither_numpy_nor_scipy(code):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2] == "[]"
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_long_grids_without_numpy_give_the_column_bytes(tmp_path):
+    # one process without numpy runs every 1000-point grid, as rows; this one, with numpy
+    # loaded, runs them as columns, and the CSV bytes are the same
+    import numpy  # noqa: F401
+
+    probe = "\n".join([
+        "import sys, resbeam.cli",
+        *(f"assert resbeam.cli.main({[*argv, '--out', str(tmp_path / name)]!r}) == 0"
+          for name, argv in LONG_COMMANDS.items()),
+        *(f"open({str(tmp_path / name)!r}, 'wb').write(resbeam.emit_dataset({code}))"
+          for name, code in LONG_GRIDS.items()),
+        "print('numpy' in sys.modules)"])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
+    assert len(LONG_COMMANDS) == 5
+    for name, argv in LONG_COMMANDS.items():
+        assert main([*argv, "--out", str(tmp_path / "columns")]) == 0
+        assert (tmp_path / name).read_bytes() == (tmp_path / "columns").read_bytes(), name
+    for name, code in LONG_GRIDS.items():
+        columns = resbeam.emit_dataset(eval(code, {"resbeam": resbeam}))
+        assert (tmp_path / name).read_bytes() == columns, name
 
 
 # the public names of the package when every module was imported eagerly

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from resbeam import (
 )
 
 import oracles
+from conftest import forced
 
 
 # SHA-256 of the CSV of each study figure, recorded before the scipy-free
@@ -856,9 +858,9 @@ class TestDatasetSerialization:
 
 
 class TestColumnDrivers:
-    # the scalar kernels a per-row loop calls, by the name each counts under; grids past
-    # ROWS_MAX evaluate columns instead.  Every reach, max_transmission_distance's and a row's
-    # alike, runs the private body cavity._supremum, so its calls on a float R1 (not on an R1
+    # the scalar kernels a per-row loop calls, by the name each counts under; with numpy
+    # loaded, as here, grids evaluate columns instead.  Every reach,
+    # max_transmission_distance's and a row's alike, runs the private body cavity._supremum, so its calls on a float R1 (not on an R1
     # column) are what is counted; figure 8's rows run the radii body cavity._radii, not
     # beam_radii.
     SCALAR_KERNELS = {"_supremum": "max_transmission_distance", "is_stable": "is_stable",
@@ -882,7 +884,7 @@ class TestColumnDrivers:
         # a sweep held at one distance checks it once, however long its grid
         spans = {"d": (0.05, 12.0), "P_in": (0.0, 200.0), "P_stored": (0.0, 50.0),
                  "P_beam": (0.0, 30.0), "R1": (-1.6, -0.4)}
-        for n in (1000, 500):
+        for n in (1000, 200):
             calls = self.count_scalar_calls(monkeypatch, lambda: [
                 *(sweep(SweepSpec(v, grid(lo, hi, n), default_params))
                   for v, (lo, hi) in spans.items()),
@@ -890,22 +892,28 @@ class TestColumnDrivers:
                   for b in BRANCHES)])
             assert calls == Counter(is_stable=2)
 
-    @pytest.mark.parametrize("n", [resbeam.explorer.ROWS_MAX, resbeam.explorer.ROWS_MAX + 1])
-    def test_grid_length_picks_the_path(self, monkeypatch, default_params, n):
-        calls = self.count_scalar_calls(
-            monkeypatch, lambda: sweep(SweepSpec("R1", grid(-1.6, -0.4, n), default_params)))
-        rows = n <= resbeam.explorer.ROWS_MAX
-        assert calls["max_transmission_distance"] == (n if rows else 0)
+    @pytest.mark.parametrize("n", [1, 200, 1000])
+    def test_loaded_numpy_picks_the_path(self, monkeypatch, default_params, n):
+        # a grid of any length runs as columns where numpy is loaded, as rows where it is not
+        build = lambda: sweep(SweepSpec("R1", grid(-1.6, -0.4, n), default_params))
+        assert self.count_scalar_calls(monkeypatch, build)["max_transmission_distance"] == 0
+        with pytest.MonkeyPatch.context() as unloaded:
+            unloaded.delitem(sys.modules, "numpy")
+            calls = self.count_scalar_calls(monkeypatch, build)
+        assert calls["max_transmission_distance"] == n
 
-    def test_figures_run_as_rows(self, monkeypatch):
+    def test_figures_call_row_only_where_it_holds(self, monkeypatch):
         figures = {}
-        calls = self.count_scalar_calls(
-            monkeypatch, lambda: figures.update((fid, reproduce_figure(fid)) for fid in (7, 8)))
+        build = lambda: figures.update((fid, reproduce_figure(fid)) for fid in (7, 8))
+        with forced("rows"):
+            calls = self.count_scalar_calls(monkeypatch, build)
         # figure 8's radii body runs on each stable (branch, row) pair, and on no other
         stable_pairs = sum(2 - flag.count(":unstable") for flag in figures[8].flags)
         assert stable_pairs == 299
         # figure 7's design rows take the closed-form reach (see below), not the generic one
         assert calls["max_transmission_distance"] == 0 and calls["_radii"] == stable_pairs
+        # as columns, each branch's radii run once, on the whole column
+        assert self.count_scalar_calls(monkeypatch, build) == Counter(_radii=2)
 
     def count_generic_reaches(self, monkeypatch, build) -> Counter:
         """Calls of the generic reach body cavity._supremum, on rows (a float R1) and on
@@ -925,15 +933,18 @@ class TestColumnDrivers:
     def test_designs_run_no_generic_reach(self, monkeypatch, default_params):
         # a guard against a silent fallback: every connected-branch design (figure 7, the
         # design grids on rows and on columns, the R1 search) takes the closed form
-        rows, columns = grid(-1.6, -0.4, 200), grid(-1.6, -0.4, 1000)
-        calls = self.count_generic_reaches(monkeypatch, lambda: [
+        r1s = grid(-1.6, -0.4, 200)
+        build = lambda: [
             reproduce_figure(7), r1_range_for_distance(5.0, 0.06, 0.88, "origin", (-1.5, -0.5)),
-            *(max_distance_vs_r1(0.06, 0.88, r1s, b) for r1s in (rows, columns) for b in BRANCHES)])
-        assert calls == Counter()
+            *(max_distance_vs_r1(0.06, 0.88, r1s, b) for b in BRANCHES)]
+        for path in ("rows", "columns"):
+            with forced(path):
+                assert self.count_generic_reaches(monkeypatch, build) == Counter()
         # the fixed-r2 callers keep the generic reach: the R1 sweep, one row or column at a
         # time, and max_transmission_distance
-        for r1s, want in ((rows, Counter(rows=200)), (columns, Counter(columns=1))):
-            spec = SweepSpec("R1", r1s, default_params)
-            assert self.count_generic_reaches(monkeypatch, lambda: sweep(spec)) == want
+        spec = SweepSpec("R1", r1s, default_params)
+        for path, want in (("rows", Counter(rows=200)), ("columns", Counter(columns=1))):
+            with forced(path):
+                assert self.count_generic_reaches(monkeypatch, lambda: sweep(spec)) == want
         reach = lambda: resbeam.cavity.max_transmission_distance(default_params.geometry)
         assert self.count_generic_reaches(monkeypatch, reach) == Counter(rows=1)

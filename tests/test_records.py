@@ -4,6 +4,7 @@ printed by their field values."""
 
 import math
 
+import numpy as np
 import pytest
 
 from resbeam import (
@@ -17,6 +18,7 @@ from resbeam import (
     UnitError,
     parse_config,
     render_config,
+    sweep,
 )
 
 GEOMETRY = (0.06, 0.88, -1.0, 5.246612466124661)
@@ -82,6 +84,30 @@ def test_bundle_is_a_checked_frozen_record(cls):
     assert hash(record) == hash(cls(*values)) == hash(tuple(values))
     assert record != tuple(values)
     assert (record != cls(*values)) is False
+
+
+@pytest.mark.parametrize("points", [
+    lambda: (x for x in (0.5, 1.0)), lambda: [0.5, 1.0], lambda: np.array([0.5, 1.0]),
+], ids=["generator", "list", "array"])
+def test_sweep_spec_keeps_the_tuple_it_checked(points):
+    grid, link = points(), SystemParams(*LINK)
+    spec = SweepSpec("d", grid, link)
+    assert spec.grid == (0.5, 1.0) and {type(x) for x in spec.grid} == {float}
+    assert hash(spec) == hash(SweepSpec("d", (0.5, 1.0), link))
+    if hasattr(grid, "__setitem__"):  # a list or an array, changed after the check
+        grid[1] = math.nan
+    assert sweep(spec).columns["d_m"] == [0.5, 1.0]
+
+
+def test_distance_intervals_keep_the_tuple_they_checked():
+    pairs = [(0.0, 1.0), (2.0, 3.0)]
+    records = [DistanceIntervals(iter(pairs)), DistanceIntervals(pairs)]
+    pairs.append((0.5, 0.7))  # out of order, after the check
+    for record in records:
+        assert record.intervals == ((0.0, 1.0), (2.0, 3.0)) and len(record) == 2
+        assert hash(record) == hash((record.intervals,))
+    checked = ((0.0, 1.0),)
+    assert DistanceIntervals(checked).intervals is checked  # a tuple is kept, not copied
 
 
 def test_run_config_defaults_are_the_reference_link():

@@ -892,7 +892,7 @@ class TestColumnDrivers:
                   for b in BRANCHES)])
             assert calls == Counter(is_stable=2)
 
-    @pytest.mark.parametrize("n", [1, 200, 1000])
+    @pytest.mark.parametrize("n", [1, 200, 256, 257, 1000])
     def test_loaded_numpy_picks_the_path(self, monkeypatch, default_params, n):
         # a grid of any length runs as columns where numpy is loaded, as rows where it is not
         build = lambda: sweep(SweepSpec("R1", grid(-1.6, -0.4, n), default_params))
@@ -902,7 +902,8 @@ class TestColumnDrivers:
             calls = self.count_scalar_calls(monkeypatch, build)
         assert calls["max_transmission_distance"] == n
 
-    def test_figures_call_row_only_where_it_holds(self, monkeypatch):
+    def test_figures_run_as_rows(self, monkeypatch):
+        # on rows, each row's stability-guarded bodies run only where the row is stable
         figures = {}
         build = lambda: figures.update((fid, reproduce_figure(fid)) for fid in (7, 8))
         with forced("rows"):

@@ -133,9 +133,12 @@ class DistanceIntervals(Record):
     def __post_init__(self):
         intervals = tuple(self.intervals)  # the tuple checked, not the caller's sequence
         prev_hi = -math.inf
-        for lo, hi in intervals:
+        for pair in intervals:
+            lo, hi = pair
             if not prev_hi <= lo < hi:
                 require("intervals", (lo, hi), False, "nonempty, disjoint and in order")
+            if type(pair) is not tuple:  # nor the caller's pairs; tuple() keeps a tuple
+                intervals = tuple(map(tuple, intervals))
             prev_hi = hi
         object.__setattr__(self, "intervals", intervals)
 

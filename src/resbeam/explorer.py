@@ -12,7 +12,8 @@ the row kit, so no CLI command imports numpy, at any --points.  Where numpy
 is already loaded a grid runs them on the column kit, on numpy columns,
 with the same bits, under ``np.errstate(all="ignore")``: like Python
 floats, the columns overflow to inf and give NaN for inf*0 (a subnormal radius
-does both), and such a row is flagged, not warned of.  Rows that cannot be
+does both).  The two drivers only evaluate; _tabulate joins the series' flags
+and flags a row that overflowed, once for both.  Rows that cannot be
 evaluated (unstable cavity, no branch solution, ratios at zero input) carry
 zeros plus a flag token, picked like any value, rather than being dropped.
 """
@@ -95,15 +96,11 @@ def _checked_grid(variable: str, points) -> tuple[float, ...]:
 # pick(mask, a, b) is a where the mask holds, else b; the min and max of two
 # roots are picks too (see cavity._pieces).  when(ok, row, token) is row() where
 # the mask ok holds and zero values flagged token elsewhere: rows call row()
-# only where ok holds, columns call it once.
+# only where ok holds and give no values elsewhere, which the row driver pads
+# with zeros; columns call it once.  A kit holds no overflow rule: _tabulate does.
 Kit = namedtuple("Kit", "pick exp sqrt when")
-
-
-def _when(ok: bool, row: Callable, token: str) -> tuple:
-    return row() if ok else ((), token)
-
-
-ROWS = Kit(pick=_pick, exp=math.exp, sqrt=math.sqrt, when=_when)
+ROWS = Kit(pick=_pick, exp=math.exp, sqrt=math.sqrt,
+           when=lambda ok, row, token: row() if ok else ((), token))
 
 
 def _column_kit() -> Kit:
@@ -131,49 +128,25 @@ def _tagged(name: str, tag: str) -> str:
     return f"{stem}_{tag}_{unit}" if unit in ("W", "m") else f"{name}_{tag}"
 
 
-def _joined(flag: str, tag: str, mark: str, join: bool) -> str:
-    """A row's flag after one more series' mark (see _tabulate)."""
-    if join and mark:
-        return f"{flag};{tag}:{mark}" if flag else f"{tag}:{mark}"
-    return flag or mark
+def _by_rows(xs: Sequence[float], rule: Callable, width: int):
+    """(columns, flags, finite) of the rule run on ROWS, one float at a time."""
+    pad = (0.0,) * width
+    values, flags = zip(*[rule(ROWS, x) for x in xs])
+    columns = list(zip(*[(*v, *pad[len(v):]) for v in values]))
+    return columns, list(flags), all(math.isfinite(sum(c)) for c in columns)  # inf/NaN poison sum
 
 
-def _by_rows(xs: Sequence[float], width: int, rules: dict, join: bool):
-    """(columns, flags) of the rules run on ROWS; an overflowed row reads zero."""
-    rows, flags = [], []
-    for x in xs:
-        row, flag = [x], ""
-        for tag, rule in rules.items():
-            values, mark = rule(ROWS, x)
-            row += (*values, *[0.0] * (width - len(values)))
-            flag = _joined(flag, tag, mark, join)
-        if not all(map(math.isfinite, row)):
-            row, flag = [x] + [0.0] * (len(row) - 1), "overflow"
-        rows.append(row)
-        flags.append(flag)
-    return list(zip(*rows)), flags
-
-
-def _by_columns(xs: Sequence[float], width: int, rules: dict, join: bool):
-    """(columns, flags) of the rules run on the column kit."""
+def _by_columns(xs: Sequence[float], rule: Callable, width: int):
+    """(columns, flags, finite) of the rule run once on the column kit."""
     import numpy as np
 
-    kit = _column_kit()
-    grid, n = np.array(xs), len(xs)
-    table, flags = [grid], None
+    n = len(xs)
     with np.errstate(all="ignore"):
-        for tag, rule in rules.items():
-            values, flag = rule(kit, grid)
-            table += [np.full(n, v) if np.ndim(v) == 0 else v for v in values]
-            table += [np.zeros(n)] * (width - len(values))
-            marks = np.broadcast_to(flag, n).tolist()  # a flag may be one token for every row
-            flags = marks if flags is None and not join else [  # one series: its flags
-                _joined(a, tag, m, join) for a, m in zip(flags or [""] * n, marks)]
-    finite = np.logical_and.reduce([np.isfinite(v) for v in table])
-    if not finite.all():
-        table = [grid] + [np.where(finite, v, 0.0) for v in table[1:]]
-        flags = [m if ok else "overflow" for m, ok in zip(flags, finite.tolist())]
-    return table, flags
+        values, flag = rule(_column_kit(), np.array(xs))
+    columns = [np.full(n, v) if np.ndim(v) == 0 else v for v in values]
+    columns += [np.zeros(n)] * (width - len(values))
+    flags = np.broadcast_to(flag, n).tolist()  # a flag may be one token for every row
+    return columns, flags, bool(np.isfinite(columns).all())
 
 
 def _tabulate(xs: Sequence[float], x_col, value_cols, rules: dict, provenance,
@@ -184,11 +157,22 @@ def _tabulate(xs: Sequence[float], x_col, value_cols, rules: dict, provenance,
     copy of ``value_cols``, and values missing at the end read zero.  When
     several series flag a row, ``join`` joins ``tag:flag`` tokens with ';';
     otherwise the first nonempty flag wins.  A row with a value that
-    overflowed to +-inf reads zero, flagged ``overflow``.  It runs as columns
-    where numpy is already loaded and as rows elsewhere, never importing numpy.
+    overflowed to +-inf reads zero, flagged ``overflow``.  A driver only
+    evaluates a rule: as columns where numpy is already loaded and as rows
+    elsewhere, never importing numpy; the flags and overflow are settled here.
     """
-    tabulate = _by_columns if "numpy" in sys.modules else _by_rows
-    table, flags = tabulate(xs, len(value_cols), rules, join)
+    evaluate = _by_columns if "numpy" in sys.modules else _by_rows
+    table, flags, finite = [xs], None, True
+    for tag, rule in rules.items():
+        columns, marks, ok = evaluate(xs, rule, len(value_cols))
+        table, finite = table + columns, finite and ok
+        marks = [m and f"{tag}:{m}" for m in marks] if join else marks
+        flags = marks if flags is None else [
+            f"{a};{m}" if join and a and m else a or m for a, m in zip(flags, marks)]
+    if not finite:  # a driver's sums may overflow on finite values, so test each row
+        ok = [all(map(math.isfinite, row)) for row in zip(*table)]
+        table = [xs] + [[v if k else 0.0 for v, k in zip(c, ok)] for c in table[1:]]
+        flags = [m if k else "overflow" for m, k in zip(flags, ok)]
     names = [x_col] + [_tagged(c, tag) for tag in rules for c in value_cols]
     return Dataset(dict(zip(names, table)), flags, provenance)
 

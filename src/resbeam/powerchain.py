@@ -242,10 +242,12 @@ def end_to_end(p_in: float, d: float, p: SystemParams) -> tuple[PowerState, Effi
 
 
 def _formed_slope(d: float, p: SystemParams) -> float:
-    """f(d) at a distance where a resonant beam forms; UnreachableTargetError elsewhere."""
+    """A finite f(d) at a distance where a resonant beam forms; UnreachableTargetError elsewhere."""
     fd = gain_to_beam_coefficient(d, p)  # validates d
     if not is_stable(p.geometry, d):
         raise UnreachableTargetError(f"cavity is not stable at d = {d} m")
+    if fd == math.inf:  # 2*(1-R)*m overflowed; the denominator is finite and > 0
+        raise UnreachableTargetError(f"the slope f(d) overflows at d = {d} m")
     return fd
 
 

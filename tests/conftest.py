@@ -19,7 +19,9 @@ def forced(path: str):
     """A context in which every grid runs on one path, "rows" or "columns".
 
     explorer._tabulate picks columns where numpy is loaded, as it always is
-    here; the driver of the path named stands in for both.
+    here; the driver of the path named stands in for both.  A driver only
+    evaluates a rule, and _tabulate joins the flags and zeroes overflowed rows
+    for both, so a forced path still runs that assembly.
     """
     body = getattr(explorer, f"_by_{path}")
     return patch.multiple(explorer, _by_rows=body, _by_columns=body)

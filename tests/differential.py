@@ -12,14 +12,17 @@ route against tests/oracles.py, which works in Fractions:
 * ``_supremum`` (rows, and columns bit for bit) on the printed r2, and on
   designs with an element within 3 ULPs of l: wrong ``found`` and the error
   of d_max against ``exact_reach`` of that float design; near l also the
-  slivers, sets under 1e-15 m read where the exact set is empty;
+  slivers, sets under 1e-15 m read where the exact set is empty; at tiny
+  |R1| also the wrong ``found`` where the exact set is narrower than 2^-52
+  of its end;
 * ``r1_range_for_distance``: interval counts and edge errors against
   ``exact_r1_range``.
 
 Bands: R1 within 64 ULPs of l - f; R1 within 1e-12*max(1, |l - f|) of it;
 generic connected designs on their printed r2; R1, f, or r2 with flat optics
 within 3 ULPs of l, where a root of g1, g2 or g1*g2 = 1 lies at d = 0 to
-rounding; R1 searches.  Run from the repository root:
+rounding; |R1| log-uniform in [1e-310, 1e-50] m, where 1/R1 may overflow;
+R1 searches.  Run from the repository root:
 
     PYTHONPATH=src python tests/differential.py --seed 32 --n 2000 --out DIFF_32.json
 
@@ -85,6 +88,11 @@ def printed(rng):
 DESIGN_BANDS = {"l-f-64ulp": near_ulps, "l-f-1e-12": near_relative, "printed-r2": printed}
 
 
+def tiny_r1(rng):
+    l, f = lens(rng)
+    return l, f, math.copysign(10.0 ** rng.uniform(-310.0, -50.0), rng.random() - 0.5)
+
+
 def near_l(rng):
     """(l, f, r1, r2): R1, f, or r2 with flat f and R1, within 3 ULPs of l; the rest drawn."""
     l, f = lens(rng)
@@ -123,7 +131,7 @@ def relative(got: float, exact: Fraction, scale: Fraction) -> float:
     return float(abs(Fraction(got) - exact) / scale)
 
 
-def design_band(draw, rng: random.Random, n: int) -> dict:
+def design_band(draw, rng: random.Random, n: int, narrow: bool = False) -> dict:
     conn, design = Route(), Route()
     printed_designs = []
     for _ in range(n):
@@ -166,12 +174,13 @@ def design_band(draw, rng: random.Random, n: int) -> dict:
 
     return {"connecting_r2": conn.report("rho2_rel_error"),
             "_design": design.report("d_max_error_of_d_max_plus_d1"),
-            "_supremum": supremum_route(printed_designs).report("d_max_rel_error")}
+            "_supremum": supremum_route(printed_designs, narrow=narrow).report("d_max_rel_error")}
 
 
-def supremum_route(designs: list, slivers: bool = False) -> Route:
+def supremum_route(designs: list, slivers: bool = False, narrow: bool = False) -> Route:
     """The generic reach on each design, rows and columns, against exact_reach; with
-    slivers, also the stable sets under 1e-15 m it reads where the exact set is empty."""
+    slivers, also the stable sets under 1e-15 m it reads where the exact set is empty;
+    with narrow, also the wrong found where the exact set is narrower than 2^-52 of its end."""
     reach = Route()
     if designs:
         with np.errstate(all="ignore"):
@@ -188,6 +197,10 @@ def supremum_route(designs: list, slivers: bool = False) -> Route:
         reach.count("wrong_found", bool(found) != bool(stable))
         if slivers:
             reach.count("sliver_under_1e-15_where_empty", found and not stable and d_max < 1e-15)
+        if narrow:  # a nonempty exact set, narrower than 2^-52 of its finite end
+            end = stable[-1][1] if stable else math.inf
+            thin = end != math.inf and (end - stable[0][0]) * 2 ** 52 < end
+            reach.count("wrong_found_on_set_under_2^-52_of_end", thin and not found)
         if found and stable and stable[-1][1] != math.inf and math.isfinite(d_max):
             end = stable[-1][1]
             reach.error(relative(d_max, end, end), 1e-9)
@@ -228,6 +241,7 @@ def run(seed: int, n: int) -> dict:
     rng = random.Random(f"{seed}-near-l")  # its own stream: the bands above draw as before
     designs = [near_l(rng) for _ in range(n)]
     bands["l-3ulp"] = {"_supremum": supremum_route(designs, slivers=True).report("d_max_rel_error")}
+    bands["tiny-r1"] = design_band(tiny_r1, random.Random(f"{seed}-tiny-r1"), n, narrow=True)
     bands["r1-search"] = r1_search_band(random.Random(f"{seed}-search"), n)
     return {"seed": seed, "n": n, "bands": bands}
 

@@ -582,16 +582,22 @@ def test_a_subnormal_l_is_named_not_the_wavelength(capsys):
     (["thresholds", "--config", "{tmp}/faint.cfg"], "UnreachableTargetError", "evaluate"),
     # the quotient overflows at the reference link
     (["design", "required-pin", "--pout", "1e308W"], "UnreachableTargetError", "evaluate"),
+    # a huge mode overlap and a tiny output reflectivity make f(d) itself overflow
+    (["design", "required-pin", "--pout", "1W", "--config", "{tmp}/huge.cfg"],
+     "UnreachableTargetError", "evaluate"),
+    (["thresholds", "--config", "{tmp}/huge.cfg"], "UnreachableTargetError", "evaluate"),
 ], ids=["quantity", "config-syntax", "config-file", "flag-range", "config-range", "handler",
         "handler-range", "handler-quantity", "quantity-nan", "quantity-digits", "record",
         "out-file", "zero-slope", "below-zero-input", "overflowed-pin", "overflowed-threshold",
-        "zero-slope-threshold", "overflowed-target"])
+        "zero-slope-threshold", "overflowed-target", "overflowed-slope",
+        "overflowed-slope-threshold"])
 def test_error_record_names_its_stage(capsys, tmp_path, argv, error, stage):
     (tmp_path / "syntax.cfg").write_text("d 1m\n")
     (tmp_path / "range.cfg").write_text("eta_stored = 1.5\n")
     (tmp_path / "faint.cfg").write_text("m_overlap = 5e-324\n")
     (tmp_path / "dim.cfg").write_text("m_overlap = 1e-310\n")
     (tmp_path / "offset.cfg").write_text("b1 = 1W\n")
+    (tmp_path / "huge.cfg").write_text("m_overlap = 1.7e308\nr_out = 1e-300\n")
     code, out = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     rec = json.loads(out)
     assert (code, rec["error"], rec["stage"]) == (1, error, stage)

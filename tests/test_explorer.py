@@ -321,6 +321,17 @@ class TestRequiredInputPower:
         with pytest.raises(UnreachableTargetError, match="no finite input power reaches"):
             thresholds(1.0, p)
 
+    def test_an_overflowed_slope_raises(self):
+        # 2*(1-R)*m overflows, so f(d) reads inf at a stable d; no input power answers, and
+        # 0 W, the quotient's reading, gives no output at all
+        p = RunConfig(m_overlap=1.7e308, r_out=1e-300).system_params()
+        assert is_stable(p.geometry, 1.0) and gain_to_beam_coefficient(1.0, p) == math.inf
+        overflows = re.escape("the slope f(d) overflows at d = 1.0 m")
+        with pytest.raises(UnreachableTargetError, match=overflows):
+            required_input_power(1.0, 1.0, p)
+        with pytest.raises(UnreachableTargetError, match=overflows):
+            thresholds(1.0, p)
+
     # a faint mode overlap leaves f(d) > 0 but the answer overflows at a stable d, and so
     # does a huge target or PV offset at the reference link
     @pytest.mark.parametrize("offsets, target", [

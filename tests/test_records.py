@@ -110,6 +110,15 @@ def test_distance_intervals_keep_the_tuple_they_checked():
     assert DistanceIntervals(checked).intervals is checked  # a tuple is kept, not copied
 
 
+def test_distance_intervals_keep_the_pairs_they_checked():
+    pair = [0.0, 1.0]
+    record = DistanceIntervals([pair, (2.0, 3.0)])
+    pair[1] = -5.0  # an empty interval, after the check
+    assert record.intervals == ((0.0, 1.0), (2.0, 3.0))
+    assert all(type(q) is tuple for q in record.intervals)
+    assert hash(record) == hash((record.intervals,))
+
+
 def test_run_config_defaults_are_the_reference_link():
     values = BUNDLES[RunConfig][0]
     assert RunConfig() == RunConfig(*values)

@@ -122,7 +122,9 @@ OVERFLOWING = REF._replace(gain=REF.gain._replace(m_overlap=1e308))  # fd * P_st
     lambda: sweep(SweepSpec("P_in", tuple(linspace(0.0, 300.0, 200)), OVERFLOWING)),
     lambda: reproduce_figure(12, OVERFLOWING),
     lambda: reproduce_figure(13, OVERFLOWING),
-], ids=["sweep-d", "sweep-P_in", "figure-12", "figure-13"])
+    # flags joined across series: overflow rows beside tangent:unstable and clean ones
+    lambda: reproduce_figure(8, REF._replace(wavelength=1e308)),
+], ids=["sweep-d", "sweep-P_in", "figure-12", "figure-13", "figure-8-joined"])
 def test_overflowing_beam_flags_rows_on_both_paths(build):
     # the beam power overflows: those rows read zero, flagged, and the dataset is built
     for path in ("rows", "columns"):

@@ -1,4 +1,5 @@
-"""Columnar sweep results and their byte-deterministic serialization, without numpy."""
+"""Columnar sweep results and their byte-deterministic serialization, without
+numpy: C formats each CSV row with one %-format, and JSON with its encoder."""
 
 from __future__ import annotations
 
@@ -26,10 +27,14 @@ class Dataset:
         if len(lengths) > 1:
             raise ValueError(f"columns have unequal lengths: {lengths}")
         n = lengths.pop() if lengths else 0
-        self.flags: list[str] = [""] * n if flags is None else flags
+        self.flags: list[str] = [""] * n if flags is None else list(flags)
         self.provenance: dict[str, str] = {} if provenance is None else provenance
         if len(self.flags) != n:
             raise ValueError(f"{len(self.flags)} flags for {n} rows")
+        try:  # a flag that is not a str fails the join, in C, with no Python code per row
+            "".join(self.flags)
+        except TypeError:
+            require("flags", next(m for m in self.flags if not isinstance(m, str)), False, "a str")
         for name, col in self.columns.items():
             if not (math.isfinite(sum(col)) or all(map(math.isfinite, col))):  # inf/NaN poison sum
                 raise ValueError(f"column {name} contains NaN or inf; flag the row instead")
@@ -50,29 +55,22 @@ def _floats(values) -> list[float]:
     return values.astype(float).tolist() if one_call else list(map(float, values))
 
 
-def _csv_cells(col: list[float]) -> list[str]:
-    """9-significant-digit cells; -0.0 prints as 0."""
-    # '%.9g' % x is format(x, '.9g'), a little faster
-    return ["0" if x == 0 else "%.9g" % x for x in col]
-
-
 def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
     """Serialize a Dataset; identical inputs give identical bytes.
 
     CSV: '#'-prefixed provenance comment lines (sorted by key), a header of
     name_unit columns plus a trailing ``flag`` column, 9-significant-digit
-    values, LF line endings.  JSON: ``{"provenance", "columns", "flag"}``.
+    values (0 for -0.0 too), LF line endings.  JSON: ``{"provenance", "columns", "flag"}``.
     """
     require("format", fmt, fmt in FORMATS, f"one of {FORMATS}")
     if fmt == "csv":
         lines = [f"# {k} = {v}" for k, v in sorted(ds.provenance.items())]
         lines.append(",".join([*ds.columns, "flag"]))
-        cells = [_csv_cells(col) for col in ds.columns.values()]
-        lines.extend(map(",".join, zip(*cells, ds.flags)))
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    obj = {
-        "provenance": dict(sorted(ds.provenance.items())),
-        "columns": ds.columns,
-        "flag": list(ds.flags),
-    }
+        row, cols = "\n" + "%.9g," * len(ds.columns) + "%s", ds.columns.values()
+        body = "".join(map(row.__mod__, zip(*cols, ds.flags)))
+        if "-0," in body:  # only -0.0 prints "-0,"; exponents have 2 digits; 0.0 + -0.0 is 0.0
+            body = "".join(map(row.__mod__, zip(*[map((0.0).__add__, c) for c in cols], ds.flags)))
+        return ("\n".join(lines) + body + "\n").encode("utf-8")
+    obj = {"provenance": dict(sorted(ds.provenance.items())), "columns": ds.columns,
+           "flag": ds.flags}
     return (json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")

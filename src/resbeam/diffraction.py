@@ -141,4 +141,7 @@ def fundamental_loss_vs_distance(
         require("wavelength", wavelength, False, "such that wavelength * (l + d) > 0")
     if not (aperture_radius >= 0 and math.isfinite(aperture_radius)):
         require("aperture_radius", aperture_radius, False, "finite and >= 0")
-    return math.exp(_tem00_exponent(aperture_radius, wavelength, l, d))
+    exponent = _tem00_exponent(aperture_radius, wavelength, l, d)
+    if exponent != exponent:  # inf/inf: a*a and the divisor both overflow
+        require("wavelength", wavelength, False, "such that a*a or wavelength * (l + d) is finite")
+    return math.exp(exponent)

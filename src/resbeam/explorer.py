@@ -12,8 +12,9 @@ the row kit, so no CLI command imports numpy, at any --points.  Where numpy
 is already loaded a grid runs them on the column kit, on numpy columns,
 with the same bits, under ``np.errstate(all="ignore")``: like Python
 floats, the columns overflow to inf and give NaN for inf*0 (a subnormal radius
-does both).  The two drivers only evaluate; _tabulate joins the series' flags
-and flags a row that overflowed, once for both.  Rows that cannot be
+does both).  The two drivers only evaluate, each all of a dataset's rules on
+one grid; _tabulate joins the series' flags and flags a row that overflowed,
+once for both.  Rows that cannot be
 evaluated (unstable cavity, no branch solution, ratios at zero input) carry
 zeros plus a flag token, picked like any value, rather than being dropped.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .cavity import (
     BRANCHES,
@@ -41,7 +42,7 @@ from .cavity import (
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset, _floats
 from .diffraction import _tem00_exponent
-from .errors import Record, UnknownFigureError, require
+from .errors import Record, UnitError, UnknownFigureError, require
 from .powerchain import (
     SystemParams,
     _beam,
@@ -128,25 +129,29 @@ def _tagged(name: str, tag: str) -> str:
     return f"{stem}_{tag}_{unit}" if unit in ("W", "m") else f"{name}_{tag}"
 
 
-def _by_rows(xs: Sequence[float], rule: Callable, width: int):
-    """(columns, flags, finite) of the rule run on ROWS, one float at a time."""
-    pad = (0.0,) * width
-    values, flags = zip(*[rule(ROWS, x) for x in xs])
-    columns = list(zip(*[(*v, *pad[len(v):]) for v in values]))
-    return columns, list(flags), all(math.isfinite(sum(c)) for c in columns)  # inf/NaN poison sum
+def _by_rows(xs: Sequence[float], rules: Iterable[Callable], width: int) -> list:
+    """[(columns, flags, finite)] of each rule on ROWS, a float at a time; inf/NaN poison sums."""
+    pad, out = (0.0,) * width, []
+    for rule in rules:
+        values, flags = zip(*[rule(ROWS, x) for x in xs])
+        columns = list(zip(*[(*v, *pad[len(v):]) for v in values]))
+        out.append((columns, list(flags), all(math.isfinite(sum(c)) for c in columns)))
+    return out
 
 
-def _by_columns(xs: Sequence[float], rule: Callable, width: int):
-    """(columns, flags, finite) of the rule run once on the column kit."""
+def _by_columns(xs: Sequence[float], rules: Iterable[Callable], width: int) -> list:
+    """[(columns, flags, finite)] of each rule run once on one column kit and grid."""
     import numpy as np
 
-    n = len(xs)
-    with np.errstate(all="ignore"):
-        values, flag = rule(_column_kit(), np.array(xs))
-    columns = [np.full(n, v) if np.ndim(v) == 0 else v for v in values]
-    columns += [np.zeros(n)] * (width - len(values))
-    flags = np.broadcast_to(flag, n).tolist()  # a flag may be one token for every row
-    return columns, flags, bool(np.isfinite(columns).all())
+    n, kit, grid, out = len(xs), _column_kit(), np.array(xs), []
+    for rule in rules:
+        with np.errstate(all="ignore"):
+            values, flag = rule(kit, grid)
+        columns = [np.full(n, v) if np.ndim(v) == 0 else v for v in values]
+        columns += [np.zeros(n)] * (width - len(values))
+        flags = np.broadcast_to(flag, n).tolist()  # a flag may be one token for every row
+        out.append((columns, flags, bool(np.isfinite(columns).all())))
+    return out
 
 
 def _tabulate(xs: Sequence[float], x_col, value_cols, rules: dict, provenance,
@@ -158,13 +163,13 @@ def _tabulate(xs: Sequence[float], x_col, value_cols, rules: dict, provenance,
     several series flag a row, ``join`` joins ``tag:flag`` tokens with ';';
     otherwise the first nonempty flag wins.  A row with a value that
     overflowed to +-inf reads zero, flagged ``overflow``.  A driver only
-    evaluates a rule: as columns where numpy is already loaded and as rows
-    elsewhere, never importing numpy; the flags and overflow are settled here.
+    evaluates the rules, all at once on a grid it keeps to itself: as columns
+    where numpy is already loaded and as rows elsewhere, never importing numpy;
+    the flags and overflow are settled here.
     """
     evaluate = _by_columns if "numpy" in sys.modules else _by_rows
     table, flags, finite = [xs], None, True
-    for tag, rule in rules.items():
-        columns, marks, ok = evaluate(xs, rule, len(value_cols))
+    for tag, (columns, marks, ok) in zip(rules, evaluate(xs, rules.values(), len(value_cols))):
         table, finite = table + columns, finite and ok
         marks = [m and f"{tag}:{m}" for m in marks] if join else marks
         flags = marks if flags is None else [
@@ -194,7 +199,10 @@ def _held(p: SystemParams, d: float, rule: Callable) -> Callable:
     """rule(k, x, fd) at the fd = f(d) of a held d; at an unstable d every row is zero, flagged."""
     if not is_stable(p.geometry, d):
         return _unstable
-    fd = gain_to_beam_coefficient(d, p)
+    try:
+        fd = gain_to_beam_coefficient(d, p)
+    except UnitError:  # the loss is inf/inf: a*a and wavelength * (l + d) overflow
+        return lambda k, x: ((), "overflow")
     return lambda k, x: rule(k, x, fd)
 
 

@@ -20,7 +20,7 @@ def forced(path: str):
 
     explorer._tabulate picks columns where numpy is loaded, as it always is
     here; the driver of the path named stands in for both.  A driver only
-    evaluates a rule, and _tabulate joins the flags and zeroes overflowed rows
+    evaluates the rules, and _tabulate joins the flags and zeroes overflowed rows
     for both, so a forced path still runs that assembly.
     """
     body = getattr(explorer, f"_by_{path}")

@@ -15,6 +15,13 @@ route against tests/oracles.py, which works in Fractions:
   slivers, sets under 1e-15 m read where the exact set is empty; at tiny
   |R1| also the wrong ``found`` where the exact set is narrower than 2^-52
   of its end;
+* ``stable_distance_intervals`` on the same designs as ``_supremum``, with
+  d_limit past the last finite end of the exact set: interval counts and
+  edge errors against the pieces of ``exact_reach``, clipped to d_limit, in
+  units of max(edge, l); the counts that differ only by exact gaps narrower
+  than 2^-52 of their edge, which the float set closes; and the designs
+  where its last end, or whether it is empty, differs from the rows'
+  ``_supremum``;
 * ``r1_range_for_distance``: interval counts and edge errors against
   ``exact_r1_range``.
 
@@ -48,11 +55,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import oracles  # noqa: E402
 from resbeam import (  # noqa: E402
     BRANCHES,
+    CavityGeometry,
     EmptyResultError,
     ResbeamError,
     cavity,
     connecting_r2,
     r1_range_for_distance,
+    stable_distance_intervals,
 )
 
 QUANTILES = (0.5, 0.9, 0.99, 1.0)
@@ -174,7 +183,8 @@ def design_band(draw, rng: random.Random, n: int, narrow: bool = False) -> dict:
 
     return {"connecting_r2": conn.report("rho2_rel_error"),
             "_design": design.report("d_max_error_of_d_max_plus_d1"),
-            "_supremum": supremum_route(printed_designs, narrow=narrow).report("d_max_rel_error")}
+            "_supremum": supremum_route(printed_designs, narrow=narrow).report("d_max_rel_error"),
+            "stable_distance_intervals": intervals_route(printed_designs)}
 
 
 def supremum_route(designs: list, slivers: bool = False, narrow: bool = False) -> Route:
@@ -205,6 +215,38 @@ def supremum_route(designs: list, slivers: bool = False, narrow: bool = False) -
             end = stable[-1][1]
             reach.error(relative(d_max, end, end), 1e-9)
     return reach
+
+
+def intervals_route(designs: list) -> dict:
+    """The report of stable_distance_intervals on each design against the pieces of
+    exact_reach, with d_limit past the last finite end of the exact set (1 m at least),
+    and of its last end against the rows' _supremum."""
+    route = Route()
+    for l, f, r1, r2 in designs:
+        route.count("designs")
+        stable = oracles.exact_reach(l, f, r1, r2)
+        last = max((e for piece in stable for e in piece if e != math.inf), default=0)
+        d_limit = float(min(max(2 * last, Fraction(1)), Fraction(sys.float_info.max)))
+        try:
+            got = stable_distance_intervals(CavityGeometry(l, f, r1, r2), d_limit).intervals
+        except ResbeamError as exc:
+            route.count("refused")
+            route.answer(type(exc).__name__)
+            continue
+        route.answer(d_limit, *(e for interval in got for e in interval))
+        want = [(lo, min(hi, Fraction(d_limit))) for lo, hi in stable if lo < d_limit]
+        route.count("interval_count_differs", len(got) != len(want))
+        # gaps of the exact set narrower than 2^-52 of their edge, which floats cannot hold
+        thin = sum((b[0] - a[1]) * 2 ** 52 < b[0] for a, b in zip(want, want[1:]))
+        route.count("count_differs_by_gaps_under_2^-52", thin and len(got) == len(want) - thin)
+        if len(got) == len(want):
+            for interval, exact in zip(got, want):
+                for e, w in zip(interval, exact):
+                    route.error(relative(e, w, max(abs(w), Fraction(l))), 1e-9)
+        d_max, _, found = cavity._supremum(l, f, r1, r2, cavity._pick, math.sqrt)
+        route.count("differs_from_supremum_rows", bool(got) != bool(found) or (
+            bool(got) and got[-1][1] != min(d_max, d_limit)))
+    return route.report("edge_error_of_max_edge_l")
 
 
 def r1_search_band(rng: random.Random, n: int) -> dict:
@@ -240,7 +282,8 @@ def run(seed: int, n: int) -> dict:
         bands[name] = design_band(draw, random.Random(f"{seed}-{i}"), n)
     rng = random.Random(f"{seed}-near-l")  # its own stream: the bands above draw as before
     designs = [near_l(rng) for _ in range(n)]
-    bands["l-3ulp"] = {"_supremum": supremum_route(designs, slivers=True).report("d_max_rel_error")}
+    bands["l-3ulp"] = {"_supremum": supremum_route(designs, slivers=True).report("d_max_rel_error"),
+                       "stable_distance_intervals": intervals_route(designs)}
     bands["tiny-r1"] = design_band(tiny_r1, random.Random(f"{seed}-tiny-r1"), n, narrow=True)
     bands["r1-search"] = r1_search_band(random.Random(f"{seed}-search"), n)
     return {"seed": seed, "n": n, "bands": bands}

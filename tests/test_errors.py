@@ -5,6 +5,7 @@ import math
 import pytest
 
 from resbeam import (
+    FLAT,
     Dataset,
     DistanceIntervals,
     SweepSpec,
@@ -20,6 +21,7 @@ from resbeam import (
     max_distance_vs_r1,
     mode_diffraction_loss,
     pv_output,
+    RunConfig,
     r1_range_for_distance,
     reference_defaults,
     required_input_power,
@@ -100,6 +102,14 @@ CHECKS = [
     ("calibrate-eta", lambda: calibrate_aperture(1.0, 30.0, math.nan, REF),
      "eta_trans_target", "nan"),
     ("format", lambda: emit_dataset(Dataset({"x": [1.0]}), "xml"), "format", "'xml'"),
+    # a flag is a str token: a CSV row prints it with %s, and JSON would write it as a value
+    ("dataset-flags", lambda: Dataset({"x": [1.0, 2.0]}, [None, 3]), "flags", "None"),
+    # a*a and wavelength * (l + d) both overflow, so the loss exponent would be inf/inf
+    ("tem00-overflow", lambda: fundamental_loss_vs_distance(1e300, 1e300, 1e300, 1.0),
+     "wavelength", "1e+300"),
+    ("gain_to_beam-overflow", lambda: gain_to_beam_coefficient(1.0, RunConfig(
+        a=1e300, wavelength=1e300, l=1e10, r1=FLAT, r2=FLAT, f=FLAT).system_params()),
+     "wavelength", "1e+300"),
 ]
 
 

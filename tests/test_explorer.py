@@ -867,6 +867,39 @@ class TestDatasetSerialization:
         lines = emit_dataset(Dataset({"x": np.array(xs)}), "csv").decode().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == [oracles.csv_cell(x) for x in xs]
 
+    # flags that hold the separators, a format directive and the text of a -0.0 cell
+    FLAG_TOKENS = ("", "overflow", "a,b", "%s", "%.9g", "-0,", "x-0,y", "d1:unstable;d5:")
+
+    @staticmethod
+    @st.composite
+    def datasets(draw):
+        """(columns, flags, provenance): 1-6 columns of finite floats, -0.0 among them."""
+        n = draw(st.integers(0, 20))
+        cell = st.one_of(st.just(-0.0), st.just(0.0),
+                         st.floats(allow_nan=False, allow_infinity=False))
+        columns = {f"c{i}": draw(st.lists(cell, min_size=n, max_size=n))
+                   for i in range(draw(st.integers(1, 6)))}
+        flags = draw(st.lists(st.sampled_from(TestDatasetSerialization.FLAG_TOKENS),
+                              min_size=n, max_size=n))
+        return columns, flags, {"note": draw(st.sampled_from(["", "-0,", "%"]))}
+
+    @given(datasets())
+    @example(({"x": [], "y": []}, [], {}))
+    @example(({"x": [-0.0], "y": [-0.0]}, ["-0,"], {}))
+    @example(({"x": [1.0]}, ["-0,"], {"note": "-0,"}))  # "-0," only outside the cells
+    @example(({"x": [-0.0, 1e-05, -1e-05, 5e-324], "y": [1.0, -0.0, 0.0, -1e300]},
+              ["", "%s", "a,b", ""], {}))
+    def test_whole_dataset_matches_per_cell_reference(self, case):
+        columns, flags, provenance = case
+        ds = Dataset(columns, flags, provenance)
+        head = [f"# {k} = {v}" for k, v in sorted(provenance.items())] + [
+            ",".join([*columns, "flag"])]
+        rows = [",".join([*map(oracles.csv_cell, cells), flag])
+                for *cells, flag in zip(*columns.values(), flags)]
+        assert emit_dataset(ds, "csv") == "".join(f"{ln}\n" for ln in head + rows).encode()
+        doc = {"provenance": dict(sorted(provenance.items())), "columns": columns, "flag": flags}
+        assert emit_dataset(ds, "json") == (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+
 
 class TestColumnDrivers:
     # the scalar kernels a per-row loop calls, by the name each counts under; with numpy

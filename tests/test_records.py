@@ -9,6 +9,7 @@ import pytest
 
 from resbeam import (
     CavityGeometry,
+    Dataset,
     DistanceIntervals,
     GainParams,
     PvParams,
@@ -16,6 +17,7 @@ from resbeam import (
     SweepSpec,
     SystemParams,
     UnitError,
+    emit_dataset,
     parse_config,
     render_config,
     sweep,
@@ -117,6 +119,14 @@ def test_distance_intervals_keep_the_pairs_they_checked():
     assert record.intervals == ((0.0, 1.0), (2.0, 3.0))
     assert all(type(q) is tuple for q in record.intervals)
     assert hash(record) == hash((record.intervals,))
+
+
+def test_dataset_keeps_the_flags_it_checked():
+    flags = ["a", "b"]
+    ds = Dataset({"x": [1.0, 2.0]}, flags)
+    flags[0] = "changed"  # after the check
+    assert ds.flags == ["a", "b"]
+    assert emit_dataset(ds, "csv") == b"x,flag\n1,a\n2,b\n"
 
 
 def test_run_config_defaults_are_the_reference_link():

@@ -115,6 +115,8 @@ def kernel_row(variable: str, x: float, p) -> tuple:
 
 
 OVERFLOWING = REF._replace(gain=REF.gain._replace(m_overlap=1e308))  # fd * P_stored is inf
+# a*a and wavelength * (l + d) overflow past d = 0.998 m: the loss is inf/inf, so f(d) is NaN
+NAN_LOSS = REF._replace(aperture_radius=1e300, wavelength=1.7e308, d=2.0)
 
 
 @pytest.mark.parametrize("build", [
@@ -124,9 +126,14 @@ OVERFLOWING = REF._replace(gain=REF.gain._replace(m_overlap=1e308))  # fd * P_st
     lambda: reproduce_figure(13, OVERFLOWING),
     # flags joined across series: overflow rows beside tangent:unstable and clean ones
     lambda: reproduce_figure(8, REF._replace(wavelength=1e308)),
-], ids=["sweep-d", "sweep-P_in", "figure-12", "figure-13", "figure-8-joined"])
+    # f(d) is NaN: along d on the rows past 0.998 m, and at each held d on every row
+    lambda: sweep(SweepSpec("d", tuple(linspace(0.0, 15.0, 200)), NAN_LOSS)),
+    lambda: sweep(SweepSpec("P_in", tuple(linspace(0.0, 300.0, 200)), NAN_LOSS)),
+    lambda: reproduce_figure(9, NAN_LOSS),
+], ids=["sweep-d", "sweep-P_in", "figure-12", "figure-13", "figure-8-joined",
+        "sweep-d-nan-loss", "sweep-P_in-nan-loss", "figure-9-nan-loss"])
 def test_overflowing_beam_flags_rows_on_both_paths(build):
-    # the beam power overflows: those rows read zero, flagged, and the dataset is built
+    # the beam power or f(d) overflows: those rows read zero, flagged, and the dataset is built
     for path in ("rows", "columns"):
         with forced(path):
             ds = build()

@@ -131,10 +131,16 @@ class DistanceIntervals(Record):
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        intervals = tuple(self.intervals)  # the tuple checked, not the caller's sequence
+        try:  # the tuple checked, not the caller's sequence
+            intervals = tuple(self.intervals)
+        except TypeError:  # None or a number: one element, which is no pair
+            intervals = (self.intervals,)
         prev_hi = -math.inf
         for pair in intervals:
-            lo, hi = pair
+            try:
+                lo, hi = pair
+            except (TypeError, ValueError):  # a number, or a sequence of another length
+                require("intervals", pair, False, "a sequence of (lo, hi) pairs")
             if not prev_hi <= lo < hi:
                 require("intervals", (lo, hi), False, "nonempty, disjoint and in order")
             if type(pair) is not tuple:  # nor the caller's pairs; tuple() keeps a tuple

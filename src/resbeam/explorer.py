@@ -7,21 +7,23 @@ in :mod:`resbeam.cavity`; all three are re-exported here under the same names.
 Each dataset rule is written once, on the primitives of a kit (see Kit): it
 calls the unchecked bodies of the power stages, the connected-branch design
 and the reach itself, with the kit's pick and sqrt, and flags a row rather
-than raise.  Where numpy is not loaded a grid runs its rules row by row on
-the row kit, so no CLI command imports numpy, at any --points.  Where numpy
-is already loaded a grid runs them on the column kit, on numpy columns,
-with the same bits, under ``np.errstate(all="ignore")``: like Python
-floats, the columns overflow to inf and give NaN for inf*0 (a subnormal radius
-does both).  The two drivers only evaluate, each all of a dataset's rules on
-one grid; _tabulate joins the series' flags and flags a row that overflowed,
-once for both.  Rows that cannot be
-evaluated (unstable cavity, no branch solution, ratios at zero input) carry
-zeros plus a flag token, picked like any value, rather than being dropped.
+than raise.  f(d) has one route, _at_distance; a series held at one d takes
+its row at d, so no rule calls a checked kernel (figure 8 checks its fixed
+design).  Where numpy is not loaded a grid runs its rules row by row on the
+row kit, so no CLI command imports numpy, at any --points.  Where numpy is
+already loaded it runs them on the column kit, with the same bits, under
+``np.errstate(all="ignore")``: like Python floats, the columns overflow to
+inf and give NaN for inf*0 (a subnormal radius does both).  The two drivers
+only evaluate; _tabulate joins the series' flags and flags a row that
+overflowed, once for both.  Rows that cannot be evaluated (unstable cavity,
+f(d) inf/inf, no branch solution, ratios at zero input) carry zeros plus a
+flag token, picked like any value, rather than being dropped.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
@@ -36,13 +38,12 @@ from .cavity import (
     _stable,
     _supremum,
     connecting_r2,
-    is_stable,
     r1_range_for_distance,
 )
 from .config import SWEEP_VARIABLES, provenance_for, reference_defaults
 from .dataset import Dataset, _floats
 from .diffraction import _tem00_exponent
-from .errors import Record, UnitError, UnknownFigureError, require
+from .errors import Record, UnknownFigureError, require
 from .powerchain import (
     SystemParams,
     _beam,
@@ -52,7 +53,6 @@ from .powerchain import (
     _stored,
     calibrate_aperture,
     coefficient_at_loss,
-    gain_to_beam_coefficient,
     required_input_power,
 )
 
@@ -183,39 +183,28 @@ def _tabulate(xs: Sequence[float], x_col, value_cols, rules: dict, provenance,
 
 
 def _per_drive(k, out, drive, below=False) -> tuple:
-    """((out, out/drive), flag) of a stage: the ratio reads 0 and the row is flagged
-    undefined-at-zero at zero drive, and with `below`, a driven row with no output is
-    flagged below-threshold."""
+    """((out, out/drive), flag) of a stage: at zero drive the ratio reads 0, flagged
+    undefined-at-zero; with `below`, a driven row with no output is below-threshold."""
     below = (out == 0.0) & (drive > 0) & below
     flag = k.pick(drive == 0.0, "undefined-at-zero", k.pick(below, "below-threshold", ""))
     return (out, _ratio(out, drive, k.pick)), flag
 
 
-def _unstable(k, x) -> tuple:
-    return (), "unstable"
-
-
 def _held(p: SystemParams, d: float, rule: Callable) -> Callable:
-    """rule(k, x, fd) at the fd = f(d) of a held d; at an unstable d every row is zero, flagged."""
-    if not is_stable(p.geometry, d):
-        return _unstable
-    try:
-        fd = gain_to_beam_coefficient(d, p)
-    except UnitError:  # the loss is inf/inf: a*a and wavelength * (l + d) overflow
-        return lambda k, x: ((), "overflow")
-    return lambda k, x: rule(k, x, fd)
+    """rule(k, x, fd) at f(d) of a held d, _at_distance's row at d: its flag flags every row."""
+    values, flag = _at_distance(p, lambda k, fd: ((fd,), ""))(ROWS, d)
+    return (lambda k, x: ((), flag)) if flag else (lambda k, x, fd=values[0]: rule(k, x, fd))
 
 
 def _at_distance(p: SystemParams, at: Callable) -> Callable:
-    """Rule d -> at(k, f(d)) at stable distances; unstable rows read zero, flagged."""
+    """Rule d -> at(k, f(d)) at a stable d with a number f(d); other rows read zero, flagged."""
     g, a, wavelength, gain = p.geometry, p.aperture_radius, p.wavelength, p.gain
     l, f, r1, r2 = g.l, g.f, g.r1, g.r2
 
     def rule(k, d):
-        def row():
-            return at(k, coefficient_at_loss(k.exp(_tem00_exponent(a, wavelength, l, d)), gain))
-
-        return k.when(_stable(_g_terms(l, f, r1, r2, d)), row, "unstable")
+        fd = coefficient_at_loss(k.exp(_tem00_exponent(a, wavelength, l, d)), gain)
+        stable = _stable(_g_terms(l, f, r1, r2, d))
+        return k.when(stable & (fd == fd), lambda: at(k, fd), k.pick(stable, "overflow", "unstable"))
 
     return rule
 
@@ -404,8 +393,9 @@ def reproduce_figure(figure_id: int, params: SystemParams | None = None) -> Data
     13: output power and end-to-end efficiency vs distance at 50/80/100 W in.
     """
     p = params if params is not None else reference_defaults()
-    if figure_id not in _FIGURES:
-        raise UnknownFigureError(f"figure id must be in 6..13, got {figure_id}")
-    (lo, hi), x_col, value_cols, join, series = _FIGURES[figure_id]
-    prov = provenance_for(p, figure=figure_id)
+    fid = operator.index(figure_id) if hasattr(figure_id, "__index__") else None  # not 6.0 or "6"
+    if fid not in _FIGURES:
+        raise UnknownFigureError(f"figure id must be in 6..13, got {figure_id!r}")
+    (lo, hi), x_col, value_cols, join, series = _FIGURES[fid]
+    prov = provenance_for(p, figure=fid)
     return _tabulate(linspace(lo, hi, 200), x_col, value_cols, series(p, prov), prov, join)

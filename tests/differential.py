@@ -34,7 +34,10 @@ R1 searches.  Run from the repository root:
     PYTHONPATH=src python tests/differential.py --seed 32 --n 2000 --out DIFF_32.json
 
 The report holds no timings, so two trees that give the same answers write
-the same bytes; ``answers_sha256`` digests every answer of a route.
+the same bytes; ``answers_sha256`` digests every answer of a route.  With
+``--compare DIFF_<prev>.json`` it also lists on stderr, as
+``band/route/field: old -> new``, every leaf that moved or is in one report
+only, and exits 1 if any did.
 """
 
 from __future__ import annotations
@@ -289,18 +292,41 @@ def run(seed: int, n: int) -> dict:
     return {"seed": seed, "n": n, "bands": bands}
 
 
+def leaves(tree, path: str = "") -> dict:
+    """{"band/route/field": value} of every leaf of a report's bands."""
+    if not isinstance(tree, dict):
+        return {path: tree}
+    return {k: v for key, sub in tree.items()
+            for k, v in leaves(sub, f"{path}/{key}" if path else key).items()}
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """Each leaf, the seed and n too, that differs or is in one report only: "path: old -> new"."""
+    a, b = ({"seed": r["seed"], "n": r["n"], **leaves(r["bands"])} for r in (old, new))
+    absent = "(absent)"
+    return [f"{k}: {a.get(k, absent)} -> {b.get(k, absent)}"
+            for k in sorted(a.keys() | b.keys()) if a.get(k, absent) != b.get(k, absent)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n", type=int, default=2000, help="draws per band")
     parser.add_argument("--out", type=Path, help="write the JSON report here (default: stdout)")
+    parser.add_argument("--compare", type=Path, metavar="DIFF_PREV.json",
+                        help="list on stderr every leaf that moved from this report; exit 1 if any")
     args = parser.parse_args(argv)
-    text = json.dumps(run(args.seed, args.n), indent=1) + "\n"
+    report = run(args.seed, args.n)
+    text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    if args.compare is None:
+        return 0
+    lines = moved(json.loads(args.compare.read_text()), report)
+    sys.stderr.write("".join(f"{line}\n" for line in lines))
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

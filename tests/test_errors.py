@@ -39,6 +39,11 @@ CHECKS = [
     ("cavity-d", lambda: is_stable(GEOM, -1.0), "d", "-1.0"),
     ("d_limit", lambda: stable_distance_intervals(GEOM, 0.0), "d_limit", "0.0"),
     ("intervals", lambda: DistanceIntervals(((0.0, 2.0), (1.0, 3.0))), "intervals", "(1.0, 3.0)"),
+    # an element that is no (lo, hi) pair is named; None, which does not iterate, is one element
+    ("intervals-triple", lambda: DistanceIntervals(((0.0, 1.0, 2.0),)), "intervals",
+     "(0.0, 1.0, 2.0)"),
+    ("intervals-number", lambda: DistanceIntervals((1.0,)), "intervals", "1.0"),
+    ("intervals-none", lambda: DistanceIntervals(None), "intervals", "None"),
     ("connecting_r2-branch", lambda: connecting_r2(0.06, 0.88, -1.0, "up"), "branch", "'up'"),
     ("connecting_r2-r1", lambda: connecting_r2(0.06, 0.88, -math.inf, "origin"), "r1", "-inf"),
     # 1/r1 overflows, so r2 would be 0: the R1 that was set is named, not the r2 it gives

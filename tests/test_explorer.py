@@ -723,6 +723,15 @@ class TestReproduceFigure:
         with pytest.raises(UnknownFigureError):
             reproduce_figure(14)
 
+    @pytest.mark.parametrize("fid", [6.0, "6", True], ids=["float", "str", "bool"])
+    def test_figure_id_is_an_integer(self, fid):
+        # 6.0 would build figure 6 with "6.0" in its provenance; the repr shows the type
+        with pytest.raises(UnknownFigureError, match=f"got {re.escape(repr(fid))}$"):
+            reproduce_figure(fid)
+
+    def test_numpy_integer_figure_id_gives_the_same_bytes(self):
+        assert emit_dataset(reproduce_figure(np.int64(6))) == emit_dataset(reproduce_figure(6))
+
     def test_all_figures_deterministic(self):
         for fid in range(6, 14):
             a = emit_dataset(reproduce_figure(fid))
@@ -925,7 +934,7 @@ class TestColumnDrivers:
         return calls
 
     def test_no_scalar_kernel_calls_per_row(self, monkeypatch, default_params):
-        # a sweep held at one distance checks it once, however long its grid
+        # no sweep calls a scalar kernel: one held at a distance takes f(d) from its rule's row
         spans = {"d": (0.05, 12.0), "P_in": (0.0, 200.0), "P_stored": (0.0, 50.0),
                  "P_beam": (0.0, 30.0), "R1": (-1.6, -0.4)}
         for n in (1000, 200):
@@ -934,7 +943,7 @@ class TestColumnDrivers:
                   for v, (lo, hi) in spans.items()),
                 *(max_distance_vs_r1(0.06, 0.88, np.linspace(-1.6, -0.4, n), b)
                   for b in BRANCHES)])
-            assert calls == Counter(is_stable=2)
+            assert calls == Counter()
 
     @pytest.mark.parametrize("n", [1, 200, 256, 257, 1000])
     def test_loaded_numpy_picks_the_path(self, monkeypatch, default_params, n):

@@ -130,8 +130,11 @@ NAN_LOSS = REF._replace(aperture_radius=1e300, wavelength=1.7e308, d=2.0)
     lambda: sweep(SweepSpec("d", tuple(linspace(0.0, 15.0, 200)), NAN_LOSS)),
     lambda: sweep(SweepSpec("P_in", tuple(linspace(0.0, 300.0, 200)), NAN_LOSS)),
     lambda: reproduce_figure(9, NAN_LOSS),
+    lambda: reproduce_figure(10, NAN_LOSS),  # f(d) reaches no column here, only the flag
+    lambda: reproduce_figure(13, NAN_LOSS),
 ], ids=["sweep-d", "sweep-P_in", "figure-12", "figure-13", "figure-8-joined",
-        "sweep-d-nan-loss", "sweep-P_in-nan-loss", "figure-9-nan-loss"])
+        "sweep-d-nan-loss", "sweep-P_in-nan-loss", "figure-9-nan-loss",
+        "figure-10-nan-loss", "figure-13-nan-loss"])
 def test_overflowing_beam_flags_rows_on_both_paths(build):
     # the beam power or f(d) overflows: those rows read zero, flagged, and the dataset is built
     for path in ("rows", "columns"):
@@ -141,6 +144,25 @@ def test_overflowing_beam_flags_rows_on_both_paths(build):
         assert all(v == 0.0 for col in list(ds.columns.values())[1:]
                    for v, flag in zip(col, ds.flags) if flag == "overflow")
     assert_paths_agree(build)
+
+
+def fd_answer(ds) -> tuple:
+    """The repr of row 0's f_d, and its flag where f(d) alone sets it."""
+    return repr(ds.columns["f_d"][0]), ds.flags[0] if ds.flags[0] in ("unstable", "overflow") else ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(links())
+@example(NAN_LOSS)
+@example(OVERFLOWING)
+def test_held_distance_gives_the_distance_rows_answer(p):
+    # one f(d) route: sweep P_stored holds d at p.d, where a one-point sweep d runs; at
+    # p_in = 0 and P_stored = 0 the other columns stay finite, so only f(d) can flag a row
+    for path in ("rows", "columns"):
+        with forced(path):
+            held = sweep(SweepSpec("P_stored", (0.0,), p))
+            at = sweep(SweepSpec("d", (p.d,), p._replace(p_in=0.0)))
+        assert fd_answer(held) == fd_answer(at)
 
 
 @settings(max_examples=100, deadline=None)

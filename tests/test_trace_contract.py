@@ -43,9 +43,11 @@ def test_cli_calls_reach_the_traced_layers():
         with contextlib.redirect_stdout(io.StringIO()):
             assert resbeam.cli.main(["calibrate", "--pstored", "30W", "--eta", "0.61"]) == 0
             assert resbeam.cli.main(["sweep", "--var", "P_in", "--points", "5"]) == 0
+            # no dataset rule calls a powerchain kernel: the power command reaches end_to_end
+            assert resbeam.cli.main(["power", "--pin", "100W"]) == 0
     finally:
         tracer.uninstall()
     metrics = tracer.summarise()
-    assert metrics["cli.calls"] == 2
+    assert metrics["cli.calls"] == 3
     assert metrics["explorer.calls"] == 2  # calibrate_aperture and sweep
     assert metrics["powerchain.calls"] > 0

@@ -16,8 +16,8 @@ Each closed form is written once, as a private body that runs on floats and
 numpy columns alike: it uses only + - * / & | and abs, takes sqrt as an
 argument, and leaves validation to its callers.  _lens_mirror holds the
 terms the lens and M1 set (c0 = 1 - l/f, g1's slope, whether g1 depends on
-d, and d1), which the design, connecting_r2, stability_line and the R1
-search read.  The reach at a fixed r2 is such a body too: g1*g2 is a
+d, and d1), which the design (and so connecting_r2), stability_line and
+the R1 search read.  The reach at a fixed r2 is such a body too: g1*g2 is a
 parabola in d, so _pieces works out its coefficients once, orders its roots
 with the selection pick and reads the stable set's two pieces off the sign
 of its leading coefficient, and both _supremum and stable_distance_intervals
@@ -126,7 +126,7 @@ class StabilityLine(NamedTuple):
 
 
 class DistanceIntervals(Record):
-    """Ordered disjoint open intervals of stable transmission distance."""
+    """Ordered disjoint open (lo, hi) intervals of stable distance; pairs of numbers, or UnitError."""
 
     intervals: tuple[tuple[float, float], ...]
 
@@ -137,11 +137,12 @@ class DistanceIntervals(Record):
             intervals = (self.intervals,)
         prev_hi = -math.inf
         for pair in intervals:
-            try:
+            try:  # a number, a sequence of another length, or ends that do not compare
                 lo, hi = pair
-            except (TypeError, ValueError):  # a number, or a sequence of another length
-                require("intervals", pair, False, "a sequence of (lo, hi) pairs")
-            if not prev_hi <= lo < hi:
+                ordered = prev_hi <= lo < hi
+            except (TypeError, ValueError):
+                require("intervals", pair, False, "a sequence of (lo, hi) pairs of numbers")
+            if not ordered:
                 require("intervals", (lo, hi), False, "nonempty, disjoint and in order")
             if type(pair) is not tuple:  # nor the caller's pairs; tuple() keeps a tuple
                 intervals = tuple(map(tuple, intervals))
@@ -410,8 +411,8 @@ def max_transmission_distance(geom: CavityGeometry) -> MaxDistance:
 def _design(l, f, r1, branch, pick):
     """(r2, d_max, ok, found) of the connected-branch design at R1 = r1, on a checked l, f and branch.
 
-    ok: the design exists, as connecting_r2 decides (it raises where ok is
-    false), and r2 is its 1/rho2.  found: ok, and some distance is stable;
+    ok: the design exists; connecting_r2 returns this r2, its 1/rho2, and
+    raises where ok is false.  found: ok, and some distance is stable;
     d_max is then the supremum of the stable distances of the exact design
     at r1.  A body on floats or numpy columns: divisors are kept off zero.
 
@@ -449,21 +450,21 @@ def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
     Two line placements connect the regions: through the origin with positive
     slope (``branch="origin"``) or tangent to the hyperbola g1*g2 = 1 with
     negative slope (``branch="tangent"``).  Writing phi = 1/f, c0 = 1 - l*phi,
-    both are closed-form:
+    both are closed-form (the tangency discriminant vanishes identically):
 
         1/r2 = +c0*(phi + c0/r1)   (origin,  slope = +c0^2)
         1/r2 = -c0*(phi + c0/r1)   (tangent, slope = -c0^2, intercept = 2*c0)
 
-    The tangency discriminant of the line-hyperbola intersection vanishes
-    identically on the tangent branch, so no root search is required.
+    The r2 returned is _design's, the one body that writes this form and
+    decides whether a design exists; where none does, the first of these says why.
 
     Raises
     ------
+    WrongSignSlopeError
+        When l = f, which forces a zero slope on either branch.
     NoSolutionError
         When g1 does not depend on d (phi + c0/r1 = 0, e.g. l - r1 - f = 0),
         so no line placement exists.
-    WrongSignSlopeError
-        When l = f, which forces a zero slope on either branch.
     UnitError
         Naming r1, when r2 would not be a valid element (0 or -inf), as for a
         subnormal r1.
@@ -472,16 +473,16 @@ def connecting_r2(l: float, f: float, r1: float, branch: str) -> float:
         require("branch", branch, False, f"one of {BRANCHES}")
     _check_l_f(l, f)
     _check_element("r1", r1)
-    c0, den, varies, _ = _lens_mirror(l, f, r1, _pick)
+    r2, _, ok, _ = _design(l, f, r1, branch, _pick)
+    if ok:
+        return r2
+    c0, _, varies, _ = _lens_mirror(l, f, r1, _pick)  # which rule refused it
     if c0 == 0.0 or l == f:
         raise WrongSignSlopeError("l equals f: the stability line is horizontal on both branches")
     if not varies:
         raise NoSolutionError("g1 is independent of d for this (l, f, r1); no connecting line exists")
-    rho2 = -c0 * den if branch == TANGENT else c0 * den
-    # c0*den may underflow to +-0.0, and an overflowed 1/r1 gives r2 = +-0.0
-    if rho2 == 0.0 or not _is_element(r2 := 1.0 / rho2):
-        require("r1", r1, False, f"an R1 whose connecting r2 is {_ELEMENT}")
-    return r2
+    # c0*den underflowed to +-0.0, or an overflowed 1/r1 gave r2 = +-0.0
+    require("r1", r1, False, f"an R1 whose connecting r2 is {_ELEMENT}")
 
 
 def r1_range_for_distance(
@@ -502,9 +503,9 @@ def r1_range_for_distance(
     and which side of the pole it cuts is known from D against f, so the
     edges need no root search and no test point; they are exact to the
     rounding of d1 and D.
-    No design exists at R1 = 0 and R1 = l - f, nor where r2 = 1/rho2 leaves
-    the float range: |R1| <= max(1, c0^2)*2^-1024 (1/rho2 rounds to 0), and
-    within f^2*2^-1024 of l - f on the side where rho2 < 0 (1/rho2 rounds to
+    No design exists at R1 = 0 and R1 = l - f, nor where _design's r2 leaves
+    the float range: |R1| <= max(1, c0^2)*2^-1024 (r2 rounds to 0), and
+    within f^2*2^-1024 of l - f on the side where 1/r2 < 0 (r2 rounds to
     -inf; wider than an ULP of l - f only for |f| past about 1e292).  An
     interval ends where one of these begins, and reaching neighbours join
     across it, so an interval may hold such a singular point.
@@ -540,7 +541,7 @@ def r1_range_for_distance(
         sides = [(-inf, inf, -inf, inf)]  # R1 from, R1 to, d0 from, d0 to
     else:
         p, w = l - f, abs(f) * (abs(f) * 2.0 ** -1024)
-        holes.append((p, p + w) if branch == ORIGIN else (p - w, p))  # rho2 < 0 on that side
+        holes.append((p, p + w) if branch == ORIGIN else (p - w, p))  # 1/r2 < 0 on that side
         sides = [(-inf, p, f, inf), (p, inf, -inf, f)]
 
     def r1_at(D):  # the R1 where d0 = D
@@ -580,7 +581,7 @@ def beam_radii(geom: CavityGeometry, d: float, wavelength: float) -> BeamRadii:
     d : float
         Transmission distance in meters; the cavity must be strictly stable.
     wavelength : float
-        Vacuum wavelength in meters.
+        Vacuum wavelength in meters; UnitError names it where a radius is not finite.
 
     Returns
     -------
@@ -599,5 +600,7 @@ def beam_radii(geom: CavityGeometry, d: float, wavelength: float) -> BeamRadii:
         raise UnstableConfigurationError(
             f"g1*g2 = {g[1] * g[2]}: mode radii require 0 < g1*g2 < 1"
         )
-    radii = _radii(geom.l, geom.f, geom.r1, geom.r2, d, g, wavelength / math.pi, math.sqrt)
-    return BeamRadii(*radii)
+    w = _radii(geom.l, geom.f, geom.r1, geom.r2, d, g, wavelength / math.pi, math.sqrt)
+    if not (w[0] < math.inf and w[1] < math.inf and w[2] < math.inf):  # NaN fails too
+        require("wavelength", wavelength, False, "such that the mode radii are finite")
+    return BeamRadii(*w)

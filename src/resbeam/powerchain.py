@@ -172,9 +172,10 @@ def beam_at(p_stored: float, fd: float, gain: GainParams) -> float:
 
 
 def beam_power(p_stored: float, d: float, p: SystemParams) -> float:
-    """Extracted beam power max(0, f(d)*p_stored + c); 0 below threshold or at an unstable d."""
-    p_beam = beam_at(p_stored, gain_to_beam_coefficient(d, p), p.gain)
-    return p_beam if is_stable(p.geometry, d) else 0.0
+    """Beam power max(0, f(d)*p_stored + c); 0 below threshold and at an unstable d (f(d) unread)."""
+    stable = is_stable(p.geometry, d)  # validates d
+    p_beam = beam_at(p_stored, gain_to_beam_coefficient(d, p) if stable else 0.0, p.gain)
+    return p_beam if stable else 0.0
 
 
 def transmission_efficiency(p_stored: float, d: float, p: SystemParams) -> float:
@@ -231,21 +232,22 @@ def end_to_end(p_in: float, d: float, p: SystemParams) -> tuple[PowerState, Effi
     ``p_out = a1*f(d)*eta_stored*p_in + a1*c + b1`` and
     ``eta_all = eta_stored*eta_trans*eta_pv``; the staged values returned
     here match that closed form to rounding.  Where the cavity is unstable at
-    d no resonant beam forms: p_stored stays, and p_beam, p_out and every
-    efficiency but eta_stored read 0.
+    d no resonant beam forms: p_stored stays, p_beam, p_out and every
+    efficiency but eta_stored read 0, and f(d) is not read (0.0 is held).
     """
-    state, eff = ladder_at(p_in, gain_to_beam_coefficient(d, p), p)
-    if is_stable(p.geometry, d):
+    stable = is_stable(p.geometry, d)  # validates d
+    state, eff = ladder_at(p_in, gain_to_beam_coefficient(d, p) if stable else 0.0, p)
+    if stable:
         return state, eff
     return (state._replace(p_beam=0.0, p_out=0.0),
             eff._replace(eta_trans=0.0, eta_pv=0.0, eta_all=0.0))
 
 
 def _formed_slope(d: float, p: SystemParams) -> float:
-    """A finite f(d) at a distance where a resonant beam forms; UnreachableTargetError elsewhere."""
-    fd = gain_to_beam_coefficient(d, p)  # validates d
-    if not is_stable(p.geometry, d):
+    """A finite f(d), read only where a resonant beam forms; UnreachableTargetError elsewhere."""
+    if not is_stable(p.geometry, d):  # validates d
         raise UnreachableTargetError(f"cavity is not stable at d = {d} m")
+    fd = gain_to_beam_coefficient(d, p)
     if fd == math.inf:  # 2*(1-R)*m overflowed; the denominator is finite and > 0
         raise UnreachableTargetError(f"the slope f(d) overflows at d = {d} m")
     return fd

@@ -23,13 +23,17 @@ route against tests/oracles.py, which works in Fractions:
   where its last end, or whether it is empty, differs from the rows'
   ``_supremum``;
 * ``r1_range_for_distance``: interval counts and edge errors against
-  ``exact_r1_range``.
+  ``exact_r1_range``;
+* ``required_input_power`` round trip: on seeded links at a stable
+  distance, p_in = required_input_power(target) and the p_out that
+  ``end_to_end`` gives at p_in, against the target; the targets no finite
+  input reaches, and the error of p_out in ULPs of the target.
 
 Bands: R1 within 64 ULPs of l - f; R1 within 1e-12*max(1, |l - f|) of it;
 generic connected designs on their printed r2; R1, f, or r2 with flat optics
 within 3 ULPs of l, where a root of g1, g2 or g1*g2 = 1 lies at d = 0 to
 rounding; |R1| log-uniform in [1e-310, 1e-50] m, where 1/R1 may overflow;
-R1 searches.  Run from the repository root:
+R1 searches; the power round trip.  Run from the repository root:
 
     PYTHONPATH=src python tests/differential.py --seed 32 --n 2000 --out DIFF_32.json
 
@@ -60,10 +64,16 @@ from resbeam import (  # noqa: E402
     BRANCHES,
     CavityGeometry,
     EmptyResultError,
+    GainParams,
+    PvParams,
     ResbeamError,
+    UnreachableTargetError,
     cavity,
     connecting_r2,
+    end_to_end,
     r1_range_for_distance,
+    reference_defaults,
+    required_input_power,
     stable_distance_intervals,
 )
 
@@ -279,6 +289,53 @@ def r1_search_band(rng: random.Random, n: int) -> dict:
     return {"r1_range_for_distance": route.report("edge_error_of_max_edge_l")}
 
 
+def stable_link(rng: random.Random):
+    """A seeded link at a distance inside its stable set: a geometry with a stable distance
+    short of 100 m (its r2 drawn, or a connected design's), and gain, PV and aperture drawn
+    around the reference."""
+    u = rng.uniform
+    while True:
+        l, f = lens(rng)
+        r1 = math.copysign(10.0 ** u(-2.0, 0.5), rng.random() - 0.5)
+        try:
+            r2 = (connecting_r2(l, f, r1, rng.choice(BRANCHES)) if rng.random() < 0.5
+                  else math.copysign(10.0 ** u(-2.0, 0.5), rng.random() - 0.5))
+            geom = CavityGeometry(l, f, r1, r2)
+        except ResbeamError:
+            continue
+        stable = stable_distance_intervals(geom, 100.0).intervals
+        if stable:
+            lo, hi = rng.choice(stable)
+            d = lo + u(0.01, 0.99) * (hi - lo)
+            break
+    gain = GainParams(u(0.1, 0.9), 10.0 ** u(-1.0, 0.5), u(-10.0, 2.0), u(0.5, 0.99))
+    return reference_defaults()._replace(
+        geometry=geom, gain=gain, pv=PvParams(u(0.1, 0.9), u(-3.0, 1.0)),
+        aperture_radius=10.0 ** u(-4.0, -2.0), wavelength=10.0 ** u(-7.0, -5.0), d=d)
+
+
+def round_trip_band(rng: random.Random, n: int) -> dict:
+    """required_input_power against end_to_end: p_out at the p_in solved for a target."""
+    route = Route()
+    for _ in range(n):
+        p = stable_link(rng)
+        target = 10.0 ** rng.uniform(-2.0, 2.0)
+        route.count("targets")
+        try:
+            p_in = required_input_power(target, p.d, p)
+        except UnreachableTargetError:
+            route.count("unreachable")
+            route.answer("UnreachableTargetError")
+            continue
+        p_out = end_to_end(p_in, p.d, p)[0].p_out
+        route.answer(p_in, p_out)
+        route.error(abs(p_out - target) / math.ulp(target), 4)
+    report = route.report("p_out_error_ulps_of_target")
+    reached = report["targets"] - report.get("unreachable", 0)
+    share = report.get("error_over_4", 0) / max(1, reached)
+    return {"required_input_power": {**report, "share_over_4_ulps": float(f"{share:.4g}")}}
+
+
 def run(seed: int, n: int) -> dict:
     bands = {}
     for i, (name, draw) in enumerate(DESIGN_BANDS.items()):
@@ -289,6 +346,7 @@ def run(seed: int, n: int) -> dict:
                        "stable_distance_intervals": intervals_route(designs)}
     bands["tiny-r1"] = design_band(tiny_r1, random.Random(f"{seed}-tiny-r1"), n, narrow=True)
     bands["r1-search"] = r1_search_band(random.Random(f"{seed}-search"), n)
+    bands["round-trip"] = round_trip_band(random.Random(f"{seed}-round-trip"), n)
     return {"seed": seed, "n": n, "bands": bands}
 
 

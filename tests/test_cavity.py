@@ -486,6 +486,37 @@ class TestConnectingR2:
         with pytest.raises(ValueError):
             connecting_r2(0.06, 0.88, -1.0, "sideways")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.01, 0.3), ELEMENT, st.one_of(ELEMENT, st.sampled_from([1e-320, -1e-320])),
+           st.sampled_from([ORIGIN, TANGENT]), st.booleans())
+    @example(0.06, 0.88, -1.0, ORIGIN, True)  # R1 = l - f as it rounds
+    @example(0.25, 0.5, -0.25, TANGENT, False)  # R1 = l - f exactly
+    @example(0.06, 0.88, 1e-320, ORIGIN, False)  # 1/R1 overflows: r2 would be 0
+    @example(0.06, 0.88, FLAT, TANGENT, False)
+    @example(0.06, FLAT, FLAT, ORIGIN, False)  # all-flat f and r1: g1 = 1
+    @example(0.88, 0.88, -1.0, TANGENT, False)  # l = f
+    def test_r2_is_the_closed_form(self, l, f, r1, branch, at_l_minus_f):
+        # the closed form of the docstring, written out here in floats, independent of the
+        # cavity bodies: r2 = 1/rho2 bit for bit where connecting_r2 answers, and each
+        # refusal where the form says there is no design
+        if at_l_minus_f and math.isfinite(f):
+            r1 = (l - f) or FLAT
+        phi = 1.0 / f
+        c0 = 1.0 - l * phi
+        rho2 = (c0 if branch == ORIGIN else -c0) * (phi + c0 * (1.0 / r1))
+        try:
+            r2 = connecting_r2(l, f, r1, branch)
+        except WrongSignSlopeError:
+            assert c0 == 0.0 or l == f, (l, f, r1)
+            return
+        except NoSolutionError:
+            assert l - r1 - f == 0.0 or phi + c0 * (1.0 / r1) == 0.0, (l, f, r1)
+            return
+        except UnitError:
+            assert rho2 == 0.0 or not (1.0 / rho2 != 0.0 and -math.inf < 1.0 / rho2), (l, f, r1)
+            return
+        assert rho2 != 0.0 and bits(r2) == bits(1.0 / rho2), (l, f, r1, branch)
+
 
 class TestBeamRadii:
     def test_symmetric_cavity_mirror_symmetry(self):

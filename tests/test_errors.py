@@ -44,6 +44,10 @@ CHECKS = [
      "(0.0, 1.0, 2.0)"),
     ("intervals-number", lambda: DistanceIntervals((1.0,)), "intervals", "1.0"),
     ("intervals-none", lambda: DistanceIntervals(None), "intervals", "None"),
+    # ends that do not compare as numbers are named with their pair
+    ("intervals-text", lambda: DistanceIntervals((("a", "b"),)), "intervals", "('a', 'b')"),
+    ("intervals-none-end", lambda: DistanceIntervals(((0.0, None),)), "intervals", "(0.0, None)"),
+    ("intervals-complex", lambda: DistanceIntervals(((1j, 2.0),)), "intervals", "(1j, 2.0)"),
     ("connecting_r2-branch", lambda: connecting_r2(0.06, 0.88, -1.0, "up"), "branch", "'up'"),
     ("connecting_r2-r1", lambda: connecting_r2(0.06, 0.88, -math.inf, "origin"), "r1", "-inf"),
     # 1/r1 overflows, so r2 would be 0: the R1 that was set is named, not the r2 it gives
@@ -61,6 +65,8 @@ CHECKS = [
     ("r1_range-branch", lambda: r1_range_for_distance(5.0, 0.06, 0.88, "up", WINDOW),
      "branch", "'up'"),
     ("beam_radii-wavelength", lambda: beam_radii(GEOM, 1.0, 0.0), "wavelength", "0.0"),
+    # a stable d, but lambda/pi times the radicands overflows: the radii would be inf
+    ("beam_radii-overflow", lambda: beam_radii(GEOM, 10.0, 1.7e308), "wavelength", "1.7e+308"),
     ("max_distance_vs_r1-branch", lambda: max_distance_vs_r1(0.06, 0.88, [-1.0], "up"),
      "branch", "'up'"),
     ("laguerre-n", lambda: associated_laguerre(-1, 0, 0.5), "n", "-1"),

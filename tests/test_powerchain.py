@@ -6,16 +6,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from resbeam import (
+    EfficiencyBreakdown,
     GainParams,
+    PowerState,
     PvParams,
     UndefinedAtZeroError,
     UnitError,
+    UnreachableTargetError,
     beam_power,
     end_to_end,
     gain_to_beam_coefficient,
     pv_efficiency,
     pv_output,
     reference_defaults,
+    required_input_power,
     stored_power,
     thresholds,
     transmission_efficiency,
@@ -312,3 +316,41 @@ class TestThresholds:
         hi, _ = end_to_end(th.p_in + 1e-6, 1.0, link(a))
         assert lo.p_out == 0.0
         assert hi.p_out > 0.0
+
+
+# a*a and wavelength * (l + d) both overflow, so the TEM00 loss, and f(d), is inf/inf
+NAN_LOSS = reference_defaults()._replace(aperture_radius=1e300, wavelength=1.7e308)
+# 2*(1 - R)*m overflows, so f(d) is inf, and so is every beam power it drives
+INF_SLOPE = reference_defaults()._replace(gain=GAIN._replace(m_overlap=1.7e308, r_out=1e-300))
+UNSTABLE_LADDER = (PowerState(30.0, 30.0 * GAIN.eta_stored, 0.0, 0.0),
+                   EfficiencyBreakdown(GAIN.eta_stored, 0.0, 0.0, 0.0))
+POINT_KERNELS = {  # the call at a link and d, and its answer where the cavity is unstable
+    "beam_power": (lambda p, d: beam_power(30.0, d, p), 0.0),
+    "transmission_efficiency": (lambda p, d: transmission_efficiency(30.0, d, p), 0.0),
+    "end_to_end": (lambda p, d: end_to_end(30.0, d, p), UNSTABLE_LADDER),
+    "thresholds": (lambda p, d: thresholds(d, p), UnreachableTargetError),
+    "required_input_power": (lambda p, d: required_input_power(1.0, d, p), UnreachableTargetError),
+}
+
+
+@pytest.mark.parametrize("d", [11.0, 2.0], ids=["unstable", "stable"])
+@pytest.mark.parametrize("kernel", list(POINT_KERNELS))
+def test_f_d_is_read_only_where_the_cavity_is_stable(kernel, d):
+    # past d_max = 10.43 m no beam forms, whatever f(d) would be there; at a stable d an
+    # inf/inf loss raises UnitError, as a dataset row there flags overflow
+    call, unstable = POINT_KERNELS[kernel]
+    if d == 2.0:
+        with pytest.raises(UnitError, match="wavelength: must be such that a[*]a or"):
+            call(NAN_LOSS, d)
+    elif isinstance(unstable, type):
+        with pytest.raises(unstable, match="cavity is not stable at d = 11.0 m"):
+            call(NAN_LOSS, d)
+    else:
+        assert call(NAN_LOSS, d) == unstable
+
+
+def test_an_overflowing_beam_at_an_unstable_d_is_the_unstable_answer():
+    # end_to_end holds a slope of 0.0 where no beam forms, so an inf f(d) there is not read
+    assert end_to_end(30.0, 11.0, INF_SLOPE) == UNSTABLE_LADDER
+    with pytest.raises(UnitError, match="p_beam: must be finite"):
+        end_to_end(30.0, 2.0, INF_SLOPE)

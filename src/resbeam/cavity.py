@@ -16,16 +16,17 @@ Each closed form is written once, as a private body that runs on floats and
 numpy columns alike: it uses only + - * / & | and abs, takes sqrt as an
 argument, and leaves validation to its callers.  _lens_mirror holds the
 terms the lens and M1 set (c0 = 1 - l/f, g1's slope, whether g1 depends on
-d, and d1), which the design (and so connecting_r2), stability_line and
-the R1 search read.  The reach at a fixed r2 is such a body too: g1*g2 is a
-parabola in d, so _pieces works out its coefficients once, orders its roots
-with the selection pick and reads the stable set's two pieces off the sign
-of its leading coefficient, and both _supremum and stable_distance_intervals
-read those pieces.  On a connected branch the reach is one linear solve
-instead, _design, which the design rows run; its only R1-dependent term is
-a monotone map of R1 on each side of R1 = l - f, so the R1 search inverts
-that map at each threshold the target sets, with no root search and no
-design tried.  The scalar kernels here wrap the bodies with exceptions; the
+d, and d1), which the design (and so connecting_r2) and stability_line
+read; the R1 search takes c0 from _affine and d1 from _d1, as _lens_mirror
+does, without the mask.  The reach at a fixed r2 is such a body too: g1*g2
+is a parabola in d, so _pieces works out its coefficients once, orders its
+roots with the selection pick and reads the stable set's two pieces off the
+sign of its leading coefficient, and both _supremum and
+stable_distance_intervals read those pieces.  On a connected branch the
+reach is one linear solve instead, _design, which the design rows run; its
+only R1-dependent term is a monotone map of R1 on each side of R1 = l - f,
+so the R1 search inverts that map at each threshold the target sets, with
+no root search and no design tried.  The scalar kernels here wrap the bodies with exceptions; the
 dataset rules of :mod:`resbeam.explorer` call them on whole grids with the
 primitives of a kit (pick, sqrt) and flag a row rather than raise.
 """
@@ -131,10 +132,11 @@ class DistanceIntervals(Record):
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        given = self.intervals
         try:  # the tuple checked, not the caller's sequence
-            intervals = tuple(self.intervals)
+            intervals = tuple(given)
         except TypeError:  # None or a number: one element, which is no pair
-            intervals = (self.intervals,)
+            intervals = (given,)
         prev_hi = -math.inf
         for pair in intervals:
             try:  # a number, a sequence of another length, or ends that do not compare
@@ -147,7 +149,8 @@ class DistanceIntervals(Record):
             if type(pair) is not tuple:  # nor the caller's pairs; tuple() keeps a tuple
                 intervals = tuple(map(tuple, intervals))
             prev_hi = hi
-        object.__setattr__(self, "intervals", intervals)
+        if intervals is not given:  # a tuple of tuples is kept as it came
+            object.__setattr__(self, "intervals", intervals)
 
     def __iter__(self):
         return iter(self.intervals)
@@ -215,8 +218,11 @@ def _g_at(geom: CavityGeometry, d: float):
 
 
 def effective_length(geom: CavityGeometry, d: float) -> float:
-    """Effective cavity length ``l + d - l*d/f`` (lens term zero when f is flat)."""
-    return _g_at(geom, d)[0]
+    """Effective cavity length ``l + d - l*d/f`` (lens term zero when f is flat), or UnitError."""
+    L = _g_at(geom, d)[0]
+    if not math.isfinite(L):
+        require("d", d, False, "such that L is finite")
+    return L
 
 
 def g_parameters(geom: CavityGeometry, d: float) -> CavityDerived:
@@ -233,11 +239,15 @@ def g_parameters(geom: CavityGeometry, d: float) -> CavityDerived:
     CavityDerived
         With ``g1 = 1 - d/f - L/r1`` and ``g2 = 1 - l/f - L/r2``.  The
         intermediate ``x = 1/f - 1/l - 1/d`` is NaN at d = 0 (``x_defined``
-        flags this); g1 and g2 remain valid there.
+        flags this); g1 and g2 remain valid there.  UnitError names d where
+        any other field is not finite, as x at d = 1e-320, where 1/d
+        overflows, or u2 = d*(1 - d/r2) at d = 1e300.
     """
     L, g1, g2 = _g_at(geom, d)
     u1, u2 = _u_terms(geom.l, geom.r1, geom.r2, d)
     x = 1.0 / geom.f - 1.0 / geom.l - 1.0 / d if d > 0 else math.nan
+    if not all(map(math.isfinite, (L, g1, g2, u1, u2, x if d > 0 else 0.0))):
+        require("d", d, False, "such that L, g1, g2, u1, u2 and x are finite")
     return CavityDerived(L, g1, g2, u1, u2, x)
 
 
@@ -257,6 +267,11 @@ def _affine(l, f, r1, r2):
     return 1.0 - l * ir1, -(phi + c0 * ir1), c0 - l * (1.0 / r2), -c0 * (1.0 / r2)
 
 
+def _d1(l, f, pick):
+    """d1 = -l/c0 = l*f/(l - f) (-l for a flat f), where a connected design's u = c0*g1 is 1."""
+    return l * pick(f == FLAT, -1.0, f / ((l - f) + (l == f)))
+
+
 def _lens_mirror(l, f, r1, pick):
     """(c0, den, varies, d1): the terms the lens and M1 set, on floats or numpy columns.
 
@@ -266,14 +281,13 @@ def _lens_mirror(l, f, r1, pick):
     a flat f or r1, and den is exactly 0.0 for an all-flat f and r1, so the
     one test covers every form.  A connected design has 1/r2 = +-c0*den, and
     its u = c0*g1 is 0 at d0 = f*(r1 - l)/(r1 + f - l) (r1 - l for a flat f,
-    f for a flat r1) and 1 at d1 = -l/c0 = l*f/(l - f) (-l for a flat f).
+    f for a flat r1) and 1 at d1 of _d1.
     den keeps the form phi + c0/r1, which cancels near r1 = l - f: the pinned
     dataset digests and the benchmark's R2_m oracle hold 1/r2 to its bits.
     """
     _, b1, c0, _ = _affine(l, f, r1 + (r1 == 0.0), FLAT)
     den = -b1
-    d1 = l * pick(f == FLAT, -1.0, f / ((l - f) + (l == f)))
-    return c0, den, (l - r1 - f != 0.0) & (den != 0.0), d1
+    return c0, den, (l - r1 - f != 0.0) & (den != 0.0), _d1(l, f, pick)
 
 
 def stability_line(geom: CavityGeometry) -> StabilityLine:
@@ -284,7 +298,8 @@ def stability_line(geom: CavityGeometry) -> StabilityLine:
     DegenerateLineError
         When g1 does not depend on d (``l - r1 - f = 0`` or all-flat optics):
         the family is a vertical line in the stability diagram and has no
-        slope/intercept form.
+        slope/intercept form.  Also where the slope or intercept is not
+        finite, as where b2/b1 overflows: the line has no finite form.
     """
     if not _lens_mirror(geom.l, geom.f, geom.r1, _pick)[2]:
         raise DegenerateLineError(
@@ -293,7 +308,12 @@ def stability_line(geom: CavityGeometry) -> StabilityLine:
         )
     a1, b1, a2, b2 = _affine(geom.l, geom.f, geom.r1, geom.r2)
     slope = b2 / b1
-    return StabilityLine(slope, a2 - a1 * slope)
+    intercept = a2 - a1 * slope
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise DegenerateLineError(
+            f"slope {slope!r}, intercept {intercept!r}: the d-family has no finite g2(g1) form"
+        )
+    return StabilityLine(slope, intercept)
 
 
 def _pick(mask, a, b):
@@ -490,10 +510,10 @@ def r1_range_for_distance(
 ) -> list[tuple[float, float]]:
     """Maximal R1 subintervals whose connected-branch design reaches target_d.
 
-    By _design, the reach of the design at R1 is set by d0 and d1 of
-    _lens_mirror.  d1 does not depend on R1, and d0 rises on each side of its
-    pole R1 = l - f: from f to +inf below it, from -inf to f above it (a flat
-    f has d0 = R1 - l, rising everywhere).  With T = target_d, every design
+    By _design, the reach of the design at R1 is set by d0 and d1 (_d1).  d1
+    does not depend on R1, and d0 rises on each side of its pole R1 = l - f:
+    from f to +inf below it, from -inf to f above it (a flat f has
+    d0 = R1 - l, rising everywhere).  With T = target_d, every design
     reaches where d1 >= T (and d1 > 0); otherwise the design reaches iff
     d0 >= (T + d1)/2 (origin), or d0 >= T or d0 <= 2*d1 - T (tangent).  A
     threshold D inverts in one division,
@@ -525,7 +545,8 @@ def r1_range_for_distance(
         require("branch", branch, False, f"one of {BRANCHES}")
 
     inf = math.inf
-    c0, _, _, d1 = _lens_mirror(l, f, FLAT, _pick)  # neither depends on R1
+    # neither depends on R1; with r2 flat too, g2 = a2 = c0 - l*0.0 = c0
+    c0, d1 = _affine(l, f, FLAT, FLAT)[2], _d1(l, f, _pick)
     flat = f == FLAT
     if d1 >= target_d and d1 > 0.0:  # the spans of d0 that reach
         spans = [(-inf, inf)]

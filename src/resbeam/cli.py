@@ -15,8 +15,8 @@ import sys
 
 from .cavity import (
     BRANCHES,
+    _g_at,
     beam_radii,
-    g_parameters,
     is_stable,
     max_transmission_distance,
     connecting_r2,
@@ -102,7 +102,7 @@ def _write_dataset(ds, args) -> None:
 # its Dataset.
 def _cmd_stability(args, params: SystemParams) -> dict:
     geom, d = params.geometry, params.d
-    L, g1, g2, *_ = g_parameters(geom, d)
+    L, g1, g2 = _g_at(geom, d)  # the record's fields only: serialise names one that overflows
     stable = is_stable(geom, d)
     radii = beam_radii(geom, d, params.wavelength)._asdict() if stable else None
     return {"L": L, "g1": g1, "g2": g2, "g1g2": g1 * g2, "stable": stable, "radii": radii}

@@ -5,8 +5,10 @@ radius ``a`` loses the fraction of its power carried beyond r = a.  The
 angular integral cancels, and with x = 2r^2/w^2 the radial tail is a
 polynomial times exp(-x), which Gauss-Laguerre quadrature integrates
 exactly; its nodes are found once per order by Newton's method, in plain
-floats, so that the module runs without numpy.  The fundamental mode
-additionally has the distance-dependent closed form
+floats, so that the module runs without numpy.  Each checked mode order
+(m, n) keeps one table, built on its first call: the nodes, the
+recurrence's float coefficients, the two factorials and the cut-off.  The
+fundamental mode additionally has the distance-dependent closed form
 ``exp(-2*pi*a^2 / (lambda*(l + d)))`` via the equivalent confocal resonator,
 which the power chain consumes directly.
 """
@@ -23,14 +25,21 @@ from .errors import require
 MAX_MODE_ORDER = 40
 
 
-def _laguerre(n: int, m, x):
-    """L_n^m(x) by the three-term recurrence, for orders the caller has checked."""
-    prev = x * 0.0 + 1.0
+def _steps(n: int, m):
+    """(2k + 1 + m, k + m, k + 1) for k = 1..n-1: L_n^m's recurrence, lazily; None for n = 0."""
     if n == 0:
+        return None
+    return ((2.0 * k + 1.0 + m, k + m + 0.0, k + 1.0) for k in range(1, n))
+
+
+def _laguerre(steps, m, x):
+    """L_n^m(x) by the three-term recurrence, with steps = _steps(n, m) for a checked n and m."""
+    prev = x * 0.0 + 1.0
+    if steps is None:
         return prev
     cur = 1.0 + m - x
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 + m - x) * cur - (k + m) * prev) / (k + 1.0)
+    for a, b, c in steps:
+        prev, cur = cur, ((a - x) * cur - b * prev) / c
     return cur
 
 
@@ -38,12 +47,13 @@ def associated_laguerre(n: int, m: int, xi):
     """Associated Laguerre polynomial L_n^m(xi) by the three-term recurrence.
 
     Accepts a scalar or ndarray argument.  Stable for the modest orders that
-    occur as transverse mode indices.
+    occur as transverse mode indices.  n is unbounded, so its steps are
+    built lazily per call and never cached.
     """
     for key, order in (("n", n), ("m", m)):
         if not (order >= 0 and order % 1 == 0):  # NaN fails both
             require(key, order, False, "an integer >= 0")
-    return _laguerre(int(n), m, xi)
+    return _laguerre(_steps(int(n), m), m, xi)
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,6 +66,8 @@ def _gauss_laguerre(k: int) -> tuple[tuple[float, float], ...]:
     a Newton step is below 1e-13 of the node, the quadratic convergence leaves
     the node exact to rounding.  Plain floats, so that no mode loss needs numpy.
     """
+    high = tuple(_steps(k, 0))
+    low = high[:-1] if k > 1 else None  # L_{k-1}: all of L_k's steps but the last
     pairs: list[tuple[float, float]] = []
     for i in range(k):
         if i == 0:
@@ -65,13 +77,22 @@ def _gauss_laguerre(k: int) -> tuple[tuple[float, float], ...]:
         else:
             z += (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (z - pairs[-2][0])
         for _ in range(100):
-            p1 = _laguerre(k, 0, z)
-            step = z * p1 / (k * (p1 - _laguerre(k - 1, 0, z)))  # x L_k' = k (L_k - L_{k-1})
+            p1 = _laguerre(high, 0, z)
+            step = z * p1 / (k * (p1 - _laguerre(low, 0, z)))  # x L_k' = k (L_k - L_{k-1})
             z -= step
             if abs(step) <= 1e-13 * z:
                 break
-        pairs.append((z, z / (k * _laguerre(k - 1, 0, z)) ** 2))
+        pairs.append((z, z / (k * _laguerre(low, 0, z)) ** 2))
     return tuple(pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _mode_table(m: int, n: int):
+    """(nodes, steps, n!, (n+m)!, cut-off in spot sizes) of a mode order the loss has checked."""
+    steps = _steps(n, m)
+    return (_gauss_laguerre((m + 2 * n) // 2 + 1), None if steps is None else tuple(steps),
+            float(math.factorial(n)), float(math.factorial(n + m)),
+            math.sqrt(2.0 * n + m + 1.0) + 8.0)
 
 
 def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -> float:
@@ -94,7 +115,9 @@ def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -
         n!/(n+m)! * integral over [t, inf) of x^m [L_n^m(x)]^2 exp(-x) dx.
         Shifting x = y + t leaves a polynomial of degree m + 2n in y times
         exp(-y), which floor((m + 2n)/2) + 1 Gauss-Laguerre nodes integrate
-        exactly.  Every term is nonnegative, so nothing cancels.
+        exactly.  Every term is nonnegative, so nothing cancels.  The nodes,
+        the recurrence's coefficients, n!, (n+m)! and the cut-off come from
+        one table per order (m, n), built on its first call.
     """
     if not (0 <= m <= MAX_MODE_ORDER and 0 <= n <= MAX_MODE_ORDER and m % 1 == n % 1 == 0):
         key, order = ("n", n) if 0 <= m <= MAX_MODE_ORDER and m % 1 == 0 else ("m", m)
@@ -106,19 +129,20 @@ def mode_diffraction_loss(m: int, n: int, aperture_radius: float, spot: float) -
         require("aperture_radius", aperture_radius, False, "finite and >= 0")
     if aperture_radius == 0.0:
         return 1.0
+    pairs, steps, n_fact, nm_fact, cut_off = _mode_table(m, n)
     u = aperture_radius / spot
     # Past 8 spot sizes beyond the classical turning point of L_n^m the loss
     # is below 1e-70 for every supported order, and x^m below would overflow.
-    if u >= math.sqrt(2.0 * n + m + 1.0) + 8.0:
+    if u >= cut_off:
         return 0.0
 
     t = 2.0 * u * u
     tail = 0.0
-    for node, weight in _gauss_laguerre((m + 2 * n) // 2 + 1):
+    for node, weight in pairs:
         x = node + t
-        tail += weight * (x**m * _laguerre(n, m, x) ** 2)
+        tail += weight * (x**m * _laguerre(steps, m, x) ** 2)
     tail *= math.exp(-t)
-    return min(1.0, max(0.0, tail * math.factorial(n) / math.factorial(n + m)))
+    return min(1.0, max(0.0, tail * n_fact / nm_fact))
 
 
 def _tem00_exponent(aperture_radius: float, wavelength: float, l: float, d):

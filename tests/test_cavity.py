@@ -220,6 +220,38 @@ class TestStabilityLine:
             assert d1.g1 == pytest.approx(0.5 * (d0.g1 + d2.g1), abs=1e-12)
             assert d1.g2 == pytest.approx(0.5 * (d0.g2 + d2.g2), abs=1e-12)
 
+    def test_an_overflowing_slope_has_no_line(self):
+        # b2/b1 overflows, so the slope would be inf and the intercept NaN
+        with pytest.raises(DegenerateLineError, match="no finite g2"):
+            stability_line(CavityGeometry(1e300, 0.88, 1e300, 5.0))
+
+
+# |x| log-uniform over [1e-320, 1.7e308]; an element takes either sign, or is flat
+WIDE = st.floats(-320.0, math.log10(1.7e308)).map(lambda e: 10.0 ** e)
+WIDE_ELEMENT = st.one_of(WIDE, WIDE.map(lambda x: -x), st.just(FLAT))
+
+
+class TestFiniteOrRaise:
+    @settings(max_examples=500, deadline=None)
+    @given(WIDE, WIDE_ELEMENT, WIDE_ELEMENT, WIDE_ELEMENT, st.just(0.0) | WIDE)
+    @example(0.06, 0.88, -1.0, 5.2466, 1e-320)  # 1/d overflows: x = -inf
+    @example(0.06, 0.88, -1.0, 5.2466, 1e300)  # d*(1 - d/r2) overflows: u2 = -inf
+    @example(1e300, 0.88, 1e300, 5.0, 1.0)  # b2/b1 overflows: slope inf, intercept NaN
+    @example(0.06, 1e-310, -1.0, 5.0, 1.0)  # l*d/f overflows: L = -inf
+    def test_cavity_scalars_are_finite_or_raise(self, l, f, r1, r2, d):
+        # every field a public cavity scalar returns is finite, but x = NaN at d = 0
+        g = CavityGeometry(l, f, r1, r2)
+        for call in (lambda: g_parameters(g, d)._asdict(),
+                     lambda: {"L": effective_length(g, d)},
+                     lambda: stability_line(g)._asdict()):
+            try:
+                fields = call()
+            except ResbeamError:
+                continue
+            if "x" in fields and d == 0.0:
+                assert math.isnan(fields.pop("x"))
+            assert all(map(math.isfinite, fields.values())), (g, d, fields)
+
 
 class TestStableDistanceIntervals:
     def test_connected_branch_splits_at_touch_point(self):
@@ -665,7 +697,13 @@ class TestColumnKernels:
             L, g1, g2 = cavity._g_terms(g.l, g.f, g.r1, g.r2, d)
             stable = cavity._stable(cavity._g_terms(g.l, g.f, g.r1, g.r2, d))
         for i, x in enumerate(d.tolist()):
-            der = g_parameters(g, x)
+            try:
+                der = g_parameters(g, x)
+            except UnitError:  # a field is not finite, as x = -1/d at a subnormal d
+                fields = (*cavity._g_at(g, x), *cavity._u_terms(g.l, g.r1, g.r2, x),
+                          1.0 / g.f - 1.0 / g.l - 1.0 / x if x > 0 else 0.0)
+                assert not all(map(math.isfinite, fields)), fields
+                der = cavity.CavityDerived(*fields)
             want = (bits(der.L), bits(der.g1), bits(der.g2))
             assert (bits(L[i]), bits(g1[i]), bits(g2[i])) == want
             assert bool(stable[i]) is is_stable(g, x)

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from resbeam import (
@@ -9,6 +12,7 @@ from resbeam import (
     fundamental_loss_vs_distance,
     mode_diffraction_loss,
 )
+from resbeam import diffraction
 from resbeam.diffraction import MAX_MODE_ORDER, _gauss_laguerre
 
 import oracles
@@ -147,6 +151,99 @@ class TestModeDiffractionLoss:
         for a in (-1e-3, math.nan, math.inf):
             with pytest.raises(ValueError):
                 fundamental_loss_vs_distance(a, 1.064e-6, 0.06, 1.0)
+
+
+
+# The per-node route of the mode loss as it was before the per-order table: the
+# recurrence with int k and int coefficients, math.factorial ints and the cut-off
+# recomputed per call.  The library must give these bits exactly.
+def reference_laguerre(n, m, x):
+    prev = x * 0.0 + 1.0
+    if n == 0:
+        return prev
+    cur = 1.0 + m - x
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + 1.0 + m - x) * cur - (k + m) * prev) / (k + 1.0)
+    return cur
+
+
+@functools.cache
+def reference_nodes(k):
+    pairs = []
+    for i in range(k):
+        if i == 0:
+            z = 3.0 / (1.0 + 2.4 * k)
+        elif i == 1:
+            z += 15.0 / (1.0 + 2.5 * k)
+        else:
+            z += (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (z - pairs[-2][0])
+        for _ in range(100):
+            p1 = reference_laguerre(k, 0, z)
+            step = z * p1 / (k * (p1 - reference_laguerre(k - 1, 0, z)))
+            z -= step
+            if abs(step) <= 1e-13 * z:
+                break
+        pairs.append((z, z / (k * reference_laguerre(k - 1, 0, z)) ** 2))
+    return tuple(pairs)
+
+
+def reference_loss(m, n, a, spot):
+    if a == 0.0:
+        return 1.0
+    u = a / spot
+    if u >= math.sqrt(2.0 * n + m + 1.0) + 8.0:
+        return 0.0
+    t = 2.0 * u * u
+    tail = 0.0
+    for node, weight in reference_nodes((m + 2 * n) // 2 + 1):
+        x = node + t
+        tail += weight * (x**m * reference_laguerre(n, m, x) ** 2)
+    tail *= math.exp(-t)
+    return min(1.0, max(0.0, tail * math.factorial(n) / math.factorial(n + m)))
+
+
+def cut_off(m, n):
+    return math.sqrt(2.0 * n + m + 1.0) + 8.0
+
+
+@st.composite
+def mode_draws(draw):
+    """(m, n, a, spot): any checked order, a/spot across 0 ... the cut-off."""
+    m, n = draw(st.integers(0, MAX_MODE_ORDER)), draw(st.integers(0, MAX_MODE_ORDER))
+    spot = draw(st.floats(1e-4, 1e-2))
+    return m, n, draw(st.floats(0.0, cut_off(m, n))) * spot, spot
+
+
+class TestBitsAgainstThePerNodeRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(mode_draws())
+    @example((0, 0, 0.0, 1e-3))
+    @example((3, 7, math.nextafter(cut_off(3, 7), 0.0), 1.0))
+    @example((3, 7, math.nextafter(cut_off(3, 7), math.inf), 1.0))
+    @example((MAX_MODE_ORDER, MAX_MODE_ORDER, 1.0, 1.0))
+    @example((MAX_MODE_ORDER, MAX_MODE_ORDER, math.nextafter(cut_off(40, 40), 0.0), 1.0))
+    def test_mode_loss_and_laguerre_are_the_reference_bits(self, draw):
+        m, n, a, spot = draw
+        assert mode_diffraction_loss(m, n, a, spot) == reference_loss(m, n, a, spot)
+        u = a / spot
+        xs = [0.0, u, 2.0 * u * u, cut_off(m, n), 2.0 * u * u + reference_nodes(1)[0][0]]
+        for x in xs:
+            assert associated_laguerre(n, m, x) == reference_laguerre(n, m, x), x
+        got, want = associated_laguerre(n, m, np.array(xs)), reference_laguerre(n, m, np.array(xs))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_nodes_are_the_reference_bits(self):
+        for k in range(1, (3 * MAX_MODE_ORDER) // 2 + 2):
+            assert _gauss_laguerre(k) == reference_nodes(k), k
+
+    def test_an_unbounded_order_leaves_no_cache_entry(self):
+        def sizes():
+            return (diffraction._mode_table.cache_info().currsize,
+                    diffraction._gauss_laguerre.cache_info().currsize)
+
+        before = sizes()
+        assert associated_laguerre(10**4, 0, 0.5) == reference_laguerre(10**4, 0, 0.5)
+        assert sizes() == before
 
 
 class TestFundamentalLossVsDistance:

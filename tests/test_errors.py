@@ -14,8 +14,10 @@ from resbeam import (
     beam_radii,
     calibrate_aperture,
     connecting_r2,
+    effective_length,
     emit_dataset,
     fundamental_loss_vs_distance,
+    g_parameters,
     gain_to_beam_coefficient,
     is_stable,
     max_distance_vs_r1,
@@ -67,6 +69,12 @@ CHECKS = [
     ("beam_radii-wavelength", lambda: beam_radii(GEOM, 1.0, 0.0), "wavelength", "0.0"),
     # a stable d, but lambda/pi times the radicands overflows: the radii would be inf
     ("beam_radii-overflow", lambda: beam_radii(GEOM, 10.0, 1.7e308), "wavelength", "1.7e+308"),
+    # x = 1/f - 1/l - 1/d: 1/d overflows to inf
+    ("g_parameters-x", lambda: g_parameters(GEOM, 1e-320), "d", "1e-320"),
+    # u2 = d*(1 - d/r2) overflows to -inf
+    ("g_parameters-u2", lambda: g_parameters(GEOM, 1e300), "d", "1e+300"),
+    # f = 1e-310 m: l*d/f overflows, so L = -inf
+    ("effective_length-overflow", lambda: effective_length(GEOM._replace(f=1e-310), 1.0), "d", "1.0"),
     ("max_distance_vs_r1-branch", lambda: max_distance_vs_r1(0.06, 0.88, [-1.0], "up"),
      "branch", "'up'"),
     ("laguerre-n", lambda: associated_laguerre(-1, 0, 0.5), "n", "-1"),

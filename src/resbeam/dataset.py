@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from itertools import repeat
 
 from .errors import require
 
@@ -52,7 +54,7 @@ class Dataset:
 def _floats(values) -> list[float]:
     """The numbers as a list of floats; a 1-D numpy array converts in one call."""
     one_call = getattr(values, "ndim", 0) == 1
-    return values.astype(float).tolist() if one_call else list(map(float, values))
+    return values.astype(float, copy=False).tolist() if one_call else list(map(float, values))
 
 
 def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
@@ -67,9 +69,10 @@ def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
         lines = [f"# {k} = {v}" for k, v in sorted(ds.provenance.items())]
         lines.append(",".join([*ds.columns, "flag"]))
         row, cols = "\n" + "%.9g," * len(ds.columns) + "%s", ds.columns.values()
-        body = "".join(map(row.__mod__, zip(*cols, ds.flags)))
+        body = "".join(map(operator.mod, repeat(row), zip(*cols, ds.flags)))
         if "-0," in body:  # only -0.0 prints "-0,"; exponents have 2 digits; 0.0 + -0.0 is 0.0
-            body = "".join(map(row.__mod__, zip(*[map((0.0).__add__, c) for c in cols], ds.flags)))
+            cols = [map(operator.add, repeat(0.0), c) for c in cols]
+            body = "".join(map(operator.mod, repeat(row), zip(*cols, ds.flags)))
         return ("\n".join(lines) + body + "\n").encode("utf-8")
     obj = {"provenance": dict(sorted(ds.provenance.items())), "columns": ds.columns,
            "flag": ds.flags}

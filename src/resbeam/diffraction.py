@@ -48,12 +48,17 @@ def associated_laguerre(n: int, m: int, xi):
 
     Accepts a scalar or ndarray argument.  Stable for the modest orders that
     occur as transverse mode indices.  n is unbounded, so its steps are
-    built lazily per call and never cached.
+    built lazily per call and never cached.  Raises UnitError naming xi where
+    a number xi gives a value that is not finite (the recurrence overflowed,
+    or met inf - inf); an array argument keeps its element-wise result.
     """
     for key, order in (("n", n), ("m", m)):
         if not (order >= 0 and order % 1 == 0):  # NaN fails both
             require(key, order, False, "an integer >= 0")
-    return _laguerre(_steps(int(n), m), m, xi)
+    value = _laguerre(_steps(int(n), m), m, xi)
+    if isinstance(xi, (int, float)) and not math.isfinite(value):
+        require("xi", xi, False, "such that L_n^m(xi) is finite")
+    return value
 
 
 @functools.lru_cache(maxsize=None)

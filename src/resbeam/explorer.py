@@ -68,22 +68,24 @@ class SweepSpec(Record):
     def __post_init__(self):
         v = self.variable
         require("variable", v, v in SWEEP_VARIABLES, f"one of {SWEEP_VARIABLES}")
-        grid = _checked_grid(v, self.grid)
-        if not all(map(float.__lt__, grid, grid[1:])):  # name the first pair out of order
+        grid = tuple(_checked_grid(v, self.grid))
+        if not all(map(operator.lt, grid, grid[1:])):  # name the first pair out of order
             pair = next(q for q in zip(grid, grid[1:]) if q[0] >= q[1])
             require("grid", pair, False, "strictly increasing")
         object.__setattr__(self, "grid", grid)  # the tuple checked, not the caller's sequence
 
 
-def _checked_grid(variable: str, points) -> tuple[float, ...]:
-    """The points as a nonempty tuple of floats, each finite, and >= 0 but for R1."""
+def _checked_grid(variable: str, points) -> list[float]:
+    """The points as a nonempty list of floats, each finite, and >= 0 but for R1."""
     try:  # a string is a sequence, but of characters: "123" is no grid of three points
-        grid = () if isinstance(points, (str, bytes)) else tuple(_floats(points))
+        grid = [] if isinstance(points, (str, bytes)) else _floats(points)
     except (TypeError, ValueError):  # not a sequence, a nested one, or one with a non-number
-        grid = ()
+        grid = []
     require("grid", points, len(grid) > 0, "a nonempty sequence of numbers")
     signed = variable == "R1"
-    if not (all(map(math.isfinite, grid)) and (signed or min(grid) >= 0)):
+    # a finite sum passes every point; inf, NaN or an overflowed sum sends it point by point
+    finite = math.isfinite(sum(grid)) or all(map(math.isfinite, grid))
+    if not (finite and (signed or min(grid) >= 0)):
         bad = next(x for x in grid if not (math.isfinite(x) and (signed or x >= 0)))
         require("grid", bad, False, "finite" if signed else "finite and >= 0")
     return grid
@@ -116,7 +118,7 @@ def _column_kit() -> Kit:
     return Kit(
         pick=np.where,
         # math.exp, not np.exp: numpy's exp differs in the last bit for some arguments
-        exp=lambda x: np.array([math.exp(v) for v in x.tolist()]),
+        exp=lambda x: np.fromiter(map(math.exp, x.tolist()), float, x.size),
         sqrt=np.sqrt, when=when,
     )
 
@@ -143,13 +145,13 @@ def _by_columns(xs: Sequence[float], rules: Iterable[Callable], width: int) -> l
     """[(columns, flags, finite)] of each rule run once on one column kit and grid."""
     import numpy as np
 
-    n, kit, grid, out = len(xs), _column_kit(), np.array(xs), []
+    n, kit, grid, out = len(xs), _column_kit(), np.fromiter(xs, float, len(xs)), []
     for rule in rules:
         with np.errstate(all="ignore"):
             values, flag = rule(kit, grid)
         columns = [np.full(n, v) if np.ndim(v) == 0 else v for v in values]
         columns += [np.zeros(n)] * (width - len(values))
-        flags = np.broadcast_to(flag, n).tolist()  # a flag may be one token for every row
+        flags = flag.tolist() if np.ndim(flag) else [str(flag)] * n  # one token may flag every row
         out.append((columns, flags, bool(np.isfinite(columns).all())))
     return out
 

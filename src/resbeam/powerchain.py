@@ -172,16 +172,20 @@ def beam_at(p_stored: float, fd: float, gain: GainParams) -> float:
 
 
 def beam_power(p_stored: float, d: float, p: SystemParams) -> float:
-    """Beam power max(0, f(d)*p_stored + c); 0 below threshold and at an unstable d (f(d) unread)."""
+    """Beam power max(0, f(d)*p_stored + c); 0 below threshold and at an unstable d (f(d) unread).
+
+    Raises UnitError for a beam power that overflowed, as ladder_at does.
+    """
     stable = is_stable(p.geometry, d)  # validates d
     p_beam = beam_at(p_stored, gain_to_beam_coefficient(d, p) if stable else 0.0, p.gain)
+    require("p_beam", p_beam, p_beam < math.inf, "finite and >= 0")
     return p_beam if stable else 0.0
 
 
 def transmission_efficiency(p_stored: float, d: float, p: SystemParams) -> float:
     """Stored-to-beam efficiency p_beam/p_stored; 0 below threshold or at an unstable d.
 
-    Raises UndefinedAtZeroError for p_stored = 0.
+    Raises UndefinedAtZeroError for p_stored = 0, and UnitError where beam_power does.
     """
     if p_stored == 0:
         raise UndefinedAtZeroError("transmission efficiency is undefined at p_stored = 0")

@@ -903,6 +903,34 @@ class TestListReference:
         (lo, hi), = r1_range_for_distance(1e-6, 0.25, -1.0, TANGENT, (0.25, 0.250001))
         assert hi == 0.250001 and 0.0 < hi - lo < 2e-12
 
+    @pytest.mark.parametrize("path", ["rows", "columns"])
+    def test_a_far_piece_near_l_minus_f(self, default_params, path):
+        # row 680 of a 1000-point R1 sweep over [-1.5391524148620421, -0.4826329166709391]
+        # at the reference l, f and r2: R1 is 3.7e-9 m from l - f, and the exact stable set
+        # is (0, 5.18) and a second piece near 2.1e8 m, so the reach is there, not contiguous.
+        # A route that reads only the near piece answers 5.18 m, contiguous.
+        grid = np.linspace(-1.5391524148620421, -0.4826329166709391, 1000)
+        g = default_params.geometry._replace(r1=float(grid[680]))
+        assert g.r1 == -0.820000003680911
+        elements = (g.l, g.f, g.r1, g.r2)
+        (_, near), (far_lo, far) = exact = oracles.exact_reach(*elements)
+        assert near < 6 and far > 2e8
+        budget = REACH_BUDGET * EPS / cancellation(*elements)
+        md = max_transmission_distance(g)
+        assert not md.contiguous and abs(Fraction(md.d_max) - far) <= budget * far
+        got = stable_distance_intervals(g, 2.0 * md.d_max).intervals
+        assert len(got) == len(exact)
+        for interval, exact_interval in zip(got, exact):
+            for e, w in zip(interval, exact_interval):
+                assert abs(Fraction(e) - w) <= budget * max(w, Fraction(g.l)), (e, w)
+        assert got[-1][1] == md.d_max
+        spec = SweepSpec("R1", (g.r1,), default_params._replace(d=3.367844595253311))
+        with forced(path):
+            ds = sweep(spec)
+        row = {name: column[0] for name, column in ds.columns.items()}
+        assert ds.flags == [""] and row["stable"] == 1.0
+        assert bits(row["d_max_m"]) == bits(md.d_max) and row["contiguous"] == 0.0
+
 
 # Over 100,000 random searches of the distribution above (seed 27; 149,656 edges, 17,673 of
 # them inexact), the smaller of the two errors was at most 2.6 ULPs.  The edge error alone

@@ -11,6 +11,7 @@ from resbeam import (
     SweepSpec,
     UnitError,
     associated_laguerre,
+    beam_power,
     beam_radii,
     calibrate_aperture,
     connecting_r2,
@@ -29,10 +30,12 @@ from resbeam import (
     required_input_power,
     stable_distance_intervals,
     stored_power,
+    transmission_efficiency,
 )
 from resbeam.powerchain import beam_at
 
 REF = reference_defaults()
+BIG_OVERLAP = RunConfig(m_overlap=1e10).system_params()
 GEOM = REF.geometry
 WINDOW = (-1.5, -0.5)
 
@@ -81,6 +84,10 @@ CHECKS = [
     ("laguerre-m", lambda: associated_laguerre(1, -2, 0.5), "m", "-2"),
     ("laguerre-n-nan", lambda: associated_laguerre(math.nan, 0, 0.5), "n", "nan"),
     ("laguerre-n-fraction", lambda: associated_laguerre(1.5, 0, 0.5), "n", "1.5"),
+    # the recurrence would compute inf - inf, so L_n^m(xi) would be NaN
+    ("laguerre-xi-overflow", lambda: associated_laguerre(40, 0, 1e300), "xi", "1e+300"),
+    ("laguerre-xi-negative", lambda: associated_laguerre(5, 3, -1e300), "xi", "-1e+300"),
+    ("laguerre-xi-nan", lambda: associated_laguerre(0, 0, math.nan), "xi", "nan"),
     ("mode-m", lambda: mode_diffraction_loss(41, 0, 1e-3, 1e-3), "m", "41"),
     ("mode-n", lambda: mode_diffraction_loss(0, 0.5, 1e-3, 1e-3), "n", "0.5"),
     ("spot", lambda: mode_diffraction_loss(0, 0, 1e-3, 0.0), "spot", "0.0"),
@@ -114,6 +121,10 @@ CHECKS = [
     ("stored_power", lambda: stored_power(-1.0, REF.gain), "p_in", "-1.0"),
     ("gain_to_beam", lambda: gain_to_beam_coefficient(math.inf, REF), "d", "inf"),
     ("beam_at", lambda: beam_at(-1.0, 0.5, REF.gain), "p_stored", "-1.0"),
+    # f(d) * p_stored overflows, so the beam power would be inf
+    ("beam_power-overflow", lambda: beam_power(1.7e308, 1.0, BIG_OVERLAP), "p_beam", "inf"),
+    ("transmission_efficiency-overflow",
+     lambda: transmission_efficiency(1.7e308, 1.0, BIG_OVERLAP), "p_beam", "inf"),
     ("pv_output", lambda: pv_output(math.nan, REF.pv), "p_beam", "nan"),
     ("required_pin", lambda: required_input_power(0.0, 1.0, REF), "target_p_out", "0.0"),
     ("calibrate-p_stored", lambda: calibrate_aperture(1.0, 0.0, 0.5, REF), "p_stored", "0.0"),

@@ -508,6 +508,81 @@ class TestMaxDistanceVsR1:
             max_distance_vs_r1(0.06, 0.88, [-1.0, bad], "origin")
 
 
+def written_out_grid(variable: str, points, increasing: bool) -> tuple[float, ...]:
+    """The grid checks as they read with one scan per rule (and with float.__lt__):
+    SweepSpec's where increasing, max_distance_vs_r1's otherwise."""
+    from resbeam.errors import require
+
+    try:
+        if isinstance(points, (str, bytes)):
+            grid = ()
+        elif getattr(points, "ndim", 0) == 1:
+            grid = tuple(points.astype(float).tolist())
+        else:
+            grid = tuple(map(float, points))
+    except (TypeError, ValueError):
+        grid = ()
+    require("grid", points, len(grid) > 0, "a nonempty sequence of numbers")
+    signed = variable == "R1"
+    if not (all(map(math.isfinite, grid)) and (signed or min(grid) >= 0)):
+        bad = next(x for x in grid if not (math.isfinite(x) and (signed or x >= 0)))
+        require("grid", bad, False, "finite" if signed else "finite and >= 0")
+    if increasing and not all(map(float.__lt__, grid, grid[1:])):
+        pair = next(q for q in zip(grid, grid[1:]) if q[0] >= q[1])
+        require("grid", pair, False, "strictly increasing")
+    return grid
+
+
+def outcome(call) -> tuple:
+    """("ok", the bits of the grid kept) or (error type, key, value, message)."""
+    try:
+        kept = call()
+    except Exception as exc:
+        return type(exc), getattr(exc, "key", None), getattr(exc, "value", None), str(exc)
+    assert all(type(x) is float for x in kept)
+    return "ok", [x.hex() for x in kept]
+
+
+GRID_POINT = st.one_of(
+    st.integers(-3, 5), st.floats(), st.floats().map(np.float64), st.just("2.5"),
+    st.sampled_from([0.0, -0.0, 1e308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def grids(draw):
+    """A list, tuple or array of grid points, in draw order or sorted, maybe with a repeat."""
+    points = draw(st.lists(GRID_POINT, max_size=8))
+    if draw(st.booleans()):
+        points.sort(key=float)
+    if points and draw(st.booleans()):
+        points.insert(draw(st.integers(0, len(points))), draw(st.sampled_from(points)))
+    kind = draw(st.sampled_from(["list", "tuple", "array"]))
+    if kind == "array" and "2.5" not in points:
+        return np.array(points)
+    return tuple(points) if kind == "tuple" else points
+
+
+class TestGridChecks:
+    # each grid check scans once where the grid passes; a bad grid still fails with the
+    # type, key, value and message of the one-scan-per-rule checks written out above
+    @settings(max_examples=400, deadline=None)
+    @given(grids(), st.sampled_from(["d", "R1"]))
+    @example([1e308, 1.7e308], "d")  # finite points whose sum overflows
+    @example(np.array([-1.7e308, -1e308, 1e308, 1.7e308]), "R1")
+    @example([0.0, -0.0], "d")
+    @example([-0.0, 0.0, 1.0], "d")
+    @example((1, 2, 2), "d")
+    @example([1.0, -5.0], "d")
+    @example([1.0, math.nan, -5.0], "R1")
+    @example((np.float64(1.0), 2, "2.5"), "P_in")
+    def test_bad_grids_fail_as_before(self, points, variable):
+        want = outcome(lambda: written_out_grid(variable, points, True))
+        assert outcome(lambda: SweepSpec(variable, points, REF).grid) == want
+        want = outcome(lambda: written_out_grid("R1", points, False))
+        got = outcome(lambda: max_distance_vs_r1(0.06, 0.88, points, "origin").columns["R1_m"])
+        assert got == want
+
+
 # l and f are per-call scalars, so a bad one is an error, not a flag on every row
 @pytest.mark.parametrize("key, l, f", [("l", -0.06, 0.88), ("l", math.nan, 0.88),
                                        ("f", 0.06, 0.0), ("f", 0.06, math.nan)])

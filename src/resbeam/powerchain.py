@@ -5,6 +5,8 @@ power at the receiver -> photovoltaic electrical output.  Stages two and
 three are fitted linear laws with thresholds: the raw lines go negative at
 low drive, and the physical system simply emits nothing there, so outputs
 are clamped at zero and the efficiencies below threshold are defined as 0.
+Their offsets c and b1 are <= 0, and m_overlap <= 1, so no stage puts out
+more power than it takes in (to rounding).
 
 The stages read the link parameters from one :class:`SystemParams` bundle.
 The bundle and its parts check every parameter range once, when they are
@@ -35,8 +37,8 @@ class GainParams(Record):
     """Transmitter conversion coefficients.
 
     eta_stored: electrical-to-stored conversion efficiency, in (0, 1).
-    m_overlap: mode/gain overlap efficiency, finite and > 0.
-    c: additive extraction constant in watts (typically negative).
+    m_overlap: mode/gain overlap efficiency, in (0, 1], so f(d) <= 1 to rounding.
+    c: additive extraction constant in watts, the beam threshold: finite and <= 0.
     r_out: output mirror (M2) reflectivity, in (0, 1).
     """
 
@@ -47,20 +49,20 @@ class GainParams(Record):
 
     def __post_init__(self):
         require("eta_stored", self.eta_stored, 0.0 < self.eta_stored < 1.0, "in (0, 1)")
-        require("m_overlap", self.m_overlap, 0.0 < self.m_overlap < math.inf, "finite and > 0")
-        require("c", self.c, math.isfinite(self.c), "finite")
+        require("m_overlap", self.m_overlap, 0.0 < self.m_overlap <= 1.0, "in (0, 1]")
+        require("c", self.c, -math.inf < self.c <= 0.0, "finite and <= 0")
         require("r_out", self.r_out, 0.0 < self.r_out < 1.0, "in (0, 1)")
 
 
 class PvParams(Record):
-    """Fitted linear photovoltaic law p_pv = a1*p_beam + b1 (maximum power point)."""
+    """Fitted linear photovoltaic law p_pv = a1*p_beam + b1 (maximum power point), b1 <= 0."""
 
     a1: float
     b1: float
 
     def __post_init__(self):
         require("a1", self.a1, 0.0 < self.a1 < 1.0, "in (0, 1)")
-        require("b1", self.b1, math.isfinite(self.b1), "finite")
+        require("b1", self.b1, -math.inf < self.b1 <= 0.0, "finite and <= 0")
 
 
 class SystemParams(Record):
@@ -174,12 +176,13 @@ def beam_at(p_stored: float, fd: float, gain: GainParams) -> float:
 def beam_power(p_stored: float, d: float, p: SystemParams) -> float:
     """Beam power max(0, f(d)*p_stored + c); 0 below threshold and at an unstable d (f(d) unread).
 
-    Raises UnitError for a beam power that overflowed, as ladder_at does.
+    Raises UnitError for a beam power that overflowed, as ladder_at does: f(d)
+    can round a hair above 1 at m_overlap = 1, so p_stored near the float limit can.
     """
     stable = is_stable(p.geometry, d)  # validates d
     p_beam = beam_at(p_stored, gain_to_beam_coefficient(d, p) if stable else 0.0, p.gain)
     require("p_beam", p_beam, p_beam < math.inf, "finite and >= 0")
-    return p_beam if stable else 0.0
+    return p_beam
 
 
 def transmission_efficiency(p_stored: float, d: float, p: SystemParams) -> float:
@@ -236,25 +239,19 @@ def end_to_end(p_in: float, d: float, p: SystemParams) -> tuple[PowerState, Effi
     ``p_out = a1*f(d)*eta_stored*p_in + a1*c + b1`` and
     ``eta_all = eta_stored*eta_trans*eta_pv``; the staged values returned
     here match that closed form to rounding.  Where the cavity is unstable at
-    d no resonant beam forms: p_stored stays, p_beam, p_out and every
-    efficiency but eta_stored read 0, and f(d) is not read (0.0 is held).
+    d no resonant beam forms: f(d) is not read and a slope of 0.0 is held, so
+    with c <= 0 and b1 <= 0 p_stored stays, and p_beam, p_out and every
+    efficiency but eta_stored read 0.
     """
     stable = is_stable(p.geometry, d)  # validates d
-    state, eff = ladder_at(p_in, gain_to_beam_coefficient(d, p) if stable else 0.0, p)
-    if stable:
-        return state, eff
-    return (state._replace(p_beam=0.0, p_out=0.0),
-            eff._replace(eta_trans=0.0, eta_pv=0.0, eta_all=0.0))
+    return ladder_at(p_in, gain_to_beam_coefficient(d, p) if stable else 0.0, p)
 
 
 def _formed_slope(d: float, p: SystemParams) -> float:
-    """A finite f(d), read only where a resonant beam forms; UnreachableTargetError elsewhere."""
+    """f(d), read only where a resonant beam forms; UnreachableTargetError elsewhere."""
     if not is_stable(p.geometry, d):  # validates d
         raise UnreachableTargetError(f"cavity is not stable at d = {d} m")
-    fd = gain_to_beam_coefficient(d, p)
-    if fd == math.inf:  # 2*(1-R)*m overflowed; the denominator is finite and > 0
-        raise UnreachableTargetError(f"the slope f(d) overflows at d = {d} m")
-    return fd
+    return gain_to_beam_coefficient(d, p)
 
 
 def _lift(excess, slope):
@@ -267,8 +264,8 @@ def _lift(excess, slope):
 def thresholds(d: float, p: SystemParams) -> Thresholds:
     """Stored/beam/input powers at which each stage starts to pass power on.
 
-    p_beam_th = max(0, -b1/a1), p_stored_th = max(0, (p_beam_th - c)/f(d)) and
-    p_in_th = p_stored_th/eta_stored; none falls with distance, as f(d) does.
+    p_beam_th = -b1/a1, p_stored_th = (p_beam_th - c)/f(d) and
+    p_in_th = p_stored_th/eta_stored, each >= 0; none falls with distance, as f(d) does.
     Raises UnreachableTargetError where the cavity is unstable at d, and where
     p_in_th is not finite: f(d) underflowed, or the quotient overflowed.
     """
@@ -286,18 +283,13 @@ def required_input_power(target_p_out: float, d: float, params: SystemParams) ->
     """Input power that produces target_p_out at distance d (closed-form inverse).
 
     Raises UnreachableTargetError when the cavity is unstable at d, so no
-    resonant beam forms regardless of drive, when the target lies below
-    the output at zero input, max(0, a1*max(0, c) + b1), which no drive lowers,
-    and when the answer is not finite: the end-to-end slope a1*f(d)*eta_stored
-    underflowed, or the quotient overflowed.
+    resonant beam forms regardless of drive, and when the answer is not
+    finite: the end-to-end slope a1*f(d)*eta_stored underflowed, or the
+    quotient overflowed.
     """
     if not (target_p_out > 0 and math.isfinite(target_p_out)):
         require("target_p_out", target_p_out, False, "finite and > 0")
     fd = _formed_slope(d, params)
-    at_zero = _pv(_beam(0.0, fd, params.gain, _pick), params.pv, _pick)
-    if target_p_out < at_zero:
-        raise UnreachableTargetError(f"target is below the output at zero input, {at_zero} W")
-    # at that output itself, rounding may put the closed form a hair below 0, read as 0
     p_in = _lift(target_p_out - params.pv.a1 * params.gain.c - params.pv.b1,
                  params.pv.a1 * fd * params.gain.eta_stored)
     if p_in == math.inf:

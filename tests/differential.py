@@ -292,7 +292,7 @@ def r1_search_band(rng: random.Random, n: int) -> dict:
 def stable_link(rng: random.Random):
     """A seeded link at a distance inside its stable set: a geometry with a stable distance
     short of 100 m (its r2 drawn, or a connected design's), and gain, PV and aperture drawn
-    around the reference."""
+    around the reference, inside the domain m_overlap <= 1, c <= 0 and b1 <= 0."""
     u = rng.uniform
     while True:
         l, f = lens(rng)
@@ -308,9 +308,9 @@ def stable_link(rng: random.Random):
             lo, hi = rng.choice(stable)
             d = lo + u(0.01, 0.99) * (hi - lo)
             break
-    gain = GainParams(u(0.1, 0.9), 10.0 ** u(-1.0, 0.5), u(-10.0, 2.0), u(0.5, 0.99))
+    gain = GainParams(u(0.1, 0.9), 10.0 ** u(-1.0, 0.0), u(-10.0, 0.0), u(0.5, 0.99))
     return reference_defaults()._replace(
-        geometry=geom, gain=gain, pv=PvParams(u(0.1, 0.9), u(-3.0, 1.0)),
+        geometry=geom, gain=gain, pv=PvParams(u(0.1, 0.9), u(-3.0, 0.0)),
         aperture_radius=10.0 ** u(-4.0, -2.0), wavelength=10.0 ** u(-7.0, -5.0), d=d)
 
 

@@ -159,14 +159,16 @@ class TestDatasets:
         assert len(rows) == 8
 
     def test_overflowing_beam_is_flagged_not_an_error(self, capsys, tmp_path):
-        # a huge mode overlap overflows the beam power: those rows read zero, flagged
+        # at the edge link f(d) rounds to 1.0000000000000002, so the largest stored power
+        # overflows the beam power: that row reads zero, flagged
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("m_overlap = 1e308\n")
-        code = main(["reproduce", "--figure", "13", "--config", str(cfg)])
+        cfg.write_text("r_out = 0.9999999996323156\na = 1e200m\n")
+        code = main(["sweep", "--var", "P_stored", "--from", "0W",
+                     "--to", "1.7976931348623157e308W", "--points", "3", "--config", str(cfg)])
         out, err = capsys.readouterr()
         assert (code, err) == (0, "")
         rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
-        assert len(rows) == 200 and "overflow" in {row[-1] for row in rows}
+        assert len(rows) == 3 and rows[-1][1:] == ["0", "0", "0", "overflow"]
 
     @pytest.mark.parametrize("argv", [
         ["power", "--pin", "10W"], ["thresholds"], ["reproduce", "--figure", "13"],
@@ -554,6 +556,20 @@ def test_a_subnormal_l_is_named_not_the_wavelength(capsys):
     assert rec["message"] == "l: must be such that wavelength * l > 0, got 1e-320"
 
 
+# file -> (text, and the key and line a refusal at build names); outside m_overlap <= 1,
+# c <= 0 and b1 <= 0 a link makes power from nothing
+CONFIGS = {
+    "syntax.cfg": ("d 1m\n", None, None),
+    "range.cfg": ("eta_stored = 1.5\n", "eta_stored", 1),
+    "faint.cfg": ("m_overlap = 5e-324\n", None, None),
+    "dim.cfg": ("m_overlap = 1e-310\n", None, None),
+    "offset.cfg": ("b1 = 1W\n", "b1", 1),
+    "huge.cfg": ("m_overlap = 1.7e308\nr_out = 1e-300\n", "m_overlap", 1),
+    "pv.cfg": ("c = 0W\nb1 = 1W\n", "b1", 2),
+    "lossless.cfg": ("m_overlap = 1\nc = -0W\nc = 1e-300W\n", "c", 3),
+}
+
+
 @pytest.mark.parametrize("argv, error, stage", [
     (["stability", "--d", "5W"], "UnitError", "parse"),
     (["stability", "--config", "{tmp}/syntax.cfg"], "ParseError", "parse"),
@@ -571,9 +587,10 @@ def test_a_subnormal_l_is_named_not_the_wavelength(capsys):
     # a subnormal mode overlap makes f(d) read 0.0, so no input power reaches the target
     (["design", "required-pin", "--pout", "1W", "--config", "{tmp}/faint.cfg"],
      "UnreachableTargetError", "evaluate"),
-    # b1 = 1 W gives 1 W out at zero input, and no drive gives less
+    # b1 = 1 W would give 1 W out at zero input: a link that makes power from nothing is
+    # refused at build
     (["design", "required-pin", "--pout", "0.5W", "--config", "{tmp}/offset.cfg"],
-     "UnreachableTargetError", "evaluate"),
+     "UnitError", "build"),
     # a faint mode overlap leaves f(d) > 0, but the input power for 1 W, and the input
     # threshold, overflow; at 5e-324 the input threshold divides by f(d) = 0.0
     (["design", "required-pin", "--pout", "1W", "--config", "{tmp}/dim.cfg"],
@@ -582,25 +599,28 @@ def test_a_subnormal_l_is_named_not_the_wavelength(capsys):
     (["thresholds", "--config", "{tmp}/faint.cfg"], "UnreachableTargetError", "evaluate"),
     # the quotient overflows at the reference link
     (["design", "required-pin", "--pout", "1e308W"], "UnreachableTargetError", "evaluate"),
-    # a huge mode overlap and a tiny output reflectivity make f(d) itself overflow
+    # a huge mode overlap and a tiny output reflectivity would make f(d) itself overflow
     (["design", "required-pin", "--pout", "1W", "--config", "{tmp}/huge.cfg"],
-     "UnreachableTargetError", "evaluate"),
-    (["thresholds", "--config", "{tmp}/huge.cfg"], "UnreachableTargetError", "evaluate"),
+     "UnitError", "build"),
+    (["thresholds", "--config", "{tmp}/huge.cfg"], "UnitError", "build"),
+    # a PV offset that would give output at no beam, over a subnormal drive
+    (["power", "--pin", "2e-313W", "--config", "{tmp}/pv.cfg"], "UnitError", "build"),
+    # and so would a positive beam offset, however small
+    (["power", "--pin", "100W", "--config", "{tmp}/lossless.cfg"], "UnitError", "build"),
 ], ids=["quantity", "config-syntax", "config-file", "flag-range", "config-range", "handler",
         "handler-range", "handler-quantity", "quantity-nan", "quantity-digits", "record",
         "out-file", "zero-slope", "below-zero-input", "overflowed-pin", "overflowed-threshold",
         "zero-slope-threshold", "overflowed-target", "overflowed-slope",
-        "overflowed-slope-threshold"])
+        "overflowed-slope-threshold", "output-at-no-beam", "beam-at-no-drive"])
 def test_error_record_names_its_stage(capsys, tmp_path, argv, error, stage):
-    (tmp_path / "syntax.cfg").write_text("d 1m\n")
-    (tmp_path / "range.cfg").write_text("eta_stored = 1.5\n")
-    (tmp_path / "faint.cfg").write_text("m_overlap = 5e-324\n")
-    (tmp_path / "dim.cfg").write_text("m_overlap = 1e-310\n")
-    (tmp_path / "offset.cfg").write_text("b1 = 1W\n")
-    (tmp_path / "huge.cfg").write_text("m_overlap = 1.7e308\nr_out = 1e-300\n")
+    for name, (text, _, _) in CONFIGS.items():
+        (tmp_path / name).write_text(text)
     code, out = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     rec = json.loads(out)
     assert (code, rec["error"], rec["stage"]) == (1, error, stage)
+    if stage == "build" and "--config" in argv:  # a refused config names its key and line
+        assert (rec["key"], rec["line"]) == CONFIGS[argv[-1].rpartition("/")[2]][1:]
+
 
 
 def test_a_reach_past_the_float_range_names_d_max(capsys):
@@ -745,13 +765,9 @@ def test_point_records_hold_exactly_the_result_fields(capsys):
     (["stability", "--d", "1e300m"], "g1g2", "inf"),
     # f = 1e-310 m: the effective length l + d - l*d/f overflows
     (["stability", "--f", "1e-310m"], "L", "-inf"),
-    # a PV offset that gives output at no beam, over a subnormal drive
-    (["power", "--pin", "2e-313W", "--config", "{cfg}"], "eta_all", "inf"),
 ])
-def test_overflowed_record_field_is_named(capsys, tmp_path, argv, key, value):
-    cfg = tmp_path / "pv.cfg"
-    cfg.write_text("c = 0W\nb1 = 1W\n", encoding="utf-8")
-    code, out = run_cli(capsys, *(str(cfg) if a == "{cfg}" else a for a in argv))
+def test_overflowed_record_field_is_named(capsys, argv, key, value):
+    code, out = run_cli(capsys, *argv)
     assert code == 1
     rec = json.loads(out)
     assert (rec["error"], rec["key"], rec["value"]) == ("UnitError", key, value)

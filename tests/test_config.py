@@ -17,6 +17,7 @@ REF = RunConfig()  # the reference link
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 OUTSIDE_UNIT = st.floats(max_value=0.0) | st.floats(min_value=1.0) | NON_FINITE
+POSITIVE = st.floats(min_value=5e-324)  # +0.0 and -0.0 are the physical domain's edge
 # config key -> values outside its range; +inf is FLAT, valid for f, r1, r2
 INVALID = {
     "l": st.floats(max_value=0.0) | NON_FINITE,
@@ -27,11 +28,11 @@ INVALID = {
     "a": st.floats(max_value=-1e-300) | NON_FINITE,
     "wavelength": st.floats(max_value=0.0) | NON_FINITE,
     "eta_stored": OUTSIDE_UNIT,
-    "m_overlap": st.floats(max_value=0.0) | NON_FINITE,
-    "c": NON_FINITE,
+    "m_overlap": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True) | NON_FINITE,
+    "c": POSITIVE | NON_FINITE,
     "r_out": OUTSIDE_UNIT,
     "a1": OUTSIDE_UNIT,
-    "b1": NON_FINITE,
+    "b1": POSITIVE | NON_FINITE,
 }
 BUNDLE_PARTS = {
     "geometry": ("l", "f", "r1", "r2"),
@@ -124,11 +125,20 @@ class TestParseConfig:
         ("d = nan\n", "d", 1, "nan"),
         ("l = 60mm\nr1 = -inf\n", "r1", 2, "-inf"),
         ("a = 1_000um\n", "a", 1, "1_000um"),
+        # a link outside m_overlap <= 1, c <= 0 and b1 <= 0 would make power from nothing
+        ("m_overlap = 1\nm_overlap = 1.0000000000000002\n", "m_overlap", 2, "1.0000000000000002"),
+        ("c = -0W\nc = 5W\n", "c", 2, "5.0"),
+        ("b1 = 0W\nc = 0W\nb1 = 5e-324W\n", "b1", 3, "5e-324"),
     ])
     def test_value_error_names_key_line_and_value(self, text, key, line, value):
         with pytest.raises(UnitError) as err:
             parse_config(text)
         assert (err.value.key, err.value.line, err.value.value) == (key, line, value)
+
+    def test_the_domain_edge_is_accepted(self):
+        cfg = parse_config("m_overlap = 1\nc = -0W\nb1 = 0W\n")
+        assert list(map(repr, (cfg.m_overlap, cfg.c, cfg.b1))) == ["1.0", "-0.0", "0.0"]
+        assert RunConfig(c=0.0, b1=-0.0).system_params().pv.b1 == 0.0
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ParseError) as err:

@@ -3,11 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resbeam import (
     FLAT,
     Dataset,
     DistanceIntervals,
+    ResbeamError,
     SweepSpec,
     UnitError,
     associated_laguerre,
@@ -35,7 +38,8 @@ from resbeam import (
 from resbeam.powerchain import beam_at
 
 REF = reference_defaults()
-BIG_OVERLAP = RunConfig(m_overlap=1e10).system_params()
+# the edge link: at m_overlap = 1 and R this near 1, f(d) rounds to 1.0000000000000002
+EDGE = RunConfig(r_out=0.9999999996323156, a=1e200).system_params()
 GEOM = REF.geometry
 WINDOW = (-1.5, -0.5)
 
@@ -121,10 +125,17 @@ CHECKS = [
     ("stored_power", lambda: stored_power(-1.0, REF.gain), "p_in", "-1.0"),
     ("gain_to_beam", lambda: gain_to_beam_coefficient(math.inf, REF), "d", "inf"),
     ("beam_at", lambda: beam_at(-1.0, 0.5, REF.gain), "p_stored", "-1.0"),
-    # f(d) * p_stored overflows, so the beam power would be inf
-    ("beam_power-overflow", lambda: beam_power(1.7e308, 1.0, BIG_OVERLAP), "p_beam", "inf"),
+    # f(d) * p_stored overflows at the largest float, so the beam power would be inf
+    ("beam_power-overflow", lambda: beam_power(1.7976931348623157e308, 1.0, EDGE), "p_beam", "inf"),
     ("transmission_efficiency-overflow",
-     lambda: transmission_efficiency(1.7e308, 1.0, BIG_OVERLAP), "p_beam", "inf"),
+     lambda: transmission_efficiency(1.7976931348623157e308, 1.0, EDGE), "p_beam", "inf"),
+    # outside m_overlap <= 1, c <= 0 and b1 <= 0 the link makes power from nothing: f(d),
+    # pv_efficiency, eta_all and eta_trans could overflow at a tiny input
+    ("m_overlap-above-1", lambda: RunConfig(m_overlap=9.39348628021763e307,
+                                            r_out=2.220604857133255e-208),
+     "m_overlap", "9.39348628021763e+307"),
+    ("b1-positive", lambda: RunConfig(b1=5.757058468969836e113), "b1", "5.757058468969836e+113"),
+    ("c-positive", lambda: RunConfig(c=5.0), "c", "5.0"),
     ("pv_output", lambda: pv_output(math.nan, REF.pv), "p_beam", "nan"),
     ("required_pin", lambda: required_input_power(0.0, 1.0, REF), "target_p_out", "0.0"),
     ("calibrate-p_stored", lambda: calibrate_aperture(1.0, 0.0, 0.5, REF), "p_stored", "0.0"),
@@ -150,3 +161,25 @@ def test_range_check_raises_unit_error_naming_its_key(call, key, value):
     assert (err.value.key, err.value.value) == (key, value)
     assert str(err.value).startswith(f"{key}: must be ")
     assert str(err.value).endswith(f", got {value}")
+
+
+# the extreme values of CHECKS: 0 and log-uniform over [1e-320, 1.7e308], of either sign
+WIDE = st.floats(-320.0, math.log10(1.7e308)).map(lambda e: 10.0 ** e)
+EXTREME = st.just(0.0) | WIDE | WIDE.map(lambda x: -x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(EXTREME, EXTREME, EXTREME, EXTREME, st.integers(0, 60), st.integers(0, 60))
+def test_other_public_scalars_are_finite_or_raise(x, y, z, w, m, n):
+    # the power chain and the cavity have their own properties; d_max is the one listed inf
+    for call in (lambda: stored_power(x, REF.gain),
+                 lambda: pv_output(x, REF.pv),
+                 lambda: calibrate_aperture(x, y, z, REF),
+                 lambda: fundamental_loss_vs_distance(x, y, z, w),
+                 lambda: mode_diffraction_loss(m, n, x, y),
+                 lambda: associated_laguerre(n, m, x)):
+        try:
+            value = call()
+        except ResbeamError:
+            continue
+        assert math.isfinite(value), value

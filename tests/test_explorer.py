@@ -285,31 +285,34 @@ class TestRequiredInputPower:
         with pytest.raises(UnreachableTargetError):
             required_input_power(1.0, 15.0, default_params)
 
-    # a positive offset gives output at zero input, max(0, a1*max(0, c) + b1), and no
-    # drive gives less; at or above it the answer round-trips
-    @pytest.mark.parametrize("offsets, below", [
-        ({"b1": 1.0}, 0.5), ({"c": 5.0, "b1": 1.0}, 1.0), ({"c": 5.0}, 0.1),
-        ({"c": 0.2, "b1": 1.0}, 1.0),  # at its zero-input output the closed form reads -1.1e-16
+    # a positive offset would give output at zero input, which no drive lowers: such a link
+    # makes power from nothing, and is refused at build, naming the first positive offset;
+    # at zero offsets the output at zero input is 0 W, and a target just above it round-trips
+    @pytest.mark.parametrize("offsets, key", [
+        ({"b1": 1.0}, "b1"), ({"c": 5.0, "b1": 1.0}, "c"), ({"c": 5.0}, "c"),
+        ({"c": 0.2, "b1": 1.0}, "c"),
     ], ids=["b1", "c-and-b1", "c", "rounding"])
-    def test_a_target_below_the_zero_input_output_raises(self, offsets, below):
-        p = RunConfig(**offsets).system_params()
-        at_zero = end_to_end(0.0, 1.0, p)[0].p_out
-        assert 0.0 < below < at_zero == p.pv.a1 * max(0.0, p.gain.c) + p.pv.b1
-        with pytest.raises(UnreachableTargetError, match="below the output at zero input"):
-            required_input_power(below, 1.0, p)
-        for target in (at_zero, math.nextafter(at_zero, math.inf), 2.0 * at_zero):
+    def test_a_target_below_the_zero_input_output_raises(self, offsets, key):
+        with pytest.raises(UnitError, match=f"{key}: must be finite and <= 0") as err:
+            RunConfig(**offsets)
+        assert err.value.stage == "build"
+        p = RunConfig(**{k: 0.0 for k in offsets}).system_params()
+        assert end_to_end(0.0, 1.0, p)[0].p_out == 0.0
+        for target in (5e-324, 1e-300, 1.0):
             pin = required_input_power(target, 1.0, p)
-            assert pin >= 0.0
+            assert pin > 0.0
             assert end_to_end(pin, 1.0, p)[0].p_out == pytest.approx(target, rel=1e-12)
 
     def test_thresholds_clamp_at_zero(self):
-        # c = 5 W, b1 = 1 W: every stage passes power at zero drive
-        assert thresholds(1.0, RunConfig(c=5.0, b1=1.0).system_params()) == (0.0, 0.0, 0.0)
-        # b1 = 1 W alone: the PV passes power at zero beam, and the beam forms at -c/f(d)
-        p = RunConfig(b1=1.0).system_params()
-        th = thresholds(1.0, p)
-        assert th.p_beam == 0.0 and th.p_stored == -p.gain.c / gain_to_beam_coefficient(1.0, p)
-        assert th.p_in == th.p_stored / p.gain.eta_stored
+        for zero in (0.0, -0.0):
+            # c = b1 = 0 W: every stage passes power from zero drive on; -b1/a1 = -0.0 reads 0.0
+            th = thresholds(1.0, RunConfig(c=zero, b1=zero).system_params())
+            assert list(map(repr, th)) == ["0.0"] * 3
+            # b1 = 0 W alone: the PV passes power at any beam, and the beam forms at -c/f(d)
+            p = RunConfig(b1=zero).system_params()
+            th = thresholds(1.0, p)
+            assert th.p_beam == 0.0 and th.p_stored == -p.gain.c / gain_to_beam_coefficient(1.0, p)
+            assert th.p_in == th.p_stored / p.gain.eta_stored
 
     def test_zero_slope_raises(self, default_params):
         # a subnormal mode overlap makes f(d) read 0.0 at a stable d: no drive gives output
@@ -322,15 +325,14 @@ class TestRequiredInputPower:
             thresholds(1.0, p)
 
     def test_an_overflowed_slope_raises(self):
-        # 2*(1-R)*m overflows, so f(d) reads inf at a stable d; no input power answers, and
-        # 0 W, the quotient's reading, gives no output at all
-        p = RunConfig(m_overlap=1.7e308, r_out=1e-300).system_params()
-        assert is_stable(p.geometry, 1.0) and gain_to_beam_coefficient(1.0, p) == math.inf
-        overflows = re.escape("the slope f(d) overflows at d = 1.0 m")
-        with pytest.raises(UnreachableTargetError, match=overflows):
-            required_input_power(1.0, 1.0, p)
-        with pytest.raises(UnreachableTargetError, match=overflows):
-            thresholds(1.0, p)
+        # 2*(1-R)*m would overflow, so f(d) would read inf: a mode overlap past 1 is refused
+        # at build, and at m_overlap = 1 the same tiny R gives a slope below 1
+        with pytest.raises(UnitError, match=re.escape("m_overlap: must be in (0, 1]")) as err:
+            RunConfig(m_overlap=1.7e308, r_out=1e-300)
+        assert err.value.stage == "build"
+        p = RunConfig(r_out=1e-300).system_params()
+        assert 0.0 < gain_to_beam_coefficient(1.0, p) < 1.0
+        assert required_input_power(1.0, 1.0, p) > thresholds(1.0, p).p_in
 
     # a faint mode overlap leaves f(d) > 0 but the answer overflows at a stable d, and so
     # does a huge target or PV offset at the reference link
@@ -350,11 +352,12 @@ class TestRequiredInputPower:
 
     @pytest.mark.parametrize("m_overlap", [1e-310, 5e-324])
     def test_a_stage_on_at_zero_drive_has_a_zero_threshold_at_a_faint_overlap(self, m_overlap):
-        # c = 5 W, b1 = 1 W: every stage passes power at zero drive, whatever f(d) is
-        p = RunConfig(m_overlap=m_overlap, c=5.0, b1=1.0).system_params()
+        # c = b1 = 0 W: every stage passes power from zero drive on, whatever f(d) is, even
+        # where f(d) reads 0.0; no target is reached, as no finite drive lifts the output
+        p = RunConfig(m_overlap=m_overlap, c=0.0, b1=0.0).system_params()
         assert thresholds(1.0, p) == (0.0, 0.0, 0.0)
-        at_zero = p.pv.a1 * p.gain.c + p.pv.b1
-        assert required_input_power(at_zero, 1.0, p) == 0.0
+        with pytest.raises(UnreachableTargetError, match="no finite input power gives 1.0 W"):
+            required_input_power(1.0, 1.0, p)
 
     def test_rejects_non_finite_inputs(self, default_params):
         for bad in (math.nan, math.inf):
@@ -368,13 +371,13 @@ class TestRequiredInputPower:
     r1=st.sampled_from([-1.0, -0.9, -1.5, FLAT]),
     r2=st.sampled_from([REF.geometry.r2, 3.0, -5.0, FLAT]),
     d=st.floats(0.0, 30.0),
-    c=st.floats(-10.0, 5.0),
-    b1=st.floats(-3.0, 3.0),
+    c=st.floats(-10.0, 0.0),
+    b1=st.floats(-3.0, 0.0),
     p_in=st.floats(0.0, 500.0),
 )
 @example(r1=-1.0, r2=REF.geometry.r2, d=11.0, c=-5.64, b1=-1.535, p_in=300.0)
-@example(r1=-1.0, r2=3.0, d=5.0, c=2.0, b1=1.0, p_in=100.0)  # in a gap, offsets > 0
-@example(r1=-1.0, r2=REF.geometry.r2, d=0.0, c=0.0, b1=1.0, p_in=2.2250738585e-313)  # overflow
+@example(r1=-1.0, r2=3.0, d=5.0, c=0.0, b1=-0.0, p_in=100.0)  # in a gap, offsets at 0
+@example(r1=-1.0, r2=REF.geometry.r2, d=0.0, c=0.0, b1=0.0, p_in=2.2250738585e-313)
 def test_power_thresholds_sweep_and_required_pin_agree_on_the_beam(r1, r2, d, c, b1, p_in):
     # no resonant beam forms where the cavity is unstable, on any path
     p = REF._replace(geometry=REF.geometry._replace(r1=r1, r2=r2), p_in=p_in,
@@ -385,14 +388,9 @@ def test_power_thresholds_sweep_and_required_pin_agree_on_the_beam(r1, r2, d, c,
     assert (row.flags[0] == "unstable") is not forms
     if forms:
         assert min(thresholds(d, p)) >= 0.0
-        # 1 W is out of reach exactly where the output at zero input exceeds it
-        if end_to_end(0.0, d, p)[0].p_out > 1.0:
-            with pytest.raises(UnreachableTargetError, match="below the output at zero input"):
-                required_input_power(1.0, d, p)
-        else:
-            pin = required_input_power(1.0, d, p)
-            assert pin >= 0.0
-            assert end_to_end(pin, d, p)[0].p_out == pytest.approx(1.0, rel=1e-9)
+        pin = required_input_power(1.0, d, p)
+        assert pin > 0.0
+        assert end_to_end(pin, d, p)[0].p_out == pytest.approx(1.0, rel=1e-9)
     else:
         for solve in (lambda: thresholds(d, p), lambda: required_input_power(1.0, d, p)):
             with pytest.raises(UnreachableTargetError):
@@ -400,10 +398,7 @@ def test_power_thresholds_sweep_and_required_pin_agree_on_the_beam(r1, r2, d, c,
     assert state.p_stored == stored_power(p_in, p.gain)
     got = (state.p_beam, state.p_out, eff.eta_trans, eff.eta_all)
     want = tuple(row.column(k)[0] for k in ("P_beam_W", "P_out_W", "eta_trans", "eta_all"))
-    if row.flags[0] == "overflow":  # a ratio past the largest float: the row reads 0
-        assert not all(map(math.isfinite, got)) and want == (0.0,) * 4
-    else:
-        assert got == want
+    assert got == want
     assert beam_power(state.p_stored, d, p) == state.p_beam
     if state.p_stored > 0:
         assert transmission_efficiency(state.p_stored, d, p) == eff.eta_trans
@@ -469,7 +464,7 @@ class TestCalibrateAperture:
             calibrate_aperture(1.0, 30.0, math.nextafter(ceiling, 0.0), default_params)
 
     @given(d=st.floats(0.0, 10.0), p_stored=st.floats(5.0, 80.0), share=st.floats(0.0, 0.99),
-           r_out=st.floats(0.5, 0.99), c=st.floats(-10.0, 2.0), wavelength=st.floats(5e-7, 2e-6))
+           r_out=st.floats(0.5, 0.99), c=st.floats(-10.0, 0.0), wavelength=st.floats(5e-7, 2e-6))
     def test_round_trip_through_the_forward_model(self, d, p_stored, share, r_out, c, wavelength):
         p = REF._replace(gain=REF.gain._replace(r_out=r_out, c=c), wavelength=wavelength)
         assume(is_stable(p.geometry, d))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from resbeam import (
@@ -10,11 +10,14 @@ from resbeam import (
     GainParams,
     PowerState,
     PvParams,
+    ResbeamError,
     UndefinedAtZeroError,
     UnitError,
     UnreachableTargetError,
     beam_power,
+    calibrate_aperture,
     end_to_end,
+    is_stable,
     gain_to_beam_coefficient,
     pv_efficiency,
     pv_output,
@@ -58,6 +61,14 @@ class TestParamValidation:
         for c in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 GAIN._replace(c=c)
+        # past m_overlap = 1 or c = 0 the beam would carry power from nothing
+        above = r"m_overlap: must be in \(0, 1\], got 1.0000000000000002"
+        with pytest.raises(UnitError, match=above):
+            GAIN._replace(m_overlap=math.nextafter(1.0, 2.0))
+        with pytest.raises(UnitError, match="c: must be finite and <= 0, got 5e-324"):
+            GAIN._replace(c=5e-324)
+        for c in (0.0, -0.0):
+            assert GAIN._replace(m_overlap=1.0, c=c).c == c
 
     def test_pv_ranges(self):
         with pytest.raises(ValueError):
@@ -65,6 +76,10 @@ class TestParamValidation:
         for b1 in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 PvParams(a1=0.3, b1=b1)
+        with pytest.raises(UnitError, match="b1: must be finite and <= 0, got 1.0"):
+            PvParams(a1=0.3, b1=1.0)
+        for b1 in (0.0, -0.0):
+            assert PvParams(a1=0.3, b1=b1).b1 == b1
 
 
 class TestStoredPower:
@@ -136,10 +151,9 @@ class TestColumnKernels:
     @given(
         p_in=st.lists(st.floats(0.0, 1e4) | st.just(-0.0), min_size=1, max_size=40),
         fd=st.floats(0.0, 1.0),
-        c=st.floats(-50.0, 5.0) | st.just(-0.0),
-        b1=st.floats(-5.0, 5.0) | st.just(-0.0),
+        c=st.floats(-50.0, 0.0) | st.just(-0.0),
+        b1=st.floats(-5.0, 0.0) | st.just(-0.0),
     )
-    @example(p_in=[5e-324], fd=0.5, c=-5.64, b1=1.0)  # eta_all = b1/5e-324 overflows to inf
     @example(p_in=[0.0, 10.0, 1e4], fd=0.0, c=-5.64, b1=-1.0)
     @example(p_in=[0.0, -0.0, 10.0], fd=0.5, c=-0.0, b1=-0.0)
     def test_ladder_columns_match_ladder_at(self, p_in, fd, c, b1):
@@ -320,8 +334,11 @@ class TestThresholds:
 
 # a*a and wavelength * (l + d) both overflow, so the TEM00 loss, and f(d), is inf/inf
 NAN_LOSS = reference_defaults()._replace(aperture_radius=1e300, wavelength=1.7e308)
-# 2*(1 - R)*m overflows, so f(d) is inf, and so is every beam power it drives
-INF_SLOPE = reference_defaults()._replace(gain=GAIN._replace(m_overlap=1.7e308, r_out=1e-300))
+MAX = 1.7976931348623157e308
+# the edge link: at m_overlap = 1, a = 1e200 m (no loss) and R this near 1, f(d) rounds to
+# 1.0000000000000002, and with eta_stored a hair below 1 the largest drive overflows the beam
+EDGE = reference_defaults()._replace(aperture_radius=1e200, gain=GAIN._replace(
+    r_out=0.9999999996323156, eta_stored=0.9999999999999999))
 UNSTABLE_LADDER = (PowerState(30.0, 30.0 * GAIN.eta_stored, 0.0, 0.0),
                    EfficiencyBreakdown(GAIN.eta_stored, 0.0, 0.0, 0.0))
 POINT_KERNELS = {  # the call at a link and d, and its answer where the cavity is unstable
@@ -350,7 +367,115 @@ def test_f_d_is_read_only_where_the_cavity_is_stable(kernel, d):
 
 
 def test_an_overflowing_beam_at_an_unstable_d_is_the_unstable_answer():
-    # end_to_end holds a slope of 0.0 where no beam forms, so an inf f(d) there is not read
-    assert end_to_end(30.0, 11.0, INF_SLOPE) == UNSTABLE_LADDER
+    # end_to_end holds a slope of 0.0 where no beam forms, so f(d) * p_stored is not formed there
+    eta = EDGE.gain.eta_stored
+    assert end_to_end(MAX, 11.0, EDGE) == (
+        PowerState(MAX, MAX * eta, 0.0, 0.0), EfficiencyBreakdown(eta, 0.0, 0.0, 0.0))
     with pytest.raises(UnitError, match="p_beam: must be finite"):
-        end_to_end(30.0, 2.0, INF_SLOPE)
+        end_to_end(MAX, 2.0, EDGE)
+
+
+# The physical domain: m_overlap in (0, 1], c <= 0 and b1 <= 0.  There f(d) <= m_overlap,
+# p_beam <= p_stored and p_pv <= p_beam, to rounding.
+U = 2.0 ** -53  # the unit roundoff
+WIDE = st.floats(-320.0, math.log10(1.7e308)).map(lambda e: 10.0 ** e)  # log-uniform
+POWER = st.sampled_from([0.0, 5e-324, MAX]) | WIDE
+THRESHOLD = st.sampled_from([0.0, -0.0, -MAX]) | WIDE.map(lambda x: -x)
+SHARE = st.sampled_from([5e-324, 0.9999999999999999]) | st.floats(
+    0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def domain_links(draw):
+    """Links anywhere in the domain: a faint or full overlap, thresholds from 0 to -MAX,
+    R from 1e-300 to the edge near 1, and any aperture and wavelength."""
+    gain = GainParams(
+        eta_stored=draw(SHARE),
+        m_overlap=draw(st.sampled_from([1.0, 5e-324]) | st.floats(-320.0, 0.0).map(
+            lambda e: 10.0 ** e)),
+        c=draw(THRESHOLD),
+        r_out=draw(st.sampled_from([0.9999999996323156, 1e-300]) | SHARE))
+    pv = PvParams(a1=draw(SHARE), b1=draw(THRESHOLD))
+    geometry = reference_defaults().geometry
+    if draw(st.booleans()):
+        geometry = geometry._replace(r2=3.0)  # a gap in the stable set
+    return reference_defaults()._replace(
+        geometry=geometry, gain=gain, pv=pv, aperture_radius=draw(st.just(0.0) | WIDE),
+        wavelength=draw(st.just(1.064e-6) | WIDE))
+
+
+DISTANCE = st.floats(0.0, 20.0) | WIDE
+
+
+def finite_or_refused(call, p_stored=None):
+    """call()'s numbers, all finite, or None where it raises a ResbeamError.  A beam power
+    that overflows is refused only at the float edge: f(d) <= 1 + 2u at m_overlap = 1, so
+    only a p_stored within a few ulps of MAX can carry it past the largest float."""
+    try:
+        out = call()
+    except UnitError as err:
+        if err.key == "p_beam":
+            assert p_stored is not None and p_stored * (1.0 + 4.0 * U) == math.inf, err
+        return None
+    except ResbeamError:
+        return None
+    values = [x for part in (out if isinstance(out, tuple) else (out,))
+              for x in (part if isinstance(part, tuple) else (part,))]
+    assert all(map(math.isfinite, values)), (call, out)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(domain_links(), DISTANCE, POWER, POWER, st.floats(-0.5, 1.5) | WIDE)
+@example(EDGE, 1.0, MAX, MAX, 0.5)
+@example(EDGE, 11.0, MAX, MAX, 0.5)
+@example(reference_defaults()._replace(gain=GAIN._replace(m_overlap=5e-324, c=-0.0),
+                                       pv=PV._replace(b1=0.0)), 1.0, 1e-320, 1e308, 1e-300)
+def test_power_chain_is_finite_or_raises_and_makes_no_power(p, d, power, target, eta):
+    ceiling = 1.0 + 4.0 * U
+    fd = finite_or_refused(lambda: gain_to_beam_coefficient(d, p))
+    assert fd is None or 0.0 <= fd <= ceiling
+    p_stored = finite_or_refused(lambda: stored_power(power, p.gain))
+    assert p_stored is None or p_stored <= power
+    p_beam = finite_or_refused(lambda: beam_power(power, d, p), power)
+    assert p_beam is None or p_beam <= power * ceiling
+    if power > 0.0:
+        eta_trans = finite_or_refused(lambda: transmission_efficiency(power, d, p), power)
+        eta_pv = finite_or_refused(lambda: pv_efficiency(power, p.pv))
+        for ratio in (eta_trans, eta_pv):
+            assert ratio is None or 0.0 <= ratio <= ceiling
+    p_pv = finite_or_refused(lambda: pv_output(power, p.pv))
+    assert p_pv is None or p_pv <= power
+    ladder = finite_or_refused(lambda: end_to_end(power, d, p), power * p.gain.eta_stored)
+    if ladder is not None:
+        (_, ps, pb, po), eff = ladder
+        assert po <= pb * ceiling and pb <= ps * ceiling and ps <= power
+        assert all(0.0 <= x <= ceiling for x in eff)
+    th = finite_or_refused(lambda: thresholds(d, p))
+    assert th is None or min(th) >= 0.0
+    if target > 0.0:
+        p_in = finite_or_refused(lambda: required_input_power(target, d, p))
+        assert p_in is None or p_in > 0.0  # no output at zero input: every target needs drive
+        if power > 0.0:
+            a = finite_or_refused(lambda: calibrate_aperture(d, power, eta, p))
+            assert a is None or 0.0 <= a <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_links(), st.floats(10.5, 20.0) | WIDE, POWER)
+@example(EDGE, 11.0, MAX)
+@example(reference_defaults()._replace(gain=GAIN._replace(c=0.0), pv=PV._replace(b1=-0.0)),
+         11.0, 1e-320)
+def test_an_unstable_d_gives_the_zeroed_ladder(p, d, p_in):
+    # the reference is the zeroed form, written out: the ladder at a held slope of 0.0 with
+    # its beam, output and ratios replaced by 0.0, and a beam of 0.0; with c <= 0 and b1 <= 0
+    # the held slope alone gives those bits
+    try:
+        assume(not is_stable(p.geometry, d))
+    except UnitError:  # d is past the float range of the g-parameters
+        assume(False)
+    state, eff = ladder_at(p_in, 0.0, p)
+    zeroed = (state._replace(p_beam=0.0, p_out=0.0),
+              eff._replace(eta_trans=0.0, eta_pv=0.0, eta_all=0.0))
+    assert repr(end_to_end(p_in, d, p)) == repr(zeroed)
+    assert repr(beam_power(state.p_stored, d, p)) == repr(0.0)

@@ -4,46 +4,27 @@ Cavity stability and maximum transmission distance, Gaussian mode radii,
 aperture diffraction loss, and the three-stage electrical-to-electrical
 power chain, plus deterministic design-space sweeps.
 
-resbeam imports numpy only in Dataset.column().  A grid runs on the column
-kit explorer._column_kit() where numpy is already loaded, and as rows
-elsewhere.  The grid drivers and datasets load on first use.
+``import resbeam`` loads errors, config (the link records) and geometry (the
+cavity terms at one distance).  The reach (cavity), the power chain
+(powerchain, which loads diffraction), the grid drivers (explorer) and the
+datasets load on first use of one of their names, so a command or script
+compiles only the modules it runs.  resbeam imports numpy only in
+Dataset.column().  A grid runs on the column kit explorer._column_kit()
+where numpy is already loaded, and as rows elsewhere.
 """
 
 from importlib import import_module as _import_module
 
-from .cavity import (
-    BRANCHES,
-    FLAT,
-    ORIGIN,
-    TANGENT,
-    BeamRadii,
-    CavityDerived,
-    CavityGeometry,
-    DistanceIntervals,
-    MaxDistance,
-    StabilityLine,
-    beam_radii,
-    connecting_r2,
-    effective_length,
-    g_parameters,
-    is_stable,
-    max_transmission_distance,
-    r1_range_for_distance,
-    stability_line,
-    stable_distance_intervals,
-)
 from .config import (
     SWEEP_VARIABLES,
+    GainParams,
+    PvParams,
     RunConfig,
+    SystemParams,
     load_config,
     parse_config,
     reference_defaults,
     render_config,
-)
-from .diffraction import (
-    associated_laguerre,
-    fundamental_loss_vs_distance,
-    mode_diffraction_loss,
 )
 from .errors import (
     ConfigError,
@@ -61,37 +42,39 @@ from .errors import (
     UnstableConfigurationError,
     WrongSignSlopeError,
 )
-from .powerchain import (
-    EfficiencyBreakdown,
-    GainParams,
-    PowerState,
-    PvParams,
-    SystemParams,
-    Thresholds,
-    beam_power,
-    calibrate_aperture,
-    end_to_end,
-    gain_to_beam_coefficient,
-    pv_efficiency,
-    pv_output,
-    required_input_power,
-    stored_power,
-    thresholds,
-    transmission_efficiency,
+from .geometry import (
+    BRANCHES,
+    FLAT,
+    ORIGIN,
+    TANGENT,
+    BeamRadii,
+    CavityDerived,
+    CavityGeometry,
+    StabilityLine,
+    beam_radii,
+    effective_length,
+    g_parameters,
+    is_stable,
+    stability_line,
 )
 
 __version__ = "0.1.0"
 
 # name -> the module, loaded on first use, that defines it
 _LAZY = {
-    "Dataset": "dataset",
-    "emit_dataset": "dataset",
-    "SweepSpec": "explorer",
-    "max_distance_vs_r1": "explorer",
-    "reproduce_figure": "explorer",
-    "sweep": "explorer",
+    **dict.fromkeys(("DistanceIntervals", "MaxDistance", "connecting_r2",
+                     "max_transmission_distance", "r1_range_for_distance",
+                     "stable_distance_intervals"), "cavity"),
+    **dict.fromkeys(("EfficiencyBreakdown", "PowerState", "Thresholds", "beam_power",
+                     "calibrate_aperture", "end_to_end", "gain_to_beam_coefficient",
+                     "pv_efficiency", "pv_output", "required_input_power", "stored_power",
+                     "thresholds", "transmission_efficiency"), "powerchain"),
+    **dict.fromkeys(("associated_laguerre", "fundamental_loss_vs_distance",
+                     "mode_diffraction_loss"), "diffraction"),
+    **dict.fromkeys(("Dataset", "emit_dataset"), "dataset"),
+    **dict.fromkeys(("SweepSpec", "max_distance_vs_r1", "reproduce_figure", "sweep"), "explorer"),
 }
-_LAZY_MODULES = ("dataset", "explorer")
+_LAZY_MODULES = ("cavity", "dataset", "diffraction", "explorer", "powerchain")
 
 
 def __getattr__(name: str):

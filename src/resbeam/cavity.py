@@ -1,34 +1,27 @@
-"""Open-resonator stability and Gaussian mode geometry.
+"""The reach of the open resonator: its stable distances, their supremum and the designs.
 
-The transmitter/receiver pair is modeled as a two-mirror cavity with a thin
-thermal lens standing in for the pumped rod: mirror M1, a spacing ``l`` to
-the lens of focal length ``f``, a transmission distance ``d`` to mirror M2.
-Mirror curvature radii are used exactly as signed on the data sheets
-(``r1 = -1.0`` means the value -1000 mm, no concave/convex re-interpretation),
-and flat elements are written as ``math.inf`` so that ``1/flat`` is exactly
-zero.
+The terms at one distance (the elements, the g-parameters, the stability
+test, the mode radii, the stability line and the terms the lens and M1 set)
+live in :mod:`resbeam.geometry`, so a command that asks about one distance
+does not load the reach.  Every name of geometry is re-exported here, so
+``resbeam.cavity`` still binds the whole cavity model.
 
-The cavity supports a confined Gaussian mode iff ``0 < g1*g2 < 1`` (strict);
-both g-parameters are affine in ``d``, so the set of stable distances is
-bounded by the real roots of two closed-form polynomials, no scanning needed.
-
-Each closed form is written once, as a private body that runs on floats and
-numpy columns alike: it uses only + - * / & | and abs, takes sqrt as an
-argument, and leaves validation to its callers.  _lens_mirror holds the
-terms the lens and M1 set (c0 = 1 - l/f, g1's slope, whether g1 depends on
-d, and d1), which the design (and so connecting_r2) and stability_line
-read; the R1 search takes c0 from _affine and d1 from _d1, as _lens_mirror
-does, without the mask.  The reach at a fixed r2 is such a body too: g1*g2
-is a parabola in d, so _pieces works out its coefficients once, orders its
-roots with the selection pick and reads the stable set's two pieces off the
-sign of its leading coefficient, and both _supremum and
-stable_distance_intervals read those pieces.  On a connected branch the
-reach is one linear solve instead, _design, which the design rows run; its
-only R1-dependent term is a monotone map of R1 on each side of R1 = l - f,
-so the R1 search inverts that map at each threshold the target sets, with
-no root search and no design tried.  The scalar kernels here wrap the bodies with exceptions; the
-dataset rules of :mod:`resbeam.explorer` call them on whole grids with the
-primitives of a kit (pick, sqrt) and flag a row rather than raise.
+Both g-parameters are affine in ``d``, so the set of stable distances
+``0 < g1*g2 < 1`` is bounded by the real roots of two closed-form
+polynomials, no scanning needed.  Each closed form is written once, as in
+geometry: a private body on floats and numpy columns alike.  The reach at a
+fixed r2 is such a body: g1*g2 is a parabola in d, so _pieces works out its
+coefficients once, orders its roots with the selection pick and reads the
+stable set's two pieces off the sign of its leading coefficient, and both
+_supremum and stable_distance_intervals read those pieces.  On a connected
+branch the reach is one linear solve instead, _design, which the design
+rows run; its only R1-dependent term is a monotone map of R1 on each side
+of R1 = l - f, so the R1 search inverts that map at each threshold the
+target sets, with no root search and no design tried.  The R1 search takes
+c0 from _affine and d1 from _d1, as _lens_mirror does, without the mask.
+The scalar kernels here wrap the bodies with exceptions; the dataset rules
+of :mod:`resbeam.explorer` call them on whole grids with the primitives of
+a kit (pick, sqrt) and flag a row rather than raise.
 """
 
 from __future__ import annotations
@@ -37,93 +30,47 @@ import math
 from typing import NamedTuple
 
 from .errors import (
-    DegenerateLineError,
     EmptyResultError,
     NoSolutionError,
     NoStableRegionError,
     Record,
-    UnstableConfigurationError,
     WrongSignSlopeError,
     require,
 )
-
-FLAT = math.inf
-
-ORIGIN = "origin"    # stability line through the origin, positive slope
-TANGENT = "tangent"  # stability line tangent to g1*g2 = 1, negative slope
-BRANCHES = (ORIGIN, TANGENT)
+from .geometry import (  # every name of geometry, re-exported
+    _ELEMENT,
+    BRANCHES,
+    FLAT,
+    ORIGIN,
+    TANGENT,
+    BeamRadii,
+    CavityDerived,
+    CavityGeometry,
+    StabilityLine,
+    _affine,
+    _check_element,
+    _check_l_f,
+    _d1,
+    _g_at,
+    _g_terms,
+    _is_element,
+    _lens_mirror,
+    _pick,
+    _radii,
+    _stable,
+    _u_terms,
+    beam_radii,
+    effective_length,
+    g_parameters,
+    is_stable,
+    stability_line,
+)
 
 # Stability boundaries closer than this (meters, or this share of a boundary
 # past 1 m) are one touch point.
 _MERGE_TOL = 1e-9
 # A discriminant within this share of (a1*b2 - a2*b1)^2 is 0 to rounding (64 ULPs).
 _TOUCH = 64 * 2.0 ** -52
-_ELEMENT = "finite nonzero or FLAT (+inf)"
-
-
-def _is_element(x):
-    """Mask of the values CavityGeometry accepts, on floats or numpy columns."""
-    return (x != 0.0) & (x != -math.inf) & (x == x)
-
-
-def _check_element(name: str, value: float) -> None:
-    require(name, value, _is_element(value), _ELEMENT)
-
-
-def _check_l_f(l: float, f: float) -> None:
-    """The transmitter size and focal length checks of CavityGeometry."""
-    if not (math.isfinite(l) and l > 0):
-        require("l", l, False, "finite and > 0")
-    _check_element("f", f)
-
-
-class CavityGeometry(Record):
-    """Physical resonator parameters.
-
-    Attributes
-    ----------
-    l : float
-        Gain-medium-to-M1 spacing in meters (the transmitter size), > 0.
-    f : float
-        Thermal-lens focal length in meters, or FLAT for no lensing.
-    r1, r2 : float
-        Signed curvature radii of M1 / M2 in meters, or FLAT.
-    """
-
-    l: float
-    f: float
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        _check_l_f(self.l, self.f)
-        _check_element("r1", self.r1)
-        _check_element("r2", self.r2)
-
-
-class CavityDerived(NamedTuple):
-    """Per-distance derived quantities feeding stability and radius formulas."""
-
-    L: float   # effective cavity length, meters
-    g1: float
-    g2: float
-    u1: float  # meters
-    u2: float  # meters
-    x: float   # inverse meters; NaN when undefined (d == 0)
-
-    @property
-    def x_defined(self) -> bool:
-        return not math.isnan(self.x)
-
-
-class StabilityLine(NamedTuple):
-    """The line traced by (g1(d), g2(d)) as the distance d varies."""
-
-    slope: float
-    intercept: float
-
-    def g2_at(self, g1: float) -> float:
-        return self.slope * g1 + self.intercept
 
 
 class DistanceIntervals(Record):
@@ -163,162 +110,9 @@ class DistanceIntervals(Record):
         return not self.intervals
 
 
-class BeamRadii(NamedTuple):
-    """TEM00 mode radii at the gain medium, M1 and M2 (meters)."""
-
-    w_gain: float
-    w_m1: float
-    w_m2: float
-
-
 class MaxDistance(NamedTuple):
     d_max: float
     contiguous: bool
-
-
-def _g_terms(l, f, r1, r2, d):
-    """(L, g1, g2): L = l + d - l*d/f, g1 = 1 - d/f - L/r1, g2 = 1 - l/f - L/r2."""
-    phi = 1.0 / f
-    L = l + d - l * d * phi
-    return L, 1.0 - d * phi - L * (1.0 / r1), 1.0 - l * phi - L * (1.0 / r2)
-
-
-def _stable(g):
-    """The stability test 0 < g1*g2 < 1, strict, of g = _g_terms(...): a bool or a mask."""
-    gg = g[1] * g[2]
-    return (0.0 < gg) & (gg < 1.0)
-
-
-def _u_terms(l, r1, r2, d):
-    """(u1, u2) = (l*(1 - l/r1), d*(1 - d/r2)), the radius intermediates."""
-    return l * (1.0 - l * (1.0 / r1)), d * (1.0 - d * (1.0 / r2))
-
-
-def _radii(l, f, r1, r2, d, g, lam_pi, sqrt):
-    """(w_gain, w_m1, w_m2) from g = _g_terms(l, f, r1, r2, d); real where 0 < g1*g2 < 1."""
-    L, g1, g2 = g
-    gg = g1 * g2
-    u1, u2 = _u_terms(l, r1, r2, d)
-    # 2*x*u1*u2 + u1 + u2 with x = 1/f - 1/l - 1/d multiplied through, so the
-    # d = 0 and the near-origin cases stay finite
-    planar = (2.0 * u1 * u2 * (1.0 / f) - 2.0 * u2 * (1.0 - l * (1.0 / r1))
-              - 2.0 * u1 * (1.0 - d * (1.0 / r2)) + u1 + u2)
-    return (
-        sqrt(lam_pi * abs(planar) / sqrt((1.0 - gg) * gg)),
-        sqrt(lam_pi * abs(L) * sqrt(g2 / (g1 * (1.0 - gg)))),
-        sqrt(lam_pi * abs(L) * sqrt(g1 / (g2 * (1.0 - gg)))),
-    )
-
-
-def _g_at(geom: CavityGeometry, d: float):
-    """_g_terms of the geometry at one finite distance d >= 0."""
-    if not 0.0 <= d < math.inf:
-        require("d", d, False, "finite and >= 0")
-    return _g_terms(geom.l, geom.f, geom.r1, geom.r2, d)
-
-
-def effective_length(geom: CavityGeometry, d: float) -> float:
-    """Effective cavity length ``l + d - l*d/f`` (lens term zero when f is flat), or UnitError."""
-    L = _g_at(geom, d)[0]
-    if not math.isfinite(L):
-        require("d", d, False, "such that L is finite")
-    return L
-
-
-def g_parameters(geom: CavityGeometry, d: float) -> CavityDerived:
-    """Evaluate the stability parameters and radius intermediates at distance d.
-
-    Parameters
-    ----------
-    geom : CavityGeometry
-    d : float
-        Transmission distance in meters, >= 0.
-
-    Returns
-    -------
-    CavityDerived
-        With ``g1 = 1 - d/f - L/r1`` and ``g2 = 1 - l/f - L/r2``.  The
-        intermediate ``x = 1/f - 1/l - 1/d`` is NaN at d = 0 (``x_defined``
-        flags this); g1 and g2 remain valid there.  UnitError names d where
-        any other field is not finite, as x at d = 1e-320, where 1/d
-        overflows, or u2 = d*(1 - d/r2) at d = 1e300.
-    """
-    L, g1, g2 = _g_at(geom, d)
-    u1, u2 = _u_terms(geom.l, geom.r1, geom.r2, d)
-    x = 1.0 / geom.f - 1.0 / geom.l - 1.0 / d if d > 0 else math.nan
-    if not all(map(math.isfinite, (L, g1, g2, u1, u2, x if d > 0 else 0.0))):
-        require("d", d, False, "such that L, g1, g2, u1, u2 and x are finite")
-    return CavityDerived(L, g1, g2, u1, u2, x)
-
-
-def is_stable(geom: CavityGeometry, d: float) -> bool:
-    """True iff 0 < g1*g2 < 1 with strict inequalities."""
-    return _stable(_g_at(geom, d))
-
-
-def _affine(l, f, r1, r2):
-    """(a1, b1, a2, b2) such that g1 = a1 + b1*d and g2 = a2 + b2*d.
-
-    Takes floats or numpy columns of valid elements: 1.0/FLAT is exactly 0.0.
-    """
-    phi = 1.0 / f
-    c0 = 1.0 - l * phi
-    ir1 = 1.0 / r1
-    return 1.0 - l * ir1, -(phi + c0 * ir1), c0 - l * (1.0 / r2), -c0 * (1.0 / r2)
-
-
-def _d1(l, f, pick):
-    """d1 = -l/c0 = l*f/(l - f) (-l for a flat f), where a connected design's u = c0*g1 is 1."""
-    return l * pick(f == FLAT, -1.0, f / ((l - f) + (l == f)))
-
-
-def _lens_mirror(l, f, r1, pick):
-    """(c0, den, varies, d1): the terms the lens and M1 set, on floats or numpy columns.
-
-    With M2 flat, _affine gives g2 = c0 = 1 - l/f and g1 = a1 - den*d, den =
-    1/f + c0/r1 = (r1 + f - l)/(f*r1), with 1/r1 kept off zero so that no
-    float operation raises.  varies: g1 depends on d; l - r1 - f is -inf for
-    a flat f or r1, and den is exactly 0.0 for an all-flat f and r1, so the
-    one test covers every form.  A connected design has 1/r2 = +-c0*den, and
-    its u = c0*g1 is 0 at d0 = f*(r1 - l)/(r1 + f - l) (r1 - l for a flat f,
-    f for a flat r1) and 1 at d1 of _d1.
-    den keeps the form phi + c0/r1, which cancels near r1 = l - f: the pinned
-    dataset digests and the benchmark's R2_m oracle hold 1/r2 to its bits.
-    """
-    _, b1, c0, _ = _affine(l, f, r1 + (r1 == 0.0), FLAT)
-    den = -b1
-    return c0, den, (l - r1 - f != 0.0) & (den != 0.0), _d1(l, f, pick)
-
-
-def stability_line(geom: CavityGeometry) -> StabilityLine:
-    """Eliminate d from (g1(d), g2(d)) and return the resulting line.
-
-    Raises
-    ------
-    DegenerateLineError
-        When g1 does not depend on d (``l - r1 - f = 0`` or all-flat optics):
-        the family is a vertical line in the stability diagram and has no
-        slope/intercept form.  Also where the slope or intercept is not
-        finite, as where b2/b1 overflows: the line has no finite form.
-    """
-    if not _lens_mirror(geom.l, geom.f, geom.r1, _pick)[2]:
-        raise DegenerateLineError(
-            "g1 is independent of d (l - r1 - f = 0 or all-flat optics); "
-            "the d-family has no g2(g1) form"
-        )
-    a1, b1, a2, b2 = _affine(geom.l, geom.f, geom.r1, geom.r2)
-    slope = b2 / b1
-    intercept = a2 - a1 * slope
-    if not (math.isfinite(slope) and math.isfinite(intercept)):
-        raise DegenerateLineError(
-            f"slope {slope!r}, intercept {intercept!r}: the d-family has no finite g2(g1) form"
-        )
-    return StabilityLine(slope, intercept)
-
-
-def _pick(mask, a, b):
-    """a where mask holds, else b: the selection of the row kit (numpy.where on columns)."""
-    return a if mask else b
 
 
 def _pieces(a1, b1, a2, b2, pick, sqrt):
@@ -591,37 +385,3 @@ def r1_range_for_distance(
     if not out:
         raise EmptyResultError(f"no R1 in [{lo}, {hi}] reaches {target_d} m on the {branch} branch")
     return out
-
-
-def beam_radii(geom: CavityGeometry, d: float, wavelength: float) -> BeamRadii:
-    """TEM00 mode radii at the gain medium, M1 and M2.
-
-    Parameters
-    ----------
-    geom : CavityGeometry
-    d : float
-        Transmission distance in meters; the cavity must be strictly stable.
-    wavelength : float
-        Vacuum wavelength in meters; UnitError names it where a radius is not finite.
-
-    Returns
-    -------
-    BeamRadii
-        ``w_gain`` uses the u1/u2/x intermediates; the term
-        ``2*x*u1*u2 + u1 + u2`` is expanded so that d = 0 needs no 1/d.
-
-    Raises
-    ------
-    UnstableConfigurationError
-        When 0 < g1*g2 < 1 fails (the radicands are not positive).
-    """
-    require("wavelength", wavelength, 0.0 < wavelength < math.inf, "finite and > 0")
-    g = _g_at(geom, d)
-    if not _stable(g):
-        raise UnstableConfigurationError(
-            f"g1*g2 = {g[1] * g[2]}: mode radii require 0 < g1*g2 < 1"
-        )
-    w = _radii(geom.l, geom.f, geom.r1, geom.r2, d, g, wavelength / math.pi, math.sqrt)
-    if not (w[0] < math.inf and w[1] < math.inf and w[2] < math.inf):  # NaN fails too
-        require("wavelength", wavelength, False, "such that the mode radii are finite")
-    return BeamRadii(*w)

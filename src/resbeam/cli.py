@@ -13,31 +13,15 @@ import json
 import math
 import sys
 
-from .cavity import (
-    BRANCHES,
-    _g_at,
-    beam_radii,
-    is_stable,
-    max_transmission_distance,
-    connecting_r2,
-    r1_range_for_distance,
-    stability_line,
-    stable_distance_intervals,
-)
-from .config import (SWEEP_VARIABLES, RunConfig, load_config, override, parse_quantity,
-                     provenance_for)
+from .config import (SWEEP_VARIABLES, RunConfig, SystemParams, load_config, override,
+                     parse_quantity, provenance_for)
 from .errors import ResbeamError, require
-from .powerchain import (
-    SystemParams,
-    calibrate_aperture,
-    end_to_end,
-    required_input_power,
-    thresholds,
-)
+from .geometry import BRANCHES, _g_at, beam_radii, is_stable, stability_line
 
-# explorer and dataset are imported inside the handlers that need them, so the
-# point commands do not load them; no command loads numpy, since a grid runs as
-# rows wherever numpy is not loaded already
+# The reach (cavity), the power chain (powerchain, which loads diffraction),
+# explorer and dataset are imported inside the handlers that call them, so a
+# command compiles only the modules it runs; no command loads numpy, since a
+# grid runs as rows wherever numpy is not loaded already
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -109,6 +93,8 @@ def _cmd_stability(args, params: SystemParams) -> dict:
 
 
 def _cmd_intervals(args, params: SystemParams) -> dict:
+    from .cavity import stable_distance_intervals
+
     d_limit = parse_quantity(args.d_limit, "d_limit")
     ivals = stable_distance_intervals(params.geometry, d_limit)
     return {
@@ -118,10 +104,14 @@ def _cmd_intervals(args, params: SystemParams) -> dict:
 
 
 def _cmd_max_distance(args, params: SystemParams) -> dict:
+    from .cavity import max_transmission_distance
+
     return max_transmission_distance(params.geometry)._asdict()
 
 
 def _cmd_connect_r2(args, params: SystemParams) -> dict:
+    from .cavity import connecting_r2
+
     geom = params.geometry
     r2 = connecting_r2(geom.l, geom.f, geom.r1, args.branch)
     line = stability_line(geom._replace(r2=r2))
@@ -129,6 +119,8 @@ def _cmd_connect_r2(args, params: SystemParams) -> dict:
 
 
 def _cmd_power(args, params: SystemParams) -> dict:
+    from .powerchain import end_to_end
+
     p_in = parse_quantity(args.pin, "pin")
     state, eff = end_to_end(p_in, params.d, params)
     # the record keys are the field names of the power ladder and its efficiencies
@@ -136,6 +128,8 @@ def _cmd_power(args, params: SystemParams) -> dict:
 
 
 def _cmd_thresholds(args, params: SystemParams) -> dict:
+    from .powerchain import thresholds
+
     th = thresholds(params.d, params)
     return {"d": params.d, **{f"{stage}_th": value for stage, value in th._asdict().items()}}
 
@@ -154,6 +148,8 @@ def _cmd_sweep(args, params: SystemParams):
 
 
 def _cmd_required_pin(args, params: SystemParams) -> dict:
+    from .powerchain import required_input_power
+
     target = parse_quantity(args.pout, "pout")
     pin = required_input_power(target, params.d, params)
     return {
@@ -163,6 +159,8 @@ def _cmd_required_pin(args, params: SystemParams) -> dict:
 
 
 def _cmd_r1_range(args, params: SystemParams) -> dict:
+    from .cavity import r1_range_for_distance
+
     target = parse_quantity(args.target_d, "target_d")
     lo = parse_quantity(args.search_from, "search_from")
     hi = parse_quantity(args.search_to, "search_to")
@@ -175,6 +173,8 @@ def _cmd_r1_range(args, params: SystemParams) -> dict:
 
 
 def _cmd_calibrate(args, params: SystemParams) -> dict:
+    from .powerchain import calibrate_aperture
+
     p_stored = parse_quantity(args.pstored, "pstored")
     eta = parse_quantity(args.eta, "eta")
     a = calibrate_aperture(params.d, p_stored, eta, params)

@@ -9,6 +9,13 @@ physical parameters of the link; what a run sweeps and where it writes are
 command-line flags of the command that reads them.  Missing keys fall back
 to the reference defaults, and every run echoes its full effective
 configuration into the output provenance.
+
+The link records live here too: :class:`GainParams`, :class:`PvParams` and
+the bundle :class:`SystemParams`, which RunConfig builds to check every key.
+They check every parameter range once, when built, and raise UnitError
+naming the configuration key; :mod:`resbeam.powerchain` re-exports them.
+Every command reads its link through this module, so none has to load the
+power chain to check a key.
 """
 
 from __future__ import annotations
@@ -16,9 +23,8 @@ from __future__ import annotations
 import math
 import re
 
-from .cavity import FLAT, CavityGeometry
-from .errors import ParseError, Record, UnitError
-from .powerchain import GainParams, PvParams, SystemParams
+from .errors import ParseError, Record, UnitError, require
+from .geometry import FLAT, CavityGeometry
 
 _QUANTITY_RE = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(mm|um|nm|m|W)?")
 
@@ -63,6 +69,63 @@ def parse_quantity(token: str, key: str, unit: str | None = None) -> float:
     if suffix not in scales:
         raise UnitError(key, wrong.format(key=key, suffix=suffix), token, "parse")
     return value * scales[suffix]
+
+
+class GainParams(Record):
+    """Transmitter conversion coefficients.
+
+    eta_stored: electrical-to-stored conversion efficiency, in (0, 1).
+    m_overlap: mode/gain overlap efficiency, in (0, 1], so f(d) <= 1 to rounding.
+    c: additive extraction constant in watts, the beam threshold: finite and <= 0.
+    r_out: output mirror (M2) reflectivity, in (0, 1).
+    """
+
+    eta_stored: float
+    m_overlap: float
+    c: float
+    r_out: float
+
+    def __post_init__(self):
+        require("eta_stored", self.eta_stored, 0.0 < self.eta_stored < 1.0, "in (0, 1)")
+        require("m_overlap", self.m_overlap, 0.0 < self.m_overlap <= 1.0, "in (0, 1]")
+        require("c", self.c, -math.inf < self.c <= 0.0, "finite and <= 0")
+        require("r_out", self.r_out, 0.0 < self.r_out < 1.0, "in (0, 1)")
+
+
+class PvParams(Record):
+    """Fitted linear photovoltaic law p_pv = a1*p_beam + b1 (maximum power point), b1 <= 0."""
+
+    a1: float
+    b1: float
+
+    def __post_init__(self):
+        require("a1", self.a1, 0.0 < self.a1 < 1.0, "in (0, 1)")
+        require("b1", self.b1, -math.inf < self.b1 <= 0.0, "finite and <= 0")
+
+
+class SystemParams(Record):
+    """Full parameter bundle for one link configuration."""
+
+    geometry: CavityGeometry
+    gain: GainParams
+    pv: PvParams
+    aperture_radius: float
+    wavelength: float
+    d: float
+    p_in: float
+
+    def __post_init__(self):
+        for key, v in (("a", self.aperture_radius), ("d", self.d), ("p_in", self.p_in)):
+            require(key, v, 0.0 <= v < math.inf, "finite and >= 0")
+        require("wavelength", self.wavelength, 0.0 < self.wavelength < math.inf, "finite and > 0")
+        # the TEM00 loss divides by wavelength * (l + d), which must not underflow at any d >= 0;
+        # the smaller factor is named
+        key, v = ("l", self.l) if self.l < self.wavelength else ("wavelength", self.wavelength)
+        require(key, v, self.wavelength * self.l > 0.0, "such that wavelength * l > 0")
+
+    @property
+    def l(self) -> float:
+        return self.geometry.l
 
 
 _P_IN = 100.0  # W, the reference drive of every bundle a config builds; no key sets it

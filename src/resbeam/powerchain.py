@@ -9,12 +9,14 @@ Their offsets c and b1 are <= 0, and m_overlap <= 1, so no stage puts out
 more power than it takes in (to rounding).
 
 The stages read the link parameters from one :class:`SystemParams` bundle.
-The bundle and its parts check every parameter range once, when they are
-built, and raise :class:`UnitError` naming the configuration key.  The
-stages share their arithmetic with the dataset rules of :mod:`resbeam.explorer`
-through the unchecked bodies ``_stored``, ``_beam``, ``_pv`` and ``_ladder``,
-which take the selection ``pick`` of a kit: cavity._pick on floats,
-numpy.where on columns.  The inverse solvers at the end of the module answer point design questions.
+The bundle and its parts, :class:`GainParams` and :class:`PvParams`, are
+defined in :mod:`resbeam.config` and re-exported here; they check every
+parameter range once, when they are built, and raise :class:`UnitError`
+naming the configuration key.  The stages share their arithmetic with the
+dataset rules of :mod:`resbeam.explorer` through the unchecked bodies
+``_stored``, ``_beam``, ``_pv`` and ``_ladder``, which take the selection
+``pick`` of a kit: geometry._pick on floats, numpy.where on columns.  The
+inverse solvers at the end of the module answer point design questions.
 """
 
 from __future__ import annotations
@@ -22,72 +24,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .cavity import CavityGeometry, _pick, is_stable
+from .config import GainParams, PvParams, SystemParams  # re-exported: the records live in config
 from .diffraction import fundamental_loss_vs_distance
-from .errors import (
-    InfeasibleTargetError,
-    Record,
-    UndefinedAtZeroError,
-    UnreachableTargetError,
-    require,
-)
-
-
-class GainParams(Record):
-    """Transmitter conversion coefficients.
-
-    eta_stored: electrical-to-stored conversion efficiency, in (0, 1).
-    m_overlap: mode/gain overlap efficiency, in (0, 1], so f(d) <= 1 to rounding.
-    c: additive extraction constant in watts, the beam threshold: finite and <= 0.
-    r_out: output mirror (M2) reflectivity, in (0, 1).
-    """
-
-    eta_stored: float
-    m_overlap: float
-    c: float
-    r_out: float
-
-    def __post_init__(self):
-        require("eta_stored", self.eta_stored, 0.0 < self.eta_stored < 1.0, "in (0, 1)")
-        require("m_overlap", self.m_overlap, 0.0 < self.m_overlap <= 1.0, "in (0, 1]")
-        require("c", self.c, -math.inf < self.c <= 0.0, "finite and <= 0")
-        require("r_out", self.r_out, 0.0 < self.r_out < 1.0, "in (0, 1)")
-
-
-class PvParams(Record):
-    """Fitted linear photovoltaic law p_pv = a1*p_beam + b1 (maximum power point), b1 <= 0."""
-
-    a1: float
-    b1: float
-
-    def __post_init__(self):
-        require("a1", self.a1, 0.0 < self.a1 < 1.0, "in (0, 1)")
-        require("b1", self.b1, -math.inf < self.b1 <= 0.0, "finite and <= 0")
-
-
-class SystemParams(Record):
-    """Full parameter bundle for one link configuration."""
-
-    geometry: CavityGeometry
-    gain: GainParams
-    pv: PvParams
-    aperture_radius: float
-    wavelength: float
-    d: float
-    p_in: float
-
-    def __post_init__(self):
-        for key, v in (("a", self.aperture_radius), ("d", self.d), ("p_in", self.p_in)):
-            require(key, v, 0.0 <= v < math.inf, "finite and >= 0")
-        require("wavelength", self.wavelength, 0.0 < self.wavelength < math.inf, "finite and > 0")
-        # the TEM00 loss divides by wavelength * (l + d), which must not underflow at any d >= 0;
-        # the smaller factor is named
-        key, v = ("l", self.l) if self.l < self.wavelength else ("wavelength", self.wavelength)
-        require(key, v, self.wavelength * self.l > 0.0, "such that wavelength * l > 0")
-
-    @property
-    def l(self) -> float:
-        return self.geometry.l
+from .errors import InfeasibleTargetError, UndefinedAtZeroError, UnreachableTargetError, require
+from .geometry import _pick, is_stable
 
 
 class PowerState(NamedTuple):
@@ -115,7 +55,7 @@ class Thresholds(NamedTuple):
 
 
 # The stage bodies, unchecked.  They take the selection pick of a kit, so they
-# run on floats (cavity._pick) and on numpy columns (numpy.where) alike.  A
+# run on floats (geometry._pick) and on numpy columns (numpy.where) alike.  A
 # clamp is pick(x > 0.0, x, 0.0): max(0.0, x), where -0.0 and NaN read 0.0.
 
 

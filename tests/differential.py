@@ -27,13 +27,18 @@ route against tests/oracles.py, which works in Fractions:
 * ``required_input_power`` round trip: on seeded links at a stable
   distance, p_in = required_input_power(target) and the p_out that
   ``end_to_end`` gives at p_in, against the target; the targets no finite
-  input reaches, and the error of p_out in ULPs of the target.
+  input reaches, and the error of p_out in ULPs of the target;
+* ``calibrate_aperture`` round trip: on seeded links at a stable distance
+  with a drawn aperture a and stored power, eta = transmission_efficiency
+  there, the aperture calibrate_aperture solves for eta, against a in
+  relative error, and the efficiency at that aperture, against eta in ULPs.
 
 Bands: R1 within 64 ULPs of l - f; R1 within 1e-12*max(1, |l - f|) of it;
 generic connected designs on their printed r2; R1, f, or r2 with flat optics
 within 3 ULPs of l, where a root of g1, g2 or g1*g2 = 1 lies at d = 0 to
 rounding; |R1| log-uniform in [1e-310, 1e-50] m, where 1/R1 may overflow;
-R1 searches; the power round trip.  Run from the repository root:
+R1 searches; the power round trip; the aperture round trip.  Run from the
+repository root:
 
     PYTHONPATH=src python tests/differential.py --seed 32 --n 2000 --out DIFF_32.json
 
@@ -65,9 +70,11 @@ from resbeam import (  # noqa: E402
     CavityGeometry,
     EmptyResultError,
     GainParams,
+    InfeasibleTargetError,
     PvParams,
     ResbeamError,
     UnreachableTargetError,
+    calibrate_aperture,
     cavity,
     connecting_r2,
     end_to_end,
@@ -75,6 +82,7 @@ from resbeam import (  # noqa: E402
     reference_defaults,
     required_input_power,
     stable_distance_intervals,
+    transmission_efficiency,
 )
 
 QUANTILES = (0.5, 0.9, 0.99, 1.0)
@@ -336,6 +344,36 @@ def round_trip_band(rng: random.Random, n: int) -> dict:
     return {"required_input_power": {**report, "share_over_4_ulps": float(f"{share:.4g}")}}
 
 
+def calibrate_band(rng: random.Random, n: int) -> dict:
+    """calibrate_aperture against transmission_efficiency: the aperture solved for the
+    efficiency that a drawn aperture gives, and the efficiency at the solved aperture."""
+    aperture, efficiency = Route(), Route()
+    for _ in range(n):
+        p = stable_link(rng)
+        p_stored = 10.0 ** rng.uniform(0.0, 3.0)
+        eta = transmission_efficiency(p_stored, p.d, p)
+        for route in (aperture, efficiency):
+            route.count("links")
+        try:
+            a = calibrate_aperture(p.d, p_stored, eta, p)
+        except InfeasibleTargetError:
+            for route in (aperture, efficiency):
+                route.count("refused")
+                route.answer("InfeasibleTargetError")
+            continue
+        eta_back = transmission_efficiency(p_stored, p.d, p._replace(aperture_radius=a))
+        aperture.answer(a)
+        efficiency.answer(eta, eta_back)
+        if eta == 0.0:  # below the beam threshold at every aperture: a is not determined
+            for route in (aperture, efficiency):
+                route.count("below_threshold")
+            continue
+        aperture.error(abs(a - p.aperture_radius) / p.aperture_radius, 1e-9)
+        efficiency.error(abs(eta_back - eta) / math.ulp(eta), 4)
+    return {"calibrate_aperture": aperture.report("a_rel_error"),
+            "transmission_efficiency": efficiency.report("eta_error_ulps")}
+
+
 def run(seed: int, n: int) -> dict:
     bands = {}
     for i, (name, draw) in enumerate(DESIGN_BANDS.items()):
@@ -347,6 +385,7 @@ def run(seed: int, n: int) -> dict:
     bands["tiny-r1"] = design_band(tiny_r1, random.Random(f"{seed}-tiny-r1"), n, narrow=True)
     bands["r1-search"] = r1_search_band(random.Random(f"{seed}-search"), n)
     bands["round-trip"] = round_trip_band(random.Random(f"{seed}-round-trip"), n)
+    bands["calibrate"] = calibrate_band(random.Random(f"{seed}-calibrate"), n)
     return {"seed": seed, "n": n, "bands": bands}
 
 

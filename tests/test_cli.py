@@ -364,6 +364,36 @@ START_UPS = {"import-resbeam": "import resbeam", "import-resbeam.cli": "import r
     name: f"import resbeam; {code}" for name, code in LONG_GRIDS.items()}
 
 
+# The resbeam modules each command kind loads: a command compiles only what it runs.  Every
+# kind loads the package, errors, config (the link records), geometry (the terms at one
+# distance) and cli; the reach adds cavity, the power chain adds powerchain and diffraction,
+# and the grid commands load every module.
+EVERY_COMMAND = {"resbeam", "resbeam.cli", "resbeam.config", "resbeam.errors", "resbeam.geometry"}
+REACH = EVERY_COMMAND | {"resbeam.cavity"}
+POWER = EVERY_COMMAND | {"resbeam.powerchain", "resbeam.diffraction"}
+EVERY_MODULE = {"resbeam", *(f"resbeam.{p.stem}" for p in Path(resbeam.__file__).parent.glob("*.py")
+                             if p.stem != "__init__")}
+MODULES_LOADED = {
+    "stability": EVERY_COMMAND,
+    **dict.fromkeys(("intervals", "max-distance", "connect-r2", "r1-range"), REACH),
+    **dict.fromkeys(("power", "thresholds", "required-pin", "calibrate"), POWER),
+    "sweep-d": EVERY_MODULE,
+    "reproduce-7-csv": EVERY_MODULE,
+    "reproduce-13-json": EVERY_MODULE,
+}
+
+
+@pytest.mark.parametrize("name", MODULES_LOADED, ids=MODULES_LOADED.keys())
+def test_each_command_loads_only_the_modules_it_runs(name):
+    argv = (SCALAR_COMMANDS | DATASET_COMMANDS)[name]
+    probe = (f"import sys, resbeam.cli; code = resbeam.cli.main({argv!r}); "
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'resbeam'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {sorted(MODULES_LOADED[name])}"
+
+
 HEAVY = "import sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
 INTROSPECTION = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
 

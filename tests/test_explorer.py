@@ -984,8 +984,9 @@ class TestColumnDrivers:
     # the scalar kernels a per-row loop calls, by the name each counts under; with numpy
     # loaded, as here, grids evaluate columns instead.  Every reach,
     # max_transmission_distance's and a row's alike, runs the private body cavity._supremum, so its calls on a float R1 (not on an R1
-    # column) are what is counted; figure 8's rows run the radii body cavity._radii, not
-    # beam_radii.
+    # column) are what is counted; figure 8's rows run the radii body geometry._radii, not
+    # beam_radii.  Each name is patched where it is defined (geometry or cavity), where
+    # cavity re-exports it and where explorer binds it.
     SCALAR_KERNELS = {"_supremum": "max_transmission_distance", "is_stable": "is_stable",
                       "g_parameters": "g_parameters", "_radii": "_radii"}
 
@@ -997,7 +998,7 @@ class TestColumnDrivers:
                     calls[_name] += 1
                 return _kernel(*args, **kwargs)
 
-            for module in (resbeam.explorer, resbeam.cavity):
+            for module in (resbeam.explorer, resbeam.cavity, resbeam.geometry):
                 monkeypatch.setattr(module, name, counted, raising=False)
         build()
         monkeypatch.undo()

@@ -9,13 +9,17 @@ counters at zero without an error.  The tracer is read here, not changed.
 import contextlib
 import importlib.util
 import io
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import resbeam
 import resbeam.cli  # as perfbench/runner.py loads the library
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -51,3 +55,38 @@ def test_cli_calls_reach_the_traced_layers():
     assert metrics["cli.calls"] == 3
     assert metrics["explorer.calls"] == 2  # calibrate_aperture and sweep
     assert metrics["powerchain.calls"] > 0
+
+
+# What perfbench/runner.py does before a traced run installs the tracer: import the package
+# and the cli, set the workload up, run its first block (cli-cold in this process, as the
+# traced run does), then read each layer from sys.modules, where tracing.install looks for
+# it without importing anything.  Prints the layers missing there or missing a traced name.
+RUNNER_PROBE = """
+import contextlib, io, sys, tempfile
+from pathlib import Path
+root = Path({root!r})
+sys.path.insert(0, str(root / "perfbench"))
+import resbeam, resbeam.cli
+import workloads
+with tempfile.TemporaryDirectory() as tmp:
+    wl = workloads.WORKLOADS[{name!r}](resbeam, root, Path(tmp))
+    wl.setup()
+    wl.in_process = True
+    with contextlib.redirect_stdout(io.StringIO()):
+        for spec in next(wl.blocks(1)):
+            wl.run(wl.prepare(spec))
+            wl.finish(spec)
+import tracing
+print([layer for layer, names in tracing.LAYERS.items()
+       if f"resbeam.{{layer}}" not in sys.modules
+       or [n for n in names if n not in vars(sys.modules[f"resbeam.{{layer}}"])]])
+"""
+
+
+@pytest.mark.parametrize("workload", ["cli-cold", "sweep-grid", "design-solve"])
+def test_every_traced_layer_is_loaded_before_the_tracer_installs(workload):
+    probe = RUNNER_PROBE.format(root=str(ROOT), name=workload)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

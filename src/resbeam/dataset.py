@@ -1,20 +1,26 @@
 """Columnar sweep results and their byte-deterministic serialization, without
-numpy: C formats each CSV row with one %-format, and JSON with its encoder."""
+numpy: C formats each CSV row with one %-format; JSON writes each float column
+with orjson and the rest with the standard encoder, in the bytes that
+``json.dumps`` alone would write."""
 
 from __future__ import annotations
 
 import json
 import math
 import operator
+import re
 from itertools import repeat
 
 from .errors import require
 
 FORMATS = ("csv", "json")
+# orjson writes repr's shortest digits, but lays out two kinds of token its own way: an
+# exponent (1e16, 1e-7 for 1e+16, 1e-07) and 1e-5 <= |x| < 1e-4 without one (0.00001)
+_NOT_REPR = rb"(?<![0-9.e+-])-?(?:0\.0000[0-9]*|[0-9.]+e-?[0-9]+)"
 
 
 class Dataset:
-    """Named numeric series plus a per-row flag and a provenance snapshot.
+    """Numeric series named by str plus a per-row flag and a provenance snapshot.
 
     Flags are short tokens ("" for clean rows; none given means all clean);
     rows that could not be evaluated carry zeros in the numeric columns and a
@@ -24,6 +30,8 @@ class Dataset:
 
     def __init__(self, columns: dict, flags: list[str] | None = None,
                  provenance: dict[str, str] | None = None):
+        for name in columns:  # a CSV header cell and a JSON key alike
+            require("columns", name, isinstance(name, str), "a str")
         self.columns: dict[str, list[float]] = {k: _floats(v) for k, v in columns.items()}
         lengths = {len(v) for v in self.columns.values()}
         if len(lengths) > 1:
@@ -62,7 +70,10 @@ def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
 
     CSV: '#'-prefixed provenance comment lines (sorted by key), a header of
     name_unit columns plus a trailing ``flag`` column, 9-significant-digit
-    values (0 for -0.0 too), LF line endings.  JSON: ``{"provenance", "columns", "flag"}``.
+    values (0 for -0.0 too), LF line endings.  JSON: ``{"provenance", "columns", "flag"}``,
+    byte for byte what ``json.dumps(..., separators=(",", ":"))`` writes: orjson writes
+    each float column, the tokens it lays out unlike ``repr`` are rewritten by ``repr``,
+    and a NaN or inf, which it writes as ``null``, raises ValueError.
     """
     require("format", fmt, fmt in FORMATS, f"one of {FORMATS}")
     if fmt == "csv":
@@ -74,6 +85,17 @@ def emit_dataset(ds: Dataset, fmt: str = "csv") -> bytes:
             cols = [map(operator.add, repeat(0.0), c) for c in cols]
             body = "".join(map(operator.mod, repeat(row), zip(*cols, ds.flags)))
         return ("\n".join(lines) + body + "\n").encode("utf-8")
-    obj = {"provenance": dict(sorted(ds.provenance.items())), "columns": ds.columns,
-           "flag": ds.flags}
-    return (json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
+    import orjson  # here only: its import (several ms) is paid by JSON datasets alone
+
+    encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+    columns = []
+    for name, col in ds.columns.items():
+        text = orjson.dumps(col)
+        if b"null" in text:
+            raise ValueError(f"column {name} contains NaN or inf")
+        if b"e" in text or b"0.0000" in text:
+            text = re.sub(_NOT_REPR, lambda m: repr(float(m[0])).encode(), text)
+        columns.append(b"%s:%s" % (encode(name).encode(), text))
+    return b'{"provenance":%s,"columns":{%s},"flag":%s}\n' % (
+        encode(dict(sorted(ds.provenance.items()))).encode(), b",".join(columns),
+        encode(ds.flags).encode())

@@ -3,6 +3,7 @@ import ast
 import gc
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +393,49 @@ def test_each_command_loads_only_the_modules_it_runs(name):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {sorted(MODULES_LOADED[name])}"
+
+
+# orjson writes JSON datasets' float columns; its import (several ms) is paid by the
+# commands that write one, and by no other
+ORJSON_LOADED = {**dict.fromkeys(SCALAR_COMMANDS, False), "reproduce-7-csv": False,
+                 "sweep-d": False, "reproduce-13-json": True, "sweep-d-json": True}
+
+
+@pytest.mark.parametrize("name", ORJSON_LOADED, ids=ORJSON_LOADED.keys())
+def test_only_json_datasets_import_orjson(name):
+    commands = SCALAR_COMMANDS | DATASET_COMMANDS
+    argv = [*commands["sweep-d"], "--format", "json"] if name == "sweep-d-json" else commands[name]
+    probe = (f"import sys, resbeam.cli; code = resbeam.cli.main({argv!r}); "
+             "print(code, 'orjson' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {ORJSON_LOADED[name]}"
+
+
+TOP_LEVEL = "print(sorted({m.split('.')[0] for m in sys.modules}))"
+
+
+def test_every_third_party_module_is_a_declared_dependency(tmp_path):
+    # the dataset commands run every module; with numpy loaded their grids run as columns
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[\w.-]+", dep)[0].lower().replace("-", "_")
+                    for dep in tomllib.load(fh)["project"]["dependencies"]}
+    # every sweep in both formats, and every figure (each in both formats already)
+    runs = [*([*argv, "--format", fmt] for argv in DATASET_COMMANDS.values()
+              if argv[0] == "sweep" for fmt in ("csv", "json")),
+            *(argv for argv in DATASET_COMMANDS.values() if argv[0] == "reproduce")]
+    probe = "\n".join(["import sys, numpy, resbeam.cli", *(
+        f"assert resbeam.cli.main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0"
+        for argv in runs), TOP_LEVEL])
+    loaded, bare = (subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                   timeout=120) for code in (probe, f"import sys; {TOP_LEVEL}"))
+    assert loaded.returncode == 0, loaded.stderr
+    third_party = (set(ast.literal_eval(loaded.stdout.splitlines()[-1]))
+                   - set(ast.literal_eval(bare.stdout)) - set(sys.stdlib_module_names) - {"resbeam"})
+    # sysconfig's build data is the standard library's too, under a name per platform
+    assert {m for m in third_party if not m.startswith("_sysconfigdata_")} == declared
 
 
 HEAVY = "import sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"

@@ -145,6 +145,8 @@ CHECKS = [
     ("format", lambda: emit_dataset(Dataset({"x": [1.0]}), "xml"), "format", "'xml'"),
     # a flag is a str token: a CSV row prints it with %s, and JSON would write it as a value
     ("dataset-flags", lambda: Dataset({"x": [1.0, 2.0]}, [None, 3]), "flags", "None"),
+    # a column name is a str: a CSV header cell, and a JSON key written as a string
+    ("dataset-column-name", lambda: Dataset({1: [1.0, 2.0]}), "columns", "1"),
     # a*a and wavelength * (l + d) both overflow, so the loss exponent would be inf/inf
     ("tem00-overflow", lambda: fundamental_loss_vs_distance(1e300, 1e300, 1e300, 1.0),
      "wavelength", "1e+300"),

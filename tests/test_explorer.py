@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import random
 import re
+import struct
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -910,10 +912,11 @@ class TestDatasetSerialization:
             Dataset({"a": [1.0], "b": [1.0, 2.0]})
 
     def test_json_never_writes_a_non_standard_constant(self):
-        ds = Dataset({"x": np.array([1.0, 2.0])})
-        ds.columns["x"][1] = math.inf  # past the checks of construction
-        with pytest.raises(ValueError):
-            emit_dataset(ds, "json")
+        for bad in (math.nan, math.inf, -math.inf):
+            ds = Dataset({"x": np.array([1.0, 2.0]), "y": [3.0, 4.0]})
+            ds.columns["y"][1] = bad  # past the checks of construction
+            with pytest.raises(ValueError):
+                emit_dataset(ds, "json")
 
     def test_overflowed_rows_read_zero_flagged(self, default_params):
         ds = sweep(SweepSpec("R1", (-1.0, -1e-320, 1e-320), default_params))
@@ -946,8 +949,14 @@ class TestDatasetSerialization:
         lines = emit_dataset(Dataset({"x": np.array(xs)}), "csv").decode().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == [oracles.csv_cell(x) for x in xs]
 
-    # flags that hold the separators, a format directive and the text of a -0.0 cell
-    FLAG_TOKENS = ("", "overflow", "a,b", "%s", "%.9g", "-0,", "x-0,y", "d1:unstable;d5:")
+    # floats that orjson lays out unlike repr: exponents, and the band 1e-5 <= |x| < 1e-4
+    DIFFERENT_LAYOUTS = (1e16, 9999999999999998.0, 1e-05, 2.7332800579786138e-05,
+                         9.999999999999999e-05, 1e-4, 5e-324, -1.7976931348623157e308, 1e300)
+
+    # flags that hold the separators, a format directive, the text of a -0.0 cell and the
+    # characters JSON escapes (a quote, a backslash, a control character, a non-ASCII letter)
+    FLAG_TOKENS = ("", "overflow", "a,b", "%s", "%.9g", "-0,", "x-0,y", "d1:unstable;d5:",
+                   '"', "\\", "\n", "\x7f", "é")
 
     @staticmethod
     @st.composite
@@ -956,11 +965,11 @@ class TestDatasetSerialization:
         n = draw(st.integers(0, 20))
         cell = st.one_of(st.just(-0.0), st.just(0.0),
                          st.floats(allow_nan=False, allow_infinity=False))
-        columns = {f"c{i}": draw(st.lists(cell, min_size=n, max_size=n))
+        tokens = st.sampled_from(TestDatasetSerialization.FLAG_TOKENS)
+        columns = {f"c{i}{draw(tokens)}": draw(st.lists(cell, min_size=n, max_size=n))
                    for i in range(draw(st.integers(1, 6)))}
-        flags = draw(st.lists(st.sampled_from(TestDatasetSerialization.FLAG_TOKENS),
-                              min_size=n, max_size=n))
-        return columns, flags, {"note": draw(st.sampled_from(["", "-0,", "%"]))}
+        flags = draw(st.lists(tokens, min_size=n, max_size=n))
+        return columns, flags, {"note": draw(st.sampled_from(["", "-0,", "%"]) | tokens)}
 
     @given(datasets())
     @example(({"x": [], "y": []}, [], {}))
@@ -968,6 +977,10 @@ class TestDatasetSerialization:
     @example(({"x": [1.0]}, ["-0,"], {"note": "-0,"}))  # "-0," only outside the cells
     @example(({"x": [-0.0, 1e-05, -1e-05, 5e-324], "y": [1.0, -0.0, 0.0, -1e300]},
               ["", "%s", "a,b", ""], {}))
+    @example(({"x": [x * sign for x in DIFFERENT_LAYOUTS for sign in (1.0, -1.0)],
+               "y": [-0.0] * 2 * len(DIFFERENT_LAYOUTS)},
+              ['"', "\\", "\n", "\x7f", "é", "-0,"] * 3, {"é": '"\\\n\x7f'}))
+    @example(({"x": [10.00001, -10.00001, 1e-06]}, ["", "", ""], {}))  # 0.0000 within a token
     def test_whole_dataset_matches_per_cell_reference(self, case):
         columns, flags, provenance = case
         ds = Dataset(columns, flags, provenance)
@@ -978,6 +991,17 @@ class TestDatasetSerialization:
         assert emit_dataset(ds, "csv") == "".join(f"{ln}\n" for ln in head + rows).encode()
         doc = {"provenance": dict(sorted(provenance.items())), "columns": columns, "flag": flags}
         assert emit_dataset(ds, "json") == (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+
+    def test_json_floats_match_the_standard_encoder(self):
+        # orjson writes each float column: over random finite bit patterns, of every
+        # exponent, a column's bytes are json's
+        rng = random.Random(1)
+        xs = [x for x in struct.unpack("<200000d", rng.randbytes(8 * 200_000))
+              if math.isfinite(x)][:100_000]
+        assert len(xs) == 100_000
+        column = json.dumps(xs, separators=(",", ":")).encode()
+        doc = emit_dataset(Dataset({"x": xs}), "json")
+        assert doc.startswith(b'{"provenance":{},"columns":{"x":%s},"flag":[' % column)
 
 
 class TestColumnDrivers:
